@@ -11,6 +11,14 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    DEFAULT_BEHAVIOR_AMP_KWH,
+    DEFAULT_BIAS_KWH,
+    DEFAULT_NOISE_STD_KWH,
+    FAST_HOURS,
+    FULL_HOURS,
+    SEED_BASELINE,
+    SEED_TRUTH,
+    SEED_WEATHER,
     ConfigError,
     RunReport,
     SCENARIO_METHODS,
@@ -44,7 +52,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=42, help="master seed")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     p.add_argument("--config", type=Path, default=None, help="flat key=value config file")
-    p.add_argument("--fast", action="store_true", help="use the short 2160-hour fixture")
+    p.add_argument("--fast", action="store_true", help=f"use the short {FAST_HOURS}-hour fixture")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,8 +138,8 @@ def _cmd_simulate(args) -> int:
             raise ConfigError(str(exc)) from exc
     else:
         building = BuildingParams()
-    hours = 2160 if args.fast else 8760
-    weather = make_weather(hours, args.seed + 11)
+    hours = FAST_HOURS if args.fast else FULL_HOURS
+    weather = make_weather(hours, args.seed + SEED_WEATHER)
     physics = simulate_physics(building, weather, default_occupancy())
     args.out.mkdir(parents=True, exist_ok=True)
     write_temperature_csv(weather.timestamps, weather.temp_c, args.out / "weather_temp_c.csv")
@@ -141,12 +149,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train_baseline(args) -> int:
-    hours = 2160 if args.fast else 8760
-    weather = make_weather(hours, args.seed + 11)
+    hours = FAST_HOURS if args.fast else FULL_HOURS
+    weather = make_weather(hours, args.seed + SEED_WEATHER)
     physics = simulate_physics(BuildingParams(), weather, default_occupancy())
-    truth = make_truth(physics, bias=50.0, noise_std=8.0, behavior_amp=12.0, seed=args.seed + 22)
+    truth = make_truth(
+        physics,
+        bias=DEFAULT_BIAS_KWH,
+        noise_std=DEFAULT_NOISE_STD_KWH,
+        behavior_amp=DEFAULT_BEHAVIOR_AMP_KWH,
+        seed=args.seed + SEED_TRUTH,
+    )
     feats = build_feature_rows(truth, weather.temp_c)
-    forecaster = train_baseline_forecaster(feats, truth, SplitSpec(), args.seed + 66)
+    forecaster = train_baseline_forecaster(feats, truth, SplitSpec(), args.seed + SEED_BASELINE)
     forecast = forecast_dl(forecaster, feats)
     args.out.mkdir(parents=True, exist_ok=True)
     write_energy_csv(forecast, args.out / "baseline_forecast.csv")

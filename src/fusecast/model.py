@@ -27,12 +27,14 @@ the default unit is the full epoch.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .numkit import AdamState, ShapeMismatch, adam_step, relu, sgd_step
+from .numkit import AdamState, ShapeMismatch, adam_step, block_views, fit_epochs, relu, sgd_step
 from .pipeline import MaskedSample, NormStats
 
 CHECKPOINT_TAG = "pgmn-ckpt-1"
@@ -56,12 +58,37 @@ class FusionDims:
 
     def __post_init__(self):
         for name in ("embed_dim", "memory_dim", "hidden_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            _check_count(name, getattr(self, name))
 
     @property
     def mem_width(self) -> int:
         return self.memory_dim if self.memory_enabled else 0
+
+    @property
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of every learnable tensor, in flat-vector order."""
+        d, mw, dz = self.embed_dim, self.mem_width, self.hidden_dim
+        return {
+            "w_dl": (d, 2), "b_dl": (d,), "w_ep": (d, 2), "b_ep": (d,),
+            "memory": (mw,),
+            "w_hid_dl": (dz, d + mw), "b_hid_dl": (dz,),
+            "w_hid_ep": (dz, d + mw), "b_hid_ep": (dz,),
+            "w_head_dl": (dz,), "b_head_dl": (),
+            "w_head_ep": (dz,), "b_head_ep": (),
+            "w_head_mem": (mw,), "b_head_mem": (),
+        }
+
+    @property
+    def size(self) -> int:
+        """Length of the flat parameter vector."""
+        return sum(math.prod(shape) for shape in self.shapes.values())
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 _TENSOR_FIELDS = (
@@ -74,61 +101,42 @@ _TENSOR_FIELDS = (
 _SCALAR_FIELDS = ("b_head_dl", "b_head_ep", "b_head_mem")
 
 
-@dataclass
 class FusionParams:
-    """Every learnable tensor of the network; shapes are fixed by FusionDims."""
+    """Every learnable tensor of the network, in one flat float64 ``vector``
+    (wrapped, not copied; zeros by default) that the given tensors, if any,
+    are written into.  Each ``_TENSOR_FIELDS`` entry is a view into it, in
+    that order, shaped by FusionDims (head biases 0-d).  Assigning to a field
+    or to ``vector`` writes into the storage, so fields never drift from it."""
 
-    dims: FusionDims
-    w_dl: np.ndarray
-    b_dl: np.ndarray
-    w_ep: np.ndarray
-    b_ep: np.ndarray
-    memory: np.ndarray
-    w_hid_dl: np.ndarray
-    b_hid_dl: np.ndarray
-    w_hid_ep: np.ndarray
-    b_hid_ep: np.ndarray
-    w_head_dl: np.ndarray
-    b_head_dl: float
-    w_head_ep: np.ndarray
-    b_head_ep: float
-    w_head_mem: np.ndarray
-    b_head_mem: float
+    def __init__(self, dims: FusionDims, vector: np.ndarray | None = None, **tensors):
+        if tensors and set(tensors) != set(_TENSOR_FIELDS):
+            raise TypeError(f"FusionParams needs all of the tensors {_TENSOR_FIELDS}, got {sorted(tensors)}")
+        vector = np.zeros(dims.size) if vector is None else vector
+        if vector.dtype != np.float64 or vector.shape != (dims.size,):
+            raise ShapeMismatch(f"expected a float64 vector of length {dims.size}, got {vector.dtype} {vector.shape}")
+        self.__dict__.update(zip(_TENSOR_FIELDS, block_views(vector, dims.shapes.values())), dims=dims, vector=vector)
+        for name, value in tensors.items():
+            setattr(self, name, value)
 
-    def __post_init__(self):
-        d, mw, dz = self.dims.embed_dim, self.dims.mem_width, self.dims.hidden_dim
-        expect = {
-            "w_dl": (d, 2), "b_dl": (d,), "w_ep": (d, 2), "b_ep": (d,),
-            "memory": (mw,),
-            "w_hid_dl": (dz, d + mw), "b_hid_dl": (dz,),
-            "w_hid_ep": (dz, d + mw), "b_hid_ep": (dz,),
-            "w_head_dl": (dz,), "w_head_ep": (dz,), "w_head_mem": (mw,),
-        }
-        for name, shape in expect.items():
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != shape:
-                raise ShapeMismatch(f"{name}: expected shape {shape}, got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        for name in _SCALAR_FIELDS:
-            object.__setattr__(self, name, float(getattr(self, name)))
+    def __setattr__(self, name, value):
+        if name not in _TENSOR_FIELDS and name != "vector":
+            raise AttributeError(f"FusionParams has no assignable field {name!r}")
+        view = self.__dict__[name]
+        arr = np.asarray(value, dtype=np.float64)
+        if arr.shape != view.shape:
+            raise ShapeMismatch(f"{name}: expected shape {view.shape}, got {arr.shape}")
+        view[...] = arr
 
     def flatten(self) -> list[np.ndarray]:
-        """Fixed-order list of arrays (scalars as 0-d) for the optimizers."""
-        out = []
-        for name in _TENSOR_FIELDS:
-            v = getattr(self, name)
-            out.append(np.asarray(v, dtype=np.float64))
-        return out
+        """The fields in fixed order (scalars as 0-d), as views into ``vector``."""
+        return [self.__dict__[name] for name in _TENSOR_FIELDS]
 
     @classmethod
     def unflatten(cls, dims: FusionDims, arrays: list[np.ndarray]) -> "FusionParams":
-        kwargs = {}
-        for name, arr in zip(_TENSOR_FIELDS, arrays):
-            kwargs[name] = float(arr) if name in _SCALAR_FIELDS else np.asarray(arr, dtype=np.float64)
-        return cls(dims=dims, **kwargs)
+        return cls(dims, **dict(zip(_TENSOR_FIELDS, arrays)))
 
     def copy(self) -> "FusionParams":
-        return FusionParams.unflatten(self.dims, [np.array(a) for a in self.flatten()])
+        return FusionParams(self.dims, self.vector.copy())
 
 
 # Gradients mirror the parameter structure exactly.
@@ -175,16 +183,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"learning rate eta must be finite and positive, got {self.eta!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("minibatch size must be >= 1")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
+        _check_count("max_epochs", self.max_epochs)
+        if self.batch_size is not None:
+            _check_count("batch_size (minibatch size)", self.batch_size)
+        _check_count("early_stop_patience", self.early_stop_patience)
 
 
 def init_params(dims: FusionDims, seed: int, random_memory: bool = False) -> FusionParams:
@@ -380,8 +386,8 @@ def _batch_forward(x_dl: np.ndarray, x_ep: np.ndarray, params: FusionParams) -> 
     }
 
 
-def _batch_backward(cache: dict, y: np.ndarray, params: FusionParams) -> tuple[np.ndarray, Gradients]:
-    """Per-sample losses and the summed gradients over the batch."""
+def _batch_backward(cache: dict, y: np.ndarray, params: FusionParams, out: Gradients | None = None) -> tuple[np.ndarray, Gradients]:
+    """Per-sample losses and the summed gradients over the batch, in ``out``."""
     d = params.dims.embed_dim
     yhat = cache["yhat"]
     losses = (y - yhat) ** 2
@@ -404,36 +410,27 @@ def _batch_backward(cache: dict, y: np.ndarray, params: FusionParams) -> tuple[n
     da_h_dl = dc_dl[:, :d] * (cache["a_h_dl"] > 0)
     da_h_ep = dc_ep[:, :d] * (cache["a_h_ep"] > 0)
 
-    grads = Gradients(
-        dims=params.dims,
-        w_dl=da_h_dl.T @ cache["x_dl"], b_dl=da_h_dl.sum(axis=0),
-        w_ep=da_h_ep.T @ cache["x_ep"], b_ep=da_h_ep.sum(axis=0),
-        memory=g_memory,
-        w_hid_dl=g_w_hid_dl, b_hid_dl=da_z_dl.sum(axis=0),
-        w_hid_ep=g_w_hid_ep, b_hid_ep=da_z_ep.sum(axis=0),
-        w_head_dl=g_w_head_dl, b_head_dl=g_sum,
-        w_head_ep=g_w_head_ep, b_head_ep=g_sum,
-        w_head_mem=g_w_head_mem, b_head_mem=g_sum,
-    )
+    grads = out if out is not None else FusionParams(params.dims)
+    grads.w_dl, grads.b_dl = da_h_dl.T @ cache["x_dl"], da_h_dl.sum(axis=0)
+    grads.w_ep, grads.b_ep = da_h_ep.T @ cache["x_ep"], da_h_ep.sum(axis=0)
+    grads.memory = g_memory
+    grads.w_hid_dl, grads.b_hid_dl = g_w_hid_dl, da_z_dl.sum(axis=0)
+    grads.w_hid_ep, grads.b_hid_ep = g_w_hid_ep, da_z_ep.sum(axis=0)
+    grads.w_head_dl, grads.w_head_ep, grads.w_head_mem = g_w_head_dl, g_w_head_ep, g_w_head_mem
+    grads.b_head_dl = grads.b_head_ep = grads.b_head_mem = g_sum
     return losses, grads
 
 
 def predict(samples: list[MaskedSample], params: FusionParams) -> np.ndarray:
-    """Pure forward pass over a list of samples."""
+    """Pure forward pass over a list of samples; non-finite outputs raise."""
     if not samples:
         return np.zeros(0)
     x_dl, x_ep = _pack_inputs(samples)
-    return _batch_forward(x_dl, x_ep, params)["yhat"].copy()
-
-
-def _apply_update(params, grads, cfg, adam_state):
-    flat_p = params.flatten()
-    flat_g = grads.flatten()
-    if cfg.optimizer == "sgd":
-        new = sgd_step(flat_p, flat_g, cfg.eta)
-    else:
-        new, adam_state = adam_step(flat_p, flat_g, adam_state)
-    return FusionParams.unflatten(params.dims, new), adam_state
+    yhat = _batch_forward(x_dl, x_ep, params)["yhat"]
+    bad = len(yhat) - np.count_nonzero(np.isfinite(yhat))
+    if bad:
+        raise ValueError(f"predict: {bad} of {len(yhat)} outputs are non-finite")
+    return yhat.copy()
 
 
 def train(
@@ -462,56 +459,40 @@ def train(
         yv = np.array([resolve_target(s) for s in validation])
 
     params = params.copy()
-    adam_state = AdamState.init(params.flatten(), eta=cfg.eta) if cfg.optimizer == "adam" else None
-    rng = np.random.default_rng(cfg.seed)
-    n = len(dataset)
+    grads = FusionParams(params.dims)
+    adam_state = AdamState.init(params.vector, eta=cfg.eta) if cfg.optimizer == "adam" else None
 
-    history: list[tuple[float, float]] = []
-    best_val = np.inf
-    best_params = params
-    stall = 0
+    # A full-batch step's activations stay referenced until the next step's
+    # exist, so its backward pass reuses their memory instead of page-faulting
+    # ~9 MB back in after a heap trim (about 10% of a full-batch epoch).
+    cache = None
 
-    for epoch in range(cfg.max_epochs):
-        if cfg.batch_size is None:
-            cache = _batch_forward(x_dl, x_ep, params)
-            if not np.all(np.isfinite(cache["yhat"])):
-                raise TrainingDiverged(f"epoch {epoch}: non-finite training loss")
-            losses, grads = _batch_backward(cache, y, params)
-            train_mse = float(np.mean(losses))
-            params, adam_state = _apply_update(params, grads, cfg, adam_state)
+    def update(rows, epoch: int) -> float:
+        nonlocal cache
+        cache = _batch_forward(x_dl[rows], x_ep[rows], params)
+        if not np.all(np.isfinite(cache["yhat"])):
+            raise TrainingDiverged(f"epoch {epoch}: non-finite training loss")
+        losses, _ = _batch_backward(cache, y[rows], params, grads)
+        if cfg.batch_size is not None:
+            cache = None  # held minibatch activations make validation fault instead
+        if cfg.optimizer == "sgd":
+            sgd_step(params.vector, grads.vector, cfg.eta, out=params.vector)
         else:
-            perm = rng.permutation(n)
-            loss_sum = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
-                cache = _batch_forward(x_dl[idx], x_ep[idx], params)
-                if not np.all(np.isfinite(cache["yhat"])):
-                    raise TrainingDiverged(f"epoch {epoch}: non-finite training loss")
-                losses, grads = _batch_backward(cache, y[idx], params)
-                loss_sum += float(np.sum(losses))
-                params, adam_state = _apply_update(params, grads, cfg, adam_state)
-            train_mse = loss_sum / n
+            adam_step(params.vector, grads.vector, adam_state, out=params.vector)
+        return float(np.sum(losses))
 
-        if has_val:
-            val_pred = _batch_forward(xv_dl, xv_ep, params)["yhat"]
-            val_mse = float(np.mean((yv - val_pred) ** 2))
-            if not np.isfinite(val_mse):
-                raise TrainingDiverged(f"epoch {epoch}: non-finite validation loss")
-        else:
-            val_mse = float("nan")
-        history.append((train_mse, val_mse))
+    def validate(epoch: int) -> float:
+        val_pred = _batch_forward(xv_dl, xv_ep, params)["yhat"]
+        val_mse = float(np.mean((yv - val_pred) ** 2))
+        if not np.isfinite(val_mse):
+            raise TrainingDiverged(f"epoch {epoch}: non-finite validation loss")
+        return val_mse
 
-        if has_val:
-            if val_mse < best_val:
-                best_val = val_mse
-                best_params = params.copy()
-                stall = 0
-            else:
-                stall += 1
-                if stall >= cfg.early_stop_patience:
-                    break
-
-    return (best_params if has_val else params), history
+    best, history = fit_epochs(
+        params.vector, len(dataset), update, validate if has_val else None,
+        cfg.max_epochs, cfg.batch_size, cfg.early_stop_patience, np.random.default_rng(cfg.seed),
+    )
+    return FusionParams(params.dims, best), history
 
 
 # ---------------------------------------------------------------------------
@@ -546,44 +527,75 @@ def save_checkpoint(path, params: FusionParams, norm: NormStats | None = None) -
 
 
 def load_checkpoint(path) -> tuple[FusionParams, NormStats | None]:
+    """Read a checkpoint written by save_checkpoint.
+
+    Any malformed content (a truncated file, an unknown or repeated tensor
+    name, a value count or shape that does not fit, a non-finite value)
+    raises ValueError naming the file and the line.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
+
+    def fail(lineno: int, msg: str):
+        raise ValueError(f"{path}:{lineno}: {msg}")
+
+    def parse_values(lineno: int, tokens: list[str], count: int) -> list[float]:
+        if len(tokens) != count:
+            fail(lineno, f"expected {count} values, got {len(tokens)}")
+        try:
+            vals = [float.fromhex(tok) for tok in tokens]
+        except (ValueError, OverflowError) as exc:
+            fail(lineno, f"malformed hex float: {exc}")
+        if not all(map(math.isfinite, vals)):
+            fail(lineno, "non-finite value")
+        return vals
+
     if not lines or lines[0] != CHECKPOINT_TAG:
-        raise ValueError(f"{path}: not a {CHECKPOINT_TAG} checkpoint")
+        fail(1, f"not a {CHECKPOINT_TAG} checkpoint")
+    if len(lines) < 2:
+        fail(1, "file ends before the dims line")
     head = lines[1].split()
-    if head[0] != "dims" or len(head) != 5:
-        raise ValueError(f"{path}: malformed dims line")
-    dims = FusionDims(int(head[1]), int(head[2]), int(head[3]), bool(int(head[4])))
+    if len(head) != 5 or head[0] != "dims" or head[4] not in ("0", "1"):
+        fail(2, "malformed dims line")
+    try:
+        dims = FusionDims(int(head[1]), int(head[2]), int(head[3]), head[4] == "1")
+    except ValueError as exc:
+        fail(2, f"malformed dims line: {exc}")
+    shapes = dims.shapes
 
     norm = None
     i = 2
     if i < len(lines) and lines[i].startswith("norm "):
-        vals = [float.fromhex(tok) for tok in lines[i].split()[1:]]
-        if len(vals) != 6:
-            raise ValueError(f"{path}: malformed norm line")
-        norm = NormStats(*vals)
+        norm = NormStats(*parse_values(i + 1, lines[i].split()[1:], 6))
         i += 1
 
-    values: dict[str, np.ndarray | float] = {}
+    values: dict[str, list[float]] = {}
     while i < len(lines):
-        parts = lines[i].split()
+        lineno, parts = i + 1, lines[i].split()
+        i += 1
         if not parts:
-            i += 1
             continue
-        if parts[0] == "scalar":
-            values[parts[1]] = float.fromhex(parts[2])
-            i += 1
-        elif parts[0] == "tensor":
-            name = parts[1]
-            ndim = int(parts[2])
-            shape = tuple(int(x) for x in parts[3 : 3 + ndim])
-            data = np.array([float.fromhex(tok) for tok in lines[i + 1].split()])
-            values[name] = data.reshape(shape)
-            i += 2
+        if parts[0] not in ("scalar", "tensor") or len(parts) < 3:
+            fail(lineno, f"unexpected line {lines[lineno - 1]!r}")
+        kind, name = parts[0], parts[1]
+        if name not in shapes:
+            fail(lineno, f"unknown tensor name {name!r}")
+        if name in values:
+            fail(lineno, f"duplicate tensor {name!r}")
+        if kind == "scalar":
+            shape, data, data_lineno = (), parts[2:], lineno
         else:
-            raise ValueError(f"{path}: unexpected line {lines[i]!r}")
+            if not all(tok.isdecimal() for tok in parts[2:]) or int(parts[2]) != len(parts) - 3:
+                fail(lineno, f"malformed tensor header {lines[lineno - 1]!r}")
+            if i >= len(lines):
+                fail(lineno, f"tensor {name!r} has no data line")
+            shape, data, data_lineno = tuple(int(tok) for tok in parts[3:]), lines[i].split(), i + 1
+            i += 1
+        values[name] = parse_values(data_lineno, data, math.prod(shape))
+        if shape != shapes[name]:
+            fail(lineno, f"{name}: expected shape {shapes[name]}, got {shape}")
 
     missing = [name for name in _TENSOR_FIELDS if name not in values]
     if missing:
-        raise ValueError(f"{path}: checkpoint is missing tensors {missing}")
-    params = FusionParams(dims=dims, **{name: values[name] for name in _TENSOR_FIELDS})
-    return params, norm
+        fail(len(lines), f"file ends without tensors {missing}")
+    vector = np.array([v for name in _TENSOR_FIELDS for v in values[name]], dtype=np.float64)
+    return FusionParams(dims, vector), norm

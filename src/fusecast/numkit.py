@@ -1,12 +1,16 @@
 """Dense float64 kernels shared by every other module.
 
 Plain functions over numpy arrays: affine maps, ReLU, squared error,
-SGD/Adam updates over flat parameter lists, and a central-difference
-gradient oracle used to verify hand-derived backward passes.
+views of a flat parameter vector as shaped tensors, SGD/Adam updates on one
+flat parameter vector and one flat gradient vector (a few vectorised ops
+per step, in place when ``out`` is the parameter vector), the epoch loop
+every trainer shares, and a central-difference gradient oracle used to
+verify hand-derived backward passes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -76,28 +80,38 @@ def mse(y: float, yhat: float) -> float:
     return (float(y) - float(yhat)) ** 2
 
 
-def _check_pair(params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
-    if len(params) != len(grads):
-        raise ShapeMismatch(f"{len(params)} parameters but {len(grads)} gradients")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if np.shape(p) != np.shape(g):
-            raise ShapeMismatch(f"entry {i}: parameter shape {np.shape(p)} vs gradient shape {np.shape(g)}")
+def block_views(vector: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of consecutive row-major blocks of a flat vector, one per shape
+    (``()`` gives a 0-d view); the blocks must cover the vector exactly."""
+    out, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        out.append(vector[start:stop].reshape(shape))
+        start = stop
+    if start != vector.shape[0]:
+        raise ShapeMismatch(f"blocks hold {start} values but the vector has {vector.shape[0]}")
+    return out
 
 
-def sgd_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray], eta: float) -> list[np.ndarray]:
-    """One plain gradient-descent update: p <- p - eta * g."""
-    if eta <= 0:
-        raise ValueError("learning rate must be positive")
-    _check_pair(params, grads)
-    return [np.asarray(p, dtype=np.float64) - eta * np.asarray(g, dtype=np.float64) for p, g in zip(params, grads)]
+def _check_eta(eta: float) -> None:
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"learning rate must be finite and positive, got {eta!r}")
+
+
+def sgd_step(params: np.ndarray, grads: np.ndarray, eta: float, out: np.ndarray | None = None) -> np.ndarray:
+    """One plain gradient-descent update, p - eta * g, written to ``out``."""
+    _check_eta(eta)
+    if params.shape != grads.shape:
+        raise ShapeMismatch(f"parameter shape {params.shape} vs gradient shape {grads.shape}")
+    return np.subtract(params, eta * grads, out=out)
 
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment accumulators plus hyperparameters."""
+    """Flat first/second moment accumulators plus hyperparameters."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int
     beta1: float
     beta2: float
@@ -107,43 +121,68 @@ class AdamState:
     @classmethod
     def init(
         cls,
-        params: Sequence[np.ndarray],
+        params: np.ndarray,
         eta: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> "AdamState":
-        if eta <= 0:
-            raise ValueError("learning rate must be positive")
-        return cls(
-            m=[np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params],
-            v=[np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params],
-            step=0,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-            eta=eta,
-        )
+        _check_eta(eta)
+        return cls(np.zeros(params.shape), np.zeros(params.shape), 0, beta1, beta2, eps, eta)
 
 
 def adam_step(
-    params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update.  Returns new params and new state."""
-    _check_pair(params, grads)
-    _check_pair(params, state.m)
-    t = state.step + 1
-    new_m, new_v, new_p = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = np.asarray(g, dtype=np.float64)
-        m1 = state.beta1 * m + (1.0 - state.beta1) * g
-        v1 = state.beta2 * v + (1.0 - state.beta2) * g * g
-        mhat = m1 / (1.0 - state.beta1**t)
-        vhat = v1 / (1.0 - state.beta2**t)
-        new_p.append(np.asarray(p, dtype=np.float64) - state.eta * mhat / (np.sqrt(vhat) + state.eps))
-        new_m.append(m1)
-        new_v.append(v1)
-    return new_p, AdamState(new_m, new_v, t, state.beta1, state.beta2, state.eps, state.eta)
+    params: np.ndarray, grads: np.ndarray, state: AdamState, out: np.ndarray | None = None
+) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update over a flat vector.  The moments in
+    ``state`` advance in place; the new parameters go to ``out`` (a new
+    array by default).  Returns the new parameters and ``state``."""
+    if not params.shape == grads.shape == state.m.shape:
+        raise ShapeMismatch(f"parameter shape {params.shape}, gradient {grads.shape}, moments {state.m.shape}")
+    state.step += 1
+    b1, b2, t = state.beta1, state.beta2, state.step
+    m, v = state.m, state.v
+    # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in place, rounding for rounding.
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
+    mhat = m / (1.0 - b1**t)
+    vhat = v / (1.0 - b2**t)
+    return np.subtract(params, state.eta * mhat / (np.sqrt(vhat) + state.eps), out=out), state
+
+
+def fit_epochs(
+    vector: np.ndarray, n: int, update: Callable, validate: Callable | None,
+    max_epochs: int, batch_size: int | None, patience: int, rng: np.random.Generator,
+) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """The epoch loop every trainer shares: per epoch, ``update(rows, epoch)``
+    steps ``vector`` in place and returns the summed loss, once per minibatch
+    of a fresh ``rng`` permutation (once on all rows when ``batch_size`` is
+    None); then ``validate(epoch)``, with early stopping after ``patience``
+    stale epochs.  Returns a copy of the best (without ``validate``, the last)
+    vector and the (mean train loss, validation loss or NaN) history."""
+    history: list[tuple[float, float]] = []
+    best_val, best, stall = math.inf, vector.copy(), 0
+    for epoch in range(max_epochs):
+        if batch_size is None:
+            loss_sum = update(slice(None), epoch)
+        else:
+            perm = rng.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, batch_size):
+                loss_sum += update(perm[start : start + batch_size], epoch)
+        val = validate(epoch) if validate is not None else math.nan
+        history.append((loss_sum / n, val))
+        if validate is None:
+            continue
+        if val < best_val:
+            best_val, best, stall = val, vector.copy(), 0
+        else:
+            stall += 1
+            if stall >= patience:
+                break
+    return (best if validate is not None else vector.copy()), history
 
 
 def finite_diff_grad(

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numkit import AdamState, adam_step
+from .numkit import AdamState, adam_step, block_views, fit_epochs
 from .pipeline import EnergySeries, FeatureRow, SplitSpec, hour_of_day, hour_of_week, hourly_range
 
 OCCUPANT_HEAT_W = 100.0        # sensible heat per person at light activity
@@ -337,14 +337,18 @@ def train_baseline_forecaster(
         b = np.sqrt(1.0 / fan_in)
         return rng.uniform(-b, b, size=shape)
 
-    w1, b1 = uniform((hidden, N_FEATURES), N_FEATURES), np.zeros(hidden)
-    w2, b2 = uniform((hidden, hidden), hidden), np.zeros(hidden)
-    w3, b3 = uniform((hidden,), hidden), 0.0
-
-    weights = [w1, b1, w2, b2, w3, np.asarray(b3)]
+    # One flat vector holds w1, b1, w2, b2, w3 and b3; w and g are its views.
+    shapes = ((hidden, N_FEATURES), (hidden,), (hidden, hidden), (hidden,), (hidden,), ())
+    weights = np.concatenate([
+        uniform((hidden, N_FEATURES), N_FEATURES).ravel(), np.zeros(hidden),
+        uniform((hidden, hidden), hidden).ravel(), np.zeros(hidden),
+        uniform((hidden,), hidden), [0.0],
+    ])
+    grads = np.zeros_like(weights)
+    w, g = block_views(weights, shapes), block_views(grads, shapes)
     state = AdamState.init(weights, eta=eta)
 
-    def forward_batch(x, w):
+    def forward_batch(x):
         a1 = x @ w[0].T + w[1]
         h1 = np.maximum(a1, 0.0)
         a2 = h1 @ w[2].T + w[3]
@@ -352,40 +356,26 @@ def train_baseline_forecaster(
         out = h2 @ w[4] + float(w[5])
         return a1, h1, a2, h2, out
 
-    best_val = np.inf
-    best_weights = [np.array(w) for w in weights]
-    stall = 0
-    for _epoch in range(max_epochs):
-        perm = rng.permutation(len(xt))
-        for s in range(0, len(xt), batch_size):
-            idx = perm[s : s + batch_size]
-            xb, yb = xt[idx], yt[idx]
-            a1, h1, a2, h2, out = forward_batch(xb, weights)
-            dout = 2.0 * (out - yb) / len(idx)
-            g_w3 = h2.T @ dout
-            g_b3 = np.asarray(np.sum(dout))
-            da2 = np.outer(dout, weights[4]) * (a2 > 0)
-            g_w2 = da2.T @ h1
-            g_b2 = da2.sum(axis=0)
-            da1 = (da2 @ weights[2]) * (a1 > 0)
-            g_w1 = da1.T @ xb
-            g_b1 = da1.sum(axis=0)
-            weights, state = adam_step(weights, [g_w1, g_b1, g_w2, g_b2, g_w3, g_b3], state)
-        if len(xv):
-            _, _, _, _, vout = forward_batch(xv, weights)
-            val_mse = float(np.mean((vout - yv) ** 2))
-            if val_mse < best_val:
-                best_val = val_mse
-                best_weights = [np.array(w) for w in weights]
-                stall = 0
-            else:
-                stall += 1
-                if stall >= patience:
-                    break
-        else:
-            best_weights = weights
+    def update(rows, epoch: int) -> float:
+        xb, yb = xt[rows], yt[rows]
+        a1, h1, a2, h2, out = forward_batch(xb)
+        dout = 2.0 * (out - yb) / len(rows)
+        g[4][...] = h2.T @ dout
+        g[5][...] = np.sum(dout)
+        da2 = np.outer(dout, w[4]) * (a2 > 0)
+        g[2][...] = da2.T @ h1
+        g[3][...] = da2.sum(axis=0)
+        da1 = (da2 @ w[2]) * (a1 > 0)
+        g[0][...] = da1.T @ xb
+        g[1][...] = da1.sum(axis=0)
+        adam_step(weights, grads, state, out=weights)
+        return 0.0  # no training-loss history is kept
 
-    w = best_weights
+    def validate(epoch: int) -> float:
+        return float(np.mean((forward_batch(xv)[4] - yv) ** 2))
+
+    best, _ = fit_epochs(weights, len(xt), update, validate if len(xv) else None, max_epochs, batch_size, patience, rng)
+    w = block_views(best, shapes)
     return BaselineForecaster(
         w1=w[0], b1=w[1], w2=w[2], b2=w[3], w3=w[4], b3=float(w[5]),
         feat_mean=feat_mean, feat_std=feat_std, y_mean=y_mean, y_std=y_std,

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusecast import model as M
 from fusecast.numkit import ShapeMismatch, finite_diff_grad, sgd_step
@@ -112,7 +116,8 @@ class TestReadMemory:
         flat = p.flatten()
         grads = [np.zeros_like(a) for a in flat]
         grads[4] = np.array([2.0, -2.0])  # memory slot in the flatten order
-        new = M.FusionParams.unflatten(dims, sgd_step(flat, grads, 0.5))
+        flat_g = M.FusionParams.unflatten(dims, grads).vector
+        new = M.FusionParams(dims, sgd_step(p.vector, flat_g, 0.5))
         assert np.array_equal(M.read_memory(new), np.array([0.0, 2.0]))
 
 
@@ -412,3 +417,216 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         M.save_checkpoint(path, p)
         assert path.read_text().splitlines()[0] == "pgmn-ckpt-1"
+
+
+def _ckpt_lines(tmp_path):
+    p = M.init_params(M.FusionDims(2, 2, 2), 5)
+    path = tmp_path / "m.ckpt"
+    M.save_checkpoint(path, p, NormStats(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+    return path, path.read_text().splitlines()
+
+
+def _line_of(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+class TestCheckpointRejects:
+    """Malformed checkpoints raise ValueError naming the file and the line."""
+
+    def _load_fails(self, path, lines, lineno, match):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: ") + match):
+            M.load_checkpoint(path)
+
+    def test_tag_line_only(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        self._load_fails(path, lines[:1], 1, "file ends before the dims line")
+
+    def test_tensor_header_without_data_line(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        i = _line_of(lines, "tensor w_hid_ep")
+        self._load_fails(path, lines[: i + 1], i + 1, "tensor 'w_hid_ep' has no data line")
+
+    def test_truncated_before_last_tensors(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        i = _line_of(lines, "tensor w_head_mem")
+        self._load_fails(path, lines[:i], i, r"file ends without tensors \['w_head_mem', 'b_head_mem'\]")
+
+    def test_unknown_tensor_name(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        self._load_fails(path, lines + ["tensor bogus 1 1", "0x1.0p+0"], len(lines) + 1, "unknown tensor name 'bogus'")
+
+    def test_unknown_scalar_name(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        self._load_fails(path, lines + ["scalar b_head_bogus 0x0.0p+0"], len(lines) + 1, "unknown tensor name")
+
+    def test_duplicate_tensor_name(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        i = _line_of(lines, "tensor b_dl")
+        self._load_fails(path, lines + lines[i : i + 2], len(lines) + 1, "duplicate tensor 'b_dl'")
+
+    def test_duplicate_scalar_name(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        i = _line_of(lines, "scalar b_head_ep")
+        self._load_fails(path, lines + [lines[i]], len(lines) + 1, "duplicate tensor 'b_head_ep'")
+
+    def test_value_count_short_of_declared_shape(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        i = _line_of(lines, "tensor w_dl") + 1
+        lines[i] = " ".join(lines[i].split()[:-1])
+        self._load_fails(path, lines, i + 1, "expected 4 values, got 3")
+
+    def test_value_count_beyond_declared_shape(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        i = _line_of(lines, "tensor memory") + 1
+        lines[i] += " 0x1.0p+0"
+        self._load_fails(path, lines, i + 1, "expected 2 values, got 3")
+
+    def test_declared_shape_that_does_not_fit_dims(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        i = _line_of(lines, "tensor b_dl")
+        lines[i : i + 2] = ["tensor b_dl 1 3", "0x0.0p+0 0x0.0p+0 0x0.0p+0"]
+        self._load_fails(path, lines, i + 1, r"b_dl: expected shape \(2,\), got \(3,\)")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_scalar(self, tmp_path, bad):
+        path, lines = _ckpt_lines(tmp_path)
+        i = _line_of(lines, "scalar b_head_dl")
+        lines[i] = f"scalar b_head_dl {bad}"
+        self._load_fails(path, lines, i + 1, "non-finite value")
+
+    def test_non_finite_tensor_entry(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        i = _line_of(lines, "tensor w_ep") + 1
+        lines[i] = " ".join(["nan"] + lines[i].split()[1:])
+        self._load_fails(path, lines, i + 1, "non-finite value")
+
+    def test_non_finite_norm_entry(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        lines[2] = " ".join(lines[2].split()[:-1] + ["inf"])
+        self._load_fails(path, lines, 3, "non-finite value")
+
+    def test_malformed_hex_value(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        i = _line_of(lines, "scalar b_head_mem")
+        lines[i] = "scalar b_head_mem 0x1p99999"
+        self._load_fails(path, lines, i + 1, "malformed hex float")
+
+
+_DAMAGE_TOKENS = st.sampled_from(
+    ["nan", "inf", "-inf", "0x1p99999", "", "bogus", "1.5", "-1", "0", "2", "3", "tensor", "scalar",
+     "norm", "dims", "w_dl", "b_head_dl", "memory", "0x1.8p+1", "١", "²"]
+)
+
+
+@st.composite
+def _damaged_checkpoint(draw, text):
+    """A valid checkpoint truncated and/or with lines or tokens mutated."""
+    for _ in range(draw(st.integers(1, 3))):
+        lines = text.split("\n")
+        op = draw(st.sampled_from(["truncate", "token", "drop_line", "repeat_line", "swap_lines"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+            continue
+        if op == "token":
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_DAMAGE_TOKENS | st.text(max_size=6))
+            lines[i] = " ".join(tokens)
+        elif op == "drop_line":
+            del lines[i]
+        elif op == "repeat_line":
+            lines.insert(i, lines[i])
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        text = "\n".join(lines)
+    return text
+
+
+_VALID_CKPT = (
+    "pgmn-ckpt-1\ndims 2 2 2 1\n"
+    "norm 0x1.0p+0 0x1.0p+1 0x1.8p+1 0x1.0p+2 0x1.4p+2 0x1.8p+2\n"
+    "tensor w_dl 2 2 2\n0x1.0p-1 -0x1.0p-2 0x1.8p-1 0x0.0p+0\n"
+    "tensor b_dl 1 2\n0x0.0p+0 0x1.0p-4\n"
+    "tensor w_ep 2 2 2\n0x1.0p-1 0x1.0p-2 -0x1.8p-1 0x1.0p+0\n"
+    "tensor b_ep 1 2\n0x0.0p+0 0x0.0p+0\n"
+    "tensor memory 1 2\n0x1.0p-3 -0x1.0p-3\n"
+    "tensor w_hid_dl 2 2 4\n0x1.0p-1 0x1.0p-2 0x1.0p-3 0x1.0p-4 0x1.0p-5 0x1.0p-6 0x1.0p-7 0x1.0p-8\n"
+    "tensor b_hid_dl 1 2\n0x0.0p+0 0x0.0p+0\n"
+    "tensor w_hid_ep 2 2 4\n-0x1.0p-1 0x1.0p-2 0x1.0p-3 0x1.0p-4 0x1.0p-5 0x1.0p-6 0x1.0p-7 0x1.0p-8\n"
+    "tensor b_hid_ep 1 2\n0x0.0p+0 0x0.0p+0\n"
+    "tensor w_head_dl 1 2\n0x1.0p-1 0x1.0p-2\nscalar b_head_dl 0x1.0p+0\n"
+    "tensor w_head_ep 1 2\n0x1.0p-1 0x1.0p-2\nscalar b_head_ep -0x1.0p+0\n"
+    "tensor w_head_mem 1 2\n0x1.0p-1 0x1.0p-2\nscalar b_head_mem 0x1.8p+0\n"
+)
+
+
+def test_valid_fixture_checkpoint_loads():
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "ok.ckpt"
+        path.write_text(_VALID_CKPT)
+        params, norm = M.load_checkpoint(path)
+    assert params.dims == M.FusionDims(2, 2, 2) and params.b_head_mem == 1.5
+    assert norm == NormStats(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_damaged_checkpoint(_VALID_CKPT))
+def test_damaged_checkpoints_load_whole_or_raise_value_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("ckpt") / "damaged.ckpt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        params, norm = M.load_checkpoint(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:"), str(exc)
+        return
+    assert params.vector.shape == (params.dims.size,)
+    assert np.all(np.isfinite(params.vector))
+    for name, shape in params.dims.shapes.items():
+        assert np.shape(getattr(params, name)) == shape
+    if norm is not None:
+        assert np.all(np.isfinite(list(norm.as_dict().values())))
+
+
+class TestConstructorBoundaries:
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -float("inf")])
+    def test_train_config_rejects_non_finite_eta(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            M.TrainConfig(eta=eta)
+
+    @pytest.mark.parametrize("field", ["batch_size", "max_epochs", "early_stop_patience"])
+    @pytest.mark.parametrize("value", [12.5, 3.0, True, "8"])
+    def test_train_config_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}.* must be an integer"):
+            M.TrainConfig(**{field: value})
+
+    def test_train_config_accepts_numpy_integers(self):
+        cfg = M.TrainConfig(batch_size=np.int64(16), max_epochs=np.int32(3), early_stop_patience=2)
+        assert cfg.batch_size == 16
+
+    @pytest.mark.parametrize("field", ["embed_dim", "memory_dim", "hidden_dim"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, False])
+    def test_fusion_dims_rejects_non_integer_widths(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            M.FusionDims(**{field: value})
+
+
+class TestPredictNonFinite:
+    def test_nan_weight_raises_with_count(self):
+        p = M.init_params(M.FusionDims(2, 2, 2), 1)
+        samples = [MaskedSample(dl=float(v), dl_mask=1, ep=0.5, ep_mask=1, target=0.0) for v in range(5)]
+        assert np.all(np.isfinite(M.predict(samples, p)))
+        p.b_head_ep = float("nan")
+        with pytest.raises(ValueError, match="5 of 5 outputs are non-finite"):
+            M.predict(samples, p)
+
+    def test_count_names_only_the_bad_outputs(self):
+        dims = M.FusionDims(1, 1, 1)
+        p = manual_params(dims, fill=2.0)  # 2 * 1e308 overflows to inf
+        samples = [MaskedSample(dl=v, dl_mask=1, ep=0.0, ep_mask=1, target=0.0) for v in (1.0, 1e308, 2.0)]
+        with pytest.raises(ValueError, match="1 of 3 outputs are non-finite"):
+            M.predict(samples, p)

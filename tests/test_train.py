@@ -192,3 +192,156 @@ class TestDeterminismAndFailure:
             M.TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             M.TrainConfig(early_stop_patience=0)
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracle: the flat-vector optimizers against a per-tensor
+# reference loop (the list-based Adam/SGD the flat buffer replaced).
+# ---------------------------------------------------------------------------
+
+def _reference_adam(params, grads, m, v, step, eta, beta1=0.9, beta2=0.999, eps=1e-8):
+    t = step + 1
+    new_m, new_v, new_p = [], [], []
+    for p, g, m0, v0 in zip(params, grads, m, v):
+        m1 = beta1 * m0 + (1.0 - beta1) * g
+        v1 = beta2 * v0 + (1.0 - beta2) * g * g
+        mhat = m1 / (1.0 - beta1**t)
+        vhat = v1 / (1.0 - beta2**t)
+        new_p.append(p - eta * mhat / (np.sqrt(vhat) + eps))
+        new_m.append(m1)
+        new_v.append(v1)
+    return new_p, new_m, new_v, t
+
+
+def _reference_train(dataset, params, cfg, validation):
+    """Per-tensor copy of the training loop; only the kernels are shared."""
+    x_dl, x_ep = M._pack_inputs(dataset)
+    y = np.array([M.resolve_target(s) for s in dataset])
+    if validation:
+        xv_dl, xv_ep = M._pack_inputs(validation)
+        yv = np.array([M.resolve_target(s) for s in validation])
+    arrays = [np.array(a) for a in params.flatten()]
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    step = 0
+    rng = np.random.default_rng(cfg.seed)
+    n = len(dataset)
+    batches = [np.arange(n)] if cfg.batch_size is None else None
+
+    def update(idx):
+        nonlocal arrays, m, v, step
+        p = M.FusionParams.unflatten(params.dims, arrays)
+        losses, grads = M._batch_backward(M._batch_forward(x_dl[idx], x_ep[idx], p), y[idx], p)
+        g = [np.array(a) for a in grads.flatten()]
+        if cfg.optimizer == "sgd":
+            arrays = [a - cfg.eta * b for a, b in zip(arrays, g)]
+        else:
+            arrays, m, v, step = _reference_adam(arrays, g, m, v, step, cfg.eta)
+        return losses
+
+    history, best_val, best, stall = [], np.inf, None, 0
+    for _ in range(cfg.max_epochs):
+        if batches is not None:
+            train_mse = float(np.mean(update(batches[0])))
+        else:
+            perm = rng.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, cfg.batch_size):
+                loss_sum += float(np.sum(update(perm[start : start + cfg.batch_size])))
+            train_mse = loss_sum / n
+        val_mse = float("nan")
+        if validation:
+            p = M.FusionParams.unflatten(params.dims, arrays)
+            val_mse = float(np.mean((yv - M._batch_forward(xv_dl, xv_ep, p)["yhat"]) ** 2))
+        history.append((train_mse, val_mse))
+        if validation:
+            if val_mse < best_val:
+                best_val, best, stall = val_mse, [np.array(a) for a in arrays], 0
+            else:
+                stall += 1
+                if stall >= cfg.early_stop_patience:
+                    break
+    return (best if validation else arrays), history
+
+
+class TestFlatOptimizerOracle:
+    @pytest.mark.parametrize(
+        "optimizer,batch_size,with_val",
+        [("adam", 16, True), ("adam", None, True), ("sgd", 16, False), ("adam", 7, False), ("sgd", None, True)],
+        ids=["minibatch-adam", "fullbatch-adam", "minibatch-sgd", "ragged-adam-noval", "fullbatch-sgd"],
+    )
+    def test_train_matches_per_tensor_reference_exactly(self, optimizer, batch_size, with_val):
+        rng = np.random.default_rng(20)
+        samples = make_dataset(rng, n=60)
+        val = make_dataset(rng, n=20) if with_val else None
+        p = M.init_params(M.FusionDims(4, 3, 5), 21, random_memory=True)
+        cfg = M.TrainConfig(
+            eta=5e-3, optimizer=optimizer, max_epochs=40, batch_size=batch_size, early_stop_patience=6, seed=4
+        )
+        trained, history = M.train(samples, p, cfg, val)
+        ref_arrays, ref_history = _reference_train(samples, p, cfg, val)
+        assert len(history) == len(ref_history)
+        assert np.array_equal(np.array(history), np.array(ref_history), equal_nan=True)
+        for name, a, b in zip(M._TENSOR_FIELDS, trained.flatten(), ref_arrays):
+            assert np.array_equal(a, b), name
+
+
+class TestBufferAliasing:
+    def test_train_leaves_callers_params_untouched(self):
+        rng = np.random.default_rng(22)
+        samples = make_dataset(rng, n=40)
+        p = M.init_params(M.FusionDims(3, 2, 3), 23)
+        before = p.vector.copy()
+        views = [a.copy() for a in p.flatten()]
+        cfg = M.TrainConfig(eta=1e-2, max_epochs=5, batch_size=8, early_stop_patience=5, seed=1)
+        trained, _ = M.train(samples, p, cfg, make_dataset(rng, n=10))
+        assert np.array_equal(p.vector, before)
+        for a, b in zip(p.flatten(), views):
+            assert np.array_equal(a, b)
+        assert not np.array_equal(trained.vector, before)
+        assert not np.shares_memory(trained.vector, p.vector)
+
+    @pytest.mark.parametrize("with_val", [True, False])
+    def test_result_shares_no_memory_with_training_buffers(self, monkeypatch, with_val):
+        seen = []
+        real_step = M.adam_step
+
+        def spy(params, grads, state, out=None):
+            seen.extend([params, grads, state.m, state.v])
+            return real_step(params, grads, state, out=out)
+
+        monkeypatch.setattr(M, "adam_step", spy)
+        rng = np.random.default_rng(24)
+        samples = make_dataset(rng, n=30)
+        val = make_dataset(rng, n=10) if with_val else None
+        p = M.init_params(M.FusionDims(3, 2, 3), 25)
+        cfg = M.TrainConfig(eta=1e-2, max_epochs=4, batch_size=10, early_stop_patience=4, seed=2)
+        trained, _ = M.train(samples, p, cfg, val)
+        assert len(seen) == 4 * 3 * 4  # four buffers per update, three updates per epoch
+        for buf in seen:
+            assert not np.shares_memory(trained.vector, buf)
+        assert not np.shares_memory(trained.vector, p.vector)
+
+    def test_field_assignment_is_visible_through_vector(self):
+        dims = M.FusionDims(2, 2, 2)
+        p = M.init_params(dims, 3)
+        p.w_dl = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(p.vector[:4], [1.0, 2.0, 3.0, 4.0])
+        p.w_hid_dl[:, :2] = 7.0  # in-place slice writes reach the vector too
+        assert np.array_equal(p.vector, M.FusionParams.unflatten(dims, p.flatten()).vector)
+        p.b_head_mem = -3.25
+        assert p.vector[-1] == -3.25 and p.b_head_mem == -3.25
+        p.memory = np.array([0.5, -0.5])
+        offset = sum(a.size for a in p.flatten()[:4])
+        assert np.array_equal(p.vector[offset : offset + 2], [0.5, -0.5])
+        with pytest.raises(M.ShapeMismatch):
+            p.b_dl = np.zeros(3)
+        with pytest.raises(AttributeError):
+            p.dims = M.FusionDims(3, 3, 3)
+
+    def test_copy_is_one_independent_vector(self):
+        p = M.init_params(M.FusionDims(2, 2, 2), 4)
+        q = p.copy()
+        assert np.array_equal(p.vector, q.vector) and not np.shares_memory(p.vector, q.vector)
+        q.b_head_dl = 9.0
+        assert p.b_head_dl == 0.0
