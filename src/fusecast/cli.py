@@ -21,10 +21,11 @@ from .harness import (
     SEED_WEATHER,
     ConfigError,
     RunReport,
-    SCENARIO_METHODS,
-    _write_ablation_mu_csv,
-    _write_lines,
-    _write_predictions_csv,
+    _metric_rows,
+    _write_ablation_imputation,
+    _write_ablation_mu,
+    _write_metrics_csv,
+    _write_scenario_outputs,
     load_scenario_config,
     run_ablation_imputation,
     run_ablation_mu,
@@ -32,9 +33,6 @@ from .harness import (
     run_scenario,
     scenario_config,
 )
-from .harness import IMPUTATION_ABLATION_STRATEGIES
-from .metrics import CSV_HEADER, csv_row
-from .model import save_checkpoint
 from .pipeline import SplitSpec, build_feature_rows, write_energy_csv, write_temperature_csv
 from .surrogates import (
     BuildingParams,
@@ -96,10 +94,8 @@ def _cmd_scenario(args) -> int:
         raise ConfigError("scenario needs --id or --config")
     report = run_scenario(cfg)
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_predictions_csv(args.out / f"predictions_scenario{cfg.id}.csv", report.predictions)
-    rows = [CSV_HEADER] + [csv_row(cfg.id, m, report.methods[m]) for m in SCENARIO_METHODS[cfg.id]]
-    _write_lines(args.out / f"scenario{cfg.id}_metrics.csv", rows)
-    save_checkpoint(args.out / f"scenario{cfg.id}.ckpt", report.params, report.norm)
+    _write_scenario_outputs(args.out, args.out / f"scenario{cfg.id}.ckpt", report)
+    _write_metrics_csv(args.out / f"scenario{cfg.id}_metrics.csv", _metric_rows(report))
     _print_methods(report, f"scenario {cfg.id}")
     return 0
 
@@ -108,18 +104,11 @@ def _cmd_ablation(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     if args.kind == "mu":
         report = run_ablation_mu(scenario_config(1, seed=args.seed, fast=args.fast))
-        _write_ablation_mu_csv(args.out / "ablation_mu.csv", report)
-        rows = [CSV_HEADER] + [
-            csv_row(1, m, report.methods[m]) for m in ("dl", "ep", "pgmn_with_mu", "pgmn_without_mu")
-        ]
-        _write_lines(args.out / "ablation_mu_metrics.csv", rows)
+        _write_ablation_mu(args.out, report)
         _print_methods(report, "memory-unit ablation (scenario 1)")
     else:
         report = run_ablation_imputation(scenario_config(2, seed=args.seed, fast=args.fast))
-        rows = [CSV_HEADER] + [
-            csv_row(2, f"pgmn_{s}", report.methods[s]) for s in IMPUTATION_ABLATION_STRATEGIES
-        ]
-        _write_lines(args.out / "ablation_imputation.csv", rows)
+        _write_ablation_imputation(args.out, report)
         _print_methods(report, "imputation ablation (scenario 2)")
     return 0
 

@@ -6,6 +6,7 @@ normalization statistics, and chronological splits.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -118,6 +119,9 @@ class SplitSpec:
     test_frac: float = 0.2
 
     def __post_init__(self):
+        for name in ("train_frac", "val_frac", "test_frac"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         fracs = (self.train_frac, self.val_frac, self.test_frac)
         if any(f <= 0 for f in fracs):
             raise ValueError("split fractions must be positive")

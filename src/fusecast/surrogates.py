@@ -15,7 +15,8 @@ net on lagged energy + calendar + temperature as the data-driven source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,9 @@ class BuildingParams:
     hvac_efficiency: float = 3.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name in ("ua_w_per_k", "capacitance_j_per_k", "floor_area_m2", "hvac_efficiency"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -1,9 +1,13 @@
 import json
-from dataclasses import replace
+import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fusecast import harness
 from fusecast.cli import main as cli_main
 from fusecast.harness import (
     IMPUTATION_ABLATION_STRATEGIES,
@@ -20,6 +24,7 @@ from fusecast.harness import (
 )
 from fusecast.model import TrainConfig, load_checkpoint
 from fusecast.pipeline import SplitSpec
+from fusecast.surrogates import BuildingParams, load_building_params
 
 TINY = 24 * 30  # 30-day fixture keeps the harness tests quick
 
@@ -140,11 +145,36 @@ class TestAblations:
         assert np.array_equal(masks[1], masks[2])
 
 
+# The harness names behind the expensive stages, counted per run_all call.
+_COUNTED = ("train", "train_baseline_forecaster", "make_weather", "simulate_physics", "make_truth", "version_stamp")
+
+
 @pytest.fixture(scope="module")
-def runall_out(tmp_path_factory):
-    out = tmp_path_factory.mktemp("runall") / "out"
-    code = run_all(out, seed=7, fast=True)
-    return out, code
+def counted_runs(tmp_path_factory):
+    """run_all(seed 7, fast) twice in one process, counting the calls each
+    run makes to the names in _COUNTED; returns (first out dir, [(exit
+    code, counts) per run])."""
+    root = tmp_path_factory.mktemp("runall")
+    calls: dict[str, int] = {}
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in _COUNTED:
+            def counted(*args, _fn=getattr(harness, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            mp.setattr(harness, name, counted)
+        for run in ("out", "again"):
+            calls.clear()
+            code = run_all(root / run, seed=7, fast=True)
+            runs.append((code, dict(calls)))
+    return root / "out", runs
+
+
+@pytest.fixture(scope="module")
+def runall_out(counted_runs):
+    out, runs = counted_runs
+    return out, runs[0][0]
 
 
 class TestRunAll:
@@ -196,6 +226,46 @@ class TestRunAll:
         params, _ = load_checkpoint(out / "checkpoints" / "ablation_mu_without.ckpt")
         assert params.dims.memory_enabled is False
         assert params.memory.shape == (0,)
+
+    def test_each_stage_computed_once_per_run(self, counted_runs):
+        # 5 scenarios + memory-less scenario 1 + nearest-neighbour and
+        # historical-averaging scenario 2 = 8 trainings; one baseline fit per
+        # lag source (full truth, and sparse truth under 3 imputations).  The
+        # second run repeats every count, so nothing outlives a run.
+        _, runs = counted_runs
+        expected = {
+            "train": 8,
+            "train_baseline_forecaster": 4,
+            "make_weather": 1,
+            "simulate_physics": 1,
+            "make_truth": 1,
+            "version_stamp": 1,
+        }
+        assert runs == [(0, expected), (0, expected)]
+
+    def test_ablations_reuse_scenario_trainings(self, runall_out, tmp_path):
+        out, _ = runall_out
+        ckpts = out / "checkpoints"
+        assert (ckpts / "ablation_mu_with.ckpt").read_bytes() == (ckpts / "scenario1.ckpt").read_bytes()
+        assert (
+            (ckpts / "ablation_imputation_linear_interpolation.ckpt").read_bytes()
+            == (ckpts / "scenario2.ckpt").read_bytes()
+        )
+        standalone = tmp_path / "ablations"
+        for kind in ("mu", "imputation"):
+            args = ["ablation", "--kind", kind, "--seed", "7", "--fast", "--out", str(standalone)]
+            assert cli_main(args) == 0
+        for name in ("ablation_mu.csv", "ablation_mu_metrics.csv", "ablation_imputation.csv"):
+            assert (standalone / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_summary_times_every_stage(self, runall_out):
+        out, _ = runall_out
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert list(summary["stages"]) == [
+            "world", "scenario1", "scenario2", "scenario3", "scenario4", "scenario5",
+            "ablation_mu", "ablation_imputation",
+        ]
+        assert all(0.0 <= s <= summary["wall_seconds_total"] for s in summary["stages"].values())
 
 
 class TestConfigFile:
@@ -303,3 +373,91 @@ class TestCli:
         assert code == 0
         assert (out / "baseline_forecast.csv").exists()
         assert (out / "truth_energy.csv").exists()
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("name", ["train_frac", "val_frac", "test_frac"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_split_spec_rejects(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SplitSpec(**{name: value})
+
+    @pytest.mark.parametrize("name", ["ua_w_per_k", "occupants", "infiltration_ach", "heat_setpoint_c"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_building_params_rejects(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            BuildingParams(**{name: value})
+
+    def test_scenario_nan_split_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("id = 1\ntrain_frac = nan\n")
+        assert cli_main(["scenario", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "train_frac" in capsys.readouterr().err
+
+    def test_simulate_nan_building_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "building.cfg"
+        path.write_text("ua_w_per_k = nan\n")
+        out = tmp_path / "o"
+        assert cli_main(["simulate", "--fast", "--config", str(path), "--out", str(out)]) == 1
+        assert "ua_w_per_k" in capsys.readouterr().err
+        assert not (out / "physics_energy.csv").exists()
+
+
+_VALID_SCENARIO_CFG = (
+    "id = 2\nseed = 9\nimputation = nearest_neighbor\nsparse_frac = 0.2\neta = 0.001\n"
+    "max_epochs = 50\nbatch_size = 64\nearly_stop_patience = 5\ntrain_frac = 0.7\n"
+    "val_frac = 0.15\ntest_frac = 0.15\nyear_hours = 720\nmemory_unit_enabled = true\n"
+)
+_VALID_BUILDING_CFG = "".join(f"{k} = {v!r}\n" for k, v in asdict(BuildingParams()).items())
+
+_ODD_VALUES = st.sampled_from(
+    ["nan", "-NaN", "inf", "-inf", "1e309", "-1e309", "", "0", "-1", "1e-300", "0.5", "1", "2",
+     "abc", "0x10", "true", "1_000", "=", "# note"]
+)
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=12)
+
+
+@st.composite
+def _mutated_config(draw, text):
+    """A key=value file with 1-3 of its lines given odd values, dropped,
+    duplicated or replaced by arbitrary text."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("value", "drop", "duplicate", "text")))
+        if kind == "value":
+            value = draw(_ODD_VALUES | st.floats().map(repr) | _TEXT)
+            lines[i] = f"{lines[i].partition('=')[0].strip()} = {value}"
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = draw(_TEXT)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_mutated_config(_VALID_SCENARIO_CFG))
+def test_mutated_scenario_configs_load_whole_or_raise_config_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cfg") / "scenario.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        cfg = load_scenario_config(path)
+    except ConfigError:
+        return
+    assert all(math.isfinite(f) for f in asdict(cfg.split).values())
+    assert cfg.split.boundaries(1000) <= (1000, 1000)
+    assert math.isfinite(cfg.train.eta) and 0.0 <= cfg.sparse_frac < 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_mutated_config(_VALID_BUILDING_CFG))
+def test_mutated_building_configs_load_whole_or_raise_value_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cfg") / "building.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        building = load_building_params(path)
+    except ValueError:
+        return
+    assert all(math.isfinite(v) for v in asdict(building).values())
