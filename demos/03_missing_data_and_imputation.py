@@ -36,12 +36,10 @@ print("(2, missing, missing, 8) nearest neighbor ->", impute(demo2, "nearest_nei
 # masks in assembled samples: scenario 4 zeroes the data-driven stream
 cfg4 = scenario_config(4, seed=1, fast=True)
 dl = EnergySeries.full(ts, np.full(n, 90.0))
-samples = assemble_samples(dl, clean, clean, cfg4)
-s = samples[0]
-print(f"\nscenario 4 sample: dl={s.dl} (mask {s.dl_mask}), ep={s.ep:.1f} (mask {s.ep_mask})")
+samples = assemble_samples(dl, clean, clean, cfg4)  # a SampleBatch: one array per column
+print(f"\nscenario 4 sample: dl={samples.dl[0]} (mask {samples.dl_mask[0]}), ep={samples.ep[0]:.1f} (mask {samples.ep_mask[0]})")
 
 # scenario 3: no actuals, so the physics value doubles as the proxy target
 cfg3 = scenario_config(3, seed=1, fast=True)
 samples3 = assemble_samples(None, clean, clean, cfg3)
-s3 = samples3[0]
-print(f"scenario 3 sample: target={s3.target:.1f} (proxy={s3.target_is_proxy}, observed={s3.target_observed})")
+print(f"scenario 3 sample: target={samples3.target[0]:.1f} (proxy={samples3.proxy[0]}, observed={samples3.observed[0]})")

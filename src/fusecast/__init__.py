@@ -28,6 +28,7 @@ from .pipeline import (
     FeatureRow,
     MaskedSample,
     NormStats,
+    SampleBatch,
     SplitSpec,
     apply_sparsity,
     assemble_samples,

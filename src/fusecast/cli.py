@@ -11,16 +11,12 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    DEFAULT_BEHAVIOR_AMP_KWH,
-    DEFAULT_BIAS_KWH,
-    DEFAULT_NOISE_STD_KWH,
     FAST_HOURS,
     FULL_HOURS,
-    SEED_BASELINE,
-    SEED_TRUTH,
     SEED_WEATHER,
     ConfigError,
     RunReport,
+    _Stages,
     _metric_rows,
     _write_ablation_imputation,
     _write_ablation_mu,
@@ -33,17 +29,8 @@ from .harness import (
     run_scenario,
     scenario_config,
 )
-from .pipeline import SplitSpec, build_feature_rows, write_energy_csv, write_temperature_csv
-from .surrogates import (
-    BuildingParams,
-    default_occupancy,
-    forecast_dl,
-    load_building_params,
-    make_truth,
-    make_weather,
-    simulate_physics,
-    train_baseline_forecaster,
-)
+from .pipeline import write_energy_csv, write_temperature_csv
+from .surrogates import BuildingParams, default_occupancy, load_building_params, make_weather, simulate_physics
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -138,19 +125,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train_baseline(args) -> int:
-    hours = FAST_HOURS if args.fast else FULL_HOURS
-    weather = make_weather(hours, args.seed + SEED_WEATHER)
-    physics = simulate_physics(BuildingParams(), weather, default_occupancy())
-    truth = make_truth(
-        physics,
-        bias=DEFAULT_BIAS_KWH,
-        noise_std=DEFAULT_NOISE_STD_KWH,
-        behavior_amp=DEFAULT_BEHAVIOR_AMP_KWH,
-        seed=args.seed + SEED_TRUTH,
-    )
-    feats = build_feature_rows(truth, weather.temp_c)
-    forecaster = train_baseline_forecaster(feats, truth, SplitSpec(), args.seed + SEED_BASELINE)
-    forecast = forecast_dl(forecaster, feats)
+    stages = _Stages()
+    truth = stages.world(args.seed, FAST_HOURS if args.fast else FULL_HOURS).truth
+    forecast = stages.dl(scenario_config(1, seed=args.seed, fast=args.fast))
     args.out.mkdir(parents=True, exist_ok=True)
     write_energy_csv(forecast, args.out / "baseline_forecast.csv")
     write_energy_csv(truth, args.out / "truth_energy.csv")

@@ -14,6 +14,7 @@ for byte.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -390,12 +391,14 @@ class _Stages:
         methods: dict[str, MetricReport] = {}
         checkpoints: dict[str, FusionParams] = {}
         norms: dict[str, NormStats] = {}
+        histories: dict[str, list[tuple[float, float]]] = {}
         last = None
         for strategy in IMPUTATION_ABLATION_STRATEGIES:
             rep = self.scenario(replace(cfg, imputation=strategy))
             methods[strategy] = rep.methods["pgmn"]
             checkpoints[strategy] = rep.params
             norms[strategy] = rep.norm
+            histories[strategy] = rep.history
             last = rep
         return RunReport(
             scenario=cfg.id,
@@ -406,7 +409,7 @@ class _Stages:
             predictions=last.predictions,
             history=last.history,
             fixture=last.fixture,
-            extra={"checkpoints": checkpoints, "norms": norms},
+            extra={"checkpoints": checkpoints, "norms": norms, "histories": histories},
         )
 
 
@@ -549,6 +552,23 @@ class StageFailed(RuntimeError):
     """A named harness stage failed; the message carries the stage."""
 
 
+def _training_summary(cfg: ScenarioConfig, n_samples: int, history: list[tuple[float, float]], params: FusionParams) -> dict:
+    """Diagnostics of one fusion training, derived from its config, its
+    sample count, its history and the parameters it returned: epochs run,
+    the first epoch of least validation MSE, why it stopped, how many
+    parameter updates it made, and the L2 norm of the memory (0 without)."""
+    epochs = len(history)
+    n_train, _ = cfg.split.boundaries(n_samples)
+    batch = cfg.train.batch_size
+    return {
+        "epochs": epochs,
+        "best_epoch": int(np.argmin([val for _, val in history])),
+        "stop_reason": "early_stop" if epochs < cfg.train.max_epochs else "max_epochs",
+        "updates": epochs * (1 if batch is None else math.ceil(n_train / batch)),
+        "memory_norm": float(np.linalg.norm(params.memory)),
+    }
+
+
 def _stage(seconds: dict[str, float], name: str, fn, *args):
     """Run one named stage of ``run_all``: its wall seconds go into
     ``seconds[name]``, and any failure is re-raised as StageFailed naming it."""
@@ -599,22 +619,30 @@ def run_all(out_dir, seed: int = 42, fast: bool = False) -> int:
             "wall_seconds": report.wall_seconds,
             "config": _json_ready(report.config),
             "methods": {m: asdict(r) for m, r in report.methods.items()},
+            "training": _training_summary(cfg, report.fixture.truth.n, report.history, report.params),
         }
 
     _write_metrics_csv(out / "scenario_table.csv", scenario_rows)
     _write_lines(out / "train_history.csv", history_rows)
     _write_calibration_csv(out / "calibration.csv", scenario1_report.fixture)
 
-    mu = _stage(seconds, "ablation_mu", stages.ablation_mu, scenario_config(1, seed=seed, fast=fast))
+    mu_cfg = scenario_config(1, seed=seed, fast=fast)
+    mu = _stage(seconds, "ablation_mu", stages.ablation_mu, mu_cfg)
     _write_ablation_mu(out, mu)
     save_checkpoint(ckpt_dir / "ablation_mu_with.ckpt", mu.params, mu.norm)
     save_checkpoint(ckpt_dir / "ablation_mu_without.ckpt", mu.extra["params_without"], mu.norm)
+    n_samples = mu.fixture.truth.n
     summary["ablation_mu"] = {
         "wall_seconds": mu.wall_seconds,
         "methods": {m: asdict(r) for m, r in mu.methods.items()},
+        "training": {
+            "with_mu": _training_summary(mu_cfg, n_samples, mu.history, mu.params),
+            "without_mu": _training_summary(mu_cfg, n_samples, mu.extra["history_without"], mu.extra["params_without"]),
+        },
     }
 
-    imp = _stage(seconds, "ablation_imputation", stages.ablation_imputation, scenario_config(2, seed=seed, fast=fast))
+    imp_cfg = scenario_config(2, seed=seed, fast=fast)
+    imp = _stage(seconds, "ablation_imputation", stages.ablation_imputation, imp_cfg)
     _write_ablation_imputation(out, imp)
     for strategy in IMPUTATION_ABLATION_STRATEGIES:
         save_checkpoint(
@@ -625,6 +653,10 @@ def run_all(out_dir, seed: int = 42, fast: bool = False) -> int:
     summary["ablation_imputation"] = {
         "wall_seconds": imp.wall_seconds,
         "methods": {m: asdict(r) for m, r in imp.methods.items()},
+        "training": {
+            strategy: _training_summary(imp_cfg, n_samples, imp.extra["histories"][strategy], imp.extra["checkpoints"][strategy])
+            for strategy in IMPUTATION_ABLATION_STRATEGIES
+        },
     }
 
     summary["stages"] = seconds

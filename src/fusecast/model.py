@@ -19,8 +19,10 @@ training can park persistent forecast bias in it.  Because the three head
 outputs are unconstrained reals, the sum can land outside the interval
 spanned by the two input forecasts whenever that lowers the loss.
 
-Gradients are hand-derived (see backward); numkit.finite_diff_grad is the
-independent oracle they are tested against.  Training follows a
+Gradients are hand-derived (see _batch_backward); numkit.finite_diff_grad
+is the independent oracle they are tested against.  One kernel computes
+the forward and backward passes over many rows into preallocated buffers;
+the per-sample forward/backward run it on one row.  Training follows a
 sum-of-squared-errors objective with one parameter update per batch unit;
 the default unit is the full epoch.
 """
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .numkit import AdamState, ShapeMismatch, adam_step, block_views, fit_epochs, relu, sgd_step
-from .pipeline import MaskedSample, NormStats
+from .pipeline import MaskedSample, NormStats, SampleBatch, as_batch
 
 CHECKPOINT_TAG = "pgmn-ckpt-1"
 
@@ -252,37 +254,24 @@ def _stage_check(name: str, arr) -> None:
 
 
 def forward(sample: MaskedSample, params: FusionParams) -> ForwardTrace:
-    """Run one sample through the network, caching all intermediates."""
+    """Run one sample through the network, caching all intermediates: the
+    batch kernel on one row, with each stage checked for non-finite values."""
     dl_in = np.array([sample.dl, float(sample.dl_mask)])
     ep_in = np.array([sample.ep, float(sample.ep_mask)])
     _stage_check("inputs", np.concatenate([dl_in, ep_in]))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        pre_h_dl = params.w_dl @ dl_in + params.b_dl
-        _stage_check("h_dl", pre_h_dl)
-        h_dl = relu(pre_h_dl)
-        pre_h_ep = params.w_ep @ ep_in + params.b_ep
-        _stage_check("h_ep", pre_h_ep)
-        h_ep = relu(pre_h_ep)
+    ws = _Workspace(params.dims, 1, backward=False)
+    yhat = float(_batch_forward((dl_in[None], ep_in[None]), params, ws)[0])
+    for name, stage in (("h_dl", ws.a_h[0]), ("h_ep", ws.a_h[1]), ("z_dl", ws.a_z[0]), ("z_ep", ws.a_z[1])):
+        _stage_check(name, stage)
+    part_dl, part_ep, offset = float(ws.part[0][0]), float(ws.part[1][0]), float(ws.offset)
+    _stage_check("yhat", np.array([part_dl, part_ep, offset, yhat]))
 
-        mem = read_memory(params)
-        pre_z_dl = params.w_hid_dl @ np.concatenate([h_dl, mem]) + params.b_hid_dl
-        _stage_check("z_dl", pre_z_dl)
-        z_dl = relu(pre_z_dl)
-        pre_z_ep = params.w_hid_ep @ np.concatenate([h_ep, mem]) + params.b_hid_ep
-        _stage_check("z_ep", pre_z_ep)
-        z_ep = relu(pre_z_ep)
-
-        part_dl = float(params.w_head_dl @ z_dl) + params.b_head_dl
-        part_ep = float(params.w_head_ep @ z_ep) + params.b_head_ep
-        offset = float(params.w_head_mem @ mem) + params.b_head_mem
-        yhat = part_dl + part_ep + offset
-        _stage_check("yhat", np.array([part_dl, part_ep, offset, yhat]))
-
+    d = params.dims.embed_dim
     return ForwardTrace(
         dl_in=dl_in, ep_in=ep_in,
-        pre_h_dl=pre_h_dl, pre_h_ep=pre_h_ep, h_dl=h_dl, h_ep=h_ep,
-        mem=mem, pre_z_dl=pre_z_dl, pre_z_ep=pre_z_ep, z_dl=z_dl, z_ep=z_ep,
+        pre_h_dl=ws.a_h[0][0], pre_h_ep=ws.a_h[1][0], h_dl=ws.c[0][0, :d], h_ep=ws.c[1][0, :d],
+        mem=read_memory(params), pre_z_dl=ws.a_z[0][0], pre_z_ep=ws.a_z[1][0], z_dl=ws.z[0][0], z_ep=ws.z[1][0],
         part_dl=part_dl, part_ep=part_ep, offset=offset, yhat=yhat,
     )
 
@@ -298,146 +287,152 @@ def resolve_target(sample: MaskedSample) -> float:
 
 
 def backward(trace: ForwardTrace, sample: MaskedSample, params: FusionParams) -> tuple[float, Gradients]:
-    """Squared-error loss and its exact gradients for one sample.
-
-    Chain rule through the trace: with g = dL/dyhat = 2(yhat - y), each head
-    bias receives g directly, the head weights receive g * (their input),
-    and g flows back through both ReLU mixers into the embeddings.  The
-    memory gradient collects three routes: the memory columns of both
-    mixers plus the offset head.
-    """
-    d = params.dims.embed_dim
+    """Squared-error loss and its exact gradients for one sample: the batch
+    kernel's backward pass on the one row held by ``trace``."""
     y = resolve_target(sample)
-    loss = (y - trace.yhat) ** 2
-    g = 2.0 * (trace.yhat - y)
+    d = params.dims.embed_dim
+    ws = _Workspace(params.dims, 1)
+    rows = ((trace.pre_h_dl, trace.h_dl, trace.pre_z_dl, trace.z_dl), (trace.pre_h_ep, trace.h_ep, trace.pre_z_ep, trace.z_ep))
+    for k, (pre_h, h, pre_z, z) in enumerate(rows):
+        ws.a_h[k][0], ws.c[k][0, :d], ws.c[k][0, d:], ws.a_z[k][0], ws.z[k][0] = pre_h, h, trace.mem, pre_z, z
+    ws.yhat[0] = trace.yhat
+    grads = Gradients(params.dims)
+    losses = _batch_backward((trace.dl_in[None], trace.ep_in[None]), np.array([y]), params, ws, grads)
+    return float(losses[0]), grads
 
-    g_w_head_dl = g * trace.z_dl
-    g_w_head_ep = g * trace.z_ep
-    g_w_head_mem = g * trace.mem
 
-    dz_dl = g * params.w_head_dl
-    dz_ep = g * params.w_head_ep
-    da_z_dl = dz_dl * (trace.pre_z_dl > 0)
-    da_z_ep = dz_ep * (trace.pre_z_ep > 0)
+# ---------------------------------------------------------------------------
+# The kernel: forward and backward over m rows, written into a workspace
+# ---------------------------------------------------------------------------
 
-    c_dl = np.concatenate([trace.h_dl, trace.mem])
-    c_ep = np.concatenate([trace.h_ep, trace.mem])
-    g_w_hid_dl = np.outer(da_z_dl, c_dl)
-    g_w_hid_ep = np.outer(da_z_ep, c_ep)
+class _Workspace:
+    """Preallocated kernel buffers for up to ``rows`` rows; a call on m rows
+    uses the first m of each.  Per stream (data, then physics): the embedding
+    pre-activation ``a_h``, the mixer input ``c`` = [relu(a_h), memory], the
+    mixer pre-activation ``a_z``, its ReLU ``z`` and the head output
+    ``part``.  ``backward=True`` adds the gradient temporaries, shared by
+    both streams.  A workspace lives for one ``train``/``predict`` call."""
 
-    dc_dl = params.w_hid_dl.T @ da_z_dl
-    dc_ep = params.w_hid_ep.T @ da_z_ep
-    dh_dl, dmem_dl = dc_dl[:d], dc_dl[d:]
-    dh_ep, dmem_ep = dc_ep[:d], dc_ep[d:]
-    g_memory = dmem_dl + dmem_ep + g * params.w_head_mem
+    def __init__(self, dims: FusionDims, rows: int, backward: bool = True):
+        d, c, dz = dims.embed_dim, dims.embed_dim + dims.mem_width, dims.hidden_dim
 
-    da_h_dl = dh_dl * (trace.pre_h_dl > 0)
-    da_h_ep = dh_ep * (trace.pre_h_ep > 0)
+        def pair(*shape):
+            return np.empty(shape), np.empty(shape)
 
-    grads = Gradients(
-        dims=params.dims,
-        w_dl=np.outer(da_h_dl, trace.dl_in), b_dl=da_h_dl,
-        w_ep=np.outer(da_h_ep, trace.ep_in), b_ep=da_h_ep,
-        memory=g_memory,
-        w_hid_dl=g_w_hid_dl, b_hid_dl=da_z_dl,
-        w_hid_ep=g_w_hid_ep, b_hid_ep=da_z_ep,
-        w_head_dl=g_w_head_dl, b_head_dl=g,
-        w_head_ep=g_w_head_ep, b_head_ep=g,
-        w_head_mem=g_w_head_mem, b_head_mem=g,
+        self.a_h, self.c, self.a_z, self.z = pair(rows, d), pair(rows, c), pair(rows, dz), pair(rows, dz)
+        self.part, self.yhat, self.offset = pair(rows), np.empty(rows), 0.0
+        if backward:
+            self.losses, self.g = pair(rows)
+            self.da_z, self.on_z = np.empty((rows, dz)), np.empty((rows, dz), dtype=bool)
+            self.dc = np.empty((rows, c))
+            self.da_h, self.on_h = np.empty((rows, d)), np.empty((rows, d), dtype=bool)
+            self.dmem = np.empty(dims.mem_width)
+
+
+def _stream_tensors(p: FusionParams) -> tuple[tuple, tuple]:
+    """(w, b, w_hid, b_hid, w_head, b_head) of the data stream, then of the
+    physics stream: views into ``p.vector``."""
+    return (
+        (p.w_dl, p.b_dl, p.w_hid_dl, p.b_hid_dl, p.w_head_dl, p.b_head_dl),
+        (p.w_ep, p.b_ep, p.w_hid_ep, p.b_hid_ep, p.w_head_ep, p.b_head_ep),
     )
-    return float(loss), grads
 
 
-# ---------------------------------------------------------------------------
-# Batched fast path (same math as forward/backward, vectorized over samples)
-# ---------------------------------------------------------------------------
-
-def _pack_inputs(samples: list[MaskedSample]) -> tuple[np.ndarray, np.ndarray]:
-    x_dl = np.array([[s.dl, float(s.dl_mask)] for s in samples])
-    x_ep = np.array([[s.ep, float(s.ep_mask)] for s in samples])
-    return x_dl, x_ep
+def _kernel_inputs(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
+    """(x_dl, x_ep): one (n, 2) array of [value, mask] rows per stream."""
+    return np.column_stack((batch.dl, batch.dl_mask)), np.column_stack((batch.ep, batch.ep_mask))
 
 
-def _batch_forward(x_dl: np.ndarray, x_ep: np.ndarray, params: FusionParams) -> dict:
-    n = x_dl.shape[0]
-    mem = params.memory
+def _batch_forward(xs: tuple[np.ndarray, np.ndarray], params: FusionParams, ws: _Workspace) -> np.ndarray:
+    """Forward pass over the m rows of ``xs`` = (x_dl, x_ep) into ``ws``;
+    returns yhat, a view into ``ws``."""
+    m = len(xs[0])
+    d, mem = params.dims.embed_dim, params.memory
     # divergence is caught via isfinite checks, so let overflow pass silently
     with np.errstate(over="ignore", invalid="ignore"):
-        a_h_dl = x_dl @ params.w_dl.T + params.b_dl
-        a_h_ep = x_ep @ params.w_ep.T + params.b_ep
-        h_dl = np.maximum(a_h_dl, 0.0)
-        h_ep = np.maximum(a_h_ep, 0.0)
-        mem_rows = np.broadcast_to(mem, (n, mem.shape[0]))
-        c_dl = np.concatenate([h_dl, mem_rows], axis=1)
-        c_ep = np.concatenate([h_ep, mem_rows], axis=1)
-        a_z_dl = c_dl @ params.w_hid_dl.T + params.b_hid_dl
-        a_z_ep = c_ep @ params.w_hid_ep.T + params.b_hid_ep
-        z_dl = np.maximum(a_z_dl, 0.0)
-        z_ep = np.maximum(a_z_ep, 0.0)
-        part_dl = z_dl @ params.w_head_dl + params.b_head_dl
-        part_ep = z_ep @ params.w_head_ep + params.b_head_ep
-        offset = float(params.w_head_mem @ mem) + params.b_head_mem
-        yhat = part_dl + part_ep + offset
-    return {
-        "x_dl": x_dl, "x_ep": x_ep, "a_h_dl": a_h_dl, "a_h_ep": a_h_ep,
-        "h_dl": h_dl, "h_ep": h_ep, "c_dl": c_dl, "c_ep": c_ep,
-        "a_z_dl": a_z_dl, "a_z_ep": a_z_ep, "z_dl": z_dl, "z_ep": z_ep,
-        "yhat": yhat,
-    }
+        for x, (w, b, w_hid, b_hid, w_head, b_head), a_h, c, a_z, z, part in zip(
+            xs, _stream_tensors(params), ws.a_h, ws.c, ws.a_z, ws.z, ws.part
+        ):
+            a_h, c, a_z, z, part = a_h[:m], c[:m], a_z[:m], z[:m], part[:m]
+            np.matmul(x, w.T, out=a_h)
+            a_h += b
+            np.maximum(a_h, 0.0, out=c[:, :d])
+            c[:, d:] = mem
+            np.matmul(c, w_hid.T, out=a_z)
+            a_z += b_hid
+            np.maximum(a_z, 0.0, out=z)
+            np.matmul(z, w_head, out=part)
+            part += b_head
+        ws.offset = float(params.w_head_mem @ mem) + params.b_head_mem
+        yhat = np.add(ws.part[0][:m], ws.part[1][:m], out=ws.yhat[:m])
+        yhat += ws.offset
+    return yhat
 
 
-def _batch_backward(cache: dict, y: np.ndarray, params: FusionParams, out: Gradients | None = None) -> tuple[np.ndarray, Gradients]:
-    """Per-sample losses and the summed gradients over the batch, in ``out``."""
+def _batch_backward(
+    xs: tuple[np.ndarray, np.ndarray], y: np.ndarray, params: FusionParams, ws: _Workspace, grads: Gradients
+) -> np.ndarray:
+    """Per-row squared-error losses (a view into ``ws``) of the forward pass
+    ``ws`` holds for these rows; the gradients summed over the rows are
+    written into ``grads``.
+
+    Chain rule: with g = dL/dyhat = 2(yhat - y), each head bias receives
+    sum(g), the head weights receive g times their input, and g flows back
+    through both ReLU mixers into the embeddings.  The memory gradient sums
+    three routes, in this order: the memory columns of the data mixer, of
+    the physics mixer, then the offset head.
+    """
+    m = len(y)
     d = params.dims.embed_dim
-    yhat = cache["yhat"]
-    losses = (y - yhat) ** 2
-    g = 2.0 * (yhat - y)
-    g_sum = float(np.sum(g))
+    yhat = ws.yhat[:m]
+    losses = np.subtract(y, yhat, out=ws.losses[:m])
+    np.square(losses, out=losses)
+    g = np.subtract(yhat, y, out=ws.g[:m])
+    g *= 2.0
+    g_sum = float(np.add.reduce(g))
+    da_z, on_z, dc, da_h, on_h = ws.da_z[:m], ws.on_z[:m], ws.dc[:m], ws.da_h[:m], ws.on_h[:m]
+    g_memory = grads.memory
 
-    g_w_head_dl = cache["z_dl"].T @ g
-    g_w_head_ep = cache["z_ep"].T @ g
-    g_w_head_mem = g_sum * params.memory
+    for k, (x, (_, _, w_hid, _, w_head, _), (gw, gb, gw_hid, gb_hid, gw_head, gb_head), a_h, c, a_z, z) in enumerate(
+        zip(xs, _stream_tensors(params), _stream_tensors(grads), ws.a_h, ws.c, ws.a_z, ws.z)
+    ):
+        np.matmul(z[:m].T, g, out=gw_head)
+        gb_head[...] = g_sum
+        np.multiply(g[:, None], w_head, out=da_z)
+        da_z *= np.greater(a_z[:m], 0, out=on_z)
+        np.matmul(da_z.T, c[:m], out=gw_hid)
+        np.add.reduce(da_z, axis=0, out=gb_hid)
+        np.matmul(da_z, w_hid, out=dc)
+        np.add.reduce(dc[:, d:], axis=0, out=g_memory if k == 0 else ws.dmem)
+        np.multiply(dc[:, :d], np.greater(a_h[:m], 0, out=on_h), out=da_h)
+        np.matmul(da_h.T, x, out=gw)
+        np.add.reduce(da_h, axis=0, out=gb)
 
-    da_z_dl = np.outer(g, params.w_head_dl) * (cache["a_z_dl"] > 0)
-    da_z_ep = np.outer(g, params.w_head_ep) * (cache["a_z_ep"] > 0)
-    g_w_hid_dl = da_z_dl.T @ cache["c_dl"]
-    g_w_hid_ep = da_z_ep.T @ cache["c_ep"]
-
-    dc_dl = da_z_dl @ params.w_hid_dl
-    dc_ep = da_z_ep @ params.w_hid_ep
-    g_memory = dc_dl[:, d:].sum(axis=0) + dc_ep[:, d:].sum(axis=0) + g_sum * params.w_head_mem
-
-    da_h_dl = dc_dl[:, :d] * (cache["a_h_dl"] > 0)
-    da_h_ep = dc_ep[:, :d] * (cache["a_h_ep"] > 0)
-
-    grads = out if out is not None else FusionParams(params.dims)
-    grads.w_dl, grads.b_dl = da_h_dl.T @ cache["x_dl"], da_h_dl.sum(axis=0)
-    grads.w_ep, grads.b_ep = da_h_ep.T @ cache["x_ep"], da_h_ep.sum(axis=0)
-    grads.memory = g_memory
-    grads.w_hid_dl, grads.b_hid_dl = g_w_hid_dl, da_z_dl.sum(axis=0)
-    grads.w_hid_ep, grads.b_hid_ep = g_w_hid_ep, da_z_ep.sum(axis=0)
-    grads.w_head_dl, grads.w_head_ep, grads.w_head_mem = g_w_head_dl, g_w_head_ep, g_w_head_mem
-    grads.b_head_dl = grads.b_head_ep = grads.b_head_mem = g_sum
-    return losses, grads
+    g_memory += ws.dmem
+    g_memory += np.multiply(g_sum, params.w_head_mem, out=ws.dmem)
+    np.multiply(g_sum, params.memory, out=grads.w_head_mem)
+    grads.b_head_mem[...] = g_sum
+    return losses
 
 
-def predict(samples: list[MaskedSample], params: FusionParams) -> np.ndarray:
-    """Pure forward pass over a list of samples; non-finite outputs raise."""
-    if not samples:
+def predict(samples: SampleBatch | list[MaskedSample], params: FusionParams) -> np.ndarray:
+    """Pure forward pass over a SampleBatch (a MaskedSample list is converted
+    once); non-finite outputs raise."""
+    batch = as_batch(samples)
+    if not len(batch):
         return np.zeros(0)
-    x_dl, x_ep = _pack_inputs(samples)
-    yhat = _batch_forward(x_dl, x_ep, params)["yhat"]
+    yhat = _batch_forward(_kernel_inputs(batch), params, _Workspace(params.dims, len(batch), backward=False))
     bad = len(yhat) - np.count_nonzero(np.isfinite(yhat))
     if bad:
         raise ValueError(f"predict: {bad} of {len(yhat)} outputs are non-finite")
-    return yhat.copy()
+    return yhat
 
 
 def train(
-    dataset: list[MaskedSample],
+    dataset: SampleBatch | list[MaskedSample],
     params: FusionParams,
     cfg: TrainConfig,
-    validation: list[MaskedSample] | None = None,
+    validation: SampleBatch | list[MaskedSample] | None = None,
 ) -> tuple[FusionParams, list[tuple[float, float]]]:
     """Fit the network; returns final parameters and per-epoch loss history.
 
@@ -447,34 +442,44 @@ def train(
     minibatches.  Early stopping triggers after ``early_stop_patience``
     epochs without validation improvement and restores the best-validation
     parameters.  History rows are (train MSE, validation MSE); validation is
-    NaN when no validation split is given.
+    NaN when no validation split is given.  MaskedSample lists are converted
+    to SampleBatches once, here; the kernel runs in one workspace sized for
+    an update and, for validation, one forward-only workspace.
     """
-    if not dataset:
+    dataset = as_batch(dataset)
+    n = len(dataset)
+    if not n:
         raise ValueError("empty training dataset")
-    x_dl, x_ep = _pack_inputs(dataset)
-    y = np.array([resolve_target(s) for s in dataset])
-    has_val = bool(validation)
+    xs, y = _kernel_inputs(dataset), dataset.resolved_targets()
+    has_val = validation is not None and len(validation) > 0
     if has_val:
-        xv_dl, xv_ep = _pack_inputs(validation)
-        yv = np.array([resolve_target(s) for s in validation])
+        validation = as_batch(validation)
+        xs_val, y_val = _kernel_inputs(validation), validation.resolved_targets()
+        ws_val = _Workspace(params.dims, len(validation), backward=False)
 
     params = params.copy()
     grads = FusionParams(params.dims)
     adam_state = AdamState.init(params.vector, eta=cfg.eta) if cfg.optimizer == "adam" else None
+    rows = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    ws = _Workspace(params.dims, rows)
+    if cfg.batch_size is not None:
+        gather_dl, gather_ep, gather_y = np.empty((rows, 2)), np.empty((rows, 2)), np.empty(rows)
 
-    # A full-batch step's activations stay referenced until the next step's
-    # exist, so its backward pass reuses their memory instead of page-faulting
-    # ~9 MB back in after a heap trim (about 10% of a full-batch epoch).
-    cache = None
-
-    def update(rows, epoch: int) -> float:
-        nonlocal cache
-        cache = _batch_forward(x_dl[rows], x_ep[rows], params)
-        if not np.all(np.isfinite(cache["yhat"])):
+    def update(idx, epoch: int) -> float:
+        if cfg.batch_size is None:
+            bxs, by = xs, y
+        else:
+            # mode="clip" lets take write straight into ``out`` (the default
+            # "raise" buffers through a temporary); a permutation is in range.
+            m = len(idx)
+            bxs = (
+                np.take(xs[0], idx, axis=0, out=gather_dl[:m], mode="clip"),
+                np.take(xs[1], idx, axis=0, out=gather_ep[:m], mode="clip"),
+            )
+            by = np.take(y, idx, out=gather_y[:m], mode="clip")
+        if not np.all(np.isfinite(_batch_forward(bxs, params, ws))):
             raise TrainingDiverged(f"epoch {epoch}: non-finite training loss")
-        losses, _ = _batch_backward(cache, y[rows], params, grads)
-        if cfg.batch_size is not None:
-            cache = None  # held minibatch activations make validation fault instead
+        losses = _batch_backward(bxs, by, params, ws, grads)
         if cfg.optimizer == "sgd":
             sgd_step(params.vector, grads.vector, cfg.eta, out=params.vector)
         else:
@@ -482,14 +487,14 @@ def train(
         return float(np.sum(losses))
 
     def validate(epoch: int) -> float:
-        val_pred = _batch_forward(xv_dl, xv_ep, params)["yhat"]
-        val_mse = float(np.mean((yv - val_pred) ** 2))
+        val_pred = _batch_forward(xs_val, params, ws_val)
+        val_mse = float(np.mean((y_val - val_pred) ** 2))
         if not np.isfinite(val_mse):
             raise TrainingDiverged(f"epoch {epoch}: non-finite validation loss")
         return val_mse
 
     best, history = fit_epochs(
-        params.vector, len(dataset), update, validate if has_val else None,
+        params.vector, n, update, validate if has_val else None,
         cfg.max_epochs, cfg.batch_size, cfg.early_stop_patience, np.random.default_rng(cfg.seed),
     )
     return FusionParams(params.dims, best), history

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +165,79 @@ class MaskedSample:
             raise ValueError("target must be finite when present")
 
 
+class SampleBatch:
+    """Many MaskedSamples as equal-length columns.
+
+    ``dl``/``ep`` are float64 forecasts, ``dl_mask``/``ep_mask`` int64 masks
+    in {0, 1}, ``target`` float64, and ``proxy``/``observed`` bool flags
+    (a MaskedSample's ``target_is_proxy``/``target_observed``).  A NaN target
+    marks an absent one, which only a proxy-labelled row may have: it trains
+    against its ``ep`` value.  The constructor copies and checks every column
+    and rejects what MaskedSample rejects per row, naming the column.
+    Slicing returns a batch of views without re-checking.
+    """
+
+    COLUMNS = ("dl", "dl_mask", "ep", "ep_mask", "target", "proxy", "observed")
+
+    def __init__(self, dl, dl_mask, ep, ep_mask, target, proxy, observed):
+        cols = {
+            "dl": np.array(dl, dtype=np.float64),
+            "dl_mask": np.array(dl_mask),
+            "ep": np.array(ep, dtype=np.float64),
+            "ep_mask": np.array(ep_mask),
+            "target": np.array(target, dtype=np.float64),
+            "proxy": np.array(proxy, dtype=bool),
+            "observed": np.array(observed, dtype=bool),
+        }
+        lengths = {name: col.shape for name, col in cols.items()}
+        if any(len(shape) != 1 for shape in lengths.values()) or len(set(lengths.values())) > 1:
+            raise ValueError(f"SampleBatch columns must be 1-D and of equal length, got shapes {lengths}")
+        for name in ("dl_mask", "ep_mask"):
+            if not np.all((cols[name] == 0) | (cols[name] == 1)):
+                raise ValueError(f"{name} must hold only 0 or 1")
+            cols[name] = cols[name].astype(np.int64, copy=False)
+        for name in ("dl", "ep"):
+            if not np.all(np.isfinite(cols[name])):
+                raise ValueError(f"{name} must be finite")
+        target = cols["target"]
+        if not np.all(np.isfinite(target) | (np.isnan(target) & cols["proxy"])):
+            raise ValueError("target must be finite where present; only a proxy-labelled row may lack one (NaN)")
+        self.__dict__.update(cols)
+
+    @classmethod
+    def from_samples(cls, samples) -> "SampleBatch":
+        """The columns of a sequence of MaskedSamples (None targets -> NaN)."""
+        return cls(
+            [s.dl for s in samples],
+            [s.dl_mask for s in samples],
+            [s.ep for s in samples],
+            [s.ep_mask for s in samples],
+            [math.nan if s.target is None else s.target for s in samples],
+            [s.target_is_proxy for s in samples],
+            [s.target_observed for s in samples],
+        )
+
+    def __len__(self) -> int:
+        return len(self.dl)
+
+    def __getitem__(self, key: slice) -> "SampleBatch":
+        if not isinstance(key, slice):
+            raise TypeError(f"SampleBatch supports slicing only, got {type(key).__name__}; read rows from the columns")
+        part = object.__new__(SampleBatch)
+        part.__dict__.update((name, self.__dict__[name][key]) for name in self.COLUMNS)
+        return part
+
+    def resolved_targets(self) -> np.ndarray:
+        """The training target per row: ``target``, or ``ep`` where absent."""
+        return np.where(np.isnan(self.target), self.ep, self.target)
+
+
+def as_batch(samples) -> SampleBatch:
+    """``samples`` as a SampleBatch: a batch as it is, a MaskedSample
+    sequence converted once."""
+    return samples if isinstance(samples, SampleBatch) else SampleBatch.from_samples(samples)
+
+
 @dataclass(frozen=True)
 class Window:
     """One stride-1 sliding window: ``inputs`` covers the lookback hours,
@@ -304,8 +377,8 @@ def _check_aligned(*series: EnergySeries) -> None:
             raise AlignmentError("series timestamps are not aligned")
 
 
-def assemble_samples(dl_forecast: EnergySeries | None, ep_forecast: EnergySeries, truth: EnergySeries, scenario) -> list[MaskedSample]:
-    """Turn aligned forecast/truth series into MaskedSamples for one scenario.
+def assemble_samples(dl_forecast: EnergySeries | None, ep_forecast: EnergySeries, truth: EnergySeries, scenario) -> SampleBatch:
+    """Turn aligned forecast/truth series into the SampleBatch of one scenario.
 
     ``scenario`` is duck-typed and must expose ``dl_available``,
     ``ep_available``, ``truth_mode`` ("full" | "sparse" | "absent") and
@@ -323,7 +396,7 @@ def assemble_samples(dl_forecast: EnergySeries | None, ep_forecast: EnergySeries
             return np.zeros(n), np.zeros(n, dtype=np.int64)
         mask = fc.present.astype(np.int64)
         if np.all(fc.present):
-            return fc.values.copy(), mask
+            return fc.values, mask
         filled = impute(fc, "neighbor_mean_or_zero")
         return filled.values, mask
 
@@ -340,20 +413,9 @@ def assemble_samples(dl_forecast: EnergySeries | None, ep_forecast: EnergySeries
         else:
             targets = impute(truth, scenario.imputation).values
         proxy = np.zeros(n, dtype=bool)
-        observed = truth.present.copy()
+        observed = truth.present
 
-    return [
-        MaskedSample(
-            dl=float(dl_vals[i]),
-            dl_mask=int(dl_mask[i]),
-            ep=float(ep_vals[i]),
-            ep_mask=int(ep_mask[i]),
-            target=float(targets[i]),
-            target_is_proxy=bool(proxy[i]),
-            target_observed=bool(observed[i]),
-        )
-        for i in range(n)
-    ]
+    return SampleBatch(dl_vals, dl_mask, ep_vals, ep_mask, targets, proxy, observed)
 
 
 @dataclass(frozen=True)
@@ -383,14 +445,13 @@ class NormStats:
         }
 
 
-def _channel_stats(values: list[float]) -> tuple[float, float]:
-    if not values:
+def _channel_stats(values: np.ndarray) -> tuple[float, float]:
+    if not values.size:
         return 0.0, STD_FLOOR
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(max(arr.std(), STD_FLOOR))
+    return float(values.mean()), float(max(values.std(), STD_FLOOR))
 
 
-def fit_norm_stats(train_samples: list[MaskedSample]) -> NormStats:
+def fit_norm_stats(train_samples: SampleBatch | list[MaskedSample]) -> NormStats:
     """Channel means/stds over the training split.
 
     Only unmasked forecasts and genuinely observed targets contribute; if a
@@ -398,37 +459,41 @@ def fit_norm_stats(train_samples: list[MaskedSample]) -> NormStats:
     channel falls back to the proxy values so targets still normalize
     sensibly.
     """
-    if not train_samples:
+    b = as_batch(train_samples)
+    if not len(b):
         raise ValueError("cannot fit normalization statistics on an empty split")
-    dl_mean, dl_std = _channel_stats([s.dl for s in train_samples if s.dl_mask == 1])
-    ep_mean, ep_std = _channel_stats([s.ep for s in train_samples if s.ep_mask == 1])
-    observed = [s.target for s in train_samples if s.target is not None and s.target_observed]
-    if not observed:
-        observed = [s.target for s in train_samples if s.target is not None]
+    dl_mean, dl_std = _channel_stats(b.dl[b.dl_mask == 1])
+    ep_mean, ep_std = _channel_stats(b.ep[b.ep_mask == 1])
+    has_target = ~np.isnan(b.target)
+    observed = b.target[has_target & b.observed]
+    if not observed.size:
+        observed = b.target[has_target]
     y_mean, y_std = _channel_stats(observed)
     return NormStats(dl_mean, dl_std, ep_mean, ep_std, y_mean, y_std)
 
 
-def normalize_samples(samples: list[MaskedSample], stats: NormStats) -> list[MaskedSample]:
-    out = []
-    for s in samples:
-        target = None if s.target is None else (s.target - stats.y_mean) / stats.y_std
-        out.append(
-            replace(
-                s,
-                dl=(s.dl - stats.dl_mean) / stats.dl_std,
-                ep=(s.ep - stats.ep_mean) / stats.ep_std,
-                target=target,
-            )
-        )
-    return out
+def normalize_samples(samples: SampleBatch | list[MaskedSample], stats: NormStats) -> SampleBatch:
+    """Z-score the forecasts and targets with ``stats``; masks and flags
+    pass through, an absent (NaN) target stays absent."""
+    b = as_batch(samples)
+    return SampleBatch(
+        (b.dl - stats.dl_mean) / stats.dl_std,
+        b.dl_mask,
+        (b.ep - stats.ep_mean) / stats.ep_std,
+        b.ep_mask,
+        (b.target - stats.y_mean) / stats.y_std,
+        b.proxy,
+        b.observed,
+    )
 
 
 def denormalize_target(values, stats: NormStats) -> np.ndarray:
     return np.asarray(values, dtype=np.float64) * stats.y_std + stats.y_mean
 
 
-def split_samples(samples: list, spec: SplitSpec) -> tuple[list, list, list]:
+def split_samples(samples, spec: SplitSpec) -> tuple:
+    """Chronological (train, validation, test) slices of a SampleBatch or
+    any sequence."""
     i_train, i_val = spec.boundaries(len(samples))
     return samples[:i_train], samples[i_train:i_val], samples[i_val:]
 

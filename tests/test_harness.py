@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusecast import harness
+from fusecast import harness, model
 from fusecast.cli import main as cli_main
 from fusecast.harness import (
     IMPUTATION_ABLATION_STRATEGIES,
@@ -152,28 +152,30 @@ _COUNTED = ("train", "train_baseline_forecaster", "make_weather", "simulate_phys
 @pytest.fixture(scope="module")
 def counted_runs(tmp_path_factory):
     """run_all(seed 7, fast) twice in one process, counting the calls each
-    run makes to the names in _COUNTED; returns (first out dir, [(exit
-    code, counts) per run])."""
+    run makes to the names in _COUNTED and to the fusion model's
+    ``adam_step``; returns (first out dir, [(exit code, counts) per run],
+    [fusion updates per run])."""
     root = tmp_path_factory.mktemp("runall")
     calls: dict[str, int] = {}
-    runs = []
+    runs, fusion_updates = [], []
     with pytest.MonkeyPatch.context() as mp:
-        for name in _COUNTED:
-            def counted(*args, _fn=getattr(harness, name), _name=name, **kwargs):
+        for module, name in [(harness, name) for name in _COUNTED] + [(model, "adam_step")]:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
 
-            mp.setattr(harness, name, counted)
+            mp.setattr(module, name, counted)
         for run in ("out", "again"):
             calls.clear()
             code = run_all(root / run, seed=7, fast=True)
+            fusion_updates.append(calls.pop("adam_step"))
             runs.append((code, dict(calls)))
-    return root / "out", runs
+    return root / "out", runs, fusion_updates
 
 
 @pytest.fixture(scope="module")
 def runall_out(counted_runs):
-    out, runs = counted_runs
+    out, runs, _ = counted_runs
     return out, runs[0][0]
 
 
@@ -232,7 +234,7 @@ class TestRunAll:
         # historical-averaging scenario 2 = 8 trainings; one baseline fit per
         # lag source (full truth, and sparse truth under 3 imputations).  The
         # second run repeats every count, so nothing outlives a run.
-        _, runs = counted_runs
+        _, runs, _ = counted_runs
         expected = {
             "train": 8,
             "train_baseline_forecaster": 4,
@@ -266,6 +268,47 @@ class TestRunAll:
             "ablation_mu", "ablation_imputation",
         ]
         assert all(0.0 <= s <= summary["wall_seconds_total"] for s in summary["stages"].values())
+
+
+    def test_summary_training_diagnostics(self, counted_runs):
+        out, _, fusion_updates = counted_runs
+        summary = json.loads((out / "run_summary.json").read_text())
+        scenarios = {sid: summary["scenarios"][str(sid)]["training"] for sid in (1, 2, 3, 4, 5)}
+        mu, imp = summary["ablation_mu"]["training"], summary["ablation_imputation"]["training"]
+        # the ablations' reused trainings report what their scenarios report
+        assert mu["with_mu"] == scenarios[1]
+        assert imp["linear_interpolation"] == scenarios[2]
+        distinct = [*scenarios.values(), mu["without_mu"], imp["nearest_neighbor"], imp["historical_averaging"]]
+        assert sum(t["updates"] for t in distinct) == fusion_updates[0] == fusion_updates[1]
+
+        history = {}
+        for line in (out / "train_history.csv").read_text().splitlines()[1:]:
+            sid, epoch, _, val = line.split(",")
+            history.setdefault(int(sid), []).append(float(val))
+        max_epochs = scenario_config(1, seed=7, fast=True).train.max_epochs
+        for sid, t in scenarios.items():
+            vals = history[sid]
+            assert t["epochs"] == len(vals)
+            assert t["best_epoch"] == vals.index(min(vals))
+            assert t["stop_reason"] == ("early_stop" if len(vals) < max_epochs else "max_epochs")
+            assert t["memory_norm"] > 0.0
+        assert mu["without_mu"]["memory_norm"] == 0.0
+        assert all(set(t) == {"epochs", "best_epoch", "stop_reason", "updates", "memory_norm"} for t in distinct)
+
+    def test_training_summary_counts_updates_per_batch_mode(self):
+        cfg = scenario_config(1, fast=True)
+        params = model.init_params(harness.DEFAULT_DIMS, 0, random_memory=True)
+        history = [(1.0, 3.0), (0.5, 2.0), (0.4, 2.0), (0.3, 2.5)]
+        n_train, _ = cfg.split.boundaries(1000)
+        t = harness._training_summary(cfg, 1000, history, params)
+        assert t.pop("memory_norm") == pytest.approx(np.sqrt(np.sum(params.memory**2)), rel=1e-12)
+        assert t == {
+            "epochs": 4, "best_epoch": 1, "stop_reason": "early_stop",
+            "updates": 4 * math.ceil(n_train / cfg.train.batch_size),
+        }
+        full_batch = replace(cfg, train=replace(cfg.train, batch_size=None, max_epochs=4))
+        t = harness._training_summary(full_batch, 1000, history, params)
+        assert (t["updates"], t["stop_reason"]) == (4, "max_epochs")
 
 
 class TestConfigFile:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fusecast import model as M
 from fusecast.numkit import ShapeMismatch, finite_diff_grad, sgd_step
-from fusecast.pipeline import MaskedSample, NormStats
+from fusecast.pipeline import MaskedSample, NormStats, SampleBatch
 
 
 def manual_params(dims, fill=1.0, memory=None):
@@ -247,10 +247,12 @@ class TestBatchEquivalence:
         dims = M.FusionDims(5, 3, 6)
         p = M.init_params(dims, 17)
         samples = [random_sample(rng) for _ in range(64)]
-        x_dl, x_ep = M._pack_inputs(samples)
+        xs = M._kernel_inputs(SampleBatch.from_samples(samples))
         y = np.array([s.target for s in samples])
-        cache = M._batch_forward(x_dl, x_ep, p)
-        losses, batch_grads = M._batch_backward(cache, y, p)
+        ws = M._Workspace(dims, len(samples))
+        M._batch_forward(xs, p, ws)
+        batch_grads = M.FusionParams(dims)
+        losses = M._batch_backward(xs, y, p, ws, batch_grads)
 
         total = None
         loss_total = 0.0

@@ -1,16 +1,22 @@
+import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fusecast.harness import scenario_config
 from fusecast.pipeline import (
     IMPUTATION_KINDS,
+    STD_FLOOR,
     AlignmentError,
     EnergySeries,
     FeatureRow,
     MaskedSample,
     NormStats,
+    SampleBatch,
     SplitSpec,
+    _check_aligned,
     apply_sparsity,
     assemble_samples,
     build_feature_rows,
@@ -220,25 +226,25 @@ class TestAssembleSamples:
     def test_scenario1_all_masks_one(self):
         dl, ep, truth = self._series_triple()
         samples = assemble_samples(dl, ep, truth, scenario_ns())
-        assert all(s.dl_mask == 1 and s.ep_mask == 1 for s in samples)
-        assert all(s.target == t for s, t in zip(samples, truth.values))
-        assert all(not s.target_is_proxy and s.target_observed for s in samples)
+        assert np.all((samples.dl_mask == 1) & (samples.ep_mask == 1))
+        assert np.all(samples.target == truth.values)
+        assert np.all(~samples.proxy & samples.observed)
 
     def test_scenario4_dl_zeroed(self):
         dl, ep, truth = self._series_triple()
         samples = assemble_samples(dl, ep, truth, scenario_ns(dl_available=False))
-        assert all(s.dl == 0.0 and s.dl_mask == 0 and s.ep_mask == 1 for s in samples)
+        assert np.all((samples.dl == 0.0) & (samples.dl_mask == 0) & (samples.ep_mask == 1))
 
     def test_scenario3_proxy_targets(self):
         dl, ep, truth = self._series_triple()
         samples = assemble_samples(None, ep, truth, scenario_ns(dl_available=False, truth_mode="absent"))
-        assert all(s.target == e for s, e in zip(samples, ep.values))
-        assert all(s.target_is_proxy and not s.target_observed for s in samples)
+        assert np.all(samples.target == ep.values)
+        assert np.all(samples.proxy & ~samples.observed)
 
     def test_scenario5_ep_zeroed(self):
         dl, ep, truth = self._series_triple()
         samples = assemble_samples(dl, ep, truth, scenario_ns(ep_available=False))
-        assert all(s.ep == 0.0 and s.ep_mask == 0 and s.dl_mask == 1 for s in samples)
+        assert np.all((samples.ep == 0.0) & (samples.ep_mask == 0) & (samples.dl_mask == 1))
 
     def test_sparse_truth_imputed_and_flagged(self):
         dl, ep, truth = self._series_triple()
@@ -247,9 +253,9 @@ class TestAssembleSamples:
         present[3] = False
         sparse = EnergySeries(truth.timestamps, vals, present)
         samples = assemble_samples(dl, ep, sparse, scenario_ns(truth_mode="sparse"))
-        assert samples[3].target == pytest.approx((vals[2] + vals[4]) / 2)
-        assert not samples[3].target_observed
-        assert samples[2].target_observed
+        assert samples.target[3] == pytest.approx((vals[2] + vals[4]) / 2)
+        assert not samples.observed[3]
+        assert samples.observed[2]
 
     def test_partial_dl_gap_keeps_mask_zero_with_standin(self):
         dl, ep, truth = self._series_triple()
@@ -257,16 +263,16 @@ class TestAssembleSamples:
         present[2] = False
         dl_sparse = EnergySeries(dl.timestamps, dl.values.copy(), present)
         samples = assemble_samples(dl_sparse, ep, truth, scenario_ns())
-        assert samples[2].dl_mask == 0
-        assert np.isfinite(samples[2].dl)
+        assert samples.dl_mask[2] == 0
+        assert np.isfinite(samples.dl[2])
 
     def test_masks_binary_and_no_nan(self):
         dl, ep, truth = self._series_triple()
         for ns in (scenario_ns(), scenario_ns(dl_available=False), scenario_ns(truth_mode="absent")):
-            for s in assemble_samples(dl, ep, truth, ns):
-                assert s.dl_mask in (0, 1) and s.ep_mask in (0, 1)
-                assert np.isfinite(s.dl) and np.isfinite(s.ep)
-                assert s.target is None or np.isfinite(s.target)
+            s = assemble_samples(dl, ep, truth, ns)
+            assert np.all(np.isin(s.dl_mask, (0, 1)) & np.isin(s.ep_mask, (0, 1)))
+            assert np.all(np.isfinite(s.dl) & np.isfinite(s.ep))
+            assert np.all(np.isnan(s.target) | np.isfinite(s.target))  # NaN is an absent target
 
     def test_misaligned_timestamps_rejected(self):
         dl, ep, truth = self._series_triple()
@@ -281,7 +287,7 @@ class TestNormStats:
         stats = fit_norm_stats(samples)
         assert stats.dl_std == 1e-8
         normed = normalize_samples(samples, stats)
-        assert all(s.dl == 0.0 for s in normed)
+        assert np.all(normed.dl == 0.0)
 
     def test_population_convention(self):
         samples = [
@@ -320,7 +326,7 @@ class TestNormStats:
         samples = [MaskedSample(dl=0.0, dl_mask=0, ep=v, ep_mask=1, target=v) for v in (5.0, 9.0)]
         stats = fit_norm_stats(samples)
         normed = normalize_samples(samples, stats)
-        assert all(s.dl == 0.0 for s in normed)
+        assert np.all(normed.dl == 0.0)
 
     def test_round_trip_denormalize(self):
         rng = np.random.default_rng(8)
@@ -330,12 +336,244 @@ class TestNormStats:
         ]
         stats = fit_norm_stats(samples)
         normed = normalize_samples(samples, stats)
-        back = denormalize_target([s.target for s in normed], stats)
+        back = denormalize_target(normed.target, stats)
         assert np.allclose(back, [s.target for s in samples], rtol=1e-12)
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
             fit_norm_stats([])
+
+
+# ---------------------------------------------------------------------------
+# List-based reference copies of the per-row sample pipeline that the
+# columnar SampleBatch path replaced; the batch path must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+def _reference_assemble_samples(dl_forecast, ep_forecast, truth, scenario) -> list[MaskedSample]:
+    present_series = [s for s in (dl_forecast, ep_forecast, truth) if s is not None]
+    _check_aligned(*present_series)
+    n = truth.n
+
+    def stream(fc, available):
+        if not available or fc is None:
+            return np.zeros(n), np.zeros(n, dtype=np.int64)
+        mask = fc.present.astype(np.int64)
+        if np.all(fc.present):
+            return fc.values.copy(), mask
+        filled = impute(fc, "neighbor_mean_or_zero")
+        return filled.values, mask
+
+    dl_vals, dl_mask = stream(dl_forecast, scenario.dl_available)
+    ep_vals, ep_mask = stream(ep_forecast, scenario.ep_available)
+
+    if scenario.truth_mode == "absent":
+        targets = ep_vals
+        proxy = np.ones(n, dtype=bool)
+        observed = np.zeros(n, dtype=bool)
+    else:
+        if np.all(truth.present):
+            targets = truth.values
+        else:
+            targets = impute(truth, scenario.imputation).values
+        proxy = np.zeros(n, dtype=bool)
+        observed = truth.present.copy()
+
+    return [
+        MaskedSample(
+            dl=float(dl_vals[i]),
+            dl_mask=int(dl_mask[i]),
+            ep=float(ep_vals[i]),
+            ep_mask=int(ep_mask[i]),
+            target=float(targets[i]),
+            target_is_proxy=bool(proxy[i]),
+            target_observed=bool(observed[i]),
+        )
+        for i in range(n)
+    ]
+
+
+def _reference_channel_stats(values):
+    if not values:
+        return 0.0, STD_FLOOR
+    arr = np.asarray(values, dtype=np.float64)
+    return float(arr.mean()), float(max(arr.std(), STD_FLOOR))
+
+
+def _reference_fit_norm_stats(train_samples) -> NormStats:
+    if not train_samples:
+        raise ValueError("cannot fit normalization statistics on an empty split")
+    dl_mean, dl_std = _reference_channel_stats([s.dl for s in train_samples if s.dl_mask == 1])
+    ep_mean, ep_std = _reference_channel_stats([s.ep for s in train_samples if s.ep_mask == 1])
+    observed = [s.target for s in train_samples if s.target is not None and s.target_observed]
+    if not observed:
+        observed = [s.target for s in train_samples if s.target is not None]
+    y_mean, y_std = _reference_channel_stats(observed)
+    return NormStats(dl_mean, dl_std, ep_mean, ep_std, y_mean, y_std)
+
+
+def _reference_normalize_samples(samples, stats):
+    out = []
+    for s in samples:
+        target = None if s.target is None else (s.target - stats.y_mean) / stats.y_std
+        out.append(
+            replace(
+                s,
+                dl=(s.dl - stats.dl_mean) / stats.dl_std,
+                ep=(s.ep - stats.ep_mean) / stats.ep_std,
+                target=target,
+            )
+        )
+    return out
+
+
+def assert_batch_bits_equal_rows(batch, rows):
+    """Every column of ``batch`` holds exactly the bytes of the rows' fields."""
+    expected = {
+        "dl": ([s.dl for s in rows], np.float64),
+        "dl_mask": ([s.dl_mask for s in rows], np.int64),
+        "ep": ([s.ep for s in rows], np.float64),
+        "ep_mask": ([s.ep_mask for s in rows], np.int64),
+        "target": ([math.nan if s.target is None else s.target for s in rows], np.float64),
+        "proxy": ([s.target_is_proxy for s in rows], bool),
+        "observed": ([s.target_observed for s in rows], bool),
+    }
+    assert len(batch) == len(rows)
+    for name, (values, dtype) in expected.items():
+        column = getattr(batch, name)
+        assert column.dtype == dtype, name
+        assert column.tobytes() == np.asarray(values, dtype=dtype).tobytes(), name
+
+
+def _gappy(series, rng, k):
+    """``series`` with k random steps missing, and the first (a gap with no
+    left neighbour)."""
+    present = series.present.copy()
+    present[rng.choice(series.n, size=k, replace=False)] = False
+    present[0] = False
+    return EnergySeries(series.timestamps, series.values.copy(), present)
+
+
+class TestColumnarMatchesListReference:
+    N = 240
+
+    def _streams(self, rng, dl_gaps, ep_gaps, truth_kind):
+        ts = hourly_range("2021-06-01T00", self.N)
+        dl = EnergySeries.full(ts, 80.0 + 15.0 * rng.standard_normal(self.N))
+        ep = EnergySeries.full(ts, 60.0 + 10.0 * rng.standard_normal(self.N))
+        truth = EnergySeries.full(ts, 110.0 + 20.0 * rng.standard_normal(self.N))
+        if dl_gaps:
+            dl = _gappy(dl, rng, 30)
+        if ep_gaps:
+            ep = _gappy(ep, rng, 25)
+        if truth_kind == "sparse":
+            truth = apply_sparsity(truth, 0.2, int(rng.integers(1000)))
+        elif truth_kind == "absent":
+            truth = EnergySeries(ts, np.full(self.N, np.nan), np.zeros(self.N, dtype=bool))
+        return dl, ep, truth
+
+    def _check(self, dl, ep, truth, scenario):
+        batch = assemble_samples(dl, ep, truth, scenario)
+        rows = _reference_assemble_samples(dl, ep, truth, scenario)
+        assert_batch_bits_equal_rows(batch, rows)
+
+        i_train, i_val = SplitSpec().boundaries(len(rows))
+        stats = fit_norm_stats(batch[:i_train])
+        ref_stats = _reference_fit_norm_stats(rows[:i_train])
+        assert [v.hex() for v in stats.as_dict().values()] == [v.hex() for v in ref_stats.as_dict().values()]
+        for part, ref_part in zip(split_samples(batch, SplitSpec()), split_samples(rows, SplitSpec())):
+            assert_batch_bits_equal_rows(normalize_samples(part, stats), _reference_normalize_samples(ref_part, ref_stats))
+
+    @pytest.mark.parametrize("scenario_id", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dl_gaps,ep_gaps", [(False, False), (True, False), (False, True), (True, True)])
+    def test_scenario_presets(self, scenario_id, dl_gaps, ep_gaps):
+        cfg = scenario_config(scenario_id)
+        rng = np.random.default_rng(10 * scenario_id + 2 * dl_gaps + ep_gaps)
+        truth_kind = {"full": "full", "sparse": "sparse", "absent": "full"}[cfg.truth_mode]
+        dl, ep, truth = self._streams(rng, dl_gaps, ep_gaps, truth_kind)
+        self._check(dl if cfg.dl_available else None, ep, truth, cfg)
+
+    @pytest.mark.parametrize("imputation", IMPUTATION_KINDS)
+    def test_sparse_truth_under_every_imputation(self, imputation):
+        dl, ep, truth = self._streams(np.random.default_rng(77), True, True, "sparse")
+        self._check(dl, ep, truth, scenario_ns(truth_mode="sparse", imputation=imputation))
+
+    @pytest.mark.parametrize("dl_available,ep_available", [(True, True), (False, True), (True, False)])
+    def test_absent_truth(self, dl_available, ep_available):
+        dl, ep, truth = self._streams(np.random.default_rng(78), True, True, "absent")
+        self._check(dl, ep, truth, scenario_ns(dl_available=dl_available, ep_available=ep_available, truth_mode="absent"))
+
+    def test_lists_with_absent_proxy_targets(self):
+        rows = [
+            MaskedSample(dl=0.5 * k, dl_mask=k % 2, ep=2.0 + k, ep_mask=1, target=None if k % 3 == 0 else 1.5 * k,
+                         target_is_proxy=k % 3 == 0, target_observed=k % 4 != 0)
+            for k in range(12)
+        ]
+        batch = SampleBatch.from_samples(rows)
+        assert_batch_bits_equal_rows(batch, rows)
+        stats = fit_norm_stats(batch)
+        assert stats == _reference_fit_norm_stats(rows) == fit_norm_stats(rows)
+        assert_batch_bits_equal_rows(normalize_samples(batch, stats), _reference_normalize_samples(rows, stats))
+        assert_batch_bits_equal_rows(normalize_samples(rows, stats), _reference_normalize_samples(rows, stats))
+
+
+class TestSampleBatchBoundaries:
+    def columns(self, **changes):
+        cols = dict(
+            dl=[0.5, 1.0, 1.5], dl_mask=[1, 0, 1], ep=[2.0, 2.5, 3.0], ep_mask=[1, 1, 0],
+            target=[4.0, 5.0, 6.0], proxy=[False, False, False], observed=[True, True, False],
+        )
+        cols.update(changes)
+        return cols
+
+    def test_valid_columns_accepted(self):
+        batch = SampleBatch(**self.columns())
+        assert len(batch) == 3
+        assert batch.dl_mask.dtype == np.int64 and batch.proxy.dtype == bool
+
+    @pytest.mark.parametrize(
+        "column,values",
+        [
+            ("dl_mask", [1, 2, 0]),
+            ("ep_mask", [2, 1, 1]),
+            ("dl_mask", [1, 0.5, 0]),
+            ("dl", [0.5, np.nan, 1.5]),
+            ("dl", [0.5, np.inf, 1.5]),
+            ("ep", [np.nan, 2.5, 3.0]),
+            ("ep", [2.0, 2.5, -np.inf]),
+            ("target", [4.0, np.nan, 6.0]),
+            ("target", [4.0, 5.0, np.inf]),
+        ],
+    )
+    def test_bad_column_rejected_by_name(self, column, values):
+        with pytest.raises(ValueError, match=column):
+            SampleBatch(**self.columns(**{column: values}))
+
+    @pytest.mark.parametrize("column", SampleBatch.COLUMNS)
+    def test_unequal_lengths_rejected(self, column):
+        cols = self.columns()
+        cols[column] = cols[column][:2]
+        with pytest.raises(ValueError, match="equal length"):
+            SampleBatch(**cols)
+
+    def test_absent_target_only_on_proxy_rows(self):
+        batch = SampleBatch(**self.columns(target=[4.0, np.nan, 6.0], proxy=[False, True, False]))
+        assert np.array_equal(batch.resolved_targets(), [4.0, 2.5, 6.0])
+        with pytest.raises(ValueError, match="target"):
+            SampleBatch.from_samples([MaskedSample(dl=1.0, dl_mask=1, ep=1.0, ep_mask=1, target=None)])
+
+    def test_slices_are_batches_and_rows_are_not_indexable(self):
+        batch = SampleBatch(**self.columns())
+        head = batch[:2]
+        assert isinstance(head, SampleBatch) and len(head) == 2
+        assert np.array_equal(head.ep, [2.0, 2.5]) and np.array_equal(batch[2:].target, [6.0])
+        with pytest.raises(TypeError):
+            batch[0]
+
+    def test_constructor_copies_its_columns(self):
+        dl = np.array([0.5, 1.0, 1.5])
+        batch = SampleBatch(**self.columns(dl=dl))
+        dl[0] = 99.0
+        assert batch.dl[0] == 0.5
 
 
 class TestSplits:

@@ -195,9 +195,121 @@ class TestDeterminismAndFailure:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity oracle: the flat-vector optimizers against a per-tensor
-# reference loop (the list-based Adam/SGD the flat buffer replaced).
+# Bit-identity oracles: the workspace kernel against the allocating kernel it
+# replaced (copied below unchanged), and the flat-vector optimizers against
+# a per-tensor reference loop (the list-based Adam/SGD the flat buffer
+# replaced) running on those reference kernels.
 # ---------------------------------------------------------------------------
+
+def _reference_pack_inputs(samples):
+    x_dl = np.array([[s.dl, float(s.dl_mask)] for s in samples])
+    x_ep = np.array([[s.ep, float(s.ep_mask)] for s in samples])
+    return x_dl, x_ep
+
+
+def _reference_batch_forward(x_dl, x_ep, params):
+    n = x_dl.shape[0]
+    mem = params.memory
+    # divergence is caught via isfinite checks, so let overflow pass silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_h_dl = x_dl @ params.w_dl.T + params.b_dl
+        a_h_ep = x_ep @ params.w_ep.T + params.b_ep
+        h_dl = np.maximum(a_h_dl, 0.0)
+        h_ep = np.maximum(a_h_ep, 0.0)
+        mem_rows = np.broadcast_to(mem, (n, mem.shape[0]))
+        c_dl = np.concatenate([h_dl, mem_rows], axis=1)
+        c_ep = np.concatenate([h_ep, mem_rows], axis=1)
+        a_z_dl = c_dl @ params.w_hid_dl.T + params.b_hid_dl
+        a_z_ep = c_ep @ params.w_hid_ep.T + params.b_hid_ep
+        z_dl = np.maximum(a_z_dl, 0.0)
+        z_ep = np.maximum(a_z_ep, 0.0)
+        part_dl = z_dl @ params.w_head_dl + params.b_head_dl
+        part_ep = z_ep @ params.w_head_ep + params.b_head_ep
+        offset = float(params.w_head_mem @ mem) + params.b_head_mem
+        yhat = part_dl + part_ep + offset
+    return {
+        "x_dl": x_dl, "x_ep": x_ep, "a_h_dl": a_h_dl, "a_h_ep": a_h_ep,
+        "h_dl": h_dl, "h_ep": h_ep, "c_dl": c_dl, "c_ep": c_ep,
+        "a_z_dl": a_z_dl, "a_z_ep": a_z_ep, "z_dl": z_dl, "z_ep": z_ep,
+        "yhat": yhat,
+    }
+
+
+def _reference_batch_backward(cache, y, params, out=None):
+    """Per-sample losses and the summed gradients over the batch, in ``out``."""
+    d = params.dims.embed_dim
+    yhat = cache["yhat"]
+    losses = (y - yhat) ** 2
+    g = 2.0 * (yhat - y)
+    g_sum = float(np.sum(g))
+
+    g_w_head_dl = cache["z_dl"].T @ g
+    g_w_head_ep = cache["z_ep"].T @ g
+    g_w_head_mem = g_sum * params.memory
+
+    da_z_dl = np.outer(g, params.w_head_dl) * (cache["a_z_dl"] > 0)
+    da_z_ep = np.outer(g, params.w_head_ep) * (cache["a_z_ep"] > 0)
+    g_w_hid_dl = da_z_dl.T @ cache["c_dl"]
+    g_w_hid_ep = da_z_ep.T @ cache["c_ep"]
+
+    dc_dl = da_z_dl @ params.w_hid_dl
+    dc_ep = da_z_ep @ params.w_hid_ep
+    g_memory = dc_dl[:, d:].sum(axis=0) + dc_ep[:, d:].sum(axis=0) + g_sum * params.w_head_mem
+
+    da_h_dl = dc_dl[:, :d] * (cache["a_h_dl"] > 0)
+    da_h_ep = dc_ep[:, :d] * (cache["a_h_ep"] > 0)
+
+    grads = out if out is not None else M.FusionParams(params.dims)
+    grads.w_dl, grads.b_dl = da_h_dl.T @ cache["x_dl"], da_h_dl.sum(axis=0)
+    grads.w_ep, grads.b_ep = da_h_ep.T @ cache["x_ep"], da_h_ep.sum(axis=0)
+    grads.memory = g_memory
+    grads.w_hid_dl, grads.b_hid_dl = g_w_hid_dl, da_z_dl.sum(axis=0)
+    grads.w_hid_ep, grads.b_hid_ep = g_w_hid_ep, da_z_ep.sum(axis=0)
+    grads.w_head_dl, grads.w_head_ep, grads.w_head_mem = g_w_head_dl, g_w_head_ep, g_w_head_mem
+    grads.b_head_dl = grads.b_head_ep = grads.b_head_mem = g_sum
+    return losses, grads
+
+
+def _random_rows(rng, m):
+    """Kernel inputs for m rows: (x_dl, x_ep) with random values and masks, and targets."""
+    xs = tuple(np.column_stack([rng.standard_normal(m), rng.integers(0, 2, m)]).astype(np.float64) for _ in range(2))
+    return xs, rng.standard_normal(m)
+
+
+class TestWorkspaceKernelOracle:
+    @pytest.mark.parametrize("memory_enabled", [True, False], ids=["memory", "no-memory"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kernel_matches_reference_bit_for_bit(self, seed, memory_enabled):
+        rng = np.random.default_rng(300 + seed)
+        dims = M.FusionDims(*(int(rng.integers(1, 12)) for _ in range(3)), memory_enabled=memory_enabled)
+        p = M.init_params(dims, seed, random_memory=True)
+        p.vector[:] += 0.5 * rng.standard_normal(dims.size)
+        ws = M._Workspace(dims, 128)
+        # full size, a small batch, one row, a ragged tail, then full again:
+        # rows left over from a larger batch must not reach a smaller one
+        for m in (128, 7, 1, 121, 128):
+            xs, y = _random_rows(rng, m)
+            yhat = M._batch_forward(xs, p, ws).copy()
+            grads = M.FusionParams(dims, np.full(dims.size, np.nan))  # every entry must be written
+            losses = M._batch_backward(xs, y, p, ws, grads)
+            ref_losses, ref_grads = _reference_batch_backward(_reference_batch_forward(*xs, p), y, p)
+            ref_yhat = _reference_batch_forward(*xs, p)["yhat"]
+            # tobytes compares sign bits too (0.0 vs -0.0), which array_equal does not
+            assert yhat.tobytes() == ref_yhat.tobytes(), m
+            assert losses.tobytes() == ref_losses.tobytes(), m
+            assert grads.vector.tobytes() == ref_grads.vector.tobytes(), m
+
+    def test_per_sample_backward_is_the_kernel_on_one_row(self):
+        rng = np.random.default_rng(310)
+        dims = M.FusionDims(5, 4, 6)
+        p = M.init_params(dims, 3, random_memory=True)
+        for s in make_dataset(rng, n=20):
+            loss, grads = M.backward(M.forward(s, p), s, p)
+            x_dl, x_ep = _reference_pack_inputs([s])
+            ref_losses, ref_grads = _reference_batch_backward(_reference_batch_forward(x_dl, x_ep, p), np.array([s.target]), p)
+            assert loss == ref_losses[0]
+            assert grads.vector.tobytes() == ref_grads.vector.tobytes()
+
 
 def _reference_adam(params, grads, m, v, step, eta, beta1=0.9, beta2=0.999, eps=1e-8):
     t = step + 1
@@ -214,11 +326,11 @@ def _reference_adam(params, grads, m, v, step, eta, beta1=0.9, beta2=0.999, eps=
 
 
 def _reference_train(dataset, params, cfg, validation):
-    """Per-tensor copy of the training loop; only the kernels are shared."""
-    x_dl, x_ep = M._pack_inputs(dataset)
+    """Per-tensor copy of the training loop on the reference kernels."""
+    x_dl, x_ep = _reference_pack_inputs(dataset)
     y = np.array([M.resolve_target(s) for s in dataset])
     if validation:
-        xv_dl, xv_ep = M._pack_inputs(validation)
+        xv_dl, xv_ep = _reference_pack_inputs(validation)
         yv = np.array([M.resolve_target(s) for s in validation])
     arrays = [np.array(a) for a in params.flatten()]
     m = [np.zeros_like(a) for a in arrays]
@@ -231,7 +343,7 @@ def _reference_train(dataset, params, cfg, validation):
     def update(idx):
         nonlocal arrays, m, v, step
         p = M.FusionParams.unflatten(params.dims, arrays)
-        losses, grads = M._batch_backward(M._batch_forward(x_dl[idx], x_ep[idx], p), y[idx], p)
+        losses, grads = _reference_batch_backward(_reference_batch_forward(x_dl[idx], x_ep[idx], p), y[idx], p)
         g = [np.array(a) for a in grads.flatten()]
         if cfg.optimizer == "sgd":
             arrays = [a - cfg.eta * b for a, b in zip(arrays, g)]
@@ -252,7 +364,7 @@ def _reference_train(dataset, params, cfg, validation):
         val_mse = float("nan")
         if validation:
             p = M.FusionParams.unflatten(params.dims, arrays)
-            val_mse = float(np.mean((yv - M._batch_forward(xv_dl, xv_ep, p)["yhat"]) ** 2))
+            val_mse = float(np.mean((yv - _reference_batch_forward(xv_dl, xv_ep, p)["yhat"]) ** 2))
         history.append((train_mse, val_mse))
         if validation:
             if val_mse < best_val:
