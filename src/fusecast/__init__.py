@@ -25,16 +25,16 @@ from .model import (
 )
 from .pipeline import (
     EnergySeries,
-    FeatureRow,
+    FeatureMatrix,
     MaskedSample,
     NormStats,
     SampleBatch,
     SplitSpec,
     apply_sparsity,
     assemble_samples,
+    build_feature_rows,
     fit_norm_stats,
     impute,
-    make_windows,
 )
 from .surrogates import (
     BuildingParams,

@@ -22,6 +22,7 @@ from .harness import (
     _write_ablation_mu,
     _write_metrics_csv,
     _write_scenario_outputs,
+    check_seed,
     load_scenario_config,
     run_ablation_imputation,
     run_ablation_mu,
@@ -88,13 +89,14 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_ablation(args) -> int:
+    cfg = scenario_config(1 if args.kind == "mu" else 2, seed=args.seed, fast=args.fast)
     args.out.mkdir(parents=True, exist_ok=True)
     if args.kind == "mu":
-        report = run_ablation_mu(scenario_config(1, seed=args.seed, fast=args.fast))
+        report = run_ablation_mu(cfg)
         _write_ablation_mu(args.out, report)
         _print_methods(report, "memory-unit ablation (scenario 1)")
     else:
-        report = run_ablation_imputation(scenario_config(2, seed=args.seed, fast=args.fast))
+        report = run_ablation_imputation(cfg)
         _write_ablation_imputation(args.out, report)
         _print_methods(report, "imputation ablation (scenario 2)")
     return 0
@@ -107,6 +109,7 @@ def _cmd_all(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    check_seed(args.seed)
     if args.config is not None:
         try:
             building = load_building_params(args.config)
@@ -125,6 +128,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train_baseline(args) -> int:
+    check_seed(args.seed)
     stages = _Stages()
     truth = stages.world(args.seed, FAST_HOURS if args.fast else FULL_HOURS).truth
     forecast = stages.dl(scenario_config(1, seed=args.seed, fast=args.fast))

@@ -5,14 +5,14 @@ one) are each embedded together with their availability mask, mixed with a
 single learnable memory vector shared across all samples, and reduced to
 three scalars whose sum is the predicted energy:
 
-    h_dl = relu(W_dl [x_dl, m_dl] + b_dl)          embedding, data stream
-    h_ep = relu(W_ep [x_ep, m_ep] + b_ep)          embedding, physics stream
-    e    = memory                                  identity read
-    z_dl = relu(W_hid_dl [h_dl; e] + b_hid_dl)     hidden mixer, data stream
-    z_ep = relu(W_hid_ep [h_ep; e] + b_hid_ep)     hidden mixer, physics stream
-    yhat = (w_head_dl.z_dl + b_head_dl)            stream contribution
-         + (w_head_ep.z_ep + b_head_ep)            stream contribution
-         + (w_head_mem.e  + b_head_mem)            learned offset
+    h_dl = max(0, W_dl [x_dl, m_dl] + b_dl)          embedding, data stream
+    h_ep = max(0, W_ep [x_ep, m_ep] + b_ep)          embedding, physics stream
+    e    = memory                                    identity read
+    z_dl = max(0, W_hid_dl [h_dl; e] + b_hid_dl)     hidden mixer, data stream
+    z_ep = max(0, W_hid_ep [h_ep; e] + b_hid_ep)     hidden mixer, physics stream
+    yhat = (w_head_dl.z_dl + b_head_dl)              stream contribution
+         + (w_head_ep.z_ep + b_head_ep)              stream contribution
+         + (w_head_mem.e  + b_head_mem)              learned offset
 
 The memory vector feeds both mixers and the additive offset head, so
 training can park persistent forecast bias in it.  Because the three head
@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numkit import AdamState, ShapeMismatch, adam_step, block_views, fit_epochs, relu, sgd_step
+from .numkit import AdamState, ShapeMismatch, adam_step, block_views, fit_epochs, sgd_step
 from .pipeline import MaskedSample, NormStats, SampleBatch, as_batch
 
 CHECKPOINT_TAG = "pgmn-ckpt-1"
@@ -227,27 +227,6 @@ def init_params(dims: FusionDims, seed: int, random_memory: bool = False) -> Fus
     )
 
 
-def embed_dl(value: float, mask: int, params: FusionParams) -> np.ndarray:
-    """Projection of the data-driven forecast and its mask into h_dl."""
-    x = np.array([float(value), float(mask)])
-    if not np.isfinite(value):
-        raise ValueError("non-finite data-stream input")
-    return relu(params.w_dl @ x + params.b_dl)
-
-
-def embed_ep(value: float, mask: int, params: FusionParams) -> np.ndarray:
-    """Projection of the physics forecast and its mask into h_ep."""
-    x = np.array([float(value), float(mask)])
-    if not np.isfinite(value):
-        raise ValueError("non-finite physics-stream input")
-    return relu(params.w_ep @ x + params.b_ep)
-
-
-def read_memory(params: FusionParams) -> np.ndarray:
-    """Identity read of the learnable memory vector."""
-    return params.memory
-
-
 def _stage_check(name: str, arr) -> None:
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError(f"non-finite value at stage {name}")
@@ -271,7 +250,7 @@ def forward(sample: MaskedSample, params: FusionParams) -> ForwardTrace:
     return ForwardTrace(
         dl_in=dl_in, ep_in=ep_in,
         pre_h_dl=ws.a_h[0][0], pre_h_ep=ws.a_h[1][0], h_dl=ws.c[0][0, :d], h_ep=ws.c[1][0, :d],
-        mem=read_memory(params), pre_z_dl=ws.a_z[0][0], pre_z_ep=ws.a_z[1][0], z_dl=ws.z[0][0], z_ep=ws.z[1][0],
+        mem=params.memory, pre_z_dl=ws.a_z[0][0], pre_z_ep=ws.a_z[1][0], z_dl=ws.z[0][0], z_ep=ws.z[1][0],
         part_dl=part_dl, part_ep=part_ep, offset=offset, yhat=yhat,
     )
 
@@ -308,7 +287,7 @@ def backward(trace: ForwardTrace, sample: MaskedSample, params: FusionParams) ->
 class _Workspace:
     """Preallocated kernel buffers for up to ``rows`` rows; a call on m rows
     uses the first m of each.  Per stream (data, then physics): the embedding
-    pre-activation ``a_h``, the mixer input ``c`` = [relu(a_h), memory], the
+    pre-activation ``a_h``, the mixer input ``c`` = [max(0, a_h), memory], the
     mixer pre-activation ``a_z``, its ReLU ``z`` and the head output
     ``part``.  ``backward=True`` adds the gradient temporaries, shared by
     both streams.  A workspace lives for one ``train``/``predict`` call."""

@@ -1,11 +1,11 @@
 """Dense float64 kernels shared by every other module.
 
-Plain functions over numpy arrays: affine maps, ReLU, squared error,
-views of a flat parameter vector as shaped tensors, SGD/Adam updates on one
-flat parameter vector and one flat gradient vector (a few vectorised ops
-per step, in place when ``out`` is the parameter vector), the epoch loop
-every trainer shares, and a central-difference gradient oracle used to
-verify hand-derived backward passes.
+Plain functions over numpy arrays: views of a flat parameter vector as
+shaped tensors, SGD/Adam updates on one flat parameter vector and one flat
+gradient vector (a few vectorised ops per step, in place when ``out`` is
+the parameter vector), the epoch loop every trainer shares, and a
+central-difference gradient oracle used to verify hand-derived backward
+passes.
 """
 
 from __future__ import annotations
@@ -19,65 +19,6 @@ import numpy as np
 
 class ShapeMismatch(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-def as_vec(values) -> np.ndarray:
-    """Coerce to a finite 1-D float64 vector."""
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeMismatch(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains non-finite entries")
-    return v
-
-
-def as_mat(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a finite 2-D float64 matrix.
-
-    A flat sequence is accepted when ``rows``/``cols`` are given; storage is
-    row-major.
-    """
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    if v.ndim == 1 and rows is not None and cols is not None:
-        if v.size != rows * cols:
-            raise ShapeMismatch(f"{v.size} values cannot fill a {rows}x{cols} matrix")
-        v = v.reshape(rows, cols)
-    if v.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D matrix, got shape {v.shape}")
-    if rows is not None and cols is not None and v.shape != (rows, cols):
-        raise ShapeMismatch(f"expected shape ({rows}, {cols}), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("matrix contains non-finite entries")
-    return v
-
-
-def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return ``w @ x + b`` with explicit shape checking."""
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if w.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise ShapeMismatch(
-            f"affine expects matrix/vector/vector, got {w.shape}/{x.shape}/{b.shape}"
-        )
-    if w.shape[1] != x.shape[0]:
-        raise ShapeMismatch(f"matrix is {w.shape[0]}x{w.shape[1]} but input has length {x.shape[0]}")
-    if w.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"matrix is {w.shape[0]}x{w.shape[1]} but bias has length {b.shape[0]}")
-    out = w @ x + b
-    if not np.all(np.isfinite(out)):
-        raise ValueError("affine produced non-finite output")
-    return out
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x).  The subgradient used at 0 is 0."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def mse(y: float, yhat: float) -> float:
-    """Squared error of a single prediction."""
-    return (float(y) - float(yhat)) ** 2
 
 
 def block_views(vector: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:

@@ -1,6 +1,7 @@
-"""Sample construction for the fusion model: hourly series with missingness,
-sliding windows, imputation, sparsity injection, mask/target assembly,
-normalization statistics, and chronological splits.
+"""Sample construction for both forecasters: hourly series with
+missingness, the baseline's lag/calendar feature matrix, imputation,
+sparsity injection, the fusion model's mask/target assembly, normalization
+statistics, and chronological splits.
 """
 
 from __future__ import annotations
@@ -92,22 +93,58 @@ class EnergySeries:
         return EnergySeries(self.timestamps[sl], self.values[sl], self.present[sl])
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    """Inputs for one next-hour forecast: calendar fields, outdoor
-    temperature, and the 24 preceding hourly kWh values."""
+N_FEATURES = 29
 
-    timestamp: np.datetime64
-    temp_c: float
-    day_of_month: int
-    day_of_year: int
-    day_of_week: int
-    hour: int
-    lags: np.ndarray
+
+@dataclass
+class FeatureMatrix:
+    """The baseline forecaster's inputs, one row per next-hour forecast.
+
+    ``values`` is a C-contiguous float64 (n, 29) matrix: the 24 preceding
+    hourly kWh values (oldest first), then outdoor temperature, day of
+    month, day of year, day of week (Monday = 0) and hour of day.
+    ``timestamps`` holds the contiguous hours the rows forecast.
+    """
+
+    values: np.ndarray
+    timestamps: np.ndarray
 
     def __post_init__(self):
-        if len(self.lags) != 24:
-            raise ValueError("lag window length must be exactly 24")
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        self.timestamps = np.asarray(self.timestamps).astype("datetime64[h]")
+        if self.values.ndim != 2 or self.values.shape[1] != N_FEATURES:
+            raise ValueError(f"feature matrix must have {N_FEATURES} columns, got shape {self.values.shape}")
+        if len(self.values) != len(self.timestamps):
+            raise ValueError(f"{len(self.values)} feature rows for {len(self.timestamps)} timestamps")
+        if not len(self.values):
+            raise ValueError("feature matrix has no rows")
+        if not np.all(np.diff(self.timestamps) == _HOUR):
+            raise ValueError("feature timestamps must be contiguous at 1-hour spacing")
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def build_feature_rows(energy: EnergySeries, temps: np.ndarray) -> FeatureMatrix:
+    """The FeatureMatrix of every step from hour 24 on (earlier steps lack
+    a full lag window).  Lags are taken from ``energy`` as-is, so feed an
+    imputed series when the history has gaps."""
+    if len(temps) != energy.n:
+        raise AlignmentError(f"{len(temps)} temperatures for {energy.n} energy steps")
+    if np.any(~energy.present):
+        raise ValueError("lag source series must be fully present; impute first")
+    if energy.n <= 24:
+        raise ValueError(f"a series of {energy.n} hours has no step with a full 24-hour lag window")
+    ts = energy.timestamps[24:]
+    days = ts.astype("datetime64[D]")
+    x = np.empty((len(ts), N_FEATURES))
+    x[:, :24] = np.lib.stride_tricks.sliding_window_view(energy.values[:-1], 24)
+    x[:, 24] = temps[24:]
+    x[:, 25] = (days - ts.astype("datetime64[M]")).astype(np.int64) + 1
+    x[:, 26] = (days - ts.astype("datetime64[Y]")).astype(np.int64) + 1
+    x[:, 27] = day_of_week(ts)
+    x[:, 28] = hour_of_day(ts)
+    return FeatureMatrix(x, ts)
 
 
 @dataclass(frozen=True)
@@ -236,56 +273,6 @@ def as_batch(samples) -> SampleBatch:
     """``samples`` as a SampleBatch: a batch as it is, a MaskedSample
     sequence converted once."""
     return samples if isinstance(samples, SampleBatch) else SampleBatch.from_samples(samples)
-
-
-@dataclass(frozen=True)
-class Window:
-    """One stride-1 sliding window: ``inputs`` covers the lookback hours,
-    ``targets`` the horizon hours immediately after."""
-
-    start: int
-    inputs: np.ndarray
-    targets: np.ndarray
-    feature_rows: tuple | None = None
-
-
-def make_windows(
-    series: EnergySeries,
-    features: list[FeatureRow] | None = None,
-    lookback: int = 24,
-    horizon: int = 24,
-    split: SplitSpec | None = None,
-) -> list[Window]:
-    """All overlapping (lookback, horizon) window pairs at stride 1.
-
-    ``features``, when given, must align 1:1 with the series steps (pad with
-    None where no row exists); each window then carries the rows covering
-    its lookback span.  When ``split`` is given, windows that would straddle
-    a split boundary are dropped instead of padded.
-    """
-    n = series.n
-    if n < lookback + horizon:
-        raise ValueError(f"series of length {n} is too short for lookback {lookback} + horizon {horizon}")
-    if features is not None and len(features) != n:
-        raise AlignmentError(f"{len(features)} feature rows for {n} series steps")
-    boundaries: tuple[int, ...] = ()
-    if split is not None:
-        boundaries = split.boundaries(n)
-    out = []
-    for start in range(n - lookback - horizon + 1):
-        end = start + lookback + horizon
-        if any(start < b < end for b in boundaries):
-            continue
-        rows = tuple(features[start : start + lookback]) if features is not None else None
-        out.append(
-            Window(
-                start=start,
-                inputs=series.values[start : start + lookback].copy(),
-                targets=series.values[start + lookback : end].copy(),
-                feature_rows=rows,
-            )
-        )
-    return out
 
 
 def _nearest_fill(values: np.ndarray, present: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -558,29 +545,3 @@ def write_temperature_csv(timestamps: np.ndarray, temps: np.ndarray, path) -> No
         f.write("timestamp,temp_c\n")
         for ts, v in zip(timestamps, temps):
             f.write(f"{_format_ts(ts)},{float(v)!r}\n")
-
-
-def build_feature_rows(energy: EnergySeries, temps: np.ndarray) -> list[FeatureRow]:
-    """FeatureRows for every step from hour 24 on (earlier steps lack a full
-    lag window).  Lags are taken from ``energy`` as-is, so feed an imputed
-    series when the history has gaps."""
-    if len(temps) != energy.n:
-        raise AlignmentError(f"{len(temps)} temperatures for {energy.n} energy steps")
-    if np.any(~energy.present):
-        raise ValueError("lag source series must be fully present; impute first")
-    rows = []
-    for i in range(24, energy.n):
-        ts = energy.timestamps[i]
-        dt = ts.astype("datetime64[s]").item()
-        rows.append(
-            FeatureRow(
-                timestamp=ts,
-                temp_c=float(temps[i]),
-                day_of_month=dt.day,
-                day_of_year=dt.timetuple().tm_yday,
-                day_of_week=dt.weekday(),
-                hour=dt.hour,
-                lags=energy.values[i - 24 : i].copy(),
-            )
-        )
-    return rows

@@ -10,7 +10,8 @@ power is solved in closed form from the discrete heat balance
 so the zone lands exactly on the active setpoint whenever it would drift
 outside the band.  make_weather and make_truth generate the seeded synthetic
 year around it, and train_baseline_forecaster fits a small feed-forward
-net on lagged energy + calendar + temperature as the data-driven source.
+net on a FeatureMatrix (lagged energy + temperature + calendar) as the
+data-driven source; forecast_dl rolls it out day-ahead.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .numkit import AdamState, adam_step, block_views, fit_epochs
-from .pipeline import EnergySeries, FeatureRow, SplitSpec, hour_of_day, hour_of_week, hourly_range
+from .pipeline import N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range
 
 OCCUPANT_HEAT_W = 100.0        # sensible heat per person at light activity
 AIR_HEAT_W_PER_K_M3H = 0.335   # rho * c_p / 3600 for air, per m3/h of airflow
@@ -263,19 +264,14 @@ def make_truth(
 # 24-hour rollout at prediction time.
 # ---------------------------------------------------------------------------
 
-N_FEATURES = 29
-
-
-def _feature_matrix(rows: list[FeatureRow]) -> np.ndarray:
-    x = np.empty((len(rows), N_FEATURES))
-    for i, r in enumerate(rows):
-        x[i, :24] = r.lags
-        x[i, 24] = r.temp_c
-        x[i, 25] = r.day_of_month
-        x[i, 26] = r.day_of_year
-        x[i, 27] = r.day_of_week
-        x[i, 28] = r.hour
-    return x
+def _forward(x: np.ndarray, w1, b1, w2, b2, w3, b3) -> tuple[np.ndarray, ...]:
+    """The baseline's three-layer forward on z-scored rows: the
+    pre-activations and activations of both hidden layers, then the output."""
+    a1 = x @ w1.T + b1
+    h1 = np.maximum(a1, 0.0)
+    a2 = h1 @ w2.T + b2
+    h2 = np.maximum(a2, 0.0)
+    return a1, h1, a2, h2, h2 @ w3 + b3
 
 
 @dataclass
@@ -293,14 +289,12 @@ class BaselineForecaster:
 
     def predict_matrix(self, x_raw: np.ndarray) -> np.ndarray:
         x = (x_raw - self.feat_mean) / self.feat_std
-        h1 = np.maximum(x @ self.w1.T + self.b1, 0.0)
-        h2 = np.maximum(h1 @ self.w2.T + self.b2, 0.0)
-        out = h2 @ self.w3 + self.b3
+        out = _forward(x, self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)[-1]
         return out * self.y_std + self.y_mean
 
 
 def train_baseline_forecaster(
-    features: list[FeatureRow],
+    features: FeatureMatrix,
     truth: EnergySeries,
     split: SplitSpec,
     seed: int,
@@ -312,14 +306,20 @@ def train_baseline_forecaster(
     patience: int = 10,
 ) -> BaselineForecaster:
     """Fit the baseline on the training split only (z-scored inputs/targets,
-    Adam on mean squared error, early stopping on the validation split)."""
-    ts_to_idx = {ts: i for i, ts in enumerate(truth.timestamps.tolist())}
-    targets = np.array([truth.values[ts_to_idx[r.timestamp.tolist()]] for r in features])
+    Adam on mean squared error, early stopping on the validation split).
+    Each row's target is the ``truth`` value at its timestamp."""
+    n = len(features)
+    start = int((features.timestamps[0] - truth.timestamps[0]).astype(np.int64))
+    if start < 0 or start + n > truth.n:
+        raise ValueError(
+            f"feature hours {features.timestamps[0]}..{features.timestamps[-1]} fall outside "
+            f"truth hours {truth.timestamps[0]}..{truth.timestamps[-1]}"
+        )
+    targets = truth.values[start : start + n]
     if np.any(~np.isfinite(targets)):
         raise ValueError("baseline targets must be fully present; impute first")
-    x_all = _feature_matrix(features)
+    x_all = features.values
 
-    n = len(features)
     i_train, i_val = split.boundaries(n)
     if i_train < 8:
         raise ValueError("not enough training rows for the baseline forecaster")
@@ -352,17 +352,9 @@ def train_baseline_forecaster(
     w, g = block_views(weights, shapes), block_views(grads, shapes)
     state = AdamState.init(weights, eta=eta)
 
-    def forward_batch(x):
-        a1 = x @ w[0].T + w[1]
-        h1 = np.maximum(a1, 0.0)
-        a2 = h1 @ w[2].T + w[3]
-        h2 = np.maximum(a2, 0.0)
-        out = h2 @ w[4] + float(w[5])
-        return a1, h1, a2, h2, out
-
     def update(rows, epoch: int) -> float:
         xb, yb = xt[rows], yt[rows]
-        a1, h1, a2, h2, out = forward_batch(xb)
+        a1, h1, a2, h2, out = _forward(xb, *w)
         dout = 2.0 * (out - yb) / len(rows)
         g[4][...] = h2.T @ dout
         g[5][...] = np.sum(dout)
@@ -376,7 +368,7 @@ def train_baseline_forecaster(
         return 0.0  # no training-loss history is kept
 
     def validate(epoch: int) -> float:
-        return float(np.mean((forward_batch(xv)[4] - yv) ** 2))
+        return float(np.mean((_forward(xv, *w)[-1] - yv) ** 2))
 
     best, _ = fit_epochs(weights, len(xt), update, validate if len(xv) else None, max_epochs, batch_size, patience, rng)
     w = block_views(best, shapes)
@@ -386,29 +378,25 @@ def train_baseline_forecaster(
     )
 
 
-def forecast_dl(forecaster: BaselineForecaster, features: list[FeatureRow]) -> EnergySeries:
+def forecast_dl(forecaster: BaselineForecaster, features: FeatureMatrix) -> EnergySeries:
     """Per-hour predictions over all feature rows, produced day-ahead: each
     24-hour block starts from the true lags at its first row and then feeds
-    predictions back into the lag window (recursive rollout)."""
-    n = len(features)
-    if n == 0:
-        raise ValueError("no feature rows to forecast")
-    x_all = _feature_matrix(features)
+    predictions back into the lag window (recursive rollout).  Step j
+    forecasts hour j of every block long enough to have one."""
+    x_all = features.values
+    n = len(x_all)
+    starts = np.arange(0, n, 24)
+    lags = x_all[starts, :24].copy()
     out = np.empty(n)
-    block_starts = np.arange(0, n, 24)
-    lag_buf = {int(b): x_all[b, :24].copy() for b in block_starts}
     for j in range(24):
-        rows = block_starts[block_starts + j < n] + j
+        rows = starts[starts + j < n] + j
         if len(rows) == 0:
             break
-        x = x_all[rows].copy()
-        for k, r in enumerate(rows):
-            x[k, :24] = lag_buf[int(r - j)]
+        live = len(rows)  # blocks are in time order, so the live ones lead
+        x = x_all[rows]
+        x[:, :24] = lags[:live]
         preds = forecaster.predict_matrix(x)
         out[rows] = preds
-        for k, r in enumerate(rows):
-            buf = lag_buf[int(r - j)]
-            buf[:-1] = buf[1:]
-            buf[-1] = preds[k]
-    timestamps = np.array([r.timestamp for r in features])
-    return EnergySeries.full(timestamps, out)
+        lags[:live, :-1] = lags[:live, 1:]
+        lags[:live, -1] = preds
+    return EnergySeries.full(features.timestamps, out)

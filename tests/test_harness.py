@@ -59,6 +59,14 @@ class TestScenarioConfig:
         assert scenario_config(1, fast=True).year_hours == 2160
         assert scenario_config(1, fast=False).year_hours == 8760
 
+    @pytest.mark.parametrize("seed", [-1, -30, 1.5, True, "7", None])
+    def test_bad_master_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="master seed must be a non-negative integer"):
+            scenario_config(1, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert scenario_config(1, seed=np.int64(0)).seed == 0
+
 
 class TestRunScenario:
     def test_scenario1_reports_three_methods(self):
@@ -409,6 +417,27 @@ class TestCli:
         assert code == 0
         assert (out / "ablation_mu.csv").exists()
         assert (out / "ablation_mu_metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "--id", "1"],
+            ["ablation", "--kind", "mu"],
+            ["all"],
+            ["simulate"],
+            ["train-baseline"],
+        ],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert cli_main([*argv, "--fast", "--seed", "-30", "--out", str(out)]) == 1
+        assert "master seed must be a non-negative integer, got -30" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_all_checks_seed_before_any_stage(self, tmp_path):
+        with pytest.raises(ConfigError, match="got -1"):
+            run_all(tmp_path / "o", seed=-1, fast=True)
+        assert not (tmp_path / "o").exists()
 
     def test_train_baseline_subcommand(self, tmp_path):
         out = tmp_path / "base"

@@ -73,42 +73,49 @@ class TestInitParams:
             M.FusionDims(0, 1, 1)
 
 
+def embeddings(p, dl=0.0, dl_mask=1, ep=0.0, ep_mask=1):
+    """(h_dl, h_ep) of one sample, read from the forward trace."""
+    trace = M.forward(MaskedSample(dl=dl, dl_mask=dl_mask, ep=ep, ep_mask=ep_mask, target=0.0), p)
+    return trace.h_dl, trace.h_ep
+
+
 class TestProjections:
     def test_zero_weights_zero_embedding(self):
         dims = M.FusionDims(2, 1, 1)
         p = manual_params(dims, fill=0.0)
-        assert np.array_equal(M.embed_dl(123.0, 1, p), np.zeros(2))
+        assert np.array_equal(embeddings(p, dl=123.0)[0], np.zeros(2))
 
     def test_hand_case_dl(self):
         dims = M.FusionDims(1, 1, 1)
         p = manual_params(dims)
         p.w_dl = np.array([[1.0, -1.0]])
-        assert M.embed_dl(3.0, 1, p)[0] == pytest.approx(2.0)
-        assert M.embed_dl(0.0, 1, p)[0] == 0.0  # relu clips -1
+        assert embeddings(p, dl=3.0)[0][0] == pytest.approx(2.0)
+        assert embeddings(p, dl=0.0)[0][0] == 0.0  # relu clips -1
 
     def test_hand_case_ep(self):
         dims = M.FusionDims(1, 1, 1)
         p = manual_params(dims)
         p.w_ep = np.array([[2.0, 0.0]])
         p.b_ep = np.array([1.0])
-        assert M.embed_ep(2.0, 0, p)[0] == pytest.approx(5.0)
+        assert embeddings(p, ep=2.0, ep_mask=0)[1][0] == pytest.approx(5.0)
 
     def test_mask_is_a_real_input_channel(self):
         dims = M.FusionDims(1, 1, 1)
         p = manual_params(dims)
         p.w_ep = np.array([[0.0, 3.0]])
         p.b_ep = np.array([0.0])
-        assert M.embed_ep(7.0, 0, p)[0] == 0.0
-        assert M.embed_ep(7.0, 1, p)[0] == pytest.approx(3.0)
+        assert embeddings(p, ep=7.0, ep_mask=0)[1][0] == 0.0
+        assert embeddings(p, ep=7.0, ep_mask=1)[1][0] == pytest.approx(3.0)
 
 
 class TestReadMemory:
     def test_identity_read(self):
         dims = M.FusionDims(1, 2, 1)
+        sample = MaskedSample(dl=0.0, dl_mask=1, ep=0.0, ep_mask=1, target=0.0)
         p = manual_params(dims, memory=[0.0, 0.0])
-        assert np.array_equal(M.read_memory(p), np.zeros(2))
+        assert np.array_equal(M.forward(sample, p).mem, np.zeros(2))
         p2 = manual_params(dims, memory=[1.5, -2.0])
-        assert np.array_equal(M.read_memory(p2), np.array([1.5, -2.0]))
+        assert np.array_equal(M.forward(sample, p2).mem, np.array([1.5, -2.0]))
 
     def test_reflects_optimizer_updates(self):
         dims = M.FusionDims(1, 2, 1)
@@ -118,7 +125,9 @@ class TestReadMemory:
         grads[4] = np.array([2.0, -2.0])  # memory slot in the flatten order
         flat_g = M.FusionParams.unflatten(dims, grads).vector
         new = M.FusionParams(dims, sgd_step(p.vector, flat_g, 0.5))
-        assert np.array_equal(M.read_memory(new), np.array([0.0, 2.0]))
+        assert np.array_equal(new.memory, np.array([0.0, 2.0]))
+        sample = MaskedSample(dl=0.0, dl_mask=1, ep=0.0, ep_mask=1, target=0.0)
+        assert np.array_equal(M.forward(sample, new).mem, np.array([0.0, 2.0]))
 
 
 class TestForward:

@@ -11,7 +11,7 @@ from fusecast.pipeline import (
     STD_FLOOR,
     AlignmentError,
     EnergySeries,
-    FeatureRow,
+    FeatureMatrix,
     MaskedSample,
     NormStats,
     SampleBatch,
@@ -24,7 +24,6 @@ from fusecast.pipeline import (
     fit_norm_stats,
     hourly_range,
     impute,
-    make_windows,
     normalize_samples,
     read_energy_csv,
     read_temperature_csv,
@@ -62,47 +61,6 @@ class TestEnergySeries:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             EnergySeries(hourly_range("2021-01-01T00", 3), np.zeros(2), np.ones(3, dtype=bool))
-
-
-class TestMakeWindows:
-    def test_48_hours_one_pair(self):
-        s = series_from(np.arange(48.0))
-        assert len(make_windows(s)) == 1
-
-    def test_49_hours_two_pairs_offsets(self):
-        s = series_from(np.arange(49.0))
-        wins = make_windows(s)
-        assert len(wins) == 2
-        assert [w.start for w in wins] == [0, 1]
-        assert wins[1].inputs[0] == 1.0
-        assert wins[1].targets[-1] == 48.0
-
-    def test_full_year_count(self):
-        s = series_from(np.zeros(8760))
-        assert len(make_windows(s)) == 8760 - 47
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            make_windows(series_from(np.zeros(47)))
-
-    def test_split_boundary_windows_dropped(self):
-        s = series_from(np.arange(100.0))
-        spec = SplitSpec(0.6, 0.2, 0.2)
-        wins = make_windows(s, lookback=10, horizon=5, split=spec)
-        for w in wins:
-            for b in spec.boundaries(100):
-                assert not (w.start < b < w.start + 15)
-
-    def test_feature_rows_attached_when_given(self):
-        n = 60
-        s = series_from(np.arange(float(n)))
-        temps = np.zeros(n)
-        rows = build_feature_rows(s, temps)
-        padded = [None] * 24 + rows  # align feature list to the series
-        wins = make_windows(s, features=padded, lookback=12, horizon=6)
-        assert len(wins[0].feature_rows) == 12
-        with pytest.raises(AlignmentError):
-            make_windows(s, features=rows)  # misaligned length
 
 
 class TestImpute:
@@ -624,6 +582,24 @@ class TestCsvIO:
         assert np.array_equal(temps, temps2)
 
 
+def _reference_feature_rows(energy, temps):
+    """The former row-by-row feature builder and its packing into a matrix:
+    one calendar lookup per step through datetime.datetime."""
+    rows = []
+    for i in range(24, energy.n):
+        dt = energy.timestamps[i].astype("datetime64[s]").item()
+        rows.append((float(temps[i]), dt.day, dt.timetuple().tm_yday, dt.weekday(), dt.hour, energy.values[i - 24 : i].copy()))
+    x = np.empty((len(rows), 29))
+    for i, (temp_c, day_of_month, day_of_year, day_of_week, hour, lags) in enumerate(rows):
+        x[i, :24] = lags
+        x[i, 24] = temp_c
+        x[i, 25] = day_of_month
+        x[i, 26] = day_of_year
+        x[i, 27] = day_of_week
+        x[i, 28] = hour
+    return x
+
+
 class TestFeatureRows:
     def test_lag_window_and_calendar(self):
         n = 30
@@ -631,24 +607,34 @@ class TestFeatureRows:
         temps = np.linspace(-5, 5, n)
         rows = build_feature_rows(s, temps)
         assert len(rows) == n - 24
-        first = rows[0]
-        assert np.array_equal(first.lags, np.arange(24.0))
-        assert first.hour == 0
-        assert first.day_of_week == 1  # Tuesday after a Monday start
-        assert first.day_of_month == 5
-        assert first.day_of_year == 5
+        first = rows.values[0]
+        assert np.array_equal(first[:24], np.arange(24.0))
+        assert first[24] == temps[24]
+        assert first[28] == 0  # hour
+        assert first[27] == 1  # Tuesday after a Monday start
+        assert first[25] == 5  # day of month
+        assert first[26] == 5  # day of year
+        assert rows.timestamps[0] == s.timestamps[24]
 
     def test_lag_length_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureRow(
-                timestamp=np.datetime64("2021-01-01T00", "h"),
-                temp_c=0.0,
-                day_of_month=1,
-                day_of_year=1,
-                day_of_week=4,
-                hour=0,
-                lags=np.zeros(23),
-            )
+        ts = hourly_range("2021-01-01T00", 3)
+        with pytest.raises(ValueError, match="29 columns"):
+            FeatureMatrix(np.zeros((3, 28)), ts)  # a 23-hour lag window
+        with pytest.raises(ValueError, match="29 columns"):
+            FeatureMatrix(np.zeros(29), ts[:1])
+
+    def test_matrix_checks_lengths_and_hours(self):
+        ts = hourly_range("2021-01-01T00", 3)
+        with pytest.raises(ValueError, match="3 feature rows for 2 timestamps"):
+            FeatureMatrix(np.zeros((3, 29)), ts[:2])
+        gap = ts.copy()
+        gap[2] += np.timedelta64(1, "h")
+        with pytest.raises(ValueError, match="contiguous"):
+            FeatureMatrix(np.zeros((3, 29)), gap)
+        with pytest.raises(ValueError, match="no rows"):
+            FeatureMatrix(np.zeros((0, 29)), ts[:0])
+        m = FeatureMatrix(np.asfortranarray(np.ones((3, 29), dtype=np.float32)), ts)
+        assert m.values.dtype == np.float64 and m.values.flags.c_contiguous
 
     def test_gapped_series_rejected(self):
         s = series_from(np.arange(30.0))
@@ -656,3 +642,25 @@ class TestFeatureRows:
         s.values[5] = np.nan
         with pytest.raises(ValueError):
             build_feature_rows(s, np.zeros(30))
+
+    def test_too_short_for_a_lag_window_rejected(self):
+        with pytest.raises(ValueError, match="lag window"):
+            build_feature_rows(series_from(np.arange(24.0)), np.zeros(24))
+        assert len(build_feature_rows(series_from(np.arange(25.0)), np.zeros(25))) == 1
+
+    @pytest.mark.parametrize(
+        "start,hours",
+        [
+            ("2021-01-01T00", 8760),
+            ("2021-01-01T00", 2160),
+            ("2021-01-01T00", 967),  # 943 rows: the last day-ahead block is partial
+            ("2023-12-30T00", 1700),  # crosses the year boundary and 2024-02-29
+        ],
+    )
+    def test_matrix_matches_row_reference_bytes(self, start, hours):
+        rng = np.random.default_rng(hours)
+        s = series_from(rng.uniform(50.0, 400.0, hours), start=start)
+        temps = rng.normal(8.0, 9.0, hours)
+        rows = build_feature_rows(s, temps)
+        assert rows.values.tobytes() == _reference_feature_rows(s, temps).tobytes()
+        assert np.array_equal(rows.timestamps, s.timestamps[24:])

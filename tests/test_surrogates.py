@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fusecast.pipeline import EnergySeries, SplitSpec, build_feature_rows, hourly_range
+from fusecast.pipeline import EnergySeries, FeatureMatrix, SplitSpec, build_feature_rows, hourly_range
 from fusecast.surrogates import (
     AIR_HEAT_W_PER_K_M3H,
     CEILING_HEIGHT_M,
@@ -249,7 +249,7 @@ class TestBaselineForecaster:
         b = forecast_dl(f, rows)
         assert np.array_equal(a.values, b.values)
         assert a.n == len(rows)
-        assert np.array_equal(a.timestamps, np.array([r.timestamp for r in rows]))
+        assert np.array_equal(a.timestamps, rows.timestamps)
 
     def test_disagrees_with_physics(self):
         # the fusion problem must be non-degenerate on default-style fixtures
@@ -262,6 +262,80 @@ class TestBaselineForecaster:
         forecast = forecast_dl(f, rows)
         rmse_between = float(np.sqrt(np.mean((forecast.values - physics.values[24:]) ** 2)))
         assert rmse_between > 0.0
+
+
+def _reference_forecast_dl(f, x_all):
+    """The former rollout: one lag buffer per 24-hour block in a dict,
+    written back row by row, through the former predict_matrix."""
+
+    def predict_matrix(x_raw):
+        x = (x_raw - f.feat_mean) / f.feat_std
+        h1 = np.maximum(x @ f.w1.T + f.b1, 0.0)
+        h2 = np.maximum(h1 @ f.w2.T + f.b2, 0.0)
+        return (h2 @ f.w3 + f.b3) * f.y_std + f.y_mean
+
+    n = len(x_all)
+    out = np.empty(n)
+    block_starts = np.arange(0, n, 24)
+    lag_buf = {int(b): x_all[b, :24].copy() for b in block_starts}
+    for j in range(24):
+        rows = block_starts[block_starts + j < n] + j
+        if len(rows) == 0:
+            break
+        x = x_all[rows].copy()
+        for k, r in enumerate(rows):
+            x[k, :24] = lag_buf[int(r - j)]
+        preds = predict_matrix(x)
+        out[rows] = preds
+        for k, r in enumerate(rows):
+            buf = lag_buf[int(r - j)]
+            buf[:-1] = buf[1:]
+            buf[-1] = preds[k]
+    return out
+
+
+def _world(n, start="2021-01-01T00", seed=5):
+    weather = make_weather(n, seed=seed, start=start)
+    physics = simulate_physics(BuildingParams(), weather, default_occupancy())
+    return weather, make_truth(physics, 20.0, 5.0, 8.0, seed=seed + 1)
+
+
+class TestColumnarRollout:
+    @pytest.fixture(scope="class")
+    def forecaster(self):
+        weather, truth = _world(24 * 60)
+        return train_baseline_forecaster(build_feature_rows(truth, weather.temp_c), truth, SplitSpec(), seed=7)
+
+    @pytest.mark.parametrize(
+        "start,hours",
+        [
+            ("2021-01-01T00", 8760),
+            ("2021-01-01T00", 2160),
+            ("2021-01-01T00", 967),  # 943 rows: the last block has 7 hours
+            ("2023-12-30T00", 1700),  # crosses the year boundary and 2024-02-29
+        ],
+    )
+    def test_forecast_matches_dict_reference_bytes(self, forecaster, start, hours):
+        weather, truth = _world(hours, start=start)
+        rows = build_feature_rows(truth, weather.temp_c)
+        forecast = forecast_dl(forecaster, rows)
+        assert forecast.values.tobytes() == _reference_forecast_dl(forecaster, rows.values).tobytes()
+        assert np.array_equal(forecast.timestamps, rows.timestamps)
+
+    def test_targets_taken_by_timestamp(self):
+        weather, truth = _world(24 * 40)
+        later = truth.slice(100)
+        rows = build_feature_rows(later, weather.temp_c[100:])
+        a = train_baseline_forecaster(rows, truth, SplitSpec(), seed=2)
+        b = train_baseline_forecaster(rows, later, SplitSpec(), seed=2)
+        assert np.array_equal(a.w1, b.w1) and a.b3 == b.b3
+
+    def test_misaligned_features_rejected(self):
+        weather, truth = _world(24 * 40)
+        rows = build_feature_rows(truth, weather.temp_c)
+        for shifted in (rows.timestamps - np.timedelta64(25, "h"), rows.timestamps + np.timedelta64(1, "h")):
+            with pytest.raises(ValueError, match="outside truth hours"):
+                train_baseline_forecaster(FeatureMatrix(rows.values, shifted), truth, SplitSpec(), seed=2)
 
 
 class TestOccupancy:
