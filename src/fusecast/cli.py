@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    DEFAULT_SEED,
     FAST_HOURS,
     FULL_HOURS,
     SEED_WEATHER,
@@ -35,7 +36,7 @@ from .surrogates import BuildingParams, default_occupancy, load_building_params,
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=42, help="master seed")
+    p.add_argument("--seed", type=int, default=None, help=f"master seed (default {DEFAULT_SEED}; scenario --config: the file's seed)")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     p.add_argument("--config", type=Path, default=None, help="flat key=value config file")
     p.add_argument("--fast", action="store_true", help=f"use the short {FAST_HOURS}-hour fixture")
@@ -64,6 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seed(args) -> int:
+    return DEFAULT_SEED if args.seed is None else args.seed
+
+
 def _print_methods(report: RunReport, label: str) -> None:
     print(f"{label}: wall {report.wall_seconds:.1f}s")
     for method, rep in report.methods.items():
@@ -77,7 +82,7 @@ def _cmd_scenario(args) -> int:
     if args.config is not None:
         cfg = load_scenario_config(args.config, seed=args.seed, fast=args.fast)
     elif args.id is not None:
-        cfg = scenario_config(args.id, seed=args.seed, fast=args.fast)
+        cfg = scenario_config(args.id, seed=_seed(args), fast=args.fast)
     else:
         raise ConfigError("scenario needs --id or --config")
     report = run_scenario(cfg)
@@ -89,7 +94,7 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_ablation(args) -> int:
-    cfg = scenario_config(1 if args.kind == "mu" else 2, seed=args.seed, fast=args.fast)
+    cfg = scenario_config(1 if args.kind == "mu" else 2, seed=_seed(args), fast=args.fast)
     args.out.mkdir(parents=True, exist_ok=True)
     if args.kind == "mu":
         report = run_ablation_mu(cfg)
@@ -103,13 +108,14 @@ def _cmd_ablation(args) -> int:
 
 
 def _cmd_all(args) -> int:
-    code = run_all(args.out, seed=args.seed, fast=args.fast)
+    code = run_all(args.out, seed=_seed(args), fast=args.fast)
     print(f"wrote reports to {args.out}")
     return code
 
 
 def _cmd_simulate(args) -> int:
-    check_seed(args.seed)
+    seed = _seed(args)
+    check_seed(seed)
     if args.config is not None:
         try:
             building = load_building_params(args.config)
@@ -118,7 +124,7 @@ def _cmd_simulate(args) -> int:
     else:
         building = BuildingParams()
     hours = FAST_HOURS if args.fast else FULL_HOURS
-    weather = make_weather(hours, args.seed + SEED_WEATHER)
+    weather = make_weather(hours, seed + SEED_WEATHER)
     physics = simulate_physics(building, weather, default_occupancy())
     args.out.mkdir(parents=True, exist_ok=True)
     write_temperature_csv(weather.timestamps, weather.temp_c, args.out / "weather_temp_c.csv")
@@ -128,10 +134,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train_baseline(args) -> int:
-    check_seed(args.seed)
+    seed = _seed(args)
+    check_seed(seed)
     stages = _Stages()
-    truth = stages.world(args.seed, FAST_HOURS if args.fast else FULL_HOURS).truth
-    forecast = stages.dl(scenario_config(1, seed=args.seed, fast=args.fast))
+    truth = stages.world(seed, FAST_HOURS if args.fast else FULL_HOURS).truth
+    forecast = stages.dl(scenario_config(1, seed=seed, fast=args.fast))
     args.out.mkdir(parents=True, exist_ok=True)
     write_energy_csv(forecast, args.out / "baseline_forecast.csv")
     write_energy_csv(truth, args.out / "truth_energy.csv")
@@ -150,7 +157,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; a usage error (a bad or missing argument) is a
+        # configuration error.
+        return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

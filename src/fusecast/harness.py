@@ -16,10 +16,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import resource
 import subprocess
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -71,6 +75,8 @@ DEFAULT_NOISE_STD_KWH = 8.0
 DEFAULT_BEHAVIOR_AMP_KWH = 12.0
 
 DEFAULT_DIMS = FusionDims(embed_dim=32, memory_dim=16, hidden_dim=32)
+
+DEFAULT_SEED = 42
 
 # Master-seed fan-out offsets; every stochastic consumer gets its own stream.
 SEED_WEATHER = 11
@@ -141,7 +147,7 @@ class ScenarioConfig:
     split: SplitSpec = field(default_factory=SplitSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
     memory_unit_enabled: bool = True
-    seed: int = 42
+    seed: int = DEFAULT_SEED
     year_hours: int = FULL_HOURS
 
     def __post_init__(self):
@@ -158,7 +164,7 @@ class ScenarioConfig:
             raise ConfigError("year_hours is too small to build windows and splits")
 
 
-def scenario_config(scenario_id: int, seed: int = 42, fast: bool = False, **overrides) -> ScenarioConfig:
+def scenario_config(scenario_id: int, seed: int = DEFAULT_SEED, fast: bool = False, **overrides) -> ScenarioConfig:
     """The canonical config for one of the five scenarios."""
     check_seed(seed)
     if scenario_id not in _PRESETS:
@@ -226,13 +232,105 @@ class _World:
     truth: EnergySeries
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_OPENBLAS_SET_THREADS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: limit a loaded OpenBLAS to one thread, so the
+    workers share the CPUs instead of each spinning up a BLAS thread per CPU.
+    Best effort (Linux, OpenBLAS): any other BLAS keeps its thread count.
+    The kernels' results do not depend on the BLAS thread count."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            if hasattr(lib, name):
+                set_threads = getattr(lib, name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                break
+
+
+def _run_job(fn, args) -> tuple:
+    """``fn(*args)`` with its start and end on the ``perf_counter`` clock,
+    which is system-wide, so a worker's times compare with the parent's."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, t0, time.perf_counter()
+
+
+@dataclass
+class _Job:
+    """One expensive, independent unit of a run: ``fn(*args)`` with a
+    module-level ``fn`` and picklable ``args``, so a worker process can run
+    it.  ``done`` stores its result and returns the jobs it unblocks."""
+
+    name: str
+    fn: Callable
+    args: tuple
+    done: Callable[[object], list["_Job"]]
+
+
+def _outcome(job: _Job, get) -> tuple:
+    """``get()``, with any failure re-raised as StageFailed naming the job."""
+    try:
+        return get()
+    except Exception as exc:
+        raise StageFailed(f"job {job.name!r} failed: {exc}") from exc
+
+
+def _fit_name(cfg: ScenarioConfig) -> str:
+    return f"fit_sparse_{cfg.imputation}" if cfg.truth_mode == "sparse" else "fit_truth"
+
+
+def _train_name(cfg: ScenarioConfig) -> str:
+    name = f"train_scenario{cfg.id}"
+    if cfg.truth_mode == "sparse":
+        name += f"_{cfg.imputation}"
+    return name if cfg.memory_unit_enabled else name + "_without_mu"
+
+
+def _mu_variants(cfg: ScenarioConfig) -> tuple[ScenarioConfig, ScenarioConfig]:
+    """The memory ablation's two trainings: with and without the memory."""
+    return replace(cfg, memory_unit_enabled=True), replace(cfg, memory_unit_enabled=False)
+
+
+def _imputation_variants(cfg: ScenarioConfig) -> list[ScenarioConfig]:
+    """The imputation ablation's trainings, one per strategy."""
+    return [replace(cfg, imputation=strategy) for strategy in IMPUTATION_ABLATION_STRATEGIES]
+
+
 class _Stages:
     """The stages of one run, each computed once per distinct key.
 
     Every stage is a pure function of the config fields in its key, so a
     stage asked for again returns its first result.  One object serves one
     ``run_all`` or one standalone call and is dropped with it: two runs in
-    one process share nothing.
+    one process share nothing.  ``prefetch`` computes the expensive stages,
+    the baseline fits and the trainings, as a plan of jobs that may run in
+    worker processes; everything else runs in the calling process.
     """
 
     def __init__(self):
@@ -242,6 +340,8 @@ class _Stages:
         self._lag_sources: dict[tuple, EnergySeries] = {}
         self._dl: dict[tuple, EnergySeries] = {}
         self._trained: dict[ScenarioConfig, tuple] = {}
+        # Job name -> (start, end) on the perf_counter clock.
+        self.job_spans: dict[str, tuple[float, float]] = {}
 
     def version(self) -> str:
         if self._version is None:
@@ -280,18 +380,23 @@ class _Stages:
             self._lag_sources[key] = impute(label_truth, cfg.imputation)
         return label_truth, self._lag_sources[key]
 
+    @staticmethod
+    def _dl_key(cfg: ScenarioConfig) -> tuple:
+        lag_key = (cfg.sparse_frac, cfg.imputation) if cfg.truth_mode == "sparse" else None
+        return (cfg.seed, cfg.year_hours, lag_key, cfg.split)
+
+    def _fit_args(self, cfg: ScenarioConfig) -> tuple:
+        _, lag_source = self.labels(cfg)
+        return cfg, lag_source, self.world(cfg.seed, cfg.year_hours).weather.temp_c
+
     def dl(self, cfg: ScenarioConfig) -> EnergySeries | None:
         """The data-driven baseline's forecast, fitted once per lag source
         and split."""
         if not cfg.dl_available:
             return None
-        lag_key = (cfg.sparse_frac, cfg.imputation) if cfg.truth_mode == "sparse" else None
-        key = (cfg.seed, cfg.year_hours, lag_key, cfg.split)
+        key = self._dl_key(cfg)
         if key not in self._dl:
-            _, lag_source = self.labels(cfg)
-            feats = build_feature_rows(lag_source, self.world(cfg.seed, cfg.year_hours).weather.temp_c)
-            forecaster = train_baseline_forecaster(feats, lag_source, cfg.split, cfg.seed + SEED_BASELINE)
-            self._dl[key] = forecast_dl(forecaster, feats)
+            self._dl[key] = _fit_dl(*self._fit_args(cfg))
         return self._dl[key]
 
     def fixture(self, cfg: ScenarioConfig) -> Fixture:
@@ -313,6 +418,80 @@ class _Stages:
         if cfg not in self._trained:
             self._trained[cfg] = _train_on_fixture(cfg, self.fixture(cfg), cfg.memory_unit_enabled)
         return self._trained[cfg]
+
+    def prefetch(self, cfgs) -> None:
+        """Fill the baseline-fit and training caches for ``cfgs``.
+
+        The plan has one job per baseline fit not cached yet (one per lag
+        source) and one per training not cached yet (one per distinct
+        config).  Trainings that need no fit, and the fits, start first;
+        each fit's trainings start as soon as it returns.  The jobs run on
+        a fork pool with one worker per usable CPU (at most one per job),
+        created and shut down inside this call, or in this process when
+        only one CPU is usable.  Every job is a pure function of its
+        arguments, so both paths give the same bits.  A failing job raises
+        StageFailed naming it."""
+        todo = [cfg for cfg in dict.fromkeys(cfgs) if cfg not in self._trained]
+        waiting: dict[tuple, list[ScenarioConfig]] = {}
+        ready = []
+        for cfg in todo:
+            if cfg.dl_available and self._dl_key(cfg) not in self._dl:
+                waiting.setdefault(self._dl_key(cfg), []).append(cfg)
+            else:
+                ready.append(cfg)
+        jobs = [self._train_job(cfg) for cfg in ready] + [self._fit_job(group) for group in waiting.values()]
+        workers = min(_usable_cpus(), len(todo) + len(waiting))
+        if workers > 1:
+            self._run_pool(jobs, workers)
+            return
+        queue = deque(jobs)
+        while queue:
+            job = queue.popleft()
+            queue.extend(self._finish(job, _outcome(job, lambda: _run_job(job.fn, job.args))))
+
+    def _run_pool(self, jobs: list[_Job], workers: int) -> None:
+        import multiprocessing
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+        # fork: the workers start from this process's modules with no
+        # re-import, and a fork pool starts all its workers at the first
+        # submit, before it starts its own manager thread.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread)
+        running: dict = {}
+
+        def submit(batch: list[_Job]) -> None:
+            for job in batch:
+                running[pool.submit(_run_job, job.fn, job.args)] = job
+
+        try:
+            submit(jobs)
+            while running:
+                finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    job = running.pop(future)
+                    submit(self._finish(job, _outcome(job, future.result)))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _finish(self, job: _Job, outcome: tuple) -> list[_Job]:
+        result, t0, t1 = outcome
+        self.job_spans[job.name] = (t0, t1)
+        return job.done(result)
+
+    def _train_job(self, cfg: ScenarioConfig) -> _Job:
+        def done(result) -> list[_Job]:
+            self._trained[cfg] = result
+            return []
+
+        return _Job(_train_name(cfg), _train_on_fixture, (cfg, self.fixture(cfg), cfg.memory_unit_enabled), done)
+
+    def _fit_job(self, cfgs: list[ScenarioConfig]) -> _Job:
+        """The baseline fit that ``cfgs`` (one lag source) wait for."""
+        def done(result) -> list[_Job]:
+            self._dl[self._dl_key(cfgs[0])] = result
+            return [self._train_job(cfg) for cfg in cfgs]
+
+        return _Job(_fit_name(cfgs[0]), _fit_dl, self._fit_args(cfgs[0]), done)
 
     def scenario(self, cfg: ScenarioConfig) -> RunReport:
         t0 = time.perf_counter()
@@ -347,10 +526,12 @@ class _Stages:
     def ablation_mu(self, cfg: ScenarioConfig) -> RunReport:
         if cfg.id != 1:
             raise ConfigError("the memory-unit ablation runs under scenario 1")
+        with_mu, without_mu = _mu_variants(cfg)
+        self.prefetch([with_mu, without_mu])
         t0 = time.perf_counter()
         fixture = self.fixture(cfg)
-        params_with, stats, hist_with, pred_with, i_test = self.trained(replace(cfg, memory_unit_enabled=True))
-        params_without, _, hist_without, pred_without, _ = self.trained(replace(cfg, memory_unit_enabled=False))
+        params_with, stats, hist_with, pred_with, i_test = self.trained(with_mu)
+        params_without, _, hist_without, pred_without, _ = self.trained(without_mu)
 
         actual = fixture.truth.values[i_test:]
         dl = fixture.dl.values[i_test:]
@@ -395,14 +576,17 @@ class _Stages:
     def ablation_imputation(self, cfg: ScenarioConfig) -> RunReport:
         if cfg.id != 2:
             raise ConfigError("the imputation ablation runs under scenario 2")
+        variants = _imputation_variants(cfg)
+        self.prefetch(variants)
         t0 = time.perf_counter()
         methods: dict[str, MetricReport] = {}
         checkpoints: dict[str, FusionParams] = {}
         norms: dict[str, NormStats] = {}
         histories: dict[str, list[tuple[float, float]]] = {}
         last = None
-        for strategy in IMPUTATION_ABLATION_STRATEGIES:
-            rep = self.scenario(replace(cfg, imputation=strategy))
+        for variant in variants:
+            strategy = variant.imputation
+            rep = self.scenario(variant)
             methods[strategy] = rep.methods["pgmn"]
             checkpoints[strategy] = rep.params
             norms[strategy] = rep.norm
@@ -424,6 +608,14 @@ class _Stages:
 def build_fixture(cfg: ScenarioConfig) -> Fixture:
     """The aligned series for one scenario, built from scratch."""
     return _Stages().fixture(cfg)
+
+
+def _fit_dl(cfg: ScenarioConfig, lag_source: EnergySeries, temp_c: np.ndarray) -> EnergySeries:
+    """Fit the data-driven baseline on ``lag_source`` and roll out its
+    day-ahead forecast."""
+    feats = build_feature_rows(lag_source, temp_c)
+    forecaster = train_baseline_forecaster(feats, lag_source, cfg.split, cfg.seed + SEED_BASELINE)
+    return forecast_dl(forecaster, feats)
 
 
 def _train_on_fixture(
@@ -591,15 +783,17 @@ def _stage(seconds: dict[str, float], name: str, fn, *args):
         seconds[name] = time.perf_counter() - t0
 
 
-def run_all(out_dir, seed: int = 42, fast: bool = False) -> int:
+def run_all(out_dir, seed: int = DEFAULT_SEED, fast: bool = False) -> int:
     """Run scenarios 1-5 plus both ablations and write the whole report
     inventory into ``out_dir``.  Returns the process exit code (0 = success);
     any failure raises StageFailed naming the stage.
 
     One ``_Stages`` graph serves the whole run: weather, physics and truth
-    are built once, the baseline is fitted once per lag source, and the
-    ablations reuse the scenario-1 and scenario-2 trainings, so each
-    ablation stage does only its extra trainings."""
+    are built once, then the ``jobs`` stage fits the baseline once per lag
+    source and trains once per distinct config (the ablations reuse the
+    scenario-1 and scenario-2 trainings), on a process pool when more than
+    one CPU is usable.  The scenario and ablation stages then assemble and
+    write the reports in this process, in a fixed order."""
     check_seed(seed)
     t0 = time.perf_counter()
     out = Path(out_dir)
@@ -614,9 +808,11 @@ def run_all(out_dir, seed: int = 42, fast: bool = False) -> int:
     summary: dict = {"version": stages.version(), "seed": seed, "fast": fast, "scenarios": {}}
 
     _stage(seconds, "world", stages.world, seed, FAST_HOURS if fast else FULL_HOURS)
+    cfgs = {sid: scenario_config(sid, seed=seed, fast=fast) for sid in (1, 2, 3, 4, 5)}
+    plan = [*cfgs.values(), *_mu_variants(cfgs[1]), *_imputation_variants(cfgs[2])]
+    _stage(seconds, "jobs", stages.prefetch, plan)
     scenario1_report = None
-    for sid in (1, 2, 3, 4, 5):
-        cfg = scenario_config(sid, seed=seed, fast=fast)
+    for sid, cfg in cfgs.items():
         report = _stage(seconds, f"scenario{sid}", stages.scenario, cfg)
         if sid == 1:
             scenario1_report = report
@@ -635,7 +831,7 @@ def run_all(out_dir, seed: int = 42, fast: bool = False) -> int:
     _write_lines(out / "train_history.csv", history_rows)
     _write_calibration_csv(out / "calibration.csv", scenario1_report.fixture)
 
-    mu_cfg = scenario_config(1, seed=seed, fast=fast)
+    mu_cfg = cfgs[1]
     mu = _stage(seconds, "ablation_mu", stages.ablation_mu, mu_cfg)
     _write_ablation_mu(out, mu)
     save_checkpoint(ckpt_dir / "ablation_mu_with.ckpt", mu.params, mu.norm)
@@ -650,7 +846,7 @@ def run_all(out_dir, seed: int = 42, fast: bool = False) -> int:
         },
     }
 
-    imp_cfg = scenario_config(2, seed=seed, fast=fast)
+    imp_cfg = cfgs[2]
     imp = _stage(seconds, "ablation_imputation", stages.ablation_imputation, imp_cfg)
     _write_ablation_imputation(out, imp)
     for strategy in IMPUTATION_ABLATION_STRATEGIES:
@@ -669,7 +865,12 @@ def run_all(out_dir, seed: int = 42, fast: bool = False) -> int:
     }
 
     summary["stages"] = seconds
+    spans = sorted(stages.job_spans.items(), key=lambda item: item[1])
+    summary["jobs"] = {name: {"start_s": start - t0, "end_s": end - t0} for name, (start, end) in spans}
     summary["wall_seconds_total"] = time.perf_counter() - t0
+    # The trainings run in worker processes, so this process's own peak
+    # RSS no longer covers them.
+    summary["peak_rss_children_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
     summary["files"] = sorted(p.name for p in out.iterdir() if p.is_file())
     (out / "run_summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return 0
@@ -728,7 +929,7 @@ def load_scenario_config(path, seed: int | None = None, fast: bool = False) -> S
         raise ConfigError(f"{path}: {exc}") from exc
 
     sid = parsed.pop("id")
-    cfg_seed = seed if seed is not None else parsed.pop("seed", 42)
+    cfg_seed = seed if seed is not None else parsed.pop("seed", DEFAULT_SEED)
     parsed.pop("seed", None)
 
     split_kwargs = {k: parsed.pop(k) for k in ("train_frac", "val_frac", "test_frac") if k in parsed}

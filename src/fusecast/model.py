@@ -140,6 +140,12 @@ class FusionParams:
     def copy(self) -> "FusionParams":
         return FusionParams(self.dims, self.vector.copy())
 
+    def __reduce__(self):
+        # Rebuild through __init__, so the unpickled fields are views into
+        # the unpickled vector again (the default would restore each field
+        # as a separate array).
+        return FusionParams, (self.dims, self.vector)
+
 
 # Gradients mirror the parameter structure exactly.
 Gradients = FusionParams

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusecast import harness, model
+from fusecast import cli, harness, model
 from fusecast.cli import main as cli_main
 from fusecast.harness import (
     IMPUTATION_ABLATION_STRATEGIES,
@@ -159,14 +160,15 @@ _COUNTED = ("train", "train_baseline_forecaster", "make_weather", "simulate_phys
 
 @pytest.fixture(scope="module")
 def counted_runs(tmp_path_factory):
-    """run_all(seed 7, fast) twice in one process, counting the calls each
-    run makes to the names in _COUNTED and to the fusion model's
-    ``adam_step``; returns (first out dir, [(exit code, counts) per run],
-    [fusion updates per run])."""
+    """run_all(seed 7, fast) twice in one process on the in-process path,
+    counting the calls each run makes to the names in _COUNTED and to the
+    fusion model's ``adam_step``; returns (first out dir, [(exit code,
+    counts) per run], [fusion updates per run])."""
     root = tmp_path_factory.mktemp("runall")
     calls: dict[str, int] = {}
     runs, fusion_updates = [], []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_usable_cpus", lambda: 1)
         for module, name in [(harness, name) for name in _COUNTED] + [(model, "adam_step")]:
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
@@ -272,7 +274,7 @@ class TestRunAll:
         out, _ = runall_out
         summary = json.loads((out / "run_summary.json").read_text())
         assert list(summary["stages"]) == [
-            "world", "scenario1", "scenario2", "scenario3", "scenario4", "scenario5",
+            "world", "jobs", "scenario1", "scenario2", "scenario3", "scenario4", "scenario5",
             "ablation_mu", "ablation_imputation",
         ]
         assert all(0.0 <= s <= summary["wall_seconds_total"] for s in summary["stages"].values())
@@ -317,6 +319,87 @@ class TestRunAll:
         full_batch = replace(cfg, train=replace(cfg.train, batch_size=None, max_epochs=4))
         t = harness._training_summary(full_batch, 1000, history, params)
         assert (t["updates"], t["stop_reason"]) == (4, "max_epochs")
+
+
+_JOBS = {
+    "fit_truth", "fit_sparse_linear_interpolation", "fit_sparse_nearest_neighbor",
+    "fit_sparse_historical_averaging", "train_scenario1", "train_scenario1_without_mu",
+    "train_scenario2_linear_interpolation", "train_scenario2_nearest_neighbor",
+    "train_scenario2_historical_averaging", "train_scenario3", "train_scenario4", "train_scenario5",
+}
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _overlapping(spans):
+    """Whether any two of the {start_s, end_s} spans overlap in time."""
+    ordered = sorted((s["start_s"], s["end_s"]) for s in spans)
+    return any(later[0] < earlier[1] for earlier, later in zip(ordered, ordered[1:]))
+
+
+class TestProcessPool:
+    """The jobs of a run on a two-worker pool (forced, so even a one-CPU
+    runner takes the pool path) against the in-process path."""
+
+    @pytest.fixture(scope="class")
+    def pool_out(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("pool") / "out"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_usable_cpus", lambda: 2)
+            assert run_all(out, seed=7, fast=True) == 0
+        assert multiprocessing.active_children() == []
+        return out
+
+    def test_reports_byte_identical_to_in_process(self, runall_out, pool_out):
+        serial, pool = _files(runall_out[0]), _files(pool_out)
+        assert set(serial) == set(pool)
+        assert len(serial) == 12 + 10
+        for name in serial:
+            if name.name != "run_summary.json":
+                assert pool[name] == serial[name], name
+
+    def test_summary_spans_every_job(self, runall_out, pool_out):
+        for out, concurrent in ((runall_out[0], False), (pool_out, True)):
+            summary = json.loads((out / "run_summary.json").read_text())
+            jobs = summary["jobs"]
+            assert set(jobs) == _JOBS
+            assert all(0.0 <= j["start_s"] <= j["end_s"] <= summary["wall_seconds_total"] for j in jobs.values())
+            assert _overlapping(jobs.values()) is concurrent
+            assert summary["stages"]["jobs"] <= summary["wall_seconds_total"]
+            assert summary["peak_rss_children_mb"] >= 0.0
+        assert json.loads((pool_out / "run_summary.json").read_text())["peak_rss_children_mb"] > 0.0
+
+    @pytest.mark.parametrize("kind", ["mu", "imputation"])
+    def test_standalone_ablation_byte_identical_to_in_process(self, tmp_path, monkeypatch, kind):
+        outs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
+            outs[cpus] = tmp_path / f"cpus{cpus}"
+            assert cli_main(["ablation", "--kind", kind, "--seed", "7", "--fast", "--out", str(outs[cpus])]) == 0
+        serial, pool = _files(outs[1]), _files(outs[2])
+        assert len(serial) == (2 if kind == "mu" else 1)
+        assert pool == serial
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failing_job_named_and_cli_exits_2(self, tmp_path, monkeypatch, capsys, cpus):
+        real_train = harness.train
+
+        def train_failing_without_memory(samples, params, *args, **kwargs):
+            if not params.dims.memory_enabled:
+                raise FloatingPointError("injected failure")
+            return real_train(samples, params, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "train", train_failing_without_memory)
+        with pytest.raises(harness.StageFailed, match="job 'train_scenario1_without_mu' failed: injected failure"):
+            run_ablation_mu(scenario_config(1, seed=7, fast=True))
+        assert cli_main(["all", "--seed", "7", "--fast", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "run failed: job 'train_scenario1_without_mu' failed: injected failure" in err
+        assert multiprocessing.active_children() == []
 
 
 class TestConfigFile:
@@ -445,6 +528,53 @@ class TestCli:
         assert code == 0
         assert (out / "baseline_forecast.csv").exists()
         assert (out / "truth_energy.csv").exists()
+
+
+    def test_scenario_config_file_seed_honoured(self, tmp_path, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg.seed)
+            raise Stop
+
+        monkeypatch.setattr(cli, "run_scenario", record)
+        with_seed, without_seed = tmp_path / "seed9.cfg", tmp_path / "noseed.cfg"
+        with_seed.write_text("id = 4\nseed = 9\n")
+        without_seed.write_text("id = 4\n")
+        for argv in (
+            ["--config", str(with_seed)],
+            ["--config", str(with_seed), "--seed", "3"],
+            ["--config", str(without_seed)],
+            ["--id", "4"],
+        ):
+            with pytest.raises(Stop):
+                cli_main(["scenario", *argv, "--fast", "--out", str(tmp_path / "o")])
+        assert seen == [9, 3, 42, 42]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train-baseline", "--seed", "1.5"],
+            ["all", "--seed", "x"],
+            ["ablation", "--fast"],
+            ["ablation", "--kind", "other"],
+            ["scenario", "--bogus"],
+            ["launch"],
+            [],
+        ],
+    )
+    def test_usage_error_is_config_error(self, tmp_path, capsys, argv):
+        assert cli_main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["all", "--help"], ["ablation", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert cli_main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestNonFiniteConfig:

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -394,6 +395,24 @@ class TestShapes:
         q = M.FusionParams.unflatten(p.dims, p.flatten())
         for a, b in zip(p.flatten(), q.flatten()):
             assert np.array_equal(np.asarray(a), np.asarray(b))
+
+    @pytest.mark.parametrize("memory_enabled", [True, False])
+    def test_pickle_round_trip_keeps_fields_views_of_vector(self, memory_enabled):
+        dims = M.FusionDims(3, 2, 4, memory_enabled=memory_enabled)
+        p = M.init_params(dims, 5, random_memory=memory_enabled)
+        q = pickle.loads(pickle.dumps(p))
+        assert q.dims == p.dims
+        assert q.vector.tobytes() == p.vector.tobytes()
+        for a, b in zip(p.flatten(), q.flatten()):
+            assert b.tobytes() == a.tobytes()
+            assert b.size == 0 or np.shares_memory(b, q.vector)
+        q.vector[...] = 0.0
+        assert not any(np.any(field) for field in q.flatten())
+        q.w_hid_ep = np.full(q.w_hid_ep.shape, 2.0)
+        q.b_head_mem = 3.0
+        assert np.count_nonzero(q.vector == 2.0) == q.w_hid_ep.size
+        assert np.count_nonzero(q.vector == 3.0) == 1
+        assert not np.any(p.vector == 2.0)
 
 
 class TestCheckpoint:
