@@ -10,6 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from . import harness
 from .harness import (
     DEFAULT_SEED,
     FAST_HOURS,
@@ -163,6 +164,9 @@ def main(argv: list[str] | None = None) -> int:
         # --help exits 0; a usage error (a bad or missing argument) is a
         # configuration error.
         return 0 if exc.code in (0, None) else 1
+    # A second BLAS thread buys no wall-clock time at these matrix sizes; it
+    # only burns a CPU (a no-op when BLAS is already pinned to one thread).
+    harness._one_blas_thread()
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -249,10 +249,12 @@ _OPENBLAS_SET_THREADS = (
 
 
 def _one_blas_thread() -> None:
-    """Pool-worker initializer: limit a loaded OpenBLAS to one thread, so the
-    workers share the CPUs instead of each spinning up a BLAS thread per CPU.
-    Best effort (Linux, OpenBLAS): any other BLAS keeps its thread count.
-    The kernels' results do not depend on the BLAS thread count."""
+    """Limit a loaded OpenBLAS to one thread: the pool workers' initializer,
+    so the workers share the CPUs instead of each spinning up a BLAS thread
+    per CPU, and the CLI's first step, so an in-process command does not
+    burn a second CPU on BLAS threads.  Best effort (Linux, OpenBLAS): any
+    other BLAS keeps its thread count.  The kernels' results do not depend
+    on the BLAS thread count."""
     import ctypes
 
     try:
@@ -424,13 +426,13 @@ class _Stages:
 
         The plan has one job per baseline fit not cached yet (one per lag
         source) and one per training not cached yet (one per distinct
-        config).  Trainings that need no fit, and the fits, start first;
-        each fit's trainings start as soon as it returns.  The jobs run on
-        a fork pool with one worker per usable CPU (at most one per job),
-        created and shut down inside this call, or in this process when
-        only one CPU is usable.  Every job is a pure function of its
-        arguments, so both paths give the same bits.  A failing job raises
-        StageFailed naming it."""
+        config).  The fits start first, then the trainings that need no
+        fit, so no fit queues behind a training; each fit's trainings start
+        as soon as it returns.  The jobs run on a fork pool with one worker
+        per usable CPU (at most one per job), created and shut down inside
+        this call, or in this process when only one CPU is usable.  Every
+        job is a pure function of its arguments, so both paths give the
+        same bits.  A failing job raises StageFailed naming it."""
         todo = [cfg for cfg in dict.fromkeys(cfgs) if cfg not in self._trained]
         waiting: dict[tuple, list[ScenarioConfig]] = {}
         ready = []
@@ -439,7 +441,7 @@ class _Stages:
                 waiting.setdefault(self._dl_key(cfg), []).append(cfg)
             else:
                 ready.append(cfg)
-        jobs = [self._train_job(cfg) for cfg in ready] + [self._fit_job(group) for group in waiting.values()]
+        jobs = [self._fit_job(group) for group in waiting.values()] + [self._train_job(cfg) for cfg in ready]
         workers = min(_usable_cpus(), len(todo) + len(waiting))
         if workers > 1:
             self._run_pool(jobs, workers)

@@ -19,6 +19,10 @@ training can park persistent forecast bias in it.  Because the three head
 outputs are unconstrained reals, the sum can land outside the interval
 spanned by the two input forecasts whenever that lowers the loss.
 
+The two streams run the same layers with their own weights, so the flat
+parameter vector stores each data/physics tensor pair side by side as one
+``(2, ...)`` block, and one batched matmul per layer serves both streams.
+
 Gradients are hand-derived (see _batch_backward); numkit.finite_diff_grad
 is the independent oracle they are tested against.  One kernel computes
 the forward and backward passes over many rows into preallocated buffers;
@@ -68,7 +72,8 @@ class FusionDims:
 
     @property
     def shapes(self) -> dict[str, tuple[int, ...]]:
-        """Shape of every learnable tensor, in flat-vector order."""
+        """Shape of every named learnable tensor, in name order (the order
+        of ``FusionParams.flatten`` and of a checkpoint file)."""
         d, mw, dz = self.embed_dim, self.mem_width, self.hidden_dim
         return {
             "w_dl": (d, 2), "b_dl": (d,), "w_ep": (d, 2), "b_ep": (d,),
@@ -81,9 +86,23 @@ class FusionDims:
         }
 
     @property
+    def blocks(self) -> dict[str, tuple[int, ...]]:
+        """Shape of every block of the flat parameter vector, in vector
+        order.  A ``_PAIRS`` block stacks a data-stream tensor (index 0) on
+        its physics-stream partner (index 1)."""
+        d, mw, dz = self.embed_dim, self.mem_width, self.hidden_dim
+        return {
+            "w": (2, d, 2), "b": (2, d),
+            "memory": (mw,),
+            "w_hid": (2, dz, d + mw), "b_hid": (2, dz),
+            "w_head": (2, dz), "b_head": (2,),
+            "w_head_mem": (mw,), "b_head_mem": (),
+        }
+
+    @property
     def size(self) -> int:
         """Length of the flat parameter vector."""
-        return sum(math.prod(shape) for shape in self.shapes.values())
+        return sum(math.prod(shape) for shape in self.blocks.values())
 
 
 def _check_count(name: str, value) -> None:
@@ -102,13 +121,20 @@ _TENSOR_FIELDS = (
 
 _SCALAR_FIELDS = ("b_head_dl", "b_head_ep", "b_head_mem")
 
+# The stacked (data, physics) blocks of the vector that the kernel reads.
+_PAIRS = ("w", "b", "w_hid", "b_hid", "w_head", "b_head")
+
 
 class FusionParams:
     """Every learnable tensor of the network, in one flat float64 ``vector``
     (wrapped, not copied; zeros by default) that the given tensors, if any,
-    are written into.  Each ``_TENSOR_FIELDS`` entry is a view into it, in
-    that order, shaped by FusionDims (head biases 0-d).  Assigning to a field
-    or to ``vector`` writes into the storage, so fields never drift from it."""
+    are written into.  The vector holds the blocks of ``FusionDims.blocks``
+    in that order; each pair block (``w``, ``b``, ``w_hid``, ``b_hid``,
+    ``w_head``, ``b_head``) is a ``(2, ...)`` view whose halves are the
+    ``_dl`` and ``_ep`` fields.  Each ``_TENSOR_FIELDS`` entry is a view
+    into the vector, shaped by FusionDims (head biases 0-d).  Assigning to a
+    field or to ``vector`` writes into the storage, so fields never drift
+    from it.  The pair blocks are views too, but not assignable fields."""
 
     def __init__(self, dims: FusionDims, vector: np.ndarray | None = None, **tensors):
         if tensors and set(tensors) != set(_TENSOR_FIELDS):
@@ -116,7 +142,11 @@ class FusionParams:
         vector = np.zeros(dims.size) if vector is None else vector
         if vector.dtype != np.float64 or vector.shape != (dims.size,):
             raise ShapeMismatch(f"expected a float64 vector of length {dims.size}, got {vector.dtype} {vector.shape}")
-        self.__dict__.update(zip(_TENSOR_FIELDS, block_views(vector, dims.shapes.values())), dims=dims, vector=vector)
+        blocks = dict(zip(dims.blocks, block_views(vector, dims.blocks.values())))
+        for pair in _PAIRS:
+            # [k, ...] keeps a 0-d half a view (a plain [k] would copy it)
+            blocks[pair + "_dl"], blocks[pair + "_ep"] = blocks[pair][0, ...], blocks[pair][1, ...]
+        self.__dict__.update(blocks, dims=dims, vector=vector)
         for name, value in tensors.items():
             setattr(self, name, value)
 
@@ -241,22 +271,21 @@ def _stage_check(name: str, arr) -> None:
 def forward(sample: MaskedSample, params: FusionParams) -> ForwardTrace:
     """Run one sample through the network, caching all intermediates: the
     batch kernel on one row, with each stage checked for non-finite values."""
-    dl_in = np.array([sample.dl, float(sample.dl_mask)])
-    ep_in = np.array([sample.ep, float(sample.ep_mask)])
-    _stage_check("inputs", np.concatenate([dl_in, ep_in]))
-
     ws = _Workspace(params.dims, 1, backward=False)
-    yhat = float(_batch_forward((dl_in[None], ep_in[None]), params, ws)[0])
+    ws.x[:, 0] = (sample.dl, sample.dl_mask), (sample.ep, sample.ep_mask)
+    _stage_check("inputs", ws.x)
+
+    yhat = float(_batch_forward(ws.x, params, ws)[0])
     for name, stage in (("h_dl", ws.a_h[0]), ("h_ep", ws.a_h[1]), ("z_dl", ws.a_z[0]), ("z_ep", ws.a_z[1])):
         _stage_check(name, stage)
-    part_dl, part_ep, offset = float(ws.part[0][0]), float(ws.part[1][0]), float(ws.offset)
+    part_dl, part_ep, offset = float(ws.part[0, 0]), float(ws.part[1, 0]), float(ws.offset)
     _stage_check("yhat", np.array([part_dl, part_ep, offset, yhat]))
 
     d = params.dims.embed_dim
     return ForwardTrace(
-        dl_in=dl_in, ep_in=ep_in,
-        pre_h_dl=ws.a_h[0][0], pre_h_ep=ws.a_h[1][0], h_dl=ws.c[0][0, :d], h_ep=ws.c[1][0, :d],
-        mem=params.memory, pre_z_dl=ws.a_z[0][0], pre_z_ep=ws.a_z[1][0], z_dl=ws.z[0][0], z_ep=ws.z[1][0],
+        dl_in=ws.x[0, 0], ep_in=ws.x[1, 0],
+        pre_h_dl=ws.a_h[0, 0], pre_h_ep=ws.a_h[1, 0], h_dl=ws.c[0, 0, :d], h_ep=ws.c[1, 0, :d],
+        mem=params.memory, pre_z_dl=ws.a_z[0, 0], pre_z_ep=ws.a_z[1, 0], z_dl=ws.z[0, 0], z_ep=ws.z[1, 0],
         part_dl=part_dl, part_ep=part_ep, offset=offset, yhat=yhat,
     )
 
@@ -277,88 +306,84 @@ def backward(trace: ForwardTrace, sample: MaskedSample, params: FusionParams) ->
     y = resolve_target(sample)
     d = params.dims.embed_dim
     ws = _Workspace(params.dims, 1)
-    rows = ((trace.pre_h_dl, trace.h_dl, trace.pre_z_dl, trace.z_dl), (trace.pre_h_ep, trace.h_ep, trace.pre_z_ep, trace.z_ep))
-    for k, (pre_h, h, pre_z, z) in enumerate(rows):
-        ws.a_h[k][0], ws.c[k][0, :d], ws.c[k][0, d:], ws.a_z[k][0], ws.z[k][0] = pre_h, h, trace.mem, pre_z, z
+    ws.x[:, 0] = trace.dl_in, trace.ep_in
+    ws.a_h[:, 0] = trace.pre_h_dl, trace.pre_h_ep
+    ws.c[:, 0, :d] = trace.h_dl, trace.h_ep
+    ws.c[:, 0, d:] = trace.mem
+    ws.a_z[:, 0] = trace.pre_z_dl, trace.pre_z_ep
+    ws.z[:, 0] = trace.z_dl, trace.z_ep
     ws.yhat[0] = trace.yhat
     grads = Gradients(params.dims)
-    losses = _batch_backward((trace.dl_in[None], trace.ep_in[None]), np.array([y]), params, ws, grads)
+    losses = _batch_backward(ws.x, np.array([y]), params, ws, grads)
     return float(losses[0]), grads
 
 
 # ---------------------------------------------------------------------------
-# The kernel: forward and backward over m rows, written into a workspace
+# The kernel: forward and backward over m rows of both streams at once,
+# written into a workspace
 # ---------------------------------------------------------------------------
 
 class _Workspace:
     """Preallocated kernel buffers for up to ``rows`` rows; a call on m rows
-    uses the first m of each.  Per stream (data, then physics): the embedding
-    pre-activation ``a_h``, the mixer input ``c`` = [max(0, a_h), memory], the
-    mixer pre-activation ``a_z``, its ReLU ``z`` and the head output
-    ``part``.  ``backward=True`` adds the gradient temporaries, shared by
-    both streams.  A workspace lives for one ``train``/``predict`` call."""
+    uses the first m of each.  Every buffer stacks the data stream (index 0)
+    on the physics stream (index 1), shaped ``(2, rows, ...)``: the input
+    ``x`` of [value, mask] rows, the embedding pre-activation ``a_h``, the
+    mixer input ``c`` = [max(0, a_h), memory], the mixer pre-activation
+    ``a_z``, its ReLU ``z`` and the head output ``part``.  ``backward=True``
+    adds the gradient temporaries; the flat ``da`` holds the mixer's
+    pre-activation gradient and then, once that is spent, the embedding's,
+    each as one contiguous (2, m, ...) block.  A workspace lives for one
+    ``train``/``predict`` call."""
 
     def __init__(self, dims: FusionDims, rows: int, backward: bool = True):
         d, c, dz = dims.embed_dim, dims.embed_dim + dims.mem_width, dims.hidden_dim
-
-        def pair(*shape):
-            return np.empty(shape), np.empty(shape)
-
-        self.a_h, self.c, self.a_z, self.z = pair(rows, d), pair(rows, c), pair(rows, dz), pair(rows, dz)
-        self.part, self.yhat, self.offset = pair(rows), np.empty(rows), 0.0
+        self.x, self.a_h, self.c, self.a_z, self.z = (np.empty((2, rows, k)) for k in (2, d, c, dz, dz))
+        self.part, self.yhat, self.offset = np.empty((2, rows)), np.empty(rows), 0.0
         if backward:
-            self.losses, self.g = pair(rows)
-            self.da_z, self.on_z = np.empty((rows, dz)), np.empty((rows, dz), dtype=bool)
-            self.dc = np.empty((rows, c))
-            self.da_h, self.on_h = np.empty((rows, d)), np.empty((rows, d), dtype=bool)
-            self.dmem = np.empty(dims.mem_width)
+            self.losses, self.g = np.empty(rows), np.empty(rows)
+            self.da = np.empty(2 * rows * max(d, dz))
+            self.dc = np.empty((2, rows, c))
+            self.on_z, self.on_h = np.empty((2, rows, dz), dtype=bool), np.empty((2, rows, d), dtype=bool)
+            self.dmem = np.empty((2, dims.mem_width))
 
 
-def _stream_tensors(p: FusionParams) -> tuple[tuple, tuple]:
-    """(w, b, w_hid, b_hid, w_head, b_head) of the data stream, then of the
-    physics stream: views into ``p.vector``."""
-    return (
-        (p.w_dl, p.b_dl, p.w_hid_dl, p.b_hid_dl, p.w_head_dl, p.b_head_dl),
-        (p.w_ep, p.b_ep, p.w_hid_ep, p.b_hid_ep, p.w_head_ep, p.b_head_ep),
-    )
+def _fill_inputs(batch: SampleBatch, x: np.ndarray) -> np.ndarray:
+    """The batch's [value, mask] rows, data stream then physics stream,
+    written column by column into the first n rows of ``x`` (2, >= n, 2);
+    returns that (2, n, 2) view."""
+    x = x[:, : len(batch)]
+    x[0, :, 0], x[0, :, 1], x[1, :, 0], x[1, :, 1] = batch.dl, batch.dl_mask, batch.ep, batch.ep_mask
+    return x
 
 
-def _kernel_inputs(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
-    """(x_dl, x_ep): one (n, 2) array of [value, mask] rows per stream."""
-    return np.column_stack((batch.dl, batch.dl_mask)), np.column_stack((batch.ep, batch.ep_mask))
-
-
-def _batch_forward(xs: tuple[np.ndarray, np.ndarray], params: FusionParams, ws: _Workspace) -> np.ndarray:
-    """Forward pass over the m rows of ``xs`` = (x_dl, x_ep) into ``ws``;
-    returns yhat, a view into ``ws``."""
-    m = len(xs[0])
+def _batch_forward(x: np.ndarray, params: FusionParams, ws: _Workspace) -> np.ndarray:
+    """Forward pass over the m rows of ``x`` (2, m, 2) into ``ws``; returns
+    yhat, a view into ``ws``.  The weights enter as transposed views of
+    the vector, so each stream's products are those of a per-stream
+    ``x @ w.T``, bit for bit."""
+    m = x.shape[1]
     d, mem = params.dims.embed_dim, params.memory
+    a_h, c, a_z, z, part = ws.a_h[:, :m], ws.c[:, :m], ws.a_z[:, :m], ws.z[:, :m], ws.part[:, :m]
     # divergence is caught via isfinite checks, so let overflow pass silently
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, (w, b, w_hid, b_hid, w_head, b_head), a_h, c, a_z, z, part in zip(
-            xs, _stream_tensors(params), ws.a_h, ws.c, ws.a_z, ws.z, ws.part
-        ):
-            a_h, c, a_z, z, part = a_h[:m], c[:m], a_z[:m], z[:m], part[:m]
-            np.matmul(x, w.T, out=a_h)
-            a_h += b
-            np.maximum(a_h, 0.0, out=c[:, :d])
-            c[:, d:] = mem
-            np.matmul(c, w_hid.T, out=a_z)
-            a_z += b_hid
-            np.maximum(a_z, 0.0, out=z)
-            np.matmul(z, w_head, out=part)
-            part += b_head
+        np.matmul(x, params.w.transpose(0, 2, 1), out=a_h)
+        a_h += params.b[:, None]
+        np.maximum(a_h, 0.0, out=c[..., :d])
+        c[..., d:] = mem
+        np.matmul(c, params.w_hid.transpose(0, 2, 1), out=a_z)
+        a_z += params.b_hid[:, None]
+        np.maximum(a_z, 0.0, out=z)
+        np.matmul(z, params.w_head[..., None], out=part[..., None])
+        part += params.b_head[:, None]
         ws.offset = float(params.w_head_mem @ mem) + params.b_head_mem
-        yhat = np.add(ws.part[0][:m], ws.part[1][:m], out=ws.yhat[:m])
+        yhat = np.add(part[0], part[1], out=ws.yhat[:m])
         yhat += ws.offset
     return yhat
 
 
-def _batch_backward(
-    xs: tuple[np.ndarray, np.ndarray], y: np.ndarray, params: FusionParams, ws: _Workspace, grads: Gradients
-) -> np.ndarray:
+def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Workspace, grads: Gradients) -> np.ndarray:
     """Per-row squared-error losses (a view into ``ws``) of the forward pass
-    ``ws`` holds for these rows; the gradients summed over the rows are
+    ``ws`` holds for the rows ``x``; the gradients summed over the rows are
     written into ``grads``.
 
     Chain rule: with g = dL/dyhat = 2(yhat - y), each head bias receives
@@ -368,33 +393,31 @@ def _batch_backward(
     the physics mixer, then the offset head.
     """
     m = len(y)
-    d = params.dims.embed_dim
+    d, dz = params.dims.embed_dim, params.dims.hidden_dim
     yhat = ws.yhat[:m]
     losses = np.subtract(y, yhat, out=ws.losses[:m])
     np.square(losses, out=losses)
     g = np.subtract(yhat, y, out=ws.g[:m])
     g *= 2.0
     g_sum = float(np.add.reduce(g))
-    da_z, on_z, dc, da_h, on_h = ws.da_z[:m], ws.on_z[:m], ws.dc[:m], ws.da_h[:m], ws.on_h[:m]
-    g_memory = grads.memory
+    a_h, c, a_z, z = ws.a_h[:, :m], ws.c[:, :m], ws.a_z[:, :m], ws.z[:, :m]
+    on_z, dc, on_h = ws.on_z[:, :m], ws.dc[:, :m], ws.on_h[:, :m]
+    da_z = ws.da[: 2 * m * dz].reshape(2, m, dz)
 
-    for k, (x, (_, _, w_hid, _, w_head, _), (gw, gb, gw_hid, gb_hid, gw_head, gb_head), a_h, c, a_z, z) in enumerate(
-        zip(xs, _stream_tensors(params), _stream_tensors(grads), ws.a_h, ws.c, ws.a_z, ws.z)
-    ):
-        np.matmul(z[:m].T, g, out=gw_head)
-        gb_head[...] = g_sum
-        np.multiply(g[:, None], w_head, out=da_z)
-        da_z *= np.greater(a_z[:m], 0, out=on_z)
-        np.matmul(da_z.T, c[:m], out=gw_hid)
-        np.add.reduce(da_z, axis=0, out=gb_hid)
-        np.matmul(da_z, w_hid, out=dc)
-        np.add.reduce(dc[:, d:], axis=0, out=g_memory if k == 0 else ws.dmem)
-        np.multiply(dc[:, :d], np.greater(a_h[:m], 0, out=on_h), out=da_h)
-        np.matmul(da_h.T, x, out=gw)
-        np.add.reduce(da_h, axis=0, out=gb)
+    np.matmul(z.transpose(0, 2, 1), g, out=grads.w_head)
+    grads.b_head[...] = g_sum
+    np.multiply(g[:, None], params.w_head[:, None], out=da_z)
+    da_z *= np.greater(a_z, 0, out=on_z)
+    np.matmul(da_z.transpose(0, 2, 1), c, out=grads.w_hid)
+    np.add.reduce(da_z, axis=1, out=grads.b_hid)
+    np.matmul(da_z, params.w_hid, out=dc)
+    np.add.reduce(dc[..., d:], axis=1, out=ws.dmem)
+    da_h = np.multiply(dc[..., :d], np.greater(a_h, 0, out=on_h), out=ws.da[: 2 * m * d].reshape(2, m, d))
+    np.matmul(da_h.transpose(0, 2, 1), x, out=grads.w)
+    np.add.reduce(da_h, axis=1, out=grads.b)
 
-    g_memory += ws.dmem
-    g_memory += np.multiply(g_sum, params.w_head_mem, out=ws.dmem)
+    g_memory = np.add(ws.dmem[0], ws.dmem[1], out=grads.memory)
+    g_memory += np.multiply(g_sum, params.w_head_mem, out=ws.dmem[0])
     np.multiply(g_sum, params.memory, out=grads.w_head_mem)
     grads.b_head_mem[...] = g_sum
     return losses
@@ -406,7 +429,8 @@ def predict(samples: SampleBatch | list[MaskedSample], params: FusionParams) -> 
     batch = as_batch(samples)
     if not len(batch):
         return np.zeros(0)
-    yhat = _batch_forward(_kernel_inputs(batch), params, _Workspace(params.dims, len(batch), backward=False))
+    ws = _Workspace(params.dims, len(batch), backward=False)
+    yhat = _batch_forward(_fill_inputs(batch, ws.x), params, ws)
     bad = len(yhat) - np.count_nonzero(np.isfinite(yhat))
     if bad:
         raise ValueError(f"predict: {bad} of {len(yhat)} outputs are non-finite")
@@ -435,36 +459,35 @@ def train(
     n = len(dataset)
     if not n:
         raise ValueError("empty training dataset")
-    xs, y = _kernel_inputs(dataset), dataset.resolved_targets()
+    y = dataset.resolved_targets()
     has_val = validation is not None and len(validation) > 0
     if has_val:
         validation = as_batch(validation)
-        xs_val, y_val = _kernel_inputs(validation), validation.resolved_targets()
         ws_val = _Workspace(params.dims, len(validation), backward=False)
+        x_val, y_val = _fill_inputs(validation, ws_val.x), validation.resolved_targets()
 
     params = params.copy()
     grads = FusionParams(params.dims)
     adam_state = AdamState.init(params.vector, eta=cfg.eta) if cfg.optimizer == "adam" else None
     rows = n if cfg.batch_size is None else min(cfg.batch_size, n)
     ws = _Workspace(params.dims, rows)
-    if cfg.batch_size is not None:
-        gather_dl, gather_ep, gather_y = np.empty((rows, 2)), np.empty((rows, 2)), np.empty(rows)
+    if cfg.batch_size is None:
+        x = _fill_inputs(dataset, ws.x)
+    else:
+        x, gather_y = _fill_inputs(dataset, np.empty((2, n, 2))), np.empty(rows)
 
     def update(idx, epoch: int) -> float:
         if cfg.batch_size is None:
-            bxs, by = xs, y
+            bx, by = x, y
         else:
             # mode="clip" lets take write straight into ``out`` (the default
             # "raise" buffers through a temporary); a permutation is in range.
             m = len(idx)
-            bxs = (
-                np.take(xs[0], idx, axis=0, out=gather_dl[:m], mode="clip"),
-                np.take(xs[1], idx, axis=0, out=gather_ep[:m], mode="clip"),
-            )
+            bx = np.take(x, idx, axis=1, out=ws.x[:, :m], mode="clip")
             by = np.take(y, idx, out=gather_y[:m], mode="clip")
-        if not np.all(np.isfinite(_batch_forward(bxs, params, ws))):
+        if not np.all(np.isfinite(_batch_forward(bx, params, ws))):
             raise TrainingDiverged(f"epoch {epoch}: non-finite training loss")
-        losses = _batch_backward(bxs, by, params, ws, grads)
+        losses = _batch_backward(bx, by, params, ws, grads)
         if cfg.optimizer == "sgd":
             sgd_step(params.vector, grads.vector, cfg.eta, out=params.vector)
         else:
@@ -472,7 +495,7 @@ def train(
         return float(np.sum(losses))
 
     def validate(epoch: int) -> float:
-        val_pred = _batch_forward(xs_val, params, ws_val)
+        val_pred = _batch_forward(x_val, params, ws_val)
         val_mse = float(np.mean((y_val - val_pred) ** 2))
         if not np.isfinite(val_mse):
             raise TrainingDiverged(f"epoch {epoch}: non-finite validation loss")
@@ -587,5 +610,4 @@ def load_checkpoint(path) -> tuple[FusionParams, NormStats | None]:
     missing = [name for name in _TENSOR_FIELDS if name not in values]
     if missing:
         fail(len(lines), f"file ends without tensors {missing}")
-    vector = np.array([v for name in _TENSOR_FIELDS for v in values[name]], dtype=np.float64)
-    return FusionParams(dims, vector), norm
+    return FusionParams(dims, **{name: np.reshape(values[name], shapes[name]) for name in _TENSOR_FIELDS}), norm

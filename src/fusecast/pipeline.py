@@ -229,15 +229,17 @@ class SampleBatch:
         lengths = {name: col.shape for name, col in cols.items()}
         if any(len(shape) != 1 for shape in lengths.values()) or len(set(lengths.values())) > 1:
             raise ValueError(f"SampleBatch columns must be 1-D and of equal length, got shapes {lengths}")
+        # The checks below run on every request, so they use the ndarray
+        # methods, not np.all's Python-level wrapper.
         for name in ("dl_mask", "ep_mask"):
-            if not np.all((cols[name] == 0) | (cols[name] == 1)):
+            if not ((cols[name] == 0) | (cols[name] == 1)).all():
                 raise ValueError(f"{name} must hold only 0 or 1")
             cols[name] = cols[name].astype(np.int64, copy=False)
         for name in ("dl", "ep"):
-            if not np.all(np.isfinite(cols[name])):
+            if not np.isfinite(cols[name]).all():
                 raise ValueError(f"{name} must be finite")
         target = cols["target"]
-        if not np.all(np.isfinite(target) | (np.isnan(target) & cols["proxy"])):
+        if not (np.isfinite(target) | (np.isnan(target) & cols["proxy"])).all():
             raise ValueError("target must be finite where present; only a proxy-labelled row may lack one (NaN)")
         self.__dict__.update(cols)
 
@@ -382,7 +384,7 @@ def assemble_samples(dl_forecast: EnergySeries | None, ep_forecast: EnergySeries
         if not available or fc is None:
             return np.zeros(n), np.zeros(n, dtype=np.int64)
         mask = fc.present.astype(np.int64)
-        if np.all(fc.present):
+        if fc.present.all():
             return fc.values, mask
         filled = impute(fc, "neighbor_mean_or_zero")
         return filled.values, mask
@@ -395,7 +397,7 @@ def assemble_samples(dl_forecast: EnergySeries | None, ep_forecast: EnergySeries
         proxy = np.ones(n, dtype=bool)
         observed = np.zeros(n, dtype=bool)
     else:
-        if np.all(truth.present):
+        if truth.present.all():
             targets = truth.values
         else:
             targets = impute(truth, scenario.imputation).values

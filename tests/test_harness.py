@@ -371,6 +371,14 @@ class TestProcessPool:
             assert summary["peak_rss_children_mb"] >= 0.0
         assert json.loads((pool_out / "run_summary.json").read_text())["peak_rss_children_mb"] > 0.0
 
+    def test_fits_start_before_any_training(self, runall_out, pool_out):
+        # a fit queued behind a training leaves its trainings, and a worker,
+        # waiting at the end of the jobs stage
+        for out in (runall_out[0], pool_out):
+            jobs = json.loads((out / "run_summary.json").read_text())["jobs"]
+            first = sorted(jobs, key=lambda name: jobs[name]["start_s"])[:4]
+            assert all(name.startswith("fit_") for name in first), first
+
     @pytest.mark.parametrize("kind", ["mu", "imputation"])
     def test_standalone_ablation_byte_identical_to_in_process(self, tmp_path, monkeypatch, kind):
         outs = {}
@@ -575,6 +583,16 @@ class TestCli:
     def test_help_exits_0(self, capsys, argv):
         assert cli_main(argv) == 0
         assert "usage:" in capsys.readouterr().out
+
+    def test_main_pins_blas_before_running_a_command(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(harness, "_one_blas_thread", lambda: calls.append("blas"))
+        monkeypatch.setitem(cli._COMMANDS, "simulate", lambda args: calls.append("simulate") or 0)
+        assert cli_main(["simulate", "--fast", "--out", str(tmp_path / "o")]) == 0
+        assert calls == ["blas", "simulate"]
+        calls.clear()
+        assert cli_main(["simulate", "--seed", "1.5"]) == 1  # a usage error runs nothing
+        assert calls == []
 
 
 class TestNonFiniteConfig:

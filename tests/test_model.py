@@ -257,12 +257,12 @@ class TestBatchEquivalence:
         dims = M.FusionDims(5, 3, 6)
         p = M.init_params(dims, 17)
         samples = [random_sample(rng) for _ in range(64)]
-        xs = M._kernel_inputs(SampleBatch.from_samples(samples))
-        y = np.array([s.target for s in samples])
         ws = M._Workspace(dims, len(samples))
-        M._batch_forward(xs, p, ws)
+        x = M._fill_inputs(SampleBatch.from_samples(samples), ws.x)
+        y = np.array([s.target for s in samples])
+        M._batch_forward(x, p, ws)
         batch_grads = M.FusionParams(dims)
-        losses = M._batch_backward(xs, y, p, ws, batch_grads)
+        losses = M._batch_backward(x, y, p, ws, batch_grads)
 
         total = None
         loss_total = 0.0
@@ -396,6 +396,49 @@ class TestShapes:
         for a, b in zip(p.flatten(), q.flatten()):
             assert np.array_equal(np.asarray(a), np.asarray(b))
 
+    def test_flatten_keeps_the_name_order(self):
+        dims = M.FusionDims(3, 2, 4)
+        p = M.init_params(dims, 5, random_memory=True)
+        names = [
+            "w_dl", "b_dl", "w_ep", "b_ep", "memory",
+            "w_hid_dl", "b_hid_dl", "w_hid_ep", "b_hid_ep",
+            "w_head_dl", "b_head_dl", "w_head_ep", "b_head_ep",
+            "w_head_mem", "b_head_mem",
+        ]
+        assert list(M._TENSOR_FIELDS) == list(dims.shapes) == names
+        flat = p.flatten()
+        assert len(flat) == 15
+        for name, a in zip(names, flat):
+            assert a.shape == dims.shapes[name]
+            assert a.size == 0 or np.shares_memory(a, getattr(p, name))
+            assert a.tobytes() == getattr(p, name).tobytes()
+
+    @pytest.mark.parametrize("memory_enabled", [True, False])
+    def test_stream_pairs_are_halves_of_one_block(self, memory_enabled):
+        dims = M.FusionDims(3, 2, 4, memory_enabled=memory_enabled)
+        p = M.init_params(dims, 5, random_memory=memory_enabled)
+
+        def offset(a):  # in float64 elements from the start of the vector
+            return (a.__array_interface__["data"][0] - p.vector.__array_interface__["data"][0]) // 8
+
+        for pair in ("w", "b", "w_hid", "b_hid", "w_head", "b_head"):
+            block, dl, ep = getattr(p, pair), getattr(p, pair + "_dl"), getattr(p, pair + "_ep")
+            assert block.shape == (2, *dl.shape) and block.flags.c_contiguous
+            assert np.shares_memory(block, p.vector)
+            assert np.shares_memory(dl, block[0, ...]) and np.shares_memory(ep, block[1, ...])
+            assert not np.shares_memory(dl, ep)
+            assert offset(block) == offset(dl) and offset(ep) == offset(dl) + dl.size
+        # the blocks tile the vector in FusionDims.blocks order
+        start = 0
+        for name, shape in dims.blocks.items():
+            block = getattr(p, name)
+            assert block.shape == shape
+            if block.size:
+                assert offset(block) == start, name
+            start += block.size
+        assert start == dims.size == sum(a.size for a in p.flatten())
+        assert offset(p.w_dl) == 0 and offset(p.b_head_mem) == dims.size - 1
+
     @pytest.mark.parametrize("memory_enabled", [True, False])
     def test_pickle_round_trip_keeps_fields_views_of_vector(self, memory_enabled):
         dims = M.FusionDims(3, 2, 4, memory_enabled=memory_enabled)
@@ -428,6 +471,22 @@ class TestCheckpoint:
             assert np.array_equal(np.asarray(a), np.asarray(b))
         assert norm2 == norm
 
+    def test_text_is_pinned_and_round_trips(self, tmp_path):
+        # written by the per-stream layout's save_checkpoint: the text names
+        # every tensor, so the order of the flat vector never reaches it
+        p = M.init_params(M.FusionDims(2, 1, 2), seed=5)
+        p.b_dl, p.b_ep, p.memory = [0.5, -0.25], [0.125, 1.5], [-0.75]
+        p.b_hid_dl, p.b_hid_ep = [2.0, -3.0], [0.0625, -0.5]
+        p.b_head_dl, p.b_head_ep, p.b_head_mem = 1.25, -2.5, 4.0
+        path = tmp_path / "m.ckpt"
+        M.save_checkpoint(path, p, NormStats(1.5, 2.25, -0.75, 3.0, 120.5, 17.125))
+        assert path.read_text(encoding="utf-8") == _PINNED_CKPT
+        q, norm = M.load_checkpoint(path)
+        assert q.vector.tobytes() == p.vector.tobytes()
+        again = tmp_path / "again.ckpt"
+        M.save_checkpoint(again, q, norm)
+        assert again.read_text(encoding="utf-8") == _PINNED_CKPT
+
     def test_round_trip_without_norm(self, tmp_path):
         p = M.init_params(M.FusionDims(2, 2, 2, memory_enabled=False), 1)
         path = tmp_path / "m.ckpt"
@@ -447,6 +506,40 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         M.save_checkpoint(path, p)
         assert path.read_text().splitlines()[0] == "pgmn-ckpt-1"
+
+
+_PINNED_CKPT = """\
+pgmn-ckpt-1
+dims 2 1 2 1
+norm 0x1.8000000000000p+0 0x1.2000000000000p+1 -0x1.8000000000000p-1 0x1.8000000000000p+1 0x1.e200000000000p+6 0x1.1200000000000p+4
+tensor w_dl 2 2 2
+0x1.b9b1007f45612p-2 0x1.bdf22663245aap-2 0x1.6319bc46112a0p-6 -0x1.3631571e21c78p-2
+tensor b_dl 1 2
+0x1.0000000000000p-1 -0x1.0000000000000p-2
+tensor w_ep 2 2 2
+-0x1.42fd199f90418p-1 -0x1.51ccbff5dfd60p-3 -0x1.0917048e69244p-3 -0x1.4941849de10fbp-1
+tensor b_ep 1 2
+0x1.0000000000000p-3 0x1.8000000000000p+0
+tensor memory 1 1
+-0x1.8000000000000p-1
+tensor w_hid_dl 2 2 3
+-0x1.0ac707358e944p-1 0x1.271dc2a964314p-1 0x1.6853985ec5c44p-3 -0x1.39eb2ec15cf71p-2 -0x1.33acef9bc4718p-4 0x1.185790208deb2p-1
+tensor b_hid_dl 1 2
+0x1.0000000000000p+1 -0x1.8000000000000p+1
+tensor w_hid_ep 2 2 3
+0x1.d63824eb4a0bcp-2 0x1.9705fbe413e90p-2 -0x1.fce37e49123b0p-4 -0x1.07fd581c41140p-7 0x1.a1d6f66690060p-3 -0x1.03a807bc2893ap-1
+tensor b_hid_ep 1 2
+0x1.0000000000000p-4 -0x1.0000000000000p-1
+tensor w_head_dl 1 2
+0x1.420c0f5c51a00p-4 -0x1.4af932ba7c87bp-2
+scalar b_head_dl 0x1.4000000000000p+0
+tensor w_head_ep 1 2
+0x1.12e5958cf048dp-1 -0x1.3b8ade2f0f95ep-1
+scalar b_head_ep -0x1.4000000000000p+1
+tensor w_head_mem 1 1
+0x1.6ef6ba42fdc2cp-2
+scalar b_head_mem 0x1.0000000000000p+2
+"""
 
 
 def _ckpt_lines(tmp_path):

@@ -289,15 +289,58 @@ class TestWorkspaceKernelOracle:
         # rows left over from a larger batch must not reach a smaller one
         for m in (128, 7, 1, 121, 128):
             xs, y = _random_rows(rng, m)
-            yhat = M._batch_forward(xs, p, ws).copy()
+            x = np.stack(xs)
+            yhat = M._batch_forward(x, p, ws).copy()
             grads = M.FusionParams(dims, np.full(dims.size, np.nan))  # every entry must be written
-            losses = M._batch_backward(xs, y, p, ws, grads)
+            losses = M._batch_backward(x, y, p, ws, grads)
             ref_losses, ref_grads = _reference_batch_backward(_reference_batch_forward(*xs, p), y, p)
             ref_yhat = _reference_batch_forward(*xs, p)["yhat"]
             # tobytes compares sign bits too (0.0 vs -0.0), which array_equal does not
             assert yhat.tobytes() == ref_yhat.tobytes(), m
             assert losses.tobytes() == ref_losses.tobytes(), m
             assert grads.vector.tobytes() == ref_grads.vector.tobytes(), m
+
+    @pytest.mark.parametrize("memory_enabled", [True, False], ids=["memory", "no-memory"])
+    @pytest.mark.parametrize("m", [24, 5241], ids=["day-ahead-request", "full-year-train-split"])
+    def test_kernel_matches_reference_at_serving_and_fullbatch_sizes(self, m, memory_enabled):
+        # the experiment's widths at one day-ahead request and at one
+        # full-batch update over the full-year training split
+        rng = np.random.default_rng(320 + m)
+        dims = M.FusionDims(32, 16, 32, memory_enabled=memory_enabled)
+        p = M.init_params(dims, m, random_memory=True)
+        p.vector[:] += 0.1 * rng.standard_normal(dims.size)
+        ws = M._Workspace(dims, m)
+        for _ in range(2):
+            xs, y = _random_rows(rng, m)
+            yhat = M._batch_forward(np.stack(xs), p, ws).copy()
+            grads = M.FusionParams(dims, np.full(dims.size, np.nan))
+            losses = M._batch_backward(np.stack(xs), y, p, ws, grads)
+            ref = _reference_batch_forward(*xs, p)
+            ref_losses, ref_grads = _reference_batch_backward(ref, y, p)
+            assert yhat.tobytes() == ref["yhat"].tobytes()
+            assert losses.tobytes() == ref_losses.tobytes()
+            assert grads.vector.tobytes() == ref_grads.vector.tobytes()
+
+    @pytest.mark.parametrize("rows", [37, 5])
+    def test_kernel_matches_reference_in_odd_sized_workspaces(self, rows):
+        # an odd row count puts the physics half of every buffer at an
+        # offset that is not a multiple of the data half's alignment
+        rng = np.random.default_rng(330 + rows)
+        for seed in range(4):
+            dims = M.FusionDims(*(int(rng.integers(1, 12)) for _ in range(3)), memory_enabled=seed % 2 == 0)
+            p = M.init_params(dims, seed, random_memory=True)
+            p.vector[:] += 0.5 * rng.standard_normal(dims.size)
+            ws = M._Workspace(dims, rows)
+            for m in (rows, 3, rows):
+                xs, y = _random_rows(rng, m)
+                yhat = M._batch_forward(np.stack(xs), p, ws).copy()
+                grads = M.FusionParams(dims, np.full(dims.size, np.nan))
+                losses = M._batch_backward(np.stack(xs), y, p, ws, grads)
+                ref = _reference_batch_forward(*xs, p)
+                ref_losses, ref_grads = _reference_batch_backward(ref, y, p)
+                assert yhat.tobytes() == ref["yhat"].tobytes(), (dims, m)
+                assert losses.tobytes() == ref_losses.tobytes(), (dims, m)
+                assert grads.vector.tobytes() == ref_grads.vector.tobytes(), (dims, m)
 
     def test_per_sample_backward_is_the_kernel_on_one_row(self):
         rng = np.random.default_rng(310)
