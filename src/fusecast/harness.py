@@ -670,16 +670,14 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def _write_predictions_csv(path: Path, preds: dict) -> None:
-    lines = ["timestamp,actual,dl,ep,pgmn"]
+    """One row per test hour; an absent stream leaves its column empty.
+    Each column is formatted in one pass, values with ``repr``."""
     n = len(preds["actual"])
-    for i in range(n):
-        ts = np.datetime_as_string(preds["timestamps"][i].astype("datetime64[m]"))
-        cells = [ts, repr(float(preds["actual"][i]))]
-        for key in ("dl", "ep", "pgmn"):
-            arr = preds[key]
-            cells.append("" if arr is None else repr(float(arr[i])))
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
+    cols = [np.datetime_as_string(preds["timestamps"][:n].astype("datetime64[m]")).tolist()]
+    for key in ("actual", "dl", "ep", "pgmn"):
+        arr = preds[key]
+        cols.append([""] * n if arr is None else list(map(repr, np.asarray(arr, dtype=np.float64).tolist())))
+    _write_lines(path, ["timestamp,actual,dl,ep,pgmn", *map(",".join, zip(*cols))])
 
 
 def _metric_rows(report: RunReport, prefix: str = "") -> list[str]:

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numkit import AdamState, ShapeMismatch, adam_step, block_views, fit_epochs, sgd_step
+from .numkit import AdamState, ShapeMismatch, adam_step, block_views, empty_blocks, fit_epochs, sgd_step
 from .pipeline import MaskedSample, NormStats, SampleBatch, as_batch
 
 CHECKPOINT_TAG = "pgmn-ckpt-1"
@@ -333,18 +333,26 @@ class _Workspace:
     adds the gradient temporaries; the flat ``da`` holds the mixer's
     pre-activation gradient and then, once that is spent, the embedding's,
     each as one contiguous (2, m, ...) block.  A workspace lives for one
-    ``train``/``predict`` call."""
+    ``train``/``predict`` call.
+
+    The float buffers are blocks of one float64 allocation, and the bool
+    ReLU masks (plus the row-finiteness flags) of one bool allocation.
+    glibc raises its heap-trim threshold to twice the largest block freed,
+    so one large block stays in the heap from call to call, where a dozen
+    smaller blocks of the same total are handed back to the system and
+    page-faulted in again on the next call."""
 
     def __init__(self, dims: FusionDims, rows: int, backward: bool = True):
         d, c, dz = dims.embed_dim, dims.embed_dim + dims.mem_width, dims.hidden_dim
-        self.x, self.a_h, self.c, self.a_z, self.z = (np.empty((2, rows, k)) for k in (2, d, c, dz, dz))
-        self.part, self.yhat, self.offset = np.empty((2, rows)), np.empty(rows), 0.0
+        shapes = [(2, rows, 2), (2, rows, d), (2, rows, c), (2, rows, dz), (2, rows, dz), (2, rows), (rows,)]
         if backward:
-            self.losses, self.g = np.empty(rows), np.empty(rows)
-            self.da = np.empty(2 * rows * max(d, dz))
-            self.dc = np.empty((2, rows, c))
-            self.on_z, self.on_h = np.empty((2, rows, dz), dtype=bool), np.empty((2, rows, d), dtype=bool)
-            self.dmem = np.empty((2, dims.mem_width))
+            shapes += [(rows,), (rows,), (2 * rows * max(d, dz),), (2, rows, c), (2, dims.mem_width)]
+            self.on_z, self.on_h, self.finite = empty_blocks([(2, rows, dz), (2, rows, d), (rows,)], bool)
+        bufs = empty_blocks(shapes)
+        self.x, self.a_h, self.c, self.a_z, self.z, self.part, self.yhat = bufs[:7]
+        if backward:
+            self.losses, self.g, self.da, self.dc, self.dmem = bufs[7:]
+        self.offset = 0.0
 
 
 def _fill_inputs(batch: SampleBatch, x: np.ndarray) -> np.ndarray:
@@ -434,7 +442,7 @@ def predict(samples: SampleBatch | list[MaskedSample], params: FusionParams) -> 
     bad = len(yhat) - np.count_nonzero(np.isfinite(yhat))
     if bad:
         raise ValueError(f"predict: {bad} of {len(yhat)} outputs are non-finite")
-    return yhat
+    return yhat.copy()  # a view would keep the whole workspace alive
 
 
 def train(
@@ -485,7 +493,7 @@ def train(
             m = len(idx)
             bx = np.take(x, idx, axis=1, out=ws.x[:, :m], mode="clip")
             by = np.take(y, idx, out=gather_y[:m], mode="clip")
-        if not np.all(np.isfinite(_batch_forward(bx, params, ws))):
+        if not np.isfinite(_batch_forward(bx, params, ws), out=ws.finite[: len(by)]).all():
             raise TrainingDiverged(f"epoch {epoch}: non-finite training loss")
         losses = _batch_backward(bx, by, params, ws, grads)
         if cfg.optimizer == "sgd":
@@ -495,8 +503,9 @@ def train(
         return float(np.sum(losses))
 
     def validate(epoch: int) -> float:
-        val_pred = _batch_forward(x_val, params, ws_val)
-        val_mse = float(np.mean((y_val - val_pred) ** 2))
+        # the squared errors overwrite the predictions, which nothing reads again
+        err = np.subtract(y_val, _batch_forward(x_val, params, ws_val), out=ws_val.yhat[: len(y_val)])
+        val_mse = float(np.mean(np.square(err, out=err)))
         if not np.isfinite(val_mse):
             raise TrainingDiverged(f"epoch {epoch}: non-finite validation loss")
         return val_mse

@@ -1,7 +1,8 @@
 """Dense float64 kernels shared by every other module.
 
 Plain functions over numpy arrays: views of a flat parameter vector as
-shaped tensors, SGD/Adam updates on one flat parameter vector and one flat
+shaped tensors (and kernel workspaces carved the same way from one
+allocation), SGD/Adam updates on one flat parameter vector and one flat
 gradient vector (a few vectorised ops per step, in place when ``out`` is
 the parameter vector), the epoch loop every trainer shares, and a
 central-difference gradient oracle used to verify hand-derived backward
@@ -10,8 +11,9 @@ passes.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,14 +26,34 @@ class ShapeMismatch(ValueError):
 def block_views(vector: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
     """Views of consecutive row-major blocks of a flat vector, one per shape
     (``()`` gives a 0-d view); the blocks must cover the vector exactly."""
-    out, start = [], 0
+    size, spans = _layout(tuple(shapes))
+    if size != vector.shape[0]:
+        raise ShapeMismatch(f"blocks hold {size} values but the vector has {vector.shape[0]}")
+    return _cut(vector, spans)
+
+
+def empty_blocks(shapes: Sequence[tuple[int, ...]], dtype=np.float64) -> list[np.ndarray]:
+    """Uninitialised buffers, one per shape, all views of one allocation of
+    ``dtype``, cut as ``block_views`` cuts a vector."""
+    size, spans = _layout(tuple(shapes))
+    return _cut(np.empty(size, dtype=dtype), spans)
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(shapes: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[slice, tuple[int, ...]], ...]]:
+    """The total size of ``shapes`` and each block's span in a flat vector,
+    with its shape; cached, since a workspace or parameter set is cut the
+    same way on every call."""
+    spans, start = [], 0
     for shape in shapes:
         stop = start + math.prod(shape)
-        out.append(vector[start:stop].reshape(shape))
+        spans.append((slice(start, stop), shape))
         start = stop
-    if start != vector.shape[0]:
-        raise ShapeMismatch(f"blocks hold {start} values but the vector has {vector.shape[0]}")
-    return out
+    return start, tuple(spans)
+
+
+def _cut(vector: np.ndarray, spans) -> list[np.ndarray]:
+    return [vector[span].reshape(shape) for span, shape in spans]
 
 
 def _check_eta(eta: float) -> None:
@@ -49,7 +71,9 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, eta: float, out: np.ndarray 
 
 @dataclass
 class AdamState:
-    """Flat first/second moment accumulators plus hyperparameters."""
+    """Flat first/second moment accumulators plus hyperparameters, and two
+    scratch vectors (``scratch``, shaped (2, n)) that hold each step's
+    temporaries, so a step allocates nothing."""
 
     m: np.ndarray
     v: np.ndarray
@@ -58,6 +82,7 @@ class AdamState:
     beta2: float
     eps: float
     eta: float
+    scratch: np.ndarray = field(repr=False)
 
     @classmethod
     def init(
@@ -69,7 +94,7 @@ class AdamState:
         eps: float = 1e-8,
     ) -> "AdamState":
         _check_eta(eta)
-        return cls(np.zeros(params.shape), np.zeros(params.shape), 0, beta1, beta2, eps, eta)
+        return cls(np.zeros(params.shape), np.zeros(params.shape), 0, beta1, beta2, eps, eta, np.empty((2, *params.shape)))
 
 
 def adam_step(
@@ -82,15 +107,23 @@ def adam_step(
         raise ShapeMismatch(f"parameter shape {params.shape}, gradient {grads.shape}, moments {state.m.shape}")
     state.step += 1
     b1, b2, t = state.beta1, state.beta2, state.step
-    m, v = state.m, state.v
-    # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in place, rounding for rounding.
+    m, v, (s, r) = state.m, state.v, state.scratch
+    # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    # p - eta*mhat / (sqrt(vhat) + eps), rounding for rounding, with every
+    # temporary in the scratch vectors s and r.
     m *= b1
-    m += (1.0 - b1) * grads
+    m += np.multiply(grads, 1.0 - b1, out=s)
     v *= b2
-    v += (1.0 - b2) * grads * grads
-    mhat = m / (1.0 - b1**t)
-    vhat = v / (1.0 - b2**t)
-    return np.subtract(params, state.eta * mhat / (np.sqrt(vhat) + state.eps), out=out), state
+    np.multiply(grads, 1.0 - b2, out=s)
+    s *= grads
+    v += s
+    np.divide(m, 1.0 - b1**t, out=s)  # mhat
+    s *= state.eta
+    np.divide(v, 1.0 - b2**t, out=r)  # vhat
+    np.sqrt(r, out=r)
+    r += state.eps
+    s /= r
+    return np.subtract(params, s, out=out), state
 
 
 def fit_epochs(

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numkit import AdamState, adam_step, block_views, fit_epochs
+from .numkit import AdamState, adam_step, block_views, empty_blocks, fit_epochs
 from .pipeline import N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range
 
 OCCUPANT_HEAT_W = 100.0        # sensible heat per person at light activity
@@ -264,14 +264,51 @@ def make_truth(
 # 24-hour rollout at prediction time.
 # ---------------------------------------------------------------------------
 
-def _forward(x: np.ndarray, w1, b1, w2, b2, w3, b3) -> tuple[np.ndarray, ...]:
-    """The baseline's three-layer forward on z-scored rows: the
-    pre-activations and activations of both hidden layers, then the output."""
-    a1 = x @ w1.T + b1
-    h1 = np.maximum(a1, 0.0)
-    a2 = h1 @ w2.T + b2
-    h2 = np.maximum(a2, 0.0)
-    return a1, h1, a2, h2, h2 @ w3 + b3
+def _forward_shapes(hidden: int, rows: int) -> list[tuple[int, ...]]:
+    """Shapes of the forward buffers over ``rows`` rows: the pre-activations
+    and activations of both hidden layers, then the output."""
+    return [(rows, hidden)] * 4 + [(rows,)]
+
+
+def _forward(x: np.ndarray, w, bufs) -> tuple[np.ndarray, ...]:
+    """The baseline's three-layer forward on the m z-scored rows ``x``, with
+    the weights ``w`` = (w1, b1, w2, b2, w3, b3), into the first m rows of
+    ``bufs`` (shaped by ``_forward_shapes``): returns the pre-activations
+    and activations of both hidden layers, then the output, as views."""
+    m = len(x)
+    w1, b1, w2, b2, w3, b3 = w
+    a1, h1, a2, h2, out = (buf[:m] for buf in bufs)
+    np.matmul(x, w1.T, out=a1)
+    a1 += b1
+    np.maximum(a1, 0.0, out=h1)
+    np.matmul(h1, w2.T, out=a2)
+    a2 += b2
+    np.maximum(a2, 0.0, out=h2)
+    np.matmul(h2, w3, out=out)
+    out += b3
+    return a1, h1, a2, h2, out
+
+
+class _FitWorkspace:
+    """The working set of one baseline fit: the z-scored splits ``xt``/``yt``
+    and ``xv``/``yv``; for a minibatch of up to ``batch`` rows (the last,
+    ragged one uses the first rows) the gathered rows ``xb``/``yb``, the
+    forward buffers ``fwd``, the output gradient ``dout``, the
+    pre-activation gradients ``da2``/``da1`` and the ReLU masks
+    ``on2``/``on1``; and the validation forward buffers ``fwd_val``.  As
+    in ``model._Workspace``, the float buffers are blocks of one allocation
+    and the masks of another, so glibc keeps the working set in its heap
+    from one fit to the next and no update allocates."""
+
+    def __init__(self, hidden: int, n_train: int, n_val: int, batch: int):
+        named = {
+            "xt": (n_train, N_FEATURES), "yt": (n_train,), "xv": (n_val, N_FEATURES), "yv": (n_val,),
+            "xb": (batch, N_FEATURES), "yb": (batch,), "dout": (batch,), "da2": (batch, hidden), "da1": (batch, hidden),
+        }
+        bufs = empty_blocks([*named.values(), *_forward_shapes(hidden, batch), *_forward_shapes(hidden, n_val)])
+        self.__dict__.update(zip(named, bufs))
+        self.fwd, self.fwd_val = bufs[len(named) : -5], bufs[-5:]
+        self.on2, self.on1 = empty_blocks([(batch, hidden)] * 2, bool)
 
 
 @dataclass
@@ -289,7 +326,8 @@ class BaselineForecaster:
 
     def predict_matrix(self, x_raw: np.ndarray) -> np.ndarray:
         x = (x_raw - self.feat_mean) / self.feat_std
-        out = _forward(x, self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)[-1]
+        w = (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
+        out = _forward(x, w, empty_blocks(_forward_shapes(len(self.b1), len(x))))[-1]
         return out * self.y_std + self.y_mean
 
 
@@ -330,10 +368,14 @@ def train_baseline_forecaster(
     feat_std = np.maximum(x_train.std(axis=0), 1e-8)
     y_mean = float(y_train.mean())
     y_std = float(max(y_train.std(), 1e-8))
-    xt = (x_train - feat_mean) / feat_std
-    yt = (y_train - y_mean) / y_std
-    xv = (x_val - feat_mean) / feat_std
-    yv = (y_val - y_mean) / y_std
+    ws = _FitWorkspace(hidden, len(x_train), len(x_val), min(batch_size, len(x_train)))
+    xt, yt, xv, yv = (
+        np.divide(np.subtract(raw, mean, out=buf), std, out=buf)
+        for raw, mean, std, buf in (
+            (x_train, feat_mean, feat_std, ws.xt), (y_train, y_mean, y_std, ws.yt),
+            (x_val, feat_mean, feat_std, ws.xv), (y_val, y_mean, y_std, ws.yv),
+        )
+    )
 
     rng = np.random.default_rng(seed)
 
@@ -353,22 +395,32 @@ def train_baseline_forecaster(
     state = AdamState.init(weights, eta=eta)
 
     def update(rows, epoch: int) -> float:
-        xb, yb = xt[rows], yt[rows]
-        a1, h1, a2, h2, out = _forward(xb, *w)
-        dout = 2.0 * (out - yb) / len(rows)
-        g[4][...] = h2.T @ dout
-        g[5][...] = np.sum(dout)
-        da2 = np.outer(dout, w[4]) * (a2 > 0)
-        g[2][...] = da2.T @ h1
-        g[3][...] = da2.sum(axis=0)
-        da1 = (da2 @ w[2]) * (a1 > 0)
-        g[0][...] = da1.T @ xb
-        g[1][...] = da1.sum(axis=0)
+        # mode="clip" lets take write straight into ``out`` (the default
+        # "raise" buffers through a temporary); a permutation is in range.
+        m = len(rows)
+        xb = np.take(xt, rows, axis=0, out=ws.xb[:m], mode="clip")
+        yb = np.take(yt, rows, out=ws.yb[:m], mode="clip")
+        a1, h1, a2, h2, out = _forward(xb, w, ws.fwd)
+        dout = np.subtract(out, yb, out=ws.dout[:m])
+        dout *= 2.0
+        dout /= m
+        np.matmul(h2.T, dout, out=g[4])
+        g[5][...] = np.add.reduce(dout)
+        da2 = np.multiply(dout[:, None], w[4], out=ws.da2[:m])
+        da2 *= np.greater(a2, 0, out=ws.on2[:m])
+        np.matmul(da2.T, h1, out=g[2])
+        np.add.reduce(da2, axis=0, out=g[3])
+        da1 = np.matmul(da2, w[2], out=ws.da1[:m])
+        da1 *= np.greater(a1, 0, out=ws.on1[:m])
+        np.matmul(da1.T, xb, out=g[0])
+        np.add.reduce(da1, axis=0, out=g[1])
         adam_step(weights, grads, state, out=weights)
         return 0.0  # no training-loss history is kept
 
     def validate(epoch: int) -> float:
-        return float(np.mean((_forward(xv, *w)[-1] - yv) ** 2))
+        # the squared errors overwrite the outputs, which nothing reads again
+        err = np.subtract(_forward(xv, w, ws.fwd_val)[-1], yv, out=ws.fwd_val[-1])
+        return float(np.mean(np.square(err, out=err)))
 
     best, _ = fit_epochs(weights, len(xt), update, validate if len(xv) else None, max_epochs, batch_size, patience, rng)
     w = block_views(best, shapes)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fusecast.pipeline import EnergySeries, FeatureMatrix, SplitSpec, build_feature_rows, hourly_range
+from fusecast.numkit import AdamState, adam_step, block_views, fit_epochs
+from fusecast.pipeline import N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, build_feature_rows, hourly_range
 from fusecast.surrogates import (
     AIR_HEAT_W_PER_K_M3H,
     CEILING_HEIGHT_M,
@@ -336,6 +337,95 @@ class TestColumnarRollout:
         for shifted in (rows.timestamps - np.timedelta64(25, "h"), rows.timestamps + np.timedelta64(1, "h")):
             with pytest.raises(ValueError, match="outside truth hours"):
                 train_baseline_forecaster(FeatureMatrix(rows.values, shifted), truth, SplitSpec(), seed=2)
+
+
+def _reference_forward(x, w1, b1, w2, b2, w3, b3):
+    a1 = x @ w1.T + b1
+    h1 = np.maximum(a1, 0.0)
+    a2 = h1 @ w2.T + b2
+    h2 = np.maximum(a2, 0.0)
+    return a1, h1, a2, h2, h2 @ w3 + b3
+
+
+def _reference_train_baseline(features, truth, split, seed, *, hidden, eta, max_epochs, batch_size, patience):
+    """The former baseline fit, before its workspace: every minibatch,
+    activation and gradient a fresh array, the output gradient spread with
+    np.outer.  Returns the fitted weights as (w1, b1, w2, b2, w3, b3)."""
+    n = len(features)
+    start = int((features.timestamps[0] - truth.timestamps[0]).astype(np.int64))
+    targets = truth.values[start : start + n]
+    i_train, i_val = split.boundaries(n)
+    x_train, y_train = features.values[:i_train], targets[:i_train]
+    x_val, y_val = features.values[i_train:i_val], targets[i_train:i_val]
+    feat_mean = x_train.mean(axis=0)
+    feat_std = np.maximum(x_train.std(axis=0), 1e-8)
+    y_mean = float(y_train.mean())
+    y_std = float(max(y_train.std(), 1e-8))
+    xt, yt = (x_train - feat_mean) / feat_std, (y_train - y_mean) / y_std
+    xv, yv = (x_val - feat_mean) / feat_std, (y_val - y_mean) / y_std
+
+    rng = np.random.default_rng(seed)
+
+    def uniform(shape, fan_in):
+        b = np.sqrt(1.0 / fan_in)
+        return rng.uniform(-b, b, size=shape)
+
+    shapes = ((hidden, N_FEATURES), (hidden,), (hidden, hidden), (hidden,), (hidden,), ())
+    weights = np.concatenate([
+        uniform((hidden, N_FEATURES), N_FEATURES).ravel(), np.zeros(hidden),
+        uniform((hidden, hidden), hidden).ravel(), np.zeros(hidden),
+        uniform((hidden,), hidden), [0.0],
+    ])
+    grads = np.zeros_like(weights)
+    w, g = block_views(weights, shapes), block_views(grads, shapes)
+    state = AdamState.init(weights, eta=eta)
+
+    def update(rows, epoch):
+        xb, yb = xt[rows], yt[rows]
+        a1, h1, a2, h2, out = _reference_forward(xb, *w)
+        dout = 2.0 * (out - yb) / len(rows)
+        g[4][...] = h2.T @ dout
+        g[5][...] = np.sum(dout)
+        da2 = np.outer(dout, w[4]) * (a2 > 0)
+        g[2][...] = da2.T @ h1
+        g[3][...] = da2.sum(axis=0)
+        da1 = (da2 @ w[2]) * (a1 > 0)
+        g[0][...] = da1.T @ xb
+        g[1][...] = da1.sum(axis=0)
+        adam_step(weights, grads, state, out=weights)
+        return 0.0
+
+    def validate(epoch):
+        return float(np.mean((_reference_forward(xv, *w)[-1] - yv) ** 2))
+
+    best, _ = fit_epochs(weights, len(xt), update, validate if len(xv) else None, max_epochs, batch_size, patience, rng)
+    return block_views(best, shapes)
+
+
+class TestBaselineWorkspaceOracle:
+    @pytest.fixture(scope="class")
+    def world(self):
+        weather, truth = _world(24 * 40, seed=9)
+        return build_feature_rows(truth, weather.temp_c), truth
+
+    @pytest.mark.parametrize(
+        "split,batch_size",
+        [
+            (SplitSpec(), 50),  # 561 training rows: a ragged last minibatch of 11
+            (SplitSpec(), 1000),  # one minibatch, smaller than the workspace asked for
+            (SplitSpec(0.6, 1e-4, 0.3999), 64),  # no validation rows: the last vector is kept
+            (SplitSpec(0.5, 0.3, 0.2), 17),
+        ],
+        ids=["ragged-with-validation", "one-batch", "no-validation", "small-batches"],
+    )
+    def test_fit_matches_allocating_reference_bit_for_bit(self, world, split, batch_size):
+        features, truth = world
+        kwargs = dict(hidden=12, eta=3e-3, max_epochs=12, batch_size=batch_size, patience=3)
+        f = train_baseline_forecaster(features, truth, split, seed=21, **kwargs)
+        ref = _reference_train_baseline(features, truth, split, 21, **kwargs)
+        got = (f.w1, f.b1, f.w2, f.b2, f.w3, np.float64(f.b3))
+        for name, a, b in zip(("w1", "b1", "w2", "b2", "w3", "b3"), got, ref):
+            assert np.asarray(a).tobytes() == b.tobytes(), name
 
 
 class TestOccupancy:

@@ -217,8 +217,11 @@ def _reference_batch_forward(x_dl, x_ep, params):
         h_dl = np.maximum(a_h_dl, 0.0)
         h_ep = np.maximum(a_h_ep, 0.0)
         mem_rows = np.broadcast_to(mem, (n, mem.shape[0]))
-        c_dl = np.concatenate([h_dl, mem_rows], axis=1)
-        c_ep = np.concatenate([h_ep, mem_rows], axis=1)
+        # C order, as the kernel's mixer input: at embed_dim 1, concatenate
+        # returns an F-ordered array, which flips BLAS's transpose flag and
+        # with it the last bit of the mixer product
+        c_dl = np.ascontiguousarray(np.concatenate([h_dl, mem_rows], axis=1))
+        c_ep = np.ascontiguousarray(np.concatenate([h_ep, mem_rows], axis=1))
         a_z_dl = c_dl @ params.w_hid_dl.T + params.b_hid_dl
         a_z_ep = c_ep @ params.w_hid_ep.T + params.b_hid_ep
         z_dl = np.maximum(a_z_dl, 0.0)
@@ -321,6 +324,26 @@ class TestWorkspaceKernelOracle:
             assert losses.tobytes() == ref_losses.tobytes()
             assert grads.vector.tobytes() == ref_grads.vector.tobytes()
 
+    @pytest.mark.parametrize("memory_enabled", [True, False], ids=["memory", "no-memory"])
+    def test_kernel_matches_reference_at_embed_dim_one(self, memory_enabled):
+        # a one-column embedding: the width at which a reference that built
+        # its mixer input in F order parted from the kernel in the last bit
+        rng = np.random.default_rng(340)
+        dims = M.FusionDims(1, 34, 11, memory_enabled=memory_enabled)
+        p = M.init_params(dims, 7, random_memory=True)
+        p.vector[:] += 0.5 * rng.standard_normal(dims.size)
+        ws = M._Workspace(dims, 46)
+        for m in (46, 9, 46):
+            xs, y = _random_rows(rng, m)
+            yhat = M._batch_forward(np.stack(xs), p, ws).copy()
+            grads = M.FusionParams(dims, np.full(dims.size, np.nan))
+            losses = M._batch_backward(np.stack(xs), y, p, ws, grads)
+            ref = _reference_batch_forward(*xs, p)
+            ref_losses, ref_grads = _reference_batch_backward(ref, y, p)
+            assert yhat.tobytes() == ref["yhat"].tobytes(), m
+            assert losses.tobytes() == ref_losses.tobytes(), m
+            assert grads.vector.tobytes() == ref_grads.vector.tobytes(), m
+
     @pytest.mark.parametrize("rows", [37, 5])
     def test_kernel_matches_reference_in_odd_sized_workspaces(self, rows):
         # an odd row count puts the physics half of every buffer at an
@@ -341,6 +364,24 @@ class TestWorkspaceKernelOracle:
                 assert yhat.tobytes() == ref["yhat"].tobytes(), (dims, m)
                 assert losses.tobytes() == ref_losses.tobytes(), (dims, m)
                 assert grads.vector.tobytes() == ref_grads.vector.tobytes(), (dims, m)
+
+    @pytest.mark.parametrize("backward", [True, False], ids=["train", "forward-only"])
+    @pytest.mark.parametrize("memory_enabled", [True, False], ids=["memory", "no-memory"])
+    def test_float_buffers_are_blocks_of_one_allocation(self, backward, memory_enabled):
+        # one block per workspace stays in the heap between calls, where
+        # many smaller ones are trimmed and page-faulted in again
+        dims = M.FusionDims(3, 4, 5, memory_enabled=memory_enabled)
+        ws = M._Workspace(dims, 17, backward=backward)
+        floats = {k: v for k, v in vars(ws).items() if isinstance(v, np.ndarray) and v.dtype == np.float64}
+        names = {"x", "a_h", "c", "a_z", "z", "part", "yhat"}
+        assert set(floats) == (names | {"losses", "g", "da", "dc", "dmem"} if backward else names)
+        arena = floats["x"].base
+        assert arena is not None and arena.base is None and arena.ndim == 1
+        assert all(buf.base is arena for buf in floats.values())
+        assert arena.size == sum(buf.size for buf in floats.values())
+        if backward:
+            masks = [ws.on_z, ws.on_h, ws.finite]
+            assert all(buf.dtype == bool and buf.base is masks[0].base for buf in masks)
 
     def test_per_sample_backward_is_the_kernel_on_one_row(self):
         rng = np.random.default_rng(310)
