@@ -15,7 +15,9 @@ for sid, story in (
     methods = ", ".join(f"{m}: smape {r.smape:.2f}% mae {r.mae:.1f}" for m, r in report.methods.items())
     print(f"scenario {sid} ({story})")
     print(f"  {methods}")
-    print(f"  trained {len(report.history)} epochs in {report.wall_seconds:.1f}s on {report.methods['pgmn'].n}-sample test split")
+    trained = report.trainings["pgmn"]
+    print(f"  trained {len(trained.history)} epochs on {trained.n_train} samples, "
+          f"evaluated on the {report.methods['pgmn'].n}-sample test split")
 
 print("\nthe fused model tracks the better source and corrects its persistent bias;"
       "\nwith only the biased physics source (scenario 4) the correction is dramatic.")

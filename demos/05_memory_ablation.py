@@ -15,8 +15,10 @@ for name in ("dl", "ep", "pgmn_with_mu", "pgmn_without_mu"):
 
 print("\nfirst samplewise rows (prediction with signed error in parentheses):")
 print(f"{'DL':>8} {'EP':>8} {'Actual':>8}  {'with memory':>18}  {'without memory':>18}")
-for dl, ep, actual, pw, ew, po, eo in report.extra["table"][:8]:
-    print(f"{dl:8.2f} {ep:8.2f} {actual:8.2f}  {pw:10.2f} ({ew:+6.2f})  {po:10.2f} ({eo:+6.2f})")
+preds = report.predictions
+with_mu, without_mu = report.trainings["with_mu"].pgmn, report.trainings["without_mu"].pgmn
+for dl, ep, actual, pw, po in list(zip(preds["dl"], preds["ep"], preds["actual"], with_mu, without_mu))[:8]:
+    print(f"{dl:8.2f} {ep:8.2f} {actual:8.2f}  {pw:10.2f} ({pw - actual:+6.2f})  {po:10.2f} ({po - actual:+6.2f})")
 
-print(f"\nmean |signed error|: with memory {report.extra['mean_abs_signed_with']:.2f} kWh, "
-      f"without {report.extra['mean_abs_signed_without']:.2f} kWh")
+print(f"\nmean |signed error| (the MAE): with memory {report.methods['pgmn_with_mu'].mae:.2f} kWh, "
+      f"without {report.methods['pgmn_without_mu'].mae:.2f} kWh")

@@ -23,7 +23,7 @@ from .harness import (
     _write_ablation_imputation,
     _write_ablation_mu,
     _write_metrics_csv,
-    _write_scenario_outputs,
+    _write_predictions_csv,
     check_seed,
     load_scenario_config,
     run_ablation_imputation,
@@ -32,6 +32,7 @@ from .harness import (
     run_scenario,
     scenario_config,
 )
+from .model import save_checkpoint
 from .pipeline import write_energy_csv, write_temperature_csv
 from .surrogates import BuildingParams, default_occupancy, load_building_params, make_weather, simulate_physics
 
@@ -71,7 +72,7 @@ def _seed(args) -> int:
 
 
 def _print_methods(report: RunReport, label: str) -> None:
-    print(f"{label}: wall {report.wall_seconds:.1f}s")
+    print(f"{label}:")
     for method, rep in report.methods.items():
         print(
             f"  {method:>24}: smape {rep.smape:7.3f}%  mae {rep.mae:8.3f}  "
@@ -88,7 +89,9 @@ def _cmd_scenario(args) -> int:
         raise ConfigError("scenario needs --id or --config")
     report = run_scenario(cfg)
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_scenario_outputs(args.out, args.out / f"scenario{cfg.id}.ckpt", report)
+    _write_predictions_csv(args.out, report)
+    trained = report.trainings["pgmn"]
+    save_checkpoint(args.out / f"scenario{cfg.id}.ckpt", trained.params, trained.norm)
     _write_metrics_csv(args.out / f"scenario{cfg.id}_metrics.csv", _metric_rows(report))
     _print_methods(report, f"scenario {cfg.id}")
     return 0

@@ -49,7 +49,9 @@ from .pipeline import (
     fit_norm_stats,
     impute,
     normalize_samples,
+    read_key_values,
     split_samples,
+    write_timestamped_csv,
 )
 from .surrogates import (
     BuildingParams,
@@ -193,20 +195,49 @@ class Fixture:
 
 
 @dataclass
+class TrainedModel:
+    """One fusion training on one fixture: the parameters it returned, the
+    normalization fitted on its training split, its per-epoch (train, val)
+    MSE history, its test-split predictions in kWh, its training-sample
+    count and the index where the test split starts."""
+
+    params: FusionParams
+    norm: NormStats
+    history: list[tuple[float, float]]
+    pgmn: np.ndarray
+    n_train: int
+    i_test: int
+
+    def summary(self, train_cfg: TrainConfig) -> dict:
+        """Diagnostics under ``train_cfg``, the TrainConfig it ran with:
+        epochs run, the first epoch of least validation MSE, why it
+        stopped, how many parameter updates it made, and the L2 norm of the
+        memory (0 without)."""
+        epochs = len(self.history)
+        batch = train_cfg.batch_size
+        return {
+            "epochs": epochs,
+            "best_epoch": int(np.argmin([val for _, val in self.history])),
+            "stop_reason": "early_stop" if epochs < train_cfg.max_epochs else "max_epochs",
+            "updates": epochs * (1 if batch is None else math.ceil(self.n_train / batch)),
+            "memory_norm": float(np.linalg.norm(self.params.memory)),
+        }
+
+
+@dataclass
 class RunReport:
-    """Everything one scenario or ablation run produced."""
+    """Everything one scenario or ablation run produced: the metrics per
+    method, the test-split predictions (``timestamps``, ``actual``, ``dl``,
+    ``ep``, ``pgmn``; an absent stream is None), the fixture, and the
+    trainings it evaluates by name (``pgmn`` for a scenario, ``with_mu``
+    and ``without_mu`` for the memory ablation, one per strategy for the
+    imputation ablation)."""
 
     scenario: int
     methods: dict[str, MetricReport]
-    config: dict
-    wall_seconds: float
-    version: str
     predictions: dict[str, np.ndarray | None]
-    history: list[tuple[float, float]]
-    params: FusionParams | None = None
-    norm: NormStats | None = None
-    fixture: Fixture | None = None
-    extra: dict = field(default_factory=dict)
+    fixture: Fixture
+    trainings: dict[str, TrainedModel]
 
 
 def version_stamp() -> str:
@@ -336,19 +367,13 @@ class _Stages:
     """
 
     def __init__(self):
-        self._version: str | None = None
         self._worlds: dict[tuple, _World] = {}
         self._masked: dict[tuple, EnergySeries] = {}
         self._lag_sources: dict[tuple, EnergySeries] = {}
         self._dl: dict[tuple, EnergySeries] = {}
-        self._trained: dict[ScenarioConfig, tuple] = {}
+        self._trained: dict[ScenarioConfig, TrainedModel] = {}
         # Job name -> (start, end) on the perf_counter clock.
         self.job_spans: dict[str, tuple[float, float]] = {}
-
-    def version(self) -> str:
-        if self._version is None:
-            self._version = version_stamp()
-        return self._version
 
     def world(self, seed: int, hours: int) -> _World:
         """Weather, RC physics and biased truth, keyed by (seed, hours)."""
@@ -414,7 +439,7 @@ class _Stages:
             dl=dl_series,
         )
 
-    def trained(self, cfg: ScenarioConfig) -> tuple[FusionParams, NormStats, list[tuple[float, float]], np.ndarray, int]:
+    def trained(self, cfg: ScenarioConfig) -> TrainedModel:
         """``_train_on_fixture`` for ``cfg``, keyed by the whole config: it
         fixes the samples, the memory flag and the TrainConfig."""
         if cfg not in self._trained:
@@ -496,115 +521,50 @@ class _Stages:
         return _Job(_fit_name(cfgs[0]), _fit_dl, self._fit_args(cfgs[0]), done)
 
     def scenario(self, cfg: ScenarioConfig) -> RunReport:
-        t0 = time.perf_counter()
         fixture = self.fixture(cfg)
-        params, stats, history, pgmn_pred, i_test = self.trained(cfg)
-
-        actual = fixture.truth.values[i_test:]
-        preds: dict[str, np.ndarray | None] = {
-            "timestamps": fixture.timestamps[i_test:],
-            "actual": actual,
-            "dl": fixture.dl.values[i_test:] if cfg.dl_available else None,
-            "ep": fixture.physics.values[i_test:] if cfg.ep_available else None,
-            "pgmn": pgmn_pred,
-        }
-        methods: dict[str, MetricReport] = {}
-        for name in SCENARIO_METHODS[cfg.id]:
-            methods[name] = compute_report(actual, preds[name])
-
-        return RunReport(
-            scenario=cfg.id,
-            methods=methods,
-            config=asdict(cfg),
-            wall_seconds=time.perf_counter() - t0,
-            version=self.version(),
-            predictions=preds,
-            history=history,
-            params=params,
-            norm=stats,
-            fixture=fixture,
-        )
+        trained = self.trained(cfg)
+        preds = _predictions(cfg, fixture, trained)
+        methods = {name: compute_report(preds["actual"], preds[name]) for name in SCENARIO_METHODS[cfg.id]}
+        return RunReport(cfg.id, methods, preds, fixture, {"pgmn": trained})
 
     def ablation_mu(self, cfg: ScenarioConfig) -> RunReport:
         if cfg.id != 1:
             raise ConfigError("the memory-unit ablation runs under scenario 1")
         with_mu, without_mu = _mu_variants(cfg)
         self.prefetch([with_mu, without_mu])
-        t0 = time.perf_counter()
         fixture = self.fixture(cfg)
-        params_with, stats, hist_with, pred_with, i_test = self.trained(with_mu)
-        params_without, _, hist_without, pred_without, _ = self.trained(without_mu)
-
-        actual = fixture.truth.values[i_test:]
-        dl = fixture.dl.values[i_test:]
-        ep = fixture.physics.values[i_test:]
-
-        methods = {
-            "dl": compute_report(actual, dl),
-            "ep": compute_report(actual, ep),
-            "pgmn_with_mu": compute_report(actual, pred_with),
-            "pgmn_without_mu": compute_report(actual, pred_without),
-        }
-        table = [
-            (dl[i], ep[i], actual[i], pred_with[i], pred_with[i] - actual[i], pred_without[i], pred_without[i] - actual[i])
-            for i in range(len(actual))
-        ]
-        return RunReport(
-            scenario=cfg.id,
-            methods=methods,
-            config=asdict(cfg),
-            wall_seconds=time.perf_counter() - t0,
-            version=self.version(),
-            predictions={
-                "timestamps": fixture.timestamps[i_test:],
-                "actual": actual,
-                "dl": dl,
-                "ep": ep,
-                "pgmn": pred_with,
-            },
-            history=hist_with,
-            params=params_with,
-            norm=stats,
-            fixture=fixture,
-            extra={
-                "table": table,
-                "params_without": params_without,
-                "history_without": hist_without,
-                "mean_abs_signed_with": float(np.mean(np.abs(pred_with - actual))),
-                "mean_abs_signed_without": float(np.mean(np.abs(pred_without - actual))),
-            },
-        )
+        trainings = {"with_mu": self.trained(with_mu), "without_mu": self.trained(without_mu)}
+        preds = _predictions(cfg, fixture, trainings["with_mu"])
+        methods = {name: compute_report(preds["actual"], preds[name]) for name in ("dl", "ep")}
+        for name, trained in trainings.items():
+            methods[f"pgmn_{name}"] = compute_report(preds["actual"], trained.pgmn)
+        return RunReport(cfg.id, methods, preds, fixture, trainings)
 
     def ablation_imputation(self, cfg: ScenarioConfig) -> RunReport:
+        """One pgmn metric row per imputation strategy; the predictions and
+        the fixture are those of the last strategy."""
         if cfg.id != 2:
             raise ConfigError("the imputation ablation runs under scenario 2")
         variants = _imputation_variants(cfg)
         self.prefetch(variants)
-        t0 = time.perf_counter()
-        methods: dict[str, MetricReport] = {}
-        checkpoints: dict[str, FusionParams] = {}
-        norms: dict[str, NormStats] = {}
-        histories: dict[str, list[tuple[float, float]]] = {}
-        last = None
-        for variant in variants:
-            strategy = variant.imputation
-            rep = self.scenario(variant)
-            methods[strategy] = rep.methods["pgmn"]
-            checkpoints[strategy] = rep.params
-            norms[strategy] = rep.norm
-            histories[strategy] = rep.history
-            last = rep
-        return RunReport(
-            scenario=cfg.id,
-            methods=methods,
-            config=asdict(cfg),
-            wall_seconds=time.perf_counter() - t0,
-            version=self.version(),
-            predictions=last.predictions,
-            history=last.history,
-            fixture=last.fixture,
-            extra={"checkpoints": checkpoints, "norms": norms, "histories": histories},
-        )
+        trainings = {variant.imputation: self.trained(variant) for variant in variants}
+        last = variants[-1]
+        fixture = self.fixture(last)
+        preds = _predictions(last, fixture, trainings[last.imputation])
+        methods = {name: compute_report(preds["actual"], trained.pgmn) for name, trained in trainings.items()}
+        return RunReport(cfg.id, methods, preds, fixture, trainings)
+
+
+def _predictions(cfg: ScenarioConfig, fixture: Fixture, trained: TrainedModel) -> dict[str, np.ndarray | None]:
+    """The test-split series of ``fixture`` and the predictions of ``trained``."""
+    i = trained.i_test
+    return {
+        "timestamps": fixture.timestamps[i:],
+        "actual": fixture.truth.values[i:],
+        "dl": fixture.dl.values[i:] if cfg.dl_available else None,
+        "ep": fixture.physics.values[i:] if cfg.ep_available else None,
+        "pgmn": trained.pgmn,
+    }
 
 
 def build_fixture(cfg: ScenarioConfig) -> Fixture:
@@ -620,13 +580,8 @@ def _fit_dl(cfg: ScenarioConfig, lag_source: EnergySeries, temp_c: np.ndarray) -
     return forecast_dl(forecaster, feats)
 
 
-def _train_on_fixture(
-    cfg: ScenarioConfig, fixture: Fixture, memory_enabled: bool
-) -> tuple[FusionParams, NormStats, list[tuple[float, float]], np.ndarray, int]:
-    """Assemble, normalize, train, and predict the test split (denormalized).
-
-    Returns (params, norm stats, history, test predictions in kWh, test start index).
-    """
+def _train_on_fixture(cfg: ScenarioConfig, fixture: Fixture, memory_enabled: bool) -> TrainedModel:
+    """Assemble, normalize, train, and predict the test split (denormalized)."""
     samples = assemble_samples(fixture.dl, fixture.physics, fixture.label_truth, cfg)
     train_s, val_s, test_s = split_samples(samples, cfg.split)
     stats = fit_norm_stats(train_s)
@@ -638,7 +593,7 @@ def _train_on_fixture(
     params0 = init_params(dims, cfg.seed + SEED_INIT)
     params, history = train(norm_train, params0, cfg.train, norm_val)
     yhat = denormalize_target(predict(norm_test, params), stats)
-    return params, stats, history, yhat, len(train_s) + len(val_s)
+    return TrainedModel(params, stats, history, yhat, len(train_s), len(train_s) + len(val_s))
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
@@ -669,15 +624,12 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _write_predictions_csv(path: Path, preds: dict) -> None:
-    """One row per test hour; an absent stream leaves its column empty.
-    Each column is formatted in one pass, values with ``repr``."""
-    n = len(preds["actual"])
-    cols = [np.datetime_as_string(preds["timestamps"][:n].astype("datetime64[m]")).tolist()]
-    for key in ("actual", "dl", "ep", "pgmn"):
-        arr = preds[key]
-        cols.append([""] * n if arr is None else list(map(repr, np.asarray(arr, dtype=np.float64).tolist())))
-    _write_lines(path, ["timestamp,actual,dl,ep,pgmn", *map(",".join, zip(*cols))])
+def _write_predictions_csv(out: Path, report: RunReport) -> None:
+    """predictions_scenario<id>.csv: one row per test hour; an absent
+    stream leaves its column empty."""
+    preds = report.predictions
+    columns = {key: preds[key] for key in ("actual", "dl", "ep", "pgmn")}
+    write_timestamped_csv(out / f"predictions_scenario{report.scenario}.csv", preds["timestamps"], columns)
 
 
 def _metric_rows(report: RunReport, prefix: str = "") -> list[str]:
@@ -689,24 +641,17 @@ def _write_metrics_csv(path: Path, rows: list[str]) -> None:
     _write_lines(path, [CSV_HEADER, *rows])
 
 
-def _write_scenario_outputs(out: Path, ckpt_path: Path, report: RunReport) -> None:
-    _write_predictions_csv(out / f"predictions_scenario{report.scenario}.csv", report.predictions)
-    save_checkpoint(ckpt_path, report.params, report.norm)
-
-
 def _write_ablation_mu(out: Path, report: RunReport) -> None:
-    """ablation_mu.csv (the samplewise signed-error table) and
+    """ablation_mu.csv (each test hour's inputs, actual, and both
+    variants' predictions with their signed errors ``yhat - y``, then the
+    mean |signed error|, which is each variant's MAE) and
     ablation_mu_metrics.csv."""
+    preds = report.predictions
+    columns = (preds["dl"], preds["ep"], preds["actual"], report.trainings["with_mu"].pgmn, report.trainings["without_mu"].pgmn)
     lines = ["DL,EP,Actual Energy,PgMN (With MU),PgMN (Without MU)"]
-    for dl, ep, actual, pw, ew, po, eo in report.extra["table"]:
-        lines.append(
-            f"{dl:.2f},{ep:.2f},{actual:.2f},"
-            f"{pw:.2f} ({ew:+.2f}),{po:.2f} ({eo:+.2f})"
-        )
-    lines.append(
-        "Mean Error,,,"
-        f"{report.extra['mean_abs_signed_with']:.2f},{report.extra['mean_abs_signed_without']:.2f}"
-    )
+    for dl, ep, actual, pw, po in zip(*(column.tolist() for column in columns)):
+        lines.append(f"{dl:.2f},{ep:.2f},{actual:.2f},{pw:.2f} ({pw - actual:+.2f}),{po:.2f} ({po - actual:+.2f})")
+    lines.append(f"Mean Error,,,{report.methods['pgmn_with_mu'].mae:.2f},{report.methods['pgmn_without_mu'].mae:.2f}")
     _write_lines(out / "ablation_mu.csv", lines)
     _write_metrics_csv(out / "ablation_mu_metrics.csv", _metric_rows(report))
 
@@ -738,6 +683,10 @@ def _write_calibration_csv(path: Path, fixture: Fixture) -> None:
     _write_lines(path, lines)
 
 
+def _methods_json(report: RunReport) -> dict:
+    return {m: asdict(r) for m, r in report.methods.items()}
+
+
 def _json_ready(obj):
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
@@ -750,23 +699,6 @@ def _json_ready(obj):
 
 class StageFailed(RuntimeError):
     """A named harness stage failed; the message carries the stage."""
-
-
-def _training_summary(cfg: ScenarioConfig, n_samples: int, history: list[tuple[float, float]], params: FusionParams) -> dict:
-    """Diagnostics of one fusion training, derived from its config, its
-    sample count, its history and the parameters it returned: epochs run,
-    the first epoch of least validation MSE, why it stopped, how many
-    parameter updates it made, and the L2 norm of the memory (0 without)."""
-    epochs = len(history)
-    n_train, _ = cfg.split.boundaries(n_samples)
-    batch = cfg.train.batch_size
-    return {
-        "epochs": epochs,
-        "best_epoch": int(np.argmin([val for _, val in history])),
-        "stop_reason": "early_stop" if epochs < cfg.train.max_epochs else "max_epochs",
-        "updates": epochs * (1 if batch is None else math.ceil(n_train / batch)),
-        "memory_norm": float(np.linalg.norm(params.memory)),
-    }
 
 
 def _stage(seconds: dict[str, float], name: str, fn, *args):
@@ -805,64 +737,44 @@ def run_all(out_dir, seed: int = DEFAULT_SEED, fast: bool = False) -> int:
     seconds: dict[str, float] = {}
     scenario_rows: list[str] = []
     history_rows = ["scenario,epoch,train_mse,val_mse"]
-    summary: dict = {"version": stages.version(), "seed": seed, "fast": fast, "scenarios": {}}
+    summary: dict = {"version": version_stamp(), "seed": seed, "fast": fast, "scenarios": {}}
+    # Every training to write: (checkpoint stem, record, the run_summary
+    # object its `training` summary goes into, and the key there).
+    saves: list[tuple[str, TrainedModel, dict, str]] = []
 
     _stage(seconds, "world", stages.world, seed, FAST_HOURS if fast else FULL_HOURS)
     cfgs = {sid: scenario_config(sid, seed=seed, fast=fast) for sid in (1, 2, 3, 4, 5)}
     plan = [*cfgs.values(), *_mu_variants(cfgs[1]), *_imputation_variants(cfgs[2])]
     _stage(seconds, "jobs", stages.prefetch, plan)
-    scenario1_report = None
     for sid, cfg in cfgs.items():
         report = _stage(seconds, f"scenario{sid}", stages.scenario, cfg)
-        if sid == 1:
-            scenario1_report = report
+        trained = report.trainings["pgmn"]
         scenario_rows.extend(_metric_rows(report))
-        for epoch, (tr, va) in enumerate(report.history):
-            history_rows.append(f"{sid},{epoch},{tr!r},{va!r}")
-        _write_scenario_outputs(out, ckpt_dir / f"scenario{sid}.ckpt", report)
-        summary["scenarios"][str(sid)] = {
-            "wall_seconds": report.wall_seconds,
-            "config": _json_ready(report.config),
-            "methods": {m: asdict(r) for m, r in report.methods.items()},
-            "training": _training_summary(cfg, report.fixture.truth.n, report.history, report.params),
-        }
-
+        history_rows.extend(f"{sid},{epoch},{tr!r},{va!r}" for epoch, (tr, va) in enumerate(trained.history))
+        _write_predictions_csv(out, report)
+        if sid == 1:
+            _write_calibration_csv(out / "calibration.csv", report.fixture)
+        entry = summary["scenarios"][str(sid)] = {"config": _json_ready(asdict(cfg)), "methods": _methods_json(report)}
+        saves.append((f"scenario{sid}", trained, entry, "training"))
     _write_metrics_csv(out / "scenario_table.csv", scenario_rows)
     _write_lines(out / "train_history.csv", history_rows)
-    _write_calibration_csv(out / "calibration.csv", scenario1_report.fixture)
 
-    mu_cfg = cfgs[1]
-    mu = _stage(seconds, "ablation_mu", stages.ablation_mu, mu_cfg)
+    mu = _stage(seconds, "ablation_mu", stages.ablation_mu, cfgs[1])
     _write_ablation_mu(out, mu)
-    save_checkpoint(ckpt_dir / "ablation_mu_with.ckpt", mu.params, mu.norm)
-    save_checkpoint(ckpt_dir / "ablation_mu_without.ckpt", mu.extra["params_without"], mu.norm)
-    n_samples = mu.fixture.truth.n
-    summary["ablation_mu"] = {
-        "wall_seconds": mu.wall_seconds,
-        "methods": {m: asdict(r) for m, r in mu.methods.items()},
-        "training": {
-            "with_mu": _training_summary(mu_cfg, n_samples, mu.history, mu.params),
-            "without_mu": _training_summary(mu_cfg, n_samples, mu.extra["history_without"], mu.extra["params_without"]),
-        },
-    }
+    summary["ablation_mu"] = {"methods": _methods_json(mu), "training": {}}
+    for name, stem in (("with_mu", "ablation_mu_with"), ("without_mu", "ablation_mu_without")):
+        saves.append((stem, mu.trainings[name], summary["ablation_mu"]["training"], name))
 
-    imp_cfg = cfgs[2]
-    imp = _stage(seconds, "ablation_imputation", stages.ablation_imputation, imp_cfg)
+    imp = _stage(seconds, "ablation_imputation", stages.ablation_imputation, cfgs[2])
     _write_ablation_imputation(out, imp)
-    for strategy in IMPUTATION_ABLATION_STRATEGIES:
-        save_checkpoint(
-            ckpt_dir / f"ablation_imputation_{strategy}.ckpt",
-            imp.extra["checkpoints"][strategy],
-            imp.extra["norms"][strategy],
-        )
-    summary["ablation_imputation"] = {
-        "wall_seconds": imp.wall_seconds,
-        "methods": {m: asdict(r) for m, r in imp.methods.items()},
-        "training": {
-            strategy: _training_summary(imp_cfg, n_samples, imp.extra["histories"][strategy], imp.extra["checkpoints"][strategy])
-            for strategy in IMPUTATION_ABLATION_STRATEGIES
-        },
-    }
+    summary["ablation_imputation"] = {"methods": _methods_json(imp), "training": {}}
+    for strategy, trained in imp.trainings.items():
+        saves.append((f"ablation_imputation_{strategy}", trained, summary["ablation_imputation"]["training"], strategy))
+
+    # scenario_config gives every config of the run the same TrainConfig.
+    for stem, trained, target, key in saves:
+        save_checkpoint(ckpt_dir / f"{stem}.ckpt", trained.params, trained.norm)
+        target[key] = trained.summary(cfgs[1].train)
 
     summary["stages"] = seconds
     spans = sorted(stages.job_spans.items(), key=lambda item: item[1])
@@ -897,21 +809,12 @@ def _parse_bool(raw: str) -> bool:
 
 
 def load_scenario_config(path, seed: int | None = None, fast: bool = False) -> ScenarioConfig:
-    """Parse a flat key=value file mirroring ScenarioConfig; unknown keys are
-    rejected.  ``seed`` (when given) and ``fast`` override the file."""
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, val = stripped.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        raw[key] = val.strip()
-
+    """Parse a flat key=value file mirroring ScenarioConfig; unknown or
+    repeated keys are rejected.  ``seed`` (when given) and ``fast`` override the file."""
+    try:
+        raw = read_key_values(path, _CONFIG_KEYS)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if "id" not in raw:
         raise ConfigError(f"{path}: scenario config must set id")
     try:

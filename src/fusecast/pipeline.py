@@ -1,7 +1,8 @@
 """Sample construction for both forecasters: hourly series with
 missingness, the baseline's lag/calendar feature matrix, imputation,
 sparsity injection, the fusion model's mask/target assembly, normalization
-statistics, and chronological splits.
+statistics, chronological splits, timestamped CSVs, and flat key=value
+config files.
 """
 
 from __future__ import annotations
@@ -488,11 +489,23 @@ def split_samples(samples, spec: SplitSpec) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion / emission
+# CSV and config file I/O
 # ---------------------------------------------------------------------------
 
-def _format_ts(ts: np.datetime64) -> str:
-    return np.datetime_as_string(ts.astype("datetime64[m]"))
+def write_timestamped_csv(path, timestamps: np.ndarray, columns: dict[str, np.ndarray | None]) -> None:
+    """Write a ``timestamp,<column names>`` CSV, one row per timestamp:
+    minute-resolution ISO timestamps, then each column's values with
+    ``repr``.  A NaN (a missing step) or a ``None`` column (an absent
+    stream) leaves its cell empty."""
+    n = len(timestamps)
+    cells = [np.datetime_as_string(np.asarray(timestamps).astype("datetime64[m]")).tolist()]
+    for values in columns.values():
+        if values is None:
+            cells.append([""] * n)
+        else:
+            cells.append(["" if math.isnan(v) else repr(v) for v in np.asarray(values, dtype=np.float64).tolist()])
+    lines = [",".join(["timestamp", *columns]), *map(",".join, zip(*cells))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_energy_csv(path) -> EnergySeries:
@@ -519,11 +532,7 @@ def read_energy_csv(path) -> EnergySeries:
 
 
 def write_energy_csv(series: EnergySeries, path) -> None:
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("timestamp,value\n")
-        for ts, v, ok in zip(series.timestamps, series.values, series.present):
-            f.write(f"{_format_ts(ts)},{float(v)!r}\n" if ok else f"{_format_ts(ts)},\n")
+    write_timestamped_csv(path, series.timestamps, {"value": series.values})
 
 
 def read_temperature_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -543,7 +552,27 @@ def read_temperature_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_temperature_csv(timestamps: np.ndarray, temps: np.ndarray, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("timestamp,temp_c\n")
-        for ts, v in zip(timestamps, temps):
-            f.write(f"{_format_ts(ts)},{float(v)!r}\n")
+    write_timestamped_csv(path, timestamps, {"temp_c": temps})
+
+
+def read_key_values(path, keys) -> dict[str, str]:
+    """The ``key = value`` lines of a flat config file, values unparsed.
+    ``#`` starts a comment.  A line without ``=``, a key not in ``keys`` or
+    a key set twice raises ValueError naming the file and the line."""
+    values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, val = stripped.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = val.strip()
+    return values

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from .numkit import AdamState, adam_step, block_views, empty_blocks, fit_epochs
-from .pipeline import N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range
+from .pipeline import (
+    N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range, read_key_values,
+)
 
 OCCUPANT_HEAT_W = 100.0        # sensible heat per person at light activity
 AIR_HEAT_W_PER_K_M3H = 0.335   # rho * c_p / 3600 for air, per m3/h of airflow
@@ -71,28 +72,11 @@ class BuildingParams:
         return self.ua_w_per_k + AIR_HEAT_W_PER_K_M3H * self.infiltration_ach * volume
 
 
-BUILDING_CONFIG_KEYS = (
-    "ua_w_per_k", "capacitance_j_per_k", "equipment_w_per_m2", "floor_area_m2",
-    "occupants", "heat_setpoint_c", "cool_setpoint_c", "heat_setback_c",
-    "cool_setback_c", "infiltration_ach", "hvac_efficiency",
-)
-
-
 def load_building_params(path) -> BuildingParams:
-    """Read a flat key=value file; unknown keys are rejected."""
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in BUILDING_CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = float(val.strip())
-    return BuildingParams(**values)
+    """Read a flat key=value file of BuildingParams fields; unknown or
+    repeated keys are rejected."""
+    values = read_key_values(path, {f.name for f in fields(BuildingParams)})
+    return BuildingParams(**{key: float(val) for key, val in values.items()})
 
 
 @dataclass

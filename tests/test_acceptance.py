@@ -13,7 +13,16 @@ import numpy as np
 import pytest
 
 from fusecast import model as M
-from fusecast.harness import run_all, scenario_config, run_ablation_imputation, build_fixture
+from fusecast.harness import (
+    DEFAULT_DIMS,
+    SEED_INIT,
+    SEED_SPARSITY,
+    SEED_TRAIN,
+    build_fixture,
+    run_ablation_imputation,
+    run_all,
+    scenario_config,
+)
 from fusecast.metrics import rmse, smape
 from fusecast.numkit import finite_diff_grad
 from fusecast.pipeline import (
@@ -126,10 +135,10 @@ def _constant_bias_fixture(master=MASTER_SEED, n=900, bias_kwh=50.0):
 
 def _train_variant(samples, scale, memory_enabled, master=MASTER_SEED):
     train_s, val_s, test_s = split_samples(samples, SplitSpec())
-    dims = M.FusionDims(32, 16, 32, memory_enabled=memory_enabled)
-    params = M.init_params(dims, master + 44)
+    dims = replace(DEFAULT_DIMS, memory_enabled=memory_enabled)
+    params = M.init_params(dims, master + SEED_INIT)
     cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=300, batch_size=128,
-                        early_stop_patience=20, seed=master + 55)
+                        early_stop_patience=20, seed=master + SEED_TRAIN)
     params, _ = M.train(train_s, params, cfg, val_s)
     preds = M.predict(test_s, params) * scale
     actual = np.array([s.target for s in test_s]) * scale
@@ -169,9 +178,9 @@ def test_criterion_3_unbounded_output():
         for a, b, c in zip(xd, xe, y)
     ]
     train_s, val_s, test_s = split_samples(samples, SplitSpec())
-    params = M.init_params(M.FusionDims(32, 16, 32), MASTER_SEED + 44)
+    params = M.init_params(DEFAULT_DIMS, MASTER_SEED + SEED_INIT)
     cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=300, batch_size=64,
-                        early_stop_patience=20, seed=MASTER_SEED + 55)
+                        early_stop_patience=20, seed=MASTER_SEED + SEED_TRAIN)
     params, _ = M.train(train_s, params, cfg, val_s)
     preds = M.predict(test_s, params) * scale
     caps = np.array([max(s.dl, s.ep) for s in test_s]) * scale
@@ -196,9 +205,9 @@ def test_criterion_4_function_approximation():
         MaskedSample(dl=float(a), dl_mask=1, ep=float(b), ep_mask=1, target=float(c))
         for a, b, c in zip(xd, xe, target)
     ]
-    params = M.init_params(M.FusionDims(64, 64, 64), MASTER_SEED + 44)
+    params = M.init_params(M.FusionDims(64, 64, 64), MASTER_SEED + SEED_INIT)
     cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=400, batch_size=64,
-                        early_stop_patience=400, seed=MASTER_SEED + 55)
+                        early_stop_patience=400, seed=MASTER_SEED + SEED_TRAIN)
     params, history = M.train(samples, params, cfg, None)
     train_losses = [tr for tr, _ in history]
     best = min(train_losses)
@@ -287,8 +296,8 @@ def test_criterion_7_imputation_properties():
         for s in ("nearest_neighbor", "historical_averaging", "linear_interpolation")
     ]
     ok_masks = np.array_equal(masks[0], masks[1]) and np.array_equal(masks[1], masks[2])
-    sparse_a = apply_sparsity(EnergySeries.full(ts, affine_vals), 0.2, MASTER_SEED + 33)
-    sparse_b = apply_sparsity(EnergySeries.full(ts, affine_vals), 0.2, MASTER_SEED + 33)
+    sparse_a = apply_sparsity(EnergySeries.full(ts, affine_vals), 0.2, MASTER_SEED + SEED_SPARSITY)
+    sparse_b = apply_sparsity(EnergySeries.full(ts, affine_vals), 0.2, MASTER_SEED + SEED_SPARSITY)
     ok_masks = ok_masks and np.array_equal(sparse_a.present, sparse_b.present)
 
     ok = ok_exact and ok_idem and ok_rows and ok_masks

@@ -32,7 +32,7 @@ TINY = 24 * 30  # 30-day fixture keeps the harness tests quick
 
 def tiny_config(sid, seed=42, **overrides):
     train = TrainConfig(eta=3e-3, optimizer="adam", max_epochs=40, batch_size=64,
-                        early_stop_patience=10, seed=seed + 55)
+                        early_stop_patience=10, seed=seed + harness.SEED_TRAIN)
     overrides.setdefault("year_hours", TINY)
     overrides.setdefault("train", train)
     return scenario_config(sid, seed=seed, **overrides)
@@ -111,13 +111,13 @@ class TestNoLeakage:
 
         cfg = tiny_config(1)
         fixture = build_fixture(cfg)
-        _, stats_a, _, _, _ = _train_on_fixture(cfg, fixture, True)
+        stats_a = _train_on_fixture(cfg, fixture, True).norm
 
         i_train, _ = cfg.split.boundaries(fixture.truth.n)
         tampered = build_fixture(cfg)
         tampered.label_truth.values[i_train:] += 500.0
         tampered.truth.values[i_train:] += 500.0
-        _, stats_b, _, _, _ = _train_on_fixture(cfg, tampered, True)
+        stats_b = _train_on_fixture(cfg, tampered, True).norm
         assert stats_a == stats_b
 
 
@@ -126,17 +126,35 @@ class TestAblations:
         with pytest.raises(ConfigError):
             run_ablation_mu(tiny_config(2))
 
-    def test_mu_reports_both_variants_on_same_samples(self):
+    def test_mu_reports_both_variants_on_same_samples(self, tmp_path):
         report = run_ablation_mu(tiny_config(1))
         assert set(report.methods) == {"dl", "ep", "pgmn_with_mu", "pgmn_without_mu"}
         ns = {report.methods[m].n for m in report.methods}
         assert len(ns) == 1
-        table = report.extra["table"]
-        assert len(table) == report.methods["dl"].n
+        preds = report.predictions
+        with_mu, without_mu = report.trainings["with_mu"].pgmn, report.trainings["without_mu"].pgmn
+        assert np.array_equal(preds["pgmn"], with_mu)
+        harness._write_ablation_mu(tmp_path, report)
+        rows = (tmp_path / "ablation_mu.csv").read_text().splitlines()
+        assert len(rows) == 1 + report.methods["dl"].n + 1
         # signed error columns are prediction - actual
-        dl, ep, actual, pw, ew, po, eo = table[0]
-        assert ew == pytest.approx(pw - actual)
-        assert eo == pytest.approx(po - actual)
+        for i, row in enumerate(rows[1:-1]):
+            actual = preds["actual"][i]
+            cells = [f"{preds[k][i]:.2f}" for k in ("dl", "ep", "actual")]
+            cells += [f"{yhat[i]:.2f} ({yhat[i] - actual:+.2f})" for yhat in (with_mu, without_mu)]
+            assert row == ",".join(cells)
+        # the mean |signed error| of the last row is each variant's MAE
+        maes = [report.methods[m].mae for m in ("pgmn_with_mu", "pgmn_without_mu")]
+        assert maes == [np.mean(np.abs(yhat - preds["actual"])) for yhat in (with_mu, without_mu)]
+        assert rows[-1] == f"Mean Error,,,{maes[0]:.2f},{maes[1]:.2f}"
+
+    def test_standalone_runs_stamp_no_version(self, monkeypatch):
+        # only run_all writes a version stamp (into run_summary.json)
+        calls = []
+        monkeypatch.setattr(harness, "version_stamp", lambda: calls.append(1) or "fusecast test")
+        run_scenario(tiny_config(1))
+        run_ablation_mu(tiny_config(1))
+        assert calls == []
 
     def test_imputation_requires_scenario2(self):
         with pytest.raises(ConfigError):
@@ -309,15 +327,15 @@ class TestRunAll:
         cfg = scenario_config(1, fast=True)
         params = model.init_params(harness.DEFAULT_DIMS, 0, random_memory=True)
         history = [(1.0, 3.0), (0.5, 2.0), (0.4, 2.0), (0.3, 2.5)]
-        n_train, _ = cfg.split.boundaries(1000)
-        t = harness._training_summary(cfg, 1000, history, params)
+        n_train, i_test = cfg.split.boundaries(1000)
+        trained = harness.TrainedModel(params, None, history, np.zeros(1000 - i_test), n_train, i_test)
+        t = trained.summary(cfg.train)
         assert t.pop("memory_norm") == pytest.approx(np.sqrt(np.sum(params.memory**2)), rel=1e-12)
         assert t == {
             "epochs": 4, "best_epoch": 1, "stop_reason": "early_stop",
             "updates": 4 * math.ceil(n_train / cfg.train.batch_size),
         }
-        full_batch = replace(cfg, train=replace(cfg.train, batch_size=None, max_epochs=4))
-        t = harness._training_summary(full_batch, 1000, history, params)
+        t = trained.summary(replace(cfg.train, batch_size=None, max_epochs=4))
         assert (t["updates"], t["stop_reason"]) == (4, "max_epochs")
 
 
@@ -437,6 +455,18 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="whatever"):
             load_scenario_config(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("id = 1\nseed = 9\n\n# again\nid = 3\n")
+        with pytest.raises(ConfigError, match=r"scenario.cfg:5: key 'id' repeats line 1"):
+            load_scenario_config(path)
+
+    def test_repeated_building_key_rejected(self, tmp_path):
+        path = tmp_path / "building.cfg"
+        path.write_text("occupants = 400\nfloor_area_m2 = 1000\noccupants = 500  # second\n")
+        with pytest.raises(ValueError, match=r"building.cfg:3: key 'occupants' repeats line 1"):
+            load_building_params(path)
+
     def test_missing_id_rejected(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text("seed = 3\n")
@@ -488,6 +518,18 @@ class TestCli:
         cfg.write_text("floor_area_m2 = 1000\n")
         out = tmp_path / "sim"
         assert cli_main(["simulate", "--fast", "--config", str(cfg), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("scenario", "id = 1\nid = 3\n"), ("simulate", "occupants = 400\noccupants = 500\n")],
+    )
+    def test_repeated_config_key_exits_1(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "repeated.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert cli_main([command, "--fast", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "repeats line 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_bad_building_config(self, tmp_path):
         cfg = tmp_path / "building.cfg"

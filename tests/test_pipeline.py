@@ -30,6 +30,7 @@ from fusecast.pipeline import (
     split_samples,
     write_energy_csv,
     write_temperature_csv,
+    write_timestamped_csv,
 )
 
 
@@ -580,6 +581,16 @@ class TestCsvIO:
         ts2, temps2 = read_temperature_csv(path)
         assert np.array_equal(ts, ts2)
         assert np.array_equal(temps, temps2)
+
+
+    def test_timestamped_columns_layout(self, tmp_path):
+        # minute timestamps, repr floats, an empty cell for NaN or an absent column
+        path = tmp_path / "cols.csv"
+        columns = {"a": np.array([0.1, np.nan]), "b": None, "c": [1e-17, 2.0]}
+        write_timestamped_csv(path, hourly_range("2021-06-01T23", 2), columns)
+        assert path.read_bytes() == (
+            b"timestamp,a,b,c\n2021-06-01T23:00,0.1,,1e-17\n2021-06-02T00:00,,,2.0\n"
+        )
 
 
 def _reference_feature_rows(energy, temps):

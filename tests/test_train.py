@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fusecast import model as M
+from fusecast.harness import DEFAULT_DIMS
 from fusecast.pipeline import MaskedSample, SplitSpec, split_samples
 
 
@@ -309,7 +312,7 @@ class TestWorkspaceKernelOracle:
         # the experiment's widths at one day-ahead request and at one
         # full-batch update over the full-year training split
         rng = np.random.default_rng(320 + m)
-        dims = M.FusionDims(32, 16, 32, memory_enabled=memory_enabled)
+        dims = replace(DEFAULT_DIMS, memory_enabled=memory_enabled)
         p = M.init_params(dims, m, random_memory=True)
         p.vector[:] += 0.1 * rng.standard_normal(dims.size)
         ws = M._Workspace(dims, m)
