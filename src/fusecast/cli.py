@@ -40,7 +40,6 @@ from .surrogates import BuildingParams, default_occupancy, load_building_params,
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help=f"master seed (default {DEFAULT_SEED}; scenario --config: the file's seed)")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    p.add_argument("--config", type=Path, default=None, help="flat key=value config file")
     p.add_argument("--fast", action="store_true", help=f"use the short {FAST_HOURS}-hour fixture")
 
 
@@ -49,7 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scenario", help="run one input-availability scenario")
-    p.add_argument("--id", type=int, default=None, help="scenario id 1..5")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--id", type=int, help="scenario id 1..5")
+    which.add_argument("--config", type=Path, help="flat key=value scenario config file")
     _add_common(p)
 
     p = sub.add_parser("ablation", help="run one of the ablation studies")
@@ -60,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("simulate", help="run the physics surrogate and emit CSVs")
+    p.add_argument("--config", type=Path, help="flat key=value building config file")
     _add_common(p)
 
     p = sub.add_parser("train-baseline", help="train the data-driven baseline and emit its forecast")
@@ -83,10 +85,8 @@ def _print_methods(report: RunReport, label: str) -> None:
 def _cmd_scenario(args) -> int:
     if args.config is not None:
         cfg = load_scenario_config(args.config, seed=args.seed, fast=args.fast)
-    elif args.id is not None:
-        cfg = scenario_config(args.id, seed=_seed(args), fast=args.fast)
     else:
-        raise ConfigError("scenario needs --id or --config")
+        cfg = scenario_config(args.id, seed=_seed(args), fast=args.fast)
     report = run_scenario(cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     _write_predictions_csv(args.out, report)

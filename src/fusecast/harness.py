@@ -21,7 +21,7 @@ import resource
 import subprocess
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -443,7 +443,7 @@ class _Stages:
         """``_train_on_fixture`` for ``cfg``, keyed by the whole config: it
         fixes the samples, the memory flag and the TrainConfig."""
         if cfg not in self._trained:
-            self._trained[cfg] = _train_on_fixture(cfg, self.fixture(cfg), cfg.memory_unit_enabled)
+            self._trained[cfg] = _train_on_fixture(cfg, self.fixture(cfg))
         return self._trained[cfg]
 
     def prefetch(self, cfgs) -> None:
@@ -510,7 +510,7 @@ class _Stages:
             self._trained[cfg] = result
             return []
 
-        return _Job(_train_name(cfg), _train_on_fixture, (cfg, self.fixture(cfg), cfg.memory_unit_enabled), done)
+        return _Job(_train_name(cfg), _train_on_fixture, (cfg, self.fixture(cfg)), done)
 
     def _fit_job(self, cfgs: list[ScenarioConfig]) -> _Job:
         """The baseline fit that ``cfgs`` (one lag source) wait for."""
@@ -580,7 +580,7 @@ def _fit_dl(cfg: ScenarioConfig, lag_source: EnergySeries, temp_c: np.ndarray) -
     return forecast_dl(forecaster, feats)
 
 
-def _train_on_fixture(cfg: ScenarioConfig, fixture: Fixture, memory_enabled: bool) -> TrainedModel:
+def _train_on_fixture(cfg: ScenarioConfig, fixture: Fixture) -> TrainedModel:
     """Assemble, normalize, train, and predict the test split (denormalized)."""
     samples = assemble_samples(fixture.dl, fixture.physics, fixture.label_truth, cfg)
     train_s, val_s, test_s = split_samples(samples, cfg.split)
@@ -589,7 +589,7 @@ def _train_on_fixture(cfg: ScenarioConfig, fixture: Fixture, memory_enabled: boo
     norm_val = normalize_samples(val_s, stats)
     norm_test = normalize_samples(test_s, stats)
 
-    dims = replace(DEFAULT_DIMS, memory_enabled=memory_enabled)
+    dims = replace(DEFAULT_DIMS, memory_enabled=cfg.memory_unit_enabled)
     params0 = init_params(dims, cfg.seed + SEED_INIT)
     params, history = train(norm_train, params0, cfg.train, norm_val)
     yhat = denormalize_target(predict(norm_test, params), stats)
@@ -792,72 +792,52 @@ def run_all(out_dir, seed: int = DEFAULT_SEED, fast: bool = False) -> int:
 # Flat key=value scenario config files
 # ---------------------------------------------------------------------------
 
-_CONFIG_BOOL_KEYS = {"dl_available", "ep_available", "memory_unit_enabled"}
-_CONFIG_INT_KEYS = {"id", "seed", "year_hours", "max_epochs", "batch_size", "early_stop_patience"}
-_CONFIG_FLOAT_KEYS = {"sparse_frac", "train_frac", "val_frac", "test_frac", "eta"}
-_CONFIG_STR_KEYS = {"truth_mode", "imputation", "optimizer"}
-_CONFIG_KEYS = _CONFIG_BOOL_KEYS | _CONFIG_INT_KEYS | _CONFIG_FLOAT_KEYS | _CONFIG_STR_KEYS
-
-
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("1", "true", "yes"):
         return True
     if low in ("0", "false", "no"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+# One parser per field type; a field annotated with another type fails
+# here, at import.  Annotations are strings (``from __future__ import
+# annotations``).  ``batch_size`` reads as an int: 0 selects None.
+_PARSERS = {"bool": _parse_bool, "int": int, "int | None": int, "float": float, "str": str}
+
+
+def _key_parsers(cls, *skip: str) -> dict:
+    return {f.name: _PARSERS[f.type] for f in fields(cls) if f.name not in skip}
+
+
+_SPLIT_PARSERS = _key_parsers(SplitSpec)
+_TRAIN_PARSERS = _key_parsers(TrainConfig, "seed")  # the seed derives from the master seed
+_CONFIG_PARSERS = {**_key_parsers(ScenarioConfig, "split", "train"), **_SPLIT_PARSERS, **_TRAIN_PARSERS}
 
 
 def load_scenario_config(path, seed: int | None = None, fast: bool = False) -> ScenarioConfig:
-    """Parse a flat key=value file mirroring ScenarioConfig; unknown or
-    repeated keys are rejected.  ``seed`` (when given) and ``fast`` override the file."""
+    """Parse a flat key=value file of ScenarioConfig, SplitSpec and
+    TrainConfig fields; unknown or repeated keys are rejected.  ``seed``
+    (when given) and ``fast`` override the file."""
     try:
-        raw = read_key_values(path, _CONFIG_KEYS)
+        values = read_key_values(path, _CONFIG_PARSERS)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if "id" not in raw:
-        raise ConfigError(f"{path}: scenario config must set id")
     try:
-        parsed: dict = {}
-        for key, val in raw.items():
-            if key in _CONFIG_BOOL_KEYS:
-                parsed[key] = _parse_bool(val)
-            elif key in _CONFIG_INT_KEYS:
-                parsed[key] = int(val)
-            elif key in _CONFIG_FLOAT_KEYS:
-                parsed[key] = float(val)
-            else:
-                parsed[key] = val
+        if "id" not in values:
+            raise ValueError("scenario config must set id")
+        sid = values.pop("id")
+        file_seed = values.pop("seed", DEFAULT_SEED)
+        cfg_seed = file_seed if seed is None else seed
+        split = {k: values.pop(k) for k in _SPLIT_PARSERS if k in values}
+        train_kwargs = {k: values.pop(k) for k in _TRAIN_PARSERS if k in values}
+        if train_kwargs.get("batch_size") == 0:
+            train_kwargs["batch_size"] = None  # 0 selects the literal full-epoch mode
+        if split:
+            values["split"] = SplitSpec(**split)
+        if train_kwargs:
+            values["train"] = replace(_default_train(cfg_seed), **train_kwargs)
+        return scenario_config(sid, seed=cfg_seed, fast=fast, **values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    sid = parsed.pop("id")
-    cfg_seed = seed if seed is not None else parsed.pop("seed", DEFAULT_SEED)
-    parsed.pop("seed", None)
-
-    split_kwargs = {k: parsed.pop(k) for k in ("train_frac", "val_frac", "test_frac") if k in parsed}
-    train_kwargs = {
-        k: parsed.pop(k)
-        for k in ("eta", "optimizer", "max_epochs", "batch_size", "early_stop_patience")
-        if k in parsed
-    }
-    if train_kwargs.get("batch_size") == 0:
-        train_kwargs["batch_size"] = None  # 0 selects the literal full-epoch mode
-    overrides: dict = dict(parsed)
-    if split_kwargs:
-        try:
-            overrides["split"] = SplitSpec(**{**asdict(SplitSpec()), **split_kwargs})
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    if train_kwargs:
-        base = _default_train(cfg_seed)
-        try:
-            overrides["train"] = replace(base, **train_kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    if fast and "year_hours" not in overrides:
-        overrides["year_hours"] = FAST_HOURS
-    try:
-        return scenario_config(sid, seed=cfg_seed, fast=fast, **overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .numkit import AdamState, ShapeMismatch, adam_step, block_views, empty_blocks, fit_epochs, sgd_step
-from .pipeline import MaskedSample, NormStats, SampleBatch, as_batch
+from .pipeline import MaskedSample, NormStats, SampleBatch
 
 CHECKPOINT_TAG = "pgmn-ckpt-1"
 
@@ -431,10 +431,8 @@ def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Wor
     return losses
 
 
-def predict(samples: SampleBatch | list[MaskedSample], params: FusionParams) -> np.ndarray:
-    """Pure forward pass over a SampleBatch (a MaskedSample list is converted
-    once); non-finite outputs raise."""
-    batch = as_batch(samples)
+def predict(batch: SampleBatch, params: FusionParams) -> np.ndarray:
+    """Pure forward pass over a SampleBatch; non-finite outputs raise."""
     if not len(batch):
         return np.zeros(0)
     ws = _Workspace(params.dims, len(batch), backward=False)
@@ -446,10 +444,10 @@ def predict(samples: SampleBatch | list[MaskedSample], params: FusionParams) -> 
 
 
 def train(
-    dataset: SampleBatch | list[MaskedSample],
+    dataset: SampleBatch,
     params: FusionParams,
     cfg: TrainConfig,
-    validation: SampleBatch | list[MaskedSample] | None = None,
+    validation: SampleBatch | None = None,
 ) -> tuple[FusionParams, list[tuple[float, float]]]:
     """Fit the network; returns final parameters and per-epoch loss history.
 
@@ -459,18 +457,15 @@ def train(
     minibatches.  Early stopping triggers after ``early_stop_patience``
     epochs without validation improvement and restores the best-validation
     parameters.  History rows are (train MSE, validation MSE); validation is
-    NaN when no validation split is given.  MaskedSample lists are converted
-    to SampleBatches once, here; the kernel runs in one workspace sized for
-    an update and, for validation, one forward-only workspace.
+    NaN when no validation split is given.  The kernel runs in one workspace
+    sized for an update and, for validation, one forward-only workspace.
     """
-    dataset = as_batch(dataset)
     n = len(dataset)
     if not n:
         raise ValueError("empty training dataset")
     y = dataset.resolved_targets()
     has_val = validation is not None and len(validation) > 0
     if has_val:
-        validation = as_batch(validation)
         ws_val = _Workspace(params.dims, len(validation), backward=False)
         x_val, y_val = _fill_inputs(validation, ws_val.x), validation.resolved_targets()
 

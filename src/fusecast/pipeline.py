@@ -272,12 +272,6 @@ class SampleBatch:
         return np.where(np.isnan(self.target), self.ep, self.target)
 
 
-def as_batch(samples) -> SampleBatch:
-    """``samples`` as a SampleBatch: a batch as it is, a MaskedSample
-    sequence converted once."""
-    return samples if isinstance(samples, SampleBatch) else SampleBatch.from_samples(samples)
-
-
 def _nearest_fill(values: np.ndarray, present: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Value of the temporally closest present step for each target index;
     ties go to the earlier step."""
@@ -441,7 +435,7 @@ def _channel_stats(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(max(values.std(), STD_FLOOR))
 
 
-def fit_norm_stats(train_samples: SampleBatch | list[MaskedSample]) -> NormStats:
+def fit_norm_stats(b: SampleBatch) -> NormStats:
     """Channel means/stds over the training split.
 
     Only unmasked forecasts and genuinely observed targets contribute; if a
@@ -449,7 +443,6 @@ def fit_norm_stats(train_samples: SampleBatch | list[MaskedSample]) -> NormStats
     channel falls back to the proxy values so targets still normalize
     sensibly.
     """
-    b = as_batch(train_samples)
     if not len(b):
         raise ValueError("cannot fit normalization statistics on an empty split")
     dl_mean, dl_std = _channel_stats(b.dl[b.dl_mask == 1])
@@ -462,10 +455,9 @@ def fit_norm_stats(train_samples: SampleBatch | list[MaskedSample]) -> NormStats
     return NormStats(dl_mean, dl_std, ep_mean, ep_std, y_mean, y_std)
 
 
-def normalize_samples(samples: SampleBatch | list[MaskedSample], stats: NormStats) -> SampleBatch:
+def normalize_samples(b: SampleBatch, stats: NormStats) -> SampleBatch:
     """Z-score the forecasts and targets with ``stats``; masks and flags
     pass through, an absent (NaN) target stays absent."""
-    b = as_batch(samples)
     return SampleBatch(
         (b.dl - stats.dl_mean) / stats.dl_std,
         b.dl_mask,
@@ -555,11 +547,12 @@ def write_temperature_csv(timestamps: np.ndarray, temps: np.ndarray, path) -> No
     write_timestamped_csv(path, timestamps, {"temp_c": temps})
 
 
-def read_key_values(path, keys) -> dict[str, str]:
-    """The ``key = value`` lines of a flat config file, values unparsed.
-    ``#`` starts a comment.  A line without ``=``, a key not in ``keys`` or
-    a key set twice raises ValueError naming the file and the line."""
-    values: dict[str, str] = {}
+def read_key_values(path, parsers) -> dict:
+    """The ``key = value`` lines of a flat config file, each value converted
+    by its key's parser in ``parsers``.  ``#`` starts a comment.  A line
+    without ``=``, an unknown key, a key set twice or a value its parser
+    rejects raises ValueError naming the file and the line."""
+    values: dict = {}
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -569,10 +562,13 @@ def read_key_values(path, keys) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, val = stripped.partition("=")
         key = key.strip()
-        if key not in keys:
+        if key not in parsers:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in first_line:
             raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
         first_line[key] = lineno
-        values[key] = val.strip()
+        try:
+            values[key] = parsers[key](val.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
     return values

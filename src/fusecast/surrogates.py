@@ -75,8 +75,7 @@ class BuildingParams:
 def load_building_params(path) -> BuildingParams:
     """Read a flat key=value file of BuildingParams fields; unknown or
     repeated keys are rejected."""
-    values = read_key_values(path, {f.name for f in fields(BuildingParams)})
-    return BuildingParams(**{key: float(val) for key, val in values.items()})
+    return BuildingParams(**read_key_values(path, {f.name: float for f in fields(BuildingParams)}))
 
 
 @dataclass

@@ -28,6 +28,7 @@ from fusecast.numkit import finite_diff_grad
 from fusecast.pipeline import (
     EnergySeries,
     MaskedSample,
+    SampleBatch,
     SplitSpec,
     apply_sparsity,
     hourly_range,
@@ -139,8 +140,8 @@ def _train_variant(samples, scale, memory_enabled, master=MASTER_SEED):
     params = M.init_params(dims, master + SEED_INIT)
     cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=300, batch_size=128,
                         early_stop_patience=20, seed=master + SEED_TRAIN)
-    params, _ = M.train(train_s, params, cfg, val_s)
-    preds = M.predict(test_s, params) * scale
+    params, _ = M.train(SampleBatch.from_samples(train_s), params, cfg, SampleBatch.from_samples(val_s))
+    preds = M.predict(SampleBatch.from_samples(test_s), params) * scale
     actual = np.array([s.target for s in test_s]) * scale
     return float(np.mean(actual - preds)), preds, actual
 
@@ -181,8 +182,8 @@ def test_criterion_3_unbounded_output():
     params = M.init_params(DEFAULT_DIMS, MASTER_SEED + SEED_INIT)
     cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=300, batch_size=64,
                         early_stop_patience=20, seed=MASTER_SEED + SEED_TRAIN)
-    params, _ = M.train(train_s, params, cfg, val_s)
-    preds = M.predict(test_s, params) * scale
+    params, _ = M.train(SampleBatch.from_samples(train_s), params, cfg, SampleBatch.from_samples(val_s))
+    preds = M.predict(SampleBatch.from_samples(test_s), params) * scale
     caps = np.array([max(s.dl, s.ep) for s in test_s]) * scale
     frac = float(np.mean(preds > caps))
     elapsed = time.perf_counter() - t0
@@ -208,7 +209,7 @@ def test_criterion_4_function_approximation():
     params = M.init_params(M.FusionDims(64, 64, 64), MASTER_SEED + SEED_INIT)
     cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=400, batch_size=64,
                         early_stop_patience=400, seed=MASTER_SEED + SEED_TRAIN)
-    params, history = M.train(samples, params, cfg, None)
+    params, history = M.train(SampleBatch.from_samples(samples), params, cfg, None)
     train_losses = [tr for tr, _ in history]
     best = min(train_losses)
     first_hit = next((i for i, v in enumerate(train_losses) if v < 1e-3), None)

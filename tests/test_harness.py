@@ -111,13 +111,13 @@ class TestNoLeakage:
 
         cfg = tiny_config(1)
         fixture = build_fixture(cfg)
-        stats_a = _train_on_fixture(cfg, fixture, True).norm
+        stats_a = _train_on_fixture(cfg, fixture).norm
 
         i_train, _ = cfg.split.boundaries(fixture.truth.n)
         tampered = build_fixture(cfg)
         tampered.label_truth.values[i_train:] += 500.0
         tampered.truth.values[i_train:] += 500.0
-        stats_b = _train_on_fixture(cfg, tampered, True).norm
+        stats_b = _train_on_fixture(cfg, tampered).norm
         assert stats_a == stats_b
 
 
@@ -431,23 +431,41 @@ class TestProcessPool:
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "scenario.cfg"
-        path.write_text(
-            "id = 2\n"
+        text = (
+            "id = 3\n"
+            "dl_available = no\n"
+            "ep_available = yes\n"
+            "truth_mode = absent\n"
+            "sparse_frac = 0.35\n"
+            "imputation = historical_averaging\n"
+            "memory_unit_enabled = false\n"
             "seed = 9\n"
-            "imputation = nearest_neighbor\n"
-            "sparse_frac = 0.2\n"
-            "eta = 0.001\n"
+            "year_hours = 720\n"
+            "train_frac = 0.5\n"
+            "val_frac = 0.25\n"
+            "test_frac = 0.25\n"
+            "eta = 0.01\n"
+            "optimizer = sgd\n"
             "max_epochs = 50\n"
-            "train_frac = 0.7\n"
-            "val_frac = 0.15\n"
-            "test_frac = 0.15\n"
-            "memory_unit_enabled = true\n"
+            "batch_size = 32\n"
+            "early_stop_patience = 5\n"
         )
-        cfg = load_scenario_config(path)
-        assert cfg.id == 2 and cfg.seed == 9
-        assert cfg.imputation == "nearest_neighbor"
-        assert cfg.train.eta == 0.001 and cfg.train.max_epochs == 50
-        assert cfg.split.train_frac == 0.7
+        path.write_text(text)
+        assert sorted(line.partition(" =")[0] for line in text.splitlines()) == sorted(harness._CONFIG_PARSERS)
+        assert load_scenario_config(path) == ScenarioConfig(
+            id=3,
+            dl_available=False,
+            ep_available=True,
+            truth_mode="absent",
+            sparse_frac=0.35,
+            imputation="historical_averaging",
+            split=SplitSpec(train_frac=0.5, val_frac=0.25, test_frac=0.25),
+            train=TrainConfig(eta=0.01, optimizer="sgd", max_epochs=50, batch_size=32,
+                              early_stop_patience=5, seed=9 + harness.SEED_TRAIN),
+            memory_unit_enabled=False,
+            seed=9,
+            year_hours=720,
+        )
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "scenario.cfg"
@@ -475,9 +493,13 @@ class TestConfigFile:
 
     def test_invariant_violation_rejected(self, tmp_path):
         path = tmp_path / "scenario.cfg"
-        path.write_text("id = 1\ntruth_mode = absent\n")
-        with pytest.raises(ConfigError):
-            load_scenario_config(path)
+        for text, message in (
+            ("id = 1\ntruth_mode = absent\n", "scenario 1 requires truth_mode='full'"),
+            ("id = 2\nsparse_frac = 1.5\n", r"sparse_frac must lie in \[0, 1\)"),
+        ):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=rf"scenario\.cfg: {message}"):
+                load_scenario_config(path)
 
     def test_cli_seed_overrides_file(self, tmp_path):
         path = tmp_path / "scenario.cfg"
@@ -529,6 +551,27 @@ class TestCli:
         out = tmp_path / "o"
         assert cli_main([command, "--fast", "--config", str(cfg), "--out", str(out)]) == 1
         assert "repeats line 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, name, text, message",
+        [
+            ("scenario", "scenario.cfg", "id = 1\nmax_epochs = 1.5\n",
+             "2: max_epochs: invalid literal for int() with base 10: '1.5'"),
+            ("scenario", "scenario.cfg", "id = 1\n\neta = fast  # typo\n",
+             "3: eta: could not convert string to float: 'fast'"),
+            ("scenario", "scenario.cfg", "id = 1\nmemory_unit_enabled = maybe\n",
+             "2: memory_unit_enabled: expected a boolean, got 'maybe'"),
+            ("simulate", "building.cfg", "floor_area_m2 = 1000\noccupants = abc\n",
+             "2: occupants: could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_unparsable_value_names_file_line_and_key(self, tmp_path, capsys, command, name, text, message):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert cli_main([command, "--fast", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"config error: {cfg}:{message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_simulate_bad_building_config(self, tmp_path):
@@ -614,6 +657,10 @@ class TestCli:
             ["scenario", "--bogus"],
             ["launch"],
             [],
+            ["scenario", "--id", "1", "--config", "scenario.cfg"],
+            ["ablation", "--kind", "mu", "--fast", "--config", "scenario.cfg"],
+            ["all", "--fast", "--config", "scenario.cfg"],
+            ["train-baseline", "--fast", "--config", "scenario.cfg"],
         ],
     )
     def test_usage_error_is_config_error(self, tmp_path, capsys, argv):

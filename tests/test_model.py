@@ -280,7 +280,7 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(42)
         p = M.init_params(M.FusionDims(4, 2, 4), 9)
         samples = [random_sample(rng) for _ in range(10)]
-        preds = M.predict(samples, p)
+        preds = M.predict(SampleBatch.from_samples(samples), p)
         for s, v in zip(samples, preds):
             assert M.forward(s, p).yhat == pytest.approx(v, rel=1e-14)
 
@@ -288,15 +288,15 @@ class TestBatchEquivalence:
         dims = M.FusionDims(3, 2, 3)
         p = manual_params(dims, fill=0.0)
         rng = np.random.default_rng(43)
-        preds = M.predict([random_sample(rng) for _ in range(8)], p)
+        preds = M.predict(SampleBatch.from_samples([random_sample(rng) for _ in range(8)]), p)
         assert np.array_equal(preds, np.zeros(8))
 
     def test_predict_is_pure(self):
         rng = np.random.default_rng(44)
         p = M.init_params(M.FusionDims(4, 2, 4), 10)
         samples = [random_sample(rng) for _ in range(12)]
-        a = M.predict(samples, p)
-        b = M.predict(samples, p)
+        a = M.predict(SampleBatch.from_samples(samples), p)
+        b = M.predict(SampleBatch.from_samples(samples), p)
         assert np.array_equal(a, b)
 
 
@@ -742,14 +742,14 @@ class TestPredictNonFinite:
     def test_nan_weight_raises_with_count(self):
         p = M.init_params(M.FusionDims(2, 2, 2), 1)
         samples = [MaskedSample(dl=float(v), dl_mask=1, ep=0.5, ep_mask=1, target=0.0) for v in range(5)]
-        assert np.all(np.isfinite(M.predict(samples, p)))
+        assert np.all(np.isfinite(M.predict(SampleBatch.from_samples(samples), p)))
         p.b_head_ep = float("nan")
         with pytest.raises(ValueError, match="5 of 5 outputs are non-finite"):
-            M.predict(samples, p)
+            M.predict(SampleBatch.from_samples(samples), p)
 
     def test_count_names_only_the_bad_outputs(self):
         dims = M.FusionDims(1, 1, 1)
         p = manual_params(dims, fill=2.0)  # 2 * 1e308 overflows to inf
         samples = [MaskedSample(dl=v, dl_mask=1, ep=0.0, ep_mask=1, target=0.0) for v in (1.0, 1e308, 2.0)]
         with pytest.raises(ValueError, match="1 of 3 outputs are non-finite"):
-            M.predict(samples, p)
+            M.predict(SampleBatch.from_samples(samples), p)

@@ -243,9 +243,9 @@ class TestAssembleSamples:
 class TestNormStats:
     def test_constant_channel_clamped(self):
         samples = [MaskedSample(dl=5.0, dl_mask=1, ep=5.0, ep_mask=1, target=5.0) for _ in range(4)]
-        stats = fit_norm_stats(samples)
+        stats = fit_norm_stats(SampleBatch.from_samples(samples))
         assert stats.dl_std == 1e-8
-        normed = normalize_samples(samples, stats)
+        normed = normalize_samples(SampleBatch.from_samples(samples), stats)
         assert np.all(normed.dl == 0.0)
 
     def test_population_convention(self):
@@ -253,7 +253,7 @@ class TestNormStats:
             MaskedSample(dl=0.0, dl_mask=1, ep=0.0, ep_mask=1, target=0.0),
             MaskedSample(dl=2.0, dl_mask=1, ep=2.0, ep_mask=1, target=2.0),
         ]
-        stats = fit_norm_stats(samples)
+        stats = fit_norm_stats(SampleBatch.from_samples(samples))
         assert stats.dl_mean == 1.0 and stats.dl_std == 1.0
         assert stats.y_mean == 1.0 and stats.y_std == 1.0
 
@@ -262,7 +262,7 @@ class TestNormStats:
             MaskedSample(dl=100.0, dl_mask=1, ep=1.0, ep_mask=1, target=1.0),
             MaskedSample(dl=0.0, dl_mask=0, ep=3.0, ep_mask=1, target=3.0),
         ]
-        stats = fit_norm_stats(samples)
+        stats = fit_norm_stats(SampleBatch.from_samples(samples))
         assert stats.dl_mean == 100.0
 
     def test_unobserved_targets_excluded(self):
@@ -270,7 +270,7 @@ class TestNormStats:
             MaskedSample(dl=1.0, dl_mask=1, ep=1.0, ep_mask=1, target=10.0, target_observed=True),
             MaskedSample(dl=1.0, dl_mask=1, ep=1.0, ep_mask=1, target=9999.0, target_observed=False),
         ]
-        stats = fit_norm_stats(samples)
+        stats = fit_norm_stats(SampleBatch.from_samples(samples))
         assert stats.y_mean == 10.0
 
     def test_proxy_only_targets_fall_back(self):
@@ -278,13 +278,13 @@ class TestNormStats:
             MaskedSample(dl=0.0, dl_mask=0, ep=v, ep_mask=1, target=v, target_is_proxy=True, target_observed=False)
             for v in (2.0, 4.0)
         ]
-        stats = fit_norm_stats(samples)
+        stats = fit_norm_stats(SampleBatch.from_samples(samples))
         assert stats.y_mean == 3.0
 
     def test_all_missing_channel_keeps_zero_standins(self):
         samples = [MaskedSample(dl=0.0, dl_mask=0, ep=v, ep_mask=1, target=v) for v in (5.0, 9.0)]
-        stats = fit_norm_stats(samples)
-        normed = normalize_samples(samples, stats)
+        stats = fit_norm_stats(SampleBatch.from_samples(samples))
+        normed = normalize_samples(SampleBatch.from_samples(samples), stats)
         assert np.all(normed.dl == 0.0)
 
     def test_round_trip_denormalize(self):
@@ -293,14 +293,14 @@ class TestNormStats:
             MaskedSample(dl=float(v), dl_mask=1, ep=float(v * 2), ep_mask=1, target=float(v + 3))
             for v in rng.random(30) * 50
         ]
-        stats = fit_norm_stats(samples)
-        normed = normalize_samples(samples, stats)
+        stats = fit_norm_stats(SampleBatch.from_samples(samples))
+        normed = normalize_samples(SampleBatch.from_samples(samples), stats)
         back = denormalize_target(normed.target, stats)
         assert np.allclose(back, [s.target for s in samples], rtol=1e-12)
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
-            fit_norm_stats([])
+            fit_norm_stats(SampleBatch.from_samples([]))
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +470,8 @@ class TestColumnarMatchesListReference:
         batch = SampleBatch.from_samples(rows)
         assert_batch_bits_equal_rows(batch, rows)
         stats = fit_norm_stats(batch)
-        assert stats == _reference_fit_norm_stats(rows) == fit_norm_stats(rows)
+        assert stats == _reference_fit_norm_stats(rows)
         assert_batch_bits_equal_rows(normalize_samples(batch, stats), _reference_normalize_samples(rows, stats))
-        assert_batch_bits_equal_rows(normalize_samples(rows, stats), _reference_normalize_samples(rows, stats))
 
 
 class TestSampleBatchBoundaries:

@@ -5,7 +5,7 @@ import pytest
 
 from fusecast import model as M
 from fusecast.harness import DEFAULT_DIMS
-from fusecast.pipeline import MaskedSample, SplitSpec, split_samples
+from fusecast.pipeline import MaskedSample, SampleBatch, SplitSpec, split_samples
 
 
 def make_dataset(rng, n=80):
@@ -19,7 +19,7 @@ class TestTrainBasics:
     def test_empty_dataset_rejected(self):
         p = M.init_params(M.FusionDims(2, 2, 2), 0)
         with pytest.raises(ValueError):
-            M.train([], p, M.TrainConfig(max_epochs=1), [])
+            M.train(SampleBatch.from_samples([]), p, M.TrainConfig(max_epochs=1), SampleBatch.from_samples([]))
 
     def test_zero_gradient_fixed_point(self):
         # targets equal to the untrained predictions: nothing should move
@@ -28,14 +28,14 @@ class TestTrainBasics:
         p = M.init_params(dims, 5)
         inputs = [random for random in rng.standard_normal((12, 2))]
         samples = [MaskedSample(dl=float(a), dl_mask=1, ep=float(b), ep_mask=1, target=0.0) for a, b in inputs]
-        preds = M.predict(samples, p)
+        preds = M.predict(SampleBatch.from_samples(samples), p)
         fixed = [
             MaskedSample(dl=s.dl, dl_mask=1, ep=s.ep, ep_mask=1, target=float(v))
             for s, v in zip(samples, preds)
         ]
         for optimizer in ("sgd", "adam"):
             cfg = M.TrainConfig(eta=0.01, optimizer=optimizer, max_epochs=25, early_stop_patience=25, seed=0)
-            trained, history = M.train(fixed, p, cfg, None)
+            trained, history = M.train(SampleBatch.from_samples(fixed), p, cfg, None)
             for a, b in zip(p.flatten(), trained.flatten()):
                 assert np.array_equal(np.asarray(a), np.asarray(b))
             assert history[0][0] == 0.0
@@ -45,7 +45,7 @@ class TestTrainBasics:
         samples = make_dataset(rng)
         p = M.init_params(M.FusionDims(4, 2, 4), 3)
         cfg = M.TrainConfig(eta=1e-3, max_epochs=10, early_stop_patience=10, seed=1)
-        _, history = M.train(samples, p, cfg, None)
+        _, history = M.train(SampleBatch.from_samples(samples), p, cfg, None)
         assert len(history) == 10
         assert all(np.isfinite(tr) for tr, _ in history)
         assert all(np.isnan(va) for _, va in history)  # no validation split given
@@ -54,10 +54,10 @@ class TestTrainBasics:
         rng = np.random.default_rng(3)
         samples = make_dataset(rng, n=30)
         p = M.init_params(M.FusionDims(3, 2, 3), 4)
-        preds = M.predict(samples, p)
+        preds = M.predict(SampleBatch.from_samples(samples), p)
         expected = float(np.mean((np.array([s.target for s in samples]) - preds) ** 2))
         cfg = M.TrainConfig(eta=1e-3, max_epochs=1, early_stop_patience=1, seed=0)
-        _, history = M.train(samples, p, cfg, None)
+        _, history = M.train(SampleBatch.from_samples(samples), p, cfg, None)
         assert history[0][0] == pytest.approx(expected, rel=1e-12)
 
     def test_training_reduces_loss(self):
@@ -65,7 +65,7 @@ class TestTrainBasics:
         samples = make_dataset(rng, n=120)
         p = M.init_params(M.FusionDims(8, 4, 8), 6)
         cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=150, batch_size=32, early_stop_patience=150, seed=2)
-        _, history = M.train(samples, p, cfg, None)
+        _, history = M.train(SampleBatch.from_samples(samples), p, cfg, None)
         assert history[-1][0] < 0.05 * history[0][0]
 
 
@@ -79,17 +79,17 @@ class TestProxyTargets:
             for v in values
         ]
         p = M.init_params(M.FusionDims(3, 2, 3), 7)
-        preds = M.predict(samples, p)
+        preds = M.predict(SampleBatch.from_samples(samples), p)
         expected = float(np.mean((values - preds) ** 2))
         cfg = M.TrainConfig(eta=1e-3, max_epochs=1, early_stop_patience=1, seed=0)
-        _, history = M.train(samples, p, cfg, None)
+        _, history = M.train(SampleBatch.from_samples(samples), p, cfg, None)
         assert history[0][0] == pytest.approx(expected, rel=1e-12)
 
     def test_unproxied_missing_target_rejected(self):
         s = MaskedSample(dl=1.0, dl_mask=1, ep=1.0, ep_mask=1, target=None, target_is_proxy=False)
         p = M.init_params(M.FusionDims(2, 2, 2), 1)
         with pytest.raises(ValueError):
-            M.train([s], p, M.TrainConfig(max_epochs=1), None)
+            M.train(SampleBatch.from_samples([s]), p, M.TrainConfig(max_epochs=1), None)
 
 
 class TestBiasCorrection:
@@ -103,10 +103,10 @@ class TestBiasCorrection:
         ]
         p = M.init_params(M.FusionDims(8, 4, 8), 11)
         y = np.array([s.target for s in samples])
-        before = float(np.sum((y - M.predict(samples, p)) ** 2))
+        before = float(np.sum((y - M.predict(SampleBatch.from_samples(samples), p)) ** 2))
         cfg = M.TrainConfig(eta=1e-4, optimizer="sgd", max_epochs=1, early_stop_patience=1, seed=0)
-        trained, _ = M.train(samples, p, cfg, None)
-        after = float(np.sum((y - M.predict(samples, trained)) ** 2))
+        trained, _ = M.train(SampleBatch.from_samples(samples), p, cfg, None)
+        after = float(np.sum((y - M.predict(SampleBatch.from_samples(samples), trained)) ** 2))
         assert after < before
 
     def test_constant_bias_driven_toward_zero(self):
@@ -121,8 +121,8 @@ class TestBiasCorrection:
         train_s, val_s, test_s = split_samples(samples, SplitSpec())
         p = M.init_params(M.FusionDims(16, 8, 16), 13)
         cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=200, batch_size=32, early_stop_patience=200, seed=3)
-        trained, _ = M.train(train_s, p, cfg, val_s)
-        preds = M.predict(test_s, trained)
+        trained, _ = M.train(SampleBatch.from_samples(train_s), p, cfg, SampleBatch.from_samples(val_s))
+        preds = M.predict(SampleBatch.from_samples(test_s), trained)
         me = float(np.mean(np.array([s.target for s in test_s]) - preds))
         assert abs(me) < 0.1 * abs(c)
 
@@ -138,7 +138,7 @@ class TestEarlyStopping:
         ]
         p = M.init_params(M.FusionDims(4, 2, 4), 9)
         cfg = M.TrainConfig(eta=1e-2, optimizer="adam", max_epochs=500, early_stop_patience=5, seed=1)
-        _, history = M.train(samples, p, cfg, val)
+        _, history = M.train(SampleBatch.from_samples(samples), p, cfg, SampleBatch.from_samples(val))
         assert len(history) < 500
 
     def test_restores_best_validation_params(self):
@@ -147,10 +147,10 @@ class TestEarlyStopping:
         val = make_dataset(rng, n=20)
         p = M.init_params(M.FusionDims(4, 2, 4), 10)
         cfg = M.TrainConfig(eta=1e-2, optimizer="adam", max_epochs=120, early_stop_patience=8, seed=2)
-        trained, history = M.train(samples, p, cfg, val)
+        trained, history = M.train(SampleBatch.from_samples(samples), p, cfg, SampleBatch.from_samples(val))
         vals = [va for _, va in history]
         xv = [s for s in val]
-        preds = M.predict(xv, trained)
+        preds = M.predict(SampleBatch.from_samples(xv), trained)
         got = float(np.mean((np.array([s.target for s in xv]) - preds) ** 2))
         assert got == pytest.approx(min(vals), rel=1e-9)
 
@@ -161,8 +161,8 @@ class TestDeterminismAndFailure:
         samples = make_dataset(rng, n=50)
         p = M.init_params(M.FusionDims(5, 3, 5), 12)
         cfg = M.TrainConfig(eta=2e-3, optimizer="adam", max_epochs=30, batch_size=16, early_stop_patience=30, seed=77)
-        a, _ = M.train(samples, p, cfg, None)
-        b, _ = M.train(samples, p, cfg, None)
+        a, _ = M.train(SampleBatch.from_samples(samples), p, cfg, None)
+        b, _ = M.train(SampleBatch.from_samples(samples), p, cfg, None)
         for x, y in zip(a.flatten(), b.flatten()):
             assert np.array_equal(np.asarray(x), np.asarray(y))
 
@@ -172,8 +172,8 @@ class TestDeterminismAndFailure:
         p = M.init_params(M.FusionDims(5, 3, 5), 12)
         cfg_a = M.TrainConfig(eta=2e-3, optimizer="adam", max_epochs=10, batch_size=16, early_stop_patience=10, seed=1)
         cfg_b = M.TrainConfig(eta=2e-3, optimizer="adam", max_epochs=10, batch_size=16, early_stop_patience=10, seed=2)
-        a, _ = M.train(samples, p, cfg_a, None)
-        b, _ = M.train(samples, p, cfg_b, None)
+        a, _ = M.train(SampleBatch.from_samples(samples), p, cfg_a, None)
+        b, _ = M.train(SampleBatch.from_samples(samples), p, cfg_b, None)
         assert any(not np.array_equal(np.asarray(x), np.asarray(y)) for x, y in zip(a.flatten(), b.flatten()))
 
     def test_divergence_reported_with_epoch_index(self):
@@ -182,7 +182,7 @@ class TestDeterminismAndFailure:
         p = M.init_params(M.FusionDims(4, 2, 4), 1)
         cfg = M.TrainConfig(eta=1e6, optimizer="sgd", max_epochs=50, early_stop_patience=50, seed=0)
         with pytest.raises(M.TrainingDiverged, match=r"epoch \d+"):
-            M.train(samples, p, cfg, None)
+            M.train(SampleBatch.from_samples(samples), p, cfg, None)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -477,7 +477,7 @@ class TestFlatOptimizerOracle:
         cfg = M.TrainConfig(
             eta=5e-3, optimizer=optimizer, max_epochs=40, batch_size=batch_size, early_stop_patience=6, seed=4
         )
-        trained, history = M.train(samples, p, cfg, val)
+        trained, history = M.train(SampleBatch.from_samples(samples), p, cfg, None if val is None else SampleBatch.from_samples(val))
         ref_arrays, ref_history = _reference_train(samples, p, cfg, val)
         assert len(history) == len(ref_history)
         assert np.array_equal(np.array(history), np.array(ref_history), equal_nan=True)
@@ -493,7 +493,7 @@ class TestBufferAliasing:
         before = p.vector.copy()
         views = [a.copy() for a in p.flatten()]
         cfg = M.TrainConfig(eta=1e-2, max_epochs=5, batch_size=8, early_stop_patience=5, seed=1)
-        trained, _ = M.train(samples, p, cfg, make_dataset(rng, n=10))
+        trained, _ = M.train(SampleBatch.from_samples(samples), p, cfg, SampleBatch.from_samples(make_dataset(rng, n=10)))
         assert np.array_equal(p.vector, before)
         for a, b in zip(p.flatten(), views):
             assert np.array_equal(a, b)
@@ -515,7 +515,7 @@ class TestBufferAliasing:
         val = make_dataset(rng, n=10) if with_val else None
         p = M.init_params(M.FusionDims(3, 2, 3), 25)
         cfg = M.TrainConfig(eta=1e-2, max_epochs=4, batch_size=10, early_stop_patience=4, seed=2)
-        trained, _ = M.train(samples, p, cfg, val)
+        trained, _ = M.train(SampleBatch.from_samples(samples), p, cfg, None if val is None else SampleBatch.from_samples(val))
         assert len(seen) == 4 * 3 * 4  # four buffers per update, three updates per epoch
         for buf in seen:
             assert not np.shares_memory(trained.vector, buf)
