@@ -9,7 +9,21 @@ import numpy as np
 
 from fusecast import model as M
 from fusecast.numkit import finite_diff_grad
-from fusecast.pipeline import MaskedSample
+from fusecast.pipeline import SampleBatch
+
+
+def one_sample(dl, ep, target):
+    """One sample, both streams present, as a one-row SampleBatch."""
+    return SampleBatch([dl], [1], [ep], [1], [target], [False], [True])
+
+
+def run_kernel(batch, params):
+    """The network's forward pass over ``batch``, with every intermediate
+    kept in the kernel's workspace (stream 0 = data, stream 1 = physics)."""
+    ws = M._Workspace(params.dims, len(batch))
+    M._batch_forward(M._fill_inputs(batch, ws.x), params, ws)
+    return ws
+
 
 # --- a tiny hand-checkable network -----------------------------------------
 # width 1 everywhere, all weights 1, all biases 0, memory 0
@@ -25,29 +39,28 @@ params = M.FusionParams(
     w_head_ep=np.ones(1), b_head_ep=0.0,
     w_head_mem=np.ones(1), b_head_mem=0.0,
 )
-sample = MaskedSample(dl=1.0, dl_mask=1, ep=1.0, ep_mask=1, target=3.0)
-trace = M.forward(sample, params)
+ws = run_kernel(one_sample(1.0, 1.0, 3.0), params)
+d = dims.embed_dim
 print("hand-checkable forward pass (everything 1, memory 0):")
-print(f"  embeddings h_dl={trace.h_dl}, h_ep={trace.h_ep}")
-print(f"  mixers     z_dl={trace.z_dl}, z_ep={trace.z_ep}")
-print(f"  heads      part_dl={trace.part_dl}, part_ep={trace.part_ep}, offset={trace.offset}")
-print(f"  prediction yhat = {trace.yhat}   (= 2 + 2 + 0)")
+print(f"  embeddings h_dl={ws.c[0, 0, :d]}, h_ep={ws.c[1, 0, :d]}")
+print(f"  mixers     z_dl={ws.z[0, 0]}, z_ep={ws.z[1, 0]}")
+print(f"  heads      part_dl={ws.part[0, 0]}, part_ep={ws.part[1, 0]}, offset={ws.offset}")
+print(f"  prediction yhat = {ws.yhat[0]}   (= 2 + 2 + 0)")
 
 # --- the prediction is always the sum of the three head outputs ------------
-rng = np.random.default_rng(0)
 p = M.init_params(M.FusionDims(8, 4, 8), seed=1)
-s = MaskedSample(dl=0.3, dl_mask=1, ep=-0.2, ep_mask=1, target=0.1)
-t = M.forward(s, p)
-assert t.yhat == t.part_dl + t.part_ep + t.offset
+s = one_sample(0.3, -0.2, 0.1)
+ws = run_kernel(s, p)
+assert ws.yhat[0] == ws.part[0, 0] + ws.part[1, 0] + ws.offset
 print("\nadditivity holds bit-exactly on a random network")
 
 # --- hand-derived gradients against the finite-difference oracle -----------
-loss, grads = M.backward(t, s, p)
+grads = M.FusionParams(p.dims)
+M._batch_backward(ws.x, s.target, p, ws, grads)
 
 
 def objective(arrays):
-    tr = M.forward(s, M.FusionParams.unflatten(p.dims, arrays))
-    return (s.target - tr.yhat) ** 2
+    return float((s.target[0] - M.predict(s, M.FusionParams.unflatten(p.dims, arrays))[0]) ** 2)
 
 
 numeric = finite_diff_grad(objective, p.flatten(), 1e-5)
@@ -60,5 +73,5 @@ print(f"backward pass vs central differences: worst relative error {worst:.2e}")
 # --- the offset head can leave the input interval ---------------------------
 p_high = M.init_params(M.FusionDims(4, 2, 4), seed=2)
 p_high.b_head_mem = 100.0
-print(f"\nwith a large offset bias the prediction escapes the inputs:")
-print(f"  inputs ({s.dl}, {s.ep}) -> yhat = {M.forward(s, p_high).yhat:.2f}")
+print("\nwith a large offset bias the prediction escapes the inputs:")
+print(f"  inputs ({s.dl[0]}, {s.ep[0]}) -> yhat = {M.predict(s, p_high)[0]:.2f}")

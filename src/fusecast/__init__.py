@@ -13,10 +13,7 @@ from .metrics import MetricReport, cv_rmse, mae, mean_error, nmbe, rmse, smape
 from .model import (
     FusionDims,
     FusionParams,
-    ForwardTrace,
     TrainConfig,
-    backward,
-    forward,
     init_params,
     load_checkpoint,
     predict,
@@ -26,7 +23,6 @@ from .model import (
 from .pipeline import (
     EnergySeries,
     FeatureMatrix,
-    MaskedSample,
     NormStats,
     SampleBatch,
     SplitSpec,

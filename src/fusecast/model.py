@@ -25,10 +25,10 @@ parameter vector stores each data/physics tensor pair side by side as one
 
 Gradients are hand-derived (see _batch_backward); numkit.finite_diff_grad
 is the independent oracle they are tested against.  One kernel computes
-the forward and backward passes over many rows into preallocated buffers;
-the per-sample forward/backward run it on one row.  Training follows a
-sum-of-squared-errors objective with one parameter update per batch unit;
-the default unit is the full epoch.
+the forward and backward passes over the rows of a SampleBatch into
+preallocated buffers; a single sample is a one-row batch.  Training follows
+a sum-of-squared-errors objective with one parameter update per batch
+unit; the default unit is the full epoch.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .numkit import AdamState, ShapeMismatch, adam_step, block_views, empty_blocks, fit_epochs, sgd_step
-from .pipeline import MaskedSample, NormStats, SampleBatch
+from .pipeline import NormStats, SampleBatch
 
 CHECKPOINT_TAG = "pgmn-ckpt-1"
 
@@ -177,31 +177,6 @@ class FusionParams:
         return FusionParams, (self.dims, self.vector)
 
 
-# Gradients mirror the parameter structure exactly.
-Gradients = FusionParams
-
-
-@dataclass
-class ForwardTrace:
-    """Everything the backward pass needs, cached from one forward pass."""
-
-    dl_in: np.ndarray       # [x_dl, mask]
-    ep_in: np.ndarray
-    pre_h_dl: np.ndarray
-    pre_h_ep: np.ndarray
-    h_dl: np.ndarray
-    h_ep: np.ndarray
-    mem: np.ndarray
-    pre_z_dl: np.ndarray
-    pre_z_ep: np.ndarray
-    z_dl: np.ndarray
-    z_ep: np.ndarray
-    part_dl: float
-    part_ep: float
-    offset: float
-    yhat: float
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters.
@@ -261,61 +236,6 @@ def init_params(dims: FusionDims, seed: int, random_memory: bool = False) -> Fus
         w_head_ep=w_head_ep, b_head_ep=0.0,
         w_head_mem=w_head_mem, b_head_mem=0.0,
     )
-
-
-def _stage_check(name: str, arr) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite value at stage {name}")
-
-
-def forward(sample: MaskedSample, params: FusionParams) -> ForwardTrace:
-    """Run one sample through the network, caching all intermediates: the
-    batch kernel on one row, with each stage checked for non-finite values."""
-    ws = _Workspace(params.dims, 1, backward=False)
-    ws.x[:, 0] = (sample.dl, sample.dl_mask), (sample.ep, sample.ep_mask)
-    _stage_check("inputs", ws.x)
-
-    yhat = float(_batch_forward(ws.x, params, ws)[0])
-    for name, stage in (("h_dl", ws.a_h[0]), ("h_ep", ws.a_h[1]), ("z_dl", ws.a_z[0]), ("z_ep", ws.a_z[1])):
-        _stage_check(name, stage)
-    part_dl, part_ep, offset = float(ws.part[0, 0]), float(ws.part[1, 0]), float(ws.offset)
-    _stage_check("yhat", np.array([part_dl, part_ep, offset, yhat]))
-
-    d = params.dims.embed_dim
-    return ForwardTrace(
-        dl_in=ws.x[0, 0], ep_in=ws.x[1, 0],
-        pre_h_dl=ws.a_h[0, 0], pre_h_ep=ws.a_h[1, 0], h_dl=ws.c[0, 0, :d], h_ep=ws.c[1, 0, :d],
-        mem=params.memory, pre_z_dl=ws.a_z[0, 0], pre_z_ep=ws.a_z[1, 0], z_dl=ws.z[0, 0], z_ep=ws.z[1, 0],
-        part_dl=part_dl, part_ep=part_ep, offset=offset, yhat=yhat,
-    )
-
-
-def resolve_target(sample: MaskedSample) -> float:
-    """The training target: the actual when present, otherwise the physics
-    value for proxy-labelled samples."""
-    if sample.target is not None:
-        return float(sample.target)
-    if sample.target_is_proxy:
-        return float(sample.ep)
-    raise ValueError("sample has no target and is not marked as proxy-labelled")
-
-
-def backward(trace: ForwardTrace, sample: MaskedSample, params: FusionParams) -> tuple[float, Gradients]:
-    """Squared-error loss and its exact gradients for one sample: the batch
-    kernel's backward pass on the one row held by ``trace``."""
-    y = resolve_target(sample)
-    d = params.dims.embed_dim
-    ws = _Workspace(params.dims, 1)
-    ws.x[:, 0] = trace.dl_in, trace.ep_in
-    ws.a_h[:, 0] = trace.pre_h_dl, trace.pre_h_ep
-    ws.c[:, 0, :d] = trace.h_dl, trace.h_ep
-    ws.c[:, 0, d:] = trace.mem
-    ws.a_z[:, 0] = trace.pre_z_dl, trace.pre_z_ep
-    ws.z[:, 0] = trace.z_dl, trace.z_ep
-    ws.yhat[0] = trace.yhat
-    grads = Gradients(params.dims)
-    losses = _batch_backward(ws.x, np.array([y]), params, ws, grads)
-    return float(losses[0]), grads
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +309,7 @@ def _batch_forward(x: np.ndarray, params: FusionParams, ws: _Workspace) -> np.nd
     return yhat
 
 
-def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Workspace, grads: Gradients) -> np.ndarray:
+def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Workspace, grads: FusionParams) -> np.ndarray:
     """Per-row squared-error losses (a view into ``ws``) of the forward pass
     ``ws`` holds for the rows ``x``; the gradients summed over the rows are
     written into ``grads``.

@@ -173,46 +173,20 @@ class SplitSpec:
         return i_train, i_val
 
 
-@dataclass(frozen=True)
-class MaskedSample:
-    """One training instance for the fusion model.
-
-    ``dl``/``ep`` are the two forecast values with their availability masks.
-    A masked-out value is always a usable stand-in (imputed or zero), never
-    NaN.  ``target`` may be None when the scenario declares actuals absent;
-    ``target_is_proxy`` marks targets that were substituted from the physics
-    stream, and ``target_observed`` is False for any target that is not a
-    real measurement (proxy or imputed), which keeps them out of
-    normalization statistics.
-    """
-
-    dl: float
-    dl_mask: int
-    ep: float
-    ep_mask: int
-    target: float | None
-    target_is_proxy: bool = False
-    target_observed: bool = True
-
-    def __post_init__(self):
-        if self.dl_mask not in (0, 1) or self.ep_mask not in (0, 1):
-            raise ValueError("masks must be 0 or 1")
-        if not (np.isfinite(self.dl) and np.isfinite(self.ep)):
-            raise ValueError("forecast inputs must be finite")
-        if self.target is not None and not np.isfinite(self.target):
-            raise ValueError("target must be finite when present")
-
-
 class SampleBatch:
-    """Many MaskedSamples as equal-length columns.
+    """The fusion model's training instances as equal-length columns, one
+    row per sample.
 
-    ``dl``/``ep`` are float64 forecasts, ``dl_mask``/``ep_mask`` int64 masks
-    in {0, 1}, ``target`` float64, and ``proxy``/``observed`` bool flags
-    (a MaskedSample's ``target_is_proxy``/``target_observed``).  A NaN target
-    marks an absent one, which only a proxy-labelled row may have: it trains
-    against its ``ep`` value.  The constructor copies and checks every column
-    and rejects what MaskedSample rejects per row, naming the column.
-    Slicing returns a batch of views without re-checking.
+    ``dl``/``ep`` are the two float64 forecasts and ``dl_mask``/``ep_mask``
+    their int64 availability masks in {0, 1}; a masked-out value is a usable
+    stand-in (imputed or zero), never NaN.  ``target`` is float64, where NaN
+    marks an absent actual, which only a proxy-labelled row may have: it
+    trains against its ``ep`` value.  ``proxy`` flags targets substituted
+    from the physics stream, and ``observed`` is False for any target that
+    is not a real measurement (proxy or imputed), which keeps it out of
+    normalization statistics.  The constructor copies and checks every
+    column and raises ValueError naming the column.  Slicing returns a batch
+    of views without re-checking.
     """
 
     COLUMNS = ("dl", "dl_mask", "ep", "ep_mask", "target", "proxy", "observed")
@@ -243,19 +217,6 @@ class SampleBatch:
         if not (np.isfinite(target) | (np.isnan(target) & cols["proxy"])).all():
             raise ValueError("target must be finite where present; only a proxy-labelled row may lack one (NaN)")
         self.__dict__.update(cols)
-
-    @classmethod
-    def from_samples(cls, samples) -> "SampleBatch":
-        """The columns of a sequence of MaskedSamples (None targets -> NaN)."""
-        return cls(
-            [s.dl for s in samples],
-            [s.dl_mask for s in samples],
-            [s.ep for s in samples],
-            [s.ep_mask for s in samples],
-            [math.nan if s.target is None else s.target for s in samples],
-            [s.target_is_proxy for s in samples],
-            [s.target_observed for s in samples],
-        )
 
     def __len__(self) -> int:
         return len(self.dl)
@@ -551,10 +512,15 @@ def read_key_values(path, parsers) -> dict:
     """The ``key = value`` lines of a flat config file, each value converted
     by its key's parser in ``parsers``.  ``#`` starts a comment.  A line
     without ``=``, an unknown key, a key set twice or a value its parser
-    rejects raises ValueError naming the file and the line."""
+    rejects raises ValueError naming the file and the line; a file that
+    cannot be read raises ValueError naming the file."""
     values: dict = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read config file: {exc.strerror or exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -74,8 +74,13 @@ class BuildingParams:
 
 def load_building_params(path) -> BuildingParams:
     """Read a flat key=value file of BuildingParams fields; unknown or
-    repeated keys are rejected."""
-    return BuildingParams(**read_key_values(path, {f.name: float for f in fields(BuildingParams)}))
+    repeated keys, and values BuildingParams rejects, raise ValueError
+    naming the file."""
+    values = read_key_values(path, {f.name: float for f in fields(BuildingParams)})
+    try:
+        return BuildingParams(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass

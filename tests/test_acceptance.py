@@ -27,7 +27,6 @@ from fusecast.metrics import rmse, smape
 from fusecast.numkit import finite_diff_grad
 from fusecast.pipeline import (
     EnergySeries,
-    MaskedSample,
     SampleBatch,
     SplitSpec,
     apply_sparsity,
@@ -37,6 +36,13 @@ from fusecast.pipeline import (
 )
 
 MASTER_SEED = 42
+
+
+def _batch(dl, ep, target, dl_mask=1, ep_mask=1):
+    """Measured samples as a SampleBatch; a scalar mask applies to every row."""
+    n = len(dl)
+    return SampleBatch(dl, np.broadcast_to(dl_mask, n), ep, np.broadcast_to(ep_mask, n), target,
+                       np.zeros(n, bool), np.ones(n, bool))
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -81,27 +87,25 @@ def test_criterion_1_gradient_exactness():
         p0 = M.init_params(dims, int(rng.integers(1 << 30)))
         sample = None
         params = None
-        trace = None
         for _ in range(80):
             arrays = [a + 0.3 * rng.standard_normal(a.shape) for a in p0.flatten()]
             cand = M.FusionParams.unflatten(dims, arrays)
-            s = MaskedSample(
-                dl=float(rng.normal()), dl_mask=int(rng.integers(0, 2)),
-                ep=float(rng.normal()), ep_mask=int(rng.integers(0, 2)),
-                target=float(rng.normal()),
-            )
-            tr = M.forward(s, cand)
-            pre = np.concatenate([tr.pre_h_dl, tr.pre_h_ep, tr.pre_z_dl, tr.pre_z_ep])
-            if np.all(np.abs(pre) > 1e-3):
-                sample, params, trace = s, cand, tr
+            # one row, drawn in the order dl, dl_mask, ep, ep_mask, target
+            dl, dl_mask = rng.normal(), rng.integers(0, 2)
+            ep, ep_mask = rng.normal(), rng.integers(0, 2)
+            s = _batch([dl], [ep], [rng.normal()], dl_mask, ep_mask)
+            ws = M._Workspace(dims, 1)
+            M._batch_forward(M._fill_inputs(s, ws.x), cand, ws)
+            if np.all(np.abs(ws.a_h) > 1e-3) and np.all(np.abs(ws.a_z) > 1e-3):
+                sample, params = s, cand
                 break
         if sample is None:
             continue
-        _, grads = M.backward(trace, sample, params)
+        grads = M.FusionParams(dims)
+        M._batch_backward(ws.x, sample.target, params, ws, grads)
 
         def loss(arrays):
-            t = M.forward(sample, M.FusionParams.unflatten(dims, arrays))
-            return (M.resolve_target(sample) - t.yhat) ** 2
+            return float((sample.target[0] - M.predict(sample, M.FusionParams.unflatten(dims, arrays))[0]) ** 2)
 
         numeric = finite_diff_grad(loss, params.flatten(), 1e-5)
         for a, n in zip(grads.flatten(), numeric):
@@ -126,12 +130,7 @@ def _constant_bias_fixture(master=MASTER_SEED, n=900, bias_kwh=50.0):
     rng = np.random.default_rng(master)
     x_kwh = 120.0 + 80.0 * rng.random(n)
     scale = 100.0
-    samples = [
-        MaskedSample(dl=float(v / scale), dl_mask=1, ep=float(v / scale), ep_mask=1,
-                     target=float((v + bias_kwh) / scale))
-        for v in x_kwh
-    ]
-    return samples, scale
+    return _batch(x_kwh / scale, x_kwh / scale, (x_kwh + bias_kwh) / scale), scale
 
 
 def _train_variant(samples, scale, memory_enabled, master=MASTER_SEED):
@@ -140,9 +139,9 @@ def _train_variant(samples, scale, memory_enabled, master=MASTER_SEED):
     params = M.init_params(dims, master + SEED_INIT)
     cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=300, batch_size=128,
                         early_stop_patience=20, seed=master + SEED_TRAIN)
-    params, _ = M.train(SampleBatch.from_samples(train_s), params, cfg, SampleBatch.from_samples(val_s))
-    preds = M.predict(SampleBatch.from_samples(test_s), params) * scale
-    actual = np.array([s.target for s in test_s]) * scale
+    params, _ = M.train(train_s, params, cfg, val_s)
+    preds = M.predict(test_s, params) * scale
+    actual = test_s.target * scale
     return float(np.mean(actual - preds)), preds, actual
 
 
@@ -174,17 +173,13 @@ def test_criterion_3_unbounded_output():
     xe = 80.0 + 120.0 * rng.random(n)
     y = 1.5 * np.maximum(xd, xe) + 10.0
     scale = 100.0
-    samples = [
-        MaskedSample(dl=float(a / scale), dl_mask=1, ep=float(b / scale), ep_mask=1, target=float(c / scale))
-        for a, b, c in zip(xd, xe, y)
-    ]
-    train_s, val_s, test_s = split_samples(samples, SplitSpec())
+    train_s, val_s, test_s = split_samples(_batch(xd / scale, xe / scale, y / scale), SplitSpec())
     params = M.init_params(DEFAULT_DIMS, MASTER_SEED + SEED_INIT)
     cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=300, batch_size=64,
                         early_stop_patience=20, seed=MASTER_SEED + SEED_TRAIN)
-    params, _ = M.train(SampleBatch.from_samples(train_s), params, cfg, SampleBatch.from_samples(val_s))
-    preds = M.predict(SampleBatch.from_samples(test_s), params) * scale
-    caps = np.array([max(s.dl, s.ep) for s in test_s]) * scale
+    params, _ = M.train(train_s, params, cfg, val_s)
+    preds = M.predict(test_s, params) * scale
+    caps = np.maximum(test_s.dl, test_s.ep) * scale
     frac = float(np.mean(preds > caps))
     elapsed = time.perf_counter() - t0
     ok = frac >= 0.95 and elapsed < 60.0
@@ -202,14 +197,10 @@ def test_criterion_4_function_approximation():
     xx, yy = np.meshgrid(g1, g2)
     xd, xe = xx.ravel(), yy.ravel()
     target = np.sin(3.0 * xd) + 0.5 * xe**2
-    samples = [
-        MaskedSample(dl=float(a), dl_mask=1, ep=float(b), ep_mask=1, target=float(c))
-        for a, b, c in zip(xd, xe, target)
-    ]
     params = M.init_params(M.FusionDims(64, 64, 64), MASTER_SEED + SEED_INIT)
     cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=400, batch_size=64,
                         early_stop_patience=400, seed=MASTER_SEED + SEED_TRAIN)
-    params, history = M.train(SampleBatch.from_samples(samples), params, cfg, None)
+    params, history = M.train(_batch(xd, xe, target), params, cfg, None)
     train_losses = [tr for tr, _ in history]
     best = min(train_losses)
     first_hit = next((i for i, v in enumerate(train_losses) if v < 1e-3), None)

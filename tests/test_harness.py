@@ -574,10 +574,26 @@ class TestCli:
         assert f"config error: {cfg}:{message}\n" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_simulate_bad_building_config(self, tmp_path):
+    def test_simulate_bad_building_config(self, tmp_path, capsys):
         cfg = tmp_path / "building.cfg"
         cfg.write_text("windows = 14\n")
         assert cli_main(["simulate", "--fast", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        # values that parse but break a BuildingParams rule name the file too
+        cfg.write_text("occupants = -1\n")
+        capsys.readouterr()
+        assert cli_main(["simulate", "--fast", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: {cfg}: occupants must be non-negative\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scenario", "simulate"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_file_exits_1(self, tmp_path, capsys, command, kind):
+        cfg = tmp_path / "nonexistent.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        out = tmp_path / "o"
+        assert cli_main([command, "--fast", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"config error: {cfg}: cannot read config file: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scenario_subcommand_writes_outputs(self, tmp_path):
         out = tmp_path / "scen"

@@ -1,5 +1,6 @@
 import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from fusecast import model as M
 from fusecast.numkit import ShapeMismatch, finite_diff_grad, sgd_step
-from fusecast.pipeline import MaskedSample, NormStats, SampleBatch
+from fusecast.pipeline import NormStats, SampleBatch
 
 
 def manual_params(dims, fill=1.0, memory=None):
@@ -26,18 +27,49 @@ def manual_params(dims, fill=1.0, memory=None):
     )
 
 
-def random_sample(rng, masks=(1, 1)):
-    return MaskedSample(
-        dl=float(rng.normal()), dl_mask=masks[0],
-        ep=float(rng.normal()), ep_mask=masks[1],
-        target=float(rng.normal()),
-    )
+def sample_batch(dl, ep, target=0.0, dl_mask=1, ep_mask=1, proxy=False):
+    """A SampleBatch from columns; a scalar applies to every row, so scalars
+    alone make one row.  Proxy-labelled rows are the unobserved ones."""
+    cols = np.broadcast_arrays(*map(np.atleast_1d, (dl, dl_mask, ep, ep_mask, target, proxy)))
+    return SampleBatch(*cols, ~cols[-1])
 
 
-def loss_fn(sample, dims):
+def random_batch(rng, n=1, masks=(1, 1)):
+    """n rows of standard normal dl, ep and target, drawn row by row."""
+    dl, ep, target = rng.normal(size=(n, 3)).T
+    return sample_batch(dl, ep, target, *masks)
+
+
+def run_kernel(batch, p):
+    """A workspace holding the kernel's forward pass over ``batch``: the
+    intermediates of row i of stream k (0 = data, 1 = physics) are
+    ``a_h[k, i]``, ``c[k, i]`` = [h, memory], ``a_z[k, i]``, ``z[k, i]``
+    and ``part[k, i]``."""
+    ws = M._Workspace(p.dims, len(batch))
+    M._batch_forward(M._fill_inputs(batch, ws.x), p, ws)
+    return ws
+
+
+def kernel_grads(batch, p):
+    """The kernel's summed squared-error loss and gradients over ``batch``,
+    and the workspace of that pass."""
+    ws = run_kernel(batch, p)
+    grads = M.FusionParams(p.dims)
+    losses = M._batch_backward(ws.x, batch.resolved_targets(), p, ws, grads)
+    return float(np.sum(losses)), grads, ws
+
+
+def near_relu_kink(ws):
+    """Whether a pre-activation lies within 1e-3 of a ReLU kink, where a
+    central difference straddles it."""
+    return bool(np.any(np.abs(ws.a_h) <= 1e-3) or np.any(np.abs(ws.a_z) <= 1e-3))
+
+
+def loss_fn(batch, dims):
+    y = batch.resolved_targets()
+
     def f(arrays):
-        trace = M.forward(sample, M.FusionParams.unflatten(dims, arrays))
-        return (M.resolve_target(sample) - trace.yhat) ** 2
+        return float(np.sum((y - M.predict(batch, M.FusionParams.unflatten(dims, arrays))) ** 2))
     return f
 
 
@@ -75,9 +107,15 @@ class TestInitParams:
 
 
 def embeddings(p, dl=0.0, dl_mask=1, ep=0.0, ep_mask=1):
-    """(h_dl, h_ep) of one sample, read from the forward trace."""
-    trace = M.forward(MaskedSample(dl=dl, dl_mask=dl_mask, ep=ep, ep_mask=ep_mask, target=0.0), p)
-    return trace.h_dl, trace.h_ep
+    """(h_dl, h_ep) of one sample, read from the kernel's workspace."""
+    ws = run_kernel(sample_batch(dl, ep, dl_mask=dl_mask, ep_mask=ep_mask), p)
+    d = p.dims.embed_dim
+    return ws.c[0, 0, :d], ws.c[1, 0, :d]
+
+
+def memory_read(p):
+    """The memory columns of both mixer inputs for one sample, (2, mem_width)."""
+    return run_kernel(sample_batch(0.0, 0.0), p).c[:, 0, p.dims.embed_dim:]
 
 
 class TestProjections:
@@ -112,11 +150,10 @@ class TestProjections:
 class TestReadMemory:
     def test_identity_read(self):
         dims = M.FusionDims(1, 2, 1)
-        sample = MaskedSample(dl=0.0, dl_mask=1, ep=0.0, ep_mask=1, target=0.0)
         p = manual_params(dims, memory=[0.0, 0.0])
-        assert np.array_equal(M.forward(sample, p).mem, np.zeros(2))
+        assert np.array_equal(memory_read(p), np.zeros((2, 2)))
         p2 = manual_params(dims, memory=[1.5, -2.0])
-        assert np.array_equal(M.forward(sample, p2).mem, np.array([1.5, -2.0]))
+        assert np.array_equal(memory_read(p2), [[1.5, -2.0], [1.5, -2.0]])
 
     def test_reflects_optimizer_updates(self):
         dims = M.FusionDims(1, 2, 1)
@@ -127,80 +164,75 @@ class TestReadMemory:
         flat_g = M.FusionParams.unflatten(dims, grads).vector
         new = M.FusionParams(dims, sgd_step(p.vector, flat_g, 0.5))
         assert np.array_equal(new.memory, np.array([0.0, 2.0]))
-        sample = MaskedSample(dl=0.0, dl_mask=1, ep=0.0, ep_mask=1, target=0.0)
-        assert np.array_equal(M.forward(sample, new).mem, np.array([0.0, 2.0]))
+        assert np.array_equal(memory_read(new), [[0.0, 2.0], [0.0, 2.0]])
 
 
 class TestForward:
     def test_zero_network(self):
         dims = M.FusionDims(3, 2, 4)
         p = manual_params(dims, fill=0.0)
-        trace = M.forward(MaskedSample(dl=5.0, dl_mask=1, ep=-2.0, ep_mask=1, target=0.0), p)
-        assert trace.yhat == 0.0
+        assert M.predict(sample_batch(5.0, -2.0), p)[0] == 0.0
 
     def test_constant_path_through_head_biases(self):
         dims = M.FusionDims(3, 2, 4)
         p = manual_params(dims, fill=0.0)
         p.b_head_dl, p.b_head_ep, p.b_head_mem = 2.0, 3.0, -1.0
-        trace = M.forward(MaskedSample(dl=9.0, dl_mask=1, ep=9.0, ep_mask=1, target=0.0), p)
-        assert trace.yhat == pytest.approx(4.0)
+        assert M.predict(sample_batch(9.0, 9.0), p)[0] == pytest.approx(4.0)
 
     def test_full_hand_trace(self):
         dims = M.FusionDims(1, 1, 1)
         p = manual_params(dims, fill=1.0)
-        trace = M.forward(MaskedSample(dl=1.0, dl_mask=1, ep=1.0, ep_mask=1, target=0.0), p)
-        assert trace.h_dl[0] == 2.0 and trace.h_ep[0] == 2.0
-        assert trace.mem[0] == 0.0
-        assert trace.z_dl[0] == 2.0 and trace.z_ep[0] == 2.0
-        assert trace.part_dl == 2.0 and trace.part_ep == 2.0 and trace.offset == 0.0
-        assert trace.yhat == 4.0
+        ws = run_kernel(sample_batch(1.0, 1.0), p)
+        assert ws.c[0, 0, 0] == 2.0 and ws.c[1, 0, 0] == 2.0  # h_dl, h_ep
+        assert ws.c[0, 0, 1] == 0.0 and ws.c[1, 0, 1] == 0.0  # the memory read
+        assert ws.z[0, 0, 0] == 2.0 and ws.z[1, 0, 0] == 2.0
+        assert ws.part[0, 0] == 2.0 and ws.part[1, 0] == 2.0 and ws.offset == 0.0
+        assert ws.yhat[0] == 4.0
 
     def test_additivity_bit_exact(self):
         rng = np.random.default_rng(11)
         dims = M.FusionDims(4, 3, 5)
         p = M.init_params(dims, 1)
         for _ in range(100):
-            trace = M.forward(random_sample(rng), p)
-            assert trace.yhat == trace.part_dl + trace.part_ep + trace.offset
+            ws = run_kernel(random_batch(rng), p)
+            assert ws.yhat[0] == ws.part[0, 0] + ws.part[1, 0] + ws.offset
 
     def test_post_relu_nonnegative(self):
         rng = np.random.default_rng(12)
         p = M.init_params(M.FusionDims(6, 2, 6), 2)
         for _ in range(50):
-            trace = M.forward(random_sample(rng), p)
-            assert np.all(trace.h_dl >= 0) and np.all(trace.h_ep >= 0)
-            assert np.all(trace.z_dl >= 0) and np.all(trace.z_ep >= 0)
+            ws = run_kernel(random_batch(rng), p)
+            assert np.all(ws.c[..., : p.dims.embed_dim] >= 0)
+            assert np.all(ws.z >= 0)
 
     def test_mask_sensitivity(self):
         rng = np.random.default_rng(13)
         dims = M.FusionDims(4, 2, 4)
         p = M.init_params(dims, 5)
         # nonzero mask column: flipping the mask changes the embedding
-        base = MaskedSample(dl=0.7, dl_mask=1, ep=0.1, ep_mask=1, target=0.0)
-        flipped = MaskedSample(dl=0.7, dl_mask=0, ep=0.1, ep_mask=1, target=0.0)
-        assert not np.array_equal(M.forward(base, p).h_dl, M.forward(flipped, p).h_dl)
+        assert not np.array_equal(embeddings(p, dl=0.7, ep=0.1)[0], embeddings(p, dl=0.7, dl_mask=0, ep=0.1)[0])
         # zero mask column: the mask can never influence the output
         p.w_dl[:, 1] = 0.0
         for _ in range(20):
-            s1 = random_sample(rng, masks=(1, 1))
-            s0 = MaskedSample(dl=s1.dl, dl_mask=0, ep=s1.ep, ep_mask=s1.ep_mask, target=s1.target)
-            assert M.forward(s1, p).yhat == M.forward(s0, p).yhat
+            s1 = random_batch(rng, masks=(1, 1))
+            s0 = sample_batch(s1.dl, s1.ep, s1.target, dl_mask=0, ep_mask=s1.ep_mask)
+            assert M.predict(s1, p)[0] == M.predict(s0, p)[0]
 
-    def test_nonfinite_intermediate_names_stage(self):
+    def test_nonfinite_intermediate_fails_predict(self):
         dims = M.FusionDims(1, 1, 1)
         p = manual_params(dims, fill=1e308)
-        with pytest.raises(FloatingPointError, match="h_dl"):
-            M.forward(MaskedSample(dl=1e308, dl_mask=1, ep=0.0, ep_mask=1, target=0.0), p)
+        batch = sample_batch(1e308, 0.0)
+        assert not np.isfinite(run_kernel(batch, p).c[0, 0, :1]).all()  # h_dl overflows
+        with pytest.raises(ValueError, match="1 of 1 outputs are non-finite"):
+            M.predict(batch, p)
 
 
 class TestBackward:
     def test_perfect_prediction_zero_gradients(self):
         dims = M.FusionDims(3, 2, 3)
         p = M.init_params(dims, 7)
-        s = MaskedSample(dl=0.4, dl_mask=1, ep=-0.2, ep_mask=1, target=0.0)
-        trace = M.forward(s, p)
-        s_exact = MaskedSample(dl=s.dl, dl_mask=1, ep=s.ep, ep_mask=1, target=trace.yhat)
-        loss, grads = M.backward(M.forward(s_exact, p), s_exact, p)
+        yhat = M.predict(sample_batch(0.4, -0.2), p)[0]
+        loss, grads, _ = kernel_grads(sample_batch(0.4, -0.2, yhat), p)
         assert loss == 0.0
         for g in grads.flatten():
             assert np.all(np.asarray(g) == 0.0)
@@ -210,10 +242,9 @@ class TestBackward:
         dims = M.FusionDims(4, 3, 5)
         p = M.init_params(dims, 3)
         for _ in range(25):
-            s = random_sample(rng)
-            trace = M.forward(s, p)
-            _, grads = M.backward(trace, s, p)
-            expected = 2.0 * (trace.yhat - s.target)
+            s = random_batch(rng)
+            _, grads, ws = kernel_grads(s, p)
+            expected = 2.0 * (ws.yhat[0] - s.target[0])
             assert grads.b_head_dl == pytest.approx(expected, rel=1e-12)
             assert grads.b_head_ep == pytest.approx(expected, rel=1e-12)
             assert grads.b_head_mem == pytest.approx(expected, rel=1e-12)
@@ -226,12 +257,10 @@ class TestBackward:
             p = M.init_params(dims, int(rng.integers(1 << 30)))
             arrays = [a + 0.3 * rng.standard_normal(a.shape) for a in p.flatten()]
             p = M.FusionParams.unflatten(dims, arrays)
-            s = random_sample(rng, masks=(int(rng.integers(0, 2)), int(rng.integers(0, 2))))
-            trace = M.forward(s, p)
-            pre = np.concatenate([trace.pre_h_dl, trace.pre_h_ep, trace.pre_z_dl, trace.pre_z_ep])
-            if np.any(np.abs(pre) <= 1e-3):
+            s = random_batch(rng, masks=(int(rng.integers(0, 2)), int(rng.integers(0, 2))))
+            _, grads, ws = kernel_grads(s, p)
+            if near_relu_kink(ws):
                 continue
-            _, grads = M.backward(trace, s, p)
             numeric = finite_diff_grad(loss_fn(s, dims), p.flatten(), 1e-5)
             for a, n in zip(grads.flatten(), numeric):
                 a = np.asarray(a)
@@ -239,16 +268,14 @@ class TestBackward:
             checked += 1
 
     def test_missing_unproxied_target_rejected(self):
-        dims = M.FusionDims(1, 1, 1)
-        p = manual_params(dims)
-        s = MaskedSample(dl=1.0, dl_mask=1, ep=1.0, ep_mask=1, target=None, target_is_proxy=False)
-        trace = M.forward(s, p)
-        with pytest.raises(ValueError):
-            M.backward(trace, s, p)
+        with pytest.raises(ValueError, match="target"):
+            sample_batch(1.0, 1.0, target=np.nan)
 
     def test_proxy_target_resolves_to_physics_value(self):
-        s = MaskedSample(dl=0.0, dl_mask=0, ep=7.5, ep_mask=1, target=None, target_is_proxy=True)
-        assert M.resolve_target(s) == 7.5
+        s = sample_batch(0.0, 7.5, target=np.nan, dl_mask=0, proxy=True)
+        assert s.resolved_targets()[0] == 7.5
+        loss, _, ws = kernel_grads(s, manual_params(M.FusionDims(1, 1, 1)))
+        assert loss == (7.5 - ws.yhat[0]) ** 2
 
 
 class TestBatchEquivalence:
@@ -256,22 +283,17 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(41)
         dims = M.FusionDims(5, 3, 6)
         p = M.init_params(dims, 17)
-        samples = [random_sample(rng) for _ in range(64)]
-        ws = M._Workspace(dims, len(samples))
-        x = M._fill_inputs(SampleBatch.from_samples(samples), ws.x)
-        y = np.array([s.target for s in samples])
-        M._batch_forward(x, p, ws)
-        batch_grads = M.FusionParams(dims)
-        losses = M._batch_backward(x, y, p, ws, batch_grads)
+        batch = random_batch(rng, 64)
+        batch_loss, batch_grads, _ = kernel_grads(batch, p)
 
         total = None
         loss_total = 0.0
-        for s in samples:
-            loss, g = M.backward(M.forward(s, p), s, p)
+        for i in range(len(batch)):
+            loss, g, _ = kernel_grads(batch[i : i + 1], p)
             loss_total += loss
             flat = g.flatten()
             total = flat if total is None else [a + b for a, b in zip(total, flat)]
-        assert float(np.sum(losses)) == pytest.approx(loss_total, rel=1e-12)
+        assert batch_loss == pytest.approx(loss_total, rel=1e-12)
         for a, b in zip(total, batch_grads.flatten()):
             scale = np.maximum(np.abs(np.asarray(a)), 1.0)
             assert np.all(np.abs(np.asarray(a) - np.asarray(b)) <= 1e-9 * scale)
@@ -279,25 +301,41 @@ class TestBatchEquivalence:
     def test_predict_matches_forward(self):
         rng = np.random.default_rng(42)
         p = M.init_params(M.FusionDims(4, 2, 4), 9)
-        samples = [random_sample(rng) for _ in range(10)]
-        preds = M.predict(SampleBatch.from_samples(samples), p)
-        for s, v in zip(samples, preds):
-            assert M.forward(s, p).yhat == pytest.approx(v, rel=1e-14)
+        batch = random_batch(rng, 10)
+        preds = M.predict(batch, p)
+        for i, v in enumerate(preds):
+            assert run_kernel(batch[i : i + 1], p).yhat[0] == pytest.approx(v, rel=1e-14)
 
     def test_zero_params_predict_zero(self):
         dims = M.FusionDims(3, 2, 3)
         p = manual_params(dims, fill=0.0)
         rng = np.random.default_rng(43)
-        preds = M.predict(SampleBatch.from_samples([random_sample(rng) for _ in range(8)]), p)
+        preds = M.predict(random_batch(rng, 8), p)
         assert np.array_equal(preds, np.zeros(8))
 
     def test_predict_is_pure(self):
         rng = np.random.default_rng(44)
         p = M.init_params(M.FusionDims(4, 2, 4), 10)
-        samples = [random_sample(rng) for _ in range(12)]
-        a = M.predict(SampleBatch.from_samples(samples), p)
-        b = M.predict(SampleBatch.from_samples(samples), p)
+        batch = random_batch(rng, 12)
+        a = M.predict(batch, p)
+        b = M.predict(batch, p)
         assert np.array_equal(a, b)
+
+
+def fold_memory(p):
+    """The memory-less parameters equivalent to ``p``: the memory is one
+    vector shared by every row, so its mixer columns times the memory are a
+    constant that joins each mixer bias, and the offset head's memory term
+    joins the offset bias."""
+    d = p.dims.embed_dim
+    folded = M.FusionParams(replace(p.dims, memory_enabled=False))
+    for name in ("w_dl", "b_dl", "w_ep", "b_ep", "w_head_dl", "b_head_dl", "w_head_ep", "b_head_ep"):
+        setattr(folded, name, getattr(p, name))
+    folded.w_hid_dl, folded.w_hid_ep = p.w_hid_dl[:, :d], p.w_hid_ep[:, :d]
+    folded.b_hid_dl = p.b_hid_dl + p.w_hid_dl[:, d:] @ p.memory
+    folded.b_hid_ep = p.b_hid_ep + p.w_hid_ep[:, d:] @ p.memory
+    folded.b_head_mem = p.w_head_mem @ p.memory + p.b_head_mem
+    return folded
 
 
 class TestMemoryAblation:
@@ -329,14 +367,13 @@ class TestMemoryAblation:
         full.b_head_mem = ablated.b_head_mem
         full.memory = np.zeros(dm)
         for _ in range(30):
-            s = random_sample(rng)
-            assert M.forward(s, ablated).yhat == pytest.approx(M.forward(s, full).yhat, rel=1e-14)
+            s = random_batch(rng)
+            assert M.predict(s, ablated)[0] == pytest.approx(M.predict(s, full)[0], rel=1e-14)
 
     def test_ablated_offset_is_pure_bias(self):
         p = M.init_params(M.FusionDims(2, 2, 2, memory_enabled=False), seed=2)
         p.b_head_mem = -3.25
-        trace = M.forward(MaskedSample(dl=0.3, dl_mask=1, ep=0.4, ep_mask=1, target=0.0), p)
-        assert trace.offset == -3.25
+        assert run_kernel(sample_batch(0.3, 0.4), p).offset == -3.25
 
     def test_ablated_gradients_also_exact(self):
         rng = np.random.default_rng(61)
@@ -346,17 +383,43 @@ class TestMemoryAblation:
             p = M.init_params(dims, int(rng.integers(1 << 30)))
             arrays = [a + 0.3 * rng.standard_normal(a.shape) for a in p.flatten()]
             p = M.FusionParams.unflatten(dims, arrays)
-            s = random_sample(rng)
-            trace = M.forward(s, p)
-            pre = np.concatenate([trace.pre_h_dl, trace.pre_h_ep, trace.pre_z_dl, trace.pre_z_ep])
-            if np.any(np.abs(pre) <= 1e-3):
+            s = random_batch(rng)
+            _, grads, ws = kernel_grads(s, p)
+            if near_relu_kink(ws):
                 continue
-            _, grads = M.backward(trace, s, p)
             numeric = finite_diff_grad(loss_fn(s, dims), p.flatten(), 1e-5)
             for a, n in zip(grads.flatten(), numeric):
                 a = np.asarray(a)
                 assert np.all(np.abs(a - n) <= 1e-8 + 1e-5 * np.maximum(np.abs(a), np.abs(n)))
             checked += 1
+
+    def _assert_fold_agrees(self, p, batch):
+        folded = fold_memory(p)
+        assert folded.dims.mem_width == 0
+        want = M.predict(batch, p)
+        np.testing.assert_allclose(M.predict(batch, folded), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        # the memory moves the predictions, so the agreement is not vacuous
+        no_memory = p.copy()
+        no_memory.memory = np.zeros(p.dims.mem_width)
+        assert np.abs(M.predict(batch, no_memory) - want).max() > 1e-3
+
+    def test_memory_folds_into_biases_on_random_params(self):
+        rng = np.random.default_rng(71)
+        for seed in range(5):
+            dims = M.FusionDims(*(int(rng.integers(1, 12)) for _ in range(3)))
+            p = M.init_params(dims, seed, random_memory=True)
+            p.vector[:] += 0.5 * rng.standard_normal(dims.size)
+            self._assert_fold_agrees(p, random_batch(rng, 50, masks=rng.integers(0, 2, (2, 50))))
+
+    def test_memory_folds_into_biases_after_training(self):
+        # a constant bias for the memory to absorb
+        rng = np.random.default_rng(72)
+        v = rng.standard_normal(120)
+        data = sample_batch(v, v, v + 0.5)
+        cfg = M.TrainConfig(eta=3e-3, max_epochs=30, batch_size=32, early_stop_patience=30, seed=1)
+        trained, _ = M.train(data, M.init_params(M.FusionDims(8, 4, 8), 3), cfg)
+        assert np.any(trained.memory != 0.0)
+        self._assert_fold_agrees(trained, data)
 
 
 class TestUnboundedOutput:
@@ -364,13 +427,13 @@ class TestUnboundedOutput:
         # no search: the offset head bias alone can push the output above or
         # below both forecast inputs for a fixed sample
         dims = M.FusionDims(3, 2, 3)
-        sample = MaskedSample(dl=0.4, dl_mask=1, ep=0.9, ep_mask=1, target=0.0)
+        sample = sample_batch(0.4, 0.9)
         high = M.init_params(dims, 1)
         high.b_head_mem = 1000.0
         low = M.init_params(dims, 1)
         low.b_head_mem = -1000.0
-        assert M.forward(sample, high).yhat > max(sample.dl, sample.ep)
-        assert M.forward(sample, low).yhat < min(sample.dl, sample.ep)
+        assert M.predict(sample, high)[0] > max(0.4, 0.9)
+        assert M.predict(sample, low)[0] < min(0.4, 0.9)
 
 
 class TestShapes:
@@ -741,15 +804,14 @@ class TestConstructorBoundaries:
 class TestPredictNonFinite:
     def test_nan_weight_raises_with_count(self):
         p = M.init_params(M.FusionDims(2, 2, 2), 1)
-        samples = [MaskedSample(dl=float(v), dl_mask=1, ep=0.5, ep_mask=1, target=0.0) for v in range(5)]
-        assert np.all(np.isfinite(M.predict(SampleBatch.from_samples(samples), p)))
+        batch = sample_batch(np.arange(5.0), 0.5)
+        assert np.all(np.isfinite(M.predict(batch, p)))
         p.b_head_ep = float("nan")
         with pytest.raises(ValueError, match="5 of 5 outputs are non-finite"):
-            M.predict(SampleBatch.from_samples(samples), p)
+            M.predict(batch, p)
 
     def test_count_names_only_the_bad_outputs(self):
         dims = M.FusionDims(1, 1, 1)
         p = manual_params(dims, fill=2.0)  # 2 * 1e308 overflows to inf
-        samples = [MaskedSample(dl=v, dl_mask=1, ep=0.0, ep_mask=1, target=0.0) for v in (1.0, 1e308, 2.0)]
         with pytest.raises(ValueError, match="1 of 3 outputs are non-finite"):
-            M.predict(SampleBatch.from_samples(samples), p)
+            M.predict(sample_batch([1.0, 1e308, 2.0], 0.0), p)

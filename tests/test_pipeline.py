@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +12,6 @@ from fusecast.pipeline import (
     AlignmentError,
     EnergySeries,
     FeatureMatrix,
-    MaskedSample,
     NormStats,
     SampleBatch,
     SplitSpec,
@@ -240,67 +239,54 @@ class TestAssembleSamples:
             assemble_samples(dl, ep, shifted, scenario_ns())
 
 
+def batch_of(dl, ep, target, dl_mask=1, ep_mask=1, proxy=False, observed=True):
+    """A SampleBatch from columns; a scalar applies to every row."""
+    return SampleBatch(*np.broadcast_arrays(*map(np.atleast_1d, (dl, dl_mask, ep, ep_mask, target, proxy, observed))))
+
+
 class TestNormStats:
     def test_constant_channel_clamped(self):
-        samples = [MaskedSample(dl=5.0, dl_mask=1, ep=5.0, ep_mask=1, target=5.0) for _ in range(4)]
-        stats = fit_norm_stats(SampleBatch.from_samples(samples))
+        samples = batch_of(np.full(4, 5.0), 5.0, 5.0)
+        stats = fit_norm_stats(samples)
         assert stats.dl_std == 1e-8
-        normed = normalize_samples(SampleBatch.from_samples(samples), stats)
+        normed = normalize_samples(samples, stats)
         assert np.all(normed.dl == 0.0)
 
     def test_population_convention(self):
-        samples = [
-            MaskedSample(dl=0.0, dl_mask=1, ep=0.0, ep_mask=1, target=0.0),
-            MaskedSample(dl=2.0, dl_mask=1, ep=2.0, ep_mask=1, target=2.0),
-        ]
-        stats = fit_norm_stats(SampleBatch.from_samples(samples))
+        stats = fit_norm_stats(batch_of([0.0, 2.0], [0.0, 2.0], [0.0, 2.0]))
         assert stats.dl_mean == 1.0 and stats.dl_std == 1.0
         assert stats.y_mean == 1.0 and stats.y_std == 1.0
 
     def test_masked_values_excluded(self):
-        samples = [
-            MaskedSample(dl=100.0, dl_mask=1, ep=1.0, ep_mask=1, target=1.0),
-            MaskedSample(dl=0.0, dl_mask=0, ep=3.0, ep_mask=1, target=3.0),
-        ]
-        stats = fit_norm_stats(SampleBatch.from_samples(samples))
+        stats = fit_norm_stats(batch_of([100.0, 0.0], [1.0, 3.0], [1.0, 3.0], dl_mask=[1, 0]))
         assert stats.dl_mean == 100.0
 
     def test_unobserved_targets_excluded(self):
-        samples = [
-            MaskedSample(dl=1.0, dl_mask=1, ep=1.0, ep_mask=1, target=10.0, target_observed=True),
-            MaskedSample(dl=1.0, dl_mask=1, ep=1.0, ep_mask=1, target=9999.0, target_observed=False),
-        ]
-        stats = fit_norm_stats(SampleBatch.from_samples(samples))
+        stats = fit_norm_stats(batch_of([1.0, 1.0], 1.0, [10.0, 9999.0], observed=[True, False]))
         assert stats.y_mean == 10.0
 
     def test_proxy_only_targets_fall_back(self):
-        samples = [
-            MaskedSample(dl=0.0, dl_mask=0, ep=v, ep_mask=1, target=v, target_is_proxy=True, target_observed=False)
-            for v in (2.0, 4.0)
-        ]
-        stats = fit_norm_stats(SampleBatch.from_samples(samples))
+        stats = fit_norm_stats(batch_of(0.0, [2.0, 4.0], [2.0, 4.0], dl_mask=0, proxy=True, observed=False))
         assert stats.y_mean == 3.0
 
     def test_all_missing_channel_keeps_zero_standins(self):
-        samples = [MaskedSample(dl=0.0, dl_mask=0, ep=v, ep_mask=1, target=v) for v in (5.0, 9.0)]
-        stats = fit_norm_stats(SampleBatch.from_samples(samples))
-        normed = normalize_samples(SampleBatch.from_samples(samples), stats)
+        samples = batch_of(0.0, [5.0, 9.0], [5.0, 9.0], dl_mask=0)
+        stats = fit_norm_stats(samples)
+        normed = normalize_samples(samples, stats)
         assert np.all(normed.dl == 0.0)
 
     def test_round_trip_denormalize(self):
         rng = np.random.default_rng(8)
-        samples = [
-            MaskedSample(dl=float(v), dl_mask=1, ep=float(v * 2), ep_mask=1, target=float(v + 3))
-            for v in rng.random(30) * 50
-        ]
-        stats = fit_norm_stats(SampleBatch.from_samples(samples))
-        normed = normalize_samples(SampleBatch.from_samples(samples), stats)
+        v = rng.random(30) * 50
+        samples = batch_of(v, v * 2, v + 3)
+        stats = fit_norm_stats(samples)
+        normed = normalize_samples(samples, stats)
         back = denormalize_target(normed.target, stats)
-        assert np.allclose(back, [s.target for s in samples], rtol=1e-12)
+        assert np.allclose(back, v + 3, rtol=1e-12)
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
-            fit_norm_stats(SampleBatch.from_samples([]))
+            fit_norm_stats(batch_of([], [], []))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +294,20 @@ class TestNormStats:
 # columnar SampleBatch path replaced; the batch path must agree bit for bit.
 # ---------------------------------------------------------------------------
 
-def _reference_assemble_samples(dl_forecast, ep_forecast, truth, scenario) -> list[MaskedSample]:
+@dataclass(frozen=True)
+class Row:
+    """One sample of the list-based references; a None target is absent."""
+
+    dl: float
+    dl_mask: int
+    ep: float
+    ep_mask: int
+    target: float | None
+    target_is_proxy: bool = False
+    target_observed: bool = True
+
+
+def _reference_assemble_samples(dl_forecast, ep_forecast, truth, scenario) -> list[Row]:
     present_series = [s for s in (dl_forecast, ep_forecast, truth) if s is not None]
     _check_aligned(*present_series)
     n = truth.n
@@ -338,7 +337,7 @@ def _reference_assemble_samples(dl_forecast, ep_forecast, truth, scenario) -> li
         observed = truth.present.copy()
 
     return [
-        MaskedSample(
+        Row(
             dl=float(dl_vals[i]),
             dl_mask=int(dl_mask[i]),
             ep=float(ep_vals[i]),
@@ -463,11 +462,13 @@ class TestColumnarMatchesListReference:
 
     def test_lists_with_absent_proxy_targets(self):
         rows = [
-            MaskedSample(dl=0.5 * k, dl_mask=k % 2, ep=2.0 + k, ep_mask=1, target=None if k % 3 == 0 else 1.5 * k,
-                         target_is_proxy=k % 3 == 0, target_observed=k % 4 != 0)
+            Row(dl=0.5 * k, dl_mask=k % 2, ep=2.0 + k, ep_mask=1, target=None if k % 3 == 0 else 1.5 * k,
+                target_is_proxy=k % 3 == 0, target_observed=k % 4 != 0)
             for k in range(12)
         ]
-        batch = SampleBatch.from_samples(rows)
+        k = np.arange(12)
+        batch = batch_of(0.5 * k, 2.0 + k, np.where(k % 3 == 0, np.nan, 1.5 * k), dl_mask=k % 2,
+                         proxy=k % 3 == 0, observed=k % 4 != 0)
         assert_batch_bits_equal_rows(batch, rows)
         stats = fit_norm_stats(batch)
         assert stats == _reference_fit_norm_stats(rows)
@@ -517,7 +518,7 @@ class TestSampleBatchBoundaries:
         batch = SampleBatch(**self.columns(target=[4.0, np.nan, 6.0], proxy=[False, True, False]))
         assert np.array_equal(batch.resolved_targets(), [4.0, 2.5, 6.0])
         with pytest.raises(ValueError, match="target"):
-            SampleBatch.from_samples([MaskedSample(dl=1.0, dl_mask=1, ep=1.0, ep_mask=1, target=None)])
+            batch_of(1.0, 1.0, np.nan)
 
     def test_slices_are_batches_and_rows_are_not_indexable(self):
         batch = SampleBatch(**self.columns())

@@ -5,37 +5,39 @@ import pytest
 
 from fusecast import model as M
 from fusecast.harness import DEFAULT_DIMS
-from fusecast.pipeline import MaskedSample, SampleBatch, SplitSpec, split_samples
+from fusecast.pipeline import SampleBatch, SplitSpec, split_samples
+
+
+def measured(dl, ep, target):
+    """A SampleBatch of the given columns, both streams present and every
+    target a measured one."""
+    n = len(dl)
+    return SampleBatch(dl, np.ones(n, np.int64), ep, np.ones(n, np.int64), target, np.zeros(n, bool), np.ones(n, bool))
 
 
 def make_dataset(rng, n=80):
-    return [
-        MaskedSample(dl=float(v), dl_mask=1, ep=float(v), ep_mask=1, target=float(v))
-        for v in rng.standard_normal(n)
-    ]
+    v = rng.standard_normal(n)
+    return measured(v, v, v)
 
 
 class TestTrainBasics:
     def test_empty_dataset_rejected(self):
         p = M.init_params(M.FusionDims(2, 2, 2), 0)
         with pytest.raises(ValueError):
-            M.train(SampleBatch.from_samples([]), p, M.TrainConfig(max_epochs=1), SampleBatch.from_samples([]))
+            empty = measured([], [], [])
+            M.train(empty, p, M.TrainConfig(max_epochs=1), empty)
 
     def test_zero_gradient_fixed_point(self):
         # targets equal to the untrained predictions: nothing should move
         rng = np.random.default_rng(1)
         dims = M.FusionDims(3, 2, 3)
         p = M.init_params(dims, 5)
-        inputs = [random for random in rng.standard_normal((12, 2))]
-        samples = [MaskedSample(dl=float(a), dl_mask=1, ep=float(b), ep_mask=1, target=0.0) for a, b in inputs]
-        preds = M.predict(SampleBatch.from_samples(samples), p)
-        fixed = [
-            MaskedSample(dl=s.dl, dl_mask=1, ep=s.ep, ep_mask=1, target=float(v))
-            for s, v in zip(samples, preds)
-        ]
+        dl, ep = rng.standard_normal((12, 2)).T
+        preds = M.predict(measured(dl, ep, np.zeros(12)), p)
+        fixed = measured(dl, ep, preds)
         for optimizer in ("sgd", "adam"):
             cfg = M.TrainConfig(eta=0.01, optimizer=optimizer, max_epochs=25, early_stop_patience=25, seed=0)
-            trained, history = M.train(SampleBatch.from_samples(fixed), p, cfg, None)
+            trained, history = M.train(fixed, p, cfg, None)
             for a, b in zip(p.flatten(), trained.flatten()):
                 assert np.array_equal(np.asarray(a), np.asarray(b))
             assert history[0][0] == 0.0
@@ -45,7 +47,7 @@ class TestTrainBasics:
         samples = make_dataset(rng)
         p = M.init_params(M.FusionDims(4, 2, 4), 3)
         cfg = M.TrainConfig(eta=1e-3, max_epochs=10, early_stop_patience=10, seed=1)
-        _, history = M.train(SampleBatch.from_samples(samples), p, cfg, None)
+        _, history = M.train(samples, p, cfg, None)
         assert len(history) == 10
         assert all(np.isfinite(tr) for tr, _ in history)
         assert all(np.isnan(va) for _, va in history)  # no validation split given
@@ -54,10 +56,10 @@ class TestTrainBasics:
         rng = np.random.default_rng(3)
         samples = make_dataset(rng, n=30)
         p = M.init_params(M.FusionDims(3, 2, 3), 4)
-        preds = M.predict(SampleBatch.from_samples(samples), p)
-        expected = float(np.mean((np.array([s.target for s in samples]) - preds) ** 2))
+        preds = M.predict(samples, p)
+        expected = float(np.mean((samples.target - preds) ** 2))
         cfg = M.TrainConfig(eta=1e-3, max_epochs=1, early_stop_patience=1, seed=0)
-        _, history = M.train(SampleBatch.from_samples(samples), p, cfg, None)
+        _, history = M.train(samples, p, cfg, None)
         assert history[0][0] == pytest.approx(expected, rel=1e-12)
 
     def test_training_reduces_loss(self):
@@ -65,7 +67,7 @@ class TestTrainBasics:
         samples = make_dataset(rng, n=120)
         p = M.init_params(M.FusionDims(8, 4, 8), 6)
         cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=150, batch_size=32, early_stop_patience=150, seed=2)
-        _, history = M.train(SampleBatch.from_samples(samples), p, cfg, None)
+        _, history = M.train(samples, p, cfg, None)
         assert history[-1][0] < 0.05 * history[0][0]
 
 
@@ -73,23 +75,22 @@ class TestProxyTargets:
     def test_absent_actuals_train_against_physics_value(self):
         rng = np.random.default_rng(5)
         values = rng.standard_normal(20)
-        samples = [
-            MaskedSample(dl=0.0, dl_mask=0, ep=float(v), ep_mask=1, target=None,
-                         target_is_proxy=True, target_observed=False)
-            for v in values
-        ]
+        n = len(values)
+        samples = SampleBatch(
+            np.zeros(n), np.zeros(n, np.int64), values, np.ones(n, np.int64),
+            np.full(n, np.nan), np.ones(n, bool), np.zeros(n, bool),
+        )
         p = M.init_params(M.FusionDims(3, 2, 3), 7)
-        preds = M.predict(SampleBatch.from_samples(samples), p)
+        preds = M.predict(samples, p)
         expected = float(np.mean((values - preds) ** 2))
         cfg = M.TrainConfig(eta=1e-3, max_epochs=1, early_stop_patience=1, seed=0)
-        _, history = M.train(SampleBatch.from_samples(samples), p, cfg, None)
+        _, history = M.train(samples, p, cfg, None)
         assert history[0][0] == pytest.approx(expected, rel=1e-12)
 
     def test_unproxied_missing_target_rejected(self):
-        s = MaskedSample(dl=1.0, dl_mask=1, ep=1.0, ep_mask=1, target=None, target_is_proxy=False)
-        p = M.init_params(M.FusionDims(2, 2, 2), 1)
-        with pytest.raises(ValueError):
-            M.train(SampleBatch.from_samples([s]), p, M.TrainConfig(max_epochs=1), None)
+        # no such batch can reach train: the constructor rejects it
+        with pytest.raises(ValueError, match="target"):
+            measured([1.0], [1.0], [np.nan])
 
 
 class TestBiasCorrection:
@@ -97,16 +98,13 @@ class TestBiasCorrection:
         # constant target offset; eta = 1e-4
         rng = np.random.default_rng(6)
         base = rng.standard_normal(60)
-        samples = [
-            MaskedSample(dl=float(v), dl_mask=1, ep=float(v), ep_mask=1, target=float(v + 0.5))
-            for v in base
-        ]
+        samples = measured(base, base, base + 0.5)
         p = M.init_params(M.FusionDims(8, 4, 8), 11)
-        y = np.array([s.target for s in samples])
-        before = float(np.sum((y - M.predict(SampleBatch.from_samples(samples), p)) ** 2))
+        y = samples.target
+        before = float(np.sum((y - M.predict(samples, p)) ** 2))
         cfg = M.TrainConfig(eta=1e-4, optimizer="sgd", max_epochs=1, early_stop_patience=1, seed=0)
-        trained, _ = M.train(SampleBatch.from_samples(samples), p, cfg, None)
-        after = float(np.sum((y - M.predict(SampleBatch.from_samples(samples), trained)) ** 2))
+        trained, _ = M.train(samples, p, cfg, None)
+        after = float(np.sum((y - M.predict(samples, trained)) ** 2))
         assert after < before
 
     def test_constant_bias_driven_toward_zero(self):
@@ -114,16 +112,13 @@ class TestBiasCorrection:
         rng = np.random.default_rng(7)
         c = 0.5
         vals = rng.standard_normal(240)
-        samples = [
-            MaskedSample(dl=float(v), dl_mask=1, ep=float(v), ep_mask=1, target=float(v + c))
-            for v in vals
-        ]
+        samples = measured(vals, vals, vals + c)
         train_s, val_s, test_s = split_samples(samples, SplitSpec())
         p = M.init_params(M.FusionDims(16, 8, 16), 13)
         cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=200, batch_size=32, early_stop_patience=200, seed=3)
-        trained, _ = M.train(SampleBatch.from_samples(train_s), p, cfg, SampleBatch.from_samples(val_s))
-        preds = M.predict(SampleBatch.from_samples(test_s), trained)
-        me = float(np.mean(np.array([s.target for s in test_s]) - preds))
+        trained, _ = M.train(train_s, p, cfg, val_s)
+        preds = M.predict(test_s, trained)
+        me = float(np.mean(test_s.target - preds))
         assert abs(me) < 0.1 * abs(c)
 
 
@@ -132,13 +127,10 @@ class TestEarlyStopping:
         rng = np.random.default_rng(8)
         samples = make_dataset(rng, n=60)
         # validation targets are pure noise: no real improvement possible
-        val = [
-            MaskedSample(dl=s.dl, dl_mask=1, ep=s.ep, ep_mask=1, target=float(rng.standard_normal() * 100))
-            for s in samples[:20]
-        ]
+        val = measured(samples.dl[:20], samples.ep[:20], rng.standard_normal(20) * 100)
         p = M.init_params(M.FusionDims(4, 2, 4), 9)
         cfg = M.TrainConfig(eta=1e-2, optimizer="adam", max_epochs=500, early_stop_patience=5, seed=1)
-        _, history = M.train(SampleBatch.from_samples(samples), p, cfg, SampleBatch.from_samples(val))
+        _, history = M.train(samples, p, cfg, val)
         assert len(history) < 500
 
     def test_restores_best_validation_params(self):
@@ -147,11 +139,10 @@ class TestEarlyStopping:
         val = make_dataset(rng, n=20)
         p = M.init_params(M.FusionDims(4, 2, 4), 10)
         cfg = M.TrainConfig(eta=1e-2, optimizer="adam", max_epochs=120, early_stop_patience=8, seed=2)
-        trained, history = M.train(SampleBatch.from_samples(samples), p, cfg, SampleBatch.from_samples(val))
+        trained, history = M.train(samples, p, cfg, val)
         vals = [va for _, va in history]
-        xv = [s for s in val]
-        preds = M.predict(SampleBatch.from_samples(xv), trained)
-        got = float(np.mean((np.array([s.target for s in xv]) - preds) ** 2))
+        preds = M.predict(val, trained)
+        got = float(np.mean((val.target - preds) ** 2))
         assert got == pytest.approx(min(vals), rel=1e-9)
 
 
@@ -161,8 +152,8 @@ class TestDeterminismAndFailure:
         samples = make_dataset(rng, n=50)
         p = M.init_params(M.FusionDims(5, 3, 5), 12)
         cfg = M.TrainConfig(eta=2e-3, optimizer="adam", max_epochs=30, batch_size=16, early_stop_patience=30, seed=77)
-        a, _ = M.train(SampleBatch.from_samples(samples), p, cfg, None)
-        b, _ = M.train(SampleBatch.from_samples(samples), p, cfg, None)
+        a, _ = M.train(samples, p, cfg, None)
+        b, _ = M.train(samples, p, cfg, None)
         for x, y in zip(a.flatten(), b.flatten()):
             assert np.array_equal(np.asarray(x), np.asarray(y))
 
@@ -172,8 +163,8 @@ class TestDeterminismAndFailure:
         p = M.init_params(M.FusionDims(5, 3, 5), 12)
         cfg_a = M.TrainConfig(eta=2e-3, optimizer="adam", max_epochs=10, batch_size=16, early_stop_patience=10, seed=1)
         cfg_b = M.TrainConfig(eta=2e-3, optimizer="adam", max_epochs=10, batch_size=16, early_stop_patience=10, seed=2)
-        a, _ = M.train(SampleBatch.from_samples(samples), p, cfg_a, None)
-        b, _ = M.train(SampleBatch.from_samples(samples), p, cfg_b, None)
+        a, _ = M.train(samples, p, cfg_a, None)
+        b, _ = M.train(samples, p, cfg_b, None)
         assert any(not np.array_equal(np.asarray(x), np.asarray(y)) for x, y in zip(a.flatten(), b.flatten()))
 
     def test_divergence_reported_with_epoch_index(self):
@@ -182,7 +173,7 @@ class TestDeterminismAndFailure:
         p = M.init_params(M.FusionDims(4, 2, 4), 1)
         cfg = M.TrainConfig(eta=1e6, optimizer="sgd", max_epochs=50, early_stop_patience=50, seed=0)
         with pytest.raises(M.TrainingDiverged, match=r"epoch \d+"):
-            M.train(SampleBatch.from_samples(samples), p, cfg, None)
+            M.train(samples, p, cfg, None)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -204,10 +195,14 @@ class TestDeterminismAndFailure:
 # replaced) running on those reference kernels.
 # ---------------------------------------------------------------------------
 
-def _reference_pack_inputs(samples):
-    x_dl = np.array([[s.dl, float(s.dl_mask)] for s in samples])
-    x_ep = np.array([[s.ep, float(s.ep_mask)] for s in samples])
+def _reference_pack_inputs(batch):
+    x_dl = np.array([[v, float(m)] for v, m in zip(batch.dl, batch.dl_mask)])
+    x_ep = np.array([[v, float(m)] for v, m in zip(batch.ep, batch.ep_mask)])
     return x_dl, x_ep
+
+
+def _reference_targets(batch):
+    return np.array([e if np.isnan(t) else t for e, t in zip(batch.ep, batch.target)])
 
 
 def _reference_batch_forward(x_dl, x_ep, params):
@@ -386,15 +381,20 @@ class TestWorkspaceKernelOracle:
             masks = [ws.on_z, ws.on_h, ws.finite]
             assert all(buf.dtype == bool and buf.base is masks[0].base for buf in masks)
 
-    def test_per_sample_backward_is_the_kernel_on_one_row(self):
+    def test_one_row_workspace_matches_reference(self):
         rng = np.random.default_rng(310)
         dims = M.FusionDims(5, 4, 6)
         p = M.init_params(dims, 3, random_memory=True)
-        for s in make_dataset(rng, n=20):
-            loss, grads = M.backward(M.forward(s, p), s, p)
-            x_dl, x_ep = _reference_pack_inputs([s])
-            ref_losses, ref_grads = _reference_batch_backward(_reference_batch_forward(x_dl, x_ep, p), np.array([s.target]), p)
-            assert loss == ref_losses[0]
+        data = make_dataset(rng, n=20)
+        for i in range(len(data)):
+            s = data[i : i + 1]
+            ws = M._Workspace(dims, 1)
+            x = M._fill_inputs(s, ws.x)
+            M._batch_forward(x, p, ws)
+            grads = M.FusionParams(dims)
+            losses = M._batch_backward(x, s.target, p, ws, grads)
+            ref_losses, ref_grads = _reference_batch_backward(_reference_batch_forward(*_reference_pack_inputs(s), p), s.target, p)
+            assert losses.tobytes() == ref_losses.tobytes()
             assert grads.vector.tobytes() == ref_grads.vector.tobytes()
 
 
@@ -415,10 +415,10 @@ def _reference_adam(params, grads, m, v, step, eta, beta1=0.9, beta2=0.999, eps=
 def _reference_train(dataset, params, cfg, validation):
     """Per-tensor copy of the training loop on the reference kernels."""
     x_dl, x_ep = _reference_pack_inputs(dataset)
-    y = np.array([M.resolve_target(s) for s in dataset])
+    y = _reference_targets(dataset)
     if validation:
         xv_dl, xv_ep = _reference_pack_inputs(validation)
-        yv = np.array([M.resolve_target(s) for s in validation])
+        yv = _reference_targets(validation)
     arrays = [np.array(a) for a in params.flatten()]
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
@@ -477,7 +477,7 @@ class TestFlatOptimizerOracle:
         cfg = M.TrainConfig(
             eta=5e-3, optimizer=optimizer, max_epochs=40, batch_size=batch_size, early_stop_patience=6, seed=4
         )
-        trained, history = M.train(SampleBatch.from_samples(samples), p, cfg, None if val is None else SampleBatch.from_samples(val))
+        trained, history = M.train(samples, p, cfg, val)
         ref_arrays, ref_history = _reference_train(samples, p, cfg, val)
         assert len(history) == len(ref_history)
         assert np.array_equal(np.array(history), np.array(ref_history), equal_nan=True)
@@ -493,7 +493,7 @@ class TestBufferAliasing:
         before = p.vector.copy()
         views = [a.copy() for a in p.flatten()]
         cfg = M.TrainConfig(eta=1e-2, max_epochs=5, batch_size=8, early_stop_patience=5, seed=1)
-        trained, _ = M.train(SampleBatch.from_samples(samples), p, cfg, SampleBatch.from_samples(make_dataset(rng, n=10)))
+        trained, _ = M.train(samples, p, cfg, make_dataset(rng, n=10))
         assert np.array_equal(p.vector, before)
         for a, b in zip(p.flatten(), views):
             assert np.array_equal(a, b)
@@ -515,7 +515,7 @@ class TestBufferAliasing:
         val = make_dataset(rng, n=10) if with_val else None
         p = M.init_params(M.FusionDims(3, 2, 3), 25)
         cfg = M.TrainConfig(eta=1e-2, max_epochs=4, batch_size=10, early_stop_patience=4, seed=2)
-        trained, _ = M.train(SampleBatch.from_samples(samples), p, cfg, None if val is None else SampleBatch.from_samples(val))
+        trained, _ = M.train(samples, p, cfg, val)
         assert len(seen) == 4 * 3 * 4  # four buffers per update, three updates per epoch
         for buf in seen:
             assert not np.shares_memory(trained.vector, buf)
