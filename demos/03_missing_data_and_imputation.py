@@ -39,7 +39,7 @@ dl = EnergySeries.full(ts, np.full(n, 90.0))
 samples = assemble_samples(dl, clean, clean, cfg4)  # a SampleBatch: one array per column
 print(f"\nscenario 4 sample: dl={samples.dl[0]} (mask {samples.dl_mask[0]}), ep={samples.ep[0]:.1f} (mask {samples.ep_mask[0]})")
 
-# scenario 3: no actuals, so the physics value doubles as the proxy target
+# scenario 3: no actuals, so the physics value is the target, marked unobserved
 cfg3 = scenario_config(3, seed=1, fast=True)
 samples3 = assemble_samples(None, clean, clean, cfg3)
-print(f"scenario 3 sample: target={samples3.target[0]:.1f} (proxy={samples3.proxy[0]}, observed={samples3.observed[0]})")
+print(f"scenario 3 sample: target={samples3.target[0]:.1f} (observed={samples3.observed[0]})")

@@ -120,7 +120,6 @@ _PRESETS = {
 def _default_train(seed: int) -> TrainConfig:
     return TrainConfig(
         eta=3e-3,
-        optimizer="adam",
         max_epochs=300,
         batch_size=128,
         early_stop_patience=20,

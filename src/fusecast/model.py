@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numkit import AdamState, ShapeMismatch, adam_step, block_views, empty_blocks, fit_epochs, sgd_step
+from .numkit import AdamState, ShapeMismatch, adam_step, block_views, empty_blocks, fit_epochs
 from .pipeline import NormStats, SampleBatch
 
 CHECKPOINT_TAG = "pgmn-ckpt-1"
@@ -179,7 +179,7 @@ class FusionParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters.
+    """Training hyperparameters of the Adam fit.
 
     ``batch_size=None`` is the literal full-epoch discipline: gradients are
     accumulated over every sample and applied once per epoch.  A minibatch
@@ -189,7 +189,6 @@ class TrainConfig:
     """
 
     eta: float = 1e-3
-    optimizer: str = "adam"
     max_epochs: int = 2000
     batch_size: int | None = None
     early_stop_patience: int = 20
@@ -198,8 +197,6 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.eta < math.inf:
             raise ValueError(f"learning rate eta must be finite and positive, got {self.eta!r}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         _check_count("max_epochs", self.max_epochs)
         if self.batch_size is not None:
             _check_count("batch_size (minibatch size)", self.batch_size)
@@ -256,7 +253,7 @@ class _Workspace:
     ``train``/``predict`` call.
 
     The float buffers are blocks of one float64 allocation, and the bool
-    ReLU masks (plus the row-finiteness flags) of one bool allocation.
+    ReLU masks of one bool allocation.
     glibc raises its heap-trim threshold to twice the largest block freed,
     so one large block stays in the heap from call to call, where a dozen
     smaller blocks of the same total are handed back to the system and
@@ -267,7 +264,7 @@ class _Workspace:
         shapes = [(2, rows, 2), (2, rows, d), (2, rows, c), (2, rows, dz), (2, rows, dz), (2, rows), (rows,)]
         if backward:
             shapes += [(rows,), (rows,), (2 * rows * max(d, dz),), (2, rows, c), (2, dims.mem_width)]
-            self.on_z, self.on_h, self.finite = empty_blocks([(2, rows, dz), (2, rows, d), (rows,)], bool)
+            self.on_z, self.on_h = empty_blocks([(2, rows, dz), (2, rows, d)], bool)
         bufs = empty_blocks(shapes)
         self.x, self.a_h, self.c, self.a_z, self.z, self.part, self.yhat = bufs[:7]
         if backward:
@@ -369,29 +366,31 @@ def train(
     cfg: TrainConfig,
     validation: SampleBatch | None = None,
 ) -> tuple[FusionParams, list[tuple[float, float]]]:
-    """Fit the network; returns final parameters and per-epoch loss history.
+    """Fit the network with Adam; returns final parameters and per-epoch
+    loss history.
 
-    Samples whose actual target is absent train against their physics value
-    (proxy labelling).  Each epoch either accumulates gradients over the
-    whole dataset and updates once (``batch_size=None``) or shuffles into
-    minibatches.  Early stopping triggers after ``early_stop_patience``
-    epochs without validation improvement and restores the best-validation
-    parameters.  History rows are (train MSE, validation MSE); validation is
-    NaN when no validation split is given.  The kernel runs in one workspace
-    sized for an update and, for validation, one forward-only workspace.
+    Each epoch either accumulates gradients over the whole dataset and
+    updates once (``batch_size=None``) or shuffles into minibatches.  An
+    update whose summed loss is not finite raises TrainingDiverged before
+    it steps the parameters.  Early stopping triggers after
+    ``early_stop_patience`` epochs without validation improvement and
+    restores the best-validation parameters.  History rows are (train MSE,
+    validation MSE); validation is NaN when no validation split is given.
+    The kernel runs in one workspace sized for an update and, for
+    validation, one forward-only workspace.
     """
     n = len(dataset)
     if not n:
         raise ValueError("empty training dataset")
-    y = dataset.resolved_targets()
+    y = dataset.target
     has_val = validation is not None and len(validation) > 0
     if has_val:
         ws_val = _Workspace(params.dims, len(validation), backward=False)
-        x_val, y_val = _fill_inputs(validation, ws_val.x), validation.resolved_targets()
+        x_val, y_val = _fill_inputs(validation, ws_val.x), validation.target
 
     params = params.copy()
     grads = FusionParams(params.dims)
-    adam_state = AdamState.init(params.vector, eta=cfg.eta) if cfg.optimizer == "adam" else None
+    adam_state = AdamState.init(params.vector, eta=cfg.eta)
     rows = n if cfg.batch_size is None else min(cfg.batch_size, n)
     ws = _Workspace(params.dims, rows)
     if cfg.batch_size is None:
@@ -408,14 +407,13 @@ def train(
             m = len(idx)
             bx = np.take(x, idx, axis=1, out=ws.x[:, :m], mode="clip")
             by = np.take(y, idx, out=gather_y[:m], mode="clip")
-        if not np.isfinite(_batch_forward(bx, params, ws), out=ws.finite[: len(by)]).all():
+        _batch_forward(bx, params, ws)
+        # a non-finite yhat gives a non-finite loss, so this one check covers both
+        loss = float(np.sum(_batch_backward(bx, by, params, ws, grads)))
+        if not math.isfinite(loss):
             raise TrainingDiverged(f"epoch {epoch}: non-finite training loss")
-        losses = _batch_backward(bx, by, params, ws, grads)
-        if cfg.optimizer == "sgd":
-            sgd_step(params.vector, grads.vector, cfg.eta, out=params.vector)
-        else:
-            adam_step(params.vector, grads.vector, adam_state, out=params.vector)
-        return float(np.sum(losses))
+        adam_step(params.vector, grads.vector, adam_state, out=params.vector)
+        return loss
 
     def validate(epoch: int) -> float:
         # the squared errors overwrite the predictions, which nothing reads again
@@ -425,10 +423,12 @@ def train(
             raise TrainingDiverged(f"epoch {epoch}: non-finite validation loss")
         return val_mse
 
-    best, history = fit_epochs(
-        params.vector, n, update, validate if has_val else None,
-        cfg.max_epochs, cfg.batch_size, cfg.early_stop_patience, np.random.default_rng(cfg.seed),
-    )
+    # divergence is caught by the finiteness checks above, as in _batch_forward
+    with np.errstate(over="ignore", invalid="ignore"):
+        best, history = fit_epochs(
+            params.vector, n, update, validate if has_val else None,
+            cfg.max_epochs, cfg.batch_size, cfg.early_stop_patience, np.random.default_rng(cfg.seed),
+        )
     return FusionParams(params.dims, best), history
 
 

@@ -2,7 +2,7 @@
 
 Plain functions over numpy arrays: views of a flat parameter vector as
 shaped tensors (and kernel workspaces carved the same way from one
-allocation), SGD/Adam updates on one flat parameter vector and one flat
+allocation), the Adam update on one flat parameter vector and one flat
 gradient vector (a few vectorised ops per step, in place when ``out`` is
 the parameter vector), the epoch loop every trainer shares, and a
 central-difference gradient oracle used to verify hand-derived backward
@@ -56,19 +56,6 @@ def _cut(vector: np.ndarray, spans) -> list[np.ndarray]:
     return [vector[span].reshape(shape) for span, shape in spans]
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 < eta < math.inf:
-        raise ValueError(f"learning rate must be finite and positive, got {eta!r}")
-
-
-def sgd_step(params: np.ndarray, grads: np.ndarray, eta: float, out: np.ndarray | None = None) -> np.ndarray:
-    """One plain gradient-descent update, p - eta * g, written to ``out``."""
-    _check_eta(eta)
-    if params.shape != grads.shape:
-        raise ShapeMismatch(f"parameter shape {params.shape} vs gradient shape {grads.shape}")
-    return np.subtract(params, eta * grads, out=out)
-
-
 @dataclass
 class AdamState:
     """Flat first/second moment accumulators plus hyperparameters, and two
@@ -93,7 +80,8 @@ class AdamState:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> "AdamState":
-        _check_eta(eta)
+        if not 0.0 < eta < math.inf:
+            raise ValueError(f"learning rate must be finite and positive, got {eta!r}")
         return cls(np.zeros(params.shape), np.zeros(params.shape), 0, beta1, beta2, eps, eta, np.empty((2, *params.shape)))
 
 

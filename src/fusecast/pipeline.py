@@ -179,26 +179,24 @@ class SampleBatch:
 
     ``dl``/``ep`` are the two float64 forecasts and ``dl_mask``/``ep_mask``
     their int64 availability masks in {0, 1}; a masked-out value is a usable
-    stand-in (imputed or zero), never NaN.  ``target`` is float64, where NaN
-    marks an absent actual, which only a proxy-labelled row may have: it
-    trains against its ``ep`` value.  ``proxy`` flags targets substituted
-    from the physics stream, and ``observed`` is False for any target that
-    is not a real measurement (proxy or imputed), which keeps it out of
-    normalization statistics.  The constructor copies and checks every
-    column and raises ValueError naming the column.  Slicing returns a batch
-    of views without re-checking.
+    stand-in (imputed or zero), never NaN.  ``target`` is the finite float64
+    training target of every row, and ``observed`` is False for any target
+    that is not a real measurement (imputed, or the physics value standing
+    in for absent actuals), which keeps it out of normalization statistics.
+    The constructor copies and checks every column and raises ValueError
+    naming the column.  Slicing returns a batch of views without
+    re-checking.
     """
 
-    COLUMNS = ("dl", "dl_mask", "ep", "ep_mask", "target", "proxy", "observed")
+    COLUMNS = ("dl", "dl_mask", "ep", "ep_mask", "target", "observed")
 
-    def __init__(self, dl, dl_mask, ep, ep_mask, target, proxy, observed):
+    def __init__(self, dl, dl_mask, ep, ep_mask, target, observed):
         cols = {
             "dl": np.array(dl, dtype=np.float64),
             "dl_mask": np.array(dl_mask),
             "ep": np.array(ep, dtype=np.float64),
             "ep_mask": np.array(ep_mask),
             "target": np.array(target, dtype=np.float64),
-            "proxy": np.array(proxy, dtype=bool),
             "observed": np.array(observed, dtype=bool),
         }
         lengths = {name: col.shape for name, col in cols.items()}
@@ -210,12 +208,9 @@ class SampleBatch:
             if not ((cols[name] == 0) | (cols[name] == 1)).all():
                 raise ValueError(f"{name} must hold only 0 or 1")
             cols[name] = cols[name].astype(np.int64, copy=False)
-        for name in ("dl", "ep"):
+        for name in ("dl", "ep", "target"):
             if not np.isfinite(cols[name]).all():
                 raise ValueError(f"{name} must be finite")
-        target = cols["target"]
-        if not (np.isfinite(target) | (np.isnan(target) & cols["proxy"])).all():
-            raise ValueError("target must be finite where present; only a proxy-labelled row may lack one (NaN)")
         self.__dict__.update(cols)
 
     def __len__(self) -> int:
@@ -227,10 +222,6 @@ class SampleBatch:
         part = object.__new__(SampleBatch)
         part.__dict__.update((name, self.__dict__[name][key]) for name in self.COLUMNS)
         return part
-
-    def resolved_targets(self) -> np.ndarray:
-        """The training target per row: ``target``, or ``ep`` where absent."""
-        return np.where(np.isnan(self.target), self.ep, self.target)
 
 
 def _nearest_fill(values: np.ndarray, present: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -330,7 +321,7 @@ def assemble_samples(dl_forecast: EnergySeries | None, ep_forecast: EnergySeries
     ``imputation``.  An unavailable stream is zeroed with mask 0; a partially
     missing stream keeps mask 0 at the gaps but carries a neighbor-mean
     stand-in so no NaN ever reaches the model.  With ``truth_mode="absent"``
-    the physics value doubles as a proxy target.
+    the physics value is the target, marked unobserved.
     """
     present_series = [s for s in (dl_forecast, ep_forecast, truth) if s is not None]
     _check_aligned(*present_series)
@@ -350,17 +341,15 @@ def assemble_samples(dl_forecast: EnergySeries | None, ep_forecast: EnergySeries
 
     if scenario.truth_mode == "absent":
         targets = ep_vals
-        proxy = np.ones(n, dtype=bool)
         observed = np.zeros(n, dtype=bool)
     else:
         if truth.present.all():
             targets = truth.values
         else:
             targets = impute(truth, scenario.imputation).values
-        proxy = np.zeros(n, dtype=bool)
         observed = truth.present
 
-    return SampleBatch(dl_vals, dl_mask, ep_vals, ep_mask, targets, proxy, observed)
+    return SampleBatch(dl_vals, dl_mask, ep_vals, ep_mask, targets, observed)
 
 
 @dataclass(frozen=True)
@@ -400,32 +389,28 @@ def fit_norm_stats(b: SampleBatch) -> NormStats:
     """Channel means/stds over the training split.
 
     Only unmasked forecasts and genuinely observed targets contribute; if a
-    scenario has no observed targets at all (proxy training) the target
-    channel falls back to the proxy values so targets still normalize
-    sensibly.
+    scenario has no observed targets at all (training on the physics values)
+    the target channel falls back to every target so targets still
+    normalize sensibly.
     """
     if not len(b):
         raise ValueError("cannot fit normalization statistics on an empty split")
     dl_mean, dl_std = _channel_stats(b.dl[b.dl_mask == 1])
     ep_mean, ep_std = _channel_stats(b.ep[b.ep_mask == 1])
-    has_target = ~np.isnan(b.target)
-    observed = b.target[has_target & b.observed]
-    if not observed.size:
-        observed = b.target[has_target]
-    y_mean, y_std = _channel_stats(observed)
+    observed = b.target[b.observed]
+    y_mean, y_std = _channel_stats(observed if observed.size else b.target)
     return NormStats(dl_mean, dl_std, ep_mean, ep_std, y_mean, y_std)
 
 
 def normalize_samples(b: SampleBatch, stats: NormStats) -> SampleBatch:
     """Z-score the forecasts and targets with ``stats``; masks and flags
-    pass through, an absent (NaN) target stays absent."""
+    pass through."""
     return SampleBatch(
         (b.dl - stats.dl_mean) / stats.dl_std,
         b.dl_mask,
         (b.ep - stats.ep_mean) / stats.ep_std,
         b.ep_mask,
         (b.target - stats.y_mean) / stats.y_std,
-        b.proxy,
         b.observed,
     )
 

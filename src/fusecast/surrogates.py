@@ -33,6 +33,19 @@ SOLAR_APERTURE_FRAC = 0.05     # effective solar-collecting fraction of floor ar
 COLDEST_HOUR = 336             # seasonal minimum lands mid-January
 DT_S = 3600.0
 
+# The synthetic climate: annual mean, seasonal and diurnal amplitudes.
+WEATHER_MEAN_C = 7.5
+WEATHER_SEASONAL_AMP_C = 14.0
+WEATHER_DIURNAL_AMP_C = 4.5
+
+# The baseline fit: hidden width, Adam learning rate, epoch cap, minibatch
+# size and early-stopping patience.
+BASELINE_HIDDEN = 32
+BASELINE_ETA = 3e-3
+BASELINE_MAX_EPOCHS = 200
+BASELINE_BATCH_SIZE = 256
+BASELINE_PATIENCE = 10
+
 
 @dataclass(frozen=True)
 class BuildingParams:
@@ -143,9 +156,6 @@ def make_weather(
     seed: int = 0,
     *,
     start: str = "2021-01-01T00",
-    mean_c: float = 7.5,
-    seasonal_amp_c: float = 14.0,
-    diurnal_amp_c: float = 4.5,
     noise_amp_c: float = 1.5,
 ) -> WeatherSeries:
     """Synthetic typical-year weather: a seasonal plus a diurnal sinusoid and
@@ -155,9 +165,9 @@ def make_weather(
     timestamps = hourly_range(start, year_hours)
     h = np.arange(year_hours)
     hod = h % 24
-    seasonal = -seasonal_amp_c * np.cos(2.0 * np.pi * (h - COLDEST_HOUR) / 8760.0)
-    diurnal = diurnal_amp_c * np.cos(2.0 * np.pi * (hod - 15) / 24.0)
-    temp = mean_c + seasonal + diurnal
+    seasonal = -WEATHER_SEASONAL_AMP_C * np.cos(2.0 * np.pi * (h - COLDEST_HOUR) / 8760.0)
+    diurnal = WEATHER_DIURNAL_AMP_C * np.cos(2.0 * np.pi * (hod - 15) / 24.0)
+    temp = WEATHER_MEAN_C + seasonal + diurnal
     if noise_amp_c > 0:
         rng = np.random.default_rng(seed)
         eps = rng.standard_normal(year_hours)
@@ -324,12 +334,6 @@ def train_baseline_forecaster(
     truth: EnergySeries,
     split: SplitSpec,
     seed: int,
-    *,
-    hidden: int = 32,
-    eta: float = 3e-3,
-    max_epochs: int = 200,
-    batch_size: int = 256,
-    patience: int = 10,
 ) -> BaselineForecaster:
     """Fit the baseline on the training split only (z-scored inputs/targets,
     Adam on mean squared error, early stopping on the validation split).
@@ -356,7 +360,8 @@ def train_baseline_forecaster(
     feat_std = np.maximum(x_train.std(axis=0), 1e-8)
     y_mean = float(y_train.mean())
     y_std = float(max(y_train.std(), 1e-8))
-    ws = _FitWorkspace(hidden, len(x_train), len(x_val), min(batch_size, len(x_train)))
+    hidden = BASELINE_HIDDEN
+    ws = _FitWorkspace(hidden, len(x_train), len(x_val), min(BASELINE_BATCH_SIZE, len(x_train)))
     xt, yt, xv, yv = (
         np.divide(np.subtract(raw, mean, out=buf), std, out=buf)
         for raw, mean, std, buf in (
@@ -380,7 +385,7 @@ def train_baseline_forecaster(
     ])
     grads = np.zeros_like(weights)
     w, g = block_views(weights, shapes), block_views(grads, shapes)
-    state = AdamState.init(weights, eta=eta)
+    state = AdamState.init(weights, eta=BASELINE_ETA)
 
     def update(rows, epoch: int) -> float:
         # mode="clip" lets take write straight into ``out`` (the default
@@ -410,7 +415,10 @@ def train_baseline_forecaster(
         err = np.subtract(_forward(xv, w, ws.fwd_val)[-1], yv, out=ws.fwd_val[-1])
         return float(np.mean(np.square(err, out=err)))
 
-    best, _ = fit_epochs(weights, len(xt), update, validate if len(xv) else None, max_epochs, batch_size, patience, rng)
+    best, _ = fit_epochs(
+        weights, len(xt), update, validate if len(xv) else None,
+        BASELINE_MAX_EPOCHS, BASELINE_BATCH_SIZE, BASELINE_PATIENCE, rng,
+    )
     w = block_views(best, shapes)
     return BaselineForecaster(
         w1=w[0], b1=w[1], w2=w[2], b2=w[3], w3=w[4], b3=float(w[5]),

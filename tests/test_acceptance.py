@@ -41,8 +41,7 @@ MASTER_SEED = 42
 def _batch(dl, ep, target, dl_mask=1, ep_mask=1):
     """Measured samples as a SampleBatch; a scalar mask applies to every row."""
     n = len(dl)
-    return SampleBatch(dl, np.broadcast_to(dl_mask, n), ep, np.broadcast_to(ep_mask, n), target,
-                       np.zeros(n, bool), np.ones(n, bool))
+    return SampleBatch(dl, np.broadcast_to(dl_mask, n), ep, np.broadcast_to(ep_mask, n), target, np.ones(n, bool))
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -137,7 +136,7 @@ def _train_variant(samples, scale, memory_enabled, master=MASTER_SEED):
     train_s, val_s, test_s = split_samples(samples, SplitSpec())
     dims = replace(DEFAULT_DIMS, memory_enabled=memory_enabled)
     params = M.init_params(dims, master + SEED_INIT)
-    cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=300, batch_size=128,
+    cfg = M.TrainConfig(eta=3e-3, max_epochs=300, batch_size=128,
                         early_stop_patience=20, seed=master + SEED_TRAIN)
     params, _ = M.train(train_s, params, cfg, val_s)
     preds = M.predict(test_s, params) * scale
@@ -175,7 +174,7 @@ def test_criterion_3_unbounded_output():
     scale = 100.0
     train_s, val_s, test_s = split_samples(_batch(xd / scale, xe / scale, y / scale), SplitSpec())
     params = M.init_params(DEFAULT_DIMS, MASTER_SEED + SEED_INIT)
-    cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=300, batch_size=64,
+    cfg = M.TrainConfig(eta=3e-3, max_epochs=300, batch_size=64,
                         early_stop_patience=20, seed=MASTER_SEED + SEED_TRAIN)
     params, _ = M.train(train_s, params, cfg, val_s)
     preds = M.predict(test_s, params) * scale
@@ -198,7 +197,7 @@ def test_criterion_4_function_approximation():
     xd, xe = xx.ravel(), yy.ravel()
     target = np.sin(3.0 * xd) + 0.5 * xe**2
     params = M.init_params(M.FusionDims(64, 64, 64), MASTER_SEED + SEED_INIT)
-    cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=400, batch_size=64,
+    cfg = M.TrainConfig(eta=3e-3, max_epochs=400, batch_size=64,
                         early_stop_patience=400, seed=MASTER_SEED + SEED_TRAIN)
     params, history = M.train(_batch(xd, xe, target), params, cfg, None)
     train_losses = [tr for tr, _ in history]

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +32,7 @@ TINY = 24 * 30  # 30-day fixture keeps the harness tests quick
 
 
 def tiny_config(sid, seed=42, **overrides):
-    train = TrainConfig(eta=3e-3, optimizer="adam", max_epochs=40, batch_size=64,
-                        early_stop_patience=10, seed=seed + harness.SEED_TRAIN)
+    train = TrainConfig(eta=3e-3, max_epochs=40, batch_size=64, early_stop_patience=10, seed=seed + harness.SEED_TRAIN)
     overrides.setdefault("year_hours", TINY)
     overrides.setdefault("train", train)
     return scenario_config(sid, seed=seed, **overrides)
@@ -445,7 +445,6 @@ class TestConfigFile:
             "val_frac = 0.25\n"
             "test_frac = 0.25\n"
             "eta = 0.01\n"
-            "optimizer = sgd\n"
             "max_epochs = 50\n"
             "batch_size = 32\n"
             "early_stop_patience = 5\n"
@@ -460,8 +459,7 @@ class TestConfigFile:
             sparse_frac=0.35,
             imputation="historical_averaging",
             split=SplitSpec(train_frac=0.5, val_frac=0.25, test_frac=0.25),
-            train=TrainConfig(eta=0.01, optimizer="sgd", max_epochs=50, batch_size=32,
-                              early_stop_patience=5, seed=9 + harness.SEED_TRAIN),
+            train=TrainConfig(eta=0.01, max_epochs=50, batch_size=32, early_stop_patience=5, seed=9 + harness.SEED_TRAIN),
             memory_unit_enabled=False,
             seed=9,
             year_hours=720,
@@ -472,6 +470,23 @@ class TestConfigFile:
         path.write_text("id = 1\nwhatever = 3\n")
         with pytest.raises(ConfigError, match="whatever"):
             load_scenario_config(path)
+
+    def test_optimizer_key_rejected(self, tmp_path, capsys):
+        # training is Adam only, so there is no optimizer to choose
+        path = tmp_path / "scenario.cfg"
+        path.write_text("id = 1\neta = 0.01\noptimizer = sgd\n")
+        with pytest.raises(ConfigError, match=r"scenario\.cfg:3: unknown key 'optimizer'"):
+            load_scenario_config(path)
+        assert cli_main(["scenario", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "scenario.cfg:3: unknown key 'optimizer'" in capsys.readouterr().err
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config files", 1)[1].split("```", 2)[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        cfg = load_scenario_config(path)
+        assert cfg.id == 2 and cfg.seed == 9
 
     def test_repeated_key_rejected(self, tmp_path):
         path = tmp_path / "scenario.cfg"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusecast import model as M
-from fusecast.numkit import ShapeMismatch, finite_diff_grad, sgd_step
+from fusecast.numkit import AdamState, ShapeMismatch, adam_step, finite_diff_grad
 from fusecast.pipeline import NormStats, SampleBatch
 
 
@@ -27,11 +27,10 @@ def manual_params(dims, fill=1.0, memory=None):
     )
 
 
-def sample_batch(dl, ep, target=0.0, dl_mask=1, ep_mask=1, proxy=False):
-    """A SampleBatch from columns; a scalar applies to every row, so scalars
-    alone make one row.  Proxy-labelled rows are the unobserved ones."""
-    cols = np.broadcast_arrays(*map(np.atleast_1d, (dl, dl_mask, ep, ep_mask, target, proxy)))
-    return SampleBatch(*cols, ~cols[-1])
+def sample_batch(dl, ep, target=0.0, dl_mask=1, ep_mask=1):
+    """A SampleBatch of measured targets from columns; a scalar applies to
+    every row, so scalars alone make one row."""
+    return SampleBatch(*np.broadcast_arrays(*map(np.atleast_1d, (dl, dl_mask, ep, ep_mask, target, True))))
 
 
 def random_batch(rng, n=1, masks=(1, 1)):
@@ -55,7 +54,7 @@ def kernel_grads(batch, p):
     and the workspace of that pass."""
     ws = run_kernel(batch, p)
     grads = M.FusionParams(p.dims)
-    losses = M._batch_backward(ws.x, batch.resolved_targets(), p, ws, grads)
+    losses = M._batch_backward(ws.x, batch.target, p, ws, grads)
     return float(np.sum(losses)), grads, ws
 
 
@@ -66,7 +65,7 @@ def near_relu_kink(ws):
 
 
 def loss_fn(batch, dims):
-    y = batch.resolved_targets()
+    y = batch.target
 
     def f(arrays):
         return float(np.sum((y - M.predict(batch, M.FusionParams.unflatten(dims, arrays))) ** 2))
@@ -158,13 +157,12 @@ class TestReadMemory:
     def test_reflects_optimizer_updates(self):
         dims = M.FusionDims(1, 2, 1)
         p = manual_params(dims, memory=[1.0, 1.0])
-        flat = p.flatten()
-        grads = [np.zeros_like(a) for a in flat]
-        grads[4] = np.array([2.0, -2.0])  # memory slot in the flatten order
-        flat_g = M.FusionParams.unflatten(dims, grads).vector
-        new = M.FusionParams(dims, sgd_step(p.vector, flat_g, 0.5))
-        assert np.array_equal(new.memory, np.array([0.0, 2.0]))
-        assert np.array_equal(memory_read(new), [[0.0, 2.0], [0.0, 2.0]])
+        grads = M.FusionParams(dims)
+        grads.memory = [2.0, -2.0]
+        # a fresh Adam step moves each entry by eta against its gradient's sign
+        adam_step(p.vector, grads.vector, AdamState.init(p.vector, eta=0.5), out=p.vector)
+        assert p.memory == pytest.approx([0.5, 1.5], rel=1e-8)
+        assert np.array_equal(memory_read(p), [p.memory, p.memory])
 
 
 class TestForward:
@@ -267,15 +265,9 @@ class TestBackward:
                 assert np.all(np.abs(a - n) <= 1e-8 + 1e-5 * np.maximum(np.abs(a), np.abs(n)))
             checked += 1
 
-    def test_missing_unproxied_target_rejected(self):
+    def test_missing_target_rejected(self):
         with pytest.raises(ValueError, match="target"):
             sample_batch(1.0, 1.0, target=np.nan)
-
-    def test_proxy_target_resolves_to_physics_value(self):
-        s = sample_batch(0.0, 7.5, target=np.nan, dl_mask=0, proxy=True)
-        assert s.resolved_targets()[0] == 7.5
-        loss, _, ws = kernel_grads(s, manual_params(M.FusionDims(1, 1, 1)))
-        assert loss == (7.5 - ws.yhat[0]) ** 2
 
 
 class TestBatchEquivalence:

@@ -7,31 +7,7 @@ from fusecast.numkit import (
     adam_step,
     block_views,
     finite_diff_grad,
-    sgd_step,
 )
-
-
-class TestSgd:
-    def test_zero_gradient(self):
-        out = sgd_step(np.array([1.0]), np.array([0.0]), 0.1)
-        assert float(out[0]) == 1.0
-
-    def test_hand_values(self):
-        assert float(sgd_step(np.array([1.0]), np.array([2.0]), 0.1)[0]) == pytest.approx(0.8)
-        assert float(sgd_step(np.array([-0.5]), np.array([-1.0]), 0.5)[0]) == pytest.approx(0.0)
-
-    def test_twice_equals_double_gradient(self):
-        rng = np.random.default_rng(1)
-        p = np.concatenate([rng.standard_normal((3, 2)).ravel(), rng.standard_normal(4)])
-        g = np.concatenate([rng.standard_normal((3, 2)).ravel(), rng.standard_normal(4)])
-        once_twice = sgd_step(sgd_step(p, g, 0.05), g, 0.05)
-        doubled = sgd_step(p, 2 * g, 0.05)
-        for a, b in zip(once_twice, doubled):
-            assert np.allclose(a, b, rtol=1e-14, atol=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            sgd_step(np.zeros(2), np.zeros(3), 0.1)
 
 
 class TestAdam:
@@ -160,15 +136,6 @@ class TestFlatSteps:
         out, _ = adam_step(q, g, s2, out=q)
         assert out is q and np.array_equal(q, fresh)
         assert np.array_equal(s1.m, s2.m) and np.array_equal(s1.v, s2.v) and s1.step == s2.step == 1
-
-    def test_in_place_sgd(self):
-        p = np.array([1.0, 2.0])
-        out = sgd_step(p, np.array([1.0, -1.0]), 0.5, out=p)
-        assert out is p and np.array_equal(p, [0.5, 2.5])
-
-    def test_sgd_rejects_non_finite_eta(self):
-        with pytest.raises(ValueError):
-            sgd_step(np.zeros(2), np.zeros(2), float("nan"))
 
     def test_block_views_share_memory_and_cover_vector(self):
         vec = np.arange(7.0)

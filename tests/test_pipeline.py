@@ -1,4 +1,3 @@
-import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -186,7 +185,7 @@ class TestAssembleSamples:
         samples = assemble_samples(dl, ep, truth, scenario_ns())
         assert np.all((samples.dl_mask == 1) & (samples.ep_mask == 1))
         assert np.all(samples.target == truth.values)
-        assert np.all(~samples.proxy & samples.observed)
+        assert np.all(samples.observed)
 
     def test_scenario4_dl_zeroed(self):
         dl, ep, truth = self._series_triple()
@@ -197,7 +196,7 @@ class TestAssembleSamples:
         dl, ep, truth = self._series_triple()
         samples = assemble_samples(None, ep, truth, scenario_ns(dl_available=False, truth_mode="absent"))
         assert np.all(samples.target == ep.values)
-        assert np.all(samples.proxy & ~samples.observed)
+        assert not np.any(samples.observed)
 
     def test_scenario5_ep_zeroed(self):
         dl, ep, truth = self._series_triple()
@@ -230,7 +229,7 @@ class TestAssembleSamples:
             s = assemble_samples(dl, ep, truth, ns)
             assert np.all(np.isin(s.dl_mask, (0, 1)) & np.isin(s.ep_mask, (0, 1)))
             assert np.all(np.isfinite(s.dl) & np.isfinite(s.ep))
-            assert np.all(np.isnan(s.target) | np.isfinite(s.target))  # NaN is an absent target
+            assert np.all(np.isfinite(s.target))
 
     def test_misaligned_timestamps_rejected(self):
         dl, ep, truth = self._series_triple()
@@ -239,9 +238,9 @@ class TestAssembleSamples:
             assemble_samples(dl, ep, shifted, scenario_ns())
 
 
-def batch_of(dl, ep, target, dl_mask=1, ep_mask=1, proxy=False, observed=True):
+def batch_of(dl, ep, target, dl_mask=1, ep_mask=1, observed=True):
     """A SampleBatch from columns; a scalar applies to every row."""
-    return SampleBatch(*np.broadcast_arrays(*map(np.atleast_1d, (dl, dl_mask, ep, ep_mask, target, proxy, observed))))
+    return SampleBatch(*np.broadcast_arrays(*map(np.atleast_1d, (dl, dl_mask, ep, ep_mask, target, observed))))
 
 
 class TestNormStats:
@@ -266,7 +265,7 @@ class TestNormStats:
         assert stats.y_mean == 10.0
 
     def test_proxy_only_targets_fall_back(self):
-        stats = fit_norm_stats(batch_of(0.0, [2.0, 4.0], [2.0, 4.0], dl_mask=0, proxy=True, observed=False))
+        stats = fit_norm_stats(batch_of(0.0, [2.0, 4.0], [2.0, 4.0], dl_mask=0, observed=False))
         assert stats.y_mean == 3.0
 
     def test_all_missing_channel_keeps_zero_standins(self):
@@ -296,14 +295,13 @@ class TestNormStats:
 
 @dataclass(frozen=True)
 class Row:
-    """One sample of the list-based references; a None target is absent."""
+    """One sample of the list-based references."""
 
     dl: float
     dl_mask: int
     ep: float
     ep_mask: int
-    target: float | None
-    target_is_proxy: bool = False
+    target: float
     target_observed: bool = True
 
 
@@ -326,14 +324,12 @@ def _reference_assemble_samples(dl_forecast, ep_forecast, truth, scenario) -> li
 
     if scenario.truth_mode == "absent":
         targets = ep_vals
-        proxy = np.ones(n, dtype=bool)
         observed = np.zeros(n, dtype=bool)
     else:
         if np.all(truth.present):
             targets = truth.values
         else:
             targets = impute(truth, scenario.imputation).values
-        proxy = np.zeros(n, dtype=bool)
         observed = truth.present.copy()
 
     return [
@@ -343,7 +339,6 @@ def _reference_assemble_samples(dl_forecast, ep_forecast, truth, scenario) -> li
             ep=float(ep_vals[i]),
             ep_mask=int(ep_mask[i]),
             target=float(targets[i]),
-            target_is_proxy=bool(proxy[i]),
             target_observed=bool(observed[i]),
         )
         for i in range(n)
@@ -362,26 +357,23 @@ def _reference_fit_norm_stats(train_samples) -> NormStats:
         raise ValueError("cannot fit normalization statistics on an empty split")
     dl_mean, dl_std = _reference_channel_stats([s.dl for s in train_samples if s.dl_mask == 1])
     ep_mean, ep_std = _reference_channel_stats([s.ep for s in train_samples if s.ep_mask == 1])
-    observed = [s.target for s in train_samples if s.target is not None and s.target_observed]
+    observed = [s.target for s in train_samples if s.target_observed]
     if not observed:
-        observed = [s.target for s in train_samples if s.target is not None]
+        observed = [s.target for s in train_samples]
     y_mean, y_std = _reference_channel_stats(observed)
     return NormStats(dl_mean, dl_std, ep_mean, ep_std, y_mean, y_std)
 
 
 def _reference_normalize_samples(samples, stats):
-    out = []
-    for s in samples:
-        target = None if s.target is None else (s.target - stats.y_mean) / stats.y_std
-        out.append(
-            replace(
-                s,
-                dl=(s.dl - stats.dl_mean) / stats.dl_std,
-                ep=(s.ep - stats.ep_mean) / stats.ep_std,
-                target=target,
-            )
+    return [
+        replace(
+            s,
+            dl=(s.dl - stats.dl_mean) / stats.dl_std,
+            ep=(s.ep - stats.ep_mean) / stats.ep_std,
+            target=(s.target - stats.y_mean) / stats.y_std,
         )
-    return out
+        for s in samples
+    ]
 
 
 def assert_batch_bits_equal_rows(batch, rows):
@@ -391,8 +383,7 @@ def assert_batch_bits_equal_rows(batch, rows):
         "dl_mask": ([s.dl_mask for s in rows], np.int64),
         "ep": ([s.ep for s in rows], np.float64),
         "ep_mask": ([s.ep_mask for s in rows], np.int64),
-        "target": ([math.nan if s.target is None else s.target for s in rows], np.float64),
-        "proxy": ([s.target_is_proxy for s in rows], bool),
+        "target": ([s.target for s in rows], np.float64),
         "observed": ([s.target_observed for s in rows], bool),
     }
     assert len(batch) == len(rows)
@@ -460,26 +451,12 @@ class TestColumnarMatchesListReference:
         dl, ep, truth = self._streams(np.random.default_rng(78), True, True, "absent")
         self._check(dl, ep, truth, scenario_ns(dl_available=dl_available, ep_available=ep_available, truth_mode="absent"))
 
-    def test_lists_with_absent_proxy_targets(self):
-        rows = [
-            Row(dl=0.5 * k, dl_mask=k % 2, ep=2.0 + k, ep_mask=1, target=None if k % 3 == 0 else 1.5 * k,
-                target_is_proxy=k % 3 == 0, target_observed=k % 4 != 0)
-            for k in range(12)
-        ]
-        k = np.arange(12)
-        batch = batch_of(0.5 * k, 2.0 + k, np.where(k % 3 == 0, np.nan, 1.5 * k), dl_mask=k % 2,
-                         proxy=k % 3 == 0, observed=k % 4 != 0)
-        assert_batch_bits_equal_rows(batch, rows)
-        stats = fit_norm_stats(batch)
-        assert stats == _reference_fit_norm_stats(rows)
-        assert_batch_bits_equal_rows(normalize_samples(batch, stats), _reference_normalize_samples(rows, stats))
-
 
 class TestSampleBatchBoundaries:
     def columns(self, **changes):
         cols = dict(
             dl=[0.5, 1.0, 1.5], dl_mask=[1, 0, 1], ep=[2.0, 2.5, 3.0], ep_mask=[1, 1, 0],
-            target=[4.0, 5.0, 6.0], proxy=[False, False, False], observed=[True, True, False],
+            target=[4.0, 5.0, 6.0], observed=[True, True, False],
         )
         cols.update(changes)
         return cols
@@ -487,7 +464,7 @@ class TestSampleBatchBoundaries:
     def test_valid_columns_accepted(self):
         batch = SampleBatch(**self.columns())
         assert len(batch) == 3
-        assert batch.dl_mask.dtype == np.int64 and batch.proxy.dtype == bool
+        assert batch.dl_mask.dtype == np.int64 and batch.observed.dtype == bool
 
     @pytest.mark.parametrize(
         "column,values",
@@ -513,12 +490,6 @@ class TestSampleBatchBoundaries:
         cols[column] = cols[column][:2]
         with pytest.raises(ValueError, match="equal length"):
             SampleBatch(**cols)
-
-    def test_absent_target_only_on_proxy_rows(self):
-        batch = SampleBatch(**self.columns(target=[4.0, np.nan, 6.0], proxy=[False, True, False]))
-        assert np.array_equal(batch.resolved_targets(), [4.0, 2.5, 6.0])
-        with pytest.raises(ValueError, match="target"):
-            batch_of(1.0, 1.0, np.nan)
 
     def test_slices_are_batches_and_rows_are_not_indexable(self):
         batch = SampleBatch(**self.columns())

@@ -5,6 +5,11 @@ from fusecast.numkit import AdamState, adam_step, block_views, fit_epochs
 from fusecast.pipeline import N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, build_feature_rows, hourly_range
 from fusecast.surrogates import (
     AIR_HEAT_W_PER_K_M3H,
+    BASELINE_BATCH_SIZE,
+    BASELINE_ETA,
+    BASELINE_HIDDEN,
+    BASELINE_MAX_EPOCHS,
+    BASELINE_PATIENCE,
     CEILING_HEIGHT_M,
     BuildingParams,
     OccupancySchedule,
@@ -347,7 +352,7 @@ def _reference_forward(x, w1, b1, w2, b2, w3, b3):
     return a1, h1, a2, h2, h2 @ w3 + b3
 
 
-def _reference_train_baseline(features, truth, split, seed, *, hidden, eta, max_epochs, batch_size, patience):
+def _reference_train_baseline(features, truth, split, seed):
     """The former baseline fit, before its workspace: every minibatch,
     activation and gradient a fresh array, the output gradient spread with
     np.outer.  Returns the fitted weights as (w1, b1, w2, b2, w3, b3)."""
@@ -363,6 +368,7 @@ def _reference_train_baseline(features, truth, split, seed, *, hidden, eta, max_
     y_std = float(max(y_train.std(), 1e-8))
     xt, yt = (x_train - feat_mean) / feat_std, (y_train - y_mean) / y_std
     xv, yv = (x_val - feat_mean) / feat_std, (y_val - y_mean) / y_std
+    hidden = BASELINE_HIDDEN
 
     rng = np.random.default_rng(seed)
 
@@ -378,7 +384,7 @@ def _reference_train_baseline(features, truth, split, seed, *, hidden, eta, max_
     ])
     grads = np.zeros_like(weights)
     w, g = block_views(weights, shapes), block_views(grads, shapes)
-    state = AdamState.init(weights, eta=eta)
+    state = AdamState.init(weights, eta=BASELINE_ETA)
 
     def update(rows, epoch):
         xb, yb = xt[rows], yt[rows]
@@ -398,7 +404,10 @@ def _reference_train_baseline(features, truth, split, seed, *, hidden, eta, max_
     def validate(epoch):
         return float(np.mean((_reference_forward(xv, *w)[-1] - yv) ** 2))
 
-    best, _ = fit_epochs(weights, len(xt), update, validate if len(xv) else None, max_epochs, batch_size, patience, rng)
+    best, _ = fit_epochs(
+        weights, len(xt), update, validate if len(xv) else None,
+        BASELINE_MAX_EPOCHS, BASELINE_BATCH_SIZE, BASELINE_PATIENCE, rng,
+    )
     return block_views(best, shapes)
 
 
@@ -409,20 +418,18 @@ class TestBaselineWorkspaceOracle:
         return build_feature_rows(truth, weather.temp_c), truth
 
     @pytest.mark.parametrize(
-        "split,batch_size",
+        "split",
         [
-            (SplitSpec(), 50),  # 561 training rows: a ragged last minibatch of 11
-            (SplitSpec(), 1000),  # one minibatch, smaller than the workspace asked for
-            (SplitSpec(0.6, 1e-4, 0.3999), 64),  # no validation rows: the last vector is kept
-            (SplitSpec(0.5, 0.3, 0.2), 17),
+            SplitSpec(),  # 561 training rows: minibatches of 256, 256 and a ragged 49
+            SplitSpec(0.2, 0.4, 0.4),  # 187 rows: one minibatch, smaller than the batch size
+            SplitSpec(0.6, 1e-4, 0.3999),  # no validation rows: the last vector is kept
         ],
-        ids=["ragged-with-validation", "one-batch", "no-validation", "small-batches"],
+        ids=["ragged-with-validation", "one-batch", "no-validation"],
     )
-    def test_fit_matches_allocating_reference_bit_for_bit(self, world, split, batch_size):
+    def test_fit_matches_allocating_reference_bit_for_bit(self, world, split):
         features, truth = world
-        kwargs = dict(hidden=12, eta=3e-3, max_epochs=12, batch_size=batch_size, patience=3)
-        f = train_baseline_forecaster(features, truth, split, seed=21, **kwargs)
-        ref = _reference_train_baseline(features, truth, split, 21, **kwargs)
+        f = train_baseline_forecaster(features, truth, split, seed=21)
+        ref = _reference_train_baseline(features, truth, split, 21)
         got = (f.w1, f.b1, f.w2, f.b2, f.w3, np.float64(f.b3))
         for name, a, b in zip(("w1", "b1", "w2", "b2", "w3", "b3"), got, ref):
             assert np.asarray(a).tobytes() == b.tobytes(), name

@@ -12,7 +12,7 @@ def measured(dl, ep, target):
     """A SampleBatch of the given columns, both streams present and every
     target a measured one."""
     n = len(dl)
-    return SampleBatch(dl, np.ones(n, np.int64), ep, np.ones(n, np.int64), target, np.zeros(n, bool), np.ones(n, bool))
+    return SampleBatch(dl, np.ones(n, np.int64), ep, np.ones(n, np.int64), target, np.ones(n, bool))
 
 
 def make_dataset(rng, n=80):
@@ -35,12 +35,11 @@ class TestTrainBasics:
         dl, ep = rng.standard_normal((12, 2)).T
         preds = M.predict(measured(dl, ep, np.zeros(12)), p)
         fixed = measured(dl, ep, preds)
-        for optimizer in ("sgd", "adam"):
-            cfg = M.TrainConfig(eta=0.01, optimizer=optimizer, max_epochs=25, early_stop_patience=25, seed=0)
-            trained, history = M.train(fixed, p, cfg, None)
-            for a, b in zip(p.flatten(), trained.flatten()):
-                assert np.array_equal(np.asarray(a), np.asarray(b))
-            assert history[0][0] == 0.0
+        cfg = M.TrainConfig(eta=0.01, max_epochs=25, early_stop_patience=25, seed=0)
+        trained, history = M.train(fixed, p, cfg, None)
+        for a, b in zip(p.flatten(), trained.flatten()):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+        assert history[0][0] == 0.0
 
     def test_history_lengths_and_values(self):
         rng = np.random.default_rng(2)
@@ -66,35 +65,13 @@ class TestTrainBasics:
         rng = np.random.default_rng(4)
         samples = make_dataset(rng, n=120)
         p = M.init_params(M.FusionDims(8, 4, 8), 6)
-        cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=150, batch_size=32, early_stop_patience=150, seed=2)
+        cfg = M.TrainConfig(eta=3e-3, max_epochs=150, batch_size=32, early_stop_patience=150, seed=2)
         _, history = M.train(samples, p, cfg, None)
         assert history[-1][0] < 0.05 * history[0][0]
 
 
-class TestProxyTargets:
-    def test_absent_actuals_train_against_physics_value(self):
-        rng = np.random.default_rng(5)
-        values = rng.standard_normal(20)
-        n = len(values)
-        samples = SampleBatch(
-            np.zeros(n), np.zeros(n, np.int64), values, np.ones(n, np.int64),
-            np.full(n, np.nan), np.ones(n, bool), np.zeros(n, bool),
-        )
-        p = M.init_params(M.FusionDims(3, 2, 3), 7)
-        preds = M.predict(samples, p)
-        expected = float(np.mean((values - preds) ** 2))
-        cfg = M.TrainConfig(eta=1e-3, max_epochs=1, early_stop_patience=1, seed=0)
-        _, history = M.train(samples, p, cfg, None)
-        assert history[0][0] == pytest.approx(expected, rel=1e-12)
-
-    def test_unproxied_missing_target_rejected(self):
-        # no such batch can reach train: the constructor rejects it
-        with pytest.raises(ValueError, match="target"):
-            measured([1.0], [1.0], [np.nan])
-
-
 class TestBiasCorrection:
-    def test_first_sgd_step_decreases_total_mse_on_offset_dataset(self):
+    def test_first_step_decreases_total_mse_on_offset_dataset(self):
         # constant target offset; eta = 1e-4
         rng = np.random.default_rng(6)
         base = rng.standard_normal(60)
@@ -102,7 +79,7 @@ class TestBiasCorrection:
         p = M.init_params(M.FusionDims(8, 4, 8), 11)
         y = samples.target
         before = float(np.sum((y - M.predict(samples, p)) ** 2))
-        cfg = M.TrainConfig(eta=1e-4, optimizer="sgd", max_epochs=1, early_stop_patience=1, seed=0)
+        cfg = M.TrainConfig(eta=1e-4, max_epochs=1, early_stop_patience=1, seed=0)
         trained, _ = M.train(samples, p, cfg, None)
         after = float(np.sum((y - M.predict(samples, trained)) ** 2))
         assert after < before
@@ -115,7 +92,7 @@ class TestBiasCorrection:
         samples = measured(vals, vals, vals + c)
         train_s, val_s, test_s = split_samples(samples, SplitSpec())
         p = M.init_params(M.FusionDims(16, 8, 16), 13)
-        cfg = M.TrainConfig(eta=3e-3, optimizer="adam", max_epochs=200, batch_size=32, early_stop_patience=200, seed=3)
+        cfg = M.TrainConfig(eta=3e-3, max_epochs=200, batch_size=32, early_stop_patience=200, seed=3)
         trained, _ = M.train(train_s, p, cfg, val_s)
         preds = M.predict(test_s, trained)
         me = float(np.mean(test_s.target - preds))
@@ -129,7 +106,7 @@ class TestEarlyStopping:
         # validation targets are pure noise: no real improvement possible
         val = measured(samples.dl[:20], samples.ep[:20], rng.standard_normal(20) * 100)
         p = M.init_params(M.FusionDims(4, 2, 4), 9)
-        cfg = M.TrainConfig(eta=1e-2, optimizer="adam", max_epochs=500, early_stop_patience=5, seed=1)
+        cfg = M.TrainConfig(eta=1e-2, max_epochs=500, early_stop_patience=5, seed=1)
         _, history = M.train(samples, p, cfg, val)
         assert len(history) < 500
 
@@ -138,7 +115,7 @@ class TestEarlyStopping:
         samples = make_dataset(rng, n=60)
         val = make_dataset(rng, n=20)
         p = M.init_params(M.FusionDims(4, 2, 4), 10)
-        cfg = M.TrainConfig(eta=1e-2, optimizer="adam", max_epochs=120, early_stop_patience=8, seed=2)
+        cfg = M.TrainConfig(eta=1e-2, max_epochs=120, early_stop_patience=8, seed=2)
         trained, history = M.train(samples, p, cfg, val)
         vals = [va for _, va in history]
         preds = M.predict(val, trained)
@@ -151,7 +128,7 @@ class TestDeterminismAndFailure:
         rng = np.random.default_rng(10)
         samples = make_dataset(rng, n=50)
         p = M.init_params(M.FusionDims(5, 3, 5), 12)
-        cfg = M.TrainConfig(eta=2e-3, optimizer="adam", max_epochs=30, batch_size=16, early_stop_patience=30, seed=77)
+        cfg = M.TrainConfig(eta=2e-3, max_epochs=30, batch_size=16, early_stop_patience=30, seed=77)
         a, _ = M.train(samples, p, cfg, None)
         b, _ = M.train(samples, p, cfg, None)
         for x, y in zip(a.flatten(), b.flatten()):
@@ -161,8 +138,8 @@ class TestDeterminismAndFailure:
         rng = np.random.default_rng(11)
         samples = make_dataset(rng, n=50)
         p = M.init_params(M.FusionDims(5, 3, 5), 12)
-        cfg_a = M.TrainConfig(eta=2e-3, optimizer="adam", max_epochs=10, batch_size=16, early_stop_patience=10, seed=1)
-        cfg_b = M.TrainConfig(eta=2e-3, optimizer="adam", max_epochs=10, batch_size=16, early_stop_patience=10, seed=2)
+        cfg_a = M.TrainConfig(eta=2e-3, max_epochs=10, batch_size=16, early_stop_patience=10, seed=1)
+        cfg_b = M.TrainConfig(eta=2e-3, max_epochs=10, batch_size=16, early_stop_patience=10, seed=2)
         a, _ = M.train(samples, p, cfg_a, None)
         b, _ = M.train(samples, p, cfg_b, None)
         assert any(not np.array_equal(np.asarray(x), np.asarray(y)) for x, y in zip(a.flatten(), b.flatten()))
@@ -171,15 +148,24 @@ class TestDeterminismAndFailure:
         rng = np.random.default_rng(12)
         samples = make_dataset(rng, n=40)
         p = M.init_params(M.FusionDims(4, 2, 4), 1)
-        cfg = M.TrainConfig(eta=1e6, optimizer="sgd", max_epochs=50, early_stop_patience=50, seed=0)
-        with pytest.raises(M.TrainingDiverged, match=r"epoch \d+"):
+        cfg = M.TrainConfig(eta=1e300, max_epochs=50, early_stop_patience=50, seed=0)
+        with pytest.raises(M.TrainingDiverged, match=r"epoch 1: non-finite training loss"):
             M.train(samples, p, cfg, None)
+
+    def test_overflowing_last_loss_raises_before_the_step(self):
+        # the epoch-1 predictions are finite but their squared errors
+        # overflow; without a validation split nothing else would catch it,
+        # and the step on those gradients would leave NaN parameters
+        rng = np.random.default_rng(12)
+        dl, ep = rng.standard_normal(40), rng.standard_normal(40)
+        p = M.init_params(M.FusionDims(4, 2, 4), 1)
+        cfg = M.TrainConfig(eta=1e80, max_epochs=2, early_stop_patience=2)
+        with pytest.raises(M.TrainingDiverged, match=r"epoch 1: non-finite training loss"):
+            M.train(measured(dl, ep, dl + ep), p, cfg, None)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             M.TrainConfig(eta=0.0)
-        with pytest.raises(ValueError):
-            M.TrainConfig(optimizer="rmsprop")
         with pytest.raises(ValueError):
             M.TrainConfig(max_epochs=0)
         with pytest.raises(ValueError):
@@ -190,19 +176,15 @@ class TestDeterminismAndFailure:
 
 # ---------------------------------------------------------------------------
 # Bit-identity oracles: the workspace kernel against the allocating kernel it
-# replaced (copied below unchanged), and the flat-vector optimizers against
-# a per-tensor reference loop (the list-based Adam/SGD the flat buffer
-# replaced) running on those reference kernels.
+# replaced (copied below unchanged), and the flat-vector Adam against a
+# per-tensor reference loop (the list-based Adam the flat buffer replaced)
+# running on those reference kernels.
 # ---------------------------------------------------------------------------
 
 def _reference_pack_inputs(batch):
     x_dl = np.array([[v, float(m)] for v, m in zip(batch.dl, batch.dl_mask)])
     x_ep = np.array([[v, float(m)] for v, m in zip(batch.ep, batch.ep_mask)])
     return x_dl, x_ep
-
-
-def _reference_targets(batch):
-    return np.array([e if np.isnan(t) else t for e, t in zip(batch.ep, batch.target)])
 
 
 def _reference_batch_forward(x_dl, x_ep, params):
@@ -378,7 +360,7 @@ class TestWorkspaceKernelOracle:
         assert all(buf.base is arena for buf in floats.values())
         assert arena.size == sum(buf.size for buf in floats.values())
         if backward:
-            masks = [ws.on_z, ws.on_h, ws.finite]
+            masks = [ws.on_z, ws.on_h]
             assert all(buf.dtype == bool and buf.base is masks[0].base for buf in masks)
 
     def test_one_row_workspace_matches_reference(self):
@@ -415,10 +397,10 @@ def _reference_adam(params, grads, m, v, step, eta, beta1=0.9, beta2=0.999, eps=
 def _reference_train(dataset, params, cfg, validation):
     """Per-tensor copy of the training loop on the reference kernels."""
     x_dl, x_ep = _reference_pack_inputs(dataset)
-    y = _reference_targets(dataset)
+    y = dataset.target
     if validation:
         xv_dl, xv_ep = _reference_pack_inputs(validation)
-        yv = _reference_targets(validation)
+        yv = validation.target
     arrays = [np.array(a) for a in params.flatten()]
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
@@ -432,10 +414,7 @@ def _reference_train(dataset, params, cfg, validation):
         p = M.FusionParams.unflatten(params.dims, arrays)
         losses, grads = _reference_batch_backward(_reference_batch_forward(x_dl[idx], x_ep[idx], p), y[idx], p)
         g = [np.array(a) for a in grads.flatten()]
-        if cfg.optimizer == "sgd":
-            arrays = [a - cfg.eta * b for a, b in zip(arrays, g)]
-        else:
-            arrays, m, v, step = _reference_adam(arrays, g, m, v, step, cfg.eta)
+        arrays, m, v, step = _reference_adam(arrays, g, m, v, step, cfg.eta)
         return losses
 
     history, best_val, best, stall = [], np.inf, None, 0
@@ -465,18 +444,16 @@ def _reference_train(dataset, params, cfg, validation):
 
 class TestFlatOptimizerOracle:
     @pytest.mark.parametrize(
-        "optimizer,batch_size,with_val",
-        [("adam", 16, True), ("adam", None, True), ("sgd", 16, False), ("adam", 7, False), ("sgd", None, True)],
-        ids=["minibatch-adam", "fullbatch-adam", "minibatch-sgd", "ragged-adam-noval", "fullbatch-sgd"],
+        "batch_size,with_val",
+        [(16, True), (None, True), (7, False)],
+        ids=["minibatch-adam", "fullbatch-adam", "ragged-adam-noval"],
     )
-    def test_train_matches_per_tensor_reference_exactly(self, optimizer, batch_size, with_val):
+    def test_train_matches_per_tensor_reference_exactly(self, batch_size, with_val):
         rng = np.random.default_rng(20)
         samples = make_dataset(rng, n=60)
         val = make_dataset(rng, n=20) if with_val else None
         p = M.init_params(M.FusionDims(4, 3, 5), 21, random_memory=True)
-        cfg = M.TrainConfig(
-            eta=5e-3, optimizer=optimizer, max_epochs=40, batch_size=batch_size, early_stop_patience=6, seed=4
-        )
+        cfg = M.TrainConfig(eta=5e-3, max_epochs=40, batch_size=batch_size, early_stop_patience=6, seed=4)
         trained, history = M.train(samples, p, cfg, val)
         ref_arrays, ref_history = _reference_train(samples, p, cfg, val)
         assert len(history) == len(ref_history)
