@@ -471,10 +471,11 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="whatever"):
             load_scenario_config(path)
 
-    def test_optimizer_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["sgd", "adam"])
+    def test_optimizer_key_rejected(self, tmp_path, capsys, value):
         # training is Adam only, so there is no optimizer to choose
         path = tmp_path / "scenario.cfg"
-        path.write_text("id = 1\neta = 0.01\noptimizer = sgd\n")
+        path.write_text(f"id = 1\neta = 0.01\noptimizer = {value}\n")
         with pytest.raises(ConfigError, match=r"scenario\.cfg:3: unknown key 'optimizer'"):
             load_scenario_config(path)
         assert cli_main(["scenario", "--config", str(path), "--out", str(tmp_path / "o")]) == 1

@@ -34,6 +34,26 @@ class TestAdam:
         step2 = abs(float(p2[0]) - float(p1[0]))
         assert abs(step2 - step1) <= 0.1 * step1
 
+    def test_two_step_hand_values(self):
+        # step 1: mhat = g and vhat = g^2, so each entry moves by ~eta*sign(g);
+        # step 2: m = [0.14, -0.13], v = [0.001249, 0.004246], corrected by
+        # 1 - 0.9^2 and 1 - 0.999^2
+        p = np.array([0.0, 1.0])
+        state = AdamState.init(p, eta=0.1)
+        p1, _ = adam_step(p, np.array([1.0, -2.0]), state)
+        assert p1 == pytest.approx([-0.1, 1.1], rel=1e-7)
+        p2, _ = adam_step(p1, np.array([0.5, 0.5]), state)
+        assert state.m == pytest.approx([0.14, -0.13], rel=1e-12)
+        assert state.v == pytest.approx([0.001249, 0.004246], rel=1e-12)
+        assert p2 == pytest.approx([-0.19321796, 1.14694682], rel=1e-7)
+
+    def test_out_of_place_leaves_inputs_untouched(self):
+        p, g = np.array([1.0, -2.0, 3.0]), np.array([0.5, 0.0, -1.0])
+        state = AdamState.init(p, eta=0.01)
+        out, _ = adam_step(p, g, state)
+        assert out is not p and not np.shares_memory(out, p)
+        assert np.array_equal(p, [1.0, -2.0, 3.0]) and np.array_equal(g, [0.5, 0.0, -1.0])
+
     def test_shape_mismatch(self):
         state = AdamState.init(np.zeros(2))
         with pytest.raises(ShapeMismatch):

@@ -198,6 +198,15 @@ class TestAssembleSamples:
         assert np.all(samples.target == ep.values)
         assert not np.any(samples.observed)
 
+    def test_scenario3_target_stats_are_physics_stats(self):
+        # no row is observed, so the target statistics fall back to all
+        # rows' targets, which are the physics values
+        dl, ep, truth = self._series_triple()
+        samples = assemble_samples(None, ep, truth, scenario_ns(dl_available=False, truth_mode="absent"))
+        stats = fit_norm_stats(samples)
+        assert stats.y_mean == stats.ep_mean == float(np.mean(ep.values))
+        assert stats.y_std == stats.ep_std == float(np.std(ep.values))
+
     def test_scenario5_ep_zeroed(self):
         dl, ep, truth = self._series_triple()
         samples = assemble_samples(dl, ep, truth, scenario_ns(ep_available=False))
@@ -478,6 +487,7 @@ class TestSampleBatchBoundaries:
             ("ep", [2.0, 2.5, -np.inf]),
             ("target", [4.0, np.nan, 6.0]),
             ("target", [4.0, 5.0, np.inf]),
+            ("target", [-np.inf, 5.0, 6.0]),
         ],
     )
     def test_bad_column_rejected_by_name(self, column, values):
@@ -490,6 +500,14 @@ class TestSampleBatchBoundaries:
         cols[column] = cols[column][:2]
         with pytest.raises(ValueError, match="equal length"):
             SampleBatch(**cols)
+
+    def test_six_columns_and_no_proxy_flag(self):
+        # every target is a training target; rows without actuals carry the
+        # physics value with observed = False
+        assert SampleBatch.COLUMNS == ("dl", "dl_mask", "ep", "ep_mask", "target", "observed")
+        with pytest.raises(TypeError):
+            SampleBatch(**self.columns(), proxy=[False, False, True])
+        assert not hasattr(SampleBatch(**self.columns()), "resolved_targets")
 
     def test_slices_are_batches_and_rows_are_not_indexable(self):
         batch = SampleBatch(**self.columns())

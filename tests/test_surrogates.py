@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,15 @@ class TestBaselineForecaster:
         test_vals = forecast.values[i_val:]
         assert np.all(np.abs(test_vals - c) <= 0.05 * c)
 
+    def test_fit_has_no_knobs_and_uses_the_module_constants(self):
+        assert list(inspect.signature(train_baseline_forecaster).parameters) == ["features", "truth", "split", "seed"]
+        assert list(inspect.signature(make_weather).parameters) == ["year_hours", "seed", "start", "noise_amp_c"]
+        rows, truth = self._fixture(n=24 * 20)
+        f = train_baseline_forecaster(rows, truth, SplitSpec(), seed=2)
+        assert f.w1.shape == (BASELINE_HIDDEN, N_FEATURES) and f.w2.shape == (BASELINE_HIDDEN, BASELINE_HIDDEN)
+        assert (BASELINE_HIDDEN, BASELINE_ETA, BASELINE_MAX_EPOCHS, BASELINE_BATCH_SIZE, BASELINE_PATIENCE) == (
+            32, 3e-3, 200, 256, 10)
+
     def test_deterministic_in_seed(self):
         rows, truth = self._fixture()
         a = train_baseline_forecaster(rows, truth, SplitSpec(), seed=3)
@@ -423,8 +434,9 @@ class TestBaselineWorkspaceOracle:
             SplitSpec(),  # 561 training rows: minibatches of 256, 256 and a ragged 49
             SplitSpec(0.2, 0.4, 0.4),  # 187 rows: one minibatch, smaller than the batch size
             SplitSpec(0.6, 1e-4, 0.3999),  # no validation rows: the last vector is kept
+            SplitSpec(0.548, 0.2, 0.252),  # 512 rows: two full minibatches, none ragged
         ],
-        ids=["ragged-with-validation", "one-batch", "no-validation"],
+        ids=["ragged-with-validation", "one-batch", "no-validation", "two-full-batches"],
     )
     def test_fit_matches_allocating_reference_bit_for_bit(self, world, split):
         features, truth = world

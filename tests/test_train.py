@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -152,16 +152,37 @@ class TestDeterminismAndFailure:
         with pytest.raises(M.TrainingDiverged, match=r"epoch 1: non-finite training loss"):
             M.train(samples, p, cfg, None)
 
-    def test_overflowing_last_loss_raises_before_the_step(self):
+    @pytest.mark.parametrize("batch_size", [None, 40], ids=["fullbatch", "one-minibatch"])
+    def test_overflowing_last_loss_raises_before_the_step(self, batch_size):
         # the epoch-1 predictions are finite but their squared errors
         # overflow; without a validation split nothing else would catch it,
         # and the step on those gradients would leave NaN parameters
         rng = np.random.default_rng(12)
         dl, ep = rng.standard_normal(40), rng.standard_normal(40)
         p = M.init_params(M.FusionDims(4, 2, 4), 1)
-        cfg = M.TrainConfig(eta=1e80, max_epochs=2, early_stop_patience=2)
+        cfg = M.TrainConfig(eta=1e80, max_epochs=2, batch_size=batch_size, early_stop_patience=2)
         with pytest.raises(M.TrainingDiverged, match=r"epoch 1: non-finite training loss"):
             M.train(measured(dl, ep, dl + ep), p, cfg, None)
+
+    def test_unobserved_targets_train_like_observed_ones(self):
+        # scenario-3 rows hold the physics value as target with observed =
+        # False; training reads the target and never the flag
+        rng = np.random.default_rng(13)
+        dl, ep = rng.standard_normal(30), rng.standard_normal(30)
+        n = len(dl)
+        ones = np.ones(n, np.int64)
+        batches = [SampleBatch(dl, ones, ep, ones, ep, np.full(n, flag)) for flag in (True, False)]
+        p = M.init_params(M.FusionDims(4, 2, 4), 2)
+        cfg = M.TrainConfig(eta=1e-2, max_epochs=8, batch_size=8, early_stop_patience=8, seed=3)
+        (a, hist_a), (b, hist_b) = (M.train(batch, p, cfg, None) for batch in batches)
+        assert np.array_equal(np.array(hist_a), np.array(hist_b), equal_nan=True)
+        assert a.vector.tobytes() == b.vector.tobytes()
+
+    def test_optimizer_is_not_configurable(self):
+        # training is Adam only
+        assert [f.name for f in fields(M.TrainConfig)] == ["eta", "max_epochs", "batch_size", "early_stop_patience", "seed"]
+        with pytest.raises(TypeError):
+            M.TrainConfig(optimizer="adam")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -445,8 +466,8 @@ def _reference_train(dataset, params, cfg, validation):
 class TestFlatOptimizerOracle:
     @pytest.mark.parametrize(
         "batch_size,with_val",
-        [(16, True), (None, True), (7, False)],
-        ids=["minibatch-adam", "fullbatch-adam", "ragged-adam-noval"],
+        [(16, True), (None, True), (7, False), (5, True), (None, False)],
+        ids=["minibatch-adam", "fullbatch-adam", "ragged-adam-noval", "small-batches-adam", "fullbatch-adam-noval"],
     )
     def test_train_matches_per_tensor_reference_exactly(self, batch_size, with_val):
         rng = np.random.default_rng(20)
