@@ -47,7 +47,7 @@ CHECKPOINT_TAG = "pgmn-ckpt-1"
 
 
 class TrainingDiverged(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
 
 @dataclass(frozen=True)
@@ -371,11 +371,12 @@ def train(
 
     Each epoch either accumulates gradients over the whole dataset and
     updates once (``batch_size=None``) or shuffles into minibatches.  An
-    update whose summed loss is not finite raises TrainingDiverged before
-    it steps the parameters.  Early stopping triggers after
-    ``early_stop_patience`` epochs without validation improvement and
-    restores the best-validation parameters.  History rows are (train MSE,
-    validation MSE); validation is NaN when no validation split is given.
+    update whose summed loss or gradient is not finite raises
+    TrainingDiverged before it steps the parameters.  Early stopping
+    triggers after ``early_stop_patience`` epochs without validation
+    improvement and restores the best-validation parameters.  History rows
+    are (train MSE, validation MSE); validation is NaN when no validation
+    split is given.
     The kernel runs in one workspace sized for an update and, for
     validation, one forward-only workspace.
     """
@@ -412,6 +413,10 @@ def train(
         loss = float(np.sum(_batch_backward(bx, by, params, ws, grads)))
         if not math.isfinite(loss):
             raise TrainingDiverged(f"epoch {epoch}: non-finite training loss")
+        # a finite loss can still come with an overflowed gradient (inf times
+        # a dead ReLU's 0 is NaN), which Adam would write into the parameters
+        if not np.isfinite(grads.vector).all():
+            raise TrainingDiverged(f"epoch {epoch}: non-finite gradient")
         adam_step(params.vector, grads.vector, adam_state, out=params.vector)
         return loss
 

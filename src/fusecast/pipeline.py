@@ -226,68 +226,87 @@ class SampleBatch:
 
 def _nearest_fill(values: np.ndarray, present: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Value of the temporally closest present step for each target index;
-    ties go to the earlier step."""
+    ties go to the earlier step.  ``present`` must hold a True."""
     present_idx = np.flatnonzero(present)
     pos = np.searchsorted(present_idx, targets)
-    out = np.empty(len(targets), dtype=np.float64)
-    for k, (i, p) in enumerate(zip(targets, pos)):
-        left = present_idx[p - 1] if p > 0 else None
-        right = present_idx[p] if p < len(present_idx) else None
-        if left is None:
-            pick = right
-        elif right is None:
-            pick = left
-        else:
-            pick = left if (i - left) <= (right - i) else right
-        out[k] = values[pick]
+    # before the first or after the last present step both clamp to it
+    left = present_idx[np.maximum(pos - 1, 0)]
+    right = present_idx[np.minimum(pos, len(present_idx) - 1)]
+    return values[np.where(targets - left <= right - targets, left, right)]
+
+
+def _neighbor_mean_or_zero(values: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """``values`` with each missing step replaced by the mean of its present
+    immediate neighbours (0.0 when it has none).
+
+    The sum is ``(a + b) + 0.0``, the adds ``np.mean`` makes: its reduction
+    starts from +0.0, so a lone or paired -0.0 neighbour gives +0.0.  An
+    overflowing sum is left as inf for the caller to report.
+    """
+    n = len(values)
+    v = np.zeros(n + 2)  # a missing step and the two ends read as 0.0
+    np.copyto(v[1:-1], values, where=present)
+    p = np.zeros(n + 2)
+    p[1:-1] = present
+    with np.errstate(over="ignore"):
+        out = np.add(v[:-2], v[2:])
+    out += 0.0
+    count = np.add(p[:-2], p[2:])
+    out /= np.maximum(count, 1.0, out=count)
+    np.copyto(out, values, where=present)
     return out
 
 
 def impute(series: EnergySeries, strategy: str) -> EnergySeries:
-    """Fill every missing step according to ``strategy``.
+    """Fill every missing step according to ``strategy``; present values
+    pass through bit-exactly.
 
-    Present values pass through bit-exactly.  ``historical_averaging`` is
-    causal: it only looks at the same hour-of-day on earlier days.
+    - ``nearest_neighbor``: the value of the closest present step; a tie
+      goes to the earlier step.
+    - ``linear_interpolation``: ``np.interp`` between the present steps,
+      holding the first/last present value beyond the ends.
+    - ``historical_averaging`` (causal): the mean of the present values at
+      the same hour of day on earlier days, or the nearest present value
+      when there are none.
+    - ``neighbor_mean_or_zero``: the mean of the present immediate
+      neighbours, or 0.0 when neither is present.  The only strategy that
+      accepts an all-missing series.
+
+    Each strategy runs as array operations (historical averaging loops over
+    the 24 hours of the day, not the steps); the step-by-step definitions
+    in ``tests/test_pipeline.py`` pin every filled value byte for byte.
     """
     if strategy not in IMPUTATION_KINDS:
         raise ValueError(f"unknown imputation strategy {strategy!r}")
     missing = np.flatnonzero(~series.present)
     if missing.size == 0:
         return series.copy()
-    values = series.values.copy()
     present = series.present
 
     if strategy == "neighbor_mean_or_zero":
-        for i in missing:
-            neigh = []
-            if i > 0 and present[i - 1]:
-                neigh.append(values[i - 1])
-            if i + 1 < series.n and present[i + 1]:
-                neigh.append(values[i + 1])
-            values[i] = float(np.mean(neigh)) if neigh else 0.0
-        return EnergySeries.full(series.timestamps, values)
+        return EnergySeries.full(series.timestamps, _neighbor_mean_or_zero(series.values, present))
 
     if not np.any(present):
         raise ValueError(f"cannot impute an all-missing series with {strategy}")
 
+    values = series.values.copy()
     if strategy == "nearest_neighbor":
         values[missing] = _nearest_fill(series.values, present, missing)
     elif strategy == "linear_interpolation":
         present_idx = np.flatnonzero(present)
         values[missing] = np.interp(missing.astype(np.float64), present_idx.astype(np.float64), series.values[present_idx])
     elif strategy == "historical_averaging":
+        # the fallback, kept where the hour has no present value on an earlier day
+        values[missing] = _nearest_fill(series.values, present, missing)
         hods = hour_of_day(series.timestamps)
-        sums = np.zeros(24)
-        counts = np.zeros(24, dtype=np.int64)
-        fallback = _nearest_fill(series.values, present, missing)
-        fb = dict(zip(missing.tolist(), fallback.tolist()))
-        for i in range(series.n):
-            h = hods[i]
-            if not present[i]:
-                values[i] = sums[h] / counts[h] if counts[h] > 0 else fb[i]
-            else:
-                sums[h] += series.values[i]
-                counts[h] += 1
+        for h in range(24):
+            steps = np.flatnonzero(hods == h)
+            seen = present[steps]
+            # sums[k]: the hour's first k present values added in time order to 0.0
+            sums = np.add.accumulate(np.concatenate(([0.0], series.values[steps[seen]])))
+            counts = np.cumsum(seen)[~seen]
+            prior = counts > 0
+            values[steps[~seen][prior]] = sums[counts[prior]] / counts[prior]
     return EnergySeries.full(series.timestamps, values)
 
 
@@ -327,17 +346,20 @@ def assemble_samples(dl_forecast: EnergySeries | None, ep_forecast: EnergySeries
     _check_aligned(*present_series)
     n = truth.n
 
-    def stream(fc: EnergySeries | None, available: bool) -> tuple[np.ndarray, np.ndarray]:
+    def stream(fc: EnergySeries | None, available: bool, name: str) -> tuple[np.ndarray, np.ndarray]:
         if not available or fc is None:
             return np.zeros(n), np.zeros(n, dtype=np.int64)
         mask = fc.present.astype(np.int64)
         if fc.present.all():
             return fc.values, mask
-        filled = impute(fc, "neighbor_mean_or_zero")
-        return filled.values, mask
+        filled = _neighbor_mean_or_zero(fc.values, fc.present)
+        if not np.isfinite(filled).all():
+            step = int(np.flatnonzero(~np.isfinite(filled))[0])
+            raise ValueError(f"{name} forecast: the neighbour mean filling missing step {step} overflows")
+        return filled, mask
 
-    dl_vals, dl_mask = stream(dl_forecast, scenario.dl_available)
-    ep_vals, ep_mask = stream(ep_forecast, scenario.ep_available)
+    dl_vals, dl_mask = stream(dl_forecast, scenario.dl_available, "dl")
+    ep_vals, ep_mask = stream(ep_forecast, scenario.ep_available, "ep")
 
     if scenario.truth_mode == "absent":
         targets = ep_vals

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusecast.harness import scenario_config
 from fusecast.pipeline import (
@@ -20,6 +22,7 @@ from fusecast.pipeline import (
     build_feature_rows,
     denormalize_target,
     fit_norm_stats,
+    hour_of_day,
     hourly_range,
     impute,
     normalize_samples,
@@ -150,6 +153,156 @@ class TestImpute:
             impute(series_from([1.0]), "knn")
 
 
+# ---------------------------------------------------------------------------
+# Step-by-step definitions of the imputation strategies, as loops over the
+# missing steps; impute's array code must give the same bytes.
+# ---------------------------------------------------------------------------
+
+def _reference_nearest_fill(values, present, targets):
+    present_idx = np.flatnonzero(present)
+    pos = np.searchsorted(present_idx, targets)
+    out = np.empty(len(targets), dtype=np.float64)
+    for k, (i, p) in enumerate(zip(targets, pos)):
+        left = present_idx[p - 1] if p > 0 else None
+        right = present_idx[p] if p < len(present_idx) else None
+        if left is None:
+            pick = right
+        elif right is None:
+            pick = left
+        else:
+            pick = left if (i - left) <= (right - i) else right
+        out[k] = values[pick]
+    return out
+
+
+def _reference_impute(series, strategy):
+    """The filled values of ``series`` under ``strategy``."""
+    missing = np.flatnonzero(~series.present)
+    values = series.values.copy()
+    present = series.present
+    if strategy == "neighbor_mean_or_zero":
+        for i in missing:
+            neigh = []
+            if i > 0 and present[i - 1]:
+                neigh.append(values[i - 1])
+            if i + 1 < series.n and present[i + 1]:
+                neigh.append(values[i + 1])
+            values[i] = float(np.mean(neigh)) if neigh else 0.0
+    elif strategy == "nearest_neighbor":
+        values[missing] = _reference_nearest_fill(series.values, present, missing)
+    elif strategy == "linear_interpolation":
+        present_idx = np.flatnonzero(present)
+        values[missing] = np.interp(missing.astype(np.float64), present_idx.astype(np.float64), series.values[present_idx])
+    elif strategy == "historical_averaging":
+        hods = hour_of_day(series.timestamps)
+        sums = np.zeros(24)
+        counts = np.zeros(24, dtype=np.int64)
+        fallback = _reference_nearest_fill(series.values, present, missing)
+        fb = dict(zip(missing.tolist(), fallback.tolist()))
+        for i in range(series.n):
+            h = hods[i]
+            if not present[i]:
+                values[i] = sums[h] / counts[h] if counts[h] > 0 else fb[i]
+            else:
+                sums[h] += series.values[i]
+                counts[h] += 1
+    return values
+
+
+def assert_impute_matches_reference(series, strategies=IMPUTATION_KINDS):
+    for strategy in strategies:
+        out = impute(series, strategy)
+        assert out.present.all(), strategy
+        assert out.values.tobytes() == _reference_impute(series, strategy).tobytes(), strategy
+
+
+def _random_series(rng, n, scale, missing_frac, start_hour=0):
+    values = rng.standard_normal(n) * scale
+    values[rng.random(n) < 0.1] = -0.0
+    present = rng.random(n) >= missing_frac
+    start = np.datetime64("2021-01-01T00", "h") + start_hour
+    return EnergySeries(hourly_range(start, n), values, present)
+
+
+_HUGE = 1e300  # a neighbour sum or an hour's running sum stays finite
+
+
+class TestImputeMatchesStepByStepReference:
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 100.0, _HUGE])
+    def test_seeded_random_series(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 400)
+        for _ in range(150):
+            n = int(rng.integers(1, 24 * 6))
+            s = _random_series(rng, n, scale, rng.random(), int(rng.integers(24)))
+            kinds = IMPUTATION_KINDS if s.present.any() else ("neighbor_mean_or_zero",)
+            assert_impute_matches_reference(s, kinds)
+
+    def test_full_year_with_a_fifth_missing(self):
+        s = apply_sparsity(_random_series(np.random.default_rng(5), 8760, 40.0, 0.0), 0.2, 5)
+        assert_impute_matches_reference(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(st.floats(-_HUGE, _HUGE, allow_subnormal=True), st.booleans()), min_size=1, max_size=80
+        ),
+        start_hour=st.integers(0, 23),
+    )
+    def test_hypothesis_series(self, cells, start_hour):
+        values, present = map(np.array, zip(*cells))
+        s = EnergySeries(hourly_range(np.datetime64("2021-01-01T00", "h") + start_hour, len(cells)), values, present)
+        assert_impute_matches_reference(s, IMPUTATION_KINDS if present.any() else ("neighbor_mean_or_zero",))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [np.nan, 1.0, 2.0, np.nan],                      # first and last step missing
+            [1.0, np.nan, np.nan, np.nan, np.nan, 6.0, np.nan, np.nan, 9.0],  # runs of gaps
+            [5.0, np.nan, 9.0, np.nan, np.nan, 3.0],          # equidistant ties
+            [np.nan, np.nan, 4.0, np.nan, np.nan, np.nan, np.nan, 8.0],
+            [7.0],                                             # one present step
+            [-0.0, np.nan, -0.0, np.nan, 0.0, np.nan, np.nan, -0.0],
+            [-_HUGE, np.nan, -_HUGE, np.nan, _HUGE, np.nan, -_HUGE],
+            [5e-324, np.nan, 0.0, -5e-324, np.nan, -5e-324],  # subnormal halves round
+        ],
+    )
+    def test_edge_series(self, values):
+        assert_impute_matches_reference(series_from(values))
+
+    def test_gaps_on_the_first_day_fall_back_to_nearest(self):
+        vals = np.arange(72.0) - 30.0
+        vals[[0, 5, 23, 24 + 5, 48 + 23]] = np.nan
+        s = series_from(vals)
+        assert_impute_matches_reference(s)
+        out = impute(s, "historical_averaging")
+        # hours 0 and 5 have no present value on an earlier day: nearest
+        # neighbour, a tie going earlier; hour 23 on day 3 averages day 2
+        assert out.values[[0, 5, 24 + 5, 48 + 23]].tolist() == [-29.0, -26.0, -2.0, 17.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 25])
+    def test_all_missing_series_fills_zero(self, n):
+        s = series_from(np.full(n, np.nan))
+        assert_impute_matches_reference(s, ("neighbor_mean_or_zero",))
+        assert impute(s, "neighbor_mean_or_zero").values.tobytes() == np.zeros(n).tobytes()
+
+    def test_one_missing_step_series(self):
+        s = series_from([np.nan])
+        assert impute(s, "neighbor_mean_or_zero").values.tolist() == [0.0]
+        for kind in ("nearest_neighbor", "linear_interpolation", "historical_averaging"):
+            with pytest.raises(ValueError, match="all-missing"):
+                impute(s, kind)
+
+    def test_negative_zero_neighbours_give_positive_zero_like_np_mean(self):
+        out = impute(series_from([-0.0, np.nan, -0.0, np.nan]), "neighbor_mean_or_zero")
+        assert [np.signbit(v) for v in out.values] == [True, False, True, False]
+
+    def test_overflowing_neighbour_mean_rejected_without_warning(self):
+        # pyproject turns a RuntimeWarning into an error, so this also
+        # checks that no overflow warning is emitted on the way
+        with pytest.raises(ValueError, match="present values must be finite"):
+            impute(series_from([1e308, np.nan, 1e308]), "neighbor_mean_or_zero")
+
+
 class TestApplySparsity:
     def test_zero_fraction_unchanged(self):
         s = series_from(np.arange(10.0))
@@ -231,6 +384,34 @@ class TestAssembleSamples:
         samples = assemble_samples(dl_sparse, ep, truth, scenario_ns())
         assert samples.dl_mask[2] == 0
         assert np.isfinite(samples.dl[2])
+
+    @pytest.mark.parametrize("gappy", ["dl", "ep", "both"])
+    @pytest.mark.parametrize("truth_mode", ["full", "absent"])
+    def test_gappy_streams_filled_like_neighbor_impute(self, gappy, truth_mode):
+        # the day-ahead request path: one day, 2-8 missing hours per stream
+        rng = np.random.default_rng(["dl", "ep", "both"].index(gappy))
+        dl, ep, truth = self._series_triple(24)
+        streams = {"dl": dl, "ep": ep}
+        for name in ("dl", "ep") if gappy == "both" else (gappy,):
+            present = np.ones(24, dtype=bool)
+            present[rng.choice(24, size=int(rng.integers(2, 9)), replace=False)] = False
+            present[0] = False
+            streams[name] = EnergySeries(dl.timestamps, streams[name].values * -1.5, present)
+        samples = assemble_samples(streams["dl"], streams["ep"], truth, scenario_ns(truth_mode=truth_mode))
+        for name, fc in streams.items():
+            expected = impute(fc, "neighbor_mean_or_zero").values.tobytes()
+            assert getattr(samples, name).tobytes() == expected == _reference_impute(fc, "neighbor_mean_or_zero").tobytes()
+            assert getattr(samples, f"{name}_mask").tolist() == fc.present.astype(int).tolist()
+
+    @pytest.mark.parametrize("stream", ["dl", "ep"])
+    def test_overflowing_gap_fill_names_the_stream(self, stream):
+        # 1e308 + 1e308 overflows; pyproject turns a RuntimeWarning into an
+        # error, so this also checks that none is emitted on the way
+        dl, ep, truth = self._series_triple()
+        streams = {"dl": dl, "ep": ep}
+        streams[stream] = series_from([1e308, np.nan, 1e308, 1.0, np.nan, 2.0, 3.0, 4.0], start="2021-03-01T00")
+        with pytest.raises(ValueError, match=rf"^{stream} forecast: .* missing step 1 overflows"):
+            assemble_samples(streams["dl"], streams["ep"], truth, scenario_ns())
 
     def test_masks_binary_and_no_nan(self):
         dl, ep, truth = self._series_triple()

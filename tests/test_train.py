@@ -164,6 +164,19 @@ class TestDeterminismAndFailure:
         with pytest.raises(M.TrainingDiverged, match=r"epoch 1: non-finite training loss"):
             M.train(measured(dl, ep, dl + ep), p, cfg, None)
 
+    def test_overflowing_gradient_raises_before_the_step(self):
+        # dead data-stream ReLUs keep yhat and the loss finite, but the
+        # backward pass forms g * w_head = inf and then inf * 0 = NaN; the
+        # step would write NaN into 15 of the 37 parameters
+        p = M.init_params(M.FusionDims(2, 1, 2), 0)
+        p.w_head_dl[...] = 1e300
+        p.b_hid_dl[...] = -1e3
+        v = np.random.default_rng(0).standard_normal(8)
+        batch = measured(v, v, v + 1e10)
+        assert np.isfinite(M.predict(batch, p)).all()
+        with pytest.raises(M.TrainingDiverged, match=r"epoch 0: non-finite gradient"):
+            M.train(batch, p, M.TrainConfig(eta=1e-3, max_epochs=1), None)
+
     def test_unobserved_targets_train_like_observed_ones(self):
         # scenario-3 rows hold the physics value as target with observed =
         # False; training reads the target and never the flag
