@@ -20,10 +20,8 @@ import os
 import resource
 import subprocess
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -39,6 +37,7 @@ from .model import (
     train,
 )
 from .pipeline import (
+    IMPUTATION_KINDS,
     EnergySeries,
     NormStats,
     SplitSpec,
@@ -88,6 +87,8 @@ SEED_INIT = 44
 SEED_TRAIN = 55
 SEED_BASELINE = 66
 
+# A scenario's id fixes its input streams (one method each, plus the fusion)
+# and the actuals it trains on (sparse in 2; none, a new building, in 3).
 SCENARIO_METHODS = {
     1: ("dl", "ep", "pgmn"),
     2: ("dl", "ep", "pgmn"),
@@ -95,6 +96,7 @@ SCENARIO_METHODS = {
     4: ("ep", "pgmn"),
     5: ("dl", "pgmn"),
 }
+_TRUTH_MODES = {1: "full", 2: "sparse", 3: "absent", 4: "full", 5: "full"}
 
 IMPUTATION_ABLATION_STRATEGIES = ("nearest_neighbor", "historical_averaging", "linear_interpolation")
 
@@ -107,14 +109,6 @@ REPORT_FILES = (
     "train_history.csv",
     "run_summary.json",
 )
-
-_PRESETS = {
-    1: dict(dl_available=True, ep_available=True, truth_mode="full"),
-    2: dict(dl_available=True, ep_available=True, truth_mode="sparse"),
-    3: dict(dl_available=False, ep_available=True, truth_mode="absent"),
-    4: dict(dl_available=False, ep_available=True, truth_mode="full"),
-    5: dict(dl_available=True, ep_available=False, truth_mode="full"),
-}
 
 
 def _default_train(seed: int) -> TrainConfig:
@@ -136,13 +130,10 @@ def check_seed(seed) -> None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario run: which inputs exist, how truth is degraded, which
-    imputation fills it, plus split/training settings and the master seed."""
+    """One scenario run: its id, which fixes the inputs and how truth is
+    degraded, then the sparsity, imputation, split, training and seed."""
 
     id: int
-    dl_available: bool
-    ep_available: bool
-    truth_mode: str  # "full" | "sparse" | "absent"
     sparse_frac: float = 0.2
     imputation: str = "linear_interpolation"
     split: SplitSpec = field(default_factory=SplitSpec)
@@ -153,32 +144,34 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if self.id not in _PRESETS:
+        if self.id not in SCENARIO_METHODS:
             raise ConfigError(f"scenario id must be 1..5, got {self.id}")
-        preset = _PRESETS[self.id]
-        for key, expected in preset.items():
-            if getattr(self, key) != expected:
-                raise ConfigError(f"scenario {self.id} requires {key}={expected!r}, got {getattr(self, key)!r}")
+        if self.imputation not in IMPUTATION_KINDS:
+            raise ConfigError(f"imputation must be one of {', '.join(IMPUTATION_KINDS)}, got {self.imputation!r}")
         if not 0.0 <= self.sparse_frac < 1.0:
             raise ConfigError("sparse_frac must lie in [0, 1)")
         if self.year_hours < 24 * 10:
             raise ConfigError("year_hours is too small to build windows and splits")
 
+    @property
+    def dl_available(self) -> bool:
+        return "dl" in SCENARIO_METHODS[self.id]
+
+    @property
+    def ep_available(self) -> bool:
+        return "ep" in SCENARIO_METHODS[self.id]
+
+    @property
+    def truth_mode(self) -> str:
+        """The actuals it trains on: "full", "sparse" or "absent"."""
+        return _TRUTH_MODES[self.id]
+
 
 def scenario_config(scenario_id: int, seed: int = DEFAULT_SEED, fast: bool = False, **overrides) -> ScenarioConfig:
     """The canonical config for one of the five scenarios."""
     check_seed(seed)
-    if scenario_id not in _PRESETS:
-        raise ConfigError(f"scenario id must be 1..5, got {scenario_id}")
-    kwargs = dict(_PRESETS[scenario_id])
-    kwargs.update(
-        id=scenario_id,
-        seed=seed,
-        year_hours=FAST_HOURS if fast else FULL_HOURS,
-        train=_default_train(seed),
-    )
-    kwargs.update(overrides)
-    return ScenarioConfig(**kwargs)
+    kwargs = dict(seed=seed, year_hours=FAST_HOURS if fast else FULL_HOURS, train=_default_train(seed))
+    return ScenarioConfig(scenario_id, **{**kwargs, **overrides})
 
 
 @dataclass
@@ -305,32 +298,23 @@ def _one_blas_thread() -> None:
                 break
 
 
-def _run_job(fn, args) -> tuple:
-    """``fn(*args)`` with its start and end on the ``perf_counter`` clock,
-    which is system-wide, so a worker's times compare with the parent's."""
+class StageFailed(RuntimeError):
+    """A named harness stage or job failed; the message carries its name."""
+
+
+def _timed(label: str, fn, *args) -> tuple:
+    """``(fn(*args), start, end)`` on the ``perf_counter`` clock, which is
+    system-wide, so a pool worker's times compare with the parent's.  Any
+    failure is re-raised as StageFailed naming ``label``; a StageFailed from
+    a nested stage or job passes through unchanged."""
     t0 = time.perf_counter()
-    result = fn(*args)
-    return result, t0, time.perf_counter()
-
-
-@dataclass
-class _Job:
-    """One expensive, independent unit of a run: ``fn(*args)`` with a
-    module-level ``fn`` and picklable ``args``, so a worker process can run
-    it.  ``done`` stores its result and returns the jobs it unblocks."""
-
-    name: str
-    fn: Callable
-    args: tuple
-    done: Callable[[object], list["_Job"]]
-
-
-def _outcome(job: _Job, get) -> tuple:
-    """``get()``, with any failure re-raised as StageFailed naming the job."""
     try:
-        return get()
+        result = fn(*args)
+    except StageFailed:
+        raise
     except Exception as exc:
-        raise StageFailed(f"job {job.name!r} failed: {exc}") from exc
+        raise StageFailed(f"{label} failed: {exc}") from exc
+    return result, t0, time.perf_counter()
 
 
 def _fit_name(cfg: ScenarioConfig) -> str:
@@ -360,9 +344,10 @@ class _Stages:
     Every stage is a pure function of the config fields in its key, so a
     stage asked for again returns its first result.  One object serves one
     ``run_all`` or one standalone call and is dropped with it: two runs in
-    one process share nothing.  ``prefetch`` computes the expensive stages,
-    the baseline fits and the trainings, as a plan of jobs that may run in
-    worker processes; everything else runs in the calling process.
+    one process share nothing.  The expensive stages, the baseline fits
+    and the trainings, run as named jobs: each is timed into ``job_spans``
+    and a failing one raises StageFailed naming it.  ``prefetch`` may run
+    them in worker processes; everything else runs in the calling process.
     """
 
     def __init__(self):
@@ -415,6 +400,12 @@ class _Stages:
         _, lag_source = self.labels(cfg)
         return cfg, lag_source, self.world(cfg.seed, cfg.year_hours).weather.temp_c
 
+    def _job(self, name: str, fn, *args):
+        """``fn(*args)`` as the job ``name``, its span kept in ``job_spans``."""
+        result, t0, t1 = _timed(f"job {name!r}", fn, *args)
+        self.job_spans[name] = (t0, t1)
+        return result
+
     def dl(self, cfg: ScenarioConfig) -> EnergySeries | None:
         """The data-driven baseline's forecast, fitted once per lag source
         and split."""
@@ -422,7 +413,7 @@ class _Stages:
             return None
         key = self._dl_key(cfg)
         if key not in self._dl:
-            self._dl[key] = _fit_dl(*self._fit_args(cfg))
+            self._dl[key] = self._job(_fit_name(cfg), _fit_dl, *self._fit_args(cfg))
         return self._dl[key]
 
     def fixture(self, cfg: ScenarioConfig) -> Fixture:
@@ -442,7 +433,7 @@ class _Stages:
         """``_train_on_fixture`` for ``cfg``, keyed by the whole config: it
         fixes the samples, the memory flag and the TrainConfig."""
         if cfg not in self._trained:
-            self._trained[cfg] = _train_on_fixture(cfg, self.fixture(cfg))
+            self._trained[cfg] = self._job(_train_name(cfg), _train_on_fixture, cfg, self.fixture(cfg))
         return self._trained[cfg]
 
     def prefetch(self, cfgs) -> None:
@@ -454,9 +445,10 @@ class _Stages:
         fit, so no fit queues behind a training; each fit's trainings start
         as soon as it returns.  The jobs run on a fork pool with one worker
         per usable CPU (at most one per job), created and shut down inside
-        this call, or in this process when only one CPU is usable.  Every
-        job is a pure function of its arguments, so both paths give the
-        same bits.  A failing job raises StageFailed naming it."""
+        this call, or in this process, through ``dl`` and ``trained``, when
+        only one CPU is usable.  Every job is a pure function of its
+        arguments, so both paths give the same bits.  A failing job raises
+        StageFailed naming it."""
         todo = [cfg for cfg in dict.fromkeys(cfgs) if cfg not in self._trained]
         waiting: dict[tuple, list[ScenarioConfig]] = {}
         ready = []
@@ -465,17 +457,16 @@ class _Stages:
                 waiting.setdefault(self._dl_key(cfg), []).append(cfg)
             else:
                 ready.append(cfg)
-        jobs = [self._fit_job(group) for group in waiting.values()] + [self._train_job(cfg) for cfg in ready]
         workers = min(_usable_cpus(), len(todo) + len(waiting))
         if workers > 1:
-            self._run_pool(jobs, workers)
+            self._run_pool(waiting, ready, workers)
             return
-        queue = deque(jobs)
-        while queue:
-            job = queue.popleft()
-            queue.extend(self._finish(job, _outcome(job, lambda: _run_job(job.fn, job.args))))
+        for group in waiting.values():
+            self.dl(group[0])
+        for cfg in todo:
+            self.trained(cfg)
 
-    def _run_pool(self, jobs: list[_Job], workers: int) -> None:
+    def _run_pool(self, waiting: dict[tuple, list[ScenarioConfig]], ready: list[ScenarioConfig], workers: int) -> None:
         import multiprocessing
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
@@ -483,41 +474,30 @@ class _Stages:
         # re-import, and a fork pool starts all its workers at the first
         # submit, before it starts its own manager thread.
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread)
-        running: dict = {}
+        running: dict = {}  # future -> (job name, the cache and key its result goes under)
 
-        def submit(batch: list[_Job]) -> None:
-            for job in batch:
-                running[pool.submit(_run_job, job.fn, job.args)] = job
+        def submit(name: str, cache: dict, key, fn, *args) -> None:
+            running[pool.submit(_timed, f"job {name!r}", fn, *args)] = (name, cache, key)
+
+        def submit_training(cfg: ScenarioConfig) -> None:
+            submit(_train_name(cfg), self._trained, cfg, _train_on_fixture, cfg, self.fixture(cfg))
 
         try:
-            submit(jobs)
+            for key, group in waiting.items():
+                submit(_fit_name(group[0]), self._dl, key, _fit_dl, *self._fit_args(group[0]))
+            for cfg in ready:
+                submit_training(cfg)
             while running:
                 finished, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in finished:
-                    job = running.pop(future)
-                    submit(self._finish(job, _outcome(job, future.result)))
+                    name, cache, key = running.pop(future)
+                    cache[key], t0, t1 = future.result()
+                    self.job_spans[name] = (t0, t1)
+                    if cache is self._dl:
+                        for cfg in waiting[key]:
+                            submit_training(cfg)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-
-    def _finish(self, job: _Job, outcome: tuple) -> list[_Job]:
-        result, t0, t1 = outcome
-        self.job_spans[job.name] = (t0, t1)
-        return job.done(result)
-
-    def _train_job(self, cfg: ScenarioConfig) -> _Job:
-        def done(result) -> list[_Job]:
-            self._trained[cfg] = result
-            return []
-
-        return _Job(_train_name(cfg), _train_on_fixture, (cfg, self.fixture(cfg)), done)
-
-    def _fit_job(self, cfgs: list[ScenarioConfig]) -> _Job:
-        """The baseline fit that ``cfgs`` (one lag source) wait for."""
-        def done(result) -> list[_Job]:
-            self._dl[self._dl_key(cfgs[0])] = result
-            return [self._train_job(cfg) for cfg in cfgs]
-
-        return _Job(_fit_name(cfgs[0]), _fit_dl, self._fit_args(cfgs[0]), done)
 
     def scenario(self, cfg: ScenarioConfig) -> RunReport:
         fixture = self.fixture(cfg)
@@ -696,22 +676,12 @@ def _json_ready(obj):
     return obj
 
 
-class StageFailed(RuntimeError):
-    """A named harness stage failed; the message carries the stage."""
-
-
 def _stage(seconds: dict[str, float], name: str, fn, *args):
-    """Run one named stage of ``run_all``: its wall seconds go into
-    ``seconds[name]``, and any failure is re-raised as StageFailed naming it."""
-    t0 = time.perf_counter()
-    try:
-        return fn(*args)
-    except StageFailed:
-        raise
-    except Exception as exc:
-        raise StageFailed(f"stage {name!r} failed: {exc}") from exc
-    finally:
-        seconds[name] = time.perf_counter() - t0
+    """Run one named stage of ``run_all`` under ``_timed``; its wall seconds
+    go into ``seconds[name]``."""
+    result, t0, t1 = _timed(f"stage {name!r}", fn, *args)
+    seconds[name] = t1 - t0
+    return result
 
 
 def run_all(out_dir, seed: int = DEFAULT_SEED, fast: bool = False) -> int:

@@ -472,8 +472,9 @@ def load_checkpoint(path) -> tuple[FusionParams, NormStats | None]:
     """Read a checkpoint written by save_checkpoint.
 
     Any malformed content (a truncated file, an unknown or repeated tensor
-    name, a value count or shape that does not fit, a non-finite value)
-    raises ValueError naming the file and the line.
+    name, a value count or shape that does not fit, a non-finite value, a
+    normalization std that is not positive) raises ValueError naming the
+    file and the line.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
 
@@ -507,7 +508,11 @@ def load_checkpoint(path) -> tuple[FusionParams, NormStats | None]:
     norm = None
     i = 2
     if i < len(lines) and lines[i].startswith("norm "):
-        norm = NormStats(*parse_values(i + 1, lines[i].split()[1:], 6))
+        stats = parse_values(i + 1, lines[i].split()[1:], 6)
+        try:
+            norm = NormStats(*stats)
+        except ValueError as exc:
+            fail(i + 1, str(exc))
         i += 1
 
     values: dict[str, list[float]] = {}

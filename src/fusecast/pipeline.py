@@ -274,7 +274,8 @@ def impute(series: EnergySeries, strategy: str) -> EnergySeries:
 
     Each strategy runs as array operations (historical averaging loops over
     the 24 hours of the day, not the steps); the step-by-step definitions
-    in ``tests/test_pipeline.py`` pin every filled value byte for byte.
+    in ``tests/test_pipeline.py`` pin every filled value byte for byte.  A
+    fill that overflows raises ValueError naming the strategy and the step.
     """
     if strategy not in IMPUTATION_KINDS:
         raise ValueError(f"unknown imputation strategy {strategy!r}")
@@ -284,12 +285,11 @@ def impute(series: EnergySeries, strategy: str) -> EnergySeries:
     present = series.present
 
     if strategy == "neighbor_mean_or_zero":
-        return EnergySeries.full(series.timestamps, _neighbor_mean_or_zero(series.values, present))
-
-    if not np.any(present):
+        values = _neighbor_mean_or_zero(series.values, present)
+    elif not np.any(present):
         raise ValueError(f"cannot impute an all-missing series with {strategy}")
-
-    values = series.values.copy()
+    else:
+        values = series.values.copy()
     if strategy == "nearest_neighbor":
         values[missing] = _nearest_fill(series.values, present, missing)
     elif strategy == "linear_interpolation":
@@ -302,11 +302,16 @@ def impute(series: EnergySeries, strategy: str) -> EnergySeries:
         for h in range(24):
             steps = np.flatnonzero(hods == h)
             seen = present[steps]
-            # sums[k]: the hour's first k present values added in time order to 0.0
-            sums = np.add.accumulate(np.concatenate(([0.0], series.values[steps[seen]])))
+            # sums[k]: the hour's first k present values added in time order
+            # to 0.0; an overflow is reported below
+            with np.errstate(over="ignore"):
+                sums = np.add.accumulate(np.concatenate(([0.0], series.values[steps[seen]])))
             counts = np.cumsum(seen)[~seen]
             prior = counts > 0
             values[steps[~seen][prior]] = sums[counts[prior]] / counts[prior]
+    overflow = np.flatnonzero(~np.isfinite(values))
+    if overflow.size:
+        raise ValueError(f"{strategy}: the fill of missing step {int(overflow[0])} overflows")
     return EnergySeries.full(series.timestamps, values)
 
 
@@ -389,6 +394,13 @@ class NormStats:
     ep_std: float
     y_mean: float
     y_std: float
+
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if name.endswith("_std") and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
 
     def as_dict(self) -> dict[str, float]:
         return {

@@ -25,7 +25,7 @@ from fusecast.harness import (
     scenario_config,
 )
 from fusecast.model import TrainConfig, load_checkpoint
-from fusecast.pipeline import SplitSpec
+from fusecast.pipeline import IMPUTATION_KINDS, SplitSpec
 from fusecast.surrogates import BuildingParams, load_building_params
 
 TINY = 24 * 30  # 30-day fixture keeps the harness tests quick
@@ -48,13 +48,24 @@ class TestScenarioConfig:
         assert scenario_config(2).truth_mode == "sparse"
         assert scenario_config(3).truth_mode == "absent"
 
-    def test_id_inconsistent_flags_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(id=1, dl_available=False, ep_available=True, truth_mode="full")
-        with pytest.raises(ConfigError):
-            ScenarioConfig(id=3, dl_available=False, ep_available=True, truth_mode="full")
+    def test_id_inconsistent_flags_rejected(self, tmp_path):
+        # the streams and the truth mode follow from the id: they are
+        # read-only properties, not settable fields or file keys
+        for name, value in (("dl_available", False), ("ep_available", True), ("truth_mode", "full")):
+            with pytest.raises(TypeError, match=name):
+                ScenarioConfig(id=1, **{name: value})
+            path = tmp_path / "scenario.cfg"
+            path.write_text(f"id = 3\n{name} = {value}\n")
+            with pytest.raises(ConfigError, match=rf"scenario\.cfg:2: unknown key '{name}'"):
+                load_scenario_config(path)
         with pytest.raises(ConfigError):
             scenario_config(6)
+
+    def test_unknown_imputation_rejected(self):
+        with pytest.raises(ConfigError, match="imputation must be one of nearest_neighbor, .*, got 'bogus'"):
+            ScenarioConfig(id=2, imputation="bogus")
+        for kind in IMPUTATION_KINDS:
+            assert ScenarioConfig(id=2, imputation=kind).imputation == kind
 
     def test_fast_flag_shrinks_fixture(self):
         assert scenario_config(1, fast=True).year_hours == 2160
@@ -428,14 +439,31 @@ class TestProcessPool:
         assert multiprocessing.active_children() == []
 
 
+class TestFailuresNamed:
+    def test_failing_stage_named_and_cli_exits_2(self, tmp_path, monkeypatch, capsys):
+        def failing_weather(*args):
+            raise ValueError("injected failure")
+
+        monkeypatch.setattr(harness, "make_weather", failing_weather)
+        with pytest.raises(harness.StageFailed, match="^stage 'world' failed: injected failure$"):
+            run_all(tmp_path / "a", seed=7, fast=True)
+        assert cli_main(["all", "--seed", "7", "--fast", "--out", str(tmp_path / "b")]) == 2
+        assert "run failed: stage 'world' failed: injected failure" in capsys.readouterr().err
+
+    def test_failing_training_in_standalone_run_named(self, monkeypatch):
+        def failing_train(*args, **kwargs):
+            raise FloatingPointError("injected failure")
+
+        monkeypatch.setattr(harness, "train", failing_train)
+        with pytest.raises(harness.StageFailed, match="^job 'train_scenario3' failed: injected failure$"):
+            run_scenario(tiny_config(3))
+
+
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         text = (
             "id = 3\n"
-            "dl_available = no\n"
-            "ep_available = yes\n"
-            "truth_mode = absent\n"
             "sparse_frac = 0.35\n"
             "imputation = historical_averaging\n"
             "memory_unit_enabled = false\n"
@@ -453,9 +481,6 @@ class TestConfigFile:
         assert sorted(line.partition(" =")[0] for line in text.splitlines()) == sorted(harness._CONFIG_PARSERS)
         assert load_scenario_config(path) == ScenarioConfig(
             id=3,
-            dl_available=False,
-            ep_available=True,
-            truth_mode="absent",
             sparse_frac=0.35,
             imputation="historical_averaging",
             split=SplitSpec(train_frac=0.5, val_frac=0.25, test_frac=0.25),
@@ -510,7 +535,7 @@ class TestConfigFile:
     def test_invariant_violation_rejected(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         for text, message in (
-            ("id = 1\ntruth_mode = absent\n", "scenario 1 requires truth_mode='full'"),
+            ("id = 2\nimputation = bogus\n", "imputation must be one of .*, got 'bogus'"),
             ("id = 2\nsparse_frac = 1.5\n", r"sparse_frac must lie in \[0, 1\)"),
         ):
             path.write_text(text)
@@ -609,6 +634,16 @@ class TestCli:
         out = tmp_path / "o"
         assert cli_main([command, "--fast", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"config error: {cfg}: cannot read config file: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sid", [1, 2])
+    def test_unknown_imputation_in_file_exits_1(self, tmp_path, capsys, sid):
+        # scenario 1 never imputes, but its file's value is checked too
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"id = {sid}\nimputation = bogus\n")
+        out = tmp_path / "o"
+        assert cli_main(["scenario", "--fast", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"config error: {cfg}: imputation must be one of " in capsys.readouterr().err
         assert not out.exists()
 
     def test_scenario_subcommand_writes_outputs(self, tmp_path):

@@ -684,6 +684,16 @@ class TestCheckpointRejects:
         lines[2] = " ".join(lines[2].split()[:-1] + ["inf"])
         self._load_fails(path, lines, 3, "non-finite value")
 
+    @pytest.mark.parametrize("token, name, value", [(2, "dl_std", 0.0), (4, "ep_std", -1.0), (6, "y_std", -0.0)])
+    def test_non_positive_norm_std(self, tmp_path, token, name, value):
+        # a zero std divides by zero on the first request, and a negative
+        # one flips the sign of its stream
+        path, lines = _ckpt_lines(tmp_path)
+        tokens = lines[2].split()
+        tokens[token] = value.hex()
+        lines[2] = " ".join(tokens)
+        self._load_fails(path, lines, 3, f"{name} must be positive")
+
     def test_malformed_hex_value(self, tmp_path):
         path, lines = _ckpt_lines(tmp_path)
         i = _line_of(lines, "scalar b_head_mem")

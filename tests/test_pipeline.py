@@ -299,8 +299,21 @@ class TestImputeMatchesStepByStepReference:
     def test_overflowing_neighbour_mean_rejected_without_warning(self):
         # pyproject turns a RuntimeWarning into an error, so this also
         # checks that no overflow warning is emitted on the way
-        with pytest.raises(ValueError, match="present values must be finite"):
+        with pytest.raises(ValueError, match="neighbor_mean_or_zero: the fill of missing step 1 overflows"):
             impute(series_from([1e308, np.nan, 1e308]), "neighbor_mean_or_zero")
+
+    def test_overflowing_fill_names_strategy_and_step_without_warning(self):
+        # historical averaging: the running sum of hour 0 (1e308 + 1e308)
+        # overflows before it fills hour 48
+        values = np.ones(73)
+        values[[0, 24]] = 1e308
+        present = np.ones(73, dtype=bool)
+        present[48] = False
+        with pytest.raises(ValueError, match="historical_averaging: the fill of missing step 48 overflows"):
+            impute(series_from(values, present), "historical_averaging")
+        # linear interpolation: the slope 1e308 -> -1e308 overflows
+        with pytest.raises(ValueError, match="linear_interpolation: the fill of missing step 1 overflows"):
+            impute(series_from([1e308, np.nan, -1e308]), "linear_interpolation")
 
 
 class TestApplySparsity:
@@ -434,6 +447,20 @@ def batch_of(dl, ep, target, dl_mask=1, ep_mask=1, observed=True):
 
 
 class TestNormStats:
+    VALID = dict(dl_mean=0.0, dl_std=1.0, ep_mean=0.0, ep_std=1.0, y_mean=0.0, y_std=1.0)
+
+    @pytest.mark.parametrize("name", ["dl_std", "ep_std", "y_std"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_std_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive, got {value!r}"):
+            NormStats(**{**self.VALID, name: value})
+
+    @pytest.mark.parametrize("name", list(VALID))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            NormStats(**{**self.VALID, name: value})
+
     def test_constant_channel_clamped(self):
         samples = batch_of(np.full(4, 5.0), 5.0, 5.0)
         stats = fit_norm_stats(samples)
