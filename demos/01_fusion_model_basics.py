@@ -60,7 +60,7 @@ M._batch_backward(ws.x, s.target, p, ws, grads)
 
 
 def objective(arrays):
-    return float((s.target[0] - M.predict(s, M.FusionParams.unflatten(p.dims, arrays))[0]) ** 2)
+    return float((s.target[0] - M.predict(s, M.FusionParams(p.dims, **dict(zip(M._TENSOR_FIELDS, arrays))))[0]) ** 2)
 
 
 numeric = finite_diff_grad(objective, p.flatten(), 1e-5)

@@ -171,6 +171,10 @@ def main(argv: list[str] | None = None) -> int:
     # only burns a CPU (a no-op when BLAS is already pinned to one thread).
     harness._one_blas_thread()
     try:
+        # before any work: the nearest existing ancestor of --out must be a directory
+        existing = next(path for path in (args.out, *args.out.parents) if path.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out {args.out}: {existing} is not a directory")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -53,6 +53,7 @@ from .pipeline import (
     write_timestamped_csv,
 )
 from .surrogates import (
+    BASELINE_MIN_TRAIN_ROWS,
     BuildingParams,
     WeatherSeries,
     default_occupancy,
@@ -75,7 +76,7 @@ DEFAULT_BIAS_KWH = 50.0
 DEFAULT_NOISE_STD_KWH = 8.0
 DEFAULT_BEHAVIOR_AMP_KWH = 12.0
 
-DEFAULT_DIMS = FusionDims(embed_dim=32, memory_dim=16, hidden_dim=32)
+DEFAULT_DIMS = FusionDims()
 
 DEFAULT_SEED = 42
 
@@ -152,6 +153,14 @@ class ScenarioConfig:
             raise ConfigError("sparse_frac must lie in [0, 1)")
         if self.year_hours < 24 * 10:
             raise ConfigError("year_hours is too small to build windows and splits")
+        # every fit and training splits the hours after the first day's lag window
+        n = self.year_hours - 24
+        n_train, n_fit = self.split.boundaries(n)
+        need = BASELINE_MIN_TRAIN_ROWS if self.dl_available else 1
+        if n_train < need:
+            raise ConfigError(f"the split leaves {n_train} training rows of {n}; need at least {need}")
+        if n_fit == n:
+            raise ConfigError(f"the split leaves no test rows of {n}")
 
     @property
     def dl_available(self) -> bool:

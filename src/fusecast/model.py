@@ -73,16 +73,12 @@ class FusionDims:
     @property
     def shapes(self) -> dict[str, tuple[int, ...]]:
         """Shape of every named learnable tensor, in name order (the order
-        of ``FusionParams.flatten`` and of a checkpoint file)."""
-        d, mw, dz = self.embed_dim, self.mem_width, self.hidden_dim
+        of ``FusionParams.flatten`` and of a checkpoint file): a ``_dl`` or
+        ``_ep`` field is one half of its pair block."""
+        blocks = self.blocks
         return {
-            "w_dl": (d, 2), "b_dl": (d,), "w_ep": (d, 2), "b_ep": (d,),
-            "memory": (mw,),
-            "w_hid_dl": (dz, d + mw), "b_hid_dl": (dz,),
-            "w_hid_ep": (dz, d + mw), "b_hid_ep": (dz,),
-            "w_head_dl": (dz,), "b_head_dl": (),
-            "w_head_ep": (dz,), "b_head_ep": (),
-            "w_head_mem": (mw,), "b_head_mem": (),
+            name: blocks[name[:-3]][1:] if name.endswith(("_dl", "_ep")) else blocks[name]
+            for name in _TENSOR_FIELDS
         }
 
     @property
@@ -118,8 +114,6 @@ _TENSOR_FIELDS = (
     "w_head_dl", "b_head_dl", "w_head_ep", "b_head_ep",
     "w_head_mem", "b_head_mem",
 )
-
-_SCALAR_FIELDS = ("b_head_dl", "b_head_ep", "b_head_mem")
 
 # The stacked (data, physics) blocks of the vector that the kernel reads.
 _PAIRS = ("w", "b", "w_hid", "b_hid", "w_head", "b_head")
@@ -163,10 +157,6 @@ class FusionParams:
         """The fields in fixed order (scalars as 0-d), as views into ``vector``."""
         return [self.__dict__[name] for name in _TENSOR_FIELDS]
 
-    @classmethod
-    def unflatten(cls, dims: FusionDims, arrays: list[np.ndarray]) -> "FusionParams":
-        return cls(dims, **dict(zip(_TENSOR_FIELDS, arrays)))
-
     def copy(self) -> "FusionParams":
         return FusionParams(self.dims, self.vector.copy())
 
@@ -203,36 +193,15 @@ class TrainConfig:
         _check_count("early_stop_patience", self.early_stop_patience)
 
 
-def init_params(dims: FusionDims, seed: int, random_memory: bool = False) -> FusionParams:
-    """Fresh parameters: weights uniform in +-sqrt(1/fan_in), biases zero,
-    memory zero by default (``random_memory=True`` draws it like a weight)."""
-    rng = np.random.default_rng(seed)
-    d, mw, dz = dims.embed_dim, dims.mem_width, dims.hidden_dim
-
-    def uniform(shape, fan_in):
-        bound = np.sqrt(1.0 / max(fan_in, 1))
-        return rng.uniform(-bound, bound, size=shape)
-
-    w_dl = uniform((d, 2), 2)
-    w_ep = uniform((d, 2), 2)
-    w_hid_dl = uniform((dz, d + mw), d + mw)
-    w_hid_ep = uniform((dz, d + mw), d + mw)
-    w_head_dl = uniform((dz,), dz)
-    w_head_ep = uniform((dz,), dz)
-    w_head_mem = uniform((mw,), max(mw, 1))
-    memory = np.zeros(mw)
-    if random_memory and mw > 0:
-        memory = uniform((mw,), max(mw, 1))
-    return FusionParams(
-        dims=dims,
-        w_dl=w_dl, b_dl=np.zeros(d), w_ep=w_ep, b_ep=np.zeros(d),
-        memory=memory,
-        w_hid_dl=w_hid_dl, b_hid_dl=np.zeros(dz),
-        w_hid_ep=w_hid_ep, b_hid_ep=np.zeros(dz),
-        w_head_dl=w_head_dl, b_head_dl=0.0,
-        w_head_ep=w_head_ep, b_head_ep=0.0,
-        w_head_mem=w_head_mem, b_head_mem=0.0,
-    )
+def init_params(dims: FusionDims, seed: int) -> FusionParams:
+    """Fresh parameters: weights uniform in +-sqrt(1/fan_in), where fan_in
+    is the last axis, biases and memory zero."""
+    rng, shapes, params = np.random.default_rng(seed), dims.shapes, FusionParams(dims)
+    for name in ("w_dl", "w_ep", "w_hid_dl", "w_hid_ep", "w_head_dl", "w_head_ep", "w_head_mem"):
+        shape = shapes[name]
+        bound = np.sqrt(1.0 / max(shape[-1], 1))
+        setattr(params, name, rng.uniform(-bound, bound, size=shape))
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +386,7 @@ def train(
         # a dead ReLU's 0 is NaN), which Adam would write into the parameters
         if not np.isfinite(grads.vector).all():
             raise TrainingDiverged(f"epoch {epoch}: non-finite gradient")
-        adam_step(params.vector, grads.vector, adam_state, out=params.vector)
+        adam_step(params.vector, grads.vector, adam_state)
         return loss
 
     def validate(epoch: int) -> float:
@@ -443,38 +412,34 @@ def train(
 #
 #   pgmn-ckpt-1
 #   dims <embed> <memory> <hidden> <memory_enabled>
-#   norm <dl_mean> <dl_std> <ep_mean> <ep_std> <y_mean> <y_std>   (optional)
+#   norm <dl_mean> <dl_std> <ep_mean> <ep_std> <y_mean> <y_std>
 #   tensor <name> <ndim> <dim...>
 #   <hex values, space separated, row-major>
 #   scalar <name> <hex value>
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(path, params: FusionParams, norm: NormStats | None = None) -> None:
+def save_checkpoint(path, params: FusionParams, norm: NormStats) -> None:
     dims = params.dims
     lines = [CHECKPOINT_TAG]
     lines.append(f"dims {dims.embed_dim} {dims.memory_dim} {dims.hidden_dim} {int(dims.memory_enabled)}")
-    if norm is not None:
-        vals = [norm.dl_mean, norm.dl_std, norm.ep_mean, norm.ep_std, norm.y_mean, norm.y_std]
-        lines.append("norm " + " ".join(float(v).hex() for v in vals))
-    for name in _TENSOR_FIELDS:
-        v = getattr(params, name)
-        if name in _SCALAR_FIELDS:
+    vals = [norm.dl_mean, norm.dl_std, norm.ep_mean, norm.ep_std, norm.y_mean, norm.y_std]
+    lines.append("norm " + " ".join(float(v).hex() for v in vals))
+    for name, v in zip(_TENSOR_FIELDS, params.flatten()):
+        if v.ndim == 0:
             lines.append(f"scalar {name} {float(v).hex()}")
         else:
-            arr = np.asarray(v, dtype=np.float64)
-            shape = " ".join(str(s) for s in arr.shape)
-            lines.append(f"tensor {name} {arr.ndim} {shape}".rstrip())
-            lines.append(" ".join(x.hex() for x in arr.reshape(-1).tolist()))
+            lines.append(f"tensor {name} {v.ndim} {' '.join(map(str, v.shape))}")
+            lines.append(" ".join(x.hex() for x in v.reshape(-1).tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_checkpoint(path) -> tuple[FusionParams, NormStats | None]:
+def load_checkpoint(path) -> tuple[FusionParams, NormStats]:
     """Read a checkpoint written by save_checkpoint.
 
-    Any malformed content (a truncated file, an unknown or repeated tensor
-    name, a value count or shape that does not fit, a non-finite value, a
-    normalization std that is not positive) raises ValueError naming the
-    file and the line.
+    Any malformed content (a truncated file, a missing norm line, an
+    unknown or repeated tensor name, a value count or shape that does not
+    fit, a non-finite value, a normalization std that is not positive)
+    raises ValueError naming the file and the line.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
 
@@ -505,17 +470,16 @@ def load_checkpoint(path) -> tuple[FusionParams, NormStats | None]:
         fail(2, f"malformed dims line: {exc}")
     shapes = dims.shapes
 
-    norm = None
-    i = 2
-    if i < len(lines) and lines[i].startswith("norm "):
-        stats = parse_values(i + 1, lines[i].split()[1:], 6)
-        try:
-            norm = NormStats(*stats)
-        except ValueError as exc:
-            fail(i + 1, str(exc))
-        i += 1
+    if len(lines) < 3 or not lines[2].startswith("norm "):
+        fail(3, "expected the norm line")
+    stats = parse_values(3, lines[2].split()[1:], 6)
+    try:
+        norm = NormStats(*stats)
+    except ValueError as exc:
+        fail(3, str(exc))
 
     values: dict[str, list[float]] = {}
+    i = 3
     while i < len(lines):
         lineno, parts = i + 1, lines[i].split()
         i += 1

@@ -2,11 +2,10 @@
 
 Plain functions over numpy arrays: views of a flat parameter vector as
 shaped tensors (and kernel workspaces carved the same way from one
-allocation), the Adam update on one flat parameter vector and one flat
-gradient vector (a few vectorised ops per step, in place when ``out`` is
-the parameter vector), the epoch loop every trainer shares, and a
-central-difference gradient oracle used to verify hand-derived backward
-passes.
+allocation), the in-place Adam update on one flat parameter vector and
+one flat gradient vector (a few vectorised ops per step), the epoch loop
+every trainer shares, and a central-difference gradient oracle used to
+verify hand-derived backward passes.
 """
 
 from __future__ import annotations
@@ -56,45 +55,37 @@ def _cut(vector: np.ndarray, spans) -> list[np.ndarray]:
     return [vector[span].reshape(shape) for span, shape in spans]
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Flat first/second moment accumulators plus hyperparameters, and two
-    scratch vectors (``scratch``, shaped (2, n)) that hold each step's
-    temporaries, so a step allocates nothing."""
+    """Flat first/second moment accumulators, the step count and learning
+    rate, and two scratch vectors (``scratch``, shaped (2, n)) that hold
+    each step's temporaries, so a step allocates nothing."""
 
     m: np.ndarray
     v: np.ndarray
     step: int
-    beta1: float
-    beta2: float
-    eps: float
     eta: float
     scratch: np.ndarray = field(repr=False)
 
     @classmethod
-    def init(
-        cls,
-        params: np.ndarray,
-        eta: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> "AdamState":
+    def init(cls, params: np.ndarray, eta: float = 1e-3) -> "AdamState":
         if not 0.0 < eta < math.inf:
             raise ValueError(f"learning rate must be finite and positive, got {eta!r}")
-        return cls(np.zeros(params.shape), np.zeros(params.shape), 0, beta1, beta2, eps, eta, np.empty((2, *params.shape)))
+        return cls(np.zeros(params.shape), np.zeros(params.shape), 0, eta, np.empty((2, *params.shape)))
 
 
-def adam_step(
-    params: np.ndarray, grads: np.ndarray, state: AdamState, out: np.ndarray | None = None
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update over a flat vector.  The moments in
-    ``state`` advance in place; the new parameters go to ``out`` (a new
-    array by default).  Returns the new parameters and ``state``."""
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of the flat vector ``params``, in
+    place; the moments in ``state`` advance in place too."""
     if not params.shape == grads.shape == state.m.shape:
         raise ShapeMismatch(f"parameter shape {params.shape}, gradient {grads.shape}, moments {state.m.shape}")
     state.step += 1
-    b1, b2, t = state.beta1, state.beta2, state.step
+    b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.step
     m, v, (s, r) = state.m, state.v, state.scratch
     # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     # p - eta*mhat / (sqrt(vhat) + eps), rounding for rounding, with every
@@ -109,9 +100,9 @@ def adam_step(
     s *= state.eta
     np.divide(v, 1.0 - b2**t, out=r)  # vhat
     np.sqrt(r, out=r)
-    r += state.eps
+    r += ADAM_EPS
     s /= r
-    return np.subtract(params, s, out=out), state
+    params -= s
 
 
 def fit_epochs(

@@ -1,13 +1,12 @@
 """Sample construction for both forecasters: hourly series with
 missingness, the baseline's lag/calendar feature matrix, imputation,
 sparsity injection, the fusion model's mask/target assembly, normalization
-statistics, chronological splits, timestamped CSVs, and flat key=value
+statistics, chronological splits, timestamped CSV output, and flat key=value
 config files.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -461,7 +460,7 @@ def split_samples(samples, spec: SplitSpec) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# CSV and config file I/O
+# CSV output and config file input
 # ---------------------------------------------------------------------------
 
 def write_timestamped_csv(path, timestamps: np.ndarray, columns: dict[str, np.ndarray | None]) -> None:
@@ -480,47 +479,8 @@ def write_timestamped_csv(path, timestamps: np.ndarray, columns: dict[str, np.nd
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_energy_csv(path) -> EnergySeries:
-    """Read `timestamp,value` rows; an empty field or literal NaN marks a
-    missing step."""
-    timestamps, values, present = [], [], []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["timestamp", "value"]:
-            raise ValueError(f"{path}: expected header 'timestamp,value'")
-        for row in reader:
-            if not row:
-                continue
-            timestamps.append(np.datetime64(row[0].strip(), "h"))
-            cell = row[1].strip() if len(row) > 1 else ""
-            if cell == "" or cell.lower() == "nan":
-                values.append(np.nan)
-                present.append(False)
-            else:
-                values.append(float(cell))
-                present.append(True)
-    return EnergySeries(np.array(timestamps), np.array(values), np.array(present))
-
-
 def write_energy_csv(series: EnergySeries, path) -> None:
     write_timestamped_csv(path, series.timestamps, {"value": series.values})
-
-
-def read_temperature_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read `timestamp,temp_c` rows; calendar features are derived, not stored."""
-    timestamps, temps = [], []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["timestamp", "temp_c"]:
-            raise ValueError(f"{path}: expected header 'timestamp,temp_c'")
-        for row in reader:
-            if not row:
-                continue
-            timestamps.append(np.datetime64(row[0].strip(), "h"))
-            temps.append(float(row[1]))
-    return np.array(timestamps), np.asarray(temps, dtype=np.float64)
 
 
 def write_temperature_csv(timestamps: np.ndarray, temps: np.ndarray, path) -> None:

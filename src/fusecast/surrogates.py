@@ -39,12 +39,13 @@ WEATHER_SEASONAL_AMP_C = 14.0
 WEATHER_DIURNAL_AMP_C = 4.5
 
 # The baseline fit: hidden width, Adam learning rate, epoch cap, minibatch
-# size and early-stopping patience.
+# size, early-stopping patience and the fewest training rows it accepts.
 BASELINE_HIDDEN = 32
 BASELINE_ETA = 3e-3
 BASELINE_MAX_EPOCHS = 200
 BASELINE_BATCH_SIZE = 256
 BASELINE_PATIENCE = 10
+BASELINE_MIN_TRAIN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -351,7 +352,7 @@ def train_baseline_forecaster(
     x_all = features.values
 
     i_train, i_val = split.boundaries(n)
-    if i_train < 8:
+    if i_train < BASELINE_MIN_TRAIN_ROWS:
         raise ValueError("not enough training rows for the baseline forecaster")
     x_train, y_train = x_all[:i_train], targets[:i_train]
     x_val, y_val = x_all[i_train:i_val], targets[i_train:i_val]
@@ -407,7 +408,7 @@ def train_baseline_forecaster(
         da1 *= np.greater(a1, 0, out=ws.on1[:m])
         np.matmul(da1.T, xb, out=g[0])
         np.add.reduce(da1, axis=0, out=g[1])
-        adam_step(weights, grads, state, out=weights)
+        adam_step(weights, grads, state)
         return 0.0  # no training-loss history is kept
 
     def validate(epoch: int) -> float:

@@ -38,6 +38,11 @@ from fusecast.pipeline import (
 MASTER_SEED = 42
 
 
+def _params_of(dims, arrays):
+    """The FusionParams holding ``arrays`` in ``flatten`` order."""
+    return M.FusionParams(dims, **dict(zip(M._TENSOR_FIELDS, arrays)))
+
+
 def _batch(dl, ep, target, dl_mask=1, ep_mask=1):
     """Measured samples as a SampleBatch; a scalar mask applies to every row."""
     n = len(dl)
@@ -88,7 +93,7 @@ def test_criterion_1_gradient_exactness():
         params = None
         for _ in range(80):
             arrays = [a + 0.3 * rng.standard_normal(a.shape) for a in p0.flatten()]
-            cand = M.FusionParams.unflatten(dims, arrays)
+            cand = _params_of(dims, arrays)
             # one row, drawn in the order dl, dl_mask, ep, ep_mask, target
             dl, dl_mask = rng.normal(), rng.integers(0, 2)
             ep, ep_mask = rng.normal(), rng.integers(0, 2)
@@ -104,7 +109,7 @@ def test_criterion_1_gradient_exactness():
         M._batch_backward(ws.x, sample.target, params, ws, grads)
 
         def loss(arrays):
-            return float((sample.target[0] - M.predict(sample, M.FusionParams.unflatten(dims, arrays))[0]) ** 2)
+            return float((sample.target[0] - M.predict(sample, _params_of(dims, arrays))[0]) ** 2)
 
         numeric = finite_diff_grad(loss, params.flatten(), 1e-5)
         for a, n in zip(grads.flatten(), numeric):

@@ -67,6 +67,20 @@ class TestScenarioConfig:
         for kind in IMPUTATION_KINDS:
             assert ScenarioConfig(id=2, imputation=kind).imputation == kind
 
+    def test_split_with_too_few_rows_rejected(self):
+        # the fast fixture has 2,136 rows after the first day's lag window
+        tiny = SplitSpec(0.001, 0.001, 0.998)  # 2 training rows
+        for sid in (1, 2, 5):  # these fit the baseline, which needs 8 rows
+            with pytest.raises(ConfigError, match="the split leaves 2 training rows of 2136; need at least 8"):
+                scenario_config(sid, fast=True, split=tiny)
+            assert scenario_config(sid, fast=True, split=SplitSpec(0.004, 0.496, 0.5)).split.boundaries(2136)[0] == 8
+        for sid in (3, 4):  # no baseline: one row trains the fusion
+            assert scenario_config(sid, fast=True, split=tiny).split == tiny
+            with pytest.raises(ConfigError, match="the split leaves 0 training rows of 2136; need at least 1"):
+                scenario_config(sid, fast=True, split=SplitSpec(1e-4, 0.5 - 1e-4, 0.5))
+        with pytest.raises(ConfigError, match="the split leaves no test rows of 2136"):
+            scenario_config(4, fast=True, split=SplitSpec(0.6, 0.4, 1e-10))
+
     def test_fast_flag_shrinks_fixture(self):
         assert scenario_config(1, fast=True).year_hours == 2160
         assert scenario_config(1, fast=False).year_hours == 8760
@@ -336,7 +350,8 @@ class TestRunAll:
 
     def test_training_summary_counts_updates_per_batch_mode(self):
         cfg = scenario_config(1, fast=True)
-        params = model.init_params(harness.DEFAULT_DIMS, 0, random_memory=True)
+        params = model.init_params(harness.DEFAULT_DIMS, 0)
+        params.memory = np.linspace(-0.25, 0.25, params.memory.size)
         history = [(1.0, 3.0), (0.5, 2.0), (0.4, 2.0), (0.3, 2.5)]
         n_train, i_test = cfg.split.boundaries(1000)
         trained = harness.TrainedModel(params, None, history, np.zeros(1000 - i_test), n_train, i_test)
@@ -645,6 +660,31 @@ class TestCli:
         assert cli_main(["scenario", "--fast", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"config error: {cfg}: imputation must be one of " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_too_few_training_rows_in_file_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("id = 1\ntrain_frac = 0.001\nval_frac = 0.001\ntest_frac = 0.998\n")
+        out = tmp_path / "o"
+        assert cli_main(["scenario", "--fast", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"config error: {cfg}: the split leaves 2 training rows of 2136; need at least 8" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["scenario", "--id", "4"], ["ablation", "--kind", "mu"], ["all"], ["simulate"], ["train-baseline"]],
+    )
+    def test_out_naming_a_file_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(harness, "make_weather", no_work)
+        monkeypatch.setattr(cli, "make_weather", no_work)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        for out in (taken, taken / "sub"):
+            assert cli_main([*argv, "--fast", "--out", str(out)]) == 1
+            assert f"config error: --out {out}: {taken} is not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "keep\n"
 
     def test_scenario_subcommand_writes_outputs(self, tmp_path):
         out = tmp_path / "scen"

@@ -27,6 +27,23 @@ def manual_params(dims, fill=1.0, memory=None):
     )
 
 
+def params_of(dims, arrays):
+    """The FusionParams holding ``arrays`` in ``flatten`` order."""
+    return M.FusionParams(dims, **dict(zip(M._TENSOR_FIELDS, arrays)))
+
+
+def init_with_memory(dims, seed):
+    """``init_params`` plus a memory drawn like a weight: the stream's next
+    draws after the seven weight tensors."""
+    p = M.init_params(dims, seed)
+    rng = np.random.default_rng(seed)
+    weights = ("w_dl", "w_ep", "w_hid_dl", "w_hid_ep", "w_head_dl", "w_head_ep", "w_head_mem")
+    rng.uniform(size=sum(getattr(p, name).size for name in weights))  # init_params' draws
+    bound = np.sqrt(1.0 / max(dims.mem_width, 1))
+    p.memory = rng.uniform(-bound, bound, size=dims.mem_width)
+    return p
+
+
 def sample_batch(dl, ep, target=0.0, dl_mask=1, ep_mask=1):
     """A SampleBatch of measured targets from columns; a scalar applies to
     every row, so scalars alone make one row."""
@@ -68,7 +85,7 @@ def loss_fn(batch, dims):
     y = batch.target
 
     def f(arrays):
-        return float(np.sum((y - M.predict(batch, M.FusionParams.unflatten(dims, arrays))) ** 2))
+        return float(np.sum((y - M.predict(batch, params_of(dims, arrays))) ** 2))
     return f
 
 
@@ -95,10 +112,6 @@ class TestInitParams:
         assert p.b_head_dl == 0.0 and p.b_head_mem == 0.0
         assert np.all(np.abs(p.w_dl) <= np.sqrt(0.5))
         assert np.all(np.abs(p.w_hid_dl) <= np.sqrt(1.0 / 10))
-
-    def test_random_memory_flag(self):
-        p = M.init_params(M.FusionDims(2, 3, 2), seed=4, random_memory=True)
-        assert np.any(p.memory != 0)
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
@@ -160,7 +173,7 @@ class TestReadMemory:
         grads = M.FusionParams(dims)
         grads.memory = [2.0, -2.0]
         # a fresh Adam step moves each entry by eta against its gradient's sign
-        adam_step(p.vector, grads.vector, AdamState.init(p.vector, eta=0.5), out=p.vector)
+        adam_step(p.vector, grads.vector, AdamState.init(p.vector, eta=0.5))
         assert p.memory == pytest.approx([0.5, 1.5], rel=1e-8)
         assert np.array_equal(memory_read(p), [p.memory, p.memory])
 
@@ -254,7 +267,7 @@ class TestBackward:
         while checked < 20:
             p = M.init_params(dims, int(rng.integers(1 << 30)))
             arrays = [a + 0.3 * rng.standard_normal(a.shape) for a in p.flatten()]
-            p = M.FusionParams.unflatten(dims, arrays)
+            p = params_of(dims, arrays)
             s = random_batch(rng, masks=(int(rng.integers(0, 2)), int(rng.integers(0, 2))))
             _, grads, ws = kernel_grads(s, p)
             if near_relu_kink(ws):
@@ -374,7 +387,7 @@ class TestMemoryAblation:
         while checked < 5:
             p = M.init_params(dims, int(rng.integers(1 << 30)))
             arrays = [a + 0.3 * rng.standard_normal(a.shape) for a in p.flatten()]
-            p = M.FusionParams.unflatten(dims, arrays)
+            p = params_of(dims, arrays)
             s = random_batch(rng)
             _, grads, ws = kernel_grads(s, p)
             if near_relu_kink(ws):
@@ -399,7 +412,7 @@ class TestMemoryAblation:
         rng = np.random.default_rng(71)
         for seed in range(5):
             dims = M.FusionDims(*(int(rng.integers(1, 12)) for _ in range(3)))
-            p = M.init_params(dims, seed, random_memory=True)
+            p = init_with_memory(dims, seed)
             p.vector[:] += 0.5 * rng.standard_normal(dims.size)
             self._assert_fold_agrees(p, random_batch(rng, 50, masks=rng.integers(0, 2, (2, 50))))
 
@@ -445,15 +458,15 @@ class TestShapes:
             )
         assert good.w_dl.shape == (2, 2)
 
-    def test_flatten_unflatten_round_trip(self):
+    def test_flatten_round_trips_through_the_constructor(self):
         p = M.init_params(M.FusionDims(3, 2, 4), 5)
-        q = M.FusionParams.unflatten(p.dims, p.flatten())
+        q = params_of(p.dims, p.flatten())
         for a, b in zip(p.flatten(), q.flatten()):
             assert np.array_equal(np.asarray(a), np.asarray(b))
 
     def test_flatten_keeps_the_name_order(self):
         dims = M.FusionDims(3, 2, 4)
-        p = M.init_params(dims, 5, random_memory=True)
+        p = init_with_memory(dims, 5)
         names = [
             "w_dl", "b_dl", "w_ep", "b_ep", "memory",
             "w_hid_dl", "b_hid_dl", "w_hid_ep", "b_hid_ep",
@@ -469,9 +482,23 @@ class TestShapes:
             assert a.tobytes() == getattr(p, name).tobytes()
 
     @pytest.mark.parametrize("memory_enabled", [True, False])
+    def test_shapes_name_every_tensor_in_order(self, memory_enabled):
+        dims = M.FusionDims(3, 2, 4, memory_enabled=memory_enabled)
+        mw = 2 if memory_enabled else 0
+        assert list(dims.shapes.items()) == [
+            ("w_dl", (3, 2)), ("b_dl", (3,)), ("w_ep", (3, 2)), ("b_ep", (3,)),
+            ("memory", (mw,)),
+            ("w_hid_dl", (4, 3 + mw)), ("b_hid_dl", (4,)),
+            ("w_hid_ep", (4, 3 + mw)), ("b_hid_ep", (4,)),
+            ("w_head_dl", (4,)), ("b_head_dl", ()),
+            ("w_head_ep", (4,)), ("b_head_ep", ()),
+            ("w_head_mem", (mw,)), ("b_head_mem", ()),
+        ]
+
+    @pytest.mark.parametrize("memory_enabled", [True, False])
     def test_stream_pairs_are_halves_of_one_block(self, memory_enabled):
         dims = M.FusionDims(3, 2, 4, memory_enabled=memory_enabled)
-        p = M.init_params(dims, 5, random_memory=memory_enabled)
+        p = init_with_memory(dims, 5)
 
         def offset(a):  # in float64 elements from the start of the vector
             return (a.__array_interface__["data"][0] - p.vector.__array_interface__["data"][0]) // 8
@@ -497,7 +524,7 @@ class TestShapes:
     @pytest.mark.parametrize("memory_enabled", [True, False])
     def test_pickle_round_trip_keeps_fields_views_of_vector(self, memory_enabled):
         dims = M.FusionDims(3, 2, 4, memory_enabled=memory_enabled)
-        p = M.init_params(dims, 5, random_memory=memory_enabled)
+        p = init_with_memory(dims, 5)
         q = pickle.loads(pickle.dumps(p))
         assert q.dims == p.dims
         assert q.vector.tobytes() == p.vector.tobytes()
@@ -542,13 +569,17 @@ class TestCheckpoint:
         M.save_checkpoint(again, q, norm)
         assert again.read_text(encoding="utf-8") == _PINNED_CKPT
 
-    def test_round_trip_without_norm(self, tmp_path):
+    def test_file_without_norm_rejected(self, tmp_path):
+        # a checkpoint serves requests only with its normalization
         p = M.init_params(M.FusionDims(2, 2, 2, memory_enabled=False), 1)
         path = tmp_path / "m.ckpt"
-        M.save_checkpoint(path, p)
-        q, norm = M.load_checkpoint(path)
-        assert norm is None
-        assert q.memory.shape == (0,)
+        M.save_checkpoint(path, p, NormStats(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith("norm ")
+        for kept in (lines[:2], lines[:2] + lines[3:]):
+            path.write_text("\n".join(kept) + "\n")
+            with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected the norm line")):
+                M.load_checkpoint(path)
 
     def test_version_tag_checked(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -559,7 +590,7 @@ class TestCheckpoint:
     def test_tag_is_first_line(self, tmp_path):
         p = M.init_params(M.FusionDims(1, 1, 1), 0)
         path = tmp_path / "m.ckpt"
-        M.save_checkpoint(path, p)
+        M.save_checkpoint(path, p, NormStats(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         assert path.read_text().splitlines()[0] == "pgmn-ckpt-1"
 
 
@@ -776,8 +807,8 @@ def test_damaged_checkpoints_load_whole_or_raise_value_error(tmp_path_factory, t
     assert np.all(np.isfinite(params.vector))
     for name, shape in params.dims.shapes.items():
         assert np.shape(getattr(params, name)) == shape
-    if norm is not None:
-        assert np.all(np.isfinite(list(norm.as_dict().values())))
+    assert isinstance(norm, NormStats)
+    assert np.all(np.isfinite(list(norm.as_dict().values())))
 
 
 class TestConstructorBoundaries:

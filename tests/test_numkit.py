@@ -14,24 +14,24 @@ class TestAdam:
     def test_zero_gradient_noop(self):
         p = np.array([1.0, -2.0])
         state = AdamState.init(p, eta=0.01)
-        out, state2 = adam_step(p, np.zeros(2), state)
-        assert np.array_equal(out, p)
-        assert state2.step == 1
+        assert adam_step(p, np.zeros(2), state) is None
+        assert np.array_equal(p, [1.0, -2.0])
+        assert state.step == 1
 
     def test_first_step_magnitude(self):
         # fresh state, grad 1: bias correction gives mhat=g, vhat=g^2, step ~ eta
         p = np.array([0.0])
-        state = AdamState.init(p, eta=0.001)
-        out, _ = adam_step(p, np.array([1.0]), state)
-        assert float(out[0]) == pytest.approx(-0.001, rel=1e-6)
+        adam_step(p, np.array([1.0]), AdamState.init(p, eta=0.001))
+        assert float(p[0]) == pytest.approx(-0.001, rel=1e-6)
 
     def test_second_identical_gradient_similar_magnitude(self):
         p = np.array([0.0])
         state = AdamState.init(p, eta=0.001)
-        p1, state = adam_step(p, np.array([1.0]), state)
-        p2, _ = adam_step(p1, np.array([1.0]), state)
-        step1 = abs(float(p1[0]) - 0.0)
-        step2 = abs(float(p2[0]) - float(p1[0]))
+        adam_step(p, np.array([1.0]), state)
+        step1 = abs(float(p[0]))
+        p1 = float(p[0])
+        adam_step(p, np.array([1.0]), state)
+        step2 = abs(float(p[0]) - p1)
         assert abs(step2 - step1) <= 0.1 * step1
 
     def test_two_step_hand_values(self):
@@ -40,19 +40,19 @@ class TestAdam:
         # 1 - 0.9^2 and 1 - 0.999^2
         p = np.array([0.0, 1.0])
         state = AdamState.init(p, eta=0.1)
-        p1, _ = adam_step(p, np.array([1.0, -2.0]), state)
-        assert p1 == pytest.approx([-0.1, 1.1], rel=1e-7)
-        p2, _ = adam_step(p1, np.array([0.5, 0.5]), state)
+        adam_step(p, np.array([1.0, -2.0]), state)
+        assert p == pytest.approx([-0.1, 1.1], rel=1e-7)
+        adam_step(p, np.array([0.5, 0.5]), state)
         assert state.m == pytest.approx([0.14, -0.13], rel=1e-12)
         assert state.v == pytest.approx([0.001249, 0.004246], rel=1e-12)
-        assert p2 == pytest.approx([-0.19321796, 1.14694682], rel=1e-7)
+        assert p == pytest.approx([-0.19321796, 1.14694682], rel=1e-7)
 
-    def test_out_of_place_leaves_inputs_untouched(self):
+    def test_steps_the_parameters_in_place_and_leaves_the_gradient(self):
         p, g = np.array([1.0, -2.0, 3.0]), np.array([0.5, 0.0, -1.0])
-        state = AdamState.init(p, eta=0.01)
-        out, _ = adam_step(p, g, state)
-        assert out is not p and not np.shares_memory(out, p)
-        assert np.array_equal(p, [1.0, -2.0, 3.0]) and np.array_equal(g, [0.5, 0.0, -1.0])
+        buffer = p
+        adam_step(p, g, AdamState.init(p, eta=0.01))
+        assert p is buffer and p == pytest.approx([0.99, -2.0, 3.01], rel=1e-7)
+        assert np.array_equal(g, [0.5, 0.0, -1.0])
 
     def test_shape_mismatch(self):
         state = AdamState.init(np.zeros(2))
@@ -128,11 +128,10 @@ def test_bitwise_determinism():
     rng = np.random.default_rng(5)
     p = rng.standard_normal(4)
     g = rng.standard_normal(4)
-    s1 = AdamState.init(p, eta=0.01)
-    s2 = AdamState.init(p, eta=0.01)
-    o1, _ = adam_step(p, g, s1)
-    o2, _ = adam_step(p, g, s2)
-    assert np.array_equal(o1, o2)
+    q = p.copy()
+    adam_step(p, g, AdamState.init(p, eta=0.01))
+    adam_step(q, g, AdamState.init(q, eta=0.01))
+    assert p.tobytes() == q.tobytes()
 
 
 class TestAdamStateInit:
@@ -147,15 +146,19 @@ class TestAdamStateInit:
 
 
 class TestFlatSteps:
-    def test_in_place_adam_matches_out_of_place(self):
+    def test_in_place_adam_matches_the_textbook_update_bit_for_bit(self):
         rng = np.random.default_rng(7)
-        p, g = rng.standard_normal(50), rng.standard_normal(50)
-        s1, s2 = AdamState.init(p, eta=0.01), AdamState.init(p, eta=0.01)
-        fresh, _ = adam_step(p, g, s1)
-        q = p.copy()
-        out, _ = adam_step(q, g, s2, out=q)
-        assert out is q and np.array_equal(q, fresh)
-        assert np.array_equal(s1.m, s2.m) and np.array_equal(s1.v, s2.v) and s1.step == s2.step == 1
+        p = rng.standard_normal(50)
+        state = AdamState.init(p, eta=0.01)
+        ref, m, v = p.copy(), np.zeros(50), np.zeros(50)
+        for t in (1, 2, 3):
+            g = rng.standard_normal(50)
+            adam_step(p, g, state)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            ref = ref - 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            assert p.tobytes() == ref.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes() and state.step == t
 
     def test_block_views_share_memory_and_cover_vector(self):
         vec = np.arange(7.0)

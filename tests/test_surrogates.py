@@ -409,7 +409,7 @@ def _reference_train_baseline(features, truth, split, seed):
         da1 = (da2 @ w[2]) * (a1 > 0)
         g[0][...] = da1.T @ xb
         g[1][...] = da1.sum(axis=0)
-        adam_step(weights, grads, state, out=weights)
+        adam_step(weights, grads, state)
         return 0.0
 
     def validate(epoch):

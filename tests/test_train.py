@@ -20,6 +20,23 @@ def make_dataset(rng, n=80):
     return measured(v, v, v)
 
 
+def params_of(dims, arrays):
+    """The FusionParams holding ``arrays`` in ``flatten`` order."""
+    return M.FusionParams(dims, **dict(zip(M._TENSOR_FIELDS, arrays)))
+
+
+def init_with_memory(dims, seed):
+    """``init_params`` plus a memory drawn like a weight: the stream's next
+    draws after the seven weight tensors."""
+    p = M.init_params(dims, seed)
+    rng = np.random.default_rng(seed)
+    weights = ("w_dl", "w_ep", "w_hid_dl", "w_hid_ep", "w_head_dl", "w_head_ep", "w_head_mem")
+    rng.uniform(size=sum(getattr(p, name).size for name in weights))  # init_params' draws
+    bound = np.sqrt(1.0 / max(dims.mem_width, 1))
+    p.memory = rng.uniform(-bound, bound, size=dims.mem_width)
+    return p
+
+
 class TestTrainBasics:
     def test_empty_dataset_rejected(self):
         p = M.init_params(M.FusionDims(2, 2, 2), 0)
@@ -299,7 +316,7 @@ class TestWorkspaceKernelOracle:
     def test_kernel_matches_reference_bit_for_bit(self, seed, memory_enabled):
         rng = np.random.default_rng(300 + seed)
         dims = M.FusionDims(*(int(rng.integers(1, 12)) for _ in range(3)), memory_enabled=memory_enabled)
-        p = M.init_params(dims, seed, random_memory=True)
+        p = init_with_memory(dims, seed)
         p.vector[:] += 0.5 * rng.standard_normal(dims.size)
         ws = M._Workspace(dims, 128)
         # full size, a small batch, one row, a ragged tail, then full again:
@@ -324,7 +341,7 @@ class TestWorkspaceKernelOracle:
         # full-batch update over the full-year training split
         rng = np.random.default_rng(320 + m)
         dims = replace(DEFAULT_DIMS, memory_enabled=memory_enabled)
-        p = M.init_params(dims, m, random_memory=True)
+        p = init_with_memory(dims, m)
         p.vector[:] += 0.1 * rng.standard_normal(dims.size)
         ws = M._Workspace(dims, m)
         for _ in range(2):
@@ -344,7 +361,7 @@ class TestWorkspaceKernelOracle:
         # its mixer input in F order parted from the kernel in the last bit
         rng = np.random.default_rng(340)
         dims = M.FusionDims(1, 34, 11, memory_enabled=memory_enabled)
-        p = M.init_params(dims, 7, random_memory=True)
+        p = init_with_memory(dims, 7)
         p.vector[:] += 0.5 * rng.standard_normal(dims.size)
         ws = M._Workspace(dims, 46)
         for m in (46, 9, 46):
@@ -365,7 +382,7 @@ class TestWorkspaceKernelOracle:
         rng = np.random.default_rng(330 + rows)
         for seed in range(4):
             dims = M.FusionDims(*(int(rng.integers(1, 12)) for _ in range(3)), memory_enabled=seed % 2 == 0)
-            p = M.init_params(dims, seed, random_memory=True)
+            p = init_with_memory(dims, seed)
             p.vector[:] += 0.5 * rng.standard_normal(dims.size)
             ws = M._Workspace(dims, rows)
             for m in (rows, 3, rows):
@@ -400,7 +417,7 @@ class TestWorkspaceKernelOracle:
     def test_one_row_workspace_matches_reference(self):
         rng = np.random.default_rng(310)
         dims = M.FusionDims(5, 4, 6)
-        p = M.init_params(dims, 3, random_memory=True)
+        p = init_with_memory(dims, 3)
         data = make_dataset(rng, n=20)
         for i in range(len(data)):
             s = data[i : i + 1]
@@ -445,7 +462,7 @@ def _reference_train(dataset, params, cfg, validation):
 
     def update(idx):
         nonlocal arrays, m, v, step
-        p = M.FusionParams.unflatten(params.dims, arrays)
+        p = params_of(params.dims, arrays)
         losses, grads = _reference_batch_backward(_reference_batch_forward(x_dl[idx], x_ep[idx], p), y[idx], p)
         g = [np.array(a) for a in grads.flatten()]
         arrays, m, v, step = _reference_adam(arrays, g, m, v, step, cfg.eta)
@@ -463,7 +480,7 @@ def _reference_train(dataset, params, cfg, validation):
             train_mse = loss_sum / n
         val_mse = float("nan")
         if validation:
-            p = M.FusionParams.unflatten(params.dims, arrays)
+            p = params_of(params.dims, arrays)
             val_mse = float(np.mean((yv - _reference_batch_forward(xv_dl, xv_ep, p)["yhat"]) ** 2))
         history.append((train_mse, val_mse))
         if validation:
@@ -486,7 +503,7 @@ class TestFlatOptimizerOracle:
         rng = np.random.default_rng(20)
         samples = make_dataset(rng, n=60)
         val = make_dataset(rng, n=20) if with_val else None
-        p = M.init_params(M.FusionDims(4, 3, 5), 21, random_memory=True)
+        p = init_with_memory(M.FusionDims(4, 3, 5), 21)
         cfg = M.TrainConfig(eta=5e-3, max_epochs=40, batch_size=batch_size, early_stop_patience=6, seed=4)
         trained, history = M.train(samples, p, cfg, val)
         ref_arrays, ref_history = _reference_train(samples, p, cfg, val)
@@ -516,9 +533,9 @@ class TestBufferAliasing:
         seen = []
         real_step = M.adam_step
 
-        def spy(params, grads, state, out=None):
+        def spy(params, grads, state):
             seen.extend([params, grads, state.m, state.v])
-            return real_step(params, grads, state, out=out)
+            real_step(params, grads, state)
 
         monkeypatch.setattr(M, "adam_step", spy)
         rng = np.random.default_rng(24)
@@ -538,7 +555,7 @@ class TestBufferAliasing:
         p.w_dl = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(p.vector[:4], [1.0, 2.0, 3.0, 4.0])
         p.w_hid_dl[:, :2] = 7.0  # in-place slice writes reach the vector too
-        assert np.array_equal(p.vector, M.FusionParams.unflatten(dims, p.flatten()).vector)
+        assert np.array_equal(p.vector, params_of(dims, p.flatten()).vector)
         p.b_head_mem = -3.25
         assert p.vector[-1] == -3.25 and p.b_head_mem == -3.25
         p.memory = np.array([0.5, -0.5])
