@@ -214,12 +214,15 @@ class _Workspace:
     uses the first m of each.  Every buffer stacks the data stream (index 0)
     on the physics stream (index 1), shaped ``(2, rows, ...)``: the input
     ``x`` of [value, mask] rows, the embedding pre-activation ``a_h``, the
-    mixer input ``c`` = [max(0, a_h), memory], the mixer pre-activation
-    ``a_z``, its ReLU ``z`` and the head output ``part``.  ``backward=True``
-    adds the gradient temporaries; the flat ``da`` holds the mixer's
-    pre-activation gradient and then, once that is spent, the embedding's,
-    each as one contiguous (2, m, ...) block.  A workspace lives for one
-    ``train``/``predict`` call.
+    mixer input ``c`` = [max(0, a_h), memory], the mixer output ``z`` (its
+    pre-activation, then in place its ReLU) and the head output ``part``.
+    ``backward=True`` adds the per-row ``losses`` and loss gradient ``g``,
+    the memory-gradient sums ``dmem`` and the bool ReLU masks ``on_z`` and
+    ``on_h``.  The backward pass writes each gradient into the buffer whose
+    value is spent: afterwards ``z`` holds the mixer pre-activation's
+    gradient, ``c`` the mixer input's and ``a_h`` the embedding
+    pre-activation's.  A workspace lives for one ``train``/``predict``
+    call.
 
     The float buffers are blocks of one float64 allocation, and the bool
     ReLU masks of one bool allocation.
@@ -230,14 +233,14 @@ class _Workspace:
 
     def __init__(self, dims: FusionDims, rows: int, backward: bool = True):
         d, c, dz = dims.embed_dim, dims.embed_dim + dims.mem_width, dims.hidden_dim
-        shapes = [(2, rows, 2), (2, rows, d), (2, rows, c), (2, rows, dz), (2, rows, dz), (2, rows), (rows,)]
+        shapes = [(2, rows, 2), (2, rows, d), (2, rows, c), (2, rows, dz), (2, rows), (rows,)]
         if backward:
-            shapes += [(rows,), (rows,), (2 * rows * max(d, dz),), (2, rows, c), (2, dims.mem_width)]
+            shapes += [(rows,), (rows,), (2, dims.mem_width)]
             self.on_z, self.on_h = empty_blocks([(2, rows, dz), (2, rows, d)], bool)
         bufs = empty_blocks(shapes)
-        self.x, self.a_h, self.c, self.a_z, self.z, self.part, self.yhat = bufs[:7]
+        self.x, self.a_h, self.c, self.z, self.part, self.yhat = bufs[:6]
         if backward:
-            self.losses, self.g, self.da, self.dc, self.dmem = bufs[7:]
+            self.losses, self.g, self.dmem = bufs[6:]
         self.offset = 0.0
 
 
@@ -257,16 +260,16 @@ def _batch_forward(x: np.ndarray, params: FusionParams, ws: _Workspace) -> np.nd
     ``x @ w.T``, bit for bit."""
     m = x.shape[1]
     d, mem = params.dims.embed_dim, params.memory
-    a_h, c, a_z, z, part = ws.a_h[:, :m], ws.c[:, :m], ws.a_z[:, :m], ws.z[:, :m], ws.part[:, :m]
+    a_h, c, z, part = ws.a_h[:, :m], ws.c[:, :m], ws.z[:, :m], ws.part[:, :m]
     # divergence is caught via isfinite checks, so let overflow pass silently
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(x, params.w.transpose(0, 2, 1), out=a_h)
         a_h += params.b[:, None]
         np.maximum(a_h, 0.0, out=c[..., :d])
         c[..., d:] = mem
-        np.matmul(c, params.w_hid.transpose(0, 2, 1), out=a_z)
-        a_z += params.b_hid[:, None]
-        np.maximum(a_z, 0.0, out=z)
+        np.matmul(c, params.w_hid.transpose(0, 2, 1), out=z)
+        z += params.b_hid[:, None]
+        np.maximum(z, 0.0, out=z)
         np.matmul(z, params.w_head[..., None], out=part[..., None])
         part += params.b_head[:, None]
         ws.offset = float(params.w_head_mem @ mem) + params.b_head_mem
@@ -287,26 +290,29 @@ def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Wor
     the physics mixer, then the offset head.
     """
     m = len(y)
-    d, dz = params.dims.embed_dim, params.dims.hidden_dim
+    d = params.dims.embed_dim
     yhat = ws.yhat[:m]
     losses = np.subtract(y, yhat, out=ws.losses[:m])
     np.square(losses, out=losses)
     g = np.subtract(yhat, y, out=ws.g[:m])
     g *= 2.0
     g_sum = float(np.add.reduce(g))
-    a_h, c, a_z, z = ws.a_h[:, :m], ws.c[:, :m], ws.a_z[:, :m], ws.z[:, :m]
-    on_z, dc, on_h = ws.on_z[:, :m], ws.dc[:, :m], ws.on_h[:, :m]
-    da_z = ws.da[: 2 * m * dz].reshape(2, m, dz)
+    a_h, c, z = ws.a_h[:, :m], ws.c[:, :m], ws.z[:, :m]
+    on_z, on_h = ws.on_z[:, :m], ws.on_h[:, :m]
 
+    # Each gradient overwrites a forward value that nothing reads again:
+    # da_z goes into z, dc into c and da_h into a_h.  z > 0 exactly where
+    # its pre-activation was (NaN included), so the mask survives the ReLU.
     np.matmul(z.transpose(0, 2, 1), g, out=grads.w_head)
     grads.b_head[...] = g_sum
-    np.multiply(g[:, None], params.w_head[:, None], out=da_z)
-    da_z *= np.greater(a_z, 0, out=on_z)
+    np.greater(z, 0, out=on_z)
+    da_z = np.multiply(g[:, None], params.w_head[:, None], out=z)
+    da_z *= on_z
     np.matmul(da_z.transpose(0, 2, 1), c, out=grads.w_hid)
     np.add.reduce(da_z, axis=1, out=grads.b_hid)
-    np.matmul(da_z, params.w_hid, out=dc)
+    dc = np.matmul(da_z, params.w_hid, out=c)
     np.add.reduce(dc[..., d:], axis=1, out=ws.dmem)
-    da_h = np.multiply(dc[..., :d], np.greater(a_h, 0, out=on_h), out=ws.da[: 2 * m * d].reshape(2, m, d))
+    da_h = np.multiply(dc[..., :d], np.greater(a_h, 0, out=on_h), out=a_h)
     np.matmul(da_h.transpose(0, 2, 1), x, out=grads.w)
     np.add.reduce(da_h, axis=1, out=grads.b)
 

@@ -73,7 +73,7 @@ class AdamState:
     scratch: np.ndarray = field(repr=False)
 
     @classmethod
-    def init(cls, params: np.ndarray, eta: float = 1e-3) -> "AdamState":
+    def init(cls, params: np.ndarray, eta: float) -> "AdamState":
         if not 0.0 < eta < math.inf:
             raise ValueError(f"learning rate must be finite and positive, got {eta!r}")
         return cls(np.zeros(params.shape), np.zeros(params.shape), 0, eta, np.empty((2, *params.shape)))

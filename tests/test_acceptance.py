@@ -100,7 +100,11 @@ def test_criterion_1_gradient_exactness():
             s = _batch([dl], [ep], [rng.normal()], dl_mask, ep_mask)
             ws = M._Workspace(dims, 1)
             M._batch_forward(M._fill_inputs(s, ws.x), cand, ws)
-            if np.all(np.abs(ws.a_h) > 1e-3) and np.all(np.abs(ws.a_z) > 1e-3):
+            # the workspace keeps the mixer's ReLU; its pre-activation is
+            # recomputed from the mixer input before the backward pass
+            # overwrites that with a gradient
+            a_z = np.matmul(ws.c, cand.w_hid.transpose(0, 2, 1)) + cand.b_hid[:, None]
+            if np.all(np.abs(ws.a_h) > 1e-3) and np.all(np.abs(a_z) > 1e-3):
                 sample, params = s, cand
                 break
         if sample is None:

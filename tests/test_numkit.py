@@ -55,7 +55,7 @@ class TestAdam:
         assert np.array_equal(g, [0.5, 0.0, -1.0])
 
     def test_shape_mismatch(self):
-        state = AdamState.init(np.zeros(2))
+        state = AdamState.init(np.zeros(2), eta=0.01)
         with pytest.raises(ShapeMismatch):
             adam_step(np.zeros(2), np.zeros((2, 1)), state)
 
@@ -139,6 +139,11 @@ class TestAdamStateInit:
     def test_rejects_non_finite_or_non_positive_eta(self, eta):
         with pytest.raises(ValueError, match="learning rate must be finite and positive"):
             AdamState.init(np.zeros(3), eta=eta)
+
+    def test_eta_has_no_default(self):
+        # every caller names its own learning rate
+        with pytest.raises(TypeError, match="eta"):
+            AdamState.init(np.zeros(3))
 
     def test_moments_are_flat_zeros(self):
         state = AdamState.init(np.ones(5), eta=0.1)

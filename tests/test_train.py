@@ -335,6 +335,33 @@ class TestWorkspaceKernelOracle:
             assert grads.vector.tobytes() == ref_grads.vector.tobytes(), m
 
     @pytest.mark.parametrize("memory_enabled", [True, False], ids=["memory", "no-memory"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kernel_reads_no_buffer_before_writing_it(self, seed, memory_enabled):
+        # the backward pass writes gradients over spent forward values, so a
+        # buffer read before this call writes it would carry stale data: a
+        # NaN-filled arena and all-True masks make any such read show
+        rng = np.random.default_rng(350 + seed)
+        dims = M.FusionDims(*(int(rng.integers(1, 12)) for _ in range(3)), memory_enabled=memory_enabled)
+        p = init_with_memory(dims, seed)
+        p.vector[:] += 0.5 * rng.standard_normal(dims.size)
+        ws = M._Workspace(dims, 128)
+        for m in (128, 7, 1, 121, 128):
+            ws.x.base[:] = np.nan
+            ws.on_z.base[:] = True
+            ws.offset = np.nan
+            xs, y = _random_rows(rng, m)
+            x = ws.x[:, :m]
+            x[...] = np.stack(xs)
+            yhat = M._batch_forward(x, p, ws).copy()
+            grads = M.FusionParams(dims, np.full(dims.size, np.nan))
+            losses = M._batch_backward(x, y, p, ws, grads)
+            ref = _reference_batch_forward(*xs, p)
+            ref_losses, ref_grads = _reference_batch_backward(ref, y, p)
+            assert yhat.tobytes() == ref["yhat"].tobytes(), m
+            assert losses.tobytes() == ref_losses.tobytes(), m
+            assert grads.vector.tobytes() == ref_grads.vector.tobytes(), m
+
+    @pytest.mark.parametrize("memory_enabled", [True, False], ids=["memory", "no-memory"])
     @pytest.mark.parametrize("m", [24, 5241], ids=["day-ahead-request", "full-year-train-split"])
     def test_kernel_matches_reference_at_serving_and_fullbatch_sizes(self, m, memory_enabled):
         # the experiment's widths at one day-ahead request and at one
@@ -404,8 +431,8 @@ class TestWorkspaceKernelOracle:
         dims = M.FusionDims(3, 4, 5, memory_enabled=memory_enabled)
         ws = M._Workspace(dims, 17, backward=backward)
         floats = {k: v for k, v in vars(ws).items() if isinstance(v, np.ndarray) and v.dtype == np.float64}
-        names = {"x", "a_h", "c", "a_z", "z", "part", "yhat"}
-        assert set(floats) == (names | {"losses", "g", "da", "dc", "dmem"} if backward else names)
+        names = {"x", "a_h", "c", "z", "part", "yhat"}
+        assert set(floats) == (names | {"losses", "g", "dmem"} if backward else names)
         arena = floats["x"].base
         assert arena is not None and arena.base is None and arena.ndim == 1
         assert all(buf.base is arena for buf in floats.values())
@@ -413,6 +440,20 @@ class TestWorkspaceKernelOracle:
         if backward:
             masks = [ws.on_z, ws.on_h]
             assert all(buf.dtype == bool and buf.base is masks[0].base for buf in masks)
+
+        # per row: x 4, a_h 2d, c 2(d + mw), z 2dz, part 2, yhat 1, and for
+        # training losses 1 and g 1; plus dmem 2mw once
+        def arena_size(dims, rows):
+            d, mw, dz = dims.embed_dim, dims.mem_width, dims.hidden_dim
+            per_row = 7 + 4 * d + 2 * mw + 2 * dz + (2 if backward else 0)
+            return per_row * rows + (2 * mw if backward else 0)
+
+        assert arena.size == arena_size(dims, 17)
+        experiment = replace(DEFAULT_DIMS, memory_enabled=memory_enabled)
+        size = M._Workspace(experiment, 29, backward=backward).x.base.size
+        assert size == arena_size(experiment, 29)
+        if memory_enabled:
+            assert size == (233 * 29 + 2 * experiment.memory_dim if backward else 231 * 29)
 
     def test_one_row_workspace_matches_reference(self):
         rng = np.random.default_rng(310)
