@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 # The synthetic fixture stack: seeded weather -> RC building physics ->
 # biased ground truth, plus the calibration-style comparison between the
-# physics trace and the actuals it is meant to track.
+# physics trace and the actuals it is meant to track.  The seeds and truth
+# constants are the harness's, so this is the synthetic fixture of
+# `fusecast all --fast --seed 42`.
 
 import numpy as np
 
+from fusecast import harness
 from fusecast.metrics import cv_rmse, nmbe, smape
 from fusecast.surrogates import (
     BuildingParams,
@@ -14,9 +17,10 @@ from fusecast.surrogates import (
     simulate_physics,
 )
 
-HOURS = 2160  # 90 synthetic days
+HOURS = harness.FAST_HOURS  # 90 synthetic days
+SEED = harness.DEFAULT_SEED
 
-weather = make_weather(HOURS, seed=42)
+weather = make_weather(HOURS, seed=SEED + harness.SEED_WEATHER)
 print(f"weather: {HOURS} hours, temp {weather.temp_c.min():.1f}..{weather.temp_c.max():.1f} C, "
       f"solar peak {weather.solar_w_per_m2.max():.0f} W/m2")
 
@@ -27,9 +31,16 @@ print(f"physics trace: mean {physics.values.mean():.1f} kWh/h, "
       f"range {physics.values.min():.1f}..{physics.values.max():.1f}")
 
 # ground truth = physics + constant bias + weekly occupant behavior + noise
-truth = make_truth(physics, bias=50.0, noise_std=8.0, behavior_amp=12.0, seed=43)
+truth = make_truth(
+    physics,
+    bias=harness.DEFAULT_BIAS_KWH,
+    noise_std=harness.DEFAULT_NOISE_STD_KWH,
+    behavior_amp=harness.DEFAULT_BEHAVIOR_AMP_KWH,
+    seed=SEED + harness.SEED_TRUTH,
+)
 gap = truth.values - physics.values
-print(f"truth - physics: mean {gap.mean():.2f} kWh (the injected 50 kWh bias dominates)")
+print(f"truth - physics: mean {gap.mean():.2f} kWh "
+      f"(the injected {harness.DEFAULT_BIAS_KWH:.0f} kWh bias dominates)")
 
 # calibration-style report: how far is the physics model from the actuals?
 print("\nphysics vs actuals over the whole fixture:")

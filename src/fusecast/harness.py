@@ -242,9 +242,13 @@ class RunReport:
 
 
 def version_stamp() -> str:
+    """The package version, plus ``+g<short sha>`` when the package's own
+    directory is in a git checkout (git runs there, not in the caller's
+    working directory)."""
     try:
         sha = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             check=False,
@@ -387,7 +391,9 @@ class _Stages:
     def labels(self, cfg: ScenarioConfig) -> tuple[EnergySeries, EnergySeries]:
         """(label truth, lag source): the actuals training may see and the
         series the baseline lags on.  Sparse truth is masked once per
-        (seed, hours, sparse_frac) and imputed once per strategy."""
+        (seed, hours, sparse_frac) and imputed once per strategy for the
+        lags; ``assemble_samples`` imputes the label truth again, after
+        the first day is cut."""
         truth = self.world(cfg.seed, cfg.year_hours).truth
         if cfg.truth_mode != "sparse":
             return truth, truth
@@ -716,9 +722,11 @@ def run_all(out_dir, seed: int = DEFAULT_SEED, fast: bool = False) -> int:
     scenario_rows: list[str] = []
     history_rows = ["scenario,epoch,train_mse,val_mse"]
     summary: dict = {"version": version_stamp(), "seed": seed, "fast": fast, "scenarios": {}}
-    # Every training to write: (checkpoint stem, record, the run_summary
-    # object its `training` summary goes into, and the key there).
-    saves: list[tuple[str, TrainedModel, dict, str]] = []
+
+    def save(stem: str, trained: TrainedModel, train_cfg: TrainConfig) -> dict:
+        """Write the checkpoint of ``trained`` and return its `training` summary."""
+        save_checkpoint(ckpt_dir / f"{stem}.ckpt", trained.params, trained.norm)
+        return trained.summary(train_cfg)
 
     _stage(seconds, "world", stages.world, seed, FAST_HOURS if fast else FULL_HOURS)
     cfgs = {sid: scenario_config(sid, seed=seed, fast=fast) for sid in (1, 2, 3, 4, 5)}
@@ -732,27 +740,28 @@ def run_all(out_dir, seed: int = DEFAULT_SEED, fast: bool = False) -> int:
         _write_predictions_csv(out, report)
         if sid == 1:
             _write_calibration_csv(out / "calibration.csv", report.fixture)
-        entry = summary["scenarios"][str(sid)] = {"config": _json_ready(asdict(cfg)), "methods": _methods_json(report)}
-        saves.append((f"scenario{sid}", trained, entry, "training"))
+        summary["scenarios"][str(sid)] = {
+            "config": _json_ready(asdict(cfg)),
+            "methods": _methods_json(report),
+            "training": save(f"scenario{sid}", trained, cfg.train),
+        }
     _write_metrics_csv(out / "scenario_table.csv", scenario_rows)
     _write_lines(out / "train_history.csv", history_rows)
 
     mu = _stage(seconds, "ablation_mu", stages.ablation_mu, cfgs[1])
     _write_ablation_mu(out, mu)
-    summary["ablation_mu"] = {"methods": _methods_json(mu), "training": {}}
-    for name, stem in (("with_mu", "ablation_mu_with"), ("without_mu", "ablation_mu_without")):
-        saves.append((stem, mu.trainings[name], summary["ablation_mu"]["training"], name))
+    with_mu, without_mu = _mu_variants(cfgs[1])
+    summary["ablation_mu"] = {"methods": _methods_json(mu), "training": {
+        "with_mu": save("ablation_mu_with", mu.trainings["with_mu"], with_mu.train),
+        "without_mu": save("ablation_mu_without", mu.trainings["without_mu"], without_mu.train),
+    }}
 
     imp = _stage(seconds, "ablation_imputation", stages.ablation_imputation, cfgs[2])
     _write_ablation_imputation(out, imp)
-    summary["ablation_imputation"] = {"methods": _methods_json(imp), "training": {}}
-    for strategy, trained in imp.trainings.items():
-        saves.append((f"ablation_imputation_{strategy}", trained, summary["ablation_imputation"]["training"], strategy))
-
-    # scenario_config gives every config of the run the same TrainConfig.
-    for stem, trained, target, key in saves:
-        save_checkpoint(ckpt_dir / f"{stem}.ckpt", trained.params, trained.norm)
-        target[key] = trained.summary(cfgs[1].train)
+    summary["ablation_imputation"] = {"methods": _methods_json(imp), "training": {
+        v.imputation: save(f"ablation_imputation_{v.imputation}", imp.trainings[v.imputation], v.train)
+        for v in _imputation_variants(cfgs[2])
+    }}
 
     summary["stages"] = seconds
     spans = sorted(stages.job_spans.items(), key=lambda item: item[1])
@@ -797,7 +806,8 @@ _CONFIG_PARSERS = {**_key_parsers(ScenarioConfig, "split", "train"), **_SPLIT_PA
 def load_scenario_config(path, seed: int | None = None, fast: bool = False) -> ScenarioConfig:
     """Parse a flat key=value file of ScenarioConfig, SplitSpec and
     TrainConfig fields; unknown or repeated keys are rejected.  ``seed``
-    (when given) and ``fast`` override the file."""
+    (when given) and ``fast`` override the file: with ``fast`` the fixture
+    is ``FAST_HOURS`` long whatever ``year_hours`` the file sets."""
     try:
         values = read_key_values(path, _CONFIG_PARSERS)
     except ValueError as exc:
@@ -808,6 +818,8 @@ def load_scenario_config(path, seed: int | None = None, fast: bool = False) -> S
         sid = values.pop("id")
         file_seed = values.pop("seed", DEFAULT_SEED)
         cfg_seed = file_seed if seed is None else seed
+        if fast:
+            values.pop("year_hours", None)
         split = {k: values.pop(k) for k in _SPLIT_PARSERS if k in values}
         train_kwargs = {k: values.pop(k) for k in _TRAIN_PARSERS if k in values}
         if train_kwargs.get("batch_size") == 0:

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numkit import AdamState, ShapeMismatch, adam_step, block_views, empty_blocks, fit_epochs
+from .numkit import AdamState, ShapeMismatch, adam_step, block_views, draw_uniform, empty_blocks, fit_epochs
 from .pipeline import NormStats, SampleBatch
 
 CHECKPOINT_TAG = "pgmn-ckpt-1"
@@ -69,17 +69,6 @@ class FusionDims:
     @property
     def mem_width(self) -> int:
         return self.memory_dim if self.memory_enabled else 0
-
-    @property
-    def shapes(self) -> dict[str, tuple[int, ...]]:
-        """Shape of every named learnable tensor, in name order (the order
-        of ``FusionParams.flatten`` and of a checkpoint file): a ``_dl`` or
-        ``_ep`` field is one half of its pair block."""
-        blocks = self.blocks
-        return {
-            name: blocks[name[:-3]][1:] if name.endswith(("_dl", "_ep")) else blocks[name]
-            for name in _TENSOR_FIELDS
-        }
 
     @property
     def blocks(self) -> dict[str, tuple[int, ...]]:
@@ -196,11 +185,8 @@ class TrainConfig:
 def init_params(dims: FusionDims, seed: int) -> FusionParams:
     """Fresh parameters: weights uniform in +-sqrt(1/fan_in), where fan_in
     is the last axis, biases and memory zero."""
-    rng, shapes, params = np.random.default_rng(seed), dims.shapes, FusionParams(dims)
-    for name in ("w_dl", "w_ep", "w_hid_dl", "w_hid_ep", "w_head_dl", "w_head_ep", "w_head_mem"):
-        shape = shapes[name]
-        bound = np.sqrt(1.0 / max(shape[-1], 1))
-        setattr(params, name, rng.uniform(-bound, bound, size=shape))
+    params = FusionParams(dims)
+    draw_uniform(np.random.default_rng(seed), [params.w, params.w_hid, params.w_head, params.w_head_mem])
     return params
 
 
@@ -325,8 +311,6 @@ def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Wor
 
 def predict(batch: SampleBatch, params: FusionParams) -> np.ndarray:
     """Pure forward pass over a SampleBatch; non-finite outputs raise."""
-    if not len(batch):
-        return np.zeros(0)
     ws = _Workspace(params.dims, len(batch), backward=False)
     yhat = _batch_forward(_fill_inputs(batch, ws.x), params, ws)
     bad = len(yhat) - np.count_nonzero(np.isfinite(yhat))
@@ -422,7 +406,17 @@ def train(
 #   tensor <name> <ndim> <dim...>
 #   <hex values, space separated, row-major>
 #   scalar <name> <hex value>
+#
+# with one tensor or scalar per _TENSOR_FIELDS entry, in that order.
 # ---------------------------------------------------------------------------
+
+def _header(name: str, view: np.ndarray) -> str:
+    """The checkpoint line that opens tensor ``name``: a 0-d tensor's value
+    follows on the same line, any other's on the next."""
+    if view.ndim == 0:
+        return f"scalar {name}"
+    return f"tensor {name} {view.ndim} {' '.join(map(str, view.shape))}"
+
 
 def save_checkpoint(path, params: FusionParams, norm: NormStats) -> None:
     dims = params.dims
@@ -430,24 +424,25 @@ def save_checkpoint(path, params: FusionParams, norm: NormStats) -> None:
     lines.append(f"dims {dims.embed_dim} {dims.memory_dim} {dims.hidden_dim} {int(dims.memory_enabled)}")
     vals = [norm.dl_mean, norm.dl_std, norm.ep_mean, norm.ep_std, norm.y_mean, norm.y_std]
     lines.append("norm " + " ".join(float(v).hex() for v in vals))
-    for name, v in zip(_TENSOR_FIELDS, params.flatten()):
-        if v.ndim == 0:
-            lines.append(f"scalar {name} {float(v).hex()}")
-        else:
-            lines.append(f"tensor {name} {v.ndim} {' '.join(map(str, v.shape))}")
-            lines.append(" ".join(x.hex() for x in v.reshape(-1).tolist()))
+    for name, view in zip(_TENSOR_FIELDS, params.flatten()):
+        header, values = _header(name, view), " ".join(x.hex() for x in view.reshape(-1).tolist())
+        lines += [f"{header} {values}"] if view.ndim == 0 else [header, values]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_checkpoint(path) -> tuple[FusionParams, NormStats]:
     """Read a checkpoint written by save_checkpoint.
 
-    Any malformed content (a truncated file, a missing norm line, an
-    unknown or repeated tensor name, a value count or shape that does not
-    fit, a non-finite value, a normalization std that is not positive)
-    raises ValueError naming the file and the line.
+    The tensors must follow in ``_TENSOR_FIELDS`` order, each opened by the
+    line save_checkpoint writes for it under the file's dims.  Any
+    malformed content (a truncated file, a missing norm line, a tensor
+    line out of place or with a shape that does not fit the dims, a value
+    count that does not fit the shape, a non-finite value, a normalization
+    std that is not positive) raises ValueError naming the file and the
+    line.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
 
     def fail(lineno: int, msg: str):
         raise ValueError(f"{path}:{lineno}: {msg}")
@@ -474,7 +469,6 @@ def load_checkpoint(path) -> tuple[FusionParams, NormStats]:
         dims = FusionDims(int(head[1]), int(head[2]), int(head[3]), head[4] == "1")
     except ValueError as exc:
         fail(2, f"malformed dims line: {exc}")
-    shapes = dims.shapes
 
     if len(lines) < 3 or not lines[2].startswith("norm "):
         fail(3, "expected the norm line")
@@ -483,35 +477,28 @@ def load_checkpoint(path) -> tuple[FusionParams, NormStats]:
         norm = NormStats(*stats)
     except ValueError as exc:
         fail(3, str(exc))
+    # each value takes at least one character, so damaged dims never
+    # allocate a vector larger than the file
+    if dims.size > len(text):
+        fail(2, f"dims need {dims.size} values, more than the file's {len(text)} characters hold")
+    params = FusionParams(dims)
 
-    values: dict[str, list[float]] = {}
-    i = 3
-    while i < len(lines):
-        lineno, parts = i + 1, lines[i].split()
-        i += 1
-        if not parts:
-            continue
-        if parts[0] not in ("scalar", "tensor") or len(parts) < 3:
-            fail(lineno, f"unexpected line {lines[lineno - 1]!r}")
-        kind, name = parts[0], parts[1]
-        if name not in shapes:
-            fail(lineno, f"unknown tensor name {name!r}")
-        if name in values:
-            fail(lineno, f"duplicate tensor {name!r}")
-        if kind == "scalar":
-            shape, data, data_lineno = (), parts[2:], lineno
-        else:
-            if not all(tok.isdecimal() for tok in parts[2:]) or int(parts[2]) != len(parts) - 3:
-                fail(lineno, f"malformed tensor header {lines[lineno - 1]!r}")
-            if i >= len(lines):
-                fail(lineno, f"tensor {name!r} has no data line")
-            shape, data, data_lineno = tuple(int(tok) for tok in parts[3:]), lines[i].split(), i + 1
+    i = 3  # index of the next line to read
+    for k, (name, view) in enumerate(zip(_TENSOR_FIELDS, params.flatten())):
+        if i == len(lines):
+            fail(len(lines), f"file ends without tensors {list(_TENSOR_FIELDS[k:])}")
+        header, tokens = _header(name, view).split(), lines[i].split()
+        data = tokens[len(header) :]  # a scalar's value follows its header
+        if tokens[: len(header)] != header or (view.ndim and data):
+            fail(i + 1, f"expected {' '.join(header)!r}, got {lines[i]!r}")
+        if view.ndim:  # a tensor's values fill the next line
+            if i + 1 == len(lines):
+                fail(i + 1, f"tensor {name!r} has no data line")
             i += 1
-        values[name] = parse_values(data_lineno, data, math.prod(shape))
-        if shape != shapes[name]:
-            fail(lineno, f"{name}: expected shape {shapes[name]}, got {shape}")
-
-    missing = [name for name in _TENSOR_FIELDS if name not in values]
-    if missing:
-        fail(len(lines), f"file ends without tensors {missing}")
-    return FusionParams(dims, **{name: np.reshape(values[name], shapes[name]) for name in _TENSOR_FIELDS}), norm
+            data = lines[i].split()
+        view[...] = np.reshape(parse_values(i + 1, data, view.size), view.shape)
+        i += 1
+    for lineno, line in enumerate(lines[i:], i + 1):
+        if line.strip():
+            fail(lineno, f"unexpected line {line!r} after the last tensor")
+    return params, norm

@@ -2,10 +2,11 @@
 
 Plain functions over numpy arrays: views of a flat parameter vector as
 shaped tensors (and kernel workspaces carved the same way from one
-allocation), the in-place Adam update on one flat parameter vector and
-one flat gradient vector (a few vectorised ops per step), the epoch loop
-every trainer shares, and a central-difference gradient oracle used to
-verify hand-derived backward passes.
+allocation), uniform weight initialisation, the in-place Adam update on
+one flat parameter vector and one flat gradient vector (a few vectorised
+ops per step), the epoch loop every trainer shares, and a
+central-difference gradient oracle used to verify hand-derived backward
+passes.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ def _layout(shapes: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[slice
 
 def _cut(vector: np.ndarray, spans) -> list[np.ndarray]:
     return [vector[span].reshape(shape) for span, shape in spans]
+
+
+def draw_uniform(rng: np.random.Generator, blocks: Sequence[np.ndarray]) -> None:
+    """Fill each weight block, in order, with ``rng`` draws uniform in
+    +-sqrt(1/fan_in), where fan_in is its last axis (at least 1)."""
+    for block in blocks:
+        bound = np.sqrt(1.0 / max(block.shape[-1], 1))
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
 
 
 ADAM_BETA1 = 0.9

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numkit import AdamState, adam_step, block_views, empty_blocks, fit_epochs
+from .numkit import AdamState, adam_step, block_views, draw_uniform, empty_blocks, fit_epochs
 from .pipeline import (
     N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range, read_key_values,
 )
@@ -372,20 +372,12 @@ def train_baseline_forecaster(
     )
 
     rng = np.random.default_rng(seed)
-
-    def uniform(shape, fan_in):
-        b = np.sqrt(1.0 / fan_in)
-        return rng.uniform(-b, b, size=shape)
-
     # One flat vector holds w1, b1, w2, b2, w3 and b3; w and g are its views.
     shapes = ((hidden, N_FEATURES), (hidden,), (hidden, hidden), (hidden,), (hidden,), ())
-    weights = np.concatenate([
-        uniform((hidden, N_FEATURES), N_FEATURES).ravel(), np.zeros(hidden),
-        uniform((hidden, hidden), hidden).ravel(), np.zeros(hidden),
-        uniform((hidden,), hidden), [0.0],
-    ])
-    grads = np.zeros_like(weights)
+    size = sum(math.prod(shape) for shape in shapes)
+    weights, grads = np.zeros(size), np.zeros(size)
     w, g = block_views(weights, shapes), block_views(grads, shapes)
+    draw_uniform(rng, [w[0], w[2], w[4]])  # w1, w2, w3; the biases stay zero
     state = AdamState.init(weights, eta=BASELINE_ETA)
 
     def update(rows, epoch: int) -> float:

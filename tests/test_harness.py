@@ -1,6 +1,8 @@
 import json
 import math
 import multiprocessing
+import shutil
+import subprocess
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusecast
 from fusecast import cli, harness, model
 from fusecast.cli import main as cli_main
 from fusecast.harness import (
@@ -568,6 +571,35 @@ class TestConfigFile:
         path.write_text("id = 1\nbatch_size = 0\n")
         cfg = load_scenario_config(path)
         assert cfg.train.batch_size is None
+
+    def test_fast_overrides_file_year_hours(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("id = 4\nyear_hours = 8760\n")
+        assert load_scenario_config(path, fast=True).year_hours == harness.FAST_HOURS == 2160
+        assert load_scenario_config(path).year_hours == 8760
+        path.write_text("id = 4\nyear_hours = 720\n")
+        assert load_scenario_config(path, fast=True).year_hours == 2160
+        assert load_scenario_config(path).year_hours == 720
+
+
+class TestVersionStamp:
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_stamps_the_package_not_the_working_directory(self, tmp_path, monkeypatch):
+        def git(*args):
+            return subprocess.run(
+                ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                check=True, stdout=subprocess.PIPE, text=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        git("commit", "-q", "--allow-empty", "-m", "other project")
+        other = git("rev-parse", "--short", "HEAD")
+        home = harness.version_stamp()
+        monkeypatch.chdir(tmp_path)
+        stamp = harness.version_stamp()
+        assert stamp == home
+        assert not stamp.endswith(f"+g{other}")
+        assert stamp.startswith(f"fusecast {fusecast.__version__}")
 
 
 class TestCli:

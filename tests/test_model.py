@@ -478,11 +478,10 @@ class TestShapes:
             "w_head_dl", "b_head_dl", "w_head_ep", "b_head_ep",
             "w_head_mem", "b_head_mem",
         ]
-        assert list(M._TENSOR_FIELDS) == list(dims.shapes) == names
+        assert list(M._TENSOR_FIELDS) == names
         flat = p.flatten()
         assert len(flat) == 15
         for name, a in zip(names, flat):
-            assert a.shape == dims.shapes[name]
             assert a.size == 0 or np.shares_memory(a, getattr(p, name))
             assert a.tobytes() == getattr(p, name).tobytes()
 
@@ -490,7 +489,7 @@ class TestShapes:
     def test_shapes_name_every_tensor_in_order(self, memory_enabled):
         dims = M.FusionDims(3, 2, 4, memory_enabled=memory_enabled)
         mw = 2 if memory_enabled else 0
-        assert list(dims.shapes.items()) == [
+        assert [(name, a.shape) for name, a in zip(M._TENSOR_FIELDS, M.FusionParams(dims).flatten())] == [
             ("w_dl", (3, 2)), ("b_dl", (3,)), ("w_ep", (3, 2)), ("b_ep", (3,)),
             ("memory", (mw,)),
             ("w_hid_dl", (4, 3 + mw)), ("b_hid_dl", (4,)),
@@ -574,6 +573,18 @@ class TestCheckpoint:
         M.save_checkpoint(again, q, norm)
         assert again.read_text(encoding="utf-8") == _PINNED_CKPT
 
+    def test_round_trip_without_memory(self, tmp_path):
+        # the memory and its head weight are empty: their value lines are blank
+        p = M.init_params(M.FusionDims(3, 2, 2, memory_enabled=False), 8)
+        path, again = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
+        M.save_checkpoint(path, p, NormStats(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        lines = path.read_text().splitlines()
+        assert lines[_line_of(lines, "tensor memory 1 0") + 1] == ""
+        q, norm = M.load_checkpoint(path)
+        assert q.dims == p.dims and q.vector.tobytes() == p.vector.tobytes()
+        M.save_checkpoint(again, q, norm)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_file_without_norm_rejected(self, tmp_path):
         # a checkpoint serves requests only with its normalization
         p = M.init_params(M.FusionDims(2, 2, 2, memory_enabled=False), 1)
@@ -591,6 +602,13 @@ class TestCheckpoint:
         path.write_text("some-other-format\n")
         with pytest.raises(ValueError, match="pgmn-ckpt-1"):
             M.load_checkpoint(path)
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        p = M.init_params(M.FusionDims(2, 1, 2), 3)
+        path = tmp_path / "m.ckpt"
+        M.save_checkpoint(path, p, NormStats(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        path.write_text(path.read_text() + "\n  \n")
+        assert M.load_checkpoint(path)[0].vector.tobytes() == p.vector.tobytes()
 
     def test_tag_is_first_line(self, tmp_path):
         p = M.init_params(M.FusionDims(1, 1, 1), 0)
@@ -668,21 +686,21 @@ class TestCheckpointRejects:
 
     def test_unknown_tensor_name(self, tmp_path):
         path, lines = _ckpt_lines(tmp_path)
-        self._load_fails(path, lines + ["tensor bogus 1 1", "0x1.0p+0"], len(lines) + 1, "unknown tensor name 'bogus'")
+        self._load_fails(path, lines + ["tensor bogus 1 1", "0x1.0p+0"], len(lines) + 1, "unexpected line 'tensor bogus 1 1'")
 
     def test_unknown_scalar_name(self, tmp_path):
         path, lines = _ckpt_lines(tmp_path)
-        self._load_fails(path, lines + ["scalar b_head_bogus 0x0.0p+0"], len(lines) + 1, "unknown tensor name")
+        self._load_fails(path, lines + ["scalar b_head_bogus 0x0.0p+0"], len(lines) + 1, "unexpected line")
 
     def test_duplicate_tensor_name(self, tmp_path):
         path, lines = _ckpt_lines(tmp_path)
         i = _line_of(lines, "tensor b_dl")
-        self._load_fails(path, lines + lines[i : i + 2], len(lines) + 1, "duplicate tensor 'b_dl'")
+        self._load_fails(path, lines + lines[i : i + 2], len(lines) + 1, "unexpected line 'tensor b_dl 1 2'")
 
     def test_duplicate_scalar_name(self, tmp_path):
         path, lines = _ckpt_lines(tmp_path)
         i = _line_of(lines, "scalar b_head_ep")
-        self._load_fails(path, lines + [lines[i]], len(lines) + 1, "duplicate tensor 'b_head_ep'")
+        self._load_fails(path, lines + [lines[i]], len(lines) + 1, "unexpected line 'scalar b_head_ep ")
 
     def test_value_count_short_of_declared_shape(self, tmp_path):
         path, lines = _ckpt_lines(tmp_path)
@@ -700,7 +718,7 @@ class TestCheckpointRejects:
         path, lines = _ckpt_lines(tmp_path)
         i = _line_of(lines, "tensor b_dl")
         lines[i : i + 2] = ["tensor b_dl 1 3", "0x0.0p+0 0x0.0p+0 0x0.0p+0"]
-        self._load_fails(path, lines, i + 1, r"b_dl: expected shape \(2,\), got \(3,\)")
+        self._load_fails(path, lines, i + 1, "expected 'tensor b_dl 1 2', got 'tensor b_dl 1 3'")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_scalar(self, tmp_path, bad):
@@ -729,6 +747,27 @@ class TestCheckpointRejects:
         tokens[token] = value.hex()
         lines[2] = " ".join(tokens)
         self._load_fails(path, lines, 3, f"{name} must be positive")
+
+    def test_swapped_tensors(self, tmp_path):
+        # every name and shape is right, but a reader that walks the fields
+        # in order meets b_dl where w_dl belongs
+        path, lines = _ckpt_lines(tmp_path)
+        i, j = _line_of(lines, "tensor w_dl"), _line_of(lines, "tensor b_dl")
+        lines[i : j + 2] = lines[j : j + 2] + lines[i:j]
+        self._load_fails(path, lines, i + 1, "expected 'tensor w_dl 2 2 2', got 'tensor b_dl 1 2'")
+
+    def test_blank_line_between_tensors(self, tmp_path):
+        path, lines = _ckpt_lines(tmp_path)
+        i = _line_of(lines, "tensor w_ep")
+        lines.insert(i, "")
+        self._load_fails(path, lines, i + 1, "expected 'tensor w_ep 2 2 2', got ''")
+
+    def test_dims_larger_than_the_file_can_hold(self, tmp_path):
+        # rejected before the parameter vector is allocated, so a damaged
+        # width raises ValueError, not MemoryError
+        path, lines = _ckpt_lines(tmp_path)
+        lines[1] = "dims 2 2 999999 1"
+        self._load_fails(path, lines, 2, "dims need 12000007 values")
 
     def test_malformed_hex_value(self, tmp_path):
         path, lines = _ckpt_lines(tmp_path)
@@ -810,8 +849,8 @@ def test_damaged_checkpoints_load_whole_or_raise_value_error(tmp_path_factory, t
         return
     assert params.vector.shape == (params.dims.size,)
     assert np.all(np.isfinite(params.vector))
-    for name, shape in params.dims.shapes.items():
-        assert np.shape(getattr(params, name)) == shape
+    for name, view in zip(M._TENSOR_FIELDS, M.FusionParams(params.dims).flatten()):
+        assert np.shape(getattr(params, name)) == view.shape
     assert isinstance(norm, NormStats)
     assert np.all(np.isfinite(list(norm.as_dict().values())))
 
@@ -837,6 +876,15 @@ class TestConstructorBoundaries:
     def test_fusion_dims_rejects_non_integer_widths(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             M.FusionDims(**{field: value})
+
+
+class TestPredictEmptyBatch:
+    @pytest.mark.parametrize("memory_enabled", [True, False])
+    def test_zero_rows_give_an_empty_float64_array(self, memory_enabled):
+        # the general path, with no early return: a 0-row workspace
+        p = M.init_params(M.FusionDims(2, 3, 2, memory_enabled=memory_enabled), 1)
+        yhat = M.predict(SampleBatch([], [], [], [], [], []), p)
+        assert yhat.dtype == np.float64 and yhat.shape == (0,)
 
 
 class TestPredictNonFinite:
