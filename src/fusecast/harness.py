@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 import resource
 import subprocess
 import time
@@ -36,6 +35,7 @@ from .model import (
     save_checkpoint,
     train,
 )
+from .numkit import usable_cpus
 from .pipeline import (
     IMPUTATION_KINDS,
     EnergySeries,
@@ -268,14 +268,6 @@ class _World:
     truth: EnergySeries
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 _OPENBLAS_SET_THREADS = (
     "openblas_set_num_threads",
     "openblas_set_num_threads64_",
@@ -472,7 +464,7 @@ class _Stages:
                 waiting.setdefault(self._dl_key(cfg), []).append(cfg)
             else:
                 ready.append(cfg)
-        workers = min(_usable_cpus(), len(todo) + len(waiting))
+        workers = min(usable_cpus(), len(todo) + len(waiting))
         if workers > 1:
             self._run_pool(waiting, ready, workers)
             return

@@ -29,18 +29,30 @@ the forward and backward passes over the rows of a SampleBatch into
 preallocated buffers; a single sample is a one-row batch.  Training follows
 a sum-of-squared-errors objective with one parameter update per batch
 unit; the default unit is the full epoch.
+
+The streams share no arithmetic until the output sum, so each pass is one
+layer body (_forward_layers, _backward_layers) that runs either once on
+the stacked blocks or once per stream.  A call on _SPLIT_ROWS rows or more
+runs the physics stream on a helper thread while the calling thread runs
+the data stream, when the process may use a second CPU and is not a
+multiprocessing child (a pool's workers already fill the CPUs).  Both ways
+give the same bits, and the helper lives only as long as the train or
+predict call that started it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import queue
+import threading
 from dataclasses import dataclass
+from multiprocessing import parent_process
 from pathlib import Path
 
 import numpy as np
 
-from .numkit import AdamState, ShapeMismatch, adam_step, block_views, draw_uniform, empty_blocks, fit_epochs
+from .numkit import AdamState, ShapeMismatch, adam_step, block_views, draw_uniform, empty_blocks, fit_epochs, usable_cpus
 from .pipeline import NormStats, SampleBatch
 
 CHECKPOINT_TAG = "pgmn-ckpt-1"
@@ -208,7 +220,8 @@ class _Workspace:
     value is spent: afterwards ``z`` holds the mixer pre-activation's
     gradient, ``c`` the mixer input's and ``a_h`` the embedding
     pre-activation's.  A workspace lives for one ``train``/``predict``
-    call.
+    call, as does its ``helper``, the thread for the physics stream of
+    large calls (None: both streams always run on the calling thread).
 
     The float buffers are blocks of one float64 allocation, and the bool
     ReLU masks of one bool allocation.
@@ -217,7 +230,7 @@ class _Workspace:
     smaller blocks of the same total are handed back to the system and
     page-faulted in again on the next call."""
 
-    def __init__(self, dims: FusionDims, rows: int, backward: bool = True):
+    def __init__(self, dims: FusionDims, rows: int, backward: bool = True, helper: _StreamThread | None = None):
         d, c, dz = dims.embed_dim, dims.embed_dim + dims.mem_width, dims.hidden_dim
         shapes = [(2, rows, 2), (2, rows, d), (2, rows, c), (2, rows, dz), (2, rows), (rows,)]
         if backward:
@@ -228,6 +241,7 @@ class _Workspace:
         if backward:
             self.losses, self.g, self.dmem = bufs[6:]
         self.offset = 0.0
+        self.helper = helper
 
 
 def _fill_inputs(batch: SampleBatch, x: np.ndarray) -> np.ndarray:
@@ -241,27 +255,40 @@ def _fill_inputs(batch: SampleBatch, x: np.ndarray) -> np.ndarray:
 
 def _batch_forward(x: np.ndarray, params: FusionParams, ws: _Workspace) -> np.ndarray:
     """Forward pass over the m rows of ``x`` (2, m, 2) into ``ws``; returns
-    yhat, a view into ``ws``.  The weights enter as transposed views of
-    the vector, so each stream's products are those of a per-stream
-    ``x @ w.T``, bit for bit."""
+    yhat, a view into ``ws``.  The streams' layers run through
+    ``_on_streams``; the offset and the sum of the three heads follow."""
     m = x.shape[1]
-    d, mem = params.dims.embed_dim, params.memory
-    a_h, c, z, part = ws.a_h[:, :m], ws.c[:, :m], ws.z[:, :m], ws.part[:, :m]
+    mem = params.memory
     # divergence is caught via isfinite checks, so let overflow pass silently
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(x, params.w.transpose(0, 2, 1), out=a_h)
-        a_h += params.b[:, None]
-        np.maximum(a_h, 0.0, out=c[..., :d])
-        c[..., d:] = mem
-        np.matmul(c, params.w_hid.transpose(0, 2, 1), out=z)
-        z += params.b_hid[:, None]
-        np.maximum(z, 0.0, out=z)
-        np.matmul(z, params.w_head[..., None], out=part[..., None])
-        part += params.b_head[:, None]
+        _on_streams(_forward_layers, m, 1, (
+            mem, x, params.w.transpose(0, 2, 1), params.b[:, None],
+            params.w_hid.transpose(0, 2, 1), params.b_hid[:, None], params.w_head[..., None], params.b_head[:, None],
+            ws.a_h[:, :m], ws.c[:, :m], ws.z[:, :m], ws.part[:, :m],
+        ), ws.helper)
         ws.offset = float(params.w_head_mem @ mem) + params.b_head_mem
-        yhat = np.add(part[0], part[1], out=ws.yhat[:m])
+        yhat = np.add(ws.part[0, :m], ws.part[1, :m], out=ws.yhat[:m])
         yhat += ws.offset
     return yhat
+
+
+def _forward_layers(mem, x, w_t, b, w_hid_t, b_hid, w_head, b_head, a_h, c, z, part) -> None:
+    """The forward layers of one stream, or of both stacked on a leading
+    axis of 2: from the [value, mask] rows ``x`` into ``a_h``, ``c``, ``z``
+    and the head output ``part``.  The weights enter as the transposed
+    views ``w_t`` and ``w_hid_t`` and the column ``w_head``, the biases
+    with a row axis to broadcast over, so each stream's products are those
+    of a per-stream ``x @ w.T``, bit for bit."""
+    d = a_h.shape[-1]
+    np.matmul(x, w_t, out=a_h)
+    a_h += b
+    np.maximum(a_h, 0.0, out=c[..., :d])
+    c[..., d:] = mem
+    np.matmul(c, w_hid_t, out=z)
+    z += b_hid
+    np.maximum(z, 0.0, out=z)
+    np.matmul(z, w_head, out=part[..., None])
+    part += b_head
 
 
 def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Workspace, grads: FusionParams) -> np.ndarray:
@@ -271,37 +298,23 @@ def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Wor
 
     Chain rule: with g = dL/dyhat = 2(yhat - y), each head bias receives
     sum(g), the head weights receive g times their input, and g flows back
-    through both ReLU mixers into the embeddings.  The memory gradient sums
-    three routes, in this order: the memory columns of the data mixer, of
-    the physics mixer, then the offset head.
+    through both ReLU mixers into the embeddings (``_backward_layers``, per
+    stream).  The memory gradient sums three routes, in this order: the
+    memory columns of the data mixer, of the physics mixer, then the offset
+    head.
     """
     m = len(y)
-    d = params.dims.embed_dim
     yhat = ws.yhat[:m]
     losses = np.subtract(y, yhat, out=ws.losses[:m])
     np.square(losses, out=losses)
     g = np.subtract(yhat, y, out=ws.g[:m])
     g *= 2.0
     g_sum = float(np.add.reduce(g))
-    a_h, c, z = ws.a_h[:, :m], ws.c[:, :m], ws.z[:, :m]
-    on_z, on_h = ws.on_z[:, :m], ws.on_h[:, :m]
-
-    # Each gradient overwrites a forward value that nothing reads again:
-    # da_z goes into z, dc into c and da_h into a_h.  z > 0 exactly where
-    # its pre-activation was (NaN included), so the mask survives the ReLU.
-    np.matmul(z.transpose(0, 2, 1), g, out=grads.w_head)
-    grads.b_head[...] = g_sum
-    np.greater(z, 0, out=on_z)
-    da_z = np.multiply(g[:, None], params.w_head[:, None], out=z)
-    da_z *= on_z
-    np.matmul(da_z.transpose(0, 2, 1), c, out=grads.w_hid)
-    np.add.reduce(da_z, axis=1, out=grads.b_hid)
-    dc = np.matmul(da_z, params.w_hid, out=c)
-    np.add.reduce(dc[..., d:], axis=1, out=ws.dmem)
-    da_h = np.multiply(dc[..., :d], np.greater(a_h, 0, out=on_h), out=a_h)
-    np.matmul(da_h.transpose(0, 2, 1), x, out=grads.w)
-    np.add.reduce(da_h, axis=1, out=grads.b)
-
+    _on_streams(_backward_layers, m, 3, (
+        g, g[:, None], g_sum, x, params.w_hid, params.w_head[:, None],
+        ws.a_h[:, :m], ws.c[:, :m], ws.z[:, :m], ws.on_z[:, :m], ws.on_h[:, :m], ws.dmem,
+        grads.w_head, grads.b_head, grads.w_hid, grads.b_hid, grads.w, grads.b,
+    ), ws.helper)
     g_memory = np.add(ws.dmem[0], ws.dmem[1], out=grads.memory)
     g_memory += np.multiply(g_sum, params.w_head_mem, out=ws.dmem[0])
     np.multiply(g_sum, params.memory, out=grads.w_head_mem)
@@ -309,10 +322,112 @@ def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Wor
     return losses
 
 
+def _backward_layers(g, g_col, g_sum, x, w_hid, w_head, a_h, c, z, on_z, on_h, dmem, gw_head, gb_head, gw_hid, gb_hid, gw, gb) -> None:
+    """The backward layers of one stream, or of both stacked as in
+    ``_forward_layers``: the loss gradient ``g`` (as a column ``g_col``,
+    its sum ``g_sum``) back from the head to the embedding, into the
+    gradient blocks ``gw_head`` ... ``gb`` and the sums ``dmem`` of the
+    mixer's memory columns.  ``w_head`` enters as a row to broadcast."""
+    d = a_h.shape[-1]
+    # Each gradient overwrites a forward value that nothing reads again:
+    # da_z goes into z, dc into c and da_h into a_h.  z > 0 exactly where
+    # its pre-activation was (NaN included), so the mask survives the ReLU.
+    np.matmul(z.swapaxes(-1, -2), g, out=gw_head)
+    gb_head[...] = g_sum
+    np.greater(z, 0, out=on_z)
+    da_z = np.multiply(g_col, w_head, out=z)
+    da_z *= on_z
+    np.matmul(da_z.swapaxes(-1, -2), c, out=gw_hid)
+    np.add.reduce(da_z, axis=-2, out=gb_hid)
+    dc = np.matmul(da_z, w_hid, out=c)
+    np.add.reduce(dc[..., d:], axis=-2, out=dmem)
+    da_h = np.multiply(dc[..., :d], np.greater(a_h, 0, out=on_h), out=a_h)
+    np.matmul(da_h.swapaxes(-1, -2), x, out=gw)
+    np.add.reduce(da_h, axis=-2, out=gb)
+
+
+# From this many rows up, a kernel call may run the two streams' layers on
+# two threads.  At the experiment widths on 2 vCPUs (one BLAS thread), a
+# forward and backward pass broke even at 512-768 rows, since each handoff
+# to the helper costs tens of microseconds, and took 0.69x its one-thread
+# time at 1,024 rows and 0.57x at 5,241.
+_SPLIT_ROWS = 1024
+
+
+def _split(m: int) -> bool:
+    """Whether a kernel call on m rows runs the streams on two threads: from
+    ``_SPLIT_ROWS`` rows up, when this process may use a second CPU and is
+    not a multiprocessing child (a pool's workers already fill the CPUs)."""
+    return m >= _SPLIT_ROWS and usable_cpus() > 1 and parent_process() is None
+
+
+class _StreamThread:
+    """The helper thread that runs the physics stream's layers of every
+    split kernel call of one ``train`` or ``predict`` call: started by the
+    first such call and stopped and joined when the ``with`` block exits,
+    so no helper outlives the call that needs it.  Each job runs under the
+    numpy error state of the thread that submits it (a new thread starts
+    with numpy's defaults); an exception it raises is handed back to that
+    thread."""
+
+    _thread = None  # started by the first submit
+
+    def __enter__(self) -> "_StreamThread":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._thread is not None:
+            self._jobs.put(None)
+            self._thread.join()
+            self._thread = None
+
+    def submit(self, layers, args: tuple) -> None:
+        if self._thread is None:
+            self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+            self._thread = threading.Thread(target=self._serve, name="fusecast-physics-stream", daemon=True)
+            self._thread.start()
+        self._jobs.put((np.geterr(), layers, args))
+
+    def wait(self) -> None:
+        """Block until the last submitted job is done; raise its exception."""
+        failure = self._done.get()
+        if failure is not None:
+            raise failure
+
+    def _serve(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            err, layers, args = job
+            try:
+                with np.errstate(**err):
+                    layers(*args)
+            except BaseException as exc:  # raised again by wait()
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+
+
+def _on_streams(layers, m: int, shared: int, ops: tuple, helper: _StreamThread | None) -> None:
+    """``layers(*ops)``, where the operands after the first ``shared`` are
+    ``(2, ...)`` blocks of both streams: once on this thread; or, when
+    there is a ``helper`` and ``_split(m)``, on each block's index 1 (the
+    physics stream) on the helper while this thread runs index 0.  The
+    streams share no arithmetic, so both ways give the same bits."""
+    if helper is None or not _split(m):
+        layers(*ops)
+        return
+    common, blocks = ops[:shared], ops[shared:]
+    helper.submit(layers, (*common, *(op[1, ...] for op in blocks)))
+    try:
+        layers(*common, *(op[0, ...] for op in blocks))
+    finally:
+        helper.wait()
+
+
 def predict(batch: SampleBatch, params: FusionParams) -> np.ndarray:
     """Pure forward pass over a SampleBatch; non-finite outputs raise."""
-    ws = _Workspace(params.dims, len(batch), backward=False)
-    yhat = _batch_forward(_fill_inputs(batch, ws.x), params, ws)
+    with _StreamThread() as helper:
+        ws = _Workspace(params.dims, len(batch), backward=False, helper=helper)
+        yhat = _batch_forward(_fill_inputs(batch, ws.x), params, ws)
     bad = len(yhat) - np.count_nonzero(np.isfinite(yhat))
     if bad:
         raise ValueError(f"predict: {bad} of {len(yhat)} outputs are non-finite")
@@ -342,17 +457,18 @@ def train(
     n = len(dataset)
     if not n:
         raise ValueError("empty training dataset")
+    helper = _StreamThread()
     y = dataset.target
     has_val = validation is not None and len(validation) > 0
     if has_val:
-        ws_val = _Workspace(params.dims, len(validation), backward=False)
+        ws_val = _Workspace(params.dims, len(validation), backward=False, helper=helper)
         x_val, y_val = _fill_inputs(validation, ws_val.x), validation.target
 
     params = params.copy()
     grads = FusionParams(params.dims)
     adam_state = AdamState.init(params.vector, eta=cfg.eta)
     rows = n if cfg.batch_size is None else min(cfg.batch_size, n)
-    ws = _Workspace(params.dims, rows)
+    ws = _Workspace(params.dims, rows, helper=helper)
     if cfg.batch_size is None:
         x = _fill_inputs(dataset, ws.x)
     else:
@@ -388,7 +504,7 @@ def train(
         return val_mse
 
     # divergence is caught by the finiteness checks above, as in _batch_forward
-    with np.errstate(over="ignore", invalid="ignore"):
+    with helper, np.errstate(over="ignore", invalid="ignore"):
         best, history = fit_epochs(
             params.vector, n, update, validate if has_val else None,
             cfg.max_epochs, cfg.batch_size, cfg.early_stop_patience, np.random.default_rng(cfg.seed),

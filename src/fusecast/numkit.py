@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -54,6 +55,14 @@ def _layout(shapes: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[slice
 
 def _cut(vector: np.ndarray, spans) -> list[np.ndarray]:
     return [vector[span].reshape(shape) for span, shape in spans]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def draw_uniform(rng: np.random.Generator, blocks: Sequence[np.ndarray]) -> None:

@@ -214,7 +214,7 @@ def counted_runs(tmp_path_factory):
     calls: dict[str, int] = {}
     runs, fusion_updates = [], []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_usable_cpus", lambda: 1)
+        mp.setattr(harness, "usable_cpus", lambda: 1)
         for module, name in [(harness, name) for name in _COUNTED] + [(model, "adam_step")]:
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
@@ -394,7 +394,7 @@ class TestProcessPool:
     def pool_out(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("pool") / "out"
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness, "_usable_cpus", lambda: 2)
+            mp.setattr(harness, "usable_cpus", lambda: 2)
             assert run_all(out, seed=7, fast=True) == 0
         assert multiprocessing.active_children() == []
         return out
@@ -430,7 +430,7 @@ class TestProcessPool:
     def test_standalone_ablation_byte_identical_to_in_process(self, tmp_path, monkeypatch, kind):
         outs = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(harness, "usable_cpus", lambda cpus=cpus: cpus)
             outs[cpus] = tmp_path / f"cpus{cpus}"
             assert cli_main(["ablation", "--kind", kind, "--seed", "7", "--fast", "--out", str(outs[cpus])]) == 0
         serial, pool = _files(outs[1]), _files(outs[2])
@@ -447,7 +447,7 @@ class TestProcessPool:
                 raise FloatingPointError("injected failure")
             return real_train(samples, params, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(harness, "train", train_failing_without_memory)
         with pytest.raises(harness.StageFailed, match="job 'train_scenario1_without_mu' failed: injected failure"):
             run_ablation_mu(scenario_config(1, seed=7, fast=True))

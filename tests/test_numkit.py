@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fusecast.numkit import (
     adam_step,
     block_views,
     finite_diff_grad,
+    usable_cpus,
 )
 
 
@@ -174,3 +177,17 @@ class TestFlatSteps:
         assert vec[5] == -1.0
         with pytest.raises(ShapeMismatch):
             block_views(vec, [(2, 2)])
+
+
+class TestUsableCpus:
+    def test_counts_the_affinity_mask(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no affinity mask on this OS")
+        assert usable_cpus() == len(os.sched_getaffinity(0)) >= 1
+
+    def test_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1

@@ -1,3 +1,6 @@
+import multiprocessing
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -470,6 +473,141 @@ class TestWorkspaceKernelOracle:
             ref_losses, ref_grads = _reference_batch_backward(_reference_batch_forward(*_reference_pack_inputs(s), p), s.target, p)
             assert losses.tobytes() == ref_losses.tobytes()
             assert grads.vector.tobytes() == ref_grads.vector.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The two-thread path: forced on any machine by claiming a second CPU and
+# lowering the row threshold to one row.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def split_always(monkeypatch):
+    """Every kernel call that has a helper splits; returns the set of
+    threads ("caller", "helper") that ran a stream's layers."""
+    monkeypatch.setattr(M, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(M, "_SPLIT_ROWS", 1)
+    seen = set()
+    for name in ("_forward_layers", "_backward_layers"):
+        def spy(*args, _layers=getattr(M, name)):
+            seen.add("caller" if threading.current_thread() is threading.main_thread() else "helper")
+            _layers(*args)
+
+        monkeypatch.setattr(M, name, spy)
+    return seen
+
+
+class TestStreamSplit:
+    @pytest.mark.parametrize("memory_enabled", [True, False], ids=["memory", "no-memory"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split_kernel_matches_reference_bit_for_bit(self, split_always, seed, memory_enabled):
+        rng = np.random.default_rng(360 + seed)
+        dims = M.FusionDims(*(int(rng.integers(1, 12)) for _ in range(3)), memory_enabled=memory_enabled)
+        p = init_with_memory(dims, seed)
+        p.vector[:] += 0.5 * rng.standard_normal(dims.size)
+        with M._StreamThread() as helper:
+            ws = M._Workspace(dims, 128, helper=helper)
+            for m in (1, 7, 121, 128):
+                xs, y = _random_rows(rng, m)
+                x = np.stack(xs)
+                yhat = M._batch_forward(x, p, ws).copy()
+                grads = M.FusionParams(dims, np.full(dims.size, np.nan))  # every entry must be written
+                losses = M._batch_backward(x, y, p, ws, grads)
+                ref = _reference_batch_forward(*xs, p)
+                ref_losses, ref_grads = _reference_batch_backward(ref, y, p)
+                assert yhat.tobytes() == ref["yhat"].tobytes(), m
+                assert losses.tobytes() == ref_losses.tobytes(), m
+                assert grads.vector.tobytes() == ref_grads.vector.tobytes(), m
+        assert split_always == {"caller", "helper"}
+
+    def test_split_training_matches_stacked_training(self, split_always):
+        rng = np.random.default_rng(370)
+        samples, val = make_dataset(rng, n=50), make_dataset(rng, n=20)
+        p = init_with_memory(M.FusionDims(4, 3, 5), 5)
+        for batch_size in (None, 16):
+            cfg = M.TrainConfig(eta=5e-3, max_epochs=6, batch_size=batch_size, early_stop_patience=6, seed=2)
+            split = M.train(samples, p, cfg, val)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(M, "usable_cpus", lambda: 1)
+                stacked = M.train(samples, p, cfg, val)
+            assert split[0].vector.tobytes() == stacked[0].vector.tobytes()
+            assert np.array_equal(split[1], stacked[1])
+        assert split_always == {"caller", "helper"}
+
+    @pytest.mark.parametrize("layers", ["_forward_layers", "_backward_layers"])
+    def test_helper_exception_reaches_the_caller(self, split_always, monkeypatch, layers):
+        real = getattr(M, layers)
+
+        def failing_off_the_calling_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("injected in the helper")
+            real(*args)
+
+        monkeypatch.setattr(M, layers, failing_off_the_calling_thread)
+        rng = np.random.default_rng(371)
+        samples = make_dataset(rng, n=30)
+        p = M.init_params(M.FusionDims(3, 2, 3), 1)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="injected in the helper"):
+            M.train(samples, p, M.TrainConfig(max_epochs=2, early_stop_patience=2))
+        if layers == "_forward_layers":
+            with pytest.raises(FloatingPointError, match="injected in the helper"):
+                M.predict(samples, p)
+        assert threading.active_count() == before
+
+    def test_overflow_in_the_helper_raises_no_runtime_warning(self, split_always):
+        # the suite turns RuntimeWarning into an error, so a helper that ran
+        # under numpy's default error state would fail this with one; only
+        # the physics stream (the helper's) overflows
+        rng = np.random.default_rng(372)
+        samples = make_dataset(rng, n=40)
+        p = M.init_params(M.FusionDims(3, 2, 3), 2)
+        p.w_hid_ep = np.full((3, 5), 1e300)
+        p.w_head_ep = np.full(3, 1e300)
+        with M._StreamThread() as helper:
+            ws = M._Workspace(p.dims, 40, backward=False, helper=helper)
+            M._batch_forward(M._fill_inputs(samples, ws.x), p, ws)
+        assert np.isinf(ws.part[1]).any() and np.isfinite(ws.part[0]).all()
+        with pytest.raises(M.TrainingDiverged):
+            M.train(samples, p, M.TrainConfig(max_epochs=2, early_stop_patience=2))
+        with pytest.raises(ValueError, match="non-finite"):
+            M.predict(samples, p)
+        assert split_always == {"caller", "helper"}
+
+    def test_no_helper_outlives_train_or_predict(self, split_always):
+        # the harness forks its pool after training in this process, so a
+        # helper left running would be forked along
+        rng = np.random.default_rng(373)
+        samples, val = make_dataset(rng, n=30), make_dataset(rng, n=10)
+        p = M.init_params(M.FusionDims(3, 2, 3), 3)
+        before = threading.active_count()
+        for batch_size in (None, 8):
+            M.train(samples, p, M.TrainConfig(max_epochs=3, batch_size=batch_size, early_stop_patience=3), val)
+            assert threading.active_count() == before
+        M.predict(samples, p)
+        assert threading.active_count() == before
+        assert split_always == {"caller", "helper"}
+
+    def test_split_needs_rows_a_second_cpu_and_no_parent_process(self, monkeypatch):
+        monkeypatch.setattr(M, "usable_cpus", lambda: 2)
+        assert M._split(M._SPLIT_ROWS) and not M._split(M._SPLIT_ROWS - 1)
+        monkeypatch.setattr(M, "usable_cpus", lambda: 1)
+        assert not M._split(10 * M._SPLIT_ROWS)
+
+    def test_fork_child_takes_the_stacked_path(self, split_always):
+        # a pool's workers already fill the CPUs
+        assert M._split(1)
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            assert pool.submit(M._split, 1).result() is False
+
+    def test_stacked_path_without_a_helper(self, split_always):
+        rng = np.random.default_rng(374)
+        dims = M.FusionDims(3, 2, 3)
+        p = init_with_memory(dims, 4)
+        xs, y = _random_rows(rng, 9)
+        ws = M._Workspace(dims, 9)
+        M._batch_forward(np.stack(xs), p, ws)
+        M._batch_backward(np.stack(xs), y, p, ws, M.FusionParams(dims))
+        assert split_always == {"caller"}
 
 
 def _reference_adam(params, grads, m, v, step, eta, beta1=0.9, beta2=0.999, eps=1e-8):
