@@ -384,7 +384,7 @@ class _StreamThread:
     def submit(self, layers, args: tuple) -> None:
         if self._thread is None:
             self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-            self._thread = threading.Thread(target=self._serve, name="fusecast-physics-stream", daemon=True)
+            self._thread = threading.Thread(target=self._serve, name="fusecast-physics-stream")
             self._thread.start()
         self._jobs.put((np.geterr(), layers, args))
 
@@ -452,7 +452,8 @@ def train(
     are (train MSE, validation MSE); validation is NaN when no validation
     split is given.
     The kernel runs in one workspace sized for an update and, for
-    validation, one forward-only workspace.
+    validation, one forward-only workspace; both share one helper thread
+    for the calls that split (see ``_on_streams``).
     """
     n = len(dataset)
     if not n:

@@ -4,9 +4,11 @@ Plain functions over numpy arrays: views of a flat parameter vector as
 shaped tensors (and kernel workspaces carved the same way from one
 allocation), uniform weight initialisation, the in-place Adam update on
 one flat parameter vector and one flat gradient vector (a few vectorised
-ops per step), the epoch loop every trainer shares, and a
+ops per step), the epoch loop every trainer shares, a
 central-difference gradient oracle used to verify hand-derived backward
-passes.
+passes, and the count of CPUs the process may use, which sizes the
+harness's pool and decides whether a kernel call splits its streams over
+two threads.
 """
 
 from __future__ import annotations

@@ -597,7 +597,7 @@ class TestStreamSplit:
         # a pool's workers already fill the CPUs
         assert M._split(1)
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-            assert pool.submit(M._split, 1).result() is False
+            assert pool.submit(M._split, 1).result(timeout=60) is False
 
     def test_stacked_path_without_a_helper(self, split_always):
         rng = np.random.default_rng(374)
