@@ -281,8 +281,9 @@ def _one_blas_thread() -> None:
     so the workers share the CPUs instead of each spinning up a BLAS thread
     per CPU, and the CLI's first step, so an in-process command does not
     burn a second CPU on BLAS threads.  Best effort (Linux, OpenBLAS): any
-    other BLAS keeps its thread count.  The kernels' results do not depend
-    on the BLAS thread count."""
+    other BLAS keeps its thread count.  The pin also fixes the bits: a
+    two-thread OpenBLAS changes the last bits of a full-year full-batch
+    training."""
     import ctypes
 
     try:
