@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import Future, ThreadPoolExecutor
+import queue
+import threading
 from dataclasses import dataclass
 from multiprocessing import parent_process
 from pathlib import Path
@@ -348,8 +349,8 @@ def _backward_layers(g, g_col, g_sum, x, w_hid, w_head, a_h, c, z, on_z, on_h, d
 # From this many rows up, a kernel call may run the two streams' layers on
 # two threads.  At the experiment widths on 2 vCPUs (one BLAS thread), a
 # forward and backward pass broke even at 512-768 rows, since each handoff
-# to the helper costs about 100 microseconds, and took 0.73x its one-thread
-# time at 1,024 rows and 0.61x at 5,241 (medians of 4 runs).
+# to the helper costs about 100 microseconds, and took 0.69x its one-thread
+# time at 1,024 rows and 0.57x at 5,241 (medians of 6 runs).
 _SPLIT_ROWS = 1024
 
 
@@ -362,32 +363,47 @@ def _split(m: int) -> bool:
 
 class _StreamThread:
     """The helper thread that runs the physics stream's layers of every
-    split kernel call of one ``train`` or ``predict`` call: a one-worker
-    executor, started by the first such call and shut down (its thread
-    joined) when the ``with`` block exits, so no helper outlives the call
-    that needs it."""
+    split kernel call of one ``train`` or ``predict`` call: started by the
+    first such call and stopped and joined when the ``with`` block exits,
+    so no helper outlives the call that needs it.  Each job runs under the
+    numpy error state of the thread that submits it (a new thread starts
+    with numpy's defaults); an exception it raises is handed back to that
+    thread."""
 
-    _pool = None  # started by the first submit
+    _thread = None  # started by the first submit
 
     def __enter__(self) -> "_StreamThread":
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        if self._thread is not None:
+            self._jobs.put(None)
+            self._thread.join()
+            self._thread = None
 
-    def submit(self, layers, args: tuple) -> Future:
-        """``layers(*args)`` on the helper, under the numpy error state of
-        the calling thread (a new thread starts with numpy's defaults)."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(1, thread_name_prefix="fusecast-physics-stream")
-        return self._pool.submit(_under_errstate, np.geterr(), layers, args)
+    def submit(self, layers, args: tuple) -> None:
+        if self._thread is None:
+            self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+            self._thread = threading.Thread(target=self._serve, name="fusecast-physics-stream")
+            self._thread.start()
+        self._jobs.put((np.geterr(), layers, args))
 
+    def wait(self) -> None:
+        """Block until the last submitted job is done; raise its exception."""
+        failure = self._done.get()
+        if failure is not None:
+            raise failure
 
-def _under_errstate(err: dict, layers, args: tuple) -> None:
-    with np.errstate(**err):
-        layers(*args)
+    def _serve(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            err, layers, args = job
+            try:
+                with np.errstate(**err):
+                    layers(*args)
+            except BaseException as exc:  # raised again by wait()
+                self._done.put(exc)
+            else:
+                self._done.put(None)
 
 
 def _on_streams(layers, m: int, shared: int, ops: tuple, helper: _StreamThread | None) -> None:
@@ -400,11 +416,11 @@ def _on_streams(layers, m: int, shared: int, ops: tuple, helper: _StreamThread |
         layers(*ops)
         return
     common, blocks = ops[:shared], ops[shared:]
-    physics = helper.submit(layers, (*common, *(op[1, ...] for op in blocks)))
+    helper.submit(layers, (*common, *(op[1, ...] for op in blocks)))
     try:
         layers(*common, *(op[0, ...] for op in blocks))
     finally:
-        physics.result()  # waits for the helper's half; raises what it raised
+        helper.wait()
 
 
 def predict(batch: SampleBatch, params: FusionParams) -> np.ndarray:
