@@ -45,9 +45,9 @@ from __future__ import annotations
 import math
 import numbers
 import queue
+import sys
 import threading
 from dataclasses import dataclass
-from multiprocessing import parent_process
 from pathlib import Path
 
 import numpy as np
@@ -358,7 +358,10 @@ def _split(m: int) -> bool:
     """Whether a kernel call on m rows runs the streams on two threads: from
     ``_SPLIT_ROWS`` rows up, when this process may use a second CPU and is
     not a multiprocessing child (a pool's workers already fill the CPUs)."""
-    return m >= _SPLIT_ROWS and usable_cpus() > 1 and parent_process() is None
+    # a multiprocessing child has imported multiprocessing, so a process
+    # that has not is no child; importing it to ask would cost 0.3 MB
+    mp = sys.modules.get("multiprocessing")
+    return m >= _SPLIT_ROWS and usable_cpus() > 1 and (mp is None or mp.parent_process() is None)
 
 
 class _StreamThread:
