@@ -587,7 +587,7 @@ class TestStreamSplit:
         assert threading.active_count() == before
         assert split_always == {"caller", "helper"}
 
-    def test_split_needs_rows_a_second_cpu_and_no_parent_process(self, monkeypatch):
+    def test_split_needs_enough_rows_and_a_second_cpu(self, monkeypatch):
         monkeypatch.setattr(M, "usable_cpus", lambda: 2)
         assert M._split(M._SPLIT_ROWS) and not M._split(M._SPLIT_ROWS - 1)
         monkeypatch.setattr(M, "usable_cpus", lambda: 1)
