@@ -32,12 +32,14 @@ unit; the default unit is the full epoch.
 
 The streams share no arithmetic until the output sum, so each pass is one
 layer body (_forward_layers, _backward_layers) that runs either once on
-the stacked blocks or once per stream.  A call on _SPLIT_ROWS rows or more
-runs the physics stream on a helper thread while the calling thread runs
-the data stream, when the process may use a second CPU and is not a
-multiprocessing child (a pool's workers already fill the CPUs).  Both ways
-give the same bits, and the helper lives only as long as the train or
-predict call that started it.
+the stacked blocks or once per stream.  A training pass on _SPLIT_ROWS rows
+or more, and a forward-only call (validation, predict) on
+_FORWARD_SPLIT_ROWS or more, runs the physics stream on a helper thread
+while the calling thread runs the data stream, when the process may use a
+second CPU and is not a multiprocessing child (a pool's workers already
+fill the CPUs).  Both ways give the same bits (with OpenBLAS at one thread,
+as the CLI and the pool workers set it), and the helper lives only as long
+as the train or predict call that started it.
 """
 
 from __future__ import annotations
@@ -221,7 +223,8 @@ class _Workspace:
     gradient, ``c`` the mixer input's and ``a_h`` the embedding
     pre-activation's.  A workspace lives for one ``train``/``predict``
     call, as does its ``helper``, the thread for the physics stream of
-    large calls (None: both streams always run on the calling thread).
+    large calls (None: both streams always run on the calling thread);
+    ``split_rows`` is the row count from which its calls split.
 
     The float buffers are blocks of one float64 allocation, and the bool
     ReLU masks of one bool allocation.
@@ -242,6 +245,7 @@ class _Workspace:
             self.losses, self.g, self.dmem = bufs[6:]
         self.offset = 0.0
         self.helper = helper
+        self.split_rows = _SPLIT_ROWS if backward else _FORWARD_SPLIT_ROWS
 
 
 def _fill_inputs(batch: SampleBatch, x: np.ndarray) -> np.ndarray:
@@ -265,7 +269,7 @@ def _batch_forward(x: np.ndarray, params: FusionParams, ws: _Workspace) -> np.nd
             mem, x, params.w.transpose(0, 2, 1), params.b[:, None],
             params.w_hid.transpose(0, 2, 1), params.b_hid[:, None], params.w_head[..., None], params.b_head[:, None],
             ws.a_h[:, :m], ws.c[:, :m], ws.z[:, :m], ws.part[:, :m],
-        ), ws.helper)
+        ), ws)
         ws.offset = float(params.w_head_mem @ mem) + params.b_head_mem
         yhat = np.add(ws.part[0, :m], ws.part[1, :m], out=ws.yhat[:m])
         yhat += ws.offset
@@ -314,7 +318,7 @@ def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Wor
         g, g[:, None], g_sum, x, params.w_hid, params.w_head[:, None],
         ws.a_h[:, :m], ws.c[:, :m], ws.z[:, :m], ws.on_z[:, :m], ws.on_h[:, :m], ws.dmem,
         grads.w_head, grads.b_head, grads.w_hid, grads.b_hid, grads.w, grads.b,
-    ), ws.helper)
+    ), ws)
     g_memory = np.add(ws.dmem[0], ws.dmem[1], out=grads.memory)
     g_memory += np.multiply(g_sum, params.w_head_mem, out=ws.dmem[0])
     np.multiply(g_sum, params.memory, out=grads.w_head_mem)
@@ -350,18 +354,24 @@ def _backward_layers(g, g_col, g_sum, x, w_hid, w_head, a_h, c, z, on_z, on_h, d
 # two threads.  At the experiment widths on 2 vCPUs (one BLAS thread), a
 # forward and backward pass broke even at 512-768 rows, since each handoff
 # to the helper costs about 100 microseconds, and took 0.69x its one-thread
-# time at 1,024 rows and 0.57x at 5,241 (medians of 6 runs).
+# time at 1,024 rows and 0.57x at 5,241 (medians of 6 runs).  A
+# forward-only call hands off once for a third of the work, and its helper
+# has been idle since the last training pass or was just started: a
+# validation pass between minibatch updates, or a one-shot predict, took
+# -11% to +5% of its one-thread time at 1,747-2,048 rows and saved 24-35%
+# from 2,560 rows up (medians of 10 runs; 10 of 10 won at 2,560).
 _SPLIT_ROWS = 1024
+_FORWARD_SPLIT_ROWS = 2560
 
 
-def _split(m: int) -> bool:
+def _split(m: int, rows: int) -> bool:
     """Whether a kernel call on m rows runs the streams on two threads: from
-    ``_SPLIT_ROWS`` rows up, when this process may use a second CPU and is
-    not a multiprocessing child (a pool's workers already fill the CPUs)."""
+    ``rows`` rows up, when this process may use a second CPU and is not a
+    multiprocessing child (a pool's workers already fill the CPUs)."""
     # a multiprocessing child has imported multiprocessing, so a process
     # that has not is no child; importing it to ask would cost 0.3 MB
     mp = sys.modules.get("multiprocessing")
-    return m >= _SPLIT_ROWS and usable_cpus() > 1 and (mp is None or mp.parent_process() is None)
+    return m >= rows and usable_cpus() > 1 and (mp is None or mp.parent_process() is None)
 
 
 class _StreamThread:
@@ -409,13 +419,15 @@ class _StreamThread:
                 self._done.put(None)
 
 
-def _on_streams(layers, m: int, shared: int, ops: tuple, helper: _StreamThread | None) -> None:
+def _on_streams(layers, m: int, shared: int, ops: tuple, ws: _Workspace) -> None:
     """``layers(*ops)``, where the operands after the first ``shared`` are
     ``(2, ...)`` blocks of both streams: once on this thread; or, when
-    there is a ``helper`` and ``_split(m)``, on each block's index 1 (the
-    physics stream) on the helper while this thread runs index 0.  The
-    streams share no arithmetic, so both ways give the same bits."""
-    if helper is None or not _split(m):
+    ``ws`` has a helper and ``_split(m, ws.split_rows)``, on each block's
+    index 1 (the physics stream) on the helper while this thread runs
+    index 0.  The streams share no arithmetic, so both ways give the same
+    bits."""
+    helper = ws.helper
+    if helper is None or not _split(m, ws.split_rows):
         layers(*ops)
         return
     common, blocks = ops[:shared], ops[shared:]

@@ -486,6 +486,7 @@ def split_always(monkeypatch):
     threads ("caller", "helper") that ran a stream's layers."""
     monkeypatch.setattr(M, "usable_cpus", lambda: 2)
     monkeypatch.setattr(M, "_SPLIT_ROWS", 1)
+    monkeypatch.setattr(M, "_FORWARD_SPLIT_ROWS", 1)
     seen = set()
     for name in ("_forward_layers", "_backward_layers"):
         def spy(*args, _layers=getattr(M, name)):
@@ -589,15 +590,22 @@ class TestStreamSplit:
 
     def test_split_needs_enough_rows_and_a_second_cpu(self, monkeypatch):
         monkeypatch.setattr(M, "usable_cpus", lambda: 2)
-        assert M._split(M._SPLIT_ROWS) and not M._split(M._SPLIT_ROWS - 1)
+        assert M._split(M._SPLIT_ROWS, M._SPLIT_ROWS) and not M._split(M._SPLIT_ROWS - 1, M._SPLIT_ROWS)
         monkeypatch.setattr(M, "usable_cpus", lambda: 1)
-        assert not M._split(10 * M._SPLIT_ROWS)
+        assert not M._split(10 * M._SPLIT_ROWS, M._SPLIT_ROWS)
+
+    def test_forward_only_calls_split_from_more_rows(self):
+        # a forward-only call does a third of a training pass's work per
+        # handoff, so it needs more rows to gain from the helper
+        dims = M.FusionDims(3, 2, 3)
+        assert M._Workspace(dims, 1).split_rows == M._SPLIT_ROWS
+        assert M._Workspace(dims, 1, backward=False).split_rows == M._FORWARD_SPLIT_ROWS > M._SPLIT_ROWS
 
     def test_fork_child_takes_the_stacked_path(self, split_always):
         # a pool's workers already fill the CPUs
-        assert M._split(1)
+        assert M._split(1, 1)
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-            assert pool.submit(M._split, 1).result(timeout=60) is False
+            assert pool.submit(M._split, 1, 1).result(timeout=60) is False
 
     def test_stacked_path_without_a_helper(self, split_always):
         rng = np.random.default_rng(374)
