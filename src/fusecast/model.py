@@ -368,10 +368,12 @@ def _split(m: int, rows: int) -> bool:
     """Whether a kernel call on m rows runs the streams on two threads: from
     ``rows`` rows up, when this process may use a second CPU and is not a
     multiprocessing child (a pool's workers already fill the CPUs)."""
+    if m < rows:
+        return False
     # a multiprocessing child has imported multiprocessing, so a process
     # that has not is no child; importing it to ask would cost 0.3 MB
     mp = sys.modules.get("multiprocessing")
-    return m >= rows and usable_cpus() > 1 and (mp is None or mp.parent_process() is None)
+    return usable_cpus() > 1 and (mp is None or mp.parent_process() is None)
 
 
 class _StreamThread:
