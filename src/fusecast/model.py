@@ -356,10 +356,11 @@ def _backward_layers(g, g_col, g_sum, x, w_hid, w_head, a_h, c, z, on_z, on_h, d
 # to the helper costs about 100 microseconds, and took 0.69x its one-thread
 # time at 1,024 rows and 0.57x at 5,241 (medians of 6 runs).  A
 # forward-only call hands off once for a third of the work, and its helper
-# has been idle since the last training pass or was just started: a
-# validation pass between minibatch updates, or a one-shot predict, took
-# -11% to +5% of its one-thread time at 1,747-2,048 rows and saved 24-35%
-# from 2,560 rows up (medians of 10 runs; 10 of 10 won at 2,560).
+# has been idle since the last training pass or was just started.  A
+# validation pass between minibatch updates, or a one-shot predict, moved
+# by -22% to +5% at 1,747-2,048 rows (a minibatch training whose 1,747-row
+# validation split took 8% longer) and saved 8-35% from 2,560 rows up
+# (medians of 8-10 runs; 67 of 68 runs won from 2,560 rows up).
 _SPLIT_ROWS = 1024
 _FORWARD_SPLIT_ROWS = 2560
 
