@@ -186,7 +186,12 @@ def scenario_config(scenario_id: int, seed: int = DEFAULT_SEED, fast: bool = Fal
 @dataclass
 class Fixture:
     """Aligned series for one scenario run (all start at fixture hour 24 so
-    every step has a full lag window behind it)."""
+    every step has a full lag window behind it).
+
+    ``truth``, ``label_truth`` and ``physics`` are ``EnergySeries.slice``
+    views of the run's year: they share memory with it, and with each
+    other where the series are one (``truth`` and ``label_truth`` outside
+    scenario 2), so a caller must copy before mutating."""
 
     timestamps: np.ndarray
     truth: EnergySeries          # original actuals, used for evaluation only
@@ -760,8 +765,9 @@ def run_all(out_dir, seed: int = DEFAULT_SEED, fast: bool = False) -> int:
     spans = sorted(stages.job_spans.items(), key=lambda item: item[1])
     summary["jobs"] = {name: {"start_s": start - t0, "end_s": end - t0} for name, (start, end) in spans}
     summary["wall_seconds_total"] = time.perf_counter() - t0
-    # The trainings run in worker processes, so this process's own peak
-    # RSS no longer covers them.
+    # This process's own peak RSS so far, then its finished children's: the
+    # trainings run in worker processes, so the first does not cover them.
+    summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     summary["peak_rss_children_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
     summary["files"] = sorted(p.name for p in out.iterdir() if p.is_file())
     (out / "run_summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")

@@ -56,6 +56,9 @@ class EnergySeries:
 
     Steps with ``present == False`` hold NaN as an unmistakable sentinel;
     the constructor enforces it so stale values can never leak through.
+    The constructor copies and checks every array.  ``slice`` returns
+    unchecked views that share memory with their series, as slices of a
+    ``SampleBatch`` do, so a caller must copy a slice before mutating it.
     """
 
     timestamps: np.ndarray
@@ -89,8 +92,13 @@ class EnergySeries:
         return EnergySeries(self.timestamps.copy(), self.values.copy(), self.present.copy())
 
     def slice(self, start: int, stop: int | None = None) -> "EnergySeries":
+        """Steps ``start:stop`` as views of this series' arrays, without
+        re-checking: a slice of a checked series is checked.  The slice
+        shares memory with this series, so copy it before mutating."""
         sl = slice(start, stop)
-        return EnergySeries(self.timestamps[sl], self.values[sl], self.present[sl])
+        part = object.__new__(EnergySeries)
+        part.__dict__.update(timestamps=self.timestamps[sl], values=self.values[sl], present=self.present[sl])
+        return part
 
 
 N_FEATURES = 29

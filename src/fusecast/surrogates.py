@@ -23,7 +23,7 @@ import numpy as np
 
 from .numkit import AdamState, adam_step, block_views, draw_uniform, empty_blocks, fit_epochs
 from .pipeline import (
-    N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range, read_key_values,
+    _HOUR, N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range, read_key_values,
 )
 
 OCCUPANT_HEAT_W = 100.0        # sensible heat per person at light activity
@@ -111,6 +111,8 @@ class WeatherSeries:
         self.solar_w_per_m2 = np.asarray(self.solar_w_per_m2, dtype=np.float64)
         if not (len(self.timestamps) == len(self.temp_c) == len(self.solar_w_per_m2)):
             raise ValueError("weather arrays must have equal length")
+        if not np.all(np.diff(self.timestamps) == _HOUR):
+            raise ValueError("weather timestamps must be contiguous at 1-hour spacing")
         if not (np.all(np.isfinite(self.temp_c)) and np.all(np.isfinite(self.solar_w_per_m2))):
             raise ValueError("weather values must be finite")
 
@@ -129,8 +131,9 @@ class OccupancySchedule:
         self.fractions = np.asarray(self.fractions, dtype=np.float64)
         if self.fractions.shape != (168,):
             raise ValueError("occupancy schedule needs exactly 168 entries")
-        if np.any(self.fractions < 0) or np.any(self.fractions > 1):
-            raise ValueError("occupancy fractions must lie in [0, 1]")
+        # NaN fails every comparison: require both bounds to hold, so it fails too
+        if not np.all((self.fractions >= 0) & (self.fractions <= 1)):
+            raise ValueError("occupancy fractions must be finite and lie in [0, 1]")
 
     def at(self, timestamps: np.ndarray) -> np.ndarray:
         return self.fractions[hour_of_week(np.atleast_1d(timestamps))]

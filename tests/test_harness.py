@@ -143,10 +143,31 @@ class TestNoLeakage:
 
         i_train, _ = cfg.split.boundaries(fixture.truth.n)
         tampered = build_fixture(cfg)
-        tampered.label_truth.values[i_train:] += 500.0
+        # in scenario 1 truth and label_truth view one array, the world's
+        # truth, so tampering it once reaches both
+        assert np.shares_memory(tampered.truth.values, tampered.label_truth.values)
         tampered.truth.values[i_train:] += 500.0
         stats_b = _train_on_fixture(cfg, tampered).norm
         assert stats_a == stats_b
+
+
+class TestFixtureViews:
+    @pytest.mark.parametrize("sid", [1, 2, 3])
+    def test_fixture_series_view_the_year(self, sid):
+        # a fixture holds views, not copies, so the pool's queued trainings
+        # keep no extra copy of the year alive
+        cfg = tiny_config(sid)
+        stages = harness._Stages()
+        fixture = stages.fixture(cfg)
+        world = stages.world(cfg.seed, cfg.year_hours)
+        label_truth, _ = stages.labels(cfg)
+        assert np.shares_memory(fixture.timestamps, world.truth.timestamps)
+        for part, whole in ((fixture.truth, world.truth), (fixture.physics, world.physics), (fixture.label_truth, label_truth)):
+            for name in ("timestamps", "values", "present"):
+                assert np.shares_memory(getattr(part, name), getattr(whole, name)), name
+        # only scenario 2's label truth is a series of its own: the masked truth
+        shared = np.shares_memory(fixture.label_truth.values, world.truth.values)
+        assert shared is (cfg.truth_mode != "sparse")
 
 
 class TestAblations:
@@ -324,6 +345,11 @@ class TestRunAll:
             "ablation_mu", "ablation_imputation",
         ]
         assert all(0.0 <= s <= summary["wall_seconds_total"] for s in summary["stages"].values())
+
+    def test_summary_reports_own_peak_rss(self, runall_out):
+        out, _ = runall_out
+        peak = json.loads((out / "run_summary.json").read_text())["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0.0
 
 
     def test_summary_training_diagnostics(self, counted_runs):

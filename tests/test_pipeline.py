@@ -62,6 +62,27 @@ class TestEnergySeries:
         with pytest.raises(ValueError):
             EnergySeries(hourly_range("2021-01-01T00", 3), np.zeros(2), np.ones(3, dtype=bool))
 
+    def test_slices_are_aligned_views(self):
+        values = np.arange(48.0)
+        present = values % 5 != 0
+        s = series_from(values, present)
+        for part, lo, hi in ((s.slice(7), 7, 48), (s.slice(7, 40), 7, 40), (s.slice(7, 40).slice(3, 20), 10, 27)):
+            assert part.n == hi - lo
+            assert np.array_equal(part.timestamps, s.timestamps[lo:hi])
+            assert np.array_equal(part.present, present[lo:hi])
+            assert not part.present.all()
+            assert np.array_equal(part.values, np.where(present[lo:hi], values[lo:hi], np.nan), equal_nan=True)
+            for name in ("timestamps", "values", "present"):
+                assert np.shares_memory(getattr(part, name), getattr(s, name)), name
+
+    def test_constructor_copies_what_a_slice_shares(self):
+        s = series_from(np.arange(10.0))
+        rebuilt = EnergySeries(s.timestamps, s.values, s.present)
+        assert not np.shares_memory(rebuilt.values, s.values)
+        assert not np.shares_memory(rebuilt.present, s.present)
+        s.slice(2).values[0] = -1.0
+        assert s.values[2] == -1.0 and rebuilt.values[2] == 2.0
+
 
 class TestImpute:
     def test_linear_interpolation_hand_case(self):

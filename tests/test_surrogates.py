@@ -135,6 +135,16 @@ class TestSimulatePhysics:
         assert np.allclose(empty.values, 0.0)
 
 
+class TestWeatherSeries:
+    def test_gapped_timestamps_rejected(self):
+        ts = hourly_range("2021-01-04T00", 5)
+        gapped = np.concatenate([ts[:2], ts[3:], ts[-1:] + np.timedelta64(1, "h")])
+        with pytest.raises(ValueError, match="weather timestamps must be contiguous"):
+            WeatherSeries(gapped, np.zeros(5), np.zeros(5))
+        with pytest.raises(ValueError, match="weather timestamps must be contiguous"):
+            WeatherSeries(ts[::-1], np.zeros(5), np.zeros(5))
+
+
 class TestMakeWeather:
     def test_zero_noise_is_exact_double_sinusoid(self):
         w = make_weather(8760, seed=1, noise_amp_c=0.0)
@@ -460,6 +470,13 @@ class TestOccupancy:
         bad[0] = 1.5
         with pytest.raises(ValueError):
             OccupancySchedule(bad)
+
+    def test_nan_fractions_rejected(self):
+        # NaN fails both `< 0` and `> 1`; it must still be caught here, not
+        # later in the physics or EnergySeries with a message about energy
+        for frac in (np.full(168, np.nan), np.where(np.arange(168) == 5, np.nan, 0.5)):
+            with pytest.raises(ValueError, match="occupancy fractions must be finite"):
+                OccupancySchedule(frac)
 
     def test_lookup_by_hour_of_week(self):
         frac = np.arange(168) / 168.0
