@@ -151,6 +151,10 @@ class ScenarioConfig:
             raise ConfigError(f"imputation must be one of {', '.join(IMPUTATION_KINDS)}, got {self.imputation!r}")
         if not 0.0 <= self.sparse_frac < 1.0:
             raise ConfigError("sparse_frac must lie in [0, 1)")
+        if not isinstance(self.memory_unit_enabled, bool):
+            raise ConfigError(f"memory_unit_enabled must be a bool, got {self.memory_unit_enabled!r}")
+        if isinstance(self.year_hours, bool) or not isinstance(self.year_hours, numbers.Integral):
+            raise ConfigError(f"year_hours must be an integer, got {self.year_hours!r}")
         if self.year_hours < 24 * 10:
             raise ConfigError("year_hours is too small to build windows and splits")
         # every fit and training splits the hours after the first day's lag window

@@ -32,23 +32,22 @@ unit; the default unit is the full epoch.
 
 The streams share no arithmetic until the output sum, so each pass is one
 layer body (_forward_layers, _backward_layers) that runs either once on
-the stacked blocks or once per stream.  A training pass on _SPLIT_ROWS rows
-or more, and a forward-only call (validation, predict) on
-_FORWARD_SPLIT_ROWS or more, runs the physics stream on a helper thread
-while the calling thread runs the data stream, when the process may use a
-second CPU and is not a multiprocessing child (a pool's workers already
-fill the CPUs).  Both ways give the same bits (with OpenBLAS at one thread,
-as the CLI and the pool workers set it), and the helper lives only as long
-as the train or predict call that started it.
+the stacked blocks or once per stream.  A training whose update passes
+have _SPLIT_ROWS rows or more runs the physics stream of every update on a
+helper thread while the calling thread runs the data stream, when the
+process may use a second CPU and is not a multiprocessing child (a pool's
+workers already fill the CPUs).  Both ways give the same bits (with
+OpenBLAS at one thread, as the CLI and the pool workers set it), and the
+helper lives only as long as the train call that made it.  Validation
+passes and predict always run on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import queue
 import sys
-import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +78,8 @@ class FusionDims:
     def __post_init__(self):
         for name in ("embed_dim", "memory_dim", "hidden_dim"):
             _check_count(name, getattr(self, name))
+        if not isinstance(self.memory_enabled, bool):
+            raise ValueError(f"memory_enabled must be a bool, got {self.memory_enabled!r}")
 
     @property
     def mem_width(self) -> int:
@@ -104,11 +105,11 @@ class FusionDims:
         return sum(math.prod(shape) for shape in self.blocks.values())
 
 
-def _check_count(name: str, value) -> None:
+def _check_count(name: str, value, least: int = 1) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 _TENSOR_FIELDS = (
@@ -194,6 +195,7 @@ class TrainConfig:
         if self.batch_size is not None:
             _check_count("batch_size (minibatch size)", self.batch_size)
         _check_count("early_stop_patience", self.early_stop_patience)
+        _check_count("seed", self.seed, least=0)
 
 
 def init_params(dims: FusionDims, seed: int) -> FusionParams:
@@ -222,9 +224,9 @@ class _Workspace:
     value is spent: afterwards ``z`` holds the mixer pre-activation's
     gradient, ``c`` the mixer input's and ``a_h`` the embedding
     pre-activation's.  A workspace lives for one ``train``/``predict``
-    call, as does its ``helper``, the thread for the physics stream of
-    large calls (None: both streams always run on the calling thread);
-    ``split_rows`` is the row count from which its calls split.
+    call.  Its ``helper``, when ``train`` sets one, is the one-worker
+    executor that runs the physics stream of every kernel call on it (see
+    ``_on_streams``); only a large training's update workspace has one.
 
     The float buffers are blocks of one float64 allocation, and the bool
     ReLU masks of one bool allocation.
@@ -233,7 +235,7 @@ class _Workspace:
     smaller blocks of the same total are handed back to the system and
     page-faulted in again on the next call."""
 
-    def __init__(self, dims: FusionDims, rows: int, backward: bool = True, helper: _StreamThread | None = None):
+    def __init__(self, dims: FusionDims, rows: int, backward: bool = True):
         d, c, dz = dims.embed_dim, dims.embed_dim + dims.mem_width, dims.hidden_dim
         shapes = [(2, rows, 2), (2, rows, d), (2, rows, c), (2, rows, dz), (2, rows), (rows,)]
         if backward:
@@ -244,8 +246,7 @@ class _Workspace:
         if backward:
             self.losses, self.g, self.dmem = bufs[6:]
         self.offset = 0.0
-        self.helper = helper
-        self.split_rows = _SPLIT_ROWS if backward else _FORWARD_SPLIT_ROWS
+        self.helper = None
 
 
 def _fill_inputs(batch: SampleBatch, x: np.ndarray) -> np.ndarray:
@@ -265,7 +266,7 @@ def _batch_forward(x: np.ndarray, params: FusionParams, ws: _Workspace) -> np.nd
     mem = params.memory
     # divergence is caught via isfinite checks, so let overflow pass silently
     with np.errstate(over="ignore", invalid="ignore"):
-        _on_streams(_forward_layers, m, 1, (
+        _on_streams(_forward_layers, 1, (
             mem, x, params.w.transpose(0, 2, 1), params.b[:, None],
             params.w_hid.transpose(0, 2, 1), params.b_hid[:, None], params.w_head[..., None], params.b_head[:, None],
             ws.a_h[:, :m], ws.c[:, :m], ws.z[:, :m], ws.part[:, :m],
@@ -314,7 +315,7 @@ def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Wor
     g = np.subtract(yhat, y, out=ws.g[:m])
     g *= 2.0
     g_sum = float(np.add.reduce(g))
-    _on_streams(_backward_layers, m, 3, (
+    _on_streams(_backward_layers, 3, (
         g, g[:, None], g_sum, x, params.w_hid, params.w_head[:, None],
         ws.a_h[:, :m], ws.c[:, :m], ws.z[:, :m], ws.on_z[:, :m], ws.on_h[:, :m], ws.dmem,
         grads.w_head, grads.b_head, grads.w_hid, grads.b_hid, grads.w, grads.b,
@@ -350,102 +351,50 @@ def _backward_layers(g, g_col, g_sum, x, w_hid, w_head, a_h, c, z, on_z, on_h, d
     np.add.reduce(da_h, axis=-2, out=gb)
 
 
-# From this many rows up, a kernel call may run the two streams' layers on
-# two threads.  At the experiment widths on 2 vCPUs (one BLAS thread), a
+# From this many rows per update, a training runs the two streams' layers
+# on two threads.  At the experiment widths on 2 vCPUs (one BLAS thread), a
 # forward and backward pass broke even at 512-768 rows, since each handoff
 # to the helper costs about 100 microseconds, and took 0.69x its one-thread
-# time at 1,024 rows and 0.57x at 5,241 (medians of 6 runs).  A
-# forward-only call hands off once for a third of the work, and its helper
-# has been idle since the last training pass or was just started.  A
-# validation pass between minibatch updates, or a one-shot predict, moved
-# by -22% to +5% at 1,747-2,048 rows (a minibatch training whose 1,747-row
-# validation split took 8% longer) and saved 8-35% from 2,560 rows up
-# (medians of 8-10 runs; 67 of 68 runs won from 2,560 rows up).
+# time at 1,024 rows and 0.57x at 5,241 (medians of 6 runs).
 _SPLIT_ROWS = 1024
-_FORWARD_SPLIT_ROWS = 2560
 
 
-def _split(m: int, rows: int) -> bool:
-    """Whether a kernel call on m rows runs the streams on two threads: from
-    ``rows`` rows up, when this process may use a second CPU and is not a
+def _second_cpu() -> bool:
+    """Whether this process may use a second CPU and is not a
     multiprocessing child (a pool's workers already fill the CPUs)."""
-    if m < rows:
-        return False
     # a multiprocessing child has imported multiprocessing, so a process
     # that has not is no child; importing it to ask would cost 0.3 MB
     mp = sys.modules.get("multiprocessing")
     return usable_cpus() > 1 and (mp is None or mp.parent_process() is None)
 
 
-class _StreamThread:
-    """The helper thread that runs the physics stream's layers of every
-    split kernel call of one ``train`` or ``predict`` call: started by the
-    first such call and stopped and joined when the ``with`` block exits,
-    so no helper outlives the call that needs it.  Each job runs under the
-    numpy error state of the thread that submits it (a new thread starts
-    with numpy's defaults); an exception it raises is handed back to that
-    thread."""
-
-    _thread = None  # started by the first submit
-
-    def __enter__(self) -> "_StreamThread":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._thread is not None:
-            self._jobs.put(None)
-            self._thread.join()
-            self._thread = None
-
-    def submit(self, layers, args: tuple) -> None:
-        if self._thread is None:
-            self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-            self._thread = threading.Thread(target=self._serve, name="fusecast-physics-stream")
-            self._thread.start()
-        self._jobs.put((np.geterr(), layers, args))
-
-    def wait(self) -> None:
-        """Block until the last submitted job is done; raise its exception."""
-        failure = self._done.get()
-        if failure is not None:
-            raise failure
-
-    def _serve(self) -> None:
-        while (job := self._jobs.get()) is not None:
-            err, layers, args = job
-            try:
-                with np.errstate(**err):
-                    layers(*args)
-            except BaseException as exc:  # raised again by wait()
-                self._done.put(exc)
-            else:
-                self._done.put(None)
+def _under_errstate(err: dict, layers, args: tuple) -> None:
+    with np.errstate(**err):  # a new thread starts with numpy's defaults
+        layers(*args)
 
 
-def _on_streams(layers, m: int, shared: int, ops: tuple, ws: _Workspace) -> None:
+def _on_streams(layers, shared: int, ops: tuple, ws: _Workspace) -> None:
     """``layers(*ops)``, where the operands after the first ``shared`` are
-    ``(2, ...)`` blocks of both streams: once on this thread; or, when
-    ``ws`` has a helper and ``_split(m, ws.split_rows)``, on each block's
-    index 1 (the physics stream) on the helper while this thread runs
-    index 0.  The streams share no arithmetic, so both ways give the same
-    bits."""
-    helper = ws.helper
-    if helper is None or not _split(m, ws.split_rows):
+    ``(2, ...)`` blocks of both streams: once on this thread when ``ws``
+    has no helper; otherwise on each block's index 1 (the physics stream)
+    on the helper, under this thread's numpy error state, while this thread
+    runs index 0, and an exception the helper raises is raised here.  The
+    streams share no arithmetic, so both ways give the same bits."""
+    if ws.helper is None:
         layers(*ops)
         return
     common, blocks = ops[:shared], ops[shared:]
-    helper.submit(layers, (*common, *(op[1, ...] for op in blocks)))
+    future = ws.helper.submit(_under_errstate, np.geterr(), layers, (*common, *(op[1, ...] for op in blocks)))
     try:
         layers(*common, *(op[0, ...] for op in blocks))
     finally:
-        helper.wait()
+        future.result()
 
 
 def predict(batch: SampleBatch, params: FusionParams) -> np.ndarray:
     """Pure forward pass over a SampleBatch; non-finite outputs raise."""
-    with _StreamThread() as helper:
-        ws = _Workspace(params.dims, len(batch), backward=False, helper=helper)
-        yhat = _batch_forward(_fill_inputs(batch, ws.x), params, ws)
+    ws = _Workspace(params.dims, len(batch), backward=False)
+    yhat = _batch_forward(_fill_inputs(batch, ws.x), params, ws)
     bad = len(yhat) - np.count_nonzero(np.isfinite(yhat))
     if bad:
         raise ValueError(f"predict: {bad} of {len(yhat)} outputs are non-finite")
@@ -470,24 +419,31 @@ def train(
     are (train MSE, validation MSE); validation is NaN when no validation
     split is given.
     The kernel runs in one workspace sized for an update and, for
-    validation, one forward-only workspace; both share one helper thread
-    for the calls that split (see ``_on_streams``).
+    validation, one forward-only workspace.  When an update has
+    ``_SPLIT_ROWS`` rows or more and ``_second_cpu()`` holds, every update
+    (the ragged last minibatch too) runs the physics stream on a helper
+    thread that is joined before this returns (see ``_on_streams``).
     """
     n = len(dataset)
     if not n:
         raise ValueError("empty training dataset")
-    helper = _StreamThread()
     y = dataset.target
     has_val = validation is not None and len(validation) > 0
     if has_val:
-        ws_val = _Workspace(params.dims, len(validation), backward=False, helper=helper)
+        ws_val = _Workspace(params.dims, len(validation), backward=False)
         x_val, y_val = _fill_inputs(validation, ws_val.x), validation.target
 
     params = params.copy()
     grads = FusionParams(params.dims)
     adam_state = AdamState.init(params.vector, eta=cfg.eta)
     rows = n if cfg.batch_size is None else min(cfg.batch_size, n)
-    ws = _Workspace(params.dims, rows, helper=helper)
+    ws = _Workspace(params.dims, rows)
+    helper = nullcontext()
+    if rows >= _SPLIT_ROWS and _second_cpu():
+        # imported here, since importing it costs 0.6 MB in every process
+        from concurrent.futures import ThreadPoolExecutor
+
+        helper = ws.helper = ThreadPoolExecutor(1, thread_name_prefix="fusecast-physics-stream")
     if cfg.batch_size is None:
         x = _fill_inputs(dataset, ws.x)
     else:

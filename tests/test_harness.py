@@ -96,6 +96,17 @@ class TestScenarioConfig:
     def test_numpy_integer_seed_accepted(self):
         assert scenario_config(1, seed=np.int64(0)).seed == 0
 
+    @pytest.mark.parametrize("value", [2, "no", None])
+    def test_memory_flag_that_is_not_a_bool_rejected(self, value):
+        with pytest.raises(ConfigError, match="memory_unit_enabled must be a bool"):
+            scenario_config(1, memory_unit_enabled=value)
+
+    @pytest.mark.parametrize("value", [1000.5, 2160.0, "2160", True])
+    def test_year_hours_that_is_not_an_integer_rejected(self, value):
+        with pytest.raises(ConfigError, match="year_hours must be an integer"):
+            scenario_config(1, year_hours=value)
+        assert scenario_config(1, year_hours=np.int64(2160)).year_hours == 2160
+
 
 class TestRunScenario:
     def test_scenario1_reports_three_methods(self):

@@ -867,15 +867,27 @@ class TestConstructorBoundaries:
         with pytest.raises(ValueError, match=f"{field}.* must be an integer"):
             M.TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True, "3"])
+    def test_train_config_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        # None would train unseeded, so two runs would differ
+        with pytest.raises(ValueError, match="seed must be"):
+            M.TrainConfig(seed=seed)
+
     def test_train_config_accepts_numpy_integers(self):
-        cfg = M.TrainConfig(batch_size=np.int64(16), max_epochs=np.int32(3), early_stop_patience=2)
-        assert cfg.batch_size == 16
+        cfg = M.TrainConfig(batch_size=np.int64(16), max_epochs=np.int32(3), early_stop_patience=2, seed=np.uint32(0))
+        assert cfg.batch_size == 16 and cfg.seed == 0
 
     @pytest.mark.parametrize("field", ["embed_dim", "memory_dim", "hidden_dim"])
     @pytest.mark.parametrize("value", [2.5, 2.0, False])
     def test_fusion_dims_rejects_non_integer_widths(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             M.FusionDims(**{field: value})
+
+    @pytest.mark.parametrize("value", [2, 1, "no", None, np.bool_(True)])
+    def test_fusion_dims_rejects_a_memory_flag_that_is_not_a_bool(self, value):
+        # a checkpoint stores the flag as 0 or 1
+        with pytest.raises(ValueError, match="memory_enabled must be a bool"):
+            M.FusionDims(memory_enabled=value)
 
 
 class TestPredictEmptyBatch:

@@ -1,6 +1,6 @@
 import multiprocessing
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -480,21 +480,37 @@ class TestWorkspaceKernelOracle:
 # lowering the row threshold to one row.
 # ---------------------------------------------------------------------------
 
+def _thread_name() -> str:
+    return "caller" if threading.current_thread() is threading.main_thread() else "helper"
+
+
 @pytest.fixture
 def split_always(monkeypatch):
-    """Every kernel call that has a helper splits; returns the set of
-    threads ("caller", "helper") that ran a stream's layers."""
+    """Every training splits its updates; returns the set of threads
+    ("caller", "helper") that ran a stream's layers."""
     monkeypatch.setattr(M, "usable_cpus", lambda: 2)
     monkeypatch.setattr(M, "_SPLIT_ROWS", 1)
-    monkeypatch.setattr(M, "_FORWARD_SPLIT_ROWS", 1)
     seen = set()
     for name in ("_forward_layers", "_backward_layers"):
         def spy(*args, _layers=getattr(M, name)):
-            seen.add("caller" if threading.current_thread() is threading.main_thread() else "helper")
+            seen.add(_thread_name())
             _layers(*args)
 
         monkeypatch.setattr(M, name, spy)
     return seen
+
+
+def _forward_threads_by_rows(monkeypatch) -> dict[int, set[str]]:
+    """From now on, the threads that ran a forward pass, by its row count."""
+    threads = {}
+    forward = M._forward_layers
+
+    def spy(mem, x, *rest):
+        threads.setdefault(x.shape[-2], set()).add(_thread_name())
+        forward(mem, x, *rest)
+
+    monkeypatch.setattr(M, "_forward_layers", spy)
+    return threads
 
 
 class TestStreamSplit:
@@ -505,8 +521,8 @@ class TestStreamSplit:
         dims = M.FusionDims(*(int(rng.integers(1, 12)) for _ in range(3)), memory_enabled=memory_enabled)
         p = init_with_memory(dims, seed)
         p.vector[:] += 0.5 * rng.standard_normal(dims.size)
-        with M._StreamThread() as helper:
-            ws = M._Workspace(dims, 128, helper=helper)
+        ws = M._Workspace(dims, 128)
+        with ThreadPoolExecutor(1) as ws.helper:
             for m in (1, 7, 121, 128):
                 xs, y = _random_rows(rng, m)
                 x = np.stack(xs)
@@ -550,9 +566,6 @@ class TestStreamSplit:
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="injected in the helper"):
             M.train(samples, p, M.TrainConfig(max_epochs=2, early_stop_patience=2))
-        if layers == "_forward_layers":
-            with pytest.raises(FloatingPointError, match="injected in the helper"):
-                M.predict(samples, p)
         assert threading.active_count() == before
 
     def test_overflow_in_the_helper_raises_no_runtime_warning(self, split_always):
@@ -564,8 +577,8 @@ class TestStreamSplit:
         p = M.init_params(M.FusionDims(3, 2, 3), 2)
         p.w_hid_ep = np.full((3, 5), 1e300)
         p.w_head_ep = np.full(3, 1e300)
-        with M._StreamThread() as helper:
-            ws = M._Workspace(p.dims, 40, backward=False, helper=helper)
+        ws = M._Workspace(p.dims, 40, backward=False)
+        with ThreadPoolExecutor(1) as ws.helper:
             M._batch_forward(M._fill_inputs(samples, ws.x), p, ws)
         assert np.isinf(ws.part[1]).any() and np.isfinite(ws.part[0]).all()
         with pytest.raises(M.TrainingDiverged):
@@ -588,24 +601,17 @@ class TestStreamSplit:
         assert threading.active_count() == before
         assert split_always == {"caller", "helper"}
 
-    def test_split_needs_enough_rows_and_a_second_cpu(self, monkeypatch):
+    def test_split_needs_a_second_cpu(self, monkeypatch):
         monkeypatch.setattr(M, "usable_cpus", lambda: 2)
-        assert M._split(M._SPLIT_ROWS, M._SPLIT_ROWS) and not M._split(M._SPLIT_ROWS - 1, M._SPLIT_ROWS)
+        assert M._second_cpu()
         monkeypatch.setattr(M, "usable_cpus", lambda: 1)
-        assert not M._split(10 * M._SPLIT_ROWS, M._SPLIT_ROWS)
-
-    def test_forward_only_calls_split_from_more_rows(self):
-        # a forward-only call does a third of a training pass's work per
-        # handoff, so it needs more rows to gain from the helper
-        dims = M.FusionDims(3, 2, 3)
-        assert M._Workspace(dims, 1).split_rows == M._SPLIT_ROWS
-        assert M._Workspace(dims, 1, backward=False).split_rows == M._FORWARD_SPLIT_ROWS > M._SPLIT_ROWS
+        assert not M._second_cpu()
 
     def test_fork_child_takes_the_stacked_path(self, split_always):
         # a pool's workers already fill the CPUs
-        assert M._split(1, 1)
+        assert M._second_cpu()
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-            assert pool.submit(M._split, 1, 1).result(timeout=60) is False
+            assert pool.submit(M._second_cpu).result(timeout=60) is False
 
     def test_stacked_path_without_a_helper(self, split_always):
         rng = np.random.default_rng(374)
@@ -616,6 +622,36 @@ class TestStreamSplit:
         M._batch_forward(np.stack(xs), p, ws)
         M._batch_backward(np.stack(xs), y, p, ws, M.FusionParams(dims))
         assert split_always == {"caller"}
+
+    def test_predict_runs_on_the_calling_thread(self, split_always):
+        rng = np.random.default_rng(375)
+        M.predict(make_dataset(rng, n=40), M.init_params(M.FusionDims(3, 2, 3), 5))
+        assert split_always == {"caller"}
+
+    def test_validation_runs_on_the_calling_thread(self, split_always, monkeypatch):
+        threads = _forward_threads_by_rows(monkeypatch)
+        rng = np.random.default_rng(376)
+        samples, val = make_dataset(rng, n=30), make_dataset(rng, n=11)
+        M.train(samples, M.init_params(M.FusionDims(3, 2, 3), 6), M.TrainConfig(max_epochs=3, early_stop_patience=3), val)
+        # a split pass runs one stream per thread on 30 rows
+        assert threads == {30: {"caller", "helper"}, 11: {"caller"}}
+
+    def test_minibatches_below_the_threshold_start_no_thread(self, split_always, monkeypatch):
+        monkeypatch.setattr(M, "_SPLIT_ROWS", 16)
+        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail(f"thread {self.name} started"))
+        rng = np.random.default_rng(377)
+        samples, val = make_dataset(rng, n=50), make_dataset(rng, n=20)
+        p = M.init_params(M.FusionDims(3, 2, 3), 7)
+        M.train(samples, p, M.TrainConfig(max_epochs=2, batch_size=15, early_stop_patience=2), val)
+        assert split_always == {"caller"}
+
+    def test_ragged_last_minibatch_splits_too(self, split_always, monkeypatch):
+        monkeypatch.setattr(M, "_SPLIT_ROWS", 16)
+        threads = _forward_threads_by_rows(monkeypatch)
+        rng = np.random.default_rng(378)
+        p = M.init_params(M.FusionDims(3, 2, 3), 8)
+        M.train(make_dataset(rng, n=50), p, M.TrainConfig(max_epochs=2, batch_size=16, early_stop_patience=2))
+        assert threads == {16: {"caller", "helper"}, 2: {"caller", "helper"}}
 
 
 def _reference_adam(params, grads, m, v, step, eta, beta1=0.9, beta2=0.999, eps=1e-8):
