@@ -33,7 +33,7 @@ from .harness import (
     scenario_config,
 )
 from .model import save_checkpoint
-from .pipeline import write_energy_csv, write_temperature_csv
+from .pipeline import write_timestamped_csv
 from .surrogates import BuildingParams, default_occupancy, load_building_params, make_weather, simulate_physics
 
 
@@ -131,8 +131,8 @@ def _cmd_simulate(args) -> int:
     weather = make_weather(hours, seed + SEED_WEATHER)
     physics = simulate_physics(building, weather, default_occupancy())
     args.out.mkdir(parents=True, exist_ok=True)
-    write_temperature_csv(weather.timestamps, weather.temp_c, args.out / "weather_temp_c.csv")
-    write_energy_csv(physics, args.out / "physics_energy.csv")
+    write_timestamped_csv(args.out / "weather_temp_c.csv", weather.timestamps, {"temp_c": weather.temp_c})
+    write_timestamped_csv(args.out / "physics_energy.csv", physics.timestamps, {"value": physics.values})
     print(f"simulated {hours} hours: total {physics.values.sum():.1f} kWh")
     return 0
 
@@ -144,8 +144,8 @@ def _cmd_train_baseline(args) -> int:
     truth = stages.world(seed, FAST_HOURS if args.fast else FULL_HOURS).truth
     forecast = stages.dl(scenario_config(1, seed=seed, fast=args.fast))
     args.out.mkdir(parents=True, exist_ok=True)
-    write_energy_csv(forecast, args.out / "baseline_forecast.csv")
-    write_energy_csv(truth, args.out / "truth_energy.csv")
+    write_timestamped_csv(args.out / "baseline_forecast.csv", forecast.timestamps, {"value": forecast.values})
+    write_timestamped_csv(args.out / "truth_energy.csv", truth.timestamps, {"value": truth.values})
     print(f"baseline forecast written for {forecast.n} hours")
     return 0
 

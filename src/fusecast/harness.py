@@ -145,12 +145,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if self.id not in SCENARIO_METHODS:
-            raise ConfigError(f"scenario id must be 1..5, got {self.id}")
+        if isinstance(self.id, bool) or not isinstance(self.id, numbers.Integral) or self.id not in SCENARIO_METHODS:
+            raise ConfigError(f"scenario id must be an integer in 1..5, got {self.id!r}")
         if self.imputation not in IMPUTATION_KINDS:
             raise ConfigError(f"imputation must be one of {', '.join(IMPUTATION_KINDS)}, got {self.imputation!r}")
-        if not 0.0 <= self.sparse_frac < 1.0:
-            raise ConfigError("sparse_frac must lie in [0, 1)")
+        if isinstance(self.sparse_frac, bool) or not isinstance(self.sparse_frac, numbers.Real) or not 0.0 <= self.sparse_frac < 1.0:
+            raise ConfigError(f"sparse_frac must lie in [0, 1), got {self.sparse_frac!r}")
         if not isinstance(self.memory_unit_enabled, bool):
             raise ConfigError(f"memory_unit_enabled must be a bool, got {self.memory_unit_enabled!r}")
         if isinstance(self.year_hours, bool) or not isinstance(self.year_hours, numbers.Integral):

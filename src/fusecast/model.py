@@ -31,21 +31,22 @@ a sum-of-squared-errors objective with one parameter update per batch
 unit; the default unit is the full epoch.
 
 The streams share no arithmetic until the output sum, so each pass is one
-layer body (_forward_layers, _backward_layers) that runs either once on
-the stacked blocks or once per stream.  A training whose update passes
-have _SPLIT_ROWS rows or more runs the physics stream of every update on a
-helper thread while the calling thread runs the data stream, when the
-process may use a second CPU and is not a multiprocessing child (a pool's
-workers already fill the CPUs).  Both ways give the same bits (with
-OpenBLAS at one thread, as the CLI and the pool workers set it), and the
-helper lives only as long as the train call that made it.  Validation
-passes and predict always run on the calling thread.
+layer body (_forward_layers, _backward_layers) that takes a stream index
+``s`` and touches only the blocks ``[s]`` of the pair and workspace
+buffers: ``np.s_[:]`` runs both streams stacked, 0 the data stream and 1
+the physics stream.  A training whose update passes have _SPLIT_ROWS rows
+or more runs the physics stream of every update on a helper thread while
+the calling thread runs the data stream, when the process may use a
+second CPU and is not a multiprocessing child (a pool's workers already
+fill the CPUs).  Both ways give the same bits (with OpenBLAS at one
+thread, as the CLI and the pool workers set it), and the helper lives
+only as long as the train call that made it.  Validation passes and
+predict always run on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -53,7 +54,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .numkit import AdamState, ShapeMismatch, adam_step, block_views, draw_uniform, empty_blocks, fit_epochs, usable_cpus
+from .numkit import (
+    AdamState, ShapeMismatch, adam_step, block_views, check_count, check_real, draw_uniform, empty_blocks, fit_epochs, usable_cpus,
+)
 from .pipeline import NormStats, SampleBatch
 
 CHECKPOINT_TAG = "pgmn-ckpt-1"
@@ -77,7 +80,7 @@ class FusionDims:
 
     def __post_init__(self):
         for name in ("embed_dim", "memory_dim", "hidden_dim"):
-            _check_count(name, getattr(self, name))
+            check_count(name, getattr(self, name))
         if not isinstance(self.memory_enabled, bool):
             raise ValueError(f"memory_enabled must be a bool, got {self.memory_enabled!r}")
 
@@ -103,13 +106,6 @@ class FusionDims:
     def size(self) -> int:
         """Length of the flat parameter vector."""
         return sum(math.prod(shape) for shape in self.blocks.values())
-
-
-def _check_count(name: str, value, least: int = 1) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 _TENSOR_FIELDS = (
@@ -189,13 +185,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.eta < math.inf:
-            raise ValueError(f"learning rate eta must be finite and positive, got {self.eta!r}")
-        _check_count("max_epochs", self.max_epochs)
+        check_real("learning rate eta", self.eta)
+        if self.eta <= 0:
+            raise ValueError(f"learning rate eta must be positive, got {self.eta!r}")
+        check_count("max_epochs", self.max_epochs)
         if self.batch_size is not None:
-            _check_count("batch_size (minibatch size)", self.batch_size)
-        _check_count("early_stop_patience", self.early_stop_patience)
-        _check_count("seed", self.seed, least=0)
+            check_count("batch_size (minibatch size)", self.batch_size)
+        check_count("early_stop_patience", self.early_stop_patience)
+        check_count("seed", self.seed, least=0)
 
 
 def init_params(dims: FusionDims, seed: int) -> FusionParams:
@@ -224,9 +221,10 @@ class _Workspace:
     value is spent: afterwards ``z`` holds the mixer pre-activation's
     gradient, ``c`` the mixer input's and ``a_h`` the embedding
     pre-activation's.  A workspace lives for one ``train``/``predict``
-    call.  Its ``helper``, when ``train`` sets one, is the one-worker
-    executor that runs the physics stream of every kernel call on it (see
-    ``_on_streams``); only a large training's update workspace has one.
+    call.  The layer body of stream ``s`` touches only its blocks ``[s]``.
+    Its ``helper``, when ``train`` sets one, is the one-worker executor
+    that runs the physics stream (``s = 1``) of every kernel call on it
+    (see ``_on_streams``); only a large training's update workspace has one.
 
     The float buffers are blocks of one float64 allocation, and the bool
     ReLU masks of one bool allocation.
@@ -263,37 +261,35 @@ def _batch_forward(x: np.ndarray, params: FusionParams, ws: _Workspace) -> np.nd
     yhat, a view into ``ws``.  The streams' layers run through
     ``_on_streams``; the offset and the sum of the three heads follow."""
     m = x.shape[1]
-    mem = params.memory
     # divergence is caught via isfinite checks, so let overflow pass silently
     with np.errstate(over="ignore", invalid="ignore"):
-        _on_streams(_forward_layers, 1, (
-            mem, x, params.w.transpose(0, 2, 1), params.b[:, None],
-            params.w_hid.transpose(0, 2, 1), params.b_hid[:, None], params.w_head[..., None], params.b_head[:, None],
-            ws.a_h[:, :m], ws.c[:, :m], ws.z[:, :m], ws.part[:, :m],
-        ), ws)
-        ws.offset = float(params.w_head_mem @ mem) + params.b_head_mem
+        _on_streams(_forward_layers, x, ws, params)
+        ws.offset = float(params.w_head_mem @ params.memory) + params.b_head_mem
         yhat = np.add(ws.part[0, :m], ws.part[1, :m], out=ws.yhat[:m])
         yhat += ws.offset
     return yhat
 
 
-def _forward_layers(mem, x, w_t, b, w_hid_t, b_hid, w_head, b_head, a_h, c, z, part) -> None:
-    """The forward layers of one stream, or of both stacked on a leading
-    axis of 2: from the [value, mask] rows ``x`` into ``a_h``, ``c``, ``z``
-    and the head output ``part``.  The weights enter as the transposed
-    views ``w_t`` and ``w_hid_t`` and the column ``w_head``, the biases
-    with a row axis to broadcast over, so each stream's products are those
-    of a per-stream ``x @ w.T``, bit for bit."""
+def _forward_layers(s, x: np.ndarray, ws: _Workspace, params: FusionParams) -> None:
+    """The forward layers of stream ``s`` (0 data, 1 physics, ``np.s_[:]``
+    both, stacked on a leading axis of 2): from the [value, mask] rows
+    ``x[s]`` into the blocks ``[s]`` of ``ws.a_h``, ``ws.c``, ``ws.z`` and
+    the head output ``ws.part``.  The weights are read as transposed views
+    and the head weight as a column, the biases with a row axis to
+    broadcast over, so each stream's products are those of a per-stream
+    ``x @ w.T``, bit for bit."""
+    m = x.shape[-2]
+    a_h, c, z, part = ws.a_h[s, :m], ws.c[s, :m], ws.z[s, :m], ws.part[s, :m]
     d = a_h.shape[-1]
-    np.matmul(x, w_t, out=a_h)
-    a_h += b
+    np.matmul(x[s], params.w[s].swapaxes(-1, -2), out=a_h)
+    a_h += params.b[s, None]
     np.maximum(a_h, 0.0, out=c[..., :d])
-    c[..., d:] = mem
-    np.matmul(c, w_hid_t, out=z)
-    z += b_hid
+    c[..., d:] = params.memory
+    np.matmul(c, params.w_hid[s].swapaxes(-1, -2), out=z)
+    z += params.b_hid[s, None]
     np.maximum(z, 0.0, out=z)
-    np.matmul(z, w_head, out=part[..., None])
-    part += b_head
+    np.matmul(z, params.w_head[s, :, None], out=part[..., None])
+    part += params.b_head[s, None]
 
 
 def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Workspace, grads: FusionParams) -> np.ndarray:
@@ -315,11 +311,7 @@ def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Wor
     g = np.subtract(yhat, y, out=ws.g[:m])
     g *= 2.0
     g_sum = float(np.add.reduce(g))
-    _on_streams(_backward_layers, 3, (
-        g, g[:, None], g_sum, x, params.w_hid, params.w_head[:, None],
-        ws.a_h[:, :m], ws.c[:, :m], ws.z[:, :m], ws.on_z[:, :m], ws.on_h[:, :m], ws.dmem,
-        grads.w_head, grads.b_head, grads.w_hid, grads.b_hid, grads.w, grads.b,
-    ), ws)
+    _on_streams(_backward_layers, x, ws, params, grads, g, g_sum)
     g_memory = np.add(ws.dmem[0], ws.dmem[1], out=grads.memory)
     g_memory += np.multiply(g_sum, params.w_head_mem, out=ws.dmem[0])
     np.multiply(g_sum, params.memory, out=grads.w_head_mem)
@@ -327,28 +319,29 @@ def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Wor
     return losses
 
 
-def _backward_layers(g, g_col, g_sum, x, w_hid, w_head, a_h, c, z, on_z, on_h, dmem, gw_head, gb_head, gw_hid, gb_hid, gw, gb) -> None:
-    """The backward layers of one stream, or of both stacked as in
-    ``_forward_layers``: the loss gradient ``g`` (as a column ``g_col``,
-    its sum ``g_sum``) back from the head to the embedding, into the
-    gradient blocks ``gw_head`` ... ``gb`` and the sums ``dmem`` of the
-    mixer's memory columns.  ``w_head`` enters as a row to broadcast."""
+def _backward_layers(s, x: np.ndarray, ws: _Workspace, params: FusionParams, grads: FusionParams, g: np.ndarray, g_sum: float) -> None:
+    """The backward layers of stream ``s``, as in ``_forward_layers``: the
+    loss gradient ``g`` (its sum ``g_sum``) back from the head to the
+    embedding, into the blocks ``[s]`` of the pair gradients in ``grads``
+    and of the sums ``ws.dmem`` of the mixer's memory columns."""
+    m = len(g)
+    a_h, c, z, on_z, on_h = ws.a_h[s, :m], ws.c[s, :m], ws.z[s, :m], ws.on_z[s, :m], ws.on_h[s, :m]
     d = a_h.shape[-1]
     # Each gradient overwrites a forward value that nothing reads again:
     # da_z goes into z, dc into c and da_h into a_h.  z > 0 exactly where
     # its pre-activation was (NaN included), so the mask survives the ReLU.
-    np.matmul(z.swapaxes(-1, -2), g, out=gw_head)
-    gb_head[...] = g_sum
+    np.matmul(z.swapaxes(-1, -2), g, out=grads.w_head[s])
+    grads.b_head[s] = g_sum
     np.greater(z, 0, out=on_z)
-    da_z = np.multiply(g_col, w_head, out=z)
+    da_z = np.multiply(g[:, None], params.w_head[s, None], out=z)
     da_z *= on_z
-    np.matmul(da_z.swapaxes(-1, -2), c, out=gw_hid)
-    np.add.reduce(da_z, axis=-2, out=gb_hid)
-    dc = np.matmul(da_z, w_hid, out=c)
-    np.add.reduce(dc[..., d:], axis=-2, out=dmem)
+    np.matmul(da_z.swapaxes(-1, -2), c, out=grads.w_hid[s])
+    np.add.reduce(da_z, axis=-2, out=grads.b_hid[s])
+    dc = np.matmul(da_z, params.w_hid[s], out=c)
+    np.add.reduce(dc[..., d:], axis=-2, out=ws.dmem[s])
     da_h = np.multiply(dc[..., :d], np.greater(a_h, 0, out=on_h), out=a_h)
-    np.matmul(da_h.swapaxes(-1, -2), x, out=gw)
-    np.add.reduce(da_h, axis=-2, out=gb)
+    np.matmul(da_h.swapaxes(-1, -2), x[s], out=grads.w[s])
+    np.add.reduce(da_h, axis=-2, out=grads.b[s])
 
 
 # From this many rows per update, a training runs the two streams' layers
@@ -373,20 +366,19 @@ def _under_errstate(err: dict, layers, args: tuple) -> None:
         layers(*args)
 
 
-def _on_streams(layers, shared: int, ops: tuple, ws: _Workspace) -> None:
-    """``layers(*ops)``, where the operands after the first ``shared`` are
-    ``(2, ...)`` blocks of both streams: once on this thread when ``ws``
-    has no helper; otherwise on each block's index 1 (the physics stream)
-    on the helper, under this thread's numpy error state, while this thread
-    runs index 0, and an exception the helper raises is raised here.  The
-    streams share no arithmetic, so both ways give the same bits."""
+def _on_streams(layers, x: np.ndarray, ws: _Workspace, *args) -> None:
+    """``layers(s, x, ws, *args)`` for both streams: once with
+    ``s = np.s_[:]`` on this thread when ``ws`` has no helper; otherwise
+    with ``s = 1`` (the physics stream) on the helper, under this thread's
+    numpy error state, while this thread runs ``s = 0``, and an exception
+    the helper raises is raised here.  The streams share no arithmetic and
+    write disjoint blocks, so both ways give the same bits."""
     if ws.helper is None:
-        layers(*ops)
+        layers(np.s_[:], x, ws, *args)
         return
-    common, blocks = ops[:shared], ops[shared:]
-    future = ws.helper.submit(_under_errstate, np.geterr(), layers, (*common, *(op[1, ...] for op in blocks)))
+    future = ws.helper.submit(_under_errstate, np.geterr(), layers, (1, x, ws, *args))
     try:
-        layers(*common, *(op[0, ...] for op in blocks))
+        layers(0, x, ws, *args)
     finally:
         future.result()
 

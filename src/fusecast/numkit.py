@@ -4,17 +4,18 @@ Plain functions over numpy arrays: views of a flat parameter vector as
 shaped tensors (and kernel workspaces carved the same way from one
 allocation), uniform weight initialisation, the in-place Adam update on
 one flat parameter vector and one flat gradient vector (a few vectorised
-ops per step), the epoch loop every trainer shares, a
-central-difference gradient oracle used to verify hand-derived backward
-passes, and the count of CPUs the process may use, which sizes the
-harness's pool and decides whether a kernel call splits its streams over
-two threads.
+ops per step), the epoch loop every trainer shares, a central-difference
+gradient oracle used to verify hand-derived backward passes, the count of
+CPUs the process may use (it sizes the harness's pool and lets a training
+split its streams over two threads), and the checks that a constructor's
+number field is a finite real or an integer count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -24,6 +25,20 @@ import numpy as np
 
 class ShapeMismatch(ValueError):
     """Operand shapes are incompatible for the requested operation."""
+
+
+def check_real(name: str, value) -> None:
+    """Reject a field ``name`` that is not a finite real (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be finite and a real number, got {value!r}")
+
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """Reject a field ``name`` that is not an integer (nor a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 def block_views(vector: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:

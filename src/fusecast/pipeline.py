@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numkit import check_real
+
 IMPUTATION_KINDS = (
     "nearest_neighbor",
     "linear_interpolation",
@@ -165,8 +167,7 @@ class SplitSpec:
 
     def __post_init__(self):
         for name in ("train_frac", "val_frac", "test_frac"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            check_real(name, getattr(self, name))
         fracs = (self.train_frac, self.val_frac, self.test_frac)
         if any(f <= 0 for f in fracs):
             raise ValueError("split fractions must be positive")
@@ -404,8 +405,7 @@ class NormStats:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            check_real(name, value)
             if name.endswith("_std") and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
 
@@ -485,14 +485,6 @@ def write_timestamped_csv(path, timestamps: np.ndarray, columns: dict[str, np.nd
             cells.append(["" if math.isnan(v) else repr(v) for v in np.asarray(values, dtype=np.float64).tolist()])
     lines = [",".join(["timestamp", *columns]), *map(",".join, zip(*cells))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def write_energy_csv(series: EnergySeries, path) -> None:
-    write_timestamped_csv(path, series.timestamps, {"value": series.values})
-
-
-def write_temperature_csv(timestamps: np.ndarray, temps: np.ndarray, path) -> None:
-    write_timestamped_csv(path, timestamps, {"temp_c": temps})
 
 
 def read_key_values(path, parsers) -> dict:

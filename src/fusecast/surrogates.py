@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numkit import AdamState, adam_step, block_views, draw_uniform, empty_blocks, fit_epochs
+from .numkit import AdamState, adam_step, block_views, check_real, draw_uniform, empty_blocks, fit_epochs
 from .pipeline import (
     _HOUR, N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range, read_key_values,
 )
@@ -66,8 +66,7 @@ class BuildingParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            check_real(f.name, getattr(self, f.name))
         for name in ("ua_w_per_k", "capacitance_j_per_k", "floor_area_m2", "hvac_efficiency"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -84,6 +84,20 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="the split leaves no test rows of 2136"):
             scenario_config(4, fast=True, split=SplitSpec(0.6, 0.4, 1e-10))
 
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    def test_id_that_is_not_an_integer_rejected(self, value):
+        # id=True used to build scenario 1 as "train_scenarioTrue"
+        with pytest.raises(ConfigError, match=rf"scenario id must be an integer in 1\.\.5, got {value!r}"):
+            ScenarioConfig(id=value)
+
+    def test_numpy_integer_id_accepted(self):
+        assert scenario_config(np.int64(2)).id == 2
+
+    @pytest.mark.parametrize("value", ["0.2", True, False, None])
+    def test_sparse_frac_that_is_not_a_real_number_rejected(self, value):
+        with pytest.raises(ConfigError, match=rf"sparse_frac must lie in \[0, 1\), got {value!r}"):
+            ScenarioConfig(id=2, sparse_frac=value)
+
     def test_fast_flag_shrinks_fixture(self):
         assert scenario_config(1, fast=True).year_hours == 2160
         assert scenario_config(1, fast=False).year_hours == 8760

@@ -861,6 +861,17 @@ class TestConstructorBoundaries:
         with pytest.raises(ValueError, match="eta must be finite"):
             M.TrainConfig(eta=eta)
 
+    @pytest.mark.parametrize("eta", ["1", True, None])
+    def test_train_config_rejects_an_eta_that_is_not_a_real_number(self, eta):
+        # True would train at a learning rate of 1
+        with pytest.raises(ValueError, match="eta must be finite and a real number"):
+            M.TrainConfig(eta=eta)
+
+    @pytest.mark.parametrize("eta", [0, 0.0, -1e-3])
+    def test_train_config_rejects_an_eta_that_is_not_positive(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            M.TrainConfig(eta=eta)
+
     @pytest.mark.parametrize("field", ["batch_size", "max_epochs", "early_stop_patience"])
     @pytest.mark.parametrize("value", [12.5, 3.0, True, "8"])
     def test_train_config_rejects_non_integer_counts(self, field, value):

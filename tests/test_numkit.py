@@ -8,6 +8,7 @@ from fusecast.numkit import (
     ShapeMismatch,
     adam_step,
     block_views,
+    check_real,
     finite_diff_grad,
     usable_cpus,
 )
@@ -191,3 +192,15 @@ class TestUsableCpus:
         assert usable_cpus() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert usable_cpus() == 1
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [0, -3, 0.5, np.float64(2.0), np.float32(1.5), np.int64(4)])
+    def test_accepts_finite_reals(self, value):
+        check_real("field", value)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1", None, 1j, np.nan, np.inf, -np.inf])
+    def test_rejects_a_bool_a_non_number_and_a_non_finite_value(self, value):
+        # a bool is an integer to Python, so an unchecked True would pass as 1
+        with pytest.raises(ValueError, match=r"field must be finite and a real number, got "):
+            check_real("field", value)

@@ -27,8 +27,6 @@ from fusecast.pipeline import (
     impute,
     normalize_samples,
     split_samples,
-    write_energy_csv,
-    write_temperature_csv,
     write_timestamped_csv,
 )
 
@@ -480,6 +478,12 @@ class TestNormStats:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             NormStats(**{**self.VALID, name: value})
 
+    @pytest.mark.parametrize("name", list(VALID))
+    @pytest.mark.parametrize("value", ["1", True, None])
+    def test_field_that_is_not_a_real_number_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and a real number, got {value!r}"):
+            NormStats(**{**self.VALID, name: value})
+
     def test_constant_channel_clamped(self):
         samples = batch_of(np.full(4, 5.0), 5.0, 5.0)
         stats = fit_norm_stats(samples)
@@ -758,6 +762,15 @@ class TestSplits:
         with pytest.raises(ValueError):
             SplitSpec(0.0, 0.5, 0.5)
 
+    @pytest.mark.parametrize("index", range(3))
+    @pytest.mark.parametrize("value", ["0.6", True, None])
+    def test_fraction_that_is_not_a_real_number_rejected(self, index, value):
+        fracs = [0.6, 0.2, 0.2]
+        fracs[index] = value
+        name = ("train_frac", "val_frac", "test_frac")[index]
+        with pytest.raises(ValueError, match=f"{name} must be finite and a real number, got {value!r}"):
+            SplitSpec(*fracs)
+
     def test_chronological_boundaries(self):
         spec = SplitSpec(0.6, 0.2, 0.2)
         i_train, i_val = spec.boundaries(100)
@@ -772,7 +785,7 @@ class TestCsvIO:
         # header timestamp,value; a missing step leaves its cell empty
         s = series_from([1.5, np.nan, 2.25], present=[True, False, True])
         path = tmp_path / "series.csv"
-        write_energy_csv(s, path)
+        write_timestamped_csv(path, s.timestamps, {"value": s.values})
         assert path.read_bytes() == (
             b"timestamp,value\n2021-01-01T00:00,1.5\n2021-01-01T01:00,\n2021-01-01T02:00,2.25\n"
         )
@@ -780,7 +793,7 @@ class TestCsvIO:
     def test_temperature_csv_bytes(self, tmp_path):
         ts = hourly_range("2021-06-01T00", 4)
         path = tmp_path / "temps.csv"
-        write_temperature_csv(ts, np.array([10.0, 11.5, -3.25, 0.1]), path)
+        write_timestamped_csv(path, ts, {"temp_c": np.array([10.0, 11.5, -3.25, 0.1])})
         assert path.read_bytes() == (
             b"timestamp,temp_c\n2021-06-01T00:00,10.0\n2021-06-01T01:00,11.5\n"
             b"2021-06-01T02:00,-3.25\n2021-06-01T03:00,0.1\n"

@@ -68,6 +68,13 @@ class TestBuildingParams:
         with pytest.raises(ValueError):
             sealed_building(infiltration_ach=-0.1)
 
+    @pytest.mark.parametrize("name", ["ua_w_per_k", "occupants", "heat_setpoint_c", "hvac_efficiency"])
+    @pytest.mark.parametrize("value", ["1", True, None, np.nan])
+    def test_field_that_is_not_a_finite_real_rejected(self, name, value):
+        # occupants=True would simulate one occupant
+        with pytest.raises(ValueError, match=f"{name} must be finite and a real number, got {value!r}"):
+            BuildingParams(**{name: value})
+
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "building.cfg"
         path.write_text(

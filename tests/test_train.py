@@ -505,9 +505,9 @@ def _forward_threads_by_rows(monkeypatch) -> dict[int, set[str]]:
     threads = {}
     forward = M._forward_layers
 
-    def spy(mem, x, *rest):
+    def spy(s, x, *rest):
         threads.setdefault(x.shape[-2], set()).add(_thread_name())
-        forward(mem, x, *rest)
+        forward(s, x, *rest)
 
     monkeypatch.setattr(M, "_forward_layers", spy)
     return threads
@@ -535,6 +535,45 @@ class TestStreamSplit:
                 assert losses.tobytes() == ref_losses.tobytes(), m
                 assert grads.vector.tobytes() == ref_grads.vector.tobytes(), m
         assert split_always == {"caller", "helper"}
+
+    @pytest.mark.parametrize("memory_enabled", [True, False], ids=["memory", "no-memory"])
+    @pytest.mark.parametrize("s", [0, 1], ids=["data", "physics"])
+    def test_a_stream_body_writes_only_its_own_blocks(self, s, memory_enabled):
+        # the split runs the two streams' bodies at once on two threads, so
+        # its bits rest on this: the body of stream s changes no buffer of
+        # the workspace or the gradients outside the blocks [s], where a
+        # NaN fill shows any write
+        rng = np.random.default_rng(379)
+        dims = M.FusionDims(3, 2, 4, memory_enabled=memory_enabled)
+        p = init_with_memory(dims, 9)
+        m = 7
+        ws = M._Workspace(dims, 9)
+        ws.x.base[:] = np.nan
+        ws.on_z.base[:] = True
+        grads = M.FusionParams(dims, np.full(dims.size, np.nan))
+        xs, _ = _random_rows(rng, m)
+        x = ws.x[:, :m]
+        x[...] = np.stack(xs)
+        g = rng.standard_normal(m)
+        stacked = ("x", "a_h", "c", "z", "part", "on_z", "on_h", "dmem")
+
+        def run_and_check(layers, *args):
+            before = {k: v.copy() for k, v in vars(ws).items() if isinstance(v, np.ndarray)}
+            grads_before = grads.copy()
+            layers(s, x, ws, *args)
+            for name, old in before.items():
+                new = getattr(ws, name).copy()
+                if name in stacked:
+                    new[s] = old[s]
+                assert new.tobytes() == old.tobytes(), name
+            for pair in M._PAIRS:
+                getattr(grads_before, pair)[s] = getattr(grads, pair)[s]
+            assert grads_before.vector.tobytes() == grads.vector.tobytes()
+
+        run_and_check(M._forward_layers, p)
+        assert np.isfinite(ws.part[s, :m]).all()
+        run_and_check(M._backward_layers, p, grads, g, float(np.sum(g)))
+        assert all(np.isfinite(getattr(grads, pair)[s]).all() for pair in M._PAIRS)
 
     def test_split_training_matches_stacked_training(self, split_always):
         rng = np.random.default_rng(370)
