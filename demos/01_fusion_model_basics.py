@@ -14,7 +14,7 @@ from fusecast.pipeline import SampleBatch
 
 def one_sample(dl, ep, target):
     """One sample, both streams present, as a one-row SampleBatch."""
-    return SampleBatch([dl], [1], [ep], [1], [target], [True])
+    return SampleBatch([dl], [1], [ep], [1], [target])
 
 
 def run_kernel(batch, params):

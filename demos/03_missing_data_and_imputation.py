@@ -39,7 +39,18 @@ dl = EnergySeries.full(ts, np.full(n, 90.0))
 samples = assemble_samples(dl, clean, clean, cfg4)  # a SampleBatch: one array per column
 print(f"\nscenario 4 sample: dl={samples.dl[0]} (mask {samples.dl_mask[0]}), ep={samples.ep[0]:.1f} (mask {samples.ep_mask[0]})")
 
-# scenario 3: no actuals, so the physics value is the target, marked unobserved
+# scenario 2: the sparse actuals are filled once, before assembly; a truth
+# with gaps is refused rather than filled again
+cfg2 = scenario_config(2, seed=1, fast=True)
+filled = impute(sparse, cfg2.imputation)
+samples2 = assemble_samples(dl, clean, filled, cfg2)
+print(f"scenario 2: {len(samples2)} targets, all from the {cfg2.imputation} fill")
+try:
+    assemble_samples(dl, clean, sparse, cfg2)
+except ValueError as exc:
+    print(f"scenario 2 with unfilled actuals: {exc}")
+
+# scenario 3: no actuals, so the physics value is the target
 cfg3 = scenario_config(3, seed=1, fast=True)
 samples3 = assemble_samples(None, clean, clean, cfg3)
-print(f"scenario 3 sample: target={samples3.target[0]:.1f} (observed={samples3.observed[0]})")
+print(f"scenario 3 sample: target={samples3.target[0]:.1f} (ep={samples3.ep[0]:.1f})")

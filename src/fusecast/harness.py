@@ -151,6 +151,10 @@ class ScenarioConfig:
             raise ConfigError(f"imputation must be one of {', '.join(IMPUTATION_KINDS)}, got {self.imputation!r}")
         if isinstance(self.sparse_frac, bool) or not isinstance(self.sparse_frac, numbers.Real) or not 0.0 <= self.sparse_frac < 1.0:
             raise ConfigError(f"sparse_frac must lie in [0, 1), got {self.sparse_frac!r}")
+        if not isinstance(self.split, SplitSpec):
+            raise ConfigError(f"split must be a SplitSpec, got {self.split!r}")
+        if not isinstance(self.train, TrainConfig):
+            raise ConfigError(f"train must be a TrainConfig, got {self.train!r}")
         if not isinstance(self.memory_unit_enabled, bool):
             raise ConfigError(f"memory_unit_enabled must be a bool, got {self.memory_unit_enabled!r}")
         if isinstance(self.year_hours, bool) or not isinstance(self.year_hours, numbers.Integral):
@@ -195,11 +199,13 @@ class Fixture:
     ``truth``, ``label_truth`` and ``physics`` are ``EnergySeries.slice``
     views of the run's year: they share memory with it, and with each
     other where the series are one (``truth`` and ``label_truth`` outside
-    scenario 2), so a caller must copy before mutating."""
+    scenario 2), so a caller must copy before mutating.  ``label_truth`` is
+    always fully present: scenario 2's is the slice of the filled year the
+    baseline lags on (``_Stages.labels``)."""
 
     timestamps: np.ndarray
     truth: EnergySeries          # original actuals, used for evaluation only
-    label_truth: EnergySeries    # what training may see (sparse in scenario 2)
+    label_truth: EnergySeries    # the training targets (filled sparse actuals in scenario 2)
     physics: EnergySeries
     dl: EnergySeries | None
 
@@ -367,8 +373,7 @@ class _Stages:
 
     def __init__(self):
         self._worlds: dict[tuple, _World] = {}
-        self._masked: dict[tuple, EnergySeries] = {}
-        self._lag_sources: dict[tuple, EnergySeries] = {}
+        self._labels: dict[tuple, EnergySeries] = {}
         self._dl: dict[tuple, EnergySeries] = {}
         self._trained: dict[ScenarioConfig, TrainedModel] = {}
         # Job name -> (start, end) on the perf_counter clock.
@@ -390,23 +395,20 @@ class _Stages:
             self._worlds[key] = _World(weather, physics, truth)
         return self._worlds[key]
 
-    def labels(self, cfg: ScenarioConfig) -> tuple[EnergySeries, EnergySeries]:
-        """(label truth, lag source): the actuals training may see and the
-        series the baseline lags on.  Sparse truth is masked once per
-        (seed, hours, sparse_frac) and imputed once per strategy for the
-        lags; ``assemble_samples`` imputes the label truth again, after
-        the first day is cut."""
+    def labels(self, cfg: ScenarioConfig) -> EnergySeries:
+        """The year of actuals that both forecasters learn from: the
+        baseline lags on all of it and the fusion trains on its slice from
+        hour 24.  That is the world's truth, or in scenario 2 the truth with
+        its sparsity mask drawn and filled by ``cfg.imputation``, once per
+        (seed, hours, sparse_frac, imputation)."""
         truth = self.world(cfg.seed, cfg.year_hours).truth
         if cfg.truth_mode != "sparse":
-            return truth, truth
-        key = (cfg.seed, cfg.year_hours, cfg.sparse_frac)
-        if key not in self._masked:
-            self._masked[key] = apply_sparsity(truth, cfg.sparse_frac, cfg.seed + SEED_SPARSITY)
-        label_truth = self._masked[key]
-        key += (cfg.imputation,)
-        if key not in self._lag_sources:
-            self._lag_sources[key] = impute(label_truth, cfg.imputation)
-        return label_truth, self._lag_sources[key]
+            return truth
+        key = (cfg.seed, cfg.year_hours, cfg.sparse_frac, cfg.imputation)
+        if key not in self._labels:
+            masked = apply_sparsity(truth, cfg.sparse_frac, cfg.seed + SEED_SPARSITY)
+            self._labels[key] = impute(masked, cfg.imputation)
+        return self._labels[key]
 
     @staticmethod
     def _dl_key(cfg: ScenarioConfig) -> tuple:
@@ -414,8 +416,7 @@ class _Stages:
         return (cfg.seed, cfg.year_hours, lag_key, cfg.split)
 
     def _fit_args(self, cfg: ScenarioConfig) -> tuple:
-        _, lag_source = self.labels(cfg)
-        return cfg, lag_source, self.world(cfg.seed, cfg.year_hours).weather.temp_c
+        return cfg, self.labels(cfg), self.world(cfg.seed, cfg.year_hours).weather.temp_c
 
     def _job(self, name: str, fn, *args):
         """``fn(*args)`` as the job ``name``, its span kept in ``job_spans``."""
@@ -435,13 +436,12 @@ class _Stages:
 
     def fixture(self, cfg: ScenarioConfig) -> Fixture:
         world = self.world(cfg.seed, cfg.year_hours)
-        label_truth, _ = self.labels(cfg)
         dl_series = self.dl(cfg)
         a = 24
         return Fixture(
             timestamps=world.truth.timestamps[a:],
             truth=world.truth.slice(a),
-            label_truth=label_truth.slice(a),
+            label_truth=self.labels(cfg).slice(a),
             physics=world.physics.slice(a),
             dl=dl_series,
         )

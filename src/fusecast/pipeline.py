@@ -188,24 +188,22 @@ class SampleBatch:
     ``dl``/``ep`` are the two float64 forecasts and ``dl_mask``/``ep_mask``
     their int64 availability masks in {0, 1}; a masked-out value is a usable
     stand-in (imputed or zero), never NaN.  ``target`` is the finite float64
-    training target of every row, and ``observed`` is False for any target
-    that is not a real measurement (imputed, or the physics value standing
-    in for absent actuals), which keeps it out of normalization statistics.
+    training target of every row: an actual (filled by the caller where the
+    actuals are sparse) or the physics value standing in for absent actuals.
     The constructor copies and checks every column and raises ValueError
     naming the column.  Slicing returns a batch of views without
     re-checking.
     """
 
-    COLUMNS = ("dl", "dl_mask", "ep", "ep_mask", "target", "observed")
+    COLUMNS = ("dl", "dl_mask", "ep", "ep_mask", "target")
 
-    def __init__(self, dl, dl_mask, ep, ep_mask, target, observed):
+    def __init__(self, dl, dl_mask, ep, ep_mask, target):
         cols = {
             "dl": np.array(dl, dtype=np.float64),
             "dl_mask": np.array(dl_mask),
             "ep": np.array(ep, dtype=np.float64),
             "ep_mask": np.array(ep_mask),
             "target": np.array(target, dtype=np.float64),
-            "observed": np.array(observed, dtype=bool),
         }
         lengths = {name: col.shape for name, col in cols.items()}
         if any(len(shape) != 1 for shape in lengths.values()) or len(set(lengths.values())) > 1:
@@ -349,11 +347,12 @@ def assemble_samples(dl_forecast: EnergySeries | None, ep_forecast: EnergySeries
     """Turn aligned forecast/truth series into the SampleBatch of one scenario.
 
     ``scenario`` is duck-typed and must expose ``dl_available``,
-    ``ep_available``, ``truth_mode`` ("full" | "sparse" | "absent") and
-    ``imputation``.  An unavailable stream is zeroed with mask 0; a partially
-    missing stream keeps mask 0 at the gaps but carries a neighbor-mean
-    stand-in so no NaN ever reaches the model.  With ``truth_mode="absent"``
-    the physics value is the target, marked unobserved.
+    ``ep_available`` and ``truth_mode`` ("full" | "sparse" | "absent").  An
+    unavailable stream is zeroed with mask 0; a partially missing stream
+    keeps mask 0 at the gaps but carries a neighbor-mean stand-in so no NaN
+    ever reaches the model.  With ``truth_mode="absent"`` the physics value
+    is the target; otherwise ``truth`` is the target and must be fully
+    present, so sparse actuals are imputed before they get here.
     """
     present_series = [s for s in (dl_forecast, ep_forecast, truth) if s is not None]
     _check_aligned(*present_series)
@@ -376,15 +375,13 @@ def assemble_samples(dl_forecast: EnergySeries | None, ep_forecast: EnergySeries
 
     if scenario.truth_mode == "absent":
         targets = ep_vals
-        observed = np.zeros(n, dtype=bool)
+    elif truth.present.all():
+        targets = truth.values
     else:
-        if truth.present.all():
-            targets = truth.values
-        else:
-            targets = impute(truth, scenario.imputation).values
-        observed = truth.present
+        step = int(np.flatnonzero(~truth.present)[0])
+        raise ValueError(f"truth: step {step} is missing; impute sparse actuals before assembling samples")
 
-    return SampleBatch(dl_vals, dl_mask, ep_vals, ep_mask, targets, observed)
+    return SampleBatch(dl_vals, dl_mask, ep_vals, ep_mask, targets)
 
 
 @dataclass(frozen=True)
@@ -427,32 +424,26 @@ def _channel_stats(values: np.ndarray) -> tuple[float, float]:
 
 
 def fit_norm_stats(b: SampleBatch) -> NormStats:
-    """Channel means/stds over the training split.
-
-    Only unmasked forecasts and genuinely observed targets contribute; if a
-    scenario has no observed targets at all (training on the physics values)
-    the target channel falls back to every target so targets still
-    normalize sensibly.
+    """Channel means/stds over the training split: the unmasked forecasts,
+    and every row's target, since every target is one the model trains on.
     """
     if not len(b):
         raise ValueError("cannot fit normalization statistics on an empty split")
     dl_mean, dl_std = _channel_stats(b.dl[b.dl_mask == 1])
     ep_mean, ep_std = _channel_stats(b.ep[b.ep_mask == 1])
-    observed = b.target[b.observed]
-    y_mean, y_std = _channel_stats(observed if observed.size else b.target)
+    y_mean, y_std = _channel_stats(b.target)
     return NormStats(dl_mean, dl_std, ep_mean, ep_std, y_mean, y_std)
 
 
 def normalize_samples(b: SampleBatch, stats: NormStats) -> SampleBatch:
-    """Z-score the forecasts and targets with ``stats``; masks and flags
-    pass through."""
+    """Z-score the forecasts and targets with ``stats``; masks pass
+    through."""
     return SampleBatch(
         (b.dl - stats.dl_mean) / stats.dl_std,
         b.dl_mask,
         (b.ep - stats.ep_mean) / stats.ep_std,
         b.ep_mask,
         (b.target - stats.y_mean) / stats.y_std,
-        b.observed,
     )
 
 

@@ -18,6 +18,7 @@ from fusecast.harness import (
     SEED_INIT,
     SEED_SPARSITY,
     SEED_TRAIN,
+    _Stages,
     build_fixture,
     run_ablation_imputation,
     run_all,
@@ -44,9 +45,9 @@ def _params_of(dims, arrays):
 
 
 def _batch(dl, ep, target, dl_mask=1, ep_mask=1):
-    """Measured samples as a SampleBatch; a scalar mask applies to every row."""
+    """Samples as a SampleBatch; a scalar mask applies to every row."""
     n = len(dl)
-    return SampleBatch(dl, np.broadcast_to(dl_mask, n), ep, np.broadcast_to(ep_mask, n), target, np.ones(n, bool))
+    return SampleBatch(dl, np.broadcast_to(dl_mask, n), ep, np.broadcast_to(ep_mask, n), target)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -291,11 +292,16 @@ def test_criterion_7_imputation_properties():
     cfg = scenario_config(2, seed=MASTER_SEED, fast=True)
     report = run_ablation_imputation(cfg)
     ok_rows = len(report.methods) == 3
-    masks = [
-        build_fixture(replace(cfg, imputation=s)).label_truth.present
+    # each fill matches the actuals exactly where the mask, redrawn as the
+    # harness draws it, kept them
+    year = _Stages().world(cfg.seed, cfg.year_hours).truth
+    kept = apply_sparsity(year, cfg.sparse_frac, cfg.seed + SEED_SPARSITY).present[24:]
+    fixtures = [
+        build_fixture(replace(cfg, imputation=s))
         for s in ("nearest_neighbor", "historical_averaging", "linear_interpolation")
     ]
-    ok_masks = np.array_equal(masks[0], masks[1]) and np.array_equal(masks[1], masks[2])
+    masks = [f.label_truth.values == f.truth.values for f in fixtures]
+    ok_masks = all(np.array_equal(m, kept) for m in masks)
     sparse_a = apply_sparsity(EnergySeries.full(ts, affine_vals), 0.2, MASTER_SEED + SEED_SPARSITY)
     sparse_b = apply_sparsity(EnergySeries.full(ts, affine_vals), 0.2, MASTER_SEED + SEED_SPARSITY)
     ok_masks = ok_masks and np.array_equal(sparse_a.present, sparse_b.present)

@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import re
 import shutil
 import subprocess
 from dataclasses import asdict, replace
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusecast
-from fusecast import cli, harness, model
+from fusecast import cli, harness, model, pipeline
 from fusecast.cli import main as cli_main
 from fusecast.harness import (
     IMPUTATION_ABLATION_STRATEGIES,
@@ -28,7 +29,7 @@ from fusecast.harness import (
     scenario_config,
 )
 from fusecast.model import TrainConfig, load_checkpoint
-from fusecast.pipeline import IMPUTATION_KINDS, SplitSpec
+from fusecast.pipeline import IMPUTATION_KINDS, SplitSpec, apply_sparsity
 from fusecast.surrogates import BuildingParams, load_building_params
 
 TINY = 24 * 30  # 30-day fixture keeps the harness tests quick
@@ -39,6 +40,13 @@ def tiny_config(sid, seed=42, **overrides):
     overrides.setdefault("year_hours", TINY)
     overrides.setdefault("train", train)
     return scenario_config(sid, seed=seed, **overrides)
+
+
+def sparsity_mask(cfg):
+    """Scenario 2's sparsity mask over the whole year, redrawn from the
+    world's truth as the harness draws it: True where an actual is kept."""
+    truth = harness._Stages().world(cfg.seed, cfg.year_hours).truth
+    return apply_sparsity(truth, cfg.sparse_frac, cfg.seed + harness.SEED_SPARSITY).present
 
 
 class TestScenarioConfig:
@@ -121,6 +129,17 @@ class TestScenarioConfig:
             scenario_config(1, year_hours=value)
         assert scenario_config(1, year_hours=np.int64(2160)).year_hours == 2160
 
+    @pytest.mark.parametrize(
+        "name,kind,value",
+        [("train", "TrainConfig", v) for v in ("x", None, SplitSpec())]
+        + [("split", "SplitSpec", v) for v in ("x", None, TrainConfig())],
+    )
+    def test_train_or_split_of_another_type_rejected(self, name, kind, value):
+        # train="x" used to pass and fail the run later as "'str' object
+        # has no attribute 'eta'"; split="x" raised an AttributeError
+        with pytest.raises(ConfigError, match=f"^{name} must be a {kind}, got {re.escape(repr(value))}$"):
+            scenario_config(4, fast=True, **{name: value})
+
 
 class TestRunScenario:
     def test_scenario1_reports_three_methods(self):
@@ -147,11 +166,18 @@ class TestRunScenario:
         assert n == TINY - 24 - i_val
 
     def test_scenario2_trains_on_imputed_sparse_targets(self):
-        report = run_scenario(tiny_config(2))
-        missing = int((~report.fixture.label_truth.present).sum())
+        cfg = tiny_config(2)
+        report = run_scenario(cfg)
+        kept = sparsity_mask(cfg)[24:]
+        missing = int((~kept).sum())
         total = round(0.2 * TINY)
         # aligned fixture drops the first 24 hours, so up to 24 gaps fall away
         assert total - 24 <= missing <= total
+        # the targets are the fill: the actuals where the mask kept them,
+        # a filled value at every gap
+        fixture = report.fixture
+        assert fixture.label_truth.present.all()
+        assert np.array_equal(fixture.label_truth.values == fixture.truth.values, kept)
         # evaluation is against the unsparsified actuals
         assert np.all(np.isfinite(report.predictions["actual"]))
 
@@ -185,12 +211,12 @@ class TestFixtureViews:
         stages = harness._Stages()
         fixture = stages.fixture(cfg)
         world = stages.world(cfg.seed, cfg.year_hours)
-        label_truth, _ = stages.labels(cfg)
+        label_truth = stages.labels(cfg)
         assert np.shares_memory(fixture.timestamps, world.truth.timestamps)
         for part, whole in ((fixture.truth, world.truth), (fixture.physics, world.physics), (fixture.label_truth, label_truth)):
             for name in ("timestamps", "values", "present"):
                 assert np.shares_memory(getattr(part, name), getattr(whole, name)), name
-        # only scenario 2's label truth is a series of its own: the masked truth
+        # only scenario 2's label truth is a series of its own: the filled truth
         shared = np.shares_memory(fixture.label_truth.values, world.truth.values)
         assert shared is (cfg.truth_mode != "sparse")
 
@@ -235,33 +261,51 @@ class TestAblations:
             run_ablation_imputation(tiny_config(1))
 
     def test_imputation_three_rows_identical_missing_sets(self):
+        # each strategy's fill keeps the actuals exactly where the one mask
+        # kept them, so the hours where it matches the truth give the mask back
         cfg = tiny_config(2)
         report = run_ablation_imputation(cfg)
         assert set(report.methods) == set(IMPUTATION_ABLATION_STRATEGIES)
         masks = []
         for strategy in IMPUTATION_ABLATION_STRATEGIES:
-            sub = replace(cfg, imputation=strategy)
-            masks.append(build_fixture(sub).label_truth.present)
+            fixture = build_fixture(replace(cfg, imputation=strategy))
+            masks.append(fixture.label_truth.values == fixture.truth.values)
         assert np.array_equal(masks[0], masks[1])
         assert np.array_equal(masks[1], masks[2])
+        assert np.array_equal(masks[2], sparsity_mask(cfg)[24:])
+
+    @pytest.mark.parametrize("strategy", IMPUTATION_ABLATION_STRATEGIES)
+    def test_scenario2_trains_on_the_fill_the_baseline_lags_on(self, strategy):
+        # the sparse actuals are filled once: the fusion targets are the
+        # baseline's lag source from hour 24 on, byte for byte
+        cfg = tiny_config(2, imputation=strategy)
+        stages = harness._Stages()
+        fixture = stages.fixture(cfg)
+        _, lag_source, _ = stages._fit_args(cfg)
+        assert fixture.label_truth.values.tobytes() == lag_source.values[24:].tobytes()
+        assert fixture.label_truth.present.all()
+        kept = sparsity_mask(cfg)
+        truth = stages.world(cfg.seed, cfg.year_hours).truth
+        assert lag_source.values[kept].tobytes() == truth.values[kept].tobytes()
 
 
 # The harness names behind the expensive stages, counted per run_all call.
-_COUNTED = ("train", "train_baseline_forecaster", "make_weather", "simulate_physics", "make_truth", "version_stamp")
+_COUNTED = ("train", "train_baseline_forecaster", "make_weather", "simulate_physics", "make_truth", "version_stamp", "impute")
 
 
 @pytest.fixture(scope="module")
 def counted_runs(tmp_path_factory):
     """run_all(seed 7, fast) twice in one process on the in-process path,
-    counting the calls each run makes to the names in _COUNTED and to the
-    fusion model's ``adam_step``; returns (first out dir, [(exit code,
+    counting the calls each run makes to the names in _COUNTED, to
+    ``impute`` in ``pipeline`` as well (one count with the harness's) and
+    to the fusion model's ``adam_step``; returns (first out dir, [(exit code,
     counts) per run], [fusion updates per run])."""
     root = tmp_path_factory.mktemp("runall")
     calls: dict[str, int] = {}
     runs, fusion_updates = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "usable_cpus", lambda: 1)
-        for module, name in [(harness, name) for name in _COUNTED] + [(model, "adam_step")]:
+        for module, name in [(harness, name) for name in _COUNTED] + [(pipeline, "impute"), (model, "adam_step")]:
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
@@ -334,7 +378,8 @@ class TestRunAll:
     def test_each_stage_computed_once_per_run(self, counted_runs):
         # 5 scenarios + memory-less scenario 1 + nearest-neighbour and
         # historical-averaging scenario 2 = 8 trainings; one baseline fit per
-        # lag source (full truth, and sparse truth under 3 imputations).  The
+        # lag source (full truth, and sparse truth under 3 imputations); one
+        # fill per imputation, which the fit and the trainings share.  The
         # second run repeats every count, so nothing outlives a run.
         _, runs, _ = counted_runs
         expected = {
@@ -344,6 +389,7 @@ class TestRunAll:
             "simulate_physics": 1,
             "make_truth": 1,
             "version_stamp": 1,
+            "impute": 3,
         }
         assert runs == [(0, expected), (0, expected)]
 

@@ -45,9 +45,9 @@ def init_with_memory(dims, seed):
 
 
 def sample_batch(dl, ep, target=0.0, dl_mask=1, ep_mask=1):
-    """A SampleBatch of measured targets from columns; a scalar applies to
-    every row, so scalars alone make one row."""
-    return SampleBatch(*np.broadcast_arrays(*map(np.atleast_1d, (dl, dl_mask, ep, ep_mask, target, True))))
+    """A SampleBatch from columns; a scalar applies to every row, so
+    scalars alone make one row."""
+    return SampleBatch(*np.broadcast_arrays(*map(np.atleast_1d, (dl, dl_mask, ep, ep_mask, target))))
 
 
 def random_batch(rng, n=1, masks=(1, 1)):
@@ -906,7 +906,7 @@ class TestPredictEmptyBatch:
     def test_zero_rows_give_an_empty_float64_array(self, memory_enabled):
         # the general path, with no early return: a 0-row workspace
         p = M.init_params(M.FusionDims(2, 3, 2, memory_enabled=memory_enabled), 1)
-        yhat = M.predict(SampleBatch([], [], [], [], [], []), p)
+        yhat = M.predict(SampleBatch([], [], [], [], []), p)
         assert yhat.dtype == np.float64 and yhat.shape == (0,)
 
 

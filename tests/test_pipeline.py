@@ -368,7 +368,6 @@ class TestAssembleSamples:
         samples = assemble_samples(dl, ep, truth, scenario_ns())
         assert np.all((samples.dl_mask == 1) & (samples.ep_mask == 1))
         assert np.all(samples.target == truth.values)
-        assert np.all(samples.observed)
 
     def test_scenario4_dl_zeroed(self):
         dl, ep, truth = self._series_triple()
@@ -379,11 +378,10 @@ class TestAssembleSamples:
         dl, ep, truth = self._series_triple()
         samples = assemble_samples(None, ep, truth, scenario_ns(dl_available=False, truth_mode="absent"))
         assert np.all(samples.target == ep.values)
-        assert not np.any(samples.observed)
 
     def test_scenario3_target_stats_are_physics_stats(self):
-        # no row is observed, so the target statistics fall back to all
-        # rows' targets, which are the physics values
+        # every row's target is its physics value, and the target
+        # statistics are fitted over every row
         dl, ep, truth = self._series_triple()
         samples = assemble_samples(None, ep, truth, scenario_ns(dl_available=False, truth_mode="absent"))
         stats = fit_norm_stats(samples)
@@ -395,16 +393,19 @@ class TestAssembleSamples:
         samples = assemble_samples(dl, ep, truth, scenario_ns(ep_available=False))
         assert np.all((samples.ep == 0.0) & (samples.ep_mask == 0) & (samples.dl_mask == 1))
 
-    def test_sparse_truth_imputed_and_flagged(self):
+    @pytest.mark.parametrize("truth_mode", ["full", "sparse"])
+    def test_gappy_truth_rejected(self, truth_mode):
+        # the harness fills sparse actuals once, before assembly; a gap
+        # that reaches assemble_samples is an error, not a second fill
         dl, ep, truth = self._series_triple()
-        vals = truth.values.copy()
-        present = np.ones(len(vals), dtype=bool)
+        present = np.ones(truth.n, dtype=bool)
         present[3] = False
-        sparse = EnergySeries(truth.timestamps, vals, present)
-        samples = assemble_samples(dl, ep, sparse, scenario_ns(truth_mode="sparse"))
-        assert samples.target[3] == pytest.approx((vals[2] + vals[4]) / 2)
-        assert not samples.observed[3]
-        assert samples.observed[2]
+        sparse = EnergySeries(truth.timestamps, truth.values.copy(), present)
+        with pytest.raises(ValueError, match=r"^truth: step 3 is missing"):
+            assemble_samples(dl, ep, sparse, scenario_ns(truth_mode=truth_mode))
+        # scenario 3 trains on the physics values and reads no actuals
+        samples = assemble_samples(dl, ep, sparse, scenario_ns(truth_mode="absent"))
+        assert samples.target.tobytes() == ep.values.tobytes()
 
     def test_partial_dl_gap_keeps_mask_zero_with_standin(self):
         dl, ep, truth = self._series_triple()
@@ -458,9 +459,9 @@ class TestAssembleSamples:
             assemble_samples(dl, ep, shifted, scenario_ns())
 
 
-def batch_of(dl, ep, target, dl_mask=1, ep_mask=1, observed=True):
+def batch_of(dl, ep, target, dl_mask=1, ep_mask=1):
     """A SampleBatch from columns; a scalar applies to every row."""
-    return SampleBatch(*np.broadcast_arrays(*map(np.atleast_1d, (dl, dl_mask, ep, ep_mask, target, observed))))
+    return SampleBatch(*np.broadcast_arrays(*map(np.atleast_1d, (dl, dl_mask, ep, ep_mask, target))))
 
 
 class TestNormStats:
@@ -500,13 +501,11 @@ class TestNormStats:
         stats = fit_norm_stats(batch_of([100.0, 0.0], [1.0, 3.0], [1.0, 3.0], dl_mask=[1, 0]))
         assert stats.dl_mean == 100.0
 
-    def test_unobserved_targets_excluded(self):
-        stats = fit_norm_stats(batch_of([1.0, 1.0], 1.0, [10.0, 9999.0], observed=[True, False]))
-        assert stats.y_mean == 10.0
-
-    def test_proxy_only_targets_fall_back(self):
-        stats = fit_norm_stats(batch_of(0.0, [2.0, 4.0], [2.0, 4.0], dl_mask=0, observed=False))
-        assert stats.y_mean == 3.0
+    def test_every_target_counts(self):
+        # the model trains on every row's target, filled ones included, so
+        # the target statistics see them all
+        stats = fit_norm_stats(batch_of([1.0, 1.0], 1.0, [10.0, 9999.0]))
+        assert (stats.y_mean, stats.y_std) == (5004.5, 4994.5)
 
     def test_all_missing_channel_keeps_zero_standins(self):
         samples = batch_of(0.0, [5.0, 9.0], [5.0, 9.0], dl_mask=0)
@@ -542,7 +541,6 @@ class Row:
     ep: float
     ep_mask: int
     target: float
-    target_observed: bool = True
 
 
 def _reference_assemble_samples(dl_forecast, ep_forecast, truth, scenario) -> list[Row]:
@@ -564,13 +562,9 @@ def _reference_assemble_samples(dl_forecast, ep_forecast, truth, scenario) -> li
 
     if scenario.truth_mode == "absent":
         targets = ep_vals
-        observed = np.zeros(n, dtype=bool)
     else:
-        if np.all(truth.present):
-            targets = truth.values
-        else:
-            targets = impute(truth, scenario.imputation).values
-        observed = truth.present.copy()
+        assert np.all(truth.present)
+        targets = truth.values
 
     return [
         Row(
@@ -579,7 +573,6 @@ def _reference_assemble_samples(dl_forecast, ep_forecast, truth, scenario) -> li
             ep=float(ep_vals[i]),
             ep_mask=int(ep_mask[i]),
             target=float(targets[i]),
-            target_observed=bool(observed[i]),
         )
         for i in range(n)
     ]
@@ -597,10 +590,7 @@ def _reference_fit_norm_stats(train_samples) -> NormStats:
         raise ValueError("cannot fit normalization statistics on an empty split")
     dl_mean, dl_std = _reference_channel_stats([s.dl for s in train_samples if s.dl_mask == 1])
     ep_mean, ep_std = _reference_channel_stats([s.ep for s in train_samples if s.ep_mask == 1])
-    observed = [s.target for s in train_samples if s.target_observed]
-    if not observed:
-        observed = [s.target for s in train_samples]
-    y_mean, y_std = _reference_channel_stats(observed)
+    y_mean, y_std = _reference_channel_stats([s.target for s in train_samples])
     return NormStats(dl_mean, dl_std, ep_mean, ep_std, y_mean, y_std)
 
 
@@ -624,7 +614,6 @@ def assert_batch_bits_equal_rows(batch, rows):
         "ep": ([s.ep for s in rows], np.float64),
         "ep_mask": ([s.ep_mask for s in rows], np.int64),
         "target": ([s.target for s in rows], np.float64),
-        "observed": ([s.target_observed for s in rows], bool),
     }
     assert len(batch) == len(rows)
     for name, (values, dtype) in expected.items():
@@ -645,7 +634,7 @@ def _gappy(series, rng, k):
 class TestColumnarMatchesListReference:
     N = 240
 
-    def _streams(self, rng, dl_gaps, ep_gaps, truth_kind):
+    def _streams(self, rng, dl_gaps, ep_gaps, truth_kind, imputation="linear_interpolation"):
         ts = hourly_range("2021-06-01T00", self.N)
         dl = EnergySeries.full(ts, 80.0 + 15.0 * rng.standard_normal(self.N))
         ep = EnergySeries.full(ts, 60.0 + 10.0 * rng.standard_normal(self.N))
@@ -655,7 +644,8 @@ class TestColumnarMatchesListReference:
         if ep_gaps:
             ep = _gappy(ep, rng, 25)
         if truth_kind == "sparse":
-            truth = apply_sparsity(truth, 0.2, int(rng.integers(1000)))
+            # sparse actuals reach assembly filled, as the harness fills them
+            truth = impute(apply_sparsity(truth, 0.2, int(rng.integers(1000))), imputation)
         elif truth_kind == "absent":
             truth = EnergySeries(ts, np.full(self.N, np.nan), np.zeros(self.N, dtype=bool))
         return dl, ep, truth
@@ -683,7 +673,7 @@ class TestColumnarMatchesListReference:
 
     @pytest.mark.parametrize("imputation", IMPUTATION_KINDS)
     def test_sparse_truth_under_every_imputation(self, imputation):
-        dl, ep, truth = self._streams(np.random.default_rng(77), True, True, "sparse")
+        dl, ep, truth = self._streams(np.random.default_rng(77), True, True, "sparse", imputation)
         self._check(dl, ep, truth, scenario_ns(truth_mode="sparse", imputation=imputation))
 
     @pytest.mark.parametrize("dl_available,ep_available", [(True, True), (False, True), (True, False)])
@@ -696,7 +686,7 @@ class TestSampleBatchBoundaries:
     def columns(self, **changes):
         cols = dict(
             dl=[0.5, 1.0, 1.5], dl_mask=[1, 0, 1], ep=[2.0, 2.5, 3.0], ep_mask=[1, 1, 0],
-            target=[4.0, 5.0, 6.0], observed=[True, True, False],
+            target=[4.0, 5.0, 6.0],
         )
         cols.update(changes)
         return cols
@@ -704,7 +694,7 @@ class TestSampleBatchBoundaries:
     def test_valid_columns_accepted(self):
         batch = SampleBatch(**self.columns())
         assert len(batch) == 3
-        assert batch.dl_mask.dtype == np.int64 and batch.observed.dtype == bool
+        assert batch.dl_mask.dtype == np.int64 and batch.target.dtype == np.float64
 
     @pytest.mark.parametrize(
         "column,values",
@@ -732,12 +722,14 @@ class TestSampleBatchBoundaries:
         with pytest.raises(ValueError, match="equal length"):
             SampleBatch(**cols)
 
-    def test_six_columns_and_no_proxy_flag(self):
-        # every target is a training target; rows without actuals carry the
-        # physics value with observed = False
-        assert SampleBatch.COLUMNS == ("dl", "dl_mask", "ep", "ep_mask", "target", "observed")
-        with pytest.raises(TypeError):
-            SampleBatch(**self.columns(), proxy=[False, False, True])
+    def test_five_columns_and_no_target_flag(self):
+        # every target is a training target, whether a measured actual, a
+        # filled one or the physics value standing in for absent actuals;
+        # no column says which
+        assert SampleBatch.COLUMNS == ("dl", "dl_mask", "ep", "ep_mask", "target")
+        for flag in ("observed", "proxy"):
+            with pytest.raises(TypeError):
+                SampleBatch(**self.columns(), **{flag: [False, False, True]})
         assert not hasattr(SampleBatch(**self.columns()), "resolved_targets")
 
     def test_slices_are_batches_and_rows_are_not_indexable(self):

@@ -12,10 +12,9 @@ from fusecast.pipeline import SampleBatch, SplitSpec, split_samples
 
 
 def measured(dl, ep, target):
-    """A SampleBatch of the given columns, both streams present and every
-    target a measured one."""
+    """A SampleBatch of the given columns, both streams present."""
     n = len(dl)
-    return SampleBatch(dl, np.ones(n, np.int64), ep, np.ones(n, np.int64), target, np.ones(n, bool))
+    return SampleBatch(dl, np.ones(n, np.int64), ep, np.ones(n, np.int64), target)
 
 
 def make_dataset(rng, n=80):
@@ -196,20 +195,6 @@ class TestDeterminismAndFailure:
         assert np.isfinite(M.predict(batch, p)).all()
         with pytest.raises(M.TrainingDiverged, match=r"epoch 0: non-finite gradient"):
             M.train(batch, p, M.TrainConfig(eta=1e-3, max_epochs=1), None)
-
-    def test_unobserved_targets_train_like_observed_ones(self):
-        # scenario-3 rows hold the physics value as target with observed =
-        # False; training reads the target and never the flag
-        rng = np.random.default_rng(13)
-        dl, ep = rng.standard_normal(30), rng.standard_normal(30)
-        n = len(dl)
-        ones = np.ones(n, np.int64)
-        batches = [SampleBatch(dl, ones, ep, ones, ep, np.full(n, flag)) for flag in (True, False)]
-        p = M.init_params(M.FusionDims(4, 2, 4), 2)
-        cfg = M.TrainConfig(eta=1e-2, max_epochs=8, batch_size=8, early_stop_patience=8, seed=3)
-        (a, hist_a), (b, hist_b) = (M.train(batch, p, cfg, None) for batch in batches)
-        assert np.array_equal(np.array(hist_a), np.array(hist_b), equal_nan=True)
-        assert a.vector.tobytes() == b.vector.tobytes()
 
     def test_optimizer_is_not_configurable(self):
         # training is Adam only
