@@ -40,8 +40,9 @@ the calling thread runs the data stream, when the process may use a
 second CPU and is not a multiprocessing child (a pool's workers already
 fill the CPUs).  Both ways give the same bits (with OpenBLAS at one
 thread, as the CLI and the pool workers set it), and the helper lives
-only as long as the train call that made it.  Validation passes and
-predict always run on the calling thread.
+only as long as the train call that made it.  A validation split with no
+more rows than an update runs in the update's workspace, so on its helper
+too; a larger one and predict run on the calling thread.
 """
 
 from __future__ import annotations
@@ -224,7 +225,8 @@ class _Workspace:
     call.  The layer body of stream ``s`` touches only its blocks ``[s]``.
     Its ``helper``, when ``train`` sets one, is the one-worker executor
     that runs the physics stream (``s = 1``) of every kernel call on it
-    (see ``_on_streams``); only a large training's update workspace has one.
+    (see ``_on_streams``), validation passes included; only a large
+    training's update workspace has one.
 
     The float buffers are blocks of one float64 allocation, and the bool
     ReLU masks of one bool allocation.
@@ -410,26 +412,36 @@ def train(
     improvement and restores the best-validation parameters.  History rows
     are (train MSE, validation MSE); validation is NaN when no validation
     split is given.
-    The kernel runs in one workspace sized for an update and, for
-    validation, one forward-only workspace.  When an update has
-    ``_SPLIT_ROWS`` rows or more and ``_second_cpu()`` holds, every update
-    (the ragged last minibatch too) runs the physics stream on a helper
-    thread that is joined before this returns (see ``_on_streams``).
+    The kernel runs in one workspace sized for an update.  Validation runs
+    in it too when the validation split has no more rows than an update,
+    as in a full-batch training of the harness, and otherwise in a
+    forward-only workspace of its own.  When an update has ``_SPLIT_ROWS``
+    rows or more and ``_second_cpu()`` holds, every kernel call in the
+    update workspace (the ragged last minibatch and validation too) runs
+    the physics stream on a helper thread that is joined before this
+    returns (see ``_on_streams``).
     """
     n = len(dataset)
     if not n:
         raise ValueError("empty training dataset")
     y = dataset.target
     has_val = validation is not None and len(validation) > 0
-    if has_val:
-        ws_val = _Workspace(params.dims, len(validation), backward=False)
-        x_val, y_val = _fill_inputs(validation, ws_val.x), validation.target
 
     params = params.copy()
     grads = FusionParams(params.dims)
     adam_state = AdamState.init(params.vector, eta=cfg.eta)
     rows = n if cfg.batch_size is None else min(cfg.batch_size, n)
     ws = _Workspace(params.dims, rows)
+    if has_val:
+        # Validation no larger than an update runs in the update's buffers,
+        # which are dead between updates, from inputs of its own (ws.x holds
+        # a full-batch training's inputs).  A larger one gets its own
+        # workspace: grown to fit it, the update workspace would make the
+        # updates slower.
+        fits = len(validation) <= rows
+        ws_val = ws if fits else _Workspace(params.dims, len(validation), backward=False)
+        x_val = _fill_inputs(validation, np.empty((2, len(validation), 2)) if fits else ws_val.x)
+        y_val = validation.target
     helper = nullcontext()
     if rows >= _SPLIT_ROWS and _second_cpu():
         # imported here, since importing it costs 0.6 MB in every process

@@ -16,12 +16,13 @@ data-driven source; forecast_dl rolls it out day-ahead.
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numkit import AdamState, adam_step, block_views, check_real, draw_uniform, empty_blocks, fit_epochs
+from .numkit import AdamState, adam_step, block_views, check_count, check_real, draw_uniform, empty_blocks, fit_epochs
 from .pipeline import (
     _HOUR, N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range, read_key_values,
 )
@@ -164,7 +165,12 @@ def make_weather(
     """Synthetic typical-year weather: a seasonal plus a diurnal sinusoid and
     seeded smooth (AR(1)) noise.  With noise_amp_c=0 the values are exactly
     the analytic double sinusoid; the coldest hour falls on a mid-January
-    night and the warmest on a mid-July afternoon."""
+    night and the warmest on a mid-July afternoon.  ``year_hours`` must be
+    an integer >= 1 and ``noise_amp_c`` a finite real >= 0."""
+    check_count("year_hours", year_hours)
+    check_real("noise_amp_c", noise_amp_c)
+    if noise_amp_c < 0:
+        raise ValueError(f"noise_amp_c must be non-negative, got {noise_amp_c!r}")
     timestamps = hourly_range(start, year_hours)
     h = np.arange(year_hours)
     hod = h % 24
@@ -175,11 +181,17 @@ def make_weather(
         rng = np.random.default_rng(seed)
         eps = rng.standard_normal(year_hours)
         phi = 0.97
-        ar = np.empty(year_hours)
-        ar[0] = eps[0]
-        for t in range(1, year_hours):
-            ar[t] = phi * ar[t - 1] + np.sqrt(1.0 - phi * phi) * eps[t]
-        temp = temp + noise_amp_c * ar
+        scale = math.sqrt(1.0 - phi * phi)
+        # The steps run on Python floats, which round like numpy scalars
+        # without their per-operation overhead; a memoryview yields them
+        # one by one and an array.array stores them unboxed, so no list of
+        # float objects is held.
+        prev = float(eps[0])
+        ar = array.array("d", [prev])
+        for e in memoryview(eps)[1:]:
+            prev = phi * prev + scale * e
+            ar.append(prev)
+        temp = temp + noise_amp_c * np.frombuffer(ar)
 
     day_shape = np.maximum(np.sin(np.pi * (hod - 6) / 12.0), 0.0)
     season_level = 0.55 - 0.45 * np.cos(2.0 * np.pi * (h - COLDEST_HOUR) / 8760.0)
@@ -205,17 +217,19 @@ def simulate_physics(
     c_per_dt = params.capacitance_j_per_k / DT_S
     dt_per_c = DT_S / params.capacitance_j_per_k
     area = params.floor_area_m2
-    base_gain = params.occupants * OCCUPANT_HEAT_W + params.equipment_w_per_m2 * area
+    equipment_w = params.equipment_w_per_m2 * area
+    base_gain = params.occupants * OCCUPANT_HEAT_W + equipment_w
     solar_gain = SOLAR_APERTURE_FRAC * area * weather.solar_w_per_m2
 
-    energy = np.empty(n)
+    energy = array.array("d")
     t_in = 0.5 * (params.heat_setpoint_c + params.cool_setpoint_c) if t_init_c is None else float(t_init_c)
-    for t in range(n):
-        occupied = occ[t] >= 0.5
+    # Python floats, unboxed one step at a time, as in make_weather
+    for occ_t, temp_t, solar_t in zip(memoryview(occ), memoryview(weather.temp_c), memoryview(solar_gain)):
+        occupied = occ_t >= 0.5
         heat_sp = params.heat_setpoint_c if occupied else params.heat_setback_c
         cool_sp = params.cool_setpoint_c if occupied else params.cool_setback_c
-        q_int = occ[t] * base_gain + solar_gain[t]
-        passive = ua * (weather.temp_c[t] - t_in) + q_int
+        q_int = occ_t * base_gain + solar_t
+        passive = ua * (temp_t - t_in) + q_int
         t_free = t_in + dt_per_c * passive
         if t_free < heat_sp:
             q_hvac = c_per_dt * (heat_sp - t_in) - passive
@@ -226,9 +240,10 @@ def simulate_physics(
         else:
             q_hvac = 0.0
             t_next = t_free
-        electric_w = abs(q_hvac) / params.hvac_efficiency + params.equipment_w_per_m2 * area * occ[t]
-        energy[t] = electric_w / 1000.0
+        electric_w = abs(q_hvac) / params.hvac_efficiency + equipment_w * occ_t
+        energy.append(electric_w / 1000.0)
         t_in = t_next
+    energy = np.frombuffer(energy)
     if np.any(energy < 0):
         raise ValueError("physics surrogate produced negative energy")
     return EnergySeries.full(weather.timestamps, energy)

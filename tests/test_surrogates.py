@@ -95,7 +95,66 @@ class TestBuildingParams:
             load_building_params(path)
 
 
+def _reference_simulate_physics(params, weather, schedule, t_init_c=None):
+    """simulate_physics' RC loop as first written: one step per hour,
+    indexing numpy arrays and computing on numpy scalars."""
+    n = weather.n
+    occ = schedule.at(weather.timestamps)
+    ua = params.ua_effective
+    c_per_dt = params.capacitance_j_per_k / 3600.0
+    dt_per_c = 3600.0 / params.capacitance_j_per_k
+    area = params.floor_area_m2
+    base_gain = params.occupants * 100.0 + params.equipment_w_per_m2 * area
+    solar_gain = 0.05 * area * weather.solar_w_per_m2
+    energy = np.empty(n)
+    t_in = 0.5 * (params.heat_setpoint_c + params.cool_setpoint_c) if t_init_c is None else float(t_init_c)
+    for t in range(n):
+        occupied = occ[t] >= 0.5
+        heat_sp = params.heat_setpoint_c if occupied else params.heat_setback_c
+        cool_sp = params.cool_setpoint_c if occupied else params.cool_setback_c
+        q_int = occ[t] * base_gain + solar_gain[t]
+        passive = ua * (weather.temp_c[t] - t_in) + q_int
+        t_free = t_in + dt_per_c * passive
+        if t_free < heat_sp:
+            q_hvac = c_per_dt * (heat_sp - t_in) - passive
+            t_next = heat_sp
+        elif t_free > cool_sp:
+            q_hvac = c_per_dt * (cool_sp - t_in) - passive
+            t_next = cool_sp
+        else:
+            q_hvac = 0.0
+            t_next = t_free
+        electric_w = abs(q_hvac) / params.hvac_efficiency + params.equipment_w_per_m2 * area * occ[t]
+        energy[t] = electric_w / 1000.0
+        t_in = t_next
+    return energy
+
+
+def _reference_ar_noise(year_hours, seed):
+    """make_weather's AR(1) noise as first written: one step per hour on
+    numpy scalars, the square root taken anew on every step."""
+    eps = np.random.default_rng(seed).standard_normal(year_hours)
+    phi = 0.97
+    ar = np.empty(year_hours)
+    ar[0] = eps[0]
+    for t in range(1, year_hours):
+        ar[t] = phi * ar[t - 1] + np.sqrt(1.0 - phi * phi) * eps[t]
+    return ar
+
+
 class TestSimulatePhysics:
+    @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (500, 3), (8760, 42)])
+    def test_matches_the_per_step_reference_byte_for_byte(self, n, seed):
+        weather = make_weather(n, seed=seed)
+        restless = OccupancySchedule(np.random.default_rng(seed).uniform(size=168))
+        buildings = [BuildingParams(), sealed_building(), sealed_building(ua_w_per_k=200.0, occupants=3, heat_setpoint_c=18)]
+        for building in buildings:
+            for schedule in (default_occupancy(), restless):
+                for t_init_c in (None, 5.0, 30.0):
+                    out = simulate_physics(building, weather, schedule, t_init_c)
+                    ref = _reference_simulate_physics(building, weather, schedule, t_init_c)
+                    assert out.values.tobytes() == ref.tobytes(), (building, t_init_c)
+
     def test_equilibrium_no_load_no_energy(self):
         # zone sits at the band midpoint with matching outdoor air and no gains
         b = sealed_building()
@@ -175,6 +234,27 @@ class TestMakeWeather:
         c = make_weather(300, seed=5)
         assert np.array_equal(a.temp_c, b.temp_c)
         assert not np.array_equal(a.temp_c, c.temp_c)
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (300, 4), (8760, 42)])
+    @pytest.mark.parametrize("amp", [1.5, 0.25])
+    def test_noise_matches_the_per_step_reference_byte_for_byte(self, n, seed, amp):
+        calm = make_weather(n, seed=seed, noise_amp_c=0.0).temp_c
+        expected = calm + amp * _reference_ar_noise(n, seed)
+        assert make_weather(n, seed=seed, noise_amp_c=amp).temp_c.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("year_hours", [0, -1, 2.5, True, np.float64(24.0), "24", None])
+    def test_year_hours_must_be_a_count(self, year_hours):
+        with pytest.raises(ValueError, match="year_hours"):
+            make_weather(year_hours)
+
+    @pytest.mark.parametrize("amp", [float("nan"), float("inf"), -1.0, -1e-300, True, "1.5", None])
+    def test_noise_amp_must_be_a_finite_non_negative_real(self, amp):
+        with pytest.raises(ValueError, match="noise_amp_c"):
+            make_weather(24, noise_amp_c=amp)
+
+    def test_integer_hours_and_amplitude_accepted(self):
+        a = make_weather(np.int64(48), seed=2, noise_amp_c=2)
+        assert a.temp_c.tobytes() == make_weather(48, seed=2, noise_amp_c=2.0).temp_c.tobytes()
 
     def test_solar_zero_at_night(self):
         w = make_weather(8760, seed=0)

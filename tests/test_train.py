@@ -460,6 +460,38 @@ class TestWorkspaceKernelOracle:
             assert grads.vector.tobytes() == ref_grads.vector.tobytes()
 
 
+def _workspaces_built(monkeypatch) -> list[tuple[int, bool]]:
+    """From now on, the (rows, backward) of every _Workspace built."""
+    built = []
+
+    class Spy(M._Workspace):
+        def __init__(self, dims, rows, backward=True):
+            built.append((rows, backward))
+            super().__init__(dims, rows, backward)
+
+    monkeypatch.setattr(M, "_Workspace", Spy)
+    return built
+
+
+class TestTrainWorkspaces:
+    @pytest.mark.parametrize("n_val", [11, 30])
+    def test_full_batch_training_builds_one_workspace(self, monkeypatch, n_val):
+        # a validation split no larger than an update runs in its buffers
+        built = _workspaces_built(monkeypatch)
+        rng = np.random.default_rng(381)
+        samples, val = make_dataset(rng, n=30), make_dataset(rng, n=n_val)
+        M.train(samples, M.init_params(M.FusionDims(3, 2, 3), 11), M.TrainConfig(max_epochs=2, early_stop_patience=2), val)
+        assert built == [(30, True)]
+
+    def test_validation_larger_than_a_minibatch_gets_a_forward_only_workspace(self, monkeypatch):
+        built = _workspaces_built(monkeypatch)
+        rng = np.random.default_rng(382)
+        samples, val = make_dataset(rng, n=24), make_dataset(rng, n=11)
+        cfg = M.TrainConfig(max_epochs=2, batch_size=8, early_stop_patience=2)
+        M.train(samples, M.init_params(M.FusionDims(3, 2, 3), 12), cfg, val)
+        assert sorted(built) == [(8, True), (11, False)]
+
+
 # ---------------------------------------------------------------------------
 # The two-thread path: forced on any machine by claiming a second CPU and
 # lowering the row threshold to one row.
@@ -652,13 +684,22 @@ class TestStreamSplit:
         M.predict(make_dataset(rng, n=40), M.init_params(M.FusionDims(3, 2, 3), 5))
         assert split_always == {"caller"}
 
-    def test_validation_runs_on_the_calling_thread(self, split_always, monkeypatch):
+    def test_full_batch_validation_splits_with_the_update(self, split_always, monkeypatch):
         threads = _forward_threads_by_rows(monkeypatch)
         rng = np.random.default_rng(376)
         samples, val = make_dataset(rng, n=30), make_dataset(rng, n=11)
         M.train(samples, M.init_params(M.FusionDims(3, 2, 3), 6), M.TrainConfig(max_epochs=3, early_stop_patience=3), val)
-        # a split pass runs one stream per thread on 30 rows
-        assert threads == {30: {"caller", "helper"}, 11: {"caller"}}
+        # validation runs in the update's workspace, so on its helper too
+        assert threads == {30: {"caller", "helper"}, 11: {"caller", "helper"}}
+
+    def test_validation_larger_than_a_minibatch_runs_on_the_calling_thread(self, split_always, monkeypatch):
+        monkeypatch.setattr(M, "_SPLIT_ROWS", 8)
+        threads = _forward_threads_by_rows(monkeypatch)
+        rng = np.random.default_rng(380)
+        samples, val = make_dataset(rng, n=24), make_dataset(rng, n=11)
+        cfg = M.TrainConfig(max_epochs=2, batch_size=8, early_stop_patience=2)
+        M.train(samples, M.init_params(M.FusionDims(3, 2, 3), 10), cfg, val)
+        assert threads == {8: {"caller", "helper"}, 11: {"caller"}}
 
     def test_minibatches_below_the_threshold_start_no_thread(self, split_always, monkeypatch):
         monkeypatch.setattr(M, "_SPLIT_ROWS", 16)
@@ -743,8 +784,11 @@ def _reference_train(dataset, params, cfg, validation):
 class TestFlatOptimizerOracle:
     @pytest.mark.parametrize(
         "batch_size,with_val",
-        [(16, True), (None, True), (7, False), (5, True), (None, False)],
-        ids=["minibatch-adam", "fullbatch-adam", "ragged-adam-noval", "small-batches-adam", "fullbatch-adam-noval"],
+        [(16, True), (None, True), (7, False), (5, True), (None, False), (32, True)],
+        ids=[
+            "minibatch-adam", "fullbatch-adam", "ragged-adam-noval", "small-batches-adam", "fullbatch-adam-noval",
+            "validation-in-the-minibatch-workspace-adam",
+        ],
     )
     def test_train_matches_per_tensor_reference_exactly(self, batch_size, with_val):
         rng = np.random.default_rng(20)
