@@ -211,7 +211,6 @@ def simulate_physics(
     Deterministic: the only randomness in the whole fixture lives in the
     weather and truth generators.
     """
-    n = weather.n
     occ = schedule.at(weather.timestamps)
     ua = params.ua_effective
     c_per_dt = params.capacitance_j_per_k / DT_S
