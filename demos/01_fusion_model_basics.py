@@ -26,19 +26,14 @@ def run_kernel(batch, params):
 
 
 # --- a tiny hand-checkable network -----------------------------------------
-# width 1 everywhere, all weights 1, all biases 0, memory 0
+# width 1 everywhere, all weights 1, all biases 0, memory 0.  FusionParams
+# starts at zero and names one block per layer; a layer's block stacks the
+# data stream (index 0) on the physics stream (index 1), so w[0] is W_dl.
 dims = M.FusionDims(embed_dim=1, memory_dim=1, hidden_dim=1)
-params = M.FusionParams(
-    dims=dims,
-    w_dl=np.ones((1, 2)), b_dl=np.zeros(1),
-    w_ep=np.ones((1, 2)), b_ep=np.zeros(1),
-    memory=np.zeros(1),
-    w_hid_dl=np.ones((1, 2)), b_hid_dl=np.zeros(1),
-    w_hid_ep=np.ones((1, 2)), b_hid_ep=np.zeros(1),
-    w_head_dl=np.ones(1), b_head_dl=0.0,
-    w_head_ep=np.ones(1), b_head_ep=0.0,
-    w_head_mem=np.ones(1), b_head_mem=0.0,
-)
+params = M.FusionParams(dims)
+for weight in (params.w, params.w_hid, params.w_head, params.w_head_mem):
+    weight[...] = 1.0
+print("blocks:", {name: getattr(params, name).shape for name in dims.blocks})
 ws = run_kernel(one_sample(1.0, 1.0, 3.0), params)
 d = dims.embed_dim
 print("hand-checkable forward pass (everything 1, memory 0):")
@@ -60,7 +55,12 @@ M._batch_backward(ws.x, s.target, p, ws, grads)
 
 
 def objective(arrays):
-    return float((s.target[0] - M.predict(s, M.FusionParams(p.dims, **dict(zip(M._TENSOR_FIELDS, arrays))))[0]) ** 2)
+    """The squared error of ``s`` under the tensors ``arrays``, in
+    ``flatten`` order."""
+    q = M.FusionParams(p.dims)
+    for view, a in zip(q.flatten(), arrays):
+        view[...] = a
+    return float((s.target[0] - M.predict(s, q)[0]) ** 2)
 
 
 numeric = finite_diff_grad(objective, p.flatten(), 1e-5)
@@ -72,6 +72,6 @@ print(f"backward pass vs central differences: worst relative error {worst:.2e}")
 
 # --- the offset head can leave the input interval ---------------------------
 p_high = M.init_params(M.FusionDims(4, 2, 4), seed=2)
-p_high.b_head_mem = 100.0
+p_high.b_head_mem[...] = 100.0
 print("\nwith a large offset bias the prediction escapes the inputs:")
 print(f"  inputs ({s.dl[0]}, {s.ep[0]}) -> yhat = {M.predict(s, p_high)[0]:.2f}")

@@ -122,6 +122,9 @@ def _default_train(seed: int) -> TrainConfig:
     )
 
 
+_SEEDED_TRAIN = object()  # ScenarioConfig's default train: _default_train(seed)
+
+
 def check_seed(seed) -> None:
     """Reject a master seed that is not a non-negative integer: every
     random stream is seeded with it plus a fixed offset."""
@@ -132,19 +135,23 @@ def check_seed(seed) -> None:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One scenario run: its id, which fixes the inputs and how truth is
-    degraded, then the sparsity, imputation, split, training and seed."""
+    degraded, then the sparsity, imputation, split, training and seed.
+    Without a ``train``, the training is the harness default for ``seed``
+    (``_default_train``), so the master seed reaches its shuffle too."""
 
     id: int
     sparse_frac: float = 0.2
     imputation: str = "linear_interpolation"
     split: SplitSpec = field(default_factory=SplitSpec)
-    train: TrainConfig = field(default_factory=TrainConfig)
+    train: TrainConfig = _SEEDED_TRAIN
     memory_unit_enabled: bool = True
     seed: int = DEFAULT_SEED
     year_hours: int = FULL_HOURS
 
     def __post_init__(self):
         check_seed(self.seed)
+        if self.train is _SEEDED_TRAIN:
+            object.__setattr__(self, "train", _default_train(self.seed))
         if isinstance(self.id, bool) or not isinstance(self.id, numbers.Integral) or self.id not in SCENARIO_METHODS:
             raise ConfigError(f"scenario id must be an integer in 1..5, got {self.id!r}")
         if self.imputation not in IMPUTATION_KINDS:
@@ -187,7 +194,7 @@ class ScenarioConfig:
 def scenario_config(scenario_id: int, seed: int = DEFAULT_SEED, fast: bool = False, **overrides) -> ScenarioConfig:
     """The canonical config for one of the five scenarios."""
     check_seed(seed)
-    kwargs = dict(seed=seed, year_hours=FAST_HOURS if fast else FULL_HOURS, train=_default_train(seed))
+    kwargs = dict(seed=seed, year_hours=FAST_HOURS if fast else FULL_HOURS)
     return ScenarioConfig(scenario_id, **{**kwargs, **overrides})
 
 

@@ -22,6 +22,8 @@ spanned by the two input forecasts whenever that lowers the loss.
 The two streams run the same layers with their own weights, so the flat
 parameter vector stores each data/physics tensor pair side by side as one
 ``(2, ...)`` block, and one batched matmul per layer serves both streams.
+FusionParams names only the blocks (``W_dl`` above is ``w[0]``); the
+per-stream names live on only in the checkpoint file.
 
 Gradients are hand-derived (see _batch_backward); numkit.finite_diff_grad
 is the independent oracle they are tested against.  One kernel computes
@@ -56,15 +58,12 @@ from pathlib import Path
 import numpy as np
 
 from .numkit import (
-    AdamState, ShapeMismatch, adam_step, block_views, check_count, check_real, draw_uniform, empty_blocks, fit_epochs, usable_cpus,
+    AdamState, ShapeMismatch, TrainingDiverged, adam_step, block_views, check_count, check_real, draw_uniform, empty_blocks,
+    fit_epochs, usable_cpus,
 )
 from .pipeline import NormStats, SampleBatch
 
 CHECKPOINT_TAG = "pgmn-ckpt-1"
-
-
-class TrainingDiverged(RuntimeError):
-    """Training produced a non-finite loss or gradient."""
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,8 @@ class FusionDims:
     @property
     def blocks(self) -> dict[str, tuple[int, ...]]:
         """Shape of every block of the flat parameter vector, in vector
-        order.  A ``_PAIRS`` block stacks a data-stream tensor (index 0) on
-        its physics-stream partner (index 1)."""
+        order.  A block with a leading axis of 2 stacks a data-stream tensor
+        (index 0) on its physics-stream partner (index 1)."""
         d, mw, dz = self.embed_dim, self.mem_width, self.hidden_dim
         return {
             "w": (2, d, 2), "b": (2, d),
@@ -109,6 +108,9 @@ class FusionDims:
         return sum(math.prod(shape) for shape in self.blocks.values())
 
 
+# The checkpoint's tensors in file order.  A ``_dl``/``_ep`` name is the
+# data/physics half of its stacked block: ``w_ep`` is ``w[1]``.
+_STREAM = {"dl": 0, "ep": 1}
 _TENSOR_FIELDS = (
     "w_dl", "b_dl", "w_ep", "b_ep", "memory",
     "w_hid_dl", "b_hid_dl", "w_hid_ep", "b_hid_ep",
@@ -116,54 +118,41 @@ _TENSOR_FIELDS = (
     "w_head_mem", "b_head_mem",
 )
 
-# The stacked (data, physics) blocks of the vector that the kernel reads.
-_PAIRS = ("w", "b", "w_hid", "b_hid", "w_head", "b_head")
-
 
 class FusionParams:
     """Every learnable tensor of the network, in one flat float64 ``vector``
-    (wrapped, not copied; zeros by default) that the given tensors, if any,
-    are written into.  The vector holds the blocks of ``FusionDims.blocks``
-    in that order; each pair block (``w``, ``b``, ``w_hid``, ``b_hid``,
-    ``w_head``, ``b_head``) is a ``(2, ...)`` view whose halves are the
-    ``_dl`` and ``_ep`` fields.  Each ``_TENSOR_FIELDS`` entry is a view
-    into the vector, shaped by FusionDims (head biases 0-d).  Assigning to a
-    field or to ``vector`` writes into the storage, so fields never drift
-    from it.  The pair blocks are views too, but not assignable fields."""
+    (wrapped, not copied; zeros by default).  Each ``FusionDims.blocks``
+    entry is an attribute of that name, a view into the vector; a stacked
+    block (``w``, ``b``, ``w_hid``, ``b_hid``, ``w_head``, ``b_head``) holds
+    the data stream at index 0 and the physics stream at index 1.  No name
+    can be rebound, so none drifts from the vector: write through the views,
+    e.g. ``p.memory[...] = m`` or ``p.w[1] = w_ep``."""
 
-    def __init__(self, dims: FusionDims, vector: np.ndarray | None = None, **tensors):
-        if tensors and set(tensors) != set(_TENSOR_FIELDS):
-            raise TypeError(f"FusionParams needs all of the tensors {_TENSOR_FIELDS}, got {sorted(tensors)}")
+    def __init__(self, dims: FusionDims, vector: np.ndarray | None = None):
         vector = np.zeros(dims.size) if vector is None else vector
         if vector.dtype != np.float64 or vector.shape != (dims.size,):
             raise ShapeMismatch(f"expected a float64 vector of length {dims.size}, got {vector.dtype} {vector.shape}")
-        blocks = dict(zip(dims.blocks, block_views(vector, dims.blocks.values())))
-        for pair in _PAIRS:
-            # [k, ...] keeps a 0-d half a view (a plain [k] would copy it)
-            blocks[pair + "_dl"], blocks[pair + "_ep"] = blocks[pair][0, ...], blocks[pair][1, ...]
+        blocks = zip(dims.blocks, block_views(vector, dims.blocks.values()))
         self.__dict__.update(blocks, dims=dims, vector=vector)
-        for name, value in tensors.items():
-            setattr(self, name, value)
 
     def __setattr__(self, name, value):
-        if name not in _TENSOR_FIELDS and name != "vector":
-            raise AttributeError(f"FusionParams has no assignable field {name!r}")
-        view = self.__dict__[name]
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.shape != view.shape:
-            raise ShapeMismatch(f"{name}: expected shape {view.shape}, got {arr.shape}")
-        view[...] = arr
+        raise AttributeError(f"FusionParams.{name} cannot be rebound; write into its view")
 
     def flatten(self) -> list[np.ndarray]:
-        """The fields in fixed order (scalars as 0-d), as views into ``vector``."""
-        return [self.__dict__[name] for name in _TENSOR_FIELDS]
+        """The ``_TENSOR_FIELDS`` tensors in that order (scalars as 0-d), as
+        views into ``vector``; ``[k, ...]`` keeps a 0-d half a view."""
+        views = []
+        for name in _TENSOR_FIELDS:
+            block, _, stream = name.rpartition("_")
+            views.append(getattr(self, block)[_STREAM[stream], ...] if stream in _STREAM else getattr(self, name))
+        return views
 
     def copy(self) -> "FusionParams":
         return FusionParams(self.dims, self.vector.copy())
 
     def __reduce__(self):
-        # Rebuild through __init__, so the unpickled fields are views into
-        # the unpickled vector again (the default would restore each field
+        # Rebuild through __init__, so the unpickled blocks are views into
+        # the unpickled vector again (the default would restore each block
         # as a separate array).
         return FusionParams, (self.dims, self.vector)
 
@@ -407,7 +396,8 @@ def train(
     Each epoch either accumulates gradients over the whole dataset and
     updates once (``batch_size=None``) or shuffles into minibatches.  An
     update whose summed loss or gradient is not finite raises
-    TrainingDiverged before it steps the parameters.  Early stopping
+    TrainingDiverged before it steps the parameters, as ``fit_epochs`` does
+    for a non-finite validation loss.  Early stopping
     triggers after ``early_stop_patience`` epochs without validation
     improvement and restores the best-validation parameters.  History rows
     are (train MSE, validation MSE); validation is NaN when no validation
@@ -477,13 +467,9 @@ def train(
     def validate(epoch: int) -> float:
         # the squared errors overwrite the predictions, which nothing reads again
         err = np.subtract(y_val, _batch_forward(x_val, params, ws_val), out=ws_val.yhat[: len(y_val)])
-        val_mse = float(np.mean(np.square(err, out=err)))
-        if not np.isfinite(val_mse):
-            raise TrainingDiverged(f"epoch {epoch}: non-finite validation loss")
-        return val_mse
+        return float(np.mean(np.square(err, out=err)))
 
-    # divergence is caught by the finiteness checks above, as in _batch_forward
-    with helper, np.errstate(over="ignore", invalid="ignore"):
+    with helper:
         best, history = fit_epochs(
             params.vector, n, update, validate if has_val else None,
             cfg.max_epochs, cfg.batch_size, cfg.early_stop_patience, np.random.default_rng(cfg.seed),

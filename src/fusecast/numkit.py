@@ -4,11 +4,12 @@ Plain functions over numpy arrays: views of a flat parameter vector as
 shaped tensors (and kernel workspaces carved the same way from one
 allocation), uniform weight initialisation, the in-place Adam update on
 one flat parameter vector and one flat gradient vector (a few vectorised
-ops per step), the epoch loop every trainer shares, a central-difference
-gradient oracle used to verify hand-derived backward passes, the count of
-CPUs the process may use (it sizes the harness's pool and lets a training
-split its streams over two threads), and the checks that a constructor's
-number field is a finite real or an integer count.
+ops per step), the epoch loop every trainer shares and its divergence
+check, a central-difference gradient oracle used to verify hand-derived
+backward passes, the count of CPUs the process may use (it sizes the
+harness's pool and lets a training split its streams over two threads),
+and the checks that a constructor's number field is a finite real or an
+integer count.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ import numpy as np
 
 class ShapeMismatch(ValueError):
     """Operand shapes are incompatible for the requested operation."""
+
+
+class TrainingDiverged(RuntimeError):
+    """Training produced a non-finite loss or gradient."""
 
 
 def check_real(name: str, value) -> None:
@@ -149,27 +154,35 @@ def fit_epochs(
     of a fresh ``rng`` permutation (once on all rows when ``batch_size`` is
     None); then ``validate(epoch)``, with early stopping after ``patience``
     stale epochs.  Returns a copy of the best (without ``validate``, the last)
-    vector and the (mean train loss, validation loss or NaN) history."""
+    vector and the (mean train loss, validation loss or NaN) history.
+
+    A validation loss that is not finite raises TrainingDiverged, as an
+    ``update`` must for a non-finite loss or gradient.  Divergence is caught
+    by these checks, so numpy's overflow and invalid-operation warnings are
+    off for the whole loop."""
     history: list[tuple[float, float]] = []
     best_val, best, stall = math.inf, vector.copy(), 0
-    for epoch in range(max_epochs):
-        if batch_size is None:
-            loss_sum = update(slice(None), epoch)
-        else:
-            perm = rng.permutation(n)
-            loss_sum = 0.0
-            for start in range(0, n, batch_size):
-                loss_sum += update(perm[start : start + batch_size], epoch)
-        val = validate(epoch) if validate is not None else math.nan
-        history.append((loss_sum / n, val))
-        if validate is None:
-            continue
-        if val < best_val:
-            best_val, best, stall = val, vector.copy(), 0
-        else:
-            stall += 1
-            if stall >= patience:
-                break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(max_epochs):
+            if batch_size is None:
+                loss_sum = update(slice(None), epoch)
+            else:
+                perm = rng.permutation(n)
+                loss_sum = 0.0
+                for start in range(0, n, batch_size):
+                    loss_sum += update(perm[start : start + batch_size], epoch)
+            val = validate(epoch) if validate is not None else math.nan
+            history.append((loss_sum / n, val))
+            if validate is None:
+                continue
+            if not math.isfinite(val):
+                raise TrainingDiverged(f"epoch {epoch}: non-finite validation loss")
+            if val < best_val:
+                best_val, best, stall = val, vector.copy(), 0
+            else:
+                stall += 1
+                if stall >= patience:
+                    break
     return (best if validate is not None else vector.copy()), history
 
 

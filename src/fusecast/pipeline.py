@@ -71,6 +71,9 @@ class EnergySeries:
         self.timestamps = np.asarray(self.timestamps).astype("datetime64[h]")
         self.values = np.array(self.values, dtype=np.float64)
         self.present = np.array(self.present, dtype=bool)
+        for name in ("timestamps", "values", "present"):
+            if getattr(self, name).ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {getattr(self, name).shape}")
         if not (len(self.timestamps) == len(self.values) == len(self.present)):
             raise ValueError("timestamps, values and present flags must have equal length")
         if len(self.timestamps) > 1:
@@ -110,9 +113,9 @@ N_FEATURES = 29
 class FeatureMatrix:
     """The baseline forecaster's inputs, one row per next-hour forecast.
 
-    ``values`` is a C-contiguous float64 (n, 29) matrix: the 24 preceding
-    hourly kWh values (oldest first), then outdoor temperature, day of
-    month, day of year, day of week (Monday = 0) and hour of day.
+    ``values`` is a finite, C-contiguous float64 (n, 29) matrix: the 24
+    preceding hourly kWh values (oldest first), then outdoor temperature,
+    day of month, day of year, day of week (Monday = 0) and hour of day.
     ``timestamps`` holds the contiguous hours the rows forecast.
     """
 
@@ -130,6 +133,8 @@ class FeatureMatrix:
             raise ValueError("feature matrix has no rows")
         if not np.all(np.diff(self.timestamps) == _HOUR):
             raise ValueError("feature timestamps must be contiguous at 1-hour spacing")
+        if not np.isfinite(self.values).all():
+            raise ValueError("feature values must be finite")
 
     def __len__(self) -> int:
         return len(self.values)

@@ -22,7 +22,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numkit import AdamState, adam_step, block_views, check_count, check_real, draw_uniform, empty_blocks, fit_epochs
+from .numkit import (
+    AdamState, TrainingDiverged, adam_step, block_views, check_count, check_real, draw_uniform, empty_blocks, fit_epochs,
+)
 from .pipeline import (
     _HOUR, N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range, read_key_values,
 )
@@ -109,6 +111,9 @@ class WeatherSeries:
         self.timestamps = np.asarray(self.timestamps).astype("datetime64[h]")
         self.temp_c = np.asarray(self.temp_c, dtype=np.float64)
         self.solar_w_per_m2 = np.asarray(self.solar_w_per_m2, dtype=np.float64)
+        for name in ("timestamps", "temp_c", "solar_w_per_m2"):
+            if getattr(self, name).ndim != 1:
+                raise ValueError(f"weather {name} must be 1-D, got shape {getattr(self, name).shape}")
         if not (len(self.timestamps) == len(self.temp_c) == len(self.solar_w_per_m2)):
             raise ValueError("weather arrays must have equal length")
         if not np.all(np.diff(self.timestamps) == _HOUR):
@@ -354,7 +359,8 @@ def train_baseline_forecaster(
 ) -> BaselineForecaster:
     """Fit the baseline on the training split only (z-scored inputs/targets,
     Adam on mean squared error, early stopping on the validation split).
-    Each row's target is the ``truth`` value at its timestamp."""
+    Each row's target is the ``truth`` value at its timestamp.  A
+    non-finite gradient or validation loss raises TrainingDiverged."""
     n = len(features)
     start = int((features.timestamps[0] - truth.timestamps[0]).astype(np.int64))
     if start < 0 or start + n > truth.n:
@@ -416,6 +422,9 @@ def train_baseline_forecaster(
         da1 *= np.greater(a1, 0, out=ws.on1[:m])
         np.matmul(da1.T, xb, out=g[0])
         np.add.reduce(da1, axis=0, out=g[1])
+        # an overflowed gradient would write inf or NaN into the weights
+        if not np.isfinite(grads).all():
+            raise TrainingDiverged(f"epoch {epoch}: non-finite baseline gradient")
         adam_step(weights, grads, state)
         return 0.0  # no training-loss history is kept
 

@@ -41,7 +41,10 @@ MASTER_SEED = 42
 
 def _params_of(dims, arrays):
     """The FusionParams holding ``arrays`` in ``flatten`` order."""
-    return M.FusionParams(dims, **dict(zip(M._TENSOR_FIELDS, arrays)))
+    p = M.FusionParams(dims)
+    for view, a in zip(p.flatten(), arrays, strict=True):
+        view[...] = a
+    return p
 
 
 def _batch(dl, ep, target, dl_mask=1, ep_mask=1):

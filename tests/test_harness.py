@@ -59,6 +59,16 @@ class TestScenarioConfig:
         assert scenario_config(2).truth_mode == "sparse"
         assert scenario_config(3).truth_mode == "absent"
 
+    @pytest.mark.parametrize("seed", [0, 7, 42, 1000])
+    def test_default_training_derives_from_the_master_seed(self, seed):
+        # ScenarioConfig(1, seed=7) used to train with TrainConfig(): seed
+        # 0 whatever the master seed, 2,000 full-batch epochs
+        for sid in (1, 2, 5):
+            cfg = ScenarioConfig(sid, seed=seed)
+            assert cfg == scenario_config(sid, seed=seed)
+            assert cfg.train.seed == seed + harness.SEED_TRAIN and cfg.train.batch_size == 128
+        assert replace(ScenarioConfig(3, seed=seed), id=4) == scenario_config(4, seed=seed)
+
     def test_id_inconsistent_flags_rejected(self, tmp_path):
         # the streams and the truth mode follow from the id: they are
         # read-only properties, not settable fields or file keys
@@ -451,7 +461,7 @@ class TestRunAll:
     def test_training_summary_counts_updates_per_batch_mode(self):
         cfg = scenario_config(1, fast=True)
         params = model.init_params(harness.DEFAULT_DIMS, 0)
-        params.memory = np.linspace(-0.25, 0.25, params.memory.size)
+        params.memory[...] = np.linspace(-0.25, 0.25, params.memory.size)
         history = [(1.0, 3.0), (0.5, 2.0), (0.4, 2.0), (0.3, 2.5)]
         n_train, i_test = cfg.split.boundaries(1000)
         trained = harness.TrainedModel(params, None, history, np.zeros(1000 - i_test), n_train, i_test)

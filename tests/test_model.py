@@ -8,28 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusecast import model as M
-from fusecast.numkit import AdamState, ShapeMismatch, adam_step, finite_diff_grad
+from fusecast.numkit import AdamState, adam_step, finite_diff_grad
 from fusecast.pipeline import NormStats, SampleBatch
 
 
 def manual_params(dims, fill=1.0, memory=None):
-    d, mw, dz = dims.embed_dim, dims.mem_width, dims.hidden_dim
-    return M.FusionParams(
-        dims=dims,
-        w_dl=np.full((d, 2), fill), b_dl=np.zeros(d),
-        w_ep=np.full((d, 2), fill), b_ep=np.zeros(d),
-        memory=np.zeros(mw) if memory is None else np.asarray(memory, dtype=float),
-        w_hid_dl=np.full((dz, d + mw), fill), b_hid_dl=np.zeros(dz),
-        w_hid_ep=np.full((dz, d + mw), fill), b_hid_ep=np.zeros(dz),
-        w_head_dl=np.full(dz, fill), b_head_dl=0.0,
-        w_head_ep=np.full(dz, fill), b_head_ep=0.0,
-        w_head_mem=np.full(mw, fill), b_head_mem=0.0,
-    )
+    """Every weight ``fill``, every bias zero, the memory ``memory`` (zeros
+    by default)."""
+    p = M.FusionParams(dims)
+    for weight in (p.w, p.w_hid, p.w_head, p.w_head_mem):
+        weight[...] = fill
+    if memory is not None:
+        p.memory[...] = memory
+    return p
 
 
 def params_of(dims, arrays):
     """The FusionParams holding ``arrays`` in ``flatten`` order."""
-    return M.FusionParams(dims, **dict(zip(M._TENSOR_FIELDS, arrays)))
+    p = M.FusionParams(dims)
+    for view, a in zip(p.flatten(), arrays, strict=True):
+        view[...] = a
+    return p
 
 
 def init_with_memory(dims, seed):
@@ -37,10 +36,9 @@ def init_with_memory(dims, seed):
     draws after the seven weight tensors."""
     p = M.init_params(dims, seed)
     rng = np.random.default_rng(seed)
-    weights = ("w_dl", "w_ep", "w_hid_dl", "w_hid_ep", "w_head_dl", "w_head_ep", "w_head_mem")
-    rng.uniform(size=sum(getattr(p, name).size for name in weights))  # init_params' draws
+    rng.uniform(size=sum(w.size for w in (p.w, p.w_hid, p.w_head, p.w_head_mem)))  # init_params' draws
     bound = np.sqrt(1.0 / max(dims.mem_width, 1))
-    p.memory = rng.uniform(-bound, bound, size=dims.mem_width)
+    p.memory[...] = rng.uniform(-bound, bound, size=dims.mem_width)
     return p
 
 
@@ -107,16 +105,16 @@ class TestInitParams:
 
     def test_hidden_mixer_shape(self):
         p = M.init_params(M.FusionDims(4, 2, 8), seed=0)
-        assert p.w_hid_dl.shape == (8, 6)
-        assert p.w_hid_ep.shape == (8, 6)
+        assert p.w_hid[0].shape == (8, 6)
+        assert p.w_hid[1].shape == (8, 6)
 
     def test_biases_zero_and_weight_bounds(self):
         dims = M.FusionDims(6, 4, 5)
         p = M.init_params(dims, seed=3)
-        assert np.all(p.b_dl == 0) and np.all(p.b_hid_ep == 0)
-        assert p.b_head_dl == 0.0 and p.b_head_mem == 0.0
-        assert np.all(np.abs(p.w_dl) <= np.sqrt(0.5))
-        assert np.all(np.abs(p.w_hid_dl) <= np.sqrt(1.0 / 10))
+        assert np.all(p.b[0] == 0) and np.all(p.b_hid[1] == 0)
+        assert p.b_head[0] == 0.0 and p.b_head_mem == 0.0
+        assert np.all(np.abs(p.w[0]) <= np.sqrt(0.5))
+        assert np.all(np.abs(p.w_hid[0]) <= np.sqrt(1.0 / 10))
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
@@ -144,22 +142,22 @@ class TestProjections:
     def test_hand_case_dl(self):
         dims = M.FusionDims(1, 1, 1)
         p = manual_params(dims)
-        p.w_dl = np.array([[1.0, -1.0]])
+        p.w[0] = np.array([[1.0, -1.0]])
         assert embeddings(p, dl=3.0)[0][0] == pytest.approx(2.0)
         assert embeddings(p, dl=0.0)[0][0] == 0.0  # relu clips -1
 
     def test_hand_case_ep(self):
         dims = M.FusionDims(1, 1, 1)
         p = manual_params(dims)
-        p.w_ep = np.array([[2.0, 0.0]])
-        p.b_ep = np.array([1.0])
+        p.w[1] = np.array([[2.0, 0.0]])
+        p.b[1] = np.array([1.0])
         assert embeddings(p, ep=2.0, ep_mask=0)[1][0] == pytest.approx(5.0)
 
     def test_mask_is_a_real_input_channel(self):
         dims = M.FusionDims(1, 1, 1)
         p = manual_params(dims)
-        p.w_ep = np.array([[0.0, 3.0]])
-        p.b_ep = np.array([0.0])
+        p.w[1] = np.array([[0.0, 3.0]])
+        p.b[1] = np.array([0.0])
         assert embeddings(p, ep=7.0, ep_mask=0)[1][0] == 0.0
         assert embeddings(p, ep=7.0, ep_mask=1)[1][0] == pytest.approx(3.0)
 
@@ -176,7 +174,7 @@ class TestReadMemory:
         dims = M.FusionDims(1, 2, 1)
         p = manual_params(dims, memory=[1.0, 1.0])
         grads = M.FusionParams(dims)
-        grads.memory = [2.0, -2.0]
+        grads.memory[...] = [2.0, -2.0]
         # a fresh Adam step moves each entry by eta against its gradient's sign
         adam_step(p.vector, grads.vector, AdamState.init(p.vector, eta=0.5))
         assert p.memory == pytest.approx([0.5, 1.5], rel=1e-8)
@@ -192,7 +190,7 @@ class TestForward:
     def test_constant_path_through_head_biases(self):
         dims = M.FusionDims(3, 2, 4)
         p = manual_params(dims, fill=0.0)
-        p.b_head_dl, p.b_head_ep, p.b_head_mem = 2.0, 3.0, -1.0
+        p.b_head[...], p.b_head_mem[...] = [2.0, 3.0], -1.0
         assert M.predict(sample_batch(9.0, 9.0), p)[0] == pytest.approx(4.0)
 
     def test_full_hand_trace(self):
@@ -228,7 +226,7 @@ class TestForward:
         # nonzero mask column: flipping the mask changes the embedding
         assert not np.array_equal(embeddings(p, dl=0.7, ep=0.1)[0], embeddings(p, dl=0.7, dl_mask=0, ep=0.1)[0])
         # zero mask column: the mask can never influence the output
-        p.w_dl[:, 1] = 0.0
+        p.w[0, :, 1] = 0.0
         for _ in range(20):
             s1 = random_batch(rng, masks=(1, 1))
             s0 = sample_batch(s1.dl, s1.ep, s1.target, dl_mask=0, ep_mask=s1.ep_mask)
@@ -261,8 +259,8 @@ class TestBackward:
             s = random_batch(rng)
             _, grads, ws = kernel_grads(s, p)
             expected = 2.0 * (ws.yhat[0] - s.target[0])
-            assert grads.b_head_dl == pytest.approx(expected, rel=1e-12)
-            assert grads.b_head_ep == pytest.approx(expected, rel=1e-12)
+            assert grads.b_head[0] == pytest.approx(expected, rel=1e-12)
+            assert grads.b_head[1] == pytest.approx(expected, rel=1e-12)
             assert grads.b_head_mem == pytest.approx(expected, rel=1e-12)
 
     def test_matches_finite_difference_oracle(self):
@@ -339,12 +337,12 @@ def fold_memory(p):
     joins the offset bias."""
     d = p.dims.embed_dim
     folded = M.FusionParams(replace(p.dims, memory_enabled=False))
-    for name in ("w_dl", "b_dl", "w_ep", "b_ep", "w_head_dl", "b_head_dl", "w_head_ep", "b_head_ep"):
-        setattr(folded, name, getattr(p, name))
-    folded.w_hid_dl, folded.w_hid_ep = p.w_hid_dl[:, :d], p.w_hid_ep[:, :d]
-    folded.b_hid_dl = p.b_hid_dl + p.w_hid_dl[:, d:] @ p.memory
-    folded.b_hid_ep = p.b_hid_ep + p.w_hid_ep[:, d:] @ p.memory
-    folded.b_head_mem = p.w_head_mem @ p.memory + p.b_head_mem
+    for name in ("w", "b", "w_head", "b_head"):
+        getattr(folded, name)[...] = getattr(p, name)
+    folded.w_hid[...] = p.w_hid[:, :, :d]
+    for s in (0, 1):
+        folded.b_hid[s] = p.b_hid[s] + p.w_hid[s, :, d:] @ p.memory
+    folded.b_head_mem[...] = p.w_head_mem @ p.memory + p.b_head_mem
     return folded
 
 
@@ -354,7 +352,7 @@ class TestMemoryAblation:
         p = M.init_params(dims, 1)
         assert p.memory.shape == (0,)
         assert p.w_head_mem.shape == (0,)
-        assert p.w_hid_dl.shape == (4, 4)
+        assert p.w_hid[0].shape == (4, 4)
 
     def test_ablated_forward_never_reads_memory(self):
         # equivalence: the full model with memory frozen at zero, offset head
@@ -364,25 +362,22 @@ class TestMemoryAblation:
         d, dm, dz = 4, 3, 5
         ablated = M.init_params(M.FusionDims(d, dm, dz, memory_enabled=False), seed=8)
         full = M.init_params(M.FusionDims(d, dm, dz, memory_enabled=True), seed=8)
-        full.w_dl, full.b_dl = ablated.w_dl.copy(), ablated.b_dl.copy()
-        full.w_ep, full.b_ep = ablated.w_ep.copy(), ablated.b_ep.copy()
-        full.w_hid_dl[:, :d] = ablated.w_hid_dl
-        full.w_hid_ep[:, :d] = ablated.w_hid_ep
-        full.w_hid_dl[:, d:] = rng.standard_normal((dz, dm))  # inert columns
-        full.w_hid_ep[:, d:] = rng.standard_normal((dz, dm))
-        full.b_hid_dl, full.b_hid_ep = ablated.b_hid_dl.copy(), ablated.b_hid_ep.copy()
-        full.w_head_dl, full.w_head_ep = ablated.w_head_dl.copy(), ablated.w_head_ep.copy()
-        full.b_head_dl, full.b_head_ep = ablated.b_head_dl, ablated.b_head_ep
-        full.w_head_mem = np.zeros(dm)
-        full.b_head_mem = ablated.b_head_mem
-        full.memory = np.zeros(dm)
+        full.w[...], full.b[...] = ablated.w, ablated.b
+        full.w_hid[:, :, :d] = ablated.w_hid
+        full.w_hid[0, :, d:] = rng.standard_normal((dz, dm))  # inert columns
+        full.w_hid[1, :, d:] = rng.standard_normal((dz, dm))
+        full.b_hid[...] = ablated.b_hid
+        full.w_head[...], full.b_head[...] = ablated.w_head, ablated.b_head
+        full.w_head_mem[...] = np.zeros(dm)
+        full.b_head_mem[...] = ablated.b_head_mem
+        full.memory[...] = np.zeros(dm)
         for _ in range(30):
             s = random_batch(rng)
             assert M.predict(s, ablated)[0] == pytest.approx(M.predict(s, full)[0], rel=1e-14)
 
     def test_ablated_offset_is_pure_bias(self):
         p = M.init_params(M.FusionDims(2, 2, 2, memory_enabled=False), seed=2)
-        p.b_head_mem = -3.25
+        p.b_head_mem[...] = -3.25
         assert run_kernel(sample_batch(0.3, 0.4), p).offset == -3.25
 
     def test_ablated_gradients_also_exact(self):
@@ -410,7 +405,7 @@ class TestMemoryAblation:
         np.testing.assert_allclose(M.predict(batch, folded), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         # the memory moves the predictions, so the agreement is not vacuous
         no_memory = p.copy()
-        no_memory.memory = np.zeros(p.dims.mem_width)
+        no_memory.memory[...] = np.zeros(p.dims.mem_width)
         assert np.abs(M.predict(batch, no_memory) - want).max() > 1e-3
 
     def test_memory_folds_into_biases_on_random_params(self):
@@ -439,30 +434,14 @@ class TestUnboundedOutput:
         dims = M.FusionDims(3, 2, 3)
         sample = sample_batch(0.4, 0.9)
         high = M.init_params(dims, 1)
-        high.b_head_mem = 1000.0
+        high.b_head_mem[...] = 1000.0
         low = M.init_params(dims, 1)
-        low.b_head_mem = -1000.0
+        low.b_head_mem[...] = -1000.0
         assert M.predict(sample, high)[0] > max(0.4, 0.9)
         assert M.predict(sample, low)[0] < min(0.4, 0.9)
 
 
 class TestShapes:
-    def test_wrong_shape_rejected(self):
-        dims = M.FusionDims(2, 2, 2)
-        good = manual_params(dims)
-        with pytest.raises(ShapeMismatch):
-            M.FusionParams(
-                dims=dims,
-                w_dl=np.zeros((3, 2)), b_dl=np.zeros(2), w_ep=np.zeros((2, 2)), b_ep=np.zeros(2),
-                memory=np.zeros(2),
-                w_hid_dl=np.zeros((2, 4)), b_hid_dl=np.zeros(2),
-                w_hid_ep=np.zeros((2, 4)), b_hid_ep=np.zeros(2),
-                w_head_dl=np.zeros(2), b_head_dl=0.0,
-                w_head_ep=np.zeros(2), b_head_ep=0.0,
-                w_head_mem=np.zeros(2), b_head_mem=0.0,
-            )
-        assert good.w_dl.shape == (2, 2)
-
     def test_flatten_round_trips_through_the_constructor(self):
         p = M.init_params(M.FusionDims(3, 2, 4), 5)
         q = params_of(p.dims, p.flatten())
@@ -481,9 +460,15 @@ class TestShapes:
         assert list(M._TENSOR_FIELDS) == names
         flat = p.flatten()
         assert len(flat) == 15
-        for name, a in zip(names, flat):
-            assert a.size == 0 or np.shares_memory(a, getattr(p, name))
-            assert a.tobytes() == getattr(p, name).tobytes()
+        halves = [
+            p.w[0], p.b[0], p.w[1], p.b[1], p.memory,
+            p.w_hid[0], p.b_hid[0], p.w_hid[1], p.b_hid[1],
+            p.w_head[0], p.b_head[0, ...], p.w_head[1], p.b_head[1, ...],
+            p.w_head_mem, p.b_head_mem,
+        ]
+        for name, a, want in zip(names, flat, halves):
+            assert a.size == 0 or np.shares_memory(a, want), name
+            assert a.shape == want.shape and a.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("memory_enabled", [True, False])
     def test_shapes_name_every_tensor_in_order(self, memory_enabled):
@@ -507,8 +492,9 @@ class TestShapes:
         def offset(a):  # in float64 elements from the start of the vector
             return (a.__array_interface__["data"][0] - p.vector.__array_interface__["data"][0]) // 8
 
+        named = dict(zip(M._TENSOR_FIELDS, p.flatten()))
         for pair in ("w", "b", "w_hid", "b_hid", "w_head", "b_head"):
-            block, dl, ep = getattr(p, pair), getattr(p, pair + "_dl"), getattr(p, pair + "_ep")
+            block, dl, ep = getattr(p, pair), named[pair + "_dl"], named[pair + "_ep"]
             assert block.shape == (2, *dl.shape) and block.flags.c_contiguous
             assert np.shares_memory(block, p.vector)
             assert np.shares_memory(dl, block[0, ...]) and np.shares_memory(ep, block[1, ...])
@@ -523,7 +509,7 @@ class TestShapes:
                 assert offset(block) == start, name
             start += block.size
         assert start == dims.size == sum(a.size for a in p.flatten())
-        assert offset(p.w_dl) == 0 and offset(p.b_head_mem) == dims.size - 1
+        assert offset(named["w_dl"]) == 0 and offset(p.b_head_mem) == dims.size - 1
 
     @pytest.mark.parametrize("memory_enabled", [True, False])
     def test_pickle_round_trip_keeps_fields_views_of_vector(self, memory_enabled):
@@ -537,9 +523,9 @@ class TestShapes:
             assert b.size == 0 or np.shares_memory(b, q.vector)
         q.vector[...] = 0.0
         assert not any(np.any(field) for field in q.flatten())
-        q.w_hid_ep = np.full(q.w_hid_ep.shape, 2.0)
-        q.b_head_mem = 3.0
-        assert np.count_nonzero(q.vector == 2.0) == q.w_hid_ep.size
+        q.w_hid[1] = np.full(q.w_hid[1].shape, 2.0)
+        q.b_head_mem[...] = 3.0
+        assert np.count_nonzero(q.vector == 2.0) == q.w_hid[1].size
         assert np.count_nonzero(q.vector == 3.0) == 1
         assert not np.any(p.vector == 2.0)
 
@@ -547,7 +533,7 @@ class TestShapes:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         p = M.init_params(M.FusionDims(6, 4, 5), 77)
-        p.memory = np.array([0.1, -0.2, 0.3, 1e-17])
+        p.memory[...] = np.array([0.1, -0.2, 0.3, 1e-17])
         norm = NormStats(1.25, 2.5, -0.5, 3.75, 100.0, 12.125)
         path = tmp_path / "model.ckpt"
         M.save_checkpoint(path, p, norm)
@@ -561,9 +547,9 @@ class TestCheckpoint:
         # written by the per-stream layout's save_checkpoint: the text names
         # every tensor, so the order of the flat vector never reaches it
         p = M.init_params(M.FusionDims(2, 1, 2), seed=5)
-        p.b_dl, p.b_ep, p.memory = [0.5, -0.25], [0.125, 1.5], [-0.75]
-        p.b_hid_dl, p.b_hid_ep = [2.0, -3.0], [0.0625, -0.5]
-        p.b_head_dl, p.b_head_ep, p.b_head_mem = 1.25, -2.5, 4.0
+        p.b[0], p.b[1], p.memory[...] = [0.5, -0.25], [0.125, 1.5], [-0.75]
+        p.b_hid[0], p.b_hid[1] = [2.0, -3.0], [0.0625, -0.5]
+        p.b_head[0], p.b_head[1], p.b_head_mem[...] = 1.25, -2.5, 4.0
         path = tmp_path / "m.ckpt"
         M.save_checkpoint(path, p, NormStats(1.5, 2.25, -0.75, 3.0, 120.5, 17.125))
         assert path.read_text(encoding="utf-8") == _PINNED_CKPT
@@ -849,8 +835,8 @@ def test_damaged_checkpoints_load_whole_or_raise_value_error(tmp_path_factory, t
         return
     assert params.vector.shape == (params.dims.size,)
     assert np.all(np.isfinite(params.vector))
-    for name, view in zip(M._TENSOR_FIELDS, M.FusionParams(params.dims).flatten()):
-        assert np.shape(getattr(params, name)) == view.shape
+    for got, view in zip(params.flatten(), M.FusionParams(params.dims).flatten(), strict=True):
+        assert got.shape == view.shape
     assert isinstance(norm, NormStats)
     assert np.all(np.isfinite(list(norm.as_dict().values())))
 
@@ -915,7 +901,7 @@ class TestPredictNonFinite:
         p = M.init_params(M.FusionDims(2, 2, 2), 1)
         batch = sample_batch(np.arange(5.0), 0.5)
         assert np.all(np.isfinite(M.predict(batch, p)))
-        p.b_head_ep = float("nan")
+        p.b_head[1] = float("nan")
         with pytest.raises(ValueError, match="5 of 5 outputs are non-finite"):
             M.predict(batch, p)
 

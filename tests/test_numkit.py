@@ -6,10 +6,12 @@ import pytest
 from fusecast.numkit import (
     AdamState,
     ShapeMismatch,
+    TrainingDiverged,
     adam_step,
     block_views,
     check_real,
     finite_diff_grad,
+    fit_epochs,
     usable_cpus,
 )
 
@@ -136,6 +138,22 @@ def test_bitwise_determinism():
     adam_step(p, g, AdamState.init(p, eta=0.01))
     adam_step(q, g, AdamState.init(q, eta=0.01))
     assert p.tobytes() == q.tobytes()
+
+
+class TestFitEpochs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_validation_loss_raises(self, bad):
+        losses = iter([2.0, 1.0, bad])
+        with pytest.raises(TrainingDiverged, match=r"^epoch 2: non-finite validation loss$"):
+            fit_epochs(np.zeros(3), 4, lambda rows, epoch: 0.0, lambda epoch: next(losses), 10, None, 10, None)
+
+    def test_numpy_overflow_warnings_are_off_in_the_loop(self):
+        # the checks catch divergence, so an overflow in an update is no error
+        def update(rows, epoch):
+            return float(np.float64(1e300) * 1e300)
+
+        _, history = fit_epochs(np.zeros(3), 4, update, None, 2, None, 2, None)
+        assert [loss for loss, _ in history] == [np.inf, np.inf]
 
 
 class TestAdamStateInit:

@@ -50,6 +50,15 @@ class TestEnergySeries:
         assert np.isnan(s.values[1])
         assert s.present.tolist() == [True, False, True]
 
+    @pytest.mark.parametrize("name", ["values", "present", "timestamps"])
+    def test_arrays_that_are_not_1d_rejected(self, name):
+        # 2-D values with one row per timestamp used to pass
+        ts = hourly_range("2021-01-01T00", 3)
+        arrays = {"timestamps": ts, "values": np.zeros(3), "present": np.ones(3, dtype=bool)}
+        arrays[name] = np.stack([arrays[name]] * 2, axis=1)
+        with pytest.raises(ValueError, match=rf"^{name} must be 1-D, got shape \(3, 2\)$"):
+            EnergySeries(**arrays)
+
     def test_noncontiguous_rejected(self):
         ts = hourly_range("2021-01-01T00", 3)
         ts[2] += np.timedelta64(5, "h")
@@ -854,6 +863,15 @@ class TestFeatureRows:
             FeatureMatrix(np.zeros((0, 29)), ts[:0])
         m = FeatureMatrix(np.asfortranarray(np.ones((3, 29), dtype=np.float32)), ts)
         assert m.values.dtype == np.float64 and m.values.flags.c_contiguous
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        # a NaN row used to surface only later, out of forecast_dl
+        ts = hourly_range("2021-01-01T00", 3)
+        x = np.ones((3, 29))
+        x[1, 24] = bad
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            FeatureMatrix(x, ts)
 
     def test_gapped_series_rejected(self):
         s = series_from(np.arange(30.0))

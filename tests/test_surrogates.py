@@ -3,7 +3,8 @@ import inspect
 import numpy as np
 import pytest
 
-from fusecast.numkit import AdamState, adam_step, block_views, fit_epochs
+from fusecast import surrogates
+from fusecast.numkit import AdamState, TrainingDiverged, adam_step, block_views, fit_epochs
 from fusecast.pipeline import N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, build_feature_rows, hourly_range
 from fusecast.surrogates import (
     AIR_HEAT_W_PER_K_M3H,
@@ -210,6 +211,14 @@ class TestWeatherSeries:
         with pytest.raises(ValueError, match="weather timestamps must be contiguous"):
             WeatherSeries(ts[::-1], np.zeros(5), np.zeros(5))
 
+    @pytest.mark.parametrize("name", ["timestamps", "temp_c", "solar_w_per_m2"])
+    def test_arrays_that_are_not_1d_rejected(self, name):
+        # only the lengths were compared, so (5, 2) arrays passed
+        arrays = {"timestamps": hourly_range("2021-01-04T00", 5), "temp_c": np.zeros(5), "solar_w_per_m2": np.zeros(5)}
+        arrays[name] = np.stack([arrays[name]] * 2, axis=1)
+        with pytest.raises(ValueError, match=rf"^weather {name} must be 1-D, got shape \(5, 2\)$"):
+            WeatherSeries(**arrays)
+
 
 class TestMakeWeather:
     def test_zero_noise_is_exact_double_sinusoid(self):
@@ -364,6 +373,27 @@ class TestBaselineForecaster:
         assert np.array_equal(a.values, b.values)
         assert a.n == len(rows)
         assert np.array_equal(a.timestamps, rows.timestamps)
+
+    def test_non_finite_validation_loss_raises(self):
+        # one validation target of 1e300 makes every epoch's validation
+        # loss inf; the fit used to return its initial weights
+        rows, truth = self._fixture(n=1000)
+        i_train, _ = SplitSpec().boundaries(len(rows))
+        values = truth.values.copy()
+        values[24 + i_train + 5] = 1e300
+        with pytest.raises(TrainingDiverged, match=r"^epoch 0: non-finite validation loss$"):
+            train_baseline_forecaster(rows, EnergySeries.full(truth.timestamps, values), SplitSpec(), seed=1)
+
+    def test_non_finite_gradient_raises_before_the_step(self, monkeypatch):
+        # weights of 1e200 overflow the forward pass, so the first gradient
+        # is not finite; Adam would write it into the weights
+        steps = []
+        monkeypatch.setattr(surrogates, "draw_uniform", lambda rng, blocks: [b.fill(1e200) for b in blocks])
+        monkeypatch.setattr(surrogates, "adam_step", lambda *args: steps.append(args))
+        rows, truth = self._fixture(n=24 * 20)
+        with pytest.raises(TrainingDiverged, match=r"^epoch 0: non-finite baseline gradient$"):
+            train_baseline_forecaster(rows, truth, SplitSpec(), seed=1)
+        assert steps == []
 
     def test_disagrees_with_physics(self):
         # the fusion problem must be non-degenerate on default-style fixtures

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -22,9 +23,16 @@ def make_dataset(rng, n=80):
     return measured(v, v, v)
 
 
+# The blocks of FusionParams that stack the data stream on the physics stream.
+STACKED = ("w", "b", "w_hid", "b_hid", "w_head", "b_head")
+
+
 def params_of(dims, arrays):
     """The FusionParams holding ``arrays`` in ``flatten`` order."""
-    return M.FusionParams(dims, **dict(zip(M._TENSOR_FIELDS, arrays)))
+    p = M.FusionParams(dims)
+    for view, a in zip(p.flatten(), arrays, strict=True):
+        view[...] = a
+    return p
 
 
 def init_with_memory(dims, seed):
@@ -32,10 +40,9 @@ def init_with_memory(dims, seed):
     draws after the seven weight tensors."""
     p = M.init_params(dims, seed)
     rng = np.random.default_rng(seed)
-    weights = ("w_dl", "w_ep", "w_hid_dl", "w_hid_ep", "w_head_dl", "w_head_ep", "w_head_mem")
-    rng.uniform(size=sum(getattr(p, name).size for name in weights))  # init_params' draws
+    rng.uniform(size=sum(w.size for w in (p.w, p.w_hid, p.w_head, p.w_head_mem)))  # init_params' draws
     bound = np.sqrt(1.0 / max(dims.mem_width, 1))
-    p.memory = rng.uniform(-bound, bound, size=dims.mem_width)
+    p.memory[...] = rng.uniform(-bound, bound, size=dims.mem_width)
     return p
 
 
@@ -188,8 +195,8 @@ class TestDeterminismAndFailure:
         # backward pass forms g * w_head = inf and then inf * 0 = NaN; the
         # step would write NaN into 15 of the 37 parameters
         p = M.init_params(M.FusionDims(2, 1, 2), 0)
-        p.w_head_dl[...] = 1e300
-        p.b_hid_dl[...] = -1e3
+        p.w_head[0] = 1e300
+        p.b_hid[0] = -1e3
         v = np.random.default_rng(0).standard_normal(8)
         batch = measured(v, v, v + 1e10)
         assert np.isfinite(M.predict(batch, p)).all()
@@ -231,8 +238,8 @@ def _reference_batch_forward(x_dl, x_ep, params):
     mem = params.memory
     # divergence is caught via isfinite checks, so let overflow pass silently
     with np.errstate(over="ignore", invalid="ignore"):
-        a_h_dl = x_dl @ params.w_dl.T + params.b_dl
-        a_h_ep = x_ep @ params.w_ep.T + params.b_ep
+        a_h_dl = x_dl @ params.w[0].T + params.b[0]
+        a_h_ep = x_ep @ params.w[1].T + params.b[1]
         h_dl = np.maximum(a_h_dl, 0.0)
         h_ep = np.maximum(a_h_ep, 0.0)
         mem_rows = np.broadcast_to(mem, (n, mem.shape[0]))
@@ -241,12 +248,12 @@ def _reference_batch_forward(x_dl, x_ep, params):
         # with it the last bit of the mixer product
         c_dl = np.ascontiguousarray(np.concatenate([h_dl, mem_rows], axis=1))
         c_ep = np.ascontiguousarray(np.concatenate([h_ep, mem_rows], axis=1))
-        a_z_dl = c_dl @ params.w_hid_dl.T + params.b_hid_dl
-        a_z_ep = c_ep @ params.w_hid_ep.T + params.b_hid_ep
+        a_z_dl = c_dl @ params.w_hid[0].T + params.b_hid[0]
+        a_z_ep = c_ep @ params.w_hid[1].T + params.b_hid[1]
         z_dl = np.maximum(a_z_dl, 0.0)
         z_ep = np.maximum(a_z_ep, 0.0)
-        part_dl = z_dl @ params.w_head_dl + params.b_head_dl
-        part_ep = z_ep @ params.w_head_ep + params.b_head_ep
+        part_dl = z_dl @ params.w_head[0] + params.b_head[0, ...]
+        part_ep = z_ep @ params.w_head[1] + params.b_head[1, ...]
         offset = float(params.w_head_mem @ mem) + params.b_head_mem
         yhat = part_dl + part_ep + offset
     return {
@@ -269,26 +276,26 @@ def _reference_batch_backward(cache, y, params, out=None):
     g_w_head_ep = cache["z_ep"].T @ g
     g_w_head_mem = g_sum * params.memory
 
-    da_z_dl = np.outer(g, params.w_head_dl) * (cache["a_z_dl"] > 0)
-    da_z_ep = np.outer(g, params.w_head_ep) * (cache["a_z_ep"] > 0)
+    da_z_dl = np.outer(g, params.w_head[0]) * (cache["a_z_dl"] > 0)
+    da_z_ep = np.outer(g, params.w_head[1]) * (cache["a_z_ep"] > 0)
     g_w_hid_dl = da_z_dl.T @ cache["c_dl"]
     g_w_hid_ep = da_z_ep.T @ cache["c_ep"]
 
-    dc_dl = da_z_dl @ params.w_hid_dl
-    dc_ep = da_z_ep @ params.w_hid_ep
+    dc_dl = da_z_dl @ params.w_hid[0]
+    dc_ep = da_z_ep @ params.w_hid[1]
     g_memory = dc_dl[:, d:].sum(axis=0) + dc_ep[:, d:].sum(axis=0) + g_sum * params.w_head_mem
 
     da_h_dl = dc_dl[:, :d] * (cache["a_h_dl"] > 0)
     da_h_ep = dc_ep[:, :d] * (cache["a_h_ep"] > 0)
 
     grads = out if out is not None else M.FusionParams(params.dims)
-    grads.w_dl, grads.b_dl = da_h_dl.T @ cache["x_dl"], da_h_dl.sum(axis=0)
-    grads.w_ep, grads.b_ep = da_h_ep.T @ cache["x_ep"], da_h_ep.sum(axis=0)
-    grads.memory = g_memory
-    grads.w_hid_dl, grads.b_hid_dl = g_w_hid_dl, da_z_dl.sum(axis=0)
-    grads.w_hid_ep, grads.b_hid_ep = g_w_hid_ep, da_z_ep.sum(axis=0)
-    grads.w_head_dl, grads.w_head_ep, grads.w_head_mem = g_w_head_dl, g_w_head_ep, g_w_head_mem
-    grads.b_head_dl = grads.b_head_ep = grads.b_head_mem = g_sum
+    grads.w[0], grads.b[0] = da_h_dl.T @ cache["x_dl"], da_h_dl.sum(axis=0)
+    grads.w[1], grads.b[1] = da_h_ep.T @ cache["x_ep"], da_h_ep.sum(axis=0)
+    grads.memory[...] = g_memory
+    grads.w_hid[0], grads.b_hid[0] = g_w_hid_dl, da_z_dl.sum(axis=0)
+    grads.w_hid[1], grads.b_hid[1] = g_w_hid_ep, da_z_ep.sum(axis=0)
+    grads.w_head[0], grads.w_head[1], grads.w_head_mem[...] = g_w_head_dl, g_w_head_ep, g_w_head_mem
+    grads.b_head[...] = grads.b_head_mem[...] = g_sum
     return losses, grads
 
 
@@ -583,14 +590,14 @@ class TestStreamSplit:
                 if name in stacked:
                     new[s] = old[s]
                 assert new.tobytes() == old.tobytes(), name
-            for pair in M._PAIRS:
+            for pair in STACKED:
                 getattr(grads_before, pair)[s] = getattr(grads, pair)[s]
             assert grads_before.vector.tobytes() == grads.vector.tobytes()
 
         run_and_check(M._forward_layers, p)
         assert np.isfinite(ws.part[s, :m]).all()
         run_and_check(M._backward_layers, p, grads, g, float(np.sum(g)))
-        assert all(np.isfinite(getattr(grads, pair)[s]).all() for pair in M._PAIRS)
+        assert all(np.isfinite(getattr(grads, pair)[s]).all() for pair in STACKED)
 
     def test_split_training_matches_stacked_training(self, split_always):
         rng = np.random.default_rng(370)
@@ -631,8 +638,8 @@ class TestStreamSplit:
         rng = np.random.default_rng(372)
         samples = make_dataset(rng, n=40)
         p = M.init_params(M.FusionDims(3, 2, 3), 2)
-        p.w_hid_ep = np.full((3, 5), 1e300)
-        p.w_head_ep = np.full(3, 1e300)
+        p.w_hid[1] = np.full((3, 5), 1e300)
+        p.w_head[1] = np.full(3, 1e300)
         ws = M._Workspace(p.dims, 40, backward=False)
         with ThreadPoolExecutor(1) as ws.helper:
             M._batch_forward(M._fill_inputs(samples, ws.x), p, ws)
@@ -840,26 +847,43 @@ class TestBufferAliasing:
             assert not np.shares_memory(trained.vector, buf)
         assert not np.shares_memory(trained.vector, p.vector)
 
-    def test_field_assignment_is_visible_through_vector(self):
+    def test_names_cannot_be_rebound_and_flatten_views_the_vector(self):
         dims = M.FusionDims(2, 2, 2)
         p = M.init_params(dims, 3)
-        p.w_dl = np.array([[1.0, 2.0], [3.0, 4.0]])
+        before = p.vector.copy()
+        for name in (*dims.blocks, "vector", "dims", "w_dl", "b_head_ep"):
+            with pytest.raises(AttributeError, match=f"FusionParams.{name} cannot be rebound"):
+                setattr(p, name, getattr(p, name, 0.0))
+        assert p.vector.tobytes() == before.tobytes() and p.dims == dims
+        with pytest.raises(M.ShapeMismatch, match=f"expected a float64 vector of length {dims.size}"):
+            M.FusionParams(dims, np.zeros(dims.size + 1))
+        # writes go through the views
+        p.w[0] = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(p.vector[:4], [1.0, 2.0, 3.0, 4.0])
-        p.w_hid_dl[:, :2] = 7.0  # in-place slice writes reach the vector too
+        p.w_hid[0, :, :2] = 7.0  # in-place slice writes reach the vector too
         assert np.array_equal(p.vector, params_of(dims, p.flatten()).vector)
-        p.b_head_mem = -3.25
+        p.b_head_mem[...] = -3.25
         assert p.vector[-1] == -3.25 and p.b_head_mem == -3.25
-        p.memory = np.array([0.5, -0.5])
-        offset = sum(a.size for a in p.flatten()[:4])
-        assert np.array_equal(p.vector[offset : offset + 2], [0.5, -0.5])
-        with pytest.raises(M.ShapeMismatch):
-            p.b_dl = np.zeros(3)
-        with pytest.raises(AttributeError):
-            p.dims = M.FusionDims(3, 3, 3)
+        # flatten: each _TENSOR_FIELDS tensor at its place in the vector, a
+        # stream's half of a block after the block's data-stream half
+        starts, start = {}, 0
+        for name, shape in dims.blocks.items():
+            starts[name], start = start, start + math.prod(shape)
+        flat = p.flatten()
+        assert len(flat) == len(M._TENSOR_FIELDS) == 15
+        for name, view in zip(M._TENSOR_FIELDS, flat, strict=True):
+            block, _, stream = name.rpartition("_")
+            if stream in ("dl", "ep"):
+                at = starts[block] + (stream == "ep") * view.size
+            else:
+                at = starts[name]
+            values = np.arange(view.size) + 0.5
+            view[...] = values.reshape(view.shape)
+            assert p.vector[at : at + view.size].tolist() == values.tolist(), name
 
     def test_copy_is_one_independent_vector(self):
         p = M.init_params(M.FusionDims(2, 2, 2), 4)
         q = p.copy()
         assert np.array_equal(p.vector, q.vector) and not np.shares_memory(p.vector, q.vector)
-        q.b_head_dl = 9.0
-        assert p.b_head_dl == 0.0
+        q.b_head[0] = 9.0
+        assert p.b_head[0] == 0.0
