@@ -112,17 +112,8 @@ REPORT_FILES = (
 )
 
 
-def _default_train(seed: int) -> TrainConfig:
-    return TrainConfig(
-        eta=3e-3,
-        max_epochs=300,
-        batch_size=128,
-        early_stop_patience=20,
-        seed=seed + SEED_TRAIN,
-    )
-
-
-_SEEDED_TRAIN = object()  # ScenarioConfig's default train: _default_train(seed)
+# The harness's training; its seed is replaced by the master seed's shuffle seed.
+DEFAULT_TRAIN = TrainConfig(eta=3e-3, max_epochs=300, batch_size=128, early_stop_patience=20)
 
 
 def check_seed(seed) -> None:
@@ -136,22 +127,24 @@ def check_seed(seed) -> None:
 class ScenarioConfig:
     """One scenario run: its id, which fixes the inputs and how truth is
     degraded, then the sparsity, imputation, split, training and seed.
-    Without a ``train``, the training is the harness default for ``seed``
-    (``_default_train``), so the master seed reaches its shuffle too."""
+    The training's shuffle seed is always ``seed + SEED_TRAIN``: it replaces
+    the seed of the ``train`` given, also under ``dataclasses.replace``, so
+    the master seed reaches the shuffle of every config built from it."""
 
     id: int
     sparse_frac: float = 0.2
     imputation: str = "linear_interpolation"
     split: SplitSpec = field(default_factory=SplitSpec)
-    train: TrainConfig = _SEEDED_TRAIN
+    train: TrainConfig = DEFAULT_TRAIN
     memory_unit_enabled: bool = True
     seed: int = DEFAULT_SEED
     year_hours: int = FULL_HOURS
 
     def __post_init__(self):
         check_seed(self.seed)
-        if self.train is _SEEDED_TRAIN:
-            object.__setattr__(self, "train", _default_train(self.seed))
+        if not isinstance(self.train, TrainConfig):
+            raise ConfigError(f"train must be a TrainConfig, got {self.train!r}")
+        object.__setattr__(self, "train", replace(self.train, seed=self.seed + SEED_TRAIN))
         if isinstance(self.id, bool) or not isinstance(self.id, numbers.Integral) or self.id not in SCENARIO_METHODS:
             raise ConfigError(f"scenario id must be an integer in 1..5, got {self.id!r}")
         if self.imputation not in IMPUTATION_KINDS:
@@ -160,8 +153,6 @@ class ScenarioConfig:
             raise ConfigError(f"sparse_frac must lie in [0, 1), got {self.sparse_frac!r}")
         if not isinstance(self.split, SplitSpec):
             raise ConfigError(f"split must be a SplitSpec, got {self.split!r}")
-        if not isinstance(self.train, TrainConfig):
-            raise ConfigError(f"train must be a TrainConfig, got {self.train!r}")
         if not isinstance(self.memory_unit_enabled, bool):
             raise ConfigError(f"memory_unit_enabled must be a bool, got {self.memory_unit_enabled!r}")
         if isinstance(self.year_hours, bool) or not isinstance(self.year_hours, numbers.Integral):
@@ -193,7 +184,6 @@ class ScenarioConfig:
 
 def scenario_config(scenario_id: int, seed: int = DEFAULT_SEED, fast: bool = False, **overrides) -> ScenarioConfig:
     """The canonical config for one of the five scenarios."""
-    check_seed(seed)
     kwargs = dict(seed=seed, year_hours=FAST_HOURS if fast else FULL_HOURS)
     return ScenarioConfig(scenario_id, **{**kwargs, **overrides})
 
@@ -222,7 +212,8 @@ class TrainedModel:
     """One fusion training on one fixture: the parameters it returned, the
     normalization fitted on its training split, its per-epoch (train, val)
     MSE history, its test-split predictions in kWh, its training-sample
-    count and the index where the test split starts."""
+    count, the index where the test split starts and the TrainConfig it
+    ran with."""
 
     params: FusionParams
     norm: NormStats
@@ -230,18 +221,18 @@ class TrainedModel:
     pgmn: np.ndarray
     n_train: int
     i_test: int
+    train: TrainConfig
 
-    def summary(self, train_cfg: TrainConfig) -> dict:
-        """Diagnostics under ``train_cfg``, the TrainConfig it ran with:
-        epochs run, the first epoch of least validation MSE, why it
-        stopped, how many parameter updates it made, and the L2 norm of the
-        memory (0 without)."""
+    def summary(self) -> dict:
+        """Diagnostics under ``train``: epochs run, the first epoch of least
+        validation MSE, why it stopped, how many parameter updates it made,
+        and the L2 norm of the memory (0 without)."""
         epochs = len(self.history)
-        batch = train_cfg.batch_size
+        batch = self.train.batch_size
         return {
             "epochs": epochs,
             "best_epoch": int(np.argmin([val for _, val in self.history])),
-            "stop_reason": "early_stop" if epochs < train_cfg.max_epochs else "max_epochs",
+            "stop_reason": "early_stop" if epochs < self.train.max_epochs else "max_epochs",
             "updates": epochs * (1 if batch is None else math.ceil(self.n_train / batch)),
             "memory_norm": float(np.linalg.norm(self.params.memory)),
         }
@@ -345,17 +336,6 @@ def _timed(label: str, fn, *args) -> tuple:
     return result, t0, time.perf_counter()
 
 
-def _fit_name(cfg: ScenarioConfig) -> str:
-    return f"fit_sparse_{cfg.imputation}" if cfg.truth_mode == "sparse" else "fit_truth"
-
-
-def _train_name(cfg: ScenarioConfig) -> str:
-    name = f"train_scenario{cfg.id}"
-    if cfg.truth_mode == "sparse":
-        name += f"_{cfg.imputation}"
-    return name if cfg.memory_unit_enabled else name + "_without_mu"
-
-
 def _mu_variants(cfg: ScenarioConfig) -> tuple[ScenarioConfig, ScenarioConfig]:
     """The memory ablation's two trainings: with and without the memory."""
     return replace(cfg, memory_unit_enabled=True), replace(cfg, memory_unit_enabled=False)
@@ -373,9 +353,10 @@ class _Stages:
     stage asked for again returns its first result.  One object serves one
     ``run_all`` or one standalone call and is dropped with it: two runs in
     one process share nothing.  The expensive stages, the baseline fits
-    and the trainings, run as named jobs: each is timed into ``job_spans``
-    and a failing one raises StageFailed naming it.  ``prefetch`` may run
-    them in worker processes; everything else runs in the calling process.
+    and the trainings, are jobs, each one record ``(name, cache, key, fn,
+    args)``: ``fn(*args)`` goes into ``cache[key]`` and its span into
+    ``job_spans``, and a failing job raises StageFailed naming it.  ``_run``
+    runs a job here, ``_run_pool`` in workers; all else runs here.
     """
 
     def __init__(self):
@@ -422,14 +403,27 @@ class _Stages:
         lag_key = (cfg.sparse_frac, cfg.imputation) if cfg.truth_mode == "sparse" else None
         return (cfg.seed, cfg.year_hours, lag_key, cfg.split)
 
-    def _fit_args(self, cfg: ScenarioConfig) -> tuple:
-        return cfg, self.labels(cfg), self.world(cfg.seed, cfg.year_hours).weather.temp_c
+    def _fit_job(self, cfg: ScenarioConfig) -> tuple:
+        """The job that fits the baseline for ``cfg``'s lag source and split."""
+        name = f"fit_sparse_{cfg.imputation}" if cfg.truth_mode == "sparse" else "fit_truth"
+        args = (cfg, self.labels(cfg), self.world(cfg.seed, cfg.year_hours).weather.temp_c)
+        return name, self._dl, self._dl_key(cfg), _fit_dl, args
 
-    def _job(self, name: str, fn, *args):
-        """``fn(*args)`` as the job ``name``, its span kept in ``job_spans``."""
-        result, t0, t1 = _timed(f"job {name!r}", fn, *args)
+    def _train_job(self, cfg: ScenarioConfig) -> tuple:
+        """The job that trains ``cfg``, keyed by the whole config: it fixes
+        the samples, the memory flag and the TrainConfig."""
+        name = f"train_scenario{cfg.id}"
+        if cfg.truth_mode == "sparse":
+            name += f"_{cfg.imputation}"
+        if not cfg.memory_unit_enabled:
+            name += "_without_mu"
+        return name, self._trained, cfg, _train_on_fixture, (cfg, self.fixture(cfg))
+
+    def _run(self, job: tuple) -> None:
+        """Run ``job`` in this process, caching its result and keeping its span."""
+        name, cache, key, fn, args = job
+        cache[key], t0, t1 = _timed(f"job {name!r}", fn, *args)
         self.job_spans[name] = (t0, t1)
-        return result
 
     def dl(self, cfg: ScenarioConfig) -> EnergySeries | None:
         """The data-driven baseline's forecast, fitted once per lag source
@@ -438,7 +432,7 @@ class _Stages:
             return None
         key = self._dl_key(cfg)
         if key not in self._dl:
-            self._dl[key] = self._job(_fit_name(cfg), _fit_dl, *self._fit_args(cfg))
+            self._run(self._fit_job(cfg))
         return self._dl[key]
 
     def fixture(self, cfg: ScenarioConfig) -> Fixture:
@@ -454,10 +448,9 @@ class _Stages:
         )
 
     def trained(self, cfg: ScenarioConfig) -> TrainedModel:
-        """``_train_on_fixture`` for ``cfg``, keyed by the whole config: it
-        fixes the samples, the memory flag and the TrainConfig."""
+        """``_train_on_fixture`` for ``cfg``, trained once per config."""
         if cfg not in self._trained:
-            self._trained[cfg] = self._job(_train_name(cfg), _train_on_fixture, cfg, self.fixture(cfg))
+            self._run(self._train_job(cfg))
         return self._trained[cfg]
 
     def prefetch(self, cfgs) -> None:
@@ -500,17 +493,15 @@ class _Stages:
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread)
         running: dict = {}  # future -> (job name, the cache and key its result goes under)
 
-        def submit(name: str, cache: dict, key, fn, *args) -> None:
+        def submit(job: tuple) -> None:
+            name, cache, key, fn, args = job
             running[pool.submit(_timed, f"job {name!r}", fn, *args)] = (name, cache, key)
 
-        def submit_training(cfg: ScenarioConfig) -> None:
-            submit(_train_name(cfg), self._trained, cfg, _train_on_fixture, cfg, self.fixture(cfg))
-
         try:
-            for key, group in waiting.items():
-                submit(_fit_name(group[0]), self._dl, key, _fit_dl, *self._fit_args(group[0]))
+            for group in waiting.values():
+                submit(self._fit_job(group[0]))
             for cfg in ready:
-                submit_training(cfg)
+                submit(self._train_job(cfg))
             while running:
                 finished, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in finished:
@@ -519,7 +510,7 @@ class _Stages:
                     self.job_spans[name] = (t0, t1)
                     if cache is self._dl:
                         for cfg in waiting[key]:
-                            submit_training(cfg)
+                            submit(self._train_job(cfg))
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -596,7 +587,7 @@ def _train_on_fixture(cfg: ScenarioConfig, fixture: Fixture) -> TrainedModel:
     params0 = init_params(dims, cfg.seed + SEED_INIT)
     params, history = train(norm_train, params0, cfg.train, norm_val)
     yhat = denormalize_target(predict(norm_test, params), stats)
-    return TrainedModel(params, stats, history, yhat, len(train_s), len(train_s) + len(val_s))
+    return TrainedModel(params, stats, history, yhat, len(train_s), len(train_s) + len(val_s), cfg.train)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
@@ -732,10 +723,10 @@ def run_all(out_dir, seed: int = DEFAULT_SEED, fast: bool = False) -> int:
     history_rows = ["scenario,epoch,train_mse,val_mse"]
     summary: dict = {"version": version_stamp(), "seed": seed, "fast": fast, "scenarios": {}}
 
-    def save(stem: str, trained: TrainedModel, train_cfg: TrainConfig) -> dict:
+    def save(stem: str, trained: TrainedModel) -> dict:
         """Write the checkpoint of ``trained`` and return its `training` summary."""
         save_checkpoint(ckpt_dir / f"{stem}.ckpt", trained.params, trained.norm)
-        return trained.summary(train_cfg)
+        return trained.summary()
 
     _stage(seconds, "world", stages.world, seed, FAST_HOURS if fast else FULL_HOURS)
     cfgs = {sid: scenario_config(sid, seed=seed, fast=fast) for sid in (1, 2, 3, 4, 5)}
@@ -752,24 +743,22 @@ def run_all(out_dir, seed: int = DEFAULT_SEED, fast: bool = False) -> int:
         summary["scenarios"][str(sid)] = {
             "config": _json_ready(asdict(cfg)),
             "methods": _methods_json(report),
-            "training": save(f"scenario{sid}", trained, cfg.train),
+            "training": save(f"scenario{sid}", trained),
         }
     _write_metrics_csv(out / "scenario_table.csv", scenario_rows)
     _write_lines(out / "train_history.csv", history_rows)
 
     mu = _stage(seconds, "ablation_mu", stages.ablation_mu, cfgs[1])
     _write_ablation_mu(out, mu)
-    with_mu, without_mu = _mu_variants(cfgs[1])
     summary["ablation_mu"] = {"methods": _methods_json(mu), "training": {
-        "with_mu": save("ablation_mu_with", mu.trainings["with_mu"], with_mu.train),
-        "without_mu": save("ablation_mu_without", mu.trainings["without_mu"], without_mu.train),
+        "with_mu": save("ablation_mu_with", mu.trainings["with_mu"]),
+        "without_mu": save("ablation_mu_without", mu.trainings["without_mu"]),
     }}
 
     imp = _stage(seconds, "ablation_imputation", stages.ablation_imputation, cfgs[2])
     _write_ablation_imputation(out, imp)
     summary["ablation_imputation"] = {"methods": _methods_json(imp), "training": {
-        v.imputation: save(f"ablation_imputation_{v.imputation}", imp.trainings[v.imputation], v.train)
-        for v in _imputation_variants(cfgs[2])
+        strategy: save(f"ablation_imputation_{strategy}", trained) for strategy, trained in imp.trainings.items()
     }}
 
     summary["stages"] = seconds
@@ -831,13 +820,11 @@ def load_scenario_config(path, seed: int | None = None, fast: bool = False) -> S
         if fast:
             values.pop("year_hours", None)
         split = {k: values.pop(k) for k in _SPLIT_PARSERS if k in values}
+        values["split"] = SplitSpec(**split)
         train_kwargs = {k: values.pop(k) for k in _TRAIN_PARSERS if k in values}
         if train_kwargs.get("batch_size") == 0:
             train_kwargs["batch_size"] = None  # 0 selects the literal full-epoch mode
-        if split:
-            values["split"] = SplitSpec(**split)
-        if train_kwargs:
-            values["train"] = replace(_default_train(cfg_seed), **train_kwargs)
+        values["train"] = replace(DEFAULT_TRAIN, **train_kwargs)
         return scenario_config(sid, seed=cfg_seed, fast=fast, **values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -471,12 +471,15 @@ def write_timestamped_csv(path, timestamps: np.ndarray, columns: dict[str, np.nd
     """Write a ``timestamp,<column names>`` CSV, one row per timestamp:
     minute-resolution ISO timestamps, then each column's values with
     ``repr``.  A NaN (a missing step) or a ``None`` column (an absent
-    stream) leaves its cell empty."""
+    stream) leaves its cell empty.  A column whose length differs from the
+    timestamps' raises ValueError naming it."""
     n = len(timestamps)
     cells = [np.datetime_as_string(np.asarray(timestamps).astype("datetime64[m]")).tolist()]
-    for values in columns.values():
+    for name, values in columns.items():
         if values is None:
             cells.append([""] * n)
+        elif len(values) != n:
+            raise ValueError(f"column {name!r} has {len(values)} values for {n} timestamps")
         else:
             cells.append(["" if math.isnan(v) else repr(v) for v in np.asarray(values, dtype=np.float64).tolist()])
     lines = [",".join(["timestamp", *columns]), *map(",".join, zip(*cells))]

@@ -216,6 +216,8 @@ def simulate_physics(
     Deterministic: the only randomness in the whole fixture lives in the
     weather and truth generators.
     """
+    if t_init_c is not None:
+        check_real("t_init_c", t_init_c)  # a NaN start fails both setpoints: no HVAC ever
     occ = schedule.at(weather.timestamps)
     ua = params.ua_effective
     c_per_dt = params.capacitance_j_per_k / DT_S
@@ -269,6 +271,9 @@ def make_truth(
 ) -> EnergySeries:
     """Synthetic ground truth: the physics trace shifted by a constant bias,
     a weekly behavior pattern, and seeded iid noise, clamped at 0 kWh."""
+    check_real("bias", bias)
+    check_real("noise_std", noise_std)
+    check_real("behavior_amp", behavior_amp)
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
     vals = physics.values + bias + behavior_amp * weekly_behavior_pattern(physics.timestamps)

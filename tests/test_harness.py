@@ -36,7 +36,7 @@ TINY = 24 * 30  # 30-day fixture keeps the harness tests quick
 
 
 def tiny_config(sid, seed=42, **overrides):
-    train = TrainConfig(eta=3e-3, max_epochs=40, batch_size=64, early_stop_patience=10, seed=seed + harness.SEED_TRAIN)
+    train = TrainConfig(eta=3e-3, max_epochs=40, batch_size=64, early_stop_patience=10)
     overrides.setdefault("year_hours", TINY)
     overrides.setdefault("train", train)
     return scenario_config(sid, seed=seed, **overrides)
@@ -59,15 +59,19 @@ class TestScenarioConfig:
         assert scenario_config(2).truth_mode == "sparse"
         assert scenario_config(3).truth_mode == "absent"
 
-    @pytest.mark.parametrize("seed", [0, 7, 42, 1000])
+    @pytest.mark.parametrize("seed", [0, 7, 8, 42, 1000])
     def test_default_training_derives_from_the_master_seed(self, seed):
         # ScenarioConfig(1, seed=7) used to train with TrainConfig(): seed
-        # 0 whatever the master seed, 2,000 full-batch epochs
+        # 0 whatever the master seed, 2,000 full-batch epochs; and
+        # replace(scenario_config(1, seed=7), seed=8) kept seed 7's shuffle
+        # seed, 62, where scenario_config(1, seed=8) has 63
         for sid in (1, 2, 5):
             cfg = ScenarioConfig(sid, seed=seed)
-            assert cfg == scenario_config(sid, seed=seed)
+            assert cfg == scenario_config(sid, seed=seed) == replace(scenario_config(sid, seed=7), seed=seed)
             assert cfg.train.seed == seed + harness.SEED_TRAIN and cfg.train.batch_size == 128
         assert replace(ScenarioConfig(3, seed=seed), id=4) == scenario_config(4, seed=seed)
+        # a given training's own seed is replaced too
+        assert ScenarioConfig(1, seed=seed, train=TrainConfig(seed=5)).train == TrainConfig(seed=seed + harness.SEED_TRAIN)
 
     def test_id_inconsistent_flags_rejected(self, tmp_path):
         # the streams and the truth mode follow from the id: they are
@@ -291,7 +295,8 @@ class TestAblations:
         cfg = tiny_config(2, imputation=strategy)
         stages = harness._Stages()
         fixture = stages.fixture(cfg)
-        _, lag_source, _ = stages._fit_args(cfg)
+        name, cache, key, fn, (_, lag_source, _) = stages._fit_job(cfg)
+        assert (name, cache, key, fn) == (f"fit_sparse_{strategy}", stages._dl, stages._dl_key(cfg), harness._fit_dl)
         assert fixture.label_truth.values.tobytes() == lag_source.values[24:].tobytes()
         assert fixture.label_truth.present.all()
         kept = sparsity_mask(cfg)
@@ -464,14 +469,14 @@ class TestRunAll:
         params.memory[...] = np.linspace(-0.25, 0.25, params.memory.size)
         history = [(1.0, 3.0), (0.5, 2.0), (0.4, 2.0), (0.3, 2.5)]
         n_train, i_test = cfg.split.boundaries(1000)
-        trained = harness.TrainedModel(params, None, history, np.zeros(1000 - i_test), n_train, i_test)
-        t = trained.summary(cfg.train)
+        trained = harness.TrainedModel(params, None, history, np.zeros(1000 - i_test), n_train, i_test, cfg.train)
+        t = trained.summary()
         assert t.pop("memory_norm") == pytest.approx(np.sqrt(np.sum(params.memory**2)), rel=1e-12)
         assert t == {
             "epochs": 4, "best_epoch": 1, "stop_reason": "early_stop",
             "updates": 4 * math.ceil(n_train / cfg.train.batch_size),
         }
-        t = trained.summary(replace(cfg.train, batch_size=None, max_epochs=4))
+        t = replace(trained, train=replace(cfg.train, batch_size=None, max_epochs=4)).summary()
         assert (t["updates"], t["stop_reason"]) == (4, "max_epochs")
 
 

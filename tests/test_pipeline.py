@@ -809,6 +809,16 @@ class TestCsvIO:
             b"timestamp,a,b,c\n2021-06-01T23:00,0.1,,1e-17\n2021-06-02T00:00,,,2.0\n"
         )
 
+    @pytest.mark.parametrize("n_ts,n_values", [(10, 4), (3, 6), (0, 1)])
+    def test_column_of_another_length_rejected(self, tmp_path, n_ts, n_values):
+        # zip used to stop at the shortest column: 10 timestamps with a
+        # 4-value column wrote 4 rows, 3 timestamps with 6 values wrote 3
+        path = tmp_path / "cols.csv"
+        columns = {"ok": np.zeros(n_ts), "b": None, "short": np.ones(n_values)}
+        with pytest.raises(ValueError, match=rf"^column 'short' has {n_values} values for {n_ts} timestamps$"):
+            write_timestamped_csv(path, hourly_range("2021-06-01T00", n_ts), columns)
+        assert not path.exists()
+
 
 def _reference_feature_rows(energy, temps):
     """The former row-by-row feature builder and its packing into a matrix:

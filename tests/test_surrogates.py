@@ -192,6 +192,15 @@ class TestSimulatePhysics:
         b = simulate_physics(BuildingParams(), w, default_occupancy())
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("t_init_c", [float("nan"), float("inf"), -float("inf"), True, "21"])
+    def test_start_temperature_that_is_not_a_finite_real_rejected(self, t_init_c):
+        # a NaN start used to fail both setpoint comparisons at every step,
+        # so the whole run returned the equipment-only energy
+        weather = make_weather(336, seed=1)
+        with pytest.raises(ValueError, match=r"^t_init_c must be finite and a real number, got "):
+            simulate_physics(BuildingParams(), weather, default_occupancy(), t_init_c)
+        assert simulate_physics(BuildingParams(), weather, default_occupancy(), np.float64(21.0)).n == 336
+
     def test_setbacks_apply_when_unoccupied(self):
         b = sealed_building()
         weather = flat_weather(24, temp=17.0)
@@ -306,6 +315,15 @@ class TestMakeTruth:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             make_truth(self._physics(), 0.0, -1.0, 0.0, seed=0)
+
+    @pytest.mark.parametrize("name", ["bias", "noise_std", "behavior_amp"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "1"])
+    def test_term_that_is_not_a_finite_real_rejected(self, name, value):
+        # noise_std=nan used to skip the noise (nan > 0 is False) and
+        # bias=True used to shift the truth by 1 kWh
+        terms = {"bias": 10.0, "noise_std": 5.0, "behavior_amp": 2.0, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and a real number, got "):
+            make_truth(self._physics(), seed=0, **terms)
 
     def test_behavior_pattern_roughly_zero_mean(self):
         ts = hourly_range("2021-01-04T00", 168 * 4)
