@@ -35,9 +35,9 @@ for weight in (params.w, params.w_hid, params.w_head, params.w_head_mem):
     weight[...] = 1.0
 print("blocks:", {name: getattr(params, name).shape for name in dims.blocks})
 ws = run_kernel(one_sample(1.0, 1.0, 3.0), params)
-d = dims.embed_dim
 print("hand-checkable forward pass (everything 1, memory 0):")
-print(f"  embeddings h_dl={ws.c[0, 0, :d]}, h_ep={ws.c[1, 0, :d]}")
+print(f"  embeddings h_dl={ws.a_h[0, 0]}, h_ep={ws.a_h[1, 0]}")
+print(f"  mixer biases with the memory folded in: {ws.zb[0]}, {ws.zb[1]}")
 print(f"  mixers     z_dl={ws.z[0, 0]}, z_ep={ws.z[1, 0]}")
 print(f"  heads      part_dl={ws.part[0, 0]}, part_ep={ws.part[1, 0]}, offset={ws.offset}")
 print(f"  prediction yhat = {ws.yhat[0]}   (= 2 + 2 + 0)")

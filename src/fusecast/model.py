@@ -17,7 +17,11 @@ three scalars whose sum is the predicted energy:
 The memory vector feeds both mixers and the additive offset head, so
 training can park persistent forecast bias in it.  Because the three head
 outputs are unconstrained reals, the sum can land outside the interval
-spanned by the two input forecasts whenever that lowers the loss.
+spanned by the two input forecasts whenever that lowers the loss.  The
+memory is the same for every sample, so the kernel folds each mixer's
+memory columns into its bias once per pass (``_mixer_bias``), and
+``fold_memory`` turns a memory model into the memory-less model that
+predicts the same bits.
 
 The two streams run the same layers with their own weights, so the flat
 parameter vector stores each data/physics tensor pair side by side as one
@@ -41,18 +45,20 @@ or more runs the physics stream of every update on a helper thread while
 the calling thread runs the data stream, when the process may use a
 second CPU and is not a multiprocessing child (a pool's workers already
 fill the CPUs).  Both ways give the same bits (with OpenBLAS at one
-thread, as the CLI and the pool workers set it), and the helper lives
-only as long as the train call that made it.  A validation split with no
-more rows than an update runs in the update's workspace, so on its helper
-too; a larger one and predict run on the calling thread.
+thread, as the CLI and the pool workers set it).  The helper is built by
+the first training that splits and serves every later one in the
+process; a fork joins it first, so no child starts with it running.  A
+validation split with no more rows than an update runs in the update's
+workspace, so on its helper too; a larger one and predict run on the
+calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
-from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -202,20 +208,21 @@ class _Workspace:
     """Preallocated kernel buffers for up to ``rows`` rows; a call on m rows
     uses the first m of each.  Every buffer stacks the data stream (index 0)
     on the physics stream (index 1), shaped ``(2, rows, ...)``: the input
-    ``x`` of [value, mask] rows, the embedding pre-activation ``a_h``, the
-    mixer input ``c`` = [max(0, a_h), memory], the mixer output ``z`` (its
-    pre-activation, then in place its ReLU) and the head output ``part``.
-    ``backward=True`` adds the per-row ``losses`` and loss gradient ``g``,
-    the memory-gradient sums ``dmem`` and the bool ReLU masks ``on_z`` and
+    ``x`` of [value, mask] rows, the embedding ``a_h`` (its pre-activation,
+    then in place its ReLU h), the mixer output ``z`` (likewise) and the
+    head output ``part``; ``zb`` (2, hidden) holds each mixer's bias with
+    the memory folded in (``_mixer_bias``).  ``backward=True`` adds the
+    per-row ``losses`` and loss gradient ``g``, the memory gradients
+    ``dmem`` through each mixer and the bool ReLU masks ``on_z`` and
     ``on_h``.  The backward pass writes each gradient into the buffer whose
     value is spent: afterwards ``z`` holds the mixer pre-activation's
-    gradient, ``c`` the mixer input's and ``a_h`` the embedding
-    pre-activation's.  A workspace lives for one ``train``/``predict``
-    call.  The layer body of stream ``s`` touches only its blocks ``[s]``.
-    Its ``helper``, when ``train`` sets one, is the one-worker executor
-    that runs the physics stream (``s = 1``) of every kernel call on it
-    (see ``_on_streams``), validation passes included; only a large
-    training's update workspace has one.
+    gradient and ``a_h`` the embedding pre-activation's.  The layer body of
+    stream ``s`` touches only its blocks ``[s]``.  A workspace lives for
+    one ``train``/``predict`` call.  Its ``helper``, when ``train`` sets
+    one, is the process's one-worker executor (``_stream_helper``) that
+    runs the physics stream (``s = 1``) of every kernel call on it (see
+    ``_on_streams``), validation passes included; only a large training's
+    update workspace has one.
 
     The float buffers are blocks of one float64 allocation, and the bool
     ReLU masks of one bool allocation.
@@ -225,13 +232,13 @@ class _Workspace:
     page-faulted in again on the next call."""
 
     def __init__(self, dims: FusionDims, rows: int, backward: bool = True):
-        d, c, dz = dims.embed_dim, dims.embed_dim + dims.mem_width, dims.hidden_dim
-        shapes = [(2, rows, 2), (2, rows, d), (2, rows, c), (2, rows, dz), (2, rows), (rows,)]
+        d, dz = dims.embed_dim, dims.hidden_dim
+        shapes = [(2, rows, 2), (2, rows, d), (2, rows, dz), (2, rows), (rows,), (2, dz)]
         if backward:
             shapes += [(rows,), (rows,), (2, dims.mem_width)]
             self.on_z, self.on_h = empty_blocks([(2, rows, dz), (2, rows, d)], bool)
         bufs = empty_blocks(shapes)
-        self.x, self.a_h, self.c, self.z, self.part, self.yhat = bufs[:6]
+        self.x, self.a_h, self.z, self.part, self.yhat, self.zb = bufs[:6]
         if backward:
             self.losses, self.g, self.dmem = bufs[6:]
         self.offset = 0.0
@@ -247,6 +254,23 @@ def _fill_inputs(batch: SampleBatch, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _mixer_bias(s, params: FusionParams, out: np.ndarray) -> np.ndarray:
+    """The bias of the mixer of stream ``s`` with the memory folded in,
+    ``w_hid[s][:, d:] @ memory + b_hid[s]``, written into ``out`` (and
+    returned): the constant the mixer's memory columns add to every row.
+    The kernel and ``fold_memory`` both take it from here, so they agree
+    bit for bit."""
+    d = params.dims.embed_dim
+    np.matmul(params.w_hid[s, ..., d:], params.memory, out=out)
+    out += params.b_hid[s]
+    return out
+
+
+def _offset(params: FusionParams) -> float:
+    """The offset head's output, the same for every row."""
+    return float(params.w_head_mem @ params.memory) + params.b_head_mem
+
+
 def _batch_forward(x: np.ndarray, params: FusionParams, ws: _Workspace) -> np.ndarray:
     """Forward pass over the m rows of ``x`` (2, m, 2) into ``ws``; returns
     yhat, a view into ``ws``.  The streams' layers run through
@@ -255,7 +279,7 @@ def _batch_forward(x: np.ndarray, params: FusionParams, ws: _Workspace) -> np.nd
     # divergence is caught via isfinite checks, so let overflow pass silently
     with np.errstate(over="ignore", invalid="ignore"):
         _on_streams(_forward_layers, x, ws, params)
-        ws.offset = float(params.w_head_mem @ params.memory) + params.b_head_mem
+        ws.offset = _offset(params)
         yhat = np.add(ws.part[0, :m], ws.part[1, :m], out=ws.yhat[:m])
         yhat += ws.offset
     return yhat
@@ -264,20 +288,22 @@ def _batch_forward(x: np.ndarray, params: FusionParams, ws: _Workspace) -> np.nd
 def _forward_layers(s, x: np.ndarray, ws: _Workspace, params: FusionParams) -> None:
     """The forward layers of stream ``s`` (0 data, 1 physics, ``np.s_[:]``
     both, stacked on a leading axis of 2): from the [value, mask] rows
-    ``x[s]`` into the blocks ``[s]`` of ``ws.a_h``, ``ws.c``, ``ws.z`` and
-    the head output ``ws.part``.  The weights are read as transposed views
-    and the head weight as a column, the biases with a row axis to
-    broadcast over, so each stream's products are those of a per-stream
-    ``x @ w.T``, bit for bit."""
+    ``x[s]`` into the blocks ``[s]`` of ``ws.a_h``, ``ws.zb``, ``ws.z`` and
+    the head output ``ws.part``.  The mixer multiplies only the embedding
+    columns of its weight; the memory columns enter through the folded
+    bias ``ws.zb[s]``.  The weights are read as transposed views and the
+    head weight as a column, the biases with a row axis to broadcast over,
+    so each stream's products are those of a per-stream ``x @ w.T``, bit
+    for bit."""
     m = x.shape[-2]
-    a_h, c, z, part = ws.a_h[s, :m], ws.c[s, :m], ws.z[s, :m], ws.part[s, :m]
+    a_h, z, part = ws.a_h[s, :m], ws.z[s, :m], ws.part[s, :m]
     d = a_h.shape[-1]
     np.matmul(x[s], params.w[s].swapaxes(-1, -2), out=a_h)
     a_h += params.b[s, None]
-    np.maximum(a_h, 0.0, out=c[..., :d])
-    c[..., d:] = params.memory
-    np.matmul(c, params.w_hid[s].swapaxes(-1, -2), out=z)
-    z += params.b_hid[s, None]
+    np.maximum(a_h, 0.0, out=a_h)
+    _mixer_bias(s, params, ws.zb[s])
+    np.matmul(a_h, params.w_hid[s, ..., :d].swapaxes(-1, -2), out=z)
+    z += ws.zb[s, None]
     np.maximum(z, 0.0, out=z)
     np.matmul(z, params.w_head[s, :, None], out=part[..., None])
     part += params.b_head[s, None]
@@ -314,32 +340,41 @@ def _backward_layers(s, x: np.ndarray, ws: _Workspace, params: FusionParams, gra
     """The backward layers of stream ``s``, as in ``_forward_layers``: the
     loss gradient ``g`` (its sum ``g_sum``) back from the head to the
     embedding, into the blocks ``[s]`` of the pair gradients in ``grads``
-    and of the sums ``ws.dmem`` of the mixer's memory columns."""
+    and of the memory gradients ``ws.dmem`` through the mixer.  The memory
+    enters the mixer through its folded bias, so the row sum ``sz`` of the
+    mixer's pre-activation gradient (the mixer bias's gradient) carries it
+    back: the memory columns' weight gradient is ``sz`` times the memory,
+    and the memory's gradient ``sz @ w_hid[s][:, d:]``."""
     m = len(g)
-    a_h, c, z, on_z, on_h = ws.a_h[s, :m], ws.c[s, :m], ws.z[s, :m], ws.on_z[s, :m], ws.on_h[s, :m]
-    d = a_h.shape[-1]
+    h, z, on_z, on_h = ws.a_h[s, :m], ws.z[s, :m], ws.on_z[s, :m], ws.on_h[s, :m]
+    d = h.shape[-1]
+    g_w_hid = grads.w_hid[s]
     # Each gradient overwrites a forward value that nothing reads again:
-    # da_z goes into z, dc into c and da_h into a_h.  z > 0 exactly where
-    # its pre-activation was (NaN included), so the mask survives the ReLU.
+    # da_z goes into z and da_h into h.  A ReLU output is > 0 exactly where
+    # its pre-activation was (NaN included), so both masks survive the ReLU.
     np.matmul(z.swapaxes(-1, -2), g, out=grads.w_head[s])
     grads.b_head[s] = g_sum
     np.greater(z, 0, out=on_z)
     da_z = np.multiply(g[:, None], params.w_head[s, None], out=z)
     da_z *= on_z
-    np.matmul(da_z.swapaxes(-1, -2), c, out=grads.w_hid[s])
-    np.add.reduce(da_z, axis=-2, out=grads.b_hid[s])
-    dc = np.matmul(da_z, params.w_hid[s], out=c)
-    np.add.reduce(dc[..., d:], axis=-2, out=ws.dmem[s])
-    da_h = np.multiply(dc[..., :d], np.greater(a_h, 0, out=on_h), out=a_h)
+    np.matmul(da_z.swapaxes(-1, -2), h, out=g_w_hid[..., :d])
+    sz = np.add.reduce(da_z, axis=-2, out=grads.b_hid[s])
+    np.multiply(sz[..., None], params.memory, out=g_w_hid[..., d:])
+    np.matmul(sz[..., None, :], params.w_hid[s, ..., d:], out=ws.dmem[s, None])
+    np.greater(h, 0, out=on_h)
+    da_h = np.matmul(da_z, params.w_hid[s, ..., :d], out=h)
+    da_h *= on_h
     np.matmul(da_h.swapaxes(-1, -2), x[s], out=grads.w[s])
     np.add.reduce(da_h, axis=-2, out=grads.b[s])
 
 
 # From this many rows per update, a training runs the two streams' layers
 # on two threads.  At the experiment widths on 2 vCPUs (one BLAS thread), a
-# forward and backward pass broke even at 512-768 rows, since each handoff
-# to the helper costs about 100 microseconds, and took 0.69x its one-thread
-# time at 1,024 rows and 0.57x at 5,241 (medians of 6 runs).
+# forward and backward pass of the folded kernel took 1.2-1.5x its
+# one-thread time at 512 rows and 1.1-1.3x at 768, where the handoffs to
+# the helper cost more than the half of the work they move; 0.80-1.03x at
+# 1,024 (about break-even), 0.73-0.85x at 1,280 and 0.55-0.73x at 5,241
+# (three runs, medians of 9 each).
 _SPLIT_ROWS = 1024
 
 
@@ -350,6 +385,38 @@ def _second_cpu() -> bool:
     # that has not is no child; importing it to ask would cost 0.3 MB
     mp = sys.modules.get("multiprocessing")
     return usable_cpus() > 1 and (mp is None or mp.parent_process() is None)
+
+
+_helper = None
+
+
+def _stream_helper():
+    """The process's one-worker executor for the physics stream, built by
+    the first training that splits and kept, so that no later training
+    pays for a new thread and the page faults of its stack.  Two threads
+    whose first splitting trainings start at once may each build one; the
+    one not kept goes with its training's workspace, and its thread
+    exits."""
+    global _helper
+    if _helper is None:
+        # imported here, since importing it costs 0.6 MB in every process
+        from concurrent.futures import ThreadPoolExecutor
+
+        _helper = ThreadPoolExecutor(1, thread_name_prefix="fusecast-physics-stream")
+    return _helper
+
+
+def _join_helper() -> None:
+    """Join the helper, if any, before a fork: a child would inherit any
+    lock a running helper holds, and an executor without its thread.  The
+    next training that splits builds a new one."""
+    global _helper
+    if _helper is not None:
+        _helper.shutdown()
+        _helper = None
+
+
+os.register_at_fork(before=_join_helper)
 
 
 def _under_errstate(err: dict, layers, args: tuple) -> None:
@@ -372,6 +439,22 @@ def _on_streams(layers, x: np.ndarray, ws: _Workspace, *args) -> None:
         layers(0, x, ws, *args)
     finally:
         future.result()
+
+
+def fold_memory(params: FusionParams) -> FusionParams:
+    """The memory-less parameters that predict what ``params`` predicts,
+    bit for bit: each mixer's memory columns times the memory join its
+    bias (``_mixer_bias``, as in the kernel), and the offset head's memory
+    term joins the offset bias.  The memory is one vector shared by every
+    row, so a memory model is a memory-less model with other biases."""
+    d = params.dims.embed_dim
+    folded = FusionParams(replace(params.dims, memory_enabled=False))
+    for name in ("w", "b", "w_head", "b_head"):
+        getattr(folded, name)[...] = getattr(params, name)
+    folded.w_hid[...] = params.w_hid[..., :d]
+    _mixer_bias(np.s_[:], params, folded.b_hid)
+    folded.b_head_mem[...] = _offset(params)
+    return folded
 
 
 def predict(batch: SampleBatch, params: FusionParams) -> np.ndarray:
@@ -408,8 +491,8 @@ def train(
     forward-only workspace of its own.  When an update has ``_SPLIT_ROWS``
     rows or more and ``_second_cpu()`` holds, every kernel call in the
     update workspace (the ragged last minibatch and validation too) runs
-    the physics stream on a helper thread that is joined before this
-    returns (see ``_on_streams``).
+    the physics stream on the process's helper thread, which outlives the
+    call (see ``_on_streams`` and ``_stream_helper``).
     """
     n = len(dataset)
     if not n:
@@ -432,12 +515,8 @@ def train(
         ws_val = ws if fits else _Workspace(params.dims, len(validation), backward=False)
         x_val = _fill_inputs(validation, np.empty((2, len(validation), 2)) if fits else ws_val.x)
         y_val = validation.target
-    helper = nullcontext()
     if rows >= _SPLIT_ROWS and _second_cpu():
-        # imported here, since importing it costs 0.6 MB in every process
-        from concurrent.futures import ThreadPoolExecutor
-
-        helper = ws.helper = ThreadPoolExecutor(1, thread_name_prefix="fusecast-physics-stream")
+        ws.helper = _stream_helper()
     if cfg.batch_size is None:
         x = _fill_inputs(dataset, ws.x)
     else:
@@ -469,11 +548,10 @@ def train(
         err = np.subtract(y_val, _batch_forward(x_val, params, ws_val), out=ws_val.yhat[: len(y_val)])
         return float(np.mean(np.square(err, out=err)))
 
-    with helper:
-        best, history = fit_epochs(
-            params.vector, n, update, validate if has_val else None,
-            cfg.max_epochs, cfg.batch_size, cfg.early_stop_patience, np.random.default_rng(cfg.seed),
-        )
+    best, history = fit_epochs(
+        params.vector, n, update, validate if has_val else None,
+        cfg.max_epochs, cfg.batch_size, cfg.early_stop_patience, np.random.default_rng(cfg.seed),
+    )
     return FusionParams(params.dims, best), history
 
 

@@ -104,11 +104,12 @@ def test_criterion_1_gradient_exactness():
             s = _batch([dl], [ep], [rng.normal()], dl_mask, ep_mask)
             ws = M._Workspace(dims, 1)
             M._batch_forward(M._fill_inputs(s, ws.x), cand, ws)
-            # the workspace keeps the mixer's ReLU; its pre-activation is
-            # recomputed from the mixer input before the backward pass
-            # overwrites that with a gradient
-            a_z = np.matmul(ws.c, cand.w_hid.transpose(0, 2, 1)) + cand.b_hid[:, None]
-            if np.all(np.abs(ws.a_h) > 1e-3) and np.all(np.abs(a_z) > 1e-3):
+            # the workspace keeps each layer's ReLU; the pre-activations
+            # are recomputed from the layers' inputs before the backward
+            # pass overwrites the embedding with a gradient
+            a_h = np.matmul(ws.x[:, :1], cand.w.transpose(0, 2, 1)) + cand.b[:, None]
+            a_z = np.matmul(ws.a_h, cand.w_hid[..., :dims.embed_dim].transpose(0, 2, 1)) + ws.zb[:, None]
+            if np.all(np.abs(a_h) > 1e-3) and np.all(np.abs(a_z) > 1e-3):
                 sample, params = s, cand
                 break
         if sample is None:

@@ -1,6 +1,5 @@
 import pickle
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,8 +56,9 @@ def random_batch(rng, n=1, masks=(1, 1)):
 def run_kernel(batch, p, backward=True):
     """A workspace holding the kernel's forward pass over ``batch``: the
     intermediates of row i of stream k (0 = data, 1 = physics) are
-    ``a_h[k, i]``, ``c[k, i]`` = [h, memory], ``z[k, i]`` and
-    ``part[k, i]``."""
+    ``a_h[k, i]`` (the embedding h, after its ReLU), ``z[k, i]`` and
+    ``part[k, i]``, and ``zb[k]`` is stream k's mixer bias with the memory
+    folded in."""
     ws = M._Workspace(p.dims, len(batch), backward)
     M._batch_forward(M._fill_inputs(batch, ws.x), p, ws)
     return ws
@@ -77,11 +77,12 @@ def kernel_grads(batch, p):
 def near_relu_kink(batch, p):
     """Whether a pre-activation of the forward pass over ``batch`` lies
     within 1e-3 of a ReLU kink, where a central difference straddles it.
-    The workspace keeps the mixer's ReLU, not its pre-activation, so that
-    is recomputed from the mixer input."""
+    The workspace keeps each layer's ReLU, not its pre-activation, so those
+    are recomputed from the layer's input."""
     ws = run_kernel(batch, p, backward=False)
-    a_z = np.matmul(ws.c, p.w_hid.transpose(0, 2, 1)) + p.b_hid[:, None]
-    return bool(np.any(np.abs(ws.a_h) <= 1e-3) or np.any(np.abs(a_z) <= 1e-3))
+    a_h = np.matmul(ws.x, p.w.transpose(0, 2, 1)) + p.b[:, None]
+    a_z = np.matmul(ws.a_h, p.w_hid[..., : p.dims.embed_dim].transpose(0, 2, 1)) + ws.zb[:, None]
+    return bool(np.any(np.abs(a_h) <= 1e-3) or np.any(np.abs(a_z) <= 1e-3))
 
 
 def loss_fn(batch, dims):
@@ -124,13 +125,17 @@ class TestInitParams:
 def embeddings(p, dl=0.0, dl_mask=1, ep=0.0, ep_mask=1):
     """(h_dl, h_ep) of one sample, read from the kernel's workspace."""
     ws = run_kernel(sample_batch(dl, ep, dl_mask=dl_mask, ep_mask=ep_mask), p)
-    d = p.dims.embed_dim
-    return ws.c[0, 0, :d], ws.c[1, 0, :d]
+    return ws.a_h[0, 0], ws.a_h[1, 0]
 
 
 def memory_read(p):
-    """The memory columns of both mixer inputs for one sample, (2, mem_width)."""
-    return run_kernel(sample_batch(0.0, 0.0), p).c[:, 0, p.dims.embed_dim:]
+    """The memory as both mixers read it, (2, mem_width): the kernel's
+    folded mixer biases for a copy of ``p`` whose mixers have identity
+    memory columns and zero biases (hidden_dim must equal memory_dim)."""
+    q = p.copy()
+    q.w_hid[..., p.dims.embed_dim:] = np.eye(p.dims.mem_width)
+    q.b_hid[...] = 0.0
+    return run_kernel(sample_batch(0.0, 0.0), q).zb
 
 
 class TestProjections:
@@ -164,14 +169,14 @@ class TestProjections:
 
 class TestReadMemory:
     def test_identity_read(self):
-        dims = M.FusionDims(1, 2, 1)
+        dims = M.FusionDims(1, 2, 2)
         p = manual_params(dims, memory=[0.0, 0.0])
         assert np.array_equal(memory_read(p), np.zeros((2, 2)))
         p2 = manual_params(dims, memory=[1.5, -2.0])
         assert np.array_equal(memory_read(p2), [[1.5, -2.0], [1.5, -2.0]])
 
     def test_reflects_optimizer_updates(self):
-        dims = M.FusionDims(1, 2, 1)
+        dims = M.FusionDims(1, 2, 2)
         p = manual_params(dims, memory=[1.0, 1.0])
         grads = M.FusionParams(dims)
         grads.memory[...] = [2.0, -2.0]
@@ -197,8 +202,8 @@ class TestForward:
         dims = M.FusionDims(1, 1, 1)
         p = manual_params(dims, fill=1.0)
         ws = run_kernel(sample_batch(1.0, 1.0), p)
-        assert ws.c[0, 0, 0] == 2.0 and ws.c[1, 0, 0] == 2.0  # h_dl, h_ep
-        assert ws.c[0, 0, 1] == 0.0 and ws.c[1, 0, 1] == 0.0  # the memory read
+        assert ws.a_h[0, 0, 0] == 2.0 and ws.a_h[1, 0, 0] == 2.0  # h_dl, h_ep
+        assert ws.zb[0, 0] == 0.0 and ws.zb[1, 0] == 0.0  # the memory read, folded into the mixer bias
         assert ws.z[0, 0, 0] == 2.0 and ws.z[1, 0, 0] == 2.0
         assert ws.part[0, 0] == 2.0 and ws.part[1, 0] == 2.0 and ws.offset == 0.0
         assert ws.yhat[0] == 4.0
@@ -216,7 +221,7 @@ class TestForward:
         p = M.init_params(M.FusionDims(6, 2, 6), 2)
         for _ in range(50):
             ws = run_kernel(random_batch(rng), p)
-            assert np.all(ws.c[..., : p.dims.embed_dim] >= 0)
+            assert np.all(ws.a_h >= 0)
             assert np.all(ws.z >= 0)
 
     def test_mask_sensitivity(self):
@@ -236,7 +241,7 @@ class TestForward:
         dims = M.FusionDims(1, 1, 1)
         p = manual_params(dims, fill=1e308)
         batch = sample_batch(1e308, 0.0)
-        assert not np.isfinite(run_kernel(batch, p).c[0, 0, :1]).all()  # h_dl overflows
+        assert not np.isfinite(run_kernel(batch, p).a_h[0, 0, :1]).all()  # h_dl overflows
         with pytest.raises(ValueError, match="1 of 1 outputs are non-finite"):
             M.predict(batch, p)
 
@@ -330,22 +335,6 @@ class TestBatchEquivalence:
         assert np.array_equal(a, b)
 
 
-def fold_memory(p):
-    """The memory-less parameters equivalent to ``p``: the memory is one
-    vector shared by every row, so its mixer columns times the memory are a
-    constant that joins each mixer bias, and the offset head's memory term
-    joins the offset bias."""
-    d = p.dims.embed_dim
-    folded = M.FusionParams(replace(p.dims, memory_enabled=False))
-    for name in ("w", "b", "w_head", "b_head"):
-        getattr(folded, name)[...] = getattr(p, name)
-    folded.w_hid[...] = p.w_hid[:, :, :d]
-    for s in (0, 1):
-        folded.b_hid[s] = p.b_hid[s] + p.w_hid[s, :, d:] @ p.memory
-    folded.b_head_mem[...] = p.w_head_mem @ p.memory + p.b_head_mem
-    return folded
-
-
 class TestMemoryAblation:
     def test_disabled_memory_has_zero_width(self):
         dims = M.FusionDims(4, 8, 4, memory_enabled=False)
@@ -399,10 +388,11 @@ class TestMemoryAblation:
             checked += 1
 
     def _assert_fold_agrees(self, p, batch):
-        folded = fold_memory(p)
+        folded = M.fold_memory(p)
         assert folded.dims.mem_width == 0
         want = M.predict(batch, p)
-        np.testing.assert_allclose(M.predict(batch, folded), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        # the kernel folds the memory with the same helper, so bit for bit
+        assert np.array_equal(M.predict(batch, folded), want)
         # the memory moves the predictions, so the agreement is not vacuous
         no_memory = p.copy()
         no_memory.memory[...] = np.zeros(p.dims.mem_width)
@@ -415,6 +405,13 @@ class TestMemoryAblation:
             p = init_with_memory(dims, seed)
             p.vector[:] += 0.5 * rng.standard_normal(dims.size)
             self._assert_fold_agrees(p, random_batch(rng, 50, masks=rng.integers(0, 2, (2, 50))))
+
+    def test_a_memory_less_model_folds_to_itself(self):
+        p = M.init_params(M.FusionDims(4, 3, 5, memory_enabled=False), 9)
+        p.vector[:] += np.random.default_rng(73).standard_normal(p.dims.size)
+        folded = M.fold_memory(p)
+        assert folded.dims == p.dims and np.array_equal(folded.vector, p.vector)
+        assert not np.shares_memory(folded.vector, p.vector)
 
     def test_memory_folds_into_biases_after_training(self):
         # a constant bias for the memory to absorb

@@ -221,10 +221,11 @@ class TestDeterminismAndFailure:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity oracles: the workspace kernel against the allocating kernel it
-# replaced (copied below unchanged), and the flat-vector Adam against a
-# per-tensor reference loop (the list-based Adam the flat buffer replaced)
-# running on those reference kernels.
+# Oracles: the workspace kernel against an allocating reference kernel in the
+# same folded arithmetic (bit for bit), and against the concatenated kernel
+# the fold replaced (copied below unchanged, to a relative 1e-12); the
+# flat-vector Adam against a per-tensor reference loop (the list-based Adam
+# the flat buffer replaced) running on the folded reference kernels.
 # ---------------------------------------------------------------------------
 
 def _reference_pack_inputs(batch):
@@ -234,7 +235,9 @@ def _reference_pack_inputs(batch):
 
 
 def _reference_batch_forward(x_dl, x_ep, params):
-    n = x_dl.shape[0]
+    """The forward pass with the memory folded into each mixer's bias: the
+    mixer multiplies the embedding columns of its weight only."""
+    d = params.dims.embed_dim
     mem = params.memory
     # divergence is caught via isfinite checks, so let overflow pass silently
     with np.errstate(over="ignore", invalid="ignore"):
@@ -242,10 +245,70 @@ def _reference_batch_forward(x_dl, x_ep, params):
         a_h_ep = x_ep @ params.w[1].T + params.b[1]
         h_dl = np.maximum(a_h_dl, 0.0)
         h_ep = np.maximum(a_h_ep, 0.0)
+        zb_dl = params.w_hid[0][:, d:] @ mem + params.b_hid[0]
+        zb_ep = params.w_hid[1][:, d:] @ mem + params.b_hid[1]
+        a_z_dl = h_dl @ params.w_hid[0][:, :d].T + zb_dl
+        a_z_ep = h_ep @ params.w_hid[1][:, :d].T + zb_ep
+        z_dl = np.maximum(a_z_dl, 0.0)
+        z_ep = np.maximum(a_z_ep, 0.0)
+        part_dl = z_dl @ params.w_head[0] + params.b_head[0, ...]
+        part_ep = z_ep @ params.w_head[1] + params.b_head[1, ...]
+        offset = float(params.w_head_mem @ mem) + params.b_head_mem
+        yhat = part_dl + part_ep + offset
+    return {
+        "x_dl": x_dl, "x_ep": x_ep, "a_h_dl": a_h_dl, "a_h_ep": a_h_ep,
+        "h_dl": h_dl, "h_ep": h_ep, "a_z_dl": a_z_dl, "a_z_ep": a_z_ep,
+        "z_dl": z_dl, "z_ep": z_ep, "yhat": yhat,
+    }
+
+
+def _reference_batch_backward(cache, y, params, out=None):
+    """Per-sample losses and the summed gradients over the batch, in
+    ``out``, for the folded forward pass: the row sum of each mixer's
+    pre-activation gradient carries the memory's share back."""
+    d = params.dims.embed_dim
+    mem = params.memory
+    yhat = cache["yhat"]
+    losses = (y - yhat) ** 2
+    g = 2.0 * (yhat - y)
+    g_sum = float(np.sum(g))
+
+    g_w_head_dl = cache["z_dl"].T @ g
+    g_w_head_ep = cache["z_ep"].T @ g
+    g_w_head_mem = g_sum * mem
+
+    da_z_dl = np.outer(g, params.w_head[0]) * (cache["a_z_dl"] > 0)
+    da_z_ep = np.outer(g, params.w_head[1]) * (cache["a_z_ep"] > 0)
+    sz_dl, sz_ep = da_z_dl.sum(axis=0), da_z_ep.sum(axis=0)
+    g_w_hid_dl = np.hstack([da_z_dl.T @ cache["h_dl"], np.outer(sz_dl, mem)])
+    g_w_hid_ep = np.hstack([da_z_ep.T @ cache["h_ep"], np.outer(sz_ep, mem)])
+    g_memory = sz_dl @ params.w_hid[0][:, d:] + sz_ep @ params.w_hid[1][:, d:] + g_sum * params.w_head_mem
+
+    da_h_dl = (da_z_dl @ params.w_hid[0][:, :d]) * (cache["a_h_dl"] > 0)
+    da_h_ep = (da_z_ep @ params.w_hid[1][:, :d]) * (cache["a_h_ep"] > 0)
+
+    grads = out if out is not None else M.FusionParams(params.dims)
+    grads.w[0], grads.b[0] = da_h_dl.T @ cache["x_dl"], da_h_dl.sum(axis=0)
+    grads.w[1], grads.b[1] = da_h_ep.T @ cache["x_ep"], da_h_ep.sum(axis=0)
+    grads.memory[...] = g_memory
+    grads.w_hid[0], grads.b_hid[0] = g_w_hid_dl, sz_dl
+    grads.w_hid[1], grads.b_hid[1] = g_w_hid_ep, sz_ep
+    grads.w_head[0], grads.w_head[1], grads.w_head_mem[...] = g_w_head_dl, g_w_head_ep, g_w_head_mem
+    grads.b_head[...] = grads.b_head_mem[...] = g_sum
+    return losses, grads
+
+
+def _concat_batch_forward(x_dl, x_ep, params):
+    """The forward pass of the kernel before the fold: the memory copied
+    into every row of the mixer input ``c = [h, memory]``."""
+    n = x_dl.shape[0]
+    mem = params.memory
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_h_dl = x_dl @ params.w[0].T + params.b[0]
+        a_h_ep = x_ep @ params.w[1].T + params.b[1]
+        h_dl = np.maximum(a_h_dl, 0.0)
+        h_ep = np.maximum(a_h_ep, 0.0)
         mem_rows = np.broadcast_to(mem, (n, mem.shape[0]))
-        # C order, as the kernel's mixer input: at embed_dim 1, concatenate
-        # returns an F-ordered array, which flips BLAS's transpose flag and
-        # with it the last bit of the mixer product
         c_dl = np.ascontiguousarray(np.concatenate([h_dl, mem_rows], axis=1))
         c_ep = np.ascontiguousarray(np.concatenate([h_ep, mem_rows], axis=1))
         a_z_dl = c_dl @ params.w_hid[0].T + params.b_hid[0]
@@ -264,8 +327,8 @@ def _reference_batch_forward(x_dl, x_ep, params):
     }
 
 
-def _reference_batch_backward(cache, y, params, out=None):
-    """Per-sample losses and the summed gradients over the batch, in ``out``."""
+def _concat_batch_backward(cache, y, params):
+    """Per-sample losses and the summed gradients of ``_concat_batch_forward``."""
     d = params.dims.embed_dim
     yhat = cache["yhat"]
     losses = (y - yhat) ** 2
@@ -288,7 +351,7 @@ def _reference_batch_backward(cache, y, params, out=None):
     da_h_dl = dc_dl[:, :d] * (cache["a_h_dl"] > 0)
     da_h_ep = dc_ep[:, :d] * (cache["a_h_ep"] > 0)
 
-    grads = out if out is not None else M.FusionParams(params.dims)
+    grads = M.FusionParams(params.dims)
     grads.w[0], grads.b[0] = da_h_dl.T @ cache["x_dl"], da_h_dl.sum(axis=0)
     grads.w[1], grads.b[1] = da_h_ep.T @ cache["x_ep"], da_h_ep.sum(axis=0)
     grads.memory[...] = g_memory
@@ -426,7 +489,7 @@ class TestWorkspaceKernelOracle:
         dims = M.FusionDims(3, 4, 5, memory_enabled=memory_enabled)
         ws = M._Workspace(dims, 17, backward=backward)
         floats = {k: v for k, v in vars(ws).items() if isinstance(v, np.ndarray) and v.dtype == np.float64}
-        names = {"x", "a_h", "c", "z", "part", "yhat"}
+        names = {"x", "a_h", "z", "part", "yhat", "zb"}
         assert set(floats) == (names | {"losses", "g", "dmem"} if backward else names)
         arena = floats["x"].base
         assert arena is not None and arena.base is None and arena.ndim == 1
@@ -436,19 +499,53 @@ class TestWorkspaceKernelOracle:
             masks = [ws.on_z, ws.on_h]
             assert all(buf.dtype == bool and buf.base is masks[0].base for buf in masks)
 
-        # per row: x 4, a_h 2d, c 2(d + mw), z 2dz, part 2, yhat 1, and for
-        # training losses 1 and g 1; plus dmem 2mw once
+        # per row: x 4, a_h 2d, z 2dz, part 2, yhat 1, and for training
+        # losses 1 and g 1; plus zb 2dz once, and for training dmem 2mw
         def arena_size(dims, rows):
             d, mw, dz = dims.embed_dim, dims.mem_width, dims.hidden_dim
-            per_row = 7 + 4 * d + 2 * mw + 2 * dz + (2 if backward else 0)
-            return per_row * rows + (2 * mw if backward else 0)
+            per_row = 7 + 2 * d + 2 * dz + (2 if backward else 0)
+            return per_row * rows + 2 * dz + (2 * mw if backward else 0)
 
         assert arena.size == arena_size(dims, 17)
         experiment = replace(DEFAULT_DIMS, memory_enabled=memory_enabled)
-        size = M._Workspace(experiment, 29, backward=backward).x.base.size
-        assert size == arena_size(experiment, 29)
-        if memory_enabled:
-            assert size == (233 * 29 + 2 * experiment.memory_dim if backward else 231 * 29)
+        assert M._Workspace(experiment, 29, backward=backward).x.base.size == arena_size(experiment, 29)
+
+    @pytest.mark.parametrize("memory_enabled", [True, False], ids=["memory", "no-memory"])
+    def test_training_workspace_holds_137_floats_per_row(self, memory_enabled):
+        # at the experiment's widths: x 4, a_h 64, z 64, part 2, yhat 1,
+        # losses 1, g 1; the memory adds no per-row buffer, only its
+        # 2 x 16 gradients through the mixers next to the 2 x 32 folded
+        # mixer biases
+        dims = replace(DEFAULT_DIMS, memory_enabled=memory_enabled)
+        fixed = 2 * dims.hidden_dim + 2 * dims.mem_width
+        for rows in (1, 128, 5241):
+            assert M._Workspace(dims, rows).x.base.size == 137 * rows + fixed
+            assert M._Workspace(dims, rows, backward=False).x.base.size == 135 * rows + 2 * dims.hidden_dim
+
+    @pytest.mark.parametrize("memory_enabled", [True, False], ids=["memory", "no-memory"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kernel_matches_the_concatenated_kernel_to_1e_12(self, seed, memory_enabled):
+        # the kernel before the fold copied the memory into every row of
+        # the mixer input; folding it into the bias regroups the memory
+        # term's sum, which moves only the last bits
+        rng = np.random.default_rng(390 + seed)
+        dims = M.FusionDims(*(int(rng.integers(1, 12)) for _ in range(3)), memory_enabled=memory_enabled)
+        if seed == 3:
+            dims = replace(DEFAULT_DIMS, memory_enabled=memory_enabled)
+        p = init_with_memory(dims, seed)
+        p.vector[:] += 0.5 * rng.standard_normal(dims.size)
+        ws = M._Workspace(dims, 128)
+        for m in (128, 7, 1):
+            xs, y = _random_rows(rng, m)
+            yhat = M._batch_forward(np.stack(xs), p, ws).copy()
+            grads = M.FusionParams(dims)
+            losses = M._batch_backward(np.stack(xs), y, p, ws, grads)
+            ref = _concat_batch_forward(*xs, p)
+            ref_losses, ref_grads = _concat_batch_backward(ref, y, p)
+            np.testing.assert_allclose(yhat, ref["yhat"], rtol=1e-12, atol=1e-12 * np.abs(ref["yhat"]).max())
+            np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=1e-12 * ref_losses.max())
+            for name, a, b in zip(M._TENSOR_FIELDS, grads.flatten(), ref_grads.flatten()):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(ref_grads.vector).max(), err_msg=name)
 
     def test_one_row_workspace_matches_reference(self):
         rng = np.random.default_rng(310)
@@ -524,6 +621,15 @@ def split_always(monkeypatch):
     return seen
 
 
+def _helper_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("fusecast-physics-stream")]
+
+
+def _fork_child_state() -> tuple[bool, int]:
+    """In a fork child: whether it inherited no helper, and its thread count."""
+    return M._helper is None, threading.active_count()
+
+
 def _forward_threads_by_rows(monkeypatch) -> dict[int, set[str]]:
     """From now on, the threads that ran a forward pass, by its row count."""
     threads = {}
@@ -579,7 +685,7 @@ class TestStreamSplit:
         x = ws.x[:, :m]
         x[...] = np.stack(xs)
         g = rng.standard_normal(m)
-        stacked = ("x", "a_h", "c", "z", "part", "on_z", "on_h", "dmem")
+        stacked = ("x", "a_h", "z", "part", "zb", "on_z", "on_h", "dmem")
 
         def run_and_check(layers, *args):
             before = {k: v.copy() for k, v in vars(ws).items() if isinstance(v, np.ndarray)}
@@ -626,10 +732,18 @@ class TestStreamSplit:
         rng = np.random.default_rng(371)
         samples = make_dataset(rng, n=30)
         p = M.init_params(M.FusionDims(3, 2, 3), 1)
-        before = threading.active_count()
+        cfg = M.TrainConfig(max_epochs=2, early_stop_patience=2)
         with pytest.raises(FloatingPointError, match="injected in the helper"):
-            M.train(samples, p, M.TrainConfig(max_epochs=2, early_stop_patience=2))
-        assert threading.active_count() == before
+            M.train(samples, p, cfg)
+        # the helper survives its exception and serves the next training
+        assert len(_helper_threads()) == 1
+        monkeypatch.setattr(M, layers, real)
+        split = M.train(samples, p, cfg)
+        assert len(_helper_threads()) == 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "usable_cpus", lambda: 1)
+            stacked = M.train(samples, p, cfg)
+        assert split[0].vector.tobytes() == stacked[0].vector.tobytes()
 
     def test_overflow_in_the_helper_raises_no_runtime_warning(self, split_always):
         # the suite turns RuntimeWarning into an error, so a helper that ran
@@ -650,18 +764,31 @@ class TestStreamSplit:
             M.predict(samples, p)
         assert split_always == {"caller", "helper"}
 
-    def test_no_helper_outlives_train_or_predict(self, split_always):
-        # the harness forks its pool after training in this process, so a
-        # helper left running would be forked along
+    def test_one_helper_per_process_and_none_across_a_fork(self, split_always):
+        # the helper outlives a training, so later trainings take no new
+        # thread's page faults; a fork joins it first, so no child (the
+        # harness's pool workers included) is forked from a process with it
+        # running, and the next training that splits builds a fresh one
+        M._join_helper()
         rng = np.random.default_rng(373)
         samples, val = make_dataset(rng, n=30), make_dataset(rng, n=10)
         p = M.init_params(M.FusionDims(3, 2, 3), 3)
         before = threading.active_count()
-        for batch_size in (None, 8):
-            M.train(samples, p, M.TrainConfig(max_epochs=3, batch_size=batch_size, early_stop_patience=3), val)
-            assert threading.active_count() == before
+        assert _helper_threads() == []
+        M.train(samples, p, M.TrainConfig(max_epochs=3, early_stop_patience=3), val)
+        helper = _helper_threads()
+        assert len(helper) == 1 and threading.active_count() == before + 1
+        # the next training reuses that thread
+        M.train(samples, p, M.TrainConfig(max_epochs=3, batch_size=8, early_stop_patience=3), val)
+        assert _helper_threads() == helper and threading.active_count() == before + 1
         M.predict(samples, p)
-        assert threading.active_count() == before
+        assert _helper_threads() == helper
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            # the pool forks its worker at the first submit
+            assert pool.submit(_fork_child_state).result(timeout=60) == (True, 1)
+        assert _helper_threads() == [] and M._helper is None
+        M.train(samples, p, M.TrainConfig(max_epochs=2, early_stop_patience=2), val)
+        assert len(_helper_threads()) == 1 and _helper_threads() != helper
         assert split_always == {"caller", "helper"}
 
     def test_split_needs_a_second_cpu(self, monkeypatch):
