@@ -165,6 +165,8 @@ class ScenarioConfig:
         need = BASELINE_MIN_TRAIN_ROWS if self.dl_available else 1
         if n_train < need:
             raise ConfigError(f"the split leaves {n_train} training rows of {n}; need at least {need}")
+        if n_fit == n_train:
+            raise ConfigError(f"the split leaves no validation rows of {n}")
         if n_fit == n:
             raise ConfigError(f"the split leaves no test rows of {n}")
 
@@ -570,7 +572,7 @@ def _fit_dl(cfg: ScenarioConfig, lag_source: EnergySeries, temp_c: np.ndarray) -
     """Fit the data-driven baseline on ``lag_source`` and roll out its
     day-ahead forecast."""
     feats = build_feature_rows(lag_source, temp_c)
-    forecaster = train_baseline_forecaster(feats, lag_source, cfg.split, cfg.seed + SEED_BASELINE)
+    forecaster = train_baseline_forecaster(feats, cfg.split, cfg.seed + SEED_BASELINE)
     return forecast_dl(forecaster, feats)
 
 
@@ -681,16 +683,6 @@ def _methods_json(report: RunReport) -> dict:
     return {m: asdict(r) for m, r in report.methods.items()}
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def _stage(seconds: dict[str, float], name: str, fn, *args):
     """Run one named stage of ``run_all`` under ``_timed``; its wall seconds
     go into ``seconds[name]``."""
@@ -741,7 +733,7 @@ def run_all(out_dir, seed: int = DEFAULT_SEED, fast: bool = False) -> int:
         if sid == 1:
             _write_calibration_csv(out / "calibration.csv", report.fixture)
         summary["scenarios"][str(sid)] = {
-            "config": _json_ready(asdict(cfg)),
+            "config": asdict(cfg),
             "methods": _methods_json(report),
             "training": save(f"scenario{sid}", trained),
         }
@@ -770,7 +762,9 @@ def run_all(out_dir, seed: int = DEFAULT_SEED, fast: bool = False) -> int:
     summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     summary["peak_rss_children_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
     summary["files"] = sorted(p.name for p in out.iterdir() if p.is_file())
-    (out / "run_summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    # json writes tuples as lists and a float64 as a float; the hook turns
+    # other numpy scalars, such as an np.int64 seed, into Python numbers
+    (out / "run_summary.json").write_text(json.dumps(summary, indent=2, default=lambda o: o.item()) + "\n", encoding="utf-8")
     return 0
 
 

@@ -43,28 +43,25 @@ buffers: ``np.s_[:]`` runs both streams stacked, 0 the data stream and 1
 the physics stream.  A training whose update passes have _SPLIT_ROWS rows
 or more runs the physics stream of every update on a helper thread while
 the calling thread runs the data stream, when the process may use a
-second CPU and is not a multiprocessing child (a pool's workers already
-fill the CPUs).  Both ways give the same bits (with OpenBLAS at one
-thread, as the CLI and the pool workers set it).  The helper is built by
-the first training that splits and serves every later one in the
-process; a fork joins it first, so no child starts with it running.  A
-validation split with no more rows than an update runs in the update's
-workspace, so on its helper too; a larger one and predict run on the
-calling thread.
+second CPU.  Both ways give the same bits (with OpenBLAS at one thread, as
+the CLI and the pool workers set it).  The helper is built by the first
+training that splits and serves every later one in the process; a fork
+joins it first, so no child starts with it running.  A validation split
+with no more rows than an update runs in the update's workspace, so on
+its helper too; a larger one and predict run on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .numkit import (
-    AdamState, ShapeMismatch, TrainingDiverged, adam_step, block_views, check_count, check_real, draw_uniform, empty_blocks,
+    AdamState, TrainingDiverged, adam_step, block_views, check_count, check_real, draw_uniform, empty_blocks,
     fit_epochs, usable_cpus,
 )
 from .pipeline import NormStats, SampleBatch
@@ -137,7 +134,7 @@ class FusionParams:
     def __init__(self, dims: FusionDims, vector: np.ndarray | None = None):
         vector = np.zeros(dims.size) if vector is None else vector
         if vector.dtype != np.float64 or vector.shape != (dims.size,):
-            raise ShapeMismatch(f"expected a float64 vector of length {dims.size}, got {vector.dtype} {vector.shape}")
+            raise ValueError(f"expected a float64 vector of length {dims.size}, got {vector.dtype} {vector.shape}")
         blocks = zip(dims.blocks, block_views(vector, dims.blocks.values()))
         self.__dict__.update(blocks, dims=dims, vector=vector)
 
@@ -378,15 +375,6 @@ def _backward_layers(s, x: np.ndarray, ws: _Workspace, params: FusionParams, gra
 _SPLIT_ROWS = 1024
 
 
-def _second_cpu() -> bool:
-    """Whether this process may use a second CPU and is not a
-    multiprocessing child (a pool's workers already fill the CPUs)."""
-    # a multiprocessing child has imported multiprocessing, so a process
-    # that has not is no child; importing it to ask would cost 0.3 MB
-    mp = sys.modules.get("multiprocessing")
-    return usable_cpus() > 1 and (mp is None or mp.parent_process() is None)
-
-
 _helper = None
 
 
@@ -489,10 +477,10 @@ def train(
     in it too when the validation split has no more rows than an update,
     as in a full-batch training of the harness, and otherwise in a
     forward-only workspace of its own.  When an update has ``_SPLIT_ROWS``
-    rows or more and ``_second_cpu()`` holds, every kernel call in the
-    update workspace (the ragged last minibatch and validation too) runs
-    the physics stream on the process's helper thread, which outlives the
-    call (see ``_on_streams`` and ``_stream_helper``).
+    rows or more and the process may use a second CPU, every kernel call
+    in the update workspace (the ragged last minibatch and validation too)
+    runs the physics stream on the process's helper thread, which outlives
+    the call (see ``_on_streams`` and ``_stream_helper``).
     """
     n = len(dataset)
     if not n:
@@ -515,7 +503,7 @@ def train(
         ws_val = ws if fits else _Workspace(params.dims, len(validation), backward=False)
         x_val = _fill_inputs(validation, np.empty((2, len(validation), 2)) if fits else ws_val.x)
         y_val = validation.target
-    if rows >= _SPLIT_ROWS and _second_cpu():
+    if rows >= _SPLIT_ROWS and usable_cpus() > 1:
         ws.helper = _stream_helper()
     if cfg.batch_size is None:
         x = _fill_inputs(dataset, ws.x)

@@ -24,10 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-class ShapeMismatch(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
 class TrainingDiverged(RuntimeError):
     """Training produced a non-finite loss or gradient."""
 
@@ -51,7 +47,7 @@ def block_views(vector: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[n
     (``()`` gives a 0-d view); the blocks must cover the vector exactly."""
     size, spans = _layout(tuple(shapes))
     if size != vector.shape[0]:
-        raise ShapeMismatch(f"blocks hold {size} values but the vector has {vector.shape[0]}")
+        raise ValueError(f"blocks hold {size} values but the vector has {vector.shape[0]}")
     return _cut(vector, spans)
 
 
@@ -123,7 +119,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update of the flat vector ``params``, in
     place; the moments in ``state`` advance in place too."""
     if not params.shape == grads.shape == state.m.shape:
-        raise ShapeMismatch(f"parameter shape {params.shape}, gradient {grads.shape}, moments {state.m.shape}")
+        raise ValueError(f"parameter shape {params.shape}, gradient {grads.shape}, moments {state.m.shape}")
     state.step += 1
     b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.step
     m, v, (s, r) = state.m, state.v, state.scratch

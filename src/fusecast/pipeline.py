@@ -27,10 +27,6 @@ STD_FLOOR = 1e-8
 _HOUR = np.timedelta64(1, "h")
 
 
-class AlignmentError(ValueError):
-    """Series that must share a timestamp grid do not."""
-
-
 def hourly_range(start: str | np.datetime64, n: int) -> np.ndarray:
     """n contiguous hourly timestamps beginning at ``start``."""
     t0 = np.datetime64(start, "h")
@@ -111,30 +107,37 @@ N_FEATURES = 29
 
 @dataclass
 class FeatureMatrix:
-    """The baseline forecaster's inputs, one row per next-hour forecast.
+    """The baseline forecaster's rows, one per next-hour forecast.
 
     ``values`` is a finite, C-contiguous float64 (n, 29) matrix: the 24
     preceding hourly kWh values (oldest first), then outdoor temperature,
     day of month, day of year, day of week (Monday = 0) and hour of day.
-    ``timestamps`` holds the contiguous hours the rows forecast.
+    ``timestamps`` holds the contiguous hours the rows forecast, and
+    ``targets`` the finite float64 kWh each row is fitted to.
     """
 
     values: np.ndarray
     timestamps: np.ndarray
+    targets: np.ndarray
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         self.timestamps = np.asarray(self.timestamps).astype("datetime64[h]")
+        self.targets = np.array(self.targets, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[1] != N_FEATURES:
             raise ValueError(f"feature matrix must have {N_FEATURES} columns, got shape {self.values.shape}")
         if len(self.values) != len(self.timestamps):
             raise ValueError(f"{len(self.values)} feature rows for {len(self.timestamps)} timestamps")
+        if self.targets.shape != (len(self.values),):
+            raise ValueError(f"{len(self.values)} feature rows for targets of shape {self.targets.shape}")
         if not len(self.values):
             raise ValueError("feature matrix has no rows")
         if not np.all(np.diff(self.timestamps) == _HOUR):
             raise ValueError("feature timestamps must be contiguous at 1-hour spacing")
         if not np.isfinite(self.values).all():
             raise ValueError("feature values must be finite")
+        if not np.isfinite(self.targets).all():
+            raise ValueError("feature targets must be finite")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -142,10 +145,11 @@ class FeatureMatrix:
 
 def build_feature_rows(energy: EnergySeries, temps: np.ndarray) -> FeatureMatrix:
     """The FeatureMatrix of every step from hour 24 on (earlier steps lack
-    a full lag window).  Lags are taken from ``energy`` as-is, so feed an
-    imputed series when the history has gaps."""
+    a full lag window), each row's target the step's own ``energy`` value.
+    Lags and targets are taken from ``energy`` as-is, so feed an imputed
+    series when the history has gaps."""
     if len(temps) != energy.n:
-        raise AlignmentError(f"{len(temps)} temperatures for {energy.n} energy steps")
+        raise ValueError(f"{len(temps)} temperatures for {energy.n} energy steps")
     if np.any(~energy.present):
         raise ValueError("lag source series must be fully present; impute first")
     if energy.n <= 24:
@@ -159,7 +163,7 @@ def build_feature_rows(energy: EnergySeries, temps: np.ndarray) -> FeatureMatrix
     x[:, 26] = (days - ts.astype("datetime64[Y]")).astype(np.int64) + 1
     x[:, 27] = day_of_week(ts)
     x[:, 28] = hour_of_day(ts)
-    return FeatureMatrix(x, ts)
+    return FeatureMatrix(x, ts, energy.values[24:])
 
 
 @dataclass(frozen=True)
@@ -345,7 +349,7 @@ def _check_aligned(*series: EnergySeries) -> None:
     ref = series[0].timestamps
     for s in series[1:]:
         if len(s.timestamps) != len(ref) or not np.array_equal(s.timestamps, ref):
-            raise AlignmentError("series timestamps are not aligned")
+            raise ValueError("series timestamps are not aligned")
 
 
 def assemble_samples(dl_forecast: EnergySeries | None, ep_forecast: EnergySeries, truth: EnergySeries, scenario) -> SampleBatch:

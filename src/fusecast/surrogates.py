@@ -121,10 +121,6 @@ class WeatherSeries:
         if not (np.all(np.isfinite(self.temp_c)) and np.all(np.isfinite(self.solar_w_per_m2))):
             raise ValueError("weather values must be finite")
 
-    @property
-    def n(self) -> int:
-        return len(self.temp_c)
-
 
 @dataclass
 class OccupancySchedule:
@@ -356,29 +352,13 @@ class BaselineForecaster:
         return out * self.y_std + self.y_mean
 
 
-def train_baseline_forecaster(
-    features: FeatureMatrix,
-    truth: EnergySeries,
-    split: SplitSpec,
-    seed: int,
-) -> BaselineForecaster:
-    """Fit the baseline on the training split only (z-scored inputs/targets,
-    Adam on mean squared error, early stopping on the validation split).
-    Each row's target is the ``truth`` value at its timestamp.  A
-    non-finite gradient or validation loss raises TrainingDiverged."""
-    n = len(features)
-    start = int((features.timestamps[0] - truth.timestamps[0]).astype(np.int64))
-    if start < 0 or start + n > truth.n:
-        raise ValueError(
-            f"feature hours {features.timestamps[0]}..{features.timestamps[-1]} fall outside "
-            f"truth hours {truth.timestamps[0]}..{truth.timestamps[-1]}"
-        )
-    targets = truth.values[start : start + n]
-    if np.any(~np.isfinite(targets)):
-        raise ValueError("baseline targets must be fully present; impute first")
-    x_all = features.values
-
-    i_train, i_val = split.boundaries(n)
+def train_baseline_forecaster(features: FeatureMatrix, split: SplitSpec, seed: int) -> BaselineForecaster:
+    """Fit the baseline to ``features.targets`` on the training split only
+    (z-scored inputs/targets, Adam on mean squared error, early stopping on
+    the validation split).  A non-finite gradient or validation loss raises
+    TrainingDiverged."""
+    x_all, targets = features.values, features.targets
+    i_train, i_val = split.boundaries(len(features))
     if i_train < BASELINE_MIN_TRAIN_ROWS:
         raise ValueError("not enough training rows for the baseline forecaster")
     x_train, y_train = x_all[:i_train], targets[:i_train]
@@ -459,10 +439,8 @@ def forecast_dl(forecaster: BaselineForecaster, features: FeatureMatrix) -> Ener
     starts = np.arange(0, n, 24)
     lags = x_all[starts, :24].copy()
     out = np.empty(n)
-    for j in range(24):
+    for j in range(min(n, 24)):
         rows = starts[starts + j < n] + j
-        if len(rows) == 0:
-            break
         live = len(rows)  # blocks are in time order, so the live ones lead
         x = x_all[rows]
         x[:, :24] = lags[:live]

@@ -15,6 +15,7 @@ import pytest
 from fusecast import model as M
 from fusecast.harness import (
     DEFAULT_DIMS,
+    DEFAULT_TRAIN,
     SEED_INIT,
     SEED_SPARSITY,
     SEED_TRAIN,
@@ -150,8 +151,7 @@ def _train_variant(samples, scale, memory_enabled, master=MASTER_SEED):
     train_s, val_s, test_s = split_samples(samples, SplitSpec())
     dims = replace(DEFAULT_DIMS, memory_enabled=memory_enabled)
     params = M.init_params(dims, master + SEED_INIT)
-    cfg = M.TrainConfig(eta=3e-3, max_epochs=300, batch_size=128,
-                        early_stop_patience=20, seed=master + SEED_TRAIN)
+    cfg = replace(DEFAULT_TRAIN, seed=master + SEED_TRAIN)
     params, _ = M.train(train_s, params, cfg, val_s)
     preds = M.predict(test_s, params) * scale
     actual = test_s.target * scale

@@ -106,6 +106,17 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="the split leaves no test rows of 2136"):
             scenario_config(4, fast=True, split=SplitSpec(0.6, 0.4, 1e-10))
 
+    def test_split_with_no_validation_rows_rejected(self):
+        # such a split used to train to max_epochs with no epoch validated and
+        # report best epoch 0 for the last epoch's parameters
+        no_val = SplitSpec(0.6, 0.00001, 0.39999)
+        for sid in (1, 3):
+            with pytest.raises(ConfigError, match="the split leaves no validation rows of 2136"):
+                scenario_config(sid, fast=True, split=no_val)
+        with pytest.raises(ConfigError, match="the split leaves no validation rows of 8736"):
+            scenario_config(1, split=no_val)
+        assert scenario_config(1, fast=True, split=SplitSpec(0.6, 0.0005, 0.3995)).split.boundaries(2136) == (1281, 1282)
+
     @pytest.mark.parametrize("value", [True, 1.0, "1", None])
     def test_id_that_is_not_an_integer_rejected(self, value):
         # id=True used to build scenario 1 as "train_scenarioTrue"
@@ -500,14 +511,15 @@ def _overlapping(spans):
 
 class TestProcessPool:
     """The jobs of a run on a two-worker pool (forced, so even a one-CPU
-    runner takes the pool path) against the in-process path."""
+    runner takes the pool path) against the in-process path.  The pool run
+    takes its master seed as an np.int64, the in-process run as an int."""
 
     @pytest.fixture(scope="class")
     def pool_out(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("pool") / "out"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "usable_cpus", lambda: 2)
-            assert run_all(out, seed=7, fast=True) == 0
+            assert run_all(out, seed=np.int64(7), fast=True) == 0
         assert multiprocessing.active_children() == []
         return out
 
@@ -518,6 +530,15 @@ class TestProcessPool:
         for name in serial:
             if name.name != "run_summary.json":
                 assert pool[name] == serial[name], name
+
+    def test_summary_matches_in_process_apart_from_times(self, runall_out, pool_out):
+        # json cannot write an np.int64 by itself; the summary used to fail on one
+        serial, pool = (json.loads((out / "run_summary.json").read_text()) for out in (runall_out[0], pool_out))
+        for summary in (serial, pool):
+            for key in ("stages", "jobs", "wall_seconds_total", "peak_rss_mb", "peak_rss_children_mb", "version"):
+                del summary[key]
+        assert pool == serial
+        assert type(pool["seed"]) is int and type(pool["scenarios"]["1"]["config"]["seed"]) is int
 
     def test_summary_spans_every_job(self, runall_out, pool_out):
         for out, concurrent in ((runall_out[0], False), (pool_out, True)):
@@ -811,6 +832,14 @@ class TestCli:
         out = tmp_path / "o"
         assert cli_main(["scenario", "--fast", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"config error: {cfg}: the split leaves 2 training rows of 2136; need at least 8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_validation_rows_in_file_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "no_val.cfg"
+        cfg.write_text("id = 1\ntrain_frac = 0.6\nval_frac = 0.00001\ntest_frac = 0.39999\nmax_epochs = 3\n")
+        out = tmp_path / "o"
+        assert cli_main(["scenario", "--fast", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"config error: {cfg}: the split leaves no validation rows of 2136" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -66,7 +66,7 @@ def run_kernel(batch, p, backward=True):
 
 def kernel_grads(batch, p):
     """The kernel's summed squared-error loss and gradients over ``batch``,
-    and the workspace of that pass (its ``a_h``, ``c`` and ``z`` now hold
+    and the workspace of that pass (its ``a_h`` and ``z`` now hold
     gradients)."""
     ws = run_kernel(batch, p)
     grads = M.FusionParams(p.dims)

@@ -10,7 +10,6 @@ from fusecast.harness import scenario_config
 from fusecast.pipeline import (
     IMPUTATION_KINDS,
     STD_FLOOR,
-    AlignmentError,
     EnergySeries,
     FeatureMatrix,
     NormStats,
@@ -464,7 +463,7 @@ class TestAssembleSamples:
     def test_misaligned_timestamps_rejected(self):
         dl, ep, truth = self._series_triple()
         shifted = EnergySeries.full(hourly_range("2021-03-01T01", truth.n), truth.values)
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ValueError, match="^series timestamps are not aligned$"):
             assemble_samples(dl, ep, shifted, scenario_ns())
 
 
@@ -853,26 +852,28 @@ class TestFeatureRows:
         assert first[25] == 5  # day of month
         assert first[26] == 5  # day of year
         assert rows.timestamps[0] == s.timestamps[24]
+        assert np.array_equal(rows.targets, np.arange(24.0, n))
 
     def test_lag_length_enforced(self):
         ts = hourly_range("2021-01-01T00", 3)
         with pytest.raises(ValueError, match="29 columns"):
-            FeatureMatrix(np.zeros((3, 28)), ts)  # a 23-hour lag window
+            FeatureMatrix(np.zeros((3, 28)), ts, np.zeros(3))  # a 23-hour lag window
         with pytest.raises(ValueError, match="29 columns"):
-            FeatureMatrix(np.zeros(29), ts[:1])
+            FeatureMatrix(np.zeros(29), ts[:1], np.zeros(1))
 
     def test_matrix_checks_lengths_and_hours(self):
         ts = hourly_range("2021-01-01T00", 3)
         with pytest.raises(ValueError, match="3 feature rows for 2 timestamps"):
-            FeatureMatrix(np.zeros((3, 29)), ts[:2])
+            FeatureMatrix(np.zeros((3, 29)), ts[:2], np.zeros(3))
         gap = ts.copy()
         gap[2] += np.timedelta64(1, "h")
         with pytest.raises(ValueError, match="contiguous"):
-            FeatureMatrix(np.zeros((3, 29)), gap)
+            FeatureMatrix(np.zeros((3, 29)), gap, np.zeros(3))
         with pytest.raises(ValueError, match="no rows"):
-            FeatureMatrix(np.zeros((0, 29)), ts[:0])
-        m = FeatureMatrix(np.asfortranarray(np.ones((3, 29), dtype=np.float32)), ts)
+            FeatureMatrix(np.zeros((0, 29)), ts[:0], np.zeros(0))
+        m = FeatureMatrix(np.asfortranarray(np.ones((3, 29), dtype=np.float32)), ts, np.ones(3, dtype=np.float32))
         assert m.values.dtype == np.float64 and m.values.flags.c_contiguous
+        assert m.targets.dtype == np.float64
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
@@ -881,7 +882,25 @@ class TestFeatureRows:
         x = np.ones((3, 29))
         x[1, 24] = bad
         with pytest.raises(ValueError, match="feature values must be finite"):
-            FeatureMatrix(x, ts)
+            FeatureMatrix(x, ts, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_targets_rejected(self, bad):
+        ts = hourly_range("2021-01-01T00", 3)
+        targets = np.ones(3)
+        targets[2] = bad
+        with pytest.raises(ValueError, match="^feature targets must be finite$"):
+            FeatureMatrix(np.ones((3, 29)), ts, targets)
+
+    def test_one_target_per_row(self):
+        ts = hourly_range("2021-01-01T00", 3)
+        for targets in (np.ones(2), np.ones((3, 1)), 1.0):
+            with pytest.raises(ValueError, match=r"^3 feature rows for targets of shape "):
+                FeatureMatrix(np.ones((3, 29)), ts, targets)
+
+    def test_temperatures_must_match_the_series(self):
+        with pytest.raises(ValueError, match="^29 temperatures for 30 energy steps$"):
+            build_feature_rows(series_from(np.arange(30.0)), np.zeros(29))
 
     def test_gapped_series_rejected(self):
         s = series_from(np.arange(30.0))
@@ -911,3 +930,4 @@ class TestFeatureRows:
         rows = build_feature_rows(s, temps)
         assert rows.values.tobytes() == _reference_feature_rows(s, temps).tobytes()
         assert np.array_equal(rows.timestamps, s.timestamps[24:])
+        assert rows.targets.tobytes() == s.values[24:].tobytes()

@@ -99,7 +99,7 @@ class TestBuildingParams:
 def _reference_simulate_physics(params, weather, schedule, t_init_c=None):
     """simulate_physics' RC loop as first written: one step per hour,
     indexing numpy arrays and computing on numpy scalars."""
-    n = weather.n
+    n = len(weather.temp_c)
     occ = schedule.at(weather.timestamps)
     ua = params.ua_effective
     c_per_dt = params.capacitance_j_per_k / 3600.0
@@ -344,8 +344,8 @@ class TestBaselineForecaster:
 
     def test_constant_truth_learned(self):
         c = 150.0
-        rows, truth = self._fixture(constant=c)
-        f = train_baseline_forecaster(rows, truth, SplitSpec(), seed=1)
+        rows, _ = self._fixture(constant=c)
+        f = train_baseline_forecaster(rows, SplitSpec(), seed=1)
         forecast = forecast_dl(f, rows)
         i_train, i_val = SplitSpec().boundaries(len(rows))
         train_mse = float(np.mean((forecast.values[:i_train] - c) ** 2))
@@ -354,38 +354,40 @@ class TestBaselineForecaster:
         assert np.all(np.abs(test_vals - c) <= 0.05 * c)
 
     def test_fit_has_no_knobs_and_uses_the_module_constants(self):
-        assert list(inspect.signature(train_baseline_forecaster).parameters) == ["features", "truth", "split", "seed"]
+        assert list(inspect.signature(train_baseline_forecaster).parameters) == ["features", "split", "seed"]
         assert list(inspect.signature(make_weather).parameters) == ["year_hours", "seed", "start", "noise_amp_c"]
-        rows, truth = self._fixture(n=24 * 20)
-        f = train_baseline_forecaster(rows, truth, SplitSpec(), seed=2)
+        rows, _ = self._fixture(n=24 * 20)
+        f = train_baseline_forecaster(rows, SplitSpec(), seed=2)
         assert f.w1.shape == (BASELINE_HIDDEN, N_FEATURES) and f.w2.shape == (BASELINE_HIDDEN, BASELINE_HIDDEN)
         assert (BASELINE_HIDDEN, BASELINE_ETA, BASELINE_MAX_EPOCHS, BASELINE_BATCH_SIZE, BASELINE_PATIENCE) == (
             32, 3e-3, 200, 256, 10)
 
     def test_deterministic_in_seed(self):
-        rows, truth = self._fixture()
-        a = train_baseline_forecaster(rows, truth, SplitSpec(), seed=3)
-        b = train_baseline_forecaster(rows, truth, SplitSpec(), seed=3)
+        rows, _ = self._fixture()
+        a = train_baseline_forecaster(rows, SplitSpec(), seed=3)
+        b = train_baseline_forecaster(rows, SplitSpec(), seed=3)
         assert np.array_equal(a.w1, b.w1) and a.b3 == b.b3
 
     def test_never_fits_on_test_rows(self):
         rows, truth = self._fixture()
-        i_train, i_val = SplitSpec().boundaries(len(rows))
+        _, i_val = SplitSpec().boundaries(len(rows))
         corrupted = truth.copy()
-        # corrupt targets inside the test region only (beyond any lag reach of
-        # the fitted splits)
+        # corrupt the test region only: row r's lags and target are truth
+        # steps r..r+24, so the last fitted row, i_val - 1, reads up to step
+        # i_val + 23
         corrupted.values[i_val + 48 :] += 1e4
-        a = train_baseline_forecaster(rows, truth, SplitSpec(), seed=2)
-        rows_c = build_feature_rows(corrupted, np.zeros(corrupted.n) + 10.0)
-        # same lag windows inside train/val: reuse original rows for fitting
-        b = train_baseline_forecaster(rows, corrupted, SplitSpec(), seed=2)
+        rows_c = build_feature_rows(corrupted, make_weather(truth.n, seed=5).temp_c)
+        assert rows_c.values[:i_val].tobytes() == rows.values[:i_val].tobytes()
+        assert rows_c.targets[:i_val].tobytes() == rows.targets[:i_val].tobytes()
+        assert not np.array_equal(rows_c.targets, rows.targets)
+        a = train_baseline_forecaster(rows, SplitSpec(), seed=2)
+        b = train_baseline_forecaster(rows_c, SplitSpec(), seed=2)
         assert np.array_equal(a.w1, b.w1)
         assert np.array_equal(a.w3, b.w3)
-        assert rows_c is not None
 
     def test_forecast_is_pure_and_aligned(self):
-        rows, truth = self._fixture()
-        f = train_baseline_forecaster(rows, truth, SplitSpec(), seed=4)
+        rows, _ = self._fixture()
+        f = train_baseline_forecaster(rows, SplitSpec(), seed=4)
         a = forecast_dl(f, rows)
         b = forecast_dl(f, rows)
         assert np.array_equal(a.values, b.values)
@@ -395,12 +397,12 @@ class TestBaselineForecaster:
     def test_non_finite_validation_loss_raises(self):
         # one validation target of 1e300 makes every epoch's validation
         # loss inf; the fit used to return its initial weights
-        rows, truth = self._fixture(n=1000)
+        rows, _ = self._fixture(n=1000)
         i_train, _ = SplitSpec().boundaries(len(rows))
-        values = truth.values.copy()
-        values[24 + i_train + 5] = 1e300
+        targets = rows.targets.copy()
+        targets[i_train + 5] = 1e300
         with pytest.raises(TrainingDiverged, match=r"^epoch 0: non-finite validation loss$"):
-            train_baseline_forecaster(rows, EnergySeries.full(truth.timestamps, values), SplitSpec(), seed=1)
+            train_baseline_forecaster(FeatureMatrix(rows.values, rows.timestamps, targets), SplitSpec(), seed=1)
 
     def test_non_finite_gradient_raises_before_the_step(self, monkeypatch):
         # weights of 1e200 overflow the forward pass, so the first gradient
@@ -408,9 +410,9 @@ class TestBaselineForecaster:
         steps = []
         monkeypatch.setattr(surrogates, "draw_uniform", lambda rng, blocks: [b.fill(1e200) for b in blocks])
         monkeypatch.setattr(surrogates, "adam_step", lambda *args: steps.append(args))
-        rows, truth = self._fixture(n=24 * 20)
+        rows, _ = self._fixture(n=24 * 20)
         with pytest.raises(TrainingDiverged, match=r"^epoch 0: non-finite baseline gradient$"):
-            train_baseline_forecaster(rows, truth, SplitSpec(), seed=1)
+            train_baseline_forecaster(rows, SplitSpec(), seed=1)
         assert steps == []
 
     def test_disagrees_with_physics(self):
@@ -420,7 +422,7 @@ class TestBaselineForecaster:
         physics = simulate_physics(BuildingParams(), weather, default_occupancy())
         truth = make_truth(physics, 50.0, 8.0, 12.0, seed=12)
         rows = build_feature_rows(truth, weather.temp_c)
-        f = train_baseline_forecaster(rows, truth, SplitSpec(), seed=13)
+        f = train_baseline_forecaster(rows, SplitSpec(), seed=13)
         forecast = forecast_dl(f, rows)
         rmse_between = float(np.sqrt(np.mean((forecast.values - physics.values[24:]) ** 2)))
         assert rmse_between > 0.0
@@ -466,7 +468,7 @@ class TestColumnarRollout:
     @pytest.fixture(scope="class")
     def forecaster(self):
         weather, truth = _world(24 * 60)
-        return train_baseline_forecaster(build_feature_rows(truth, weather.temp_c), truth, SplitSpec(), seed=7)
+        return train_baseline_forecaster(build_feature_rows(truth, weather.temp_c), SplitSpec(), seed=7)
 
     @pytest.mark.parametrize(
         "start,hours",
@@ -475,6 +477,7 @@ class TestColumnarRollout:
             ("2021-01-01T00", 2160),
             ("2021-01-01T00", 967),  # 943 rows: the last block has 7 hours
             ("2023-12-30T00", 1700),  # crosses the year boundary and 2024-02-29
+            ("2021-01-01T00", 40),  # 16 rows: one block, shorter than a day
         ],
     )
     def test_forecast_matches_dict_reference_bytes(self, forecaster, start, hours):
@@ -483,21 +486,6 @@ class TestColumnarRollout:
         forecast = forecast_dl(forecaster, rows)
         assert forecast.values.tobytes() == _reference_forecast_dl(forecaster, rows.values).tobytes()
         assert np.array_equal(forecast.timestamps, rows.timestamps)
-
-    def test_targets_taken_by_timestamp(self):
-        weather, truth = _world(24 * 40)
-        later = truth.slice(100)
-        rows = build_feature_rows(later, weather.temp_c[100:])
-        a = train_baseline_forecaster(rows, truth, SplitSpec(), seed=2)
-        b = train_baseline_forecaster(rows, later, SplitSpec(), seed=2)
-        assert np.array_equal(a.w1, b.w1) and a.b3 == b.b3
-
-    def test_misaligned_features_rejected(self):
-        weather, truth = _world(24 * 40)
-        rows = build_feature_rows(truth, weather.temp_c)
-        for shifted in (rows.timestamps - np.timedelta64(25, "h"), rows.timestamps + np.timedelta64(1, "h")):
-            with pytest.raises(ValueError, match="outside truth hours"):
-                train_baseline_forecaster(FeatureMatrix(rows.values, shifted), truth, SplitSpec(), seed=2)
 
 
 def _reference_forward(x, w1, b1, w2, b2, w3, b3):
@@ -508,14 +496,12 @@ def _reference_forward(x, w1, b1, w2, b2, w3, b3):
     return a1, h1, a2, h2, h2 @ w3 + b3
 
 
-def _reference_train_baseline(features, truth, split, seed):
+def _reference_train_baseline(features, split, seed):
     """The former baseline fit, before its workspace: every minibatch,
     activation and gradient a fresh array, the output gradient spread with
     np.outer.  Returns the fitted weights as (w1, b1, w2, b2, w3, b3)."""
-    n = len(features)
-    start = int((features.timestamps[0] - truth.timestamps[0]).astype(np.int64))
-    targets = truth.values[start : start + n]
-    i_train, i_val = split.boundaries(n)
+    targets = features.targets
+    i_train, i_val = split.boundaries(len(features))
     x_train, y_train = features.values[:i_train], targets[:i_train]
     x_val, y_val = features.values[i_train:i_val], targets[i_train:i_val]
     feat_mean = x_train.mean(axis=0)
@@ -571,7 +557,7 @@ class TestBaselineWorkspaceOracle:
     @pytest.fixture(scope="class")
     def world(self):
         weather, truth = _world(24 * 40, seed=9)
-        return build_feature_rows(truth, weather.temp_c), truth
+        return build_feature_rows(truth, weather.temp_c)
 
     @pytest.mark.parametrize(
         "split",
@@ -584,9 +570,8 @@ class TestBaselineWorkspaceOracle:
         ids=["ragged-with-validation", "one-batch", "no-validation", "two-full-batches"],
     )
     def test_fit_matches_allocating_reference_bit_for_bit(self, world, split):
-        features, truth = world
-        f = train_baseline_forecaster(features, truth, split, seed=21)
-        ref = _reference_train_baseline(features, truth, split, 21)
+        f = train_baseline_forecaster(world, split, seed=21)
+        ref = _reference_train_baseline(world, split, 21)
         got = (f.w1, f.b1, f.w2, f.b2, f.w3, np.float64(f.b3))
         for name, a, b in zip(("w1", "b1", "w2", "b2", "w3", "b3"), got, ref):
             assert np.asarray(a).tobytes() == b.tobytes(), name
