@@ -324,18 +324,20 @@ class StageFailed(RuntimeError):
 
 
 def _timed(label: str, fn, *args) -> tuple:
-    """``(fn(*args), start, end)`` on the ``perf_counter`` clock, which is
-    system-wide, so a pool worker's times compare with the parent's.  Any
-    failure is re-raised as StageFailed naming ``label``; a StageFailed from
-    a nested stage or job passes through unchanged."""
-    t0 = time.perf_counter()
+    """``(fn(*args), (start, end, cpu_s))``: start and end on the
+    ``perf_counter`` clock, which is system-wide, so a pool worker's times
+    compare with the parent's; cpu_s is this process's ``process_time`` over
+    the call (a pool worker runs one job at a time).  Any failure is
+    re-raised as StageFailed naming ``label``; a StageFailed from a nested
+    stage or job passes through unchanged."""
+    t0, c0 = time.perf_counter(), time.process_time()
     try:
         result = fn(*args)
     except StageFailed:
         raise
     except Exception as exc:
         raise StageFailed(f"{label} failed: {exc}") from exc
-    return result, t0, time.perf_counter()
+    return result, (t0, time.perf_counter(), time.process_time() - c0)
 
 
 def _mu_variants(cfg: ScenarioConfig) -> tuple[ScenarioConfig, ScenarioConfig]:
@@ -366,8 +368,8 @@ class _Stages:
         self._labels: dict[tuple, EnergySeries] = {}
         self._dl: dict[tuple, EnergySeries] = {}
         self._trained: dict[ScenarioConfig, TrainedModel] = {}
-        # Job name -> (start, end) on the perf_counter clock.
-        self.job_spans: dict[str, tuple[float, float]] = {}
+        # Job name -> (start, end, cpu_s), as ``_timed`` measures them.
+        self.job_spans: dict[str, tuple[float, float, float]] = {}
 
     def world(self, seed: int, hours: int) -> _World:
         """Weather, RC physics and biased truth, keyed by (seed, hours)."""
@@ -424,8 +426,7 @@ class _Stages:
     def _run(self, job: tuple) -> None:
         """Run ``job`` in this process, caching its result and keeping its span."""
         name, cache, key, fn, args = job
-        cache[key], t0, t1 = _timed(f"job {name!r}", fn, *args)
-        self.job_spans[name] = (t0, t1)
+        cache[key], self.job_spans[name] = _timed(f"job {name!r}", fn, *args)
 
     def dl(self, cfg: ScenarioConfig) -> EnergySeries | None:
         """The data-driven baseline's forecast, fitted once per lag source
@@ -508,8 +509,7 @@ class _Stages:
                 finished, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in finished:
                     name, cache, key = running.pop(future)
-                    cache[key], t0, t1 = future.result()
-                    self.job_spans[name] = (t0, t1)
+                    cache[key], self.job_spans[name] = future.result()
                     if cache is self._dl:
                         for cfg in waiting[key]:
                             submit(self._train_job(cfg))
@@ -686,7 +686,7 @@ def _methods_json(report: RunReport) -> dict:
 def _stage(seconds: dict[str, float], name: str, fn, *args):
     """Run one named stage of ``run_all`` under ``_timed``; its wall seconds
     go into ``seconds[name]``."""
-    result, t0, t1 = _timed(f"stage {name!r}", fn, *args)
+    result, (t0, t1, _) = _timed(f"stage {name!r}", fn, *args)
     seconds[name] = t1 - t0
     return result
 
@@ -755,7 +755,7 @@ def run_all(out_dir, seed: int = DEFAULT_SEED, fast: bool = False) -> int:
 
     summary["stages"] = seconds
     spans = sorted(stages.job_spans.items(), key=lambda item: item[1])
-    summary["jobs"] = {name: {"start_s": start - t0, "end_s": end - t0} for name, (start, end) in spans}
+    summary["jobs"] = {name: {"start_s": a - t0, "end_s": b - t0, "cpu_s": cpu} for name, (a, b, cpu) in spans}
     summary["wall_seconds_total"] = time.perf_counter() - t0
     # This process's own peak RSS so far, then its finished children's: the
     # trainings run in worker processes, so the first does not cover them.

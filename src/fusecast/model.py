@@ -459,20 +459,19 @@ def train(
     dataset: SampleBatch,
     params: FusionParams,
     cfg: TrainConfig,
-    validation: SampleBatch | None = None,
+    validation: SampleBatch,
 ) -> tuple[FusionParams, list[tuple[float, float]]]:
-    """Fit the network with Adam; returns final parameters and per-epoch
-    loss history.
+    """Fit the network with Adam, validating on ``validation`` after every
+    epoch; returns the parameters of the lowest validation MSE and the
+    per-epoch (train MSE, validation MSE) history.  An empty training or
+    validation split raises ValueError.
 
     Each epoch either accumulates gradients over the whole dataset and
     updates once (``batch_size=None``) or shuffles into minibatches.  An
     update whose summed loss or gradient is not finite raises
     TrainingDiverged before it steps the parameters, as ``fit_epochs`` does
-    for a non-finite validation loss.  Early stopping
-    triggers after ``early_stop_patience`` epochs without validation
-    improvement and restores the best-validation parameters.  History rows
-    are (train MSE, validation MSE); validation is NaN when no validation
-    split is given.
+    for a non-finite validation loss.  Early stopping triggers after
+    ``early_stop_patience`` epochs without validation improvement.
     The kernel runs in one workspace sized for an update.  Validation runs
     in it too when the validation split has no more rows than an update,
     as in a full-batch training of the harness, and otherwise in a
@@ -485,24 +484,22 @@ def train(
     n = len(dataset)
     if not n:
         raise ValueError("empty training dataset")
-    y = dataset.target
-    has_val = validation is not None and len(validation) > 0
+    if validation is None or not len(validation):
+        raise ValueError("empty validation dataset")
+    y, y_val = dataset.target, validation.target
 
     params = params.copy()
     grads = FusionParams(params.dims)
     adam_state = AdamState.init(params.vector, eta=cfg.eta)
     rows = n if cfg.batch_size is None else min(cfg.batch_size, n)
     ws = _Workspace(params.dims, rows)
-    if has_val:
-        # Validation no larger than an update runs in the update's buffers,
-        # which are dead between updates, from inputs of its own (ws.x holds
-        # a full-batch training's inputs).  A larger one gets its own
-        # workspace: grown to fit it, the update workspace would make the
-        # updates slower.
-        fits = len(validation) <= rows
-        ws_val = ws if fits else _Workspace(params.dims, len(validation), backward=False)
-        x_val = _fill_inputs(validation, np.empty((2, len(validation), 2)) if fits else ws_val.x)
-        y_val = validation.target
+    # Validation no larger than an update runs in the update's buffers,
+    # which are dead between updates, from inputs of its own (ws.x holds a
+    # full-batch training's inputs).  A larger one gets its own workspace:
+    # grown to fit it, the update workspace would make the updates slower.
+    fits = len(validation) <= rows
+    ws_val = ws if fits else _Workspace(params.dims, len(validation), backward=False)
+    x_val = _fill_inputs(validation, np.empty((2, len(validation), 2)) if fits else ws_val.x)
     if rows >= _SPLIT_ROWS and usable_cpus() > 1:
         ws.helper = _stream_helper()
     if cfg.batch_size is None:
@@ -537,7 +534,7 @@ def train(
         return float(np.mean(np.square(err, out=err)))
 
     best, history = fit_epochs(
-        params.vector, n, update, validate if has_val else None,
+        params.vector, n, update, validate,
         cfg.max_epochs, cfg.batch_size, cfg.early_stop_patience, np.random.default_rng(cfg.seed),
     )
     return FusionParams(params.dims, best), history

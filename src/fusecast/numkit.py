@@ -142,15 +142,16 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
 
 
 def fit_epochs(
-    vector: np.ndarray, n: int, update: Callable, validate: Callable | None,
+    vector: np.ndarray, n: int, update: Callable, validate: Callable,
     max_epochs: int, batch_size: int | None, patience: int, rng: np.random.Generator,
 ) -> tuple[np.ndarray, list[tuple[float, float]]]:
     """The epoch loop every trainer shares: per epoch, ``update(rows, epoch)``
     steps ``vector`` in place and returns the summed loss, once per minibatch
     of a fresh ``rng`` permutation (once on all rows when ``batch_size`` is
-    None); then ``validate(epoch)``, with early stopping after ``patience``
-    stale epochs.  Returns a copy of the best (without ``validate``, the last)
-    vector and the (mean train loss, validation loss or NaN) history.
+    None); then ``validate(epoch)`` returns the validation loss, with early
+    stopping after ``patience`` stale epochs.  Returns a copy of the vector
+    of the lowest validation loss and the (mean train loss, validation
+    loss) history.
 
     A validation loss that is not finite raises TrainingDiverged, as an
     ``update`` must for a non-finite loss or gradient.  Divergence is caught
@@ -167,10 +168,8 @@ def fit_epochs(
                 loss_sum = 0.0
                 for start in range(0, n, batch_size):
                     loss_sum += update(perm[start : start + batch_size], epoch)
-            val = validate(epoch) if validate is not None else math.nan
+            val = validate(epoch)
             history.append((loss_sum / n, val))
-            if validate is None:
-                continue
             if not math.isfinite(val):
                 raise TrainingDiverged(f"epoch {epoch}: non-finite validation loss")
             if val < best_val:
@@ -179,7 +178,7 @@ def fit_epochs(
                 stall += 1
                 if stall >= patience:
                     break
-    return (best if validate is not None else vector.copy()), history
+    return best, history
 
 
 def finite_diff_grad(

@@ -357,19 +357,22 @@ def assemble_samples(dl_forecast: EnergySeries | None, ep_forecast: EnergySeries
 
     ``scenario`` is duck-typed and must expose ``dl_available``,
     ``ep_available`` and ``truth_mode`` ("full" | "sparse" | "absent").  An
-    unavailable stream is zeroed with mask 0; a partially missing stream
-    keeps mask 0 at the gaps but carries a neighbor-mean stand-in so no NaN
-    ever reaches the model.  With ``truth_mode="absent"`` the physics value
-    is the target; otherwise ``truth`` is the target and must be fully
-    present, so sparse actuals are imputed before they get here.
+    unavailable stream, whose forecast may be None, is zeroed with mask 0;
+    an available one without a forecast raises ValueError.  A partially
+    missing stream keeps mask 0 at the gaps but carries a neighbor-mean
+    stand-in so no NaN ever reaches the model.  With ``truth_mode="absent"``
+    the physics value is the target; otherwise ``truth`` is the target and
+    must be fully present, so sparse actuals are imputed before they get here.
     """
     present_series = [s for s in (dl_forecast, ep_forecast, truth) if s is not None]
     _check_aligned(*present_series)
     n = truth.n
 
     def stream(fc: EnergySeries | None, available: bool, name: str) -> tuple[np.ndarray, np.ndarray]:
-        if not available or fc is None:
+        if not available:
             return np.zeros(n), np.zeros(n, dtype=np.int64)
+        if fc is None:
+            raise ValueError(f"{name} forecast: the scenario marks the stream available, but none was given")
         mask = fc.present.astype(np.int64)
         if fc.present.all():
             return fc.values, mask

@@ -204,16 +204,13 @@ def simulate_physics(
     params: BuildingParams,
     weather: WeatherSeries,
     schedule: OccupancySchedule,
-    t_init_c: float | None = None,
 ) -> EnergySeries:
     """Hourly kWh from the RC zone under thermostat control.
 
-    The zone starts at ``t_init_c`` (default: middle of the occupied band).
-    Deterministic: the only randomness in the whole fixture lives in the
-    weather and truth generators.
+    The zone starts at the middle of the occupied band.  Deterministic: the
+    only randomness in the whole fixture lives in the weather and truth
+    generators.
     """
-    if t_init_c is not None:
-        check_real("t_init_c", t_init_c)  # a NaN start fails both setpoints: no HVAC ever
     occ = schedule.at(weather.timestamps)
     ua = params.ua_effective
     c_per_dt = params.capacitance_j_per_k / DT_S
@@ -224,7 +221,7 @@ def simulate_physics(
     solar_gain = SOLAR_APERTURE_FRAC * area * weather.solar_w_per_m2
 
     energy = array.array("d")
-    t_in = 0.5 * (params.heat_setpoint_c + params.cool_setpoint_c) if t_init_c is None else float(t_init_c)
+    t_in = 0.5 * (params.heat_setpoint_c + params.cool_setpoint_c)
     # Python floats, unboxed one step at a time, as in make_weather
     for occ_t, temp_t, solar_t in zip(memoryview(occ), memoryview(weather.temp_c), memoryview(solar_gain)):
         occupied = occ_t >= 0.5
@@ -355,12 +352,15 @@ class BaselineForecaster:
 def train_baseline_forecaster(features: FeatureMatrix, split: SplitSpec, seed: int) -> BaselineForecaster:
     """Fit the baseline to ``features.targets`` on the training split only
     (z-scored inputs/targets, Adam on mean squared error, early stopping on
-    the validation split).  A non-finite gradient or validation loss raises
-    TrainingDiverged."""
+    the validation split).  A split with too few training rows or no
+    validation rows raises ValueError; a non-finite gradient or validation
+    loss raises TrainingDiverged."""
     x_all, targets = features.values, features.targets
     i_train, i_val = split.boundaries(len(features))
     if i_train < BASELINE_MIN_TRAIN_ROWS:
         raise ValueError("not enough training rows for the baseline forecaster")
+    if i_val == i_train:
+        raise ValueError("no validation rows for the baseline forecaster")
     x_train, y_train = x_all[:i_train], targets[:i_train]
     x_val, y_val = x_all[i_train:i_val], targets[i_train:i_val]
 
@@ -419,7 +419,7 @@ def train_baseline_forecaster(features: FeatureMatrix, split: SplitSpec, seed: i
         return float(np.mean(np.square(err, out=err)))
 
     best, _ = fit_epochs(
-        weights, len(xt), update, validate if len(xv) else None,
+        weights, len(xt), update, validate,
         BASELINE_MAX_EPOCHS, BASELINE_BATCH_SIZE, BASELINE_PATIENCE, rng,
     )
     w = block_views(best, shapes)

@@ -4,6 +4,7 @@ import multiprocessing
 import re
 import shutil
 import subprocess
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -546,6 +547,9 @@ class TestProcessPool:
             jobs = summary["jobs"]
             assert set(jobs) == _JOBS
             assert all(0.0 <= j["start_s"] <= j["end_s"] <= summary["wall_seconds_total"] for j in jobs.values())
+            # the CPU seconds of the process that ran the job, over the job
+            assert all(math.isfinite(j["cpu_s"]) and j["cpu_s"] >= 0.0 for j in jobs.values())
+            assert all(set(j) == {"start_s", "end_s", "cpu_s"} for j in jobs.values())
             assert _overlapping(jobs.values()) is concurrent
             assert summary["stages"]["jobs"] <= summary["wall_seconds_total"]
             assert summary["peak_rss_children_mb"] >= 0.0
@@ -588,6 +592,27 @@ class TestProcessPool:
         err = capsys.readouterr().err
         assert "run failed: job 'train_scenario1_without_mu' failed: injected failure" in err
         assert multiprocessing.active_children() == []
+
+
+class TestJobTimes:
+    def test_cpu_seconds_leave_out_time_spent_waiting(self):
+        # a job that only sleeps takes wall time but almost no CPU time, so
+        # wall minus CPU tells waiting from work
+        result, (start, end, cpu_s) = harness._timed("job 'sleeper'", time.sleep, 0.2)
+        assert result is None
+        assert end - start >= 0.2
+        assert 0.0 <= cpu_s < 0.1
+
+    def test_cpu_seconds_count_the_work(self):
+        def spin(seconds):
+            t0 = time.process_time()
+            while time.process_time() - t0 < seconds:
+                pass
+            return "done"
+
+        result, (start, end, cpu_s) = harness._timed("job 'spinner'", spin, 0.05)
+        assert result == "done"
+        assert cpu_s >= 0.05
 
 
 class TestFailuresNamed:

@@ -419,7 +419,7 @@ class TestMemoryAblation:
         v = rng.standard_normal(120)
         data = sample_batch(v, v, v + 0.5)
         cfg = M.TrainConfig(eta=3e-3, max_epochs=30, batch_size=32, early_stop_patience=30, seed=1)
-        trained, _ = M.train(data, M.init_params(M.FusionDims(8, 4, 8), 3), cfg)
+        trained, _ = M.train(data, M.init_params(M.FusionDims(8, 4, 8), 3), cfg, data)
         assert np.any(trained.memory != 0.0)
         self._assert_fold_agrees(trained, data)
 

@@ -151,8 +151,30 @@ class TestFitEpochs:
         def update(rows, epoch):
             return float(np.float64(1e300) * 1e300)
 
-        _, history = fit_epochs(np.zeros(3), 4, update, None, 2, None, 2, None)
-        assert [loss for loss, _ in history] == [np.inf, np.inf]
+        _, history = fit_epochs(np.zeros(3), 4, update, lambda epoch: 1.0, 2, None, 2, None)
+        assert history == [(np.inf, 1.0), (np.inf, 1.0)]
+
+    def test_returns_a_copy_of_the_vector_of_the_lowest_validation_loss(self):
+        # each epoch adds 1 to the vector; the validation loss is lowest
+        # after epoch 1, and the patience lets every epoch run
+        def update(rows, epoch):
+            vector[:] += 1.0
+            return 0.0
+
+        vector = np.zeros(3)
+        losses = iter([3.0, 1.0, 2.0, 4.0])
+        best, history = fit_epochs(vector, 4, update, lambda epoch: next(losses), 4, None, 4, None)
+        assert [val for _, val in history] == [3.0, 1.0, 2.0, 4.0]
+        assert np.array_equal(best, [2.0, 2.0, 2.0]) and np.array_equal(vector, [4.0, 4.0, 4.0])
+        assert not np.shares_memory(best, vector)
+
+    def test_validate_is_required(self):
+        # there is no mode that trains without a validation loss
+        with pytest.raises(TypeError, match="validate"):
+            fit_epochs(
+                np.zeros(3), 4, lambda rows, epoch: 0.0,
+                max_epochs=2, batch_size=None, patience=2, rng=None,
+            )
 
 
 class TestAdamStateInit:

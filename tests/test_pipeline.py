@@ -401,6 +401,17 @@ class TestAssembleSamples:
         samples = assemble_samples(dl, ep, truth, scenario_ns(ep_available=False))
         assert np.all((samples.ep == 0.0) & (samples.ep_mask == 0) & (samples.dl_mask == 1))
 
+    @pytest.mark.parametrize("stream", ["dl", "ep"])
+    def test_available_stream_without_a_forecast_rejected(self, stream):
+        # it used to be zeroed with mask 0, as if the scenario had no such stream
+        dl, ep, truth = self._series_triple()
+        series = {"dl": dl, "ep": ep, stream: None}
+        with pytest.raises(ValueError, match=f"^{stream} forecast: the scenario marks the stream available, but none"):
+            assemble_samples(series["dl"], series["ep"], truth, scenario_ns())
+        unavailable = scenario_ns(**{f"{stream}_available": False})
+        samples = assemble_samples(series["dl"], series["ep"], truth, unavailable)
+        assert not np.any(getattr(samples, f"{stream}_mask"))
+
     @pytest.mark.parametrize("truth_mode", ["full", "sparse"])
     def test_gappy_truth_rejected(self, truth_mode):
         # the harness fills sparse actuals once, before assembly; a gap

@@ -96,7 +96,7 @@ class TestBuildingParams:
             load_building_params(path)
 
 
-def _reference_simulate_physics(params, weather, schedule, t_init_c=None):
+def _reference_simulate_physics(params, weather, schedule):
     """simulate_physics' RC loop as first written: one step per hour,
     indexing numpy arrays and computing on numpy scalars."""
     n = len(weather.temp_c)
@@ -108,7 +108,7 @@ def _reference_simulate_physics(params, weather, schedule, t_init_c=None):
     base_gain = params.occupants * 100.0 + params.equipment_w_per_m2 * area
     solar_gain = 0.05 * area * weather.solar_w_per_m2
     energy = np.empty(n)
-    t_in = 0.5 * (params.heat_setpoint_c + params.cool_setpoint_c) if t_init_c is None else float(t_init_c)
+    t_in = 0.5 * (params.heat_setpoint_c + params.cool_setpoint_c)
     for t in range(n):
         occupied = occ[t] >= 0.5
         heat_sp = params.heat_setpoint_c if occupied else params.heat_setback_c
@@ -151,10 +151,9 @@ class TestSimulatePhysics:
         buildings = [BuildingParams(), sealed_building(), sealed_building(ua_w_per_k=200.0, occupants=3, heat_setpoint_c=18)]
         for building in buildings:
             for schedule in (default_occupancy(), restless):
-                for t_init_c in (None, 5.0, 30.0):
-                    out = simulate_physics(building, weather, schedule, t_init_c)
-                    ref = _reference_simulate_physics(building, weather, schedule, t_init_c)
-                    assert out.values.tobytes() == ref.tobytes(), (building, t_init_c)
+                out = simulate_physics(building, weather, schedule)
+                ref = _reference_simulate_physics(building, weather, schedule)
+                assert out.values.tobytes() == ref.tobytes(), building
 
     def test_equilibrium_no_load_no_energy(self):
         # zone sits at the band midpoint with matching outdoor air and no gains
@@ -165,20 +164,38 @@ class TestSimulatePhysics:
         assert np.allclose(out.values, 0.0, atol=0, rtol=0)
 
     def test_one_step_hand_balance(self):
-        # losing 2000 W at T_in=20 against a 21 C setpoint: the thermostat
-        # must supply C/dt * 1K + 2000 W = 2277.78 W -> 2.27778 kWh at COP 1
+        # the zone starts at 22 C, the middle of its 21-23 C band, and loses
+        # 2200 W to 0 C air: it may cool by 1 K to the 21 C setpoint, so the
+        # thermostat supplies 2200 W - C/dt * 1K = 1922.22 W -> 1.92222 kWh
+        # at COP 1
         b = sealed_building()
         weather = flat_weather(1, temp=0.0)
         schedule = OccupancySchedule(np.ones(168))
-        out = simulate_physics(b, weather, schedule, t_init_c=20.0)
-        expected_w = 1e6 / 3600.0 * 1.0 + 100.0 * 20.0
+        out = simulate_physics(b, weather, schedule)
+        expected_w = 100.0 * 22.0 - 1e6 / 3600.0 * 1.0
         assert out.values[0] == pytest.approx(expected_w / 1000.0, rel=1e-12)
+
+    @pytest.mark.parametrize("heat,cool", [(21.0, 23.0), (18.0, 26.0), (20.0, 30.0)], ids=["21-23", "18-26", "20-30"])
+    def test_zone_starts_at_the_middle_of_the_occupied_band(self, heat, cool):
+        # 0 C air pulls the zone below the heating setpoint within the first
+        # hour, so the thermostat supplies UA * mid - C/dt * (mid - heat)
+        b = sealed_building(heat_setpoint_c=heat, cool_setpoint_c=cool)
+        mid = 0.5 * (heat + cool)
+        out = simulate_physics(b, flat_weather(1, temp=0.0), OccupancySchedule(np.ones(168)))
+        expected_w = 100.0 * mid - 1e6 / 3600.0 * (mid - heat)
+        assert out.values[0] == pytest.approx(expected_w / 1000.0, rel=1e-12)
+
+    def test_start_temperature_is_not_an_argument(self):
+        weather = flat_weather(1, temp=0.0)
+        assert list(inspect.signature(simulate_physics).parameters) == ["params", "weather", "schedule"]
+        with pytest.raises(TypeError):
+            simulate_physics(sealed_building(), weather, default_occupancy(), 20.0)
 
     def test_monotone_in_ua_when_heating(self):
         schedule = OccupancySchedule(np.ones(168))
         weather = flat_weather(72, temp=-10.0)
-        lo = simulate_physics(sealed_building(), weather, schedule, t_init_c=21.0)
-        hi = simulate_physics(sealed_building(ua_w_per_k=200.0), weather, schedule, t_init_c=21.0)
+        lo = simulate_physics(sealed_building(), weather, schedule)
+        hi = simulate_physics(sealed_building(ua_w_per_k=200.0), weather, schedule)
         assert np.all(hi.values > lo.values)
 
     def test_nonnegative_energy(self):
@@ -192,21 +209,13 @@ class TestSimulatePhysics:
         b = simulate_physics(BuildingParams(), w, default_occupancy())
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("t_init_c", [float("nan"), float("inf"), -float("inf"), True, "21"])
-    def test_start_temperature_that_is_not_a_finite_real_rejected(self, t_init_c):
-        # a NaN start used to fail both setpoint comparisons at every step,
-        # so the whole run returned the equipment-only energy
-        weather = make_weather(336, seed=1)
-        with pytest.raises(ValueError, match=r"^t_init_c must be finite and a real number, got "):
-            simulate_physics(BuildingParams(), weather, default_occupancy(), t_init_c)
-        assert simulate_physics(BuildingParams(), weather, default_occupancy(), np.float64(21.0)).n == 336
-
     def test_setbacks_apply_when_unoccupied(self):
         b = sealed_building()
         weather = flat_weather(24, temp=17.0)
-        occupied = simulate_physics(b, weather, OccupancySchedule(np.ones(168)), t_init_c=21.0)
-        empty = simulate_physics(b, weather, OccupancySchedule(np.zeros(168)), t_init_c=21.0)
-        # 17 C is below the occupied heating setpoint but above the setback
+        occupied = simulate_physics(b, weather, OccupancySchedule(np.ones(168)))
+        empty = simulate_physics(b, weather, OccupancySchedule(np.zeros(168)))
+        # 17 C is below the occupied heating setpoint but above the setback,
+        # so from the 22 C start the empty zone drifts down unheated
         assert np.all(occupied.values > 0.0)
         assert np.allclose(empty.values, 0.0)
 
@@ -415,6 +424,16 @@ class TestBaselineForecaster:
             train_baseline_forecaster(rows, SplitSpec(), seed=1)
         assert steps == []
 
+    def test_split_with_no_validation_rows_rejected(self):
+        # the fit early-stops on its validation rows; it never keeps the
+        # last weights of a fit that had none
+        rows, _ = self._fixture(n=24 * 20)
+        split = SplitSpec(0.6, 1e-4, 0.3999)
+        i_train, i_val = split.boundaries(len(rows))
+        assert i_val == i_train > 0
+        with pytest.raises(ValueError, match="^no validation rows for the baseline forecaster$"):
+            train_baseline_forecaster(rows, split, seed=1)
+
     def test_disagrees_with_physics(self):
         # the fusion problem must be non-degenerate on default-style fixtures
         n = 24 * 40
@@ -547,7 +566,7 @@ def _reference_train_baseline(features, split, seed):
         return float(np.mean((_reference_forward(xv, *w)[-1] - yv) ** 2))
 
     best, _ = fit_epochs(
-        weights, len(xt), update, validate if len(xv) else None,
+        weights, len(xt), update, validate,
         BASELINE_MAX_EPOCHS, BASELINE_BATCH_SIZE, BASELINE_PATIENCE, rng,
     )
     return block_views(best, shapes)
@@ -564,10 +583,9 @@ class TestBaselineWorkspaceOracle:
         [
             SplitSpec(),  # 561 training rows: minibatches of 256, 256 and a ragged 49
             SplitSpec(0.2, 0.4, 0.4),  # 187 rows: one minibatch, smaller than the batch size
-            SplitSpec(0.6, 1e-4, 0.3999),  # no validation rows: the last vector is kept
             SplitSpec(0.548, 0.2, 0.252),  # 512 rows: two full minibatches, none ragged
         ],
-        ids=["ragged-with-validation", "one-batch", "no-validation", "two-full-batches"],
+        ids=["ragged-with-validation", "one-batch", "two-full-batches"],
     )
     def test_fit_matches_allocating_reference_bit_for_bit(self, world, split):
         f = train_baseline_forecaster(world, split, seed=21)

@@ -53,6 +53,17 @@ class TestTrainBasics:
             empty = measured([], [], [])
             M.train(empty, p, M.TrainConfig(max_epochs=1), empty)
 
+    def test_validation_split_required(self):
+        # every training early-stops on a validation split; there is no
+        # mode that trains to max_epochs and keeps the last parameters
+        samples = make_dataset(np.random.default_rng(0), n=10)
+        p = M.init_params(M.FusionDims(2, 2, 2), 0)
+        for validation in (None, samples[:0]):
+            with pytest.raises(ValueError, match="^empty validation dataset$"):
+                M.train(samples, p, M.TrainConfig(max_epochs=1), validation)
+        with pytest.raises(TypeError, match="validation"):
+            M.train(samples, p, M.TrainConfig(max_epochs=1))
+
     def test_zero_gradient_fixed_point(self):
         # targets equal to the untrained predictions: nothing should move
         rng = np.random.default_rng(1)
@@ -62,20 +73,20 @@ class TestTrainBasics:
         preds = M.predict(measured(dl, ep, np.zeros(12)), p)
         fixed = measured(dl, ep, preds)
         cfg = M.TrainConfig(eta=0.01, max_epochs=25, early_stop_patience=25, seed=0)
-        trained, history = M.train(fixed, p, cfg, None)
+        trained, history = M.train(fixed, p, cfg, fixed)
         for a, b in zip(p.flatten(), trained.flatten()):
             assert np.array_equal(np.asarray(a), np.asarray(b))
-        assert history[0][0] == 0.0
+        assert history[0] == (0.0, 0.0)
 
     def test_history_lengths_and_values(self):
         rng = np.random.default_rng(2)
         samples = make_dataset(rng)
         p = M.init_params(M.FusionDims(4, 2, 4), 3)
+        val = make_dataset(rng, n=20)
         cfg = M.TrainConfig(eta=1e-3, max_epochs=10, early_stop_patience=10, seed=1)
-        _, history = M.train(samples, p, cfg, None)
-        assert len(history) == 10
-        assert all(np.isfinite(tr) for tr, _ in history)
-        assert all(np.isnan(va) for _, va in history)  # no validation split given
+        _, history = M.train(samples, p, cfg, val)
+        assert len(history) == 10  # patience equals max_epochs, so no early stop
+        assert all(np.isfinite(tr) and np.isfinite(va) for tr, va in history)
 
     def test_first_epoch_loss_is_pre_update_mse(self):
         rng = np.random.default_rng(3)
@@ -84,7 +95,7 @@ class TestTrainBasics:
         preds = M.predict(samples, p)
         expected = float(np.mean((samples.target - preds) ** 2))
         cfg = M.TrainConfig(eta=1e-3, max_epochs=1, early_stop_patience=1, seed=0)
-        _, history = M.train(samples, p, cfg, None)
+        _, history = M.train(samples, p, cfg, samples)
         assert history[0][0] == pytest.approx(expected, rel=1e-12)
 
     def test_training_reduces_loss(self):
@@ -92,7 +103,8 @@ class TestTrainBasics:
         samples = make_dataset(rng, n=120)
         p = M.init_params(M.FusionDims(8, 4, 8), 6)
         cfg = M.TrainConfig(eta=3e-3, max_epochs=150, batch_size=32, early_stop_patience=150, seed=2)
-        _, history = M.train(samples, p, cfg, None)
+        _, history = M.train(samples, p, cfg, make_dataset(rng, n=40))
+        assert len(history) == 150
         assert history[-1][0] < 0.05 * history[0][0]
 
 
@@ -106,7 +118,7 @@ class TestBiasCorrection:
         y = samples.target
         before = float(np.sum((y - M.predict(samples, p)) ** 2))
         cfg = M.TrainConfig(eta=1e-4, max_epochs=1, early_stop_patience=1, seed=0)
-        trained, _ = M.train(samples, p, cfg, None)
+        trained, _ = M.train(samples, p, cfg, samples)
         after = float(np.sum((y - M.predict(samples, trained)) ** 2))
         assert after < before
 
@@ -154,9 +166,10 @@ class TestDeterminismAndFailure:
         rng = np.random.default_rng(10)
         samples = make_dataset(rng, n=50)
         p = M.init_params(M.FusionDims(5, 3, 5), 12)
+        val = make_dataset(rng, n=20)
         cfg = M.TrainConfig(eta=2e-3, max_epochs=30, batch_size=16, early_stop_patience=30, seed=77)
-        a, _ = M.train(samples, p, cfg, None)
-        b, _ = M.train(samples, p, cfg, None)
+        a, _ = M.train(samples, p, cfg, val)
+        b, _ = M.train(samples, p, cfg, val)
         for x, y in zip(a.flatten(), b.flatten()):
             assert np.array_equal(np.asarray(x), np.asarray(y))
 
@@ -166,29 +179,38 @@ class TestDeterminismAndFailure:
         p = M.init_params(M.FusionDims(5, 3, 5), 12)
         cfg_a = M.TrainConfig(eta=2e-3, max_epochs=10, batch_size=16, early_stop_patience=10, seed=1)
         cfg_b = M.TrainConfig(eta=2e-3, max_epochs=10, batch_size=16, early_stop_patience=10, seed=2)
-        a, _ = M.train(samples, p, cfg_a, None)
-        b, _ = M.train(samples, p, cfg_b, None)
+        val = make_dataset(rng, n=20)
+        a, _ = M.train(samples, p, cfg_a, val)
+        b, _ = M.train(samples, p, cfg_b, val)
         assert any(not np.array_equal(np.asarray(x), np.asarray(y)) for x, y in zip(a.flatten(), b.flatten()))
 
     def test_divergence_reported_with_epoch_index(self):
+        # eta = 1e51: after the first step the one validation row's squared
+        # error (about 1e307) is still finite, and the sum of 40 such
+        # training errors overflows in epoch 1
         rng = np.random.default_rng(12)
         samples = make_dataset(rng, n=40)
         p = M.init_params(M.FusionDims(4, 2, 4), 1)
-        cfg = M.TrainConfig(eta=1e300, max_epochs=50, early_stop_patience=50, seed=0)
+        cfg = M.TrainConfig(eta=1e51, max_epochs=50, early_stop_patience=50, seed=0)
         with pytest.raises(M.TrainingDiverged, match=r"epoch 1: non-finite training loss"):
-            M.train(samples, p, cfg, None)
+            M.train(samples, p, cfg, make_dataset(rng, n=1))
+        cfg = M.TrainConfig(eta=1e300, max_epochs=50, early_stop_patience=50, seed=0)
+        with pytest.raises(M.TrainingDiverged, match=r"epoch 0: non-finite validation loss"):
+            M.train(samples, p, cfg, make_dataset(rng, n=1))
 
     @pytest.mark.parametrize("batch_size", [None, 40], ids=["fullbatch", "one-minibatch"])
     def test_overflowing_last_loss_raises_before_the_step(self, batch_size):
         # the epoch-1 predictions are finite but their squared errors
-        # overflow; without a validation split nothing else would catch it,
-        # and the step on those gradients would leave NaN parameters
+        # overflow when summed over 40 rows, while the epoch-0 validation
+        # MSE of one row stays finite; nothing else would catch it, and the
+        # step on those gradients would leave NaN parameters
         rng = np.random.default_rng(12)
         dl, ep = rng.standard_normal(40), rng.standard_normal(40)
         p = M.init_params(M.FusionDims(4, 2, 4), 1)
-        cfg = M.TrainConfig(eta=1e80, max_epochs=2, batch_size=batch_size, early_stop_patience=2)
+        cfg = M.TrainConfig(eta=1e51, max_epochs=2, batch_size=batch_size, early_stop_patience=2)
+        samples = measured(dl, ep, dl + ep)
         with pytest.raises(M.TrainingDiverged, match=r"epoch 1: non-finite training loss"):
-            M.train(measured(dl, ep, dl + ep), p, cfg, None)
+            M.train(samples, p, cfg, samples[:1])
 
     def test_overflowing_gradient_raises_before_the_step(self):
         # dead data-stream ReLUs keep yhat and the loss finite, but the
@@ -201,7 +223,7 @@ class TestDeterminismAndFailure:
         batch = measured(v, v, v + 1e10)
         assert np.isfinite(M.predict(batch, p)).all()
         with pytest.raises(M.TrainingDiverged, match=r"epoch 0: non-finite gradient"):
-            M.train(batch, p, M.TrainConfig(eta=1e-3, max_epochs=1), None)
+            M.train(batch, p, M.TrainConfig(eta=1e-3, max_epochs=1), batch)
 
     def test_optimizer_is_not_configurable(self):
         # training is Adam only
@@ -730,19 +752,19 @@ class TestStreamSplit:
 
         monkeypatch.setattr(M, layers, failing_off_the_calling_thread)
         rng = np.random.default_rng(371)
-        samples = make_dataset(rng, n=30)
+        samples, val = make_dataset(rng, n=30), make_dataset(rng, n=10)
         p = M.init_params(M.FusionDims(3, 2, 3), 1)
         cfg = M.TrainConfig(max_epochs=2, early_stop_patience=2)
         with pytest.raises(FloatingPointError, match="injected in the helper"):
-            M.train(samples, p, cfg)
+            M.train(samples, p, cfg, val)
         # the helper survives its exception and serves the next training
         assert len(_helper_threads()) == 1
         monkeypatch.setattr(M, layers, real)
-        split = M.train(samples, p, cfg)
+        split = M.train(samples, p, cfg, val)
         assert len(_helper_threads()) == 1
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(M, "usable_cpus", lambda: 1)
-            stacked = M.train(samples, p, cfg)
+            stacked = M.train(samples, p, cfg, val)
         assert split[0].vector.tobytes() == stacked[0].vector.tobytes()
 
     def test_overflow_in_the_helper_raises_no_runtime_warning(self, split_always):
@@ -759,7 +781,7 @@ class TestStreamSplit:
             M._batch_forward(M._fill_inputs(samples, ws.x), p, ws)
         assert np.isinf(ws.part[1]).any() and np.isfinite(ws.part[0]).all()
         with pytest.raises(M.TrainingDiverged):
-            M.train(samples, p, M.TrainConfig(max_epochs=2, early_stop_patience=2))
+            M.train(samples, p, M.TrainConfig(max_epochs=2, early_stop_patience=2), samples)
         with pytest.raises(ValueError, match="non-finite"):
             M.predict(samples, p)
         assert split_always == {"caller", "helper"}
@@ -849,8 +871,10 @@ class TestStreamSplit:
         threads = _forward_threads_by_rows(monkeypatch)
         rng = np.random.default_rng(378)
         p = M.init_params(M.FusionDims(3, 2, 3), 8)
-        M.train(make_dataset(rng, n=50), p, M.TrainConfig(max_epochs=2, batch_size=16, early_stop_patience=2))
-        assert threads == {16: {"caller", "helper"}, 2: {"caller", "helper"}}
+        samples, val = make_dataset(rng, n=50), make_dataset(rng, n=20)
+        M.train(samples, p, M.TrainConfig(max_epochs=2, batch_size=16, early_stop_patience=2), val)
+        # validation, larger than an update, runs on the calling thread
+        assert threads == {16: {"caller", "helper"}, 2: {"caller", "helper"}, 20: {"caller"}}
 
 
 def _reference_adam(params, grads, m, v, step, eta, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -871,9 +895,8 @@ def _reference_train(dataset, params, cfg, validation):
     """Per-tensor copy of the training loop on the reference kernels."""
     x_dl, x_ep = _reference_pack_inputs(dataset)
     y = dataset.target
-    if validation:
-        xv_dl, xv_ep = _reference_pack_inputs(validation)
-        yv = validation.target
+    xv_dl, xv_ep = _reference_pack_inputs(validation)
+    yv = validation.target
     arrays = [np.array(a) for a in params.flatten()]
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
@@ -900,40 +923,37 @@ def _reference_train(dataset, params, cfg, validation):
             for start in range(0, n, cfg.batch_size):
                 loss_sum += float(np.sum(update(perm[start : start + cfg.batch_size])))
             train_mse = loss_sum / n
-        val_mse = float("nan")
-        if validation:
-            p = params_of(params.dims, arrays)
-            val_mse = float(np.mean((yv - _reference_batch_forward(xv_dl, xv_ep, p)["yhat"]) ** 2))
+        p = params_of(params.dims, arrays)
+        val_mse = float(np.mean((yv - _reference_batch_forward(xv_dl, xv_ep, p)["yhat"]) ** 2))
         history.append((train_mse, val_mse))
-        if validation:
-            if val_mse < best_val:
-                best_val, best, stall = val_mse, [np.array(a) for a in arrays], 0
-            else:
-                stall += 1
-                if stall >= cfg.early_stop_patience:
-                    break
-    return (best if validation else arrays), history
+        if val_mse < best_val:
+            best_val, best, stall = val_mse, [np.array(a) for a in arrays], 0
+        else:
+            stall += 1
+            if stall >= cfg.early_stop_patience:
+                break
+    return best, history
 
 
 class TestFlatOptimizerOracle:
     @pytest.mark.parametrize(
-        "batch_size,with_val",
-        [(16, True), (None, True), (7, False), (5, True), (None, False), (32, True)],
+        "batch_size",
+        [16, None, 7, 5, 32],
         ids=[
-            "minibatch-adam", "fullbatch-adam", "ragged-adam-noval", "small-batches-adam", "fullbatch-adam-noval",
+            "minibatch-adam", "fullbatch-adam", "ragged-adam", "small-batches-adam",
             "validation-in-the-minibatch-workspace-adam",
         ],
     )
-    def test_train_matches_per_tensor_reference_exactly(self, batch_size, with_val):
+    def test_train_matches_per_tensor_reference_exactly(self, batch_size):
         rng = np.random.default_rng(20)
         samples = make_dataset(rng, n=60)
-        val = make_dataset(rng, n=20) if with_val else None
+        val = make_dataset(rng, n=20)
         p = init_with_memory(M.FusionDims(4, 3, 5), 21)
         cfg = M.TrainConfig(eta=5e-3, max_epochs=40, batch_size=batch_size, early_stop_patience=6, seed=4)
         trained, history = M.train(samples, p, cfg, val)
         ref_arrays, ref_history = _reference_train(samples, p, cfg, val)
         assert len(history) == len(ref_history)
-        assert np.array_equal(np.array(history), np.array(ref_history), equal_nan=True)
+        assert np.array_equal(np.array(history), np.array(ref_history))
         for name, a, b in zip(M._TENSOR_FIELDS, trained.flatten(), ref_arrays):
             assert np.array_equal(a, b), name
 
@@ -953,8 +973,7 @@ class TestBufferAliasing:
         assert not np.array_equal(trained.vector, before)
         assert not np.shares_memory(trained.vector, p.vector)
 
-    @pytest.mark.parametrize("with_val", [True, False])
-    def test_result_shares_no_memory_with_training_buffers(self, monkeypatch, with_val):
+    def test_result_shares_no_memory_with_training_buffers(self, monkeypatch):
         seen = []
         real_step = M.adam_step
 
@@ -965,7 +984,7 @@ class TestBufferAliasing:
         monkeypatch.setattr(M, "adam_step", spy)
         rng = np.random.default_rng(24)
         samples = make_dataset(rng, n=30)
-        val = make_dataset(rng, n=10) if with_val else None
+        val = make_dataset(rng, n=10)
         p = M.init_params(M.FusionDims(3, 2, 3), 25)
         cfg = M.TrainConfig(eta=1e-2, max_epochs=4, batch_size=10, early_stop_patience=4, seed=2)
         trained, _ = M.train(samples, p, cfg, val)
