@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-# Missingness handling: sparsity injection, the four imputation strategies,
-# and how masks flow into assembled training samples.
+# Missingness handling: sparsity injection, the three imputation strategies,
+# and how masks and forecast stand-ins flow into assembled training samples.
 
 import numpy as np
 
 from fusecast.pipeline import (
+    IMPUTATION_KINDS,
     EnergySeries,
     apply_sparsity,
     assemble_samples,
@@ -20,7 +21,7 @@ clean = EnergySeries.full(ts, 100.0 + 30.0 * np.sin(2 * np.pi * np.arange(n) / 2
 sparse = apply_sparsity(clean, frac=0.2, seed=7)
 print(f"{int((~sparse.present).sum())} of {n} steps marked missing (exactly 20%)")
 
-for kind in ("nearest_neighbor", "linear_interpolation", "historical_averaging", "neighbor_mean_or_zero"):
+for kind in IMPUTATION_KINDS:
     filled = impute(sparse, kind)
     err = np.abs(filled.values - clean.values)[~sparse.present]
     print(f"  {kind:24s} mean fill error {err.mean():6.2f} kWh, max {err.max():6.2f}")
@@ -49,6 +50,14 @@ try:
     assemble_samples(dl, clean, sparse, cfg2)
 except ValueError as exc:
     print(f"scenario 2 with unfilled actuals: {exc}")
+
+# a forecast with gaps keeps mask 0 there and carries a stand-in, the mean of
+# its present neighbours (0.0 when it has none), so no NaN reaches the model
+gaps = np.array([np.nan, np.nan, 2.0, np.nan, 8.0])
+gappy = EnergySeries(hourly_range("2021-01-04T00", 5), gaps, np.isfinite(gaps))
+ones = EnergySeries.full(gappy.timestamps, np.ones(5))
+samples_gappy = assemble_samples(gappy, ones, ones, cfg2)
+print(f"dl forecast {gaps} -> stand-ins {samples_gappy.dl}, mask {samples_gappy.dl_mask}")
 
 # scenario 3: no actuals, so the physics value is the target
 cfg3 = scenario_config(3, seed=1, fast=True)

@@ -179,8 +179,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, OSError, FloatingPointError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+    except Exception as exc:  # any other failure, a MemoryError too, is a runtime failure
+        print(f"run failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

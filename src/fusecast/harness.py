@@ -99,8 +99,6 @@ SCENARIO_METHODS = {
 }
 _TRUTH_MODES = {1: "full", 2: "sparse", 3: "absent", 4: "full", 5: "full"}
 
-IMPUTATION_ABLATION_STRATEGIES = ("nearest_neighbor", "historical_averaging", "linear_interpolation")
-
 REPORT_FILES = (
     "scenario_table.csv",
     "ablation_mu.csv",
@@ -347,7 +345,7 @@ def _mu_variants(cfg: ScenarioConfig) -> tuple[ScenarioConfig, ScenarioConfig]:
 
 def _imputation_variants(cfg: ScenarioConfig) -> list[ScenarioConfig]:
     """The imputation ablation's trainings, one per strategy."""
-    return [replace(cfg, imputation=strategy) for strategy in IMPUTATION_ABLATION_STRATEGIES]
+    return [replace(cfg, imputation=strategy) for strategy in IMPUTATION_KINDS]
 
 
 class _Stages:

@@ -583,9 +583,12 @@ def load_checkpoint(path) -> tuple[FusionParams, NormStats]:
     line out of place or with a shape that does not fit the dims, a value
     count that does not fit the shape, a non-finite value, a normalization
     std that is not positive) raises ValueError naming the file and the
-    line.
+    line; a file that is not UTF-8 raises ValueError naming the file.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a {CHECKPOINT_TAG} checkpoint: {exc}") from exc
     lines = text.splitlines()
 
     def fail(lineno: int, msg: str):

@@ -15,12 +15,8 @@ import numpy as np
 
 from .numkit import check_real
 
-IMPUTATION_KINDS = (
-    "nearest_neighbor",
-    "linear_interpolation",
-    "historical_averaging",
-    "neighbor_mean_or_zero",
-)
+# The order is the imputation ablation's: its report rows and job names follow it.
+IMPUTATION_KINDS = ("nearest_neighbor", "historical_averaging", "linear_interpolation")
 
 STD_FLOOR = 1e-8
 
@@ -252,7 +248,8 @@ def _nearest_fill(values: np.ndarray, present: np.ndarray, targets: np.ndarray) 
 
 def _neighbor_mean_or_zero(values: np.ndarray, present: np.ndarray) -> np.ndarray:
     """``values`` with each missing step replaced by the mean of its present
-    immediate neighbours (0.0 when it has none).
+    immediate neighbours (0.0 when it has none): the stand-in
+    ``assemble_samples`` gives the gaps of a forecast stream.
 
     The sum is ``(a + b) + 0.0``, the adds ``np.mean`` makes: its reduction
     starts from +0.0, so a lone or paired -0.0 neighbour gives +0.0.  An
@@ -283,14 +280,12 @@ def impute(series: EnergySeries, strategy: str) -> EnergySeries:
     - ``historical_averaging`` (causal): the mean of the present values at
       the same hour of day on earlier days, or the nearest present value
       when there are none.
-    - ``neighbor_mean_or_zero``: the mean of the present immediate
-      neighbours, or 0.0 when neither is present.  The only strategy that
-      accepts an all-missing series.
 
     Each strategy runs as array operations (historical averaging loops over
     the 24 hours of the day, not the steps); the step-by-step definitions
-    in ``tests/test_pipeline.py`` pin every filled value byte for byte.  A
-    fill that overflows raises ValueError naming the strategy and the step.
+    in ``tests/test_pipeline.py`` pin every filled value byte for byte.  An
+    all-missing series, which no strategy can fill, raises ValueError
+    naming the strategy; so does a fill that overflows, naming the step too.
     """
     if strategy not in IMPUTATION_KINDS:
         raise ValueError(f"unknown imputation strategy {strategy!r}")
@@ -298,13 +293,9 @@ def impute(series: EnergySeries, strategy: str) -> EnergySeries:
     if missing.size == 0:
         return series.copy()
     present = series.present
-
-    if strategy == "neighbor_mean_or_zero":
-        values = _neighbor_mean_or_zero(series.values, present)
-    elif not np.any(present):
+    if not np.any(present):
         raise ValueError(f"cannot impute an all-missing series with {strategy}")
-    else:
-        values = series.values.copy()
+    values = series.values.copy()
     if strategy == "nearest_neighbor":
         values[missing] = _nearest_fill(series.values, present, missing)
     elif strategy == "linear_interpolation":
@@ -498,13 +489,13 @@ def read_key_values(path, parsers) -> dict:
     by its key's parser in ``parsers``.  ``#`` starts a comment.  A line
     without ``=``, an unknown key, a key set twice or a value its parser
     rejects raises ValueError naming the file and the line; a file that
-    cannot be read raises ValueError naming the file."""
+    cannot be read or is not UTF-8 raises ValueError naming the file."""
     values: dict = {}
     first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot read config file: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: cannot read config file: {getattr(exc, 'strerror', None) or exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

@@ -26,7 +26,8 @@ from .numkit import (
     AdamState, TrainingDiverged, adam_step, block_views, check_count, check_real, draw_uniform, empty_blocks, fit_epochs,
 )
 from .pipeline import (
-    _HOUR, N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range, read_key_values,
+    _HOUR, N_FEATURES, STD_FLOOR, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range,
+    read_key_values,
 )
 
 OCCUPANT_HEAT_W = 100.0        # sensible heat per person at light activity
@@ -365,9 +366,9 @@ def train_baseline_forecaster(features: FeatureMatrix, split: SplitSpec, seed: i
     x_val, y_val = x_all[i_train:i_val], targets[i_train:i_val]
 
     feat_mean = x_train.mean(axis=0)
-    feat_std = np.maximum(x_train.std(axis=0), 1e-8)
+    feat_std = np.maximum(x_train.std(axis=0), STD_FLOOR)
     y_mean = float(y_train.mean())
-    y_std = float(max(y_train.std(), 1e-8))
+    y_std = float(max(y_train.std(), STD_FLOOR))
     hidden = BASELINE_HIDDEN
     ws = _FitWorkspace(hidden, len(x_train), len(x_val), min(BASELINE_BATCH_SIZE, len(x_train)))
     xt, yt, xv, yv = (

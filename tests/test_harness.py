@@ -17,7 +17,6 @@ import fusecast
 from fusecast import cli, harness, model, pipeline
 from fusecast.cli import main as cli_main
 from fusecast.harness import (
-    IMPUTATION_ABLATION_STRATEGIES,
     SCENARIO_METHODS,
     ConfigError,
     ScenarioConfig,
@@ -90,6 +89,9 @@ class TestScenarioConfig:
     def test_unknown_imputation_rejected(self):
         with pytest.raises(ConfigError, match="imputation must be one of nearest_neighbor, .*, got 'bogus'"):
             ScenarioConfig(id=2, imputation="bogus")
+        # the neighbour mean fills forecast gaps only; it is not a strategy
+        with pytest.raises(ConfigError, match="got 'neighbor_mean_or_zero'"):
+            ScenarioConfig(id=2, imputation="neighbor_mean_or_zero")
         for kind in IMPUTATION_KINDS:
             assert ScenarioConfig(id=2, imputation=kind).imputation == kind
 
@@ -291,16 +293,16 @@ class TestAblations:
         # kept them, so the hours where it matches the truth give the mask back
         cfg = tiny_config(2)
         report = run_ablation_imputation(cfg)
-        assert set(report.methods) == set(IMPUTATION_ABLATION_STRATEGIES)
+        assert set(report.methods) == set(IMPUTATION_KINDS)
         masks = []
-        for strategy in IMPUTATION_ABLATION_STRATEGIES:
+        for strategy in IMPUTATION_KINDS:
             fixture = build_fixture(replace(cfg, imputation=strategy))
             masks.append(fixture.label_truth.values == fixture.truth.values)
         assert np.array_equal(masks[0], masks[1])
         assert np.array_equal(masks[1], masks[2])
         assert np.array_equal(masks[2], sparsity_mask(cfg)[24:])
 
-    @pytest.mark.parametrize("strategy", IMPUTATION_ABLATION_STRATEGIES)
+    @pytest.mark.parametrize("strategy", IMPUTATION_KINDS)
     def test_scenario2_trains_on_the_fill_the_baseline_lags_on(self, strategy):
         # the sparse actuals are filled once: the fusion targets are the
         # baseline's lag source from hour 24 on, byte for byte
@@ -626,6 +628,18 @@ class TestFailuresNamed:
         assert cli_main(["all", "--seed", "7", "--fast", "--out", str(tmp_path / "b")]) == 2
         assert "run failed: stage 'world' failed: injected failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,message", [(("injected failure",), "injected failure"), ((), "MemoryError")])
+    def test_failure_outside_any_stage_exits_2(self, tmp_path, monkeypatch, capsys, args, message):
+        # a standalone command builds its world outside any stage, so the
+        # error reaches the CLI as it was raised; one without a message is
+        # named by its type
+        def failing_weather(*_):
+            raise MemoryError(*args)
+
+        monkeypatch.setattr(harness, "make_weather", failing_weather)
+        assert cli_main(["scenario", "--id", "4", "--fast", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"run failed: {message}\n"
+
     def test_failing_training_in_standalone_run_named(self, monkeypatch):
         def failing_train(*args, **kwargs):
             raise FloatingPointError("injected failure")
@@ -831,11 +845,13 @@ class TestCli:
         assert f"config error: {cfg}: occupants must be non-negative\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["scenario", "simulate"])
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
     def test_unreadable_config_file_exits_1(self, tmp_path, capsys, command, kind):
-        cfg = tmp_path / "nonexistent.cfg"
+        cfg = tmp_path / f"{kind}.cfg"
         if kind == "directory":
             cfg.mkdir()
+        elif kind == "undecodable":
+            cfg.write_bytes(b"seed = \xff\n")
         out = tmp_path / "o"
         assert cli_main([command, "--fast", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"config error: {cfg}: cannot read config file: " in capsys.readouterr().err
@@ -845,11 +861,12 @@ class TestCli:
     def test_unknown_imputation_in_file_exits_1(self, tmp_path, capsys, sid):
         # scenario 1 never imputes, but its file's value is checked too
         cfg = tmp_path / "scenario.cfg"
-        cfg.write_text(f"id = {sid}\nimputation = bogus\n")
         out = tmp_path / "o"
-        assert cli_main(["scenario", "--fast", "--config", str(cfg), "--out", str(out)]) == 1
-        assert f"config error: {cfg}: imputation must be one of " in capsys.readouterr().err
-        assert not out.exists()
+        for value in ("bogus", "neighbor_mean_or_zero"):
+            cfg.write_text(f"id = {sid}\nimputation = {value}\n")
+            assert cli_main(["scenario", "--fast", "--config", str(cfg), "--out", str(out)]) == 1
+            assert f"config error: {cfg}: imputation must be one of " in capsys.readouterr().err
+            assert not out.exists()
 
     def test_too_few_training_rows_in_file_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -929,7 +946,7 @@ class TestCli:
 
 
     def test_scenario_config_file_seed_honoured(self, tmp_path, monkeypatch):
-        class Stop(Exception):
+        class Stop(BaseException):  # not an Exception, so the CLI does not catch it
             pass
 
         seen = []

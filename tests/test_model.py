@@ -586,6 +586,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="pgmn-ckpt-1"):
             M.load_checkpoint(path)
 
+    def test_undecodable_file_named(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"pgmn-ckpt-1\n\xff\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a pgmn-ckpt-1 checkpoint: 'utf-8' codec")):
+            M.load_checkpoint(path)
+
     def test_trailing_blank_lines_accepted(self, tmp_path):
         p = M.init_params(M.FusionDims(2, 1, 2), 3)
         path = tmp_path / "m.ckpt"

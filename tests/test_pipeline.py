@@ -107,14 +107,6 @@ class TestImpute:
         out = impute(s, "nearest_neighbor")
         assert out.values[1] == 5.0
 
-    def test_neighbor_mean_or_zero(self):
-        s = series_from([np.nan, np.nan, np.nan, 4.0, np.nan, 8.0])
-        out = impute(s, "neighbor_mean_or_zero")
-        # index 1: both neighbors missing in the original -> 0
-        assert out.values[1] == 0.0
-        assert out.values[2] == 4.0          # one present neighbor
-        assert out.values[4] == 6.0          # mean of 4 and 8
-
     def test_historical_averaging_uses_prior_days_only(self):
         n = 24 * 4
         vals = np.ones(n)
@@ -165,22 +157,24 @@ class TestImpute:
         out = impute(s, "linear_interpolation")
         assert np.allclose(out.values, vals, rtol=1e-12, atol=1e-12)
 
-    def test_all_missing_rejected_except_neighbor_zero(self):
+    def test_all_missing_rejected(self):
         s = series_from([np.nan, np.nan], present=[False, False])
-        for kind in ("nearest_neighbor", "linear_interpolation", "historical_averaging"):
-            with pytest.raises(ValueError):
+        for kind in IMPUTATION_KINDS:
+            with pytest.raises(ValueError, match=f"^cannot impute an all-missing series with {kind}$"):
                 impute(s, kind)
-        out = impute(s, "neighbor_mean_or_zero")
-        assert out.values.tolist() == [0.0, 0.0]
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            impute(series_from([1.0]), "knn")
+        # the neighbour mean is the forecast stand-in of assemble_samples,
+        # not a strategy
+        for kind in ("knn", "neighbor_mean_or_zero"):
+            with pytest.raises(ValueError, match=f"^unknown imputation strategy '{kind}'$"):
+                impute(series_from([1.0, np.nan]), kind)
 
 
 # ---------------------------------------------------------------------------
-# Step-by-step definitions of the imputation strategies, as loops over the
-# missing steps; impute's array code must give the same bytes.
+# Step-by-step definitions of the imputation strategies and of the neighbour
+# mean that assemble_samples gives a forecast's gaps, as loops over the
+# missing steps; the array code must give the same bytes.
 # ---------------------------------------------------------------------------
 
 def _reference_nearest_fill(values, present, targets):
@@ -234,11 +228,23 @@ def _reference_impute(series, strategy):
     return values
 
 
-def assert_impute_matches_reference(series, strategies=IMPUTATION_KINDS):
-    for strategy in strategies:
+def standin(forecast):
+    """The values assemble_samples gives a dl forecast with gaps."""
+    return assemble_samples(forecast, None, forecast, scenario_ns(ep_available=False, truth_mode="absent")).dl
+
+
+def assert_fills_match_reference(series):
+    """Each strategy's fill (or its all-missing error) and the forecast
+    stand-in equal the step-by-step definitions."""
+    for strategy in IMPUTATION_KINDS:
+        if not series.present.any():
+            with pytest.raises(ValueError, match="all-missing"):
+                impute(series, strategy)
+            continue
         out = impute(series, strategy)
         assert out.present.all(), strategy
         assert out.values.tobytes() == _reference_impute(series, strategy).tobytes(), strategy
+    assert standin(series).tobytes() == _reference_impute(series, "neighbor_mean_or_zero").tobytes()
 
 
 def _random_series(rng, n, scale, missing_frac, start_hour=0):
@@ -259,12 +265,11 @@ class TestImputeMatchesStepByStepReference:
         for _ in range(150):
             n = int(rng.integers(1, 24 * 6))
             s = _random_series(rng, n, scale, rng.random(), int(rng.integers(24)))
-            kinds = IMPUTATION_KINDS if s.present.any() else ("neighbor_mean_or_zero",)
-            assert_impute_matches_reference(s, kinds)
+            assert_fills_match_reference(s)
 
     def test_full_year_with_a_fifth_missing(self):
         s = apply_sparsity(_random_series(np.random.default_rng(5), 8760, 40.0, 0.0), 0.2, 5)
-        assert_impute_matches_reference(s)
+        assert_fills_match_reference(s)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -276,7 +281,7 @@ class TestImputeMatchesStepByStepReference:
     def test_hypothesis_series(self, cells, start_hour):
         values, present = map(np.array, zip(*cells))
         s = EnergySeries(hourly_range(np.datetime64("2021-01-01T00", "h") + start_hour, len(cells)), values, present)
-        assert_impute_matches_reference(s, IMPUTATION_KINDS if present.any() else ("neighbor_mean_or_zero",))
+        assert_fills_match_reference(s)
 
     @pytest.mark.parametrize(
         "values",
@@ -292,13 +297,13 @@ class TestImputeMatchesStepByStepReference:
         ],
     )
     def test_edge_series(self, values):
-        assert_impute_matches_reference(series_from(values))
+        assert_fills_match_reference(series_from(values))
 
     def test_gaps_on_the_first_day_fall_back_to_nearest(self):
         vals = np.arange(72.0) - 30.0
         vals[[0, 5, 23, 24 + 5, 48 + 23]] = np.nan
         s = series_from(vals)
-        assert_impute_matches_reference(s)
+        assert_fills_match_reference(s)
         out = impute(s, "historical_averaging")
         # hours 0 and 5 have no present value on an earlier day: nearest
         # neighbour, a tie going earlier; hour 23 on day 3 averages day 2
@@ -306,26 +311,14 @@ class TestImputeMatchesStepByStepReference:
 
     @pytest.mark.parametrize("n", [1, 2, 25])
     def test_all_missing_series_fills_zero(self, n):
+        # the forecast stand-in does; every strategy raises
         s = series_from(np.full(n, np.nan))
-        assert_impute_matches_reference(s, ("neighbor_mean_or_zero",))
-        assert impute(s, "neighbor_mean_or_zero").values.tobytes() == np.zeros(n).tobytes()
-
-    def test_one_missing_step_series(self):
-        s = series_from([np.nan])
-        assert impute(s, "neighbor_mean_or_zero").values.tolist() == [0.0]
-        for kind in ("nearest_neighbor", "linear_interpolation", "historical_averaging"):
-            with pytest.raises(ValueError, match="all-missing"):
-                impute(s, kind)
+        assert_fills_match_reference(s)
+        assert standin(s).tobytes() == np.zeros(n).tobytes()
 
     def test_negative_zero_neighbours_give_positive_zero_like_np_mean(self):
-        out = impute(series_from([-0.0, np.nan, -0.0, np.nan]), "neighbor_mean_or_zero")
-        assert [np.signbit(v) for v in out.values] == [True, False, True, False]
-
-    def test_overflowing_neighbour_mean_rejected_without_warning(self):
-        # pyproject turns a RuntimeWarning into an error, so this also
-        # checks that no overflow warning is emitted on the way
-        with pytest.raises(ValueError, match="neighbor_mean_or_zero: the fill of missing step 1 overflows"):
-            impute(series_from([1e308, np.nan, 1e308]), "neighbor_mean_or_zero")
+        out = standin(series_from([-0.0, np.nan, -0.0, np.nan]))
+        assert [np.signbit(v) for v in out] == [True, False, True, False]
 
     def test_overflowing_fill_names_strategy_and_step_without_warning(self):
         # historical averaging: the running sum of hour 0 (1e308 + 1e308)
@@ -426,6 +419,15 @@ class TestAssembleSamples:
         samples = assemble_samples(dl, ep, sparse, scenario_ns(truth_mode="absent"))
         assert samples.target.tobytes() == ep.values.tobytes()
 
+    def test_gaps_get_the_mean_of_their_present_neighbours(self):
+        fc = series_from([np.nan, np.nan, np.nan, 4.0, np.nan, 8.0], start="2021-03-01T00")
+        ep = EnergySeries.full(fc.timestamps, np.ones(6))
+        samples = assemble_samples(fc, ep, ep, scenario_ns())
+        # step 1: both neighbours missing -> 0; step 2: one present
+        # neighbour; step 4: the mean of 4 and 8
+        assert samples.dl.tolist() == [0.0, 0.0, 4.0, 4.0, 6.0, 8.0]
+        assert samples.dl_mask.tolist() == [0, 0, 0, 1, 0, 1]
+
     def test_partial_dl_gap_keeps_mask_zero_with_standin(self):
         dl, ep, truth = self._series_triple()
         present = np.ones(dl.n, dtype=bool)
@@ -449,8 +451,7 @@ class TestAssembleSamples:
             streams[name] = EnergySeries(dl.timestamps, streams[name].values * -1.5, present)
         samples = assemble_samples(streams["dl"], streams["ep"], truth, scenario_ns(truth_mode=truth_mode))
         for name, fc in streams.items():
-            expected = impute(fc, "neighbor_mean_or_zero").values.tobytes()
-            assert getattr(samples, name).tobytes() == expected == _reference_impute(fc, "neighbor_mean_or_zero").tobytes()
+            assert getattr(samples, name).tobytes() == _reference_impute(fc, "neighbor_mean_or_zero").tobytes()
             assert getattr(samples, f"{name}_mask").tolist() == fc.present.astype(int).tolist()
 
     @pytest.mark.parametrize("stream", ["dl", "ep"])
@@ -573,8 +574,7 @@ def _reference_assemble_samples(dl_forecast, ep_forecast, truth, scenario) -> li
         mask = fc.present.astype(np.int64)
         if np.all(fc.present):
             return fc.values.copy(), mask
-        filled = impute(fc, "neighbor_mean_or_zero")
-        return filled.values, mask
+        return _reference_impute(fc, "neighbor_mean_or_zero"), mask
 
     dl_vals, dl_mask = stream(dl_forecast, scenario.dl_available)
     ep_vals, ep_mask = stream(ep_forecast, scenario.ep_available)
