@@ -62,7 +62,7 @@ import numpy as np
 
 from .numkit import (
     AdamState, TrainingDiverged, adam_step, block_views, check_count, check_real, draw_uniform, empty_blocks,
-    fit_epochs, usable_cpus,
+    fit_epochs, row_sums, usable_cpus,
 )
 from .pipeline import NormStats, SampleBatch
 
@@ -341,7 +341,19 @@ def _backward_layers(s, x: np.ndarray, ws: _Workspace, params: FusionParams, gra
     enters the mixer through its folded bias, so the row sum ``sz`` of the
     mixer's pre-activation gradient (the mixer bias's gradient) carries it
     back: the memory columns' weight gradient is ``sz`` times the memory,
-    and the memory's gradient ``sz @ w_hid[s][:, d:]``."""
+    and the memory's gradient ``sz @ w_hid[s][:, d:]``.
+
+    The row outer product ``g w_head[s]`` and the row sums (``row_sums``)
+    are ``einsum`` calls, since numpy broadcasts and reduces over the rows
+    with one short inner loop per row.  The sums add the rows in order, as
+    ``np.add.reduce`` does from two columns on (at one column ``row_sums``
+    is ``add.reduce``), so the bits are the same.  The outer product is
+    one multiply per element, but ``einsum`` adds it to a zeroed output,
+    so it writes +0.0 where ``np.multiply`` writes -0.0 (g == +0.0 times a
+    negative weight).  Past the ReLU mask, every reader of ``da_z`` is a
+    sum from +0.0 (the matmuls and ``row_sums``), so no gradient shows the
+    sign.  The memory columns' weight gradient is itself a product that is
+    a gradient, so it stays ``np.multiply``, which keeps the -0.0."""
     m = len(g)
     h, z, on_z, on_h = ws.a_h[s, :m], ws.z[s, :m], ws.on_z[s, :m], ws.on_h[s, :m]
     d = h.shape[-1]
@@ -352,26 +364,27 @@ def _backward_layers(s, x: np.ndarray, ws: _Workspace, params: FusionParams, gra
     np.matmul(z.swapaxes(-1, -2), g, out=grads.w_head[s])
     grads.b_head[s] = g_sum
     np.greater(z, 0, out=on_z)
-    da_z = np.multiply(g[:, None], params.w_head[s, None], out=z)
+    da_z = np.einsum("r,...j->...rj", g, params.w_head[s], out=z)
     da_z *= on_z
     np.matmul(da_z.swapaxes(-1, -2), h, out=g_w_hid[..., :d])
-    sz = np.add.reduce(da_z, axis=-2, out=grads.b_hid[s])
+    sz = row_sums(da_z, out=grads.b_hid[s])
     np.multiply(sz[..., None], params.memory, out=g_w_hid[..., d:])
     np.matmul(sz[..., None, :], params.w_hid[s, ..., d:], out=ws.dmem[s, None])
     np.greater(h, 0, out=on_h)
     da_h = np.matmul(da_z, params.w_hid[s, ..., :d], out=h)
     da_h *= on_h
     np.matmul(da_h.swapaxes(-1, -2), x[s], out=grads.w[s])
-    np.add.reduce(da_h, axis=-2, out=grads.b[s])
+    row_sums(da_h, out=grads.b[s])
 
 
 # From this many rows per update, a training runs the two streams' layers
 # on two threads.  At the experiment widths on 2 vCPUs (one BLAS thread), a
-# forward and backward pass of the folded kernel took 1.2-1.5x its
-# one-thread time at 512 rows and 1.1-1.3x at 768, where the handoffs to
-# the helper cost more than the half of the work they move; 0.80-1.03x at
-# 1,024 (about break-even), 0.73-0.85x at 1,280 and 0.55-0.73x at 5,241
-# (three runs, medians of 9 each).
+# forward and backward pass of the kernel (einsum outer product and row
+# sums) took 1.9-2.2x its one-thread time at 512 rows and 1.4-1.7x at 768,
+# where the handoffs to the helper cost more than the half of the work they
+# move; 0.86-1.28x at 1,024 and 0.88-1.26x at 1,280 (about break-even),
+# 0.79-0.90x at 1,536, 0.64-0.76x at 2,048 and 0.57-0.62x at 5,241 (3 to 8
+# runs, medians of 9 each).
 _SPLIT_ROWS = 1024
 
 
@@ -518,7 +531,7 @@ def train(
             by = np.take(y, idx, out=gather_y[:m], mode="clip")
         _batch_forward(bx, params, ws)
         # a non-finite yhat gives a non-finite loss, so this one check covers both
-        loss = float(np.sum(_batch_backward(bx, by, params, ws, grads)))
+        loss = float(np.add.reduce(_batch_backward(bx, by, params, ws, grads)))
         if not math.isfinite(loss):
             raise TrainingDiverged(f"epoch {epoch}: non-finite training loss")
         # a finite loss can still come with an overflowed gradient (inf times

@@ -2,7 +2,8 @@
 
 Plain functions over numpy arrays: views of a flat parameter vector as
 shaped tensors (and kernel workspaces carved the same way from one
-allocation), uniform weight initialisation, the in-place Adam update on
+allocation), the backward passes' row sums (``row_sums``, in row order),
+uniform weight initialisation, the in-place Adam update on
 one flat parameter vector and one flat gradient vector (a few vectorised
 ops per step), the epoch loop every trainer shares and its divergence
 check, a central-difference gradient oracle used to verify hand-derived
@@ -73,6 +74,21 @@ def _layout(shapes: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[slice
 
 def _cut(vector: np.ndarray, spans) -> list[np.ndarray]:
     return [vector[span].reshape(shape) for span, shape in spans]
+
+
+def row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sums of ``a`` over its rows (axis -2), written into ``out`` and
+    returned: the column sums of each stacked matrix of ``a``.
+
+    From two columns on, ``einsum`` adds each column in row order from
+    +0.0, as ``np.add.reduce(a, axis=-2)`` does, so the bits are the same;
+    it is faster, since ``add.reduce`` runs one inner loop of a row's width
+    for every row.  At one column ``einsum`` drops the unit axis and adds
+    the rows in several accumulators, and ``add.reduce`` adds them
+    pairwise: other bits, so that width keeps ``add.reduce``."""
+    if a.shape[-1] >= 2:
+        return np.einsum("...rj->...j", a, out=out)
+    return np.add.reduce(a, axis=-2, out=out)
 
 
 def usable_cpus() -> int:

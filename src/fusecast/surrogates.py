@@ -24,6 +24,7 @@ import numpy as np
 
 from .numkit import (
     AdamState, TrainingDiverged, adam_step, block_views, check_count, check_real, draw_uniform, empty_blocks, fit_epochs,
+    row_sums,
 )
 from .pipeline import (
     _HOUR, N_FEATURES, STD_FLOOR, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range,
@@ -400,14 +401,16 @@ def train_baseline_forecaster(features: FeatureMatrix, split: SplitSpec, seed: i
         dout /= m
         np.matmul(h2.T, dout, out=g[4])
         g[5][...] = np.add.reduce(dout)
-        da2 = np.multiply(dout[:, None], w[4], out=ws.da2[:m])
+        # einsum writes +0.0 where np.multiply writes -0.0; every reader of
+        # da2 sums from +0.0, so the gradient bits are the same (see model)
+        da2 = np.einsum("r,j->rj", dout, w[4], out=ws.da2[:m])
         da2 *= np.greater(a2, 0, out=ws.on2[:m])
         np.matmul(da2.T, h1, out=g[2])
-        np.add.reduce(da2, axis=0, out=g[3])
+        row_sums(da2, out=g[3])
         da1 = np.matmul(da2, w[2], out=ws.da1[:m])
         da1 *= np.greater(a1, 0, out=ws.on1[:m])
         np.matmul(da1.T, xb, out=g[0])
-        np.add.reduce(da1, axis=0, out=g[1])
+        row_sums(da1, out=g[1])
         # an overflowed gradient would write inf or NaN into the weights
         if not np.isfinite(grads).all():
             raise TrainingDiverged(f"epoch {epoch}: non-finite baseline gradient")

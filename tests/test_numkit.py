@@ -1,3 +1,5 @@
+import functools
+import operator
 import os
 
 import numpy as np
@@ -11,6 +13,7 @@ from fusecast.numkit import (
     check_real,
     finite_diff_grad,
     fit_epochs,
+    row_sums,
     usable_cpus,
 )
 
@@ -217,6 +220,44 @@ class TestFlatSteps:
         assert vec[5] == -1.0
         with pytest.raises(ValueError, match="^blocks hold 4 values but the vector has 7$"):
             block_views(vec, [(2, 2)])
+
+
+class TestRowSums:
+    @staticmethod
+    def cancelling_columns(rng, shape):
+        """Columns of [1e16, x, -1e16, x, ...] (shifted by one row per
+        column, x uniform in [0.5, 1.5)): terms that cancel, so the order
+        of the adds shows in the sum's bits."""
+        *_, rows, width = shape
+        r, j = np.ogrid[:rows, :width]
+        phase = (r + j) % 4
+        return np.where(phase == 0, 1e16, np.where(phase == 2, -1e16, rng.uniform(0.5, 1.5, size=shape)))
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "one-stream"])
+    @pytest.mark.parametrize("rows", [1, 7, 128, 5241])
+    @pytest.mark.parametrize("width", [1, 2, 32])
+    def test_rows_added_in_order_and_pairwise_at_one_column(self, width, rows, stacked):
+        # the kernels' bias gradients: a row sum of the first rows of a
+        # larger (2, rows, width) workspace buffer, both streams at once or
+        # one, into a view of a flat gradient vector
+        rng = np.random.default_rng(500 + 7 * rows + width)
+        workspace = np.full((2, rows + 5, width), np.nan)
+        a = workspace[:, :rows] if stacked else workspace[1, :rows]
+        a[...] = self.cancelling_columns(rng, a.shape)
+        flat = np.full(2 * width + 1, np.nan)
+        out = flat[1:].reshape(2, width) if stacked else flat[1 : width + 1]
+        assert row_sums(a, out=out) is out
+        columns = a.reshape(-1, rows, width).swapaxes(-1, -2).reshape(-1, rows)
+        in_order = np.array([functools.reduce(operator.add, col.tolist(), 0.0) for col in columns])
+        pairwise = np.array([np.add.reduce(np.ascontiguousarray(col)) for col in columns])
+        if rows >= 128:
+            # the data tells the two orders apart
+            assert in_order.tobytes() != pairwise.tobytes()
+        # at one column the kernels' reference sums (``sum(axis=0)``) add
+        # the rows pairwise, as numpy does along a contiguous axis
+        want = in_order if width >= 2 else pairwise
+        assert out.reshape(-1).tobytes() == want.tobytes()
+        assert out.tobytes() == np.add.reduce(a, axis=-2).tobytes()
 
 
 class TestUsableCpus:

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import multiprocessing
 import threading
@@ -481,6 +482,40 @@ class TestWorkspaceKernelOracle:
             assert yhat.tobytes() == ref["yhat"].tobytes(), m
             assert losses.tobytes() == ref_losses.tobytes(), m
             assert grads.vector.tobytes() == ref_grads.vector.tobytes(), m
+
+    @pytest.mark.parametrize("split", [False, True], ids=["stacked", "split"])
+    @pytest.mark.parametrize("dims", [M.FusionDims(3, 4, 5), DEFAULT_DIMS], ids=["small", "experiment"])
+    def test_exact_fits_and_negative_head_weights_match_reference_bytes(self, dims, split):
+        # A row fitted exactly has g == +0.0. Times a negative head weight,
+        # the reference's outer product is -0.0 there, and the kernel's
+        # einsum writes +0.0; every reader of that product is a sum from
+        # +0.0, so no gradient may show the sign. A mixer unit dead on
+        # every row has a +0.0 bias gradient, and its memory columns' weight
+        # gradient is that times the memory: -0.0 at a negative entry.
+        rng = np.random.default_rng(395)
+        p = init_with_memory(dims, 5)
+        p.vector[:] += 0.5 * rng.standard_normal(dims.size)
+        p.w_head[:, ::2] = -np.abs(p.w_head[:, ::2])
+        p.memory[::2] = -np.abs(p.memory[::2])
+        p.b_hid[:, 0] = -1e6
+        m = 64
+        ws = M._Workspace(dims, m)
+        xs, y = _random_rows(rng, m)
+        x = np.stack(xs)
+        with ThreadPoolExecutor(1) if split else contextlib.nullcontext() as ws.helper:
+            for exact in (np.s_[::3], np.s_[:]):  # a third of the rows, then every row
+                y = y.copy()
+                y[exact] = M._batch_forward(x, p, ws)[exact]
+                grads = M.FusionParams(dims, np.full(dims.size, np.nan))
+                losses = M._batch_backward(x, y, p, ws, grads)
+                g = ws.g[:m]
+                assert not np.signbit(g[exact]).any() and not g[exact].any()
+                ref_losses, ref_grads = _reference_batch_backward(_reference_batch_forward(*xs, p), y, p)
+                assert losses.tobytes() == ref_losses.tobytes(), exact
+                assert grads.vector.tobytes() == ref_grads.vector.tobytes(), exact
+                # the signed zeros are there to be lost
+                assert np.signbit(grads.w_hid[:, 0, dims.embed_dim :: 2]).all()
+                assert (grads.b_hid[:, 0] == 0).all()
 
     @pytest.mark.parametrize("rows", [37, 5])
     def test_kernel_matches_reference_in_odd_sized_workspaces(self, rows):
