@@ -34,7 +34,6 @@ from .pipeline import (
 )
 from .surrogates import (
     BuildingParams,
-    OccupancySchedule,
     WeatherSeries,
     forecast_dl,
     make_truth,

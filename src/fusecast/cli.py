@@ -34,7 +34,7 @@ from .harness import (
 )
 from .model import save_checkpoint
 from .pipeline import write_timestamped_csv
-from .surrogates import BuildingParams, default_occupancy, load_building_params, make_weather, simulate_physics
+from .surrogates import BuildingParams, load_building_params, make_weather, simulate_physics
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -129,7 +129,7 @@ def _cmd_simulate(args) -> int:
         building = BuildingParams()
     hours = FAST_HOURS if args.fast else FULL_HOURS
     weather = make_weather(hours, seed + SEED_WEATHER)
-    physics = simulate_physics(building, weather, default_occupancy())
+    physics = simulate_physics(building, weather)
     args.out.mkdir(parents=True, exist_ok=True)
     write_timestamped_csv(args.out / "weather_temp_c.csv", weather.timestamps, {"temp_c": weather.temp_c})
     write_timestamped_csv(args.out / "physics_energy.csv", physics.timestamps, {"value": physics.values})

@@ -56,7 +56,6 @@ from .surrogates import (
     BASELINE_MIN_TRAIN_ROWS,
     BuildingParams,
     WeatherSeries,
-    default_occupancy,
     forecast_dl,
     make_truth,
     make_weather,
@@ -71,10 +70,6 @@ class ConfigError(ValueError):
 
 FULL_HOURS = 8760
 FAST_HOURS = 2160
-
-DEFAULT_BIAS_KWH = 50.0
-DEFAULT_NOISE_STD_KWH = 8.0
-DEFAULT_BEHAVIOR_AMP_KWH = 12.0
 
 DEFAULT_DIMS = FusionDims()
 
@@ -157,6 +152,8 @@ class ScenarioConfig:
             raise ConfigError(f"year_hours must be an integer, got {self.year_hours!r}")
         if self.year_hours < 24 * 10:
             raise ConfigError("year_hours is too small to build windows and splits")
+        if self.year_hours > FULL_HOURS:
+            raise ConfigError(f"year_hours must be at most {FULL_HOURS}, the synthetic year, got {self.year_hours}")
         # every fit and training splits the hours after the first day's lag window
         n = self.year_hours - 24
         n_train, n_fit = self.split.boundaries(n)
@@ -374,14 +371,8 @@ class _Stages:
         key = (seed, hours)
         if key not in self._worlds:
             weather = make_weather(hours, seed + SEED_WEATHER)
-            physics = simulate_physics(BuildingParams(), weather, default_occupancy())
-            truth = make_truth(
-                physics,
-                bias=DEFAULT_BIAS_KWH,
-                noise_std=DEFAULT_NOISE_STD_KWH,
-                behavior_amp=DEFAULT_BEHAVIOR_AMP_KWH,
-                seed=seed + SEED_TRUTH,
-            )
+            physics = simulate_physics(BuildingParams(), weather)
+            truth = make_truth(physics, seed + SEED_TRUTH)
             self._worlds[key] = _World(weather, physics, truth)
         return self._worlds[key]
 
@@ -798,7 +789,8 @@ def load_scenario_config(path, seed: int | None = None, fast: bool = False) -> S
     """Parse a flat key=value file of ScenarioConfig, SplitSpec and
     TrainConfig fields; unknown or repeated keys are rejected.  ``seed``
     (when given) and ``fast`` override the file: with ``fast`` the fixture
-    is ``FAST_HOURS`` long whatever ``year_hours`` the file sets."""
+    is ``FAST_HOURS`` long, but a ``year_hours`` the file sets must still be
+    one that ScenarioConfig accepts for the file's config."""
     try:
         values = read_key_values(path, _CONFIG_PARSERS)
     except ValueError as exc:
@@ -809,14 +801,13 @@ def load_scenario_config(path, seed: int | None = None, fast: bool = False) -> S
         sid = values.pop("id")
         file_seed = values.pop("seed", DEFAULT_SEED)
         cfg_seed = file_seed if seed is None else seed
-        if fast:
-            values.pop("year_hours", None)
         split = {k: values.pop(k) for k in _SPLIT_PARSERS if k in values}
         values["split"] = SplitSpec(**split)
         train_kwargs = {k: values.pop(k) for k in _TRAIN_PARSERS if k in values}
         if train_kwargs.get("batch_size") == 0:
             train_kwargs["batch_size"] = None  # 0 selects the literal full-epoch mode
         values["train"] = replace(DEFAULT_TRAIN, **train_kwargs)
-        return scenario_config(sid, seed=cfg_seed, fast=fast, **values)
+        cfg = scenario_config(sid, seed=cfg_seed, fast=fast, **values)  # the file's year_hours wins here
+        return replace(cfg, year_hours=FAST_HOURS) if fast else cfg
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

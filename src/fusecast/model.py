@@ -526,9 +526,10 @@ def train(
         else:
             # mode="clip" lets take write straight into ``out`` (the default
             # "raise" buffers through a temporary); a permutation is in range.
+            # The method skips np.take's Python-level wrapper.
             m = len(idx)
-            bx = np.take(x, idx, axis=1, out=ws.x[:, :m], mode="clip")
-            by = np.take(y, idx, out=gather_y[:m], mode="clip")
+            bx = x.take(idx, axis=1, out=ws.x[:, :m], mode="clip")
+            by = y.take(idx, out=gather_y[:m], mode="clip")
         _batch_forward(bx, params, ws)
         # a non-finite yhat gives a non-finite loss, so this one check covers both
         loss = float(np.add.reduce(_batch_backward(bx, by, params, ws, grads)))

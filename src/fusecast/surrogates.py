@@ -38,10 +38,25 @@ SOLAR_APERTURE_FRAC = 0.05     # effective solar-collecting fraction of floor ar
 COLDEST_HOUR = 336             # seasonal minimum lands mid-January
 DT_S = 3600.0
 
-# The synthetic climate: annual mean, seasonal and diurnal amplitudes.
+# The synthetic year, one recipe: its first hour; the climate's annual mean,
+# seasonal and diurnal amplitudes and AR(1) noise amplitude; the truth's
+# constant bias, weekly behaviour amplitude and iid noise.
+YEAR_START = "2021-01-01T00"
 WEATHER_MEAN_C = 7.5
 WEATHER_SEASONAL_AMP_C = 14.0
 WEATHER_DIURNAL_AMP_C = 4.5
+WEATHER_NOISE_AMP_C = 1.5
+TRUTH_BIAS_KWH = 50.0
+TRUTH_BEHAVIOR_AMP_KWH = 12.0
+TRUTH_NOISE_STD_KWH = 8.0
+
+# Occupied fraction per hour of the week, Monday 00:00 first (index it with
+# hour_of_week): full nights and evenings, 0.75 at 07-09 and 17-19, and
+# daytime (09-17) dips to 0.30 on weekdays and 0.65 at weekends.
+OCCUPANCY = np.concatenate([
+    np.repeat([0.95, 0.75, daytime, 0.75, 0.95], [7, 2, 8, 2, 5]) for daytime in [0.30] * 5 + [0.65] * 2
+])
+OCCUPANCY.flags.writeable = False
 
 # The baseline fit: hidden width, Adam learning rate, epoch cap, minibatch
 # size, early-stopping patience and the fewest training rows it accepts.
@@ -124,77 +139,30 @@ class WeatherSeries:
             raise ValueError("weather values must be finite")
 
 
-@dataclass
-class OccupancySchedule:
-    """Per hour-of-week occupancy fraction (168 entries, Monday hour 0 first)."""
-
-    fractions: np.ndarray
-
-    def __post_init__(self):
-        self.fractions = np.asarray(self.fractions, dtype=np.float64)
-        if self.fractions.shape != (168,):
-            raise ValueError("occupancy schedule needs exactly 168 entries")
-        # NaN fails every comparison: require both bounds to hold, so it fails too
-        if not np.all((self.fractions >= 0) & (self.fractions <= 1)):
-            raise ValueError("occupancy fractions must be finite and lie in [0, 1]")
-
-    def at(self, timestamps: np.ndarray) -> np.ndarray:
-        return self.fractions[hour_of_week(np.atleast_1d(timestamps))]
-
-
-def default_occupancy() -> OccupancySchedule:
-    """Residential pattern: full nights/evenings, daytime dips on weekdays,
-    busier weekends."""
-    frac = np.empty(168)
-    for how in range(168):
-        dow, hod = divmod(how, 24)
-        weekend = dow >= 5
-        if 9 <= hod < 17:
-            frac[how] = 0.65 if weekend else 0.30
-        elif 7 <= hod < 9 or 17 <= hod < 19:
-            frac[how] = 0.75
-        else:
-            frac[how] = 0.95
-    return OccupancySchedule(frac)
-
-
-def make_weather(
-    year_hours: int = 8760,
-    seed: int = 0,
-    *,
-    start: str = "2021-01-01T00",
-    noise_amp_c: float = 1.5,
-) -> WeatherSeries:
-    """Synthetic typical-year weather: a seasonal plus a diurnal sinusoid and
-    seeded smooth (AR(1)) noise.  With noise_amp_c=0 the values are exactly
-    the analytic double sinusoid; the coldest hour falls on a mid-January
-    night and the warmest on a mid-July afternoon.  ``year_hours`` must be
-    an integer >= 1 and ``noise_amp_c`` a finite real >= 0."""
+def make_weather(year_hours: int, seed: int) -> WeatherSeries:
+    """Synthetic typical-year weather from ``YEAR_START``: a seasonal plus a
+    diurnal sinusoid and seeded smooth (AR(1)) noise of amplitude
+    ``WEATHER_NOISE_AMP_C``.  The sinusoids put the coldest hour on a
+    mid-January night and the warmest on a mid-July afternoon.
+    ``year_hours`` must be an integer >= 1."""
     check_count("year_hours", year_hours)
-    check_real("noise_amp_c", noise_amp_c)
-    if noise_amp_c < 0:
-        raise ValueError(f"noise_amp_c must be non-negative, got {noise_amp_c!r}")
-    timestamps = hourly_range(start, year_hours)
+    timestamps = hourly_range(YEAR_START, year_hours)
     h = np.arange(year_hours)
     hod = h % 24
     seasonal = -WEATHER_SEASONAL_AMP_C * np.cos(2.0 * np.pi * (h - COLDEST_HOUR) / 8760.0)
     diurnal = WEATHER_DIURNAL_AMP_C * np.cos(2.0 * np.pi * (hod - 15) / 24.0)
-    temp = WEATHER_MEAN_C + seasonal + diurnal
-    if noise_amp_c > 0:
-        rng = np.random.default_rng(seed)
-        eps = rng.standard_normal(year_hours)
-        phi = 0.97
-        scale = math.sqrt(1.0 - phi * phi)
-        # The steps run on Python floats, which round like numpy scalars
-        # without their per-operation overhead; a memoryview yields them
-        # one by one and an array.array stores them unboxed, so no list of
-        # float objects is held.
-        prev = float(eps[0])
-        ar = array.array("d", [prev])
-        for e in memoryview(eps)[1:]:
-            prev = phi * prev + scale * e
-            ar.append(prev)
-        temp = temp + noise_amp_c * np.frombuffer(ar)
+    eps = np.random.default_rng(seed).standard_normal(year_hours)
+    phi = 0.97
+    scale = math.sqrt(1.0 - phi * phi)
+    # The steps run on Python floats, which round like numpy scalars without
+    # their per-operation overhead; a memoryview yields them one by one and
+    # an array.array stores them unboxed, so no list of float objects is held.
+    prev = float(eps[0])
+    ar = array.array("d", [prev])
+    for e in memoryview(eps)[1:]:
+        prev = phi * prev + scale * e
+        ar.append(prev)
+    temp = WEATHER_MEAN_C + seasonal + diurnal + WEATHER_NOISE_AMP_C * np.frombuffer(ar)
 
     day_shape = np.maximum(np.sin(np.pi * (hod - 6) / 12.0), 0.0)
     season_level = 0.55 - 0.45 * np.cos(2.0 * np.pi * (h - COLDEST_HOUR) / 8760.0)
@@ -202,18 +170,16 @@ def make_weather(
     return WeatherSeries(timestamps, temp, solar)
 
 
-def simulate_physics(
-    params: BuildingParams,
-    weather: WeatherSeries,
-    schedule: OccupancySchedule,
-) -> EnergySeries:
-    """Hourly kWh from the RC zone under thermostat control.
+def simulate_physics(params: BuildingParams, weather: WeatherSeries) -> EnergySeries:
+    """Hourly kWh from the RC zone under thermostat control, occupied by
+    ``OCCUPANCY``: an hour at least half occupied keeps the setpoints, any
+    other the setbacks.
 
     The zone starts at the middle of the occupied band.  Deterministic: the
     only randomness in the whole fixture lives in the weather and truth
     generators.
     """
-    occ = schedule.at(weather.timestamps)
+    occ = OCCUPANCY[hour_of_week(weather.timestamps)]
     ua = params.ua_effective
     c_per_dt = params.capacitance_j_per_k / DT_S
     dt_per_c = DT_S / params.capacitance_j_per_k
@@ -257,24 +223,14 @@ def weekly_behavior_pattern(timestamps: np.ndarray) -> np.ndarray:
     return np.sin(2.0 * np.pi * how / 168.0) + 0.5 * np.sin(2.0 * np.pi * (hod - 18) / 24.0)
 
 
-def make_truth(
-    physics: EnergySeries,
-    bias: float,
-    noise_std: float,
-    behavior_amp: float,
-    seed: int,
-) -> EnergySeries:
-    """Synthetic ground truth: the physics trace shifted by a constant bias,
-    a weekly behavior pattern, and seeded iid noise, clamped at 0 kWh."""
-    check_real("bias", bias)
-    check_real("noise_std", noise_std)
-    check_real("behavior_amp", behavior_amp)
-    if noise_std < 0:
-        raise ValueError("noise_std must be non-negative")
-    vals = physics.values + bias + behavior_amp * weekly_behavior_pattern(physics.timestamps)
-    if noise_std > 0:
-        rng = np.random.default_rng(seed)
-        vals = vals + noise_std * rng.standard_normal(physics.n)
+def make_truth(physics: EnergySeries, seed: int) -> EnergySeries:
+    """Synthetic ground truth: the physics trace shifted by
+    ``TRUTH_BIAS_KWH``, the weekly behavior pattern at
+    ``TRUTH_BEHAVIOR_AMP_KWH`` and seeded iid noise of
+    ``TRUTH_NOISE_STD_KWH``, clamped at 0 kWh."""
+    behavior = TRUTH_BEHAVIOR_AMP_KWH * weekly_behavior_pattern(physics.timestamps)
+    noise = TRUTH_NOISE_STD_KWH * np.random.default_rng(seed).standard_normal(physics.n)
+    vals = physics.values + TRUTH_BIAS_KWH + behavior + noise
     return EnergySeries.full(physics.timestamps, np.maximum(vals, 0.0))
 
 
@@ -392,9 +348,10 @@ def train_baseline_forecaster(features: FeatureMatrix, split: SplitSpec, seed: i
     def update(rows, epoch: int) -> float:
         # mode="clip" lets take write straight into ``out`` (the default
         # "raise" buffers through a temporary); a permutation is in range.
+        # The method skips np.take's Python-level wrapper, as in model.train.
         m = len(rows)
-        xb = np.take(xt, rows, axis=0, out=ws.xb[:m], mode="clip")
-        yb = np.take(yt, rows, out=ws.yb[:m], mode="clip")
+        xb = xt.take(rows, axis=0, out=ws.xb[:m], mode="clip")
+        yb = yt.take(rows, out=ws.yb[:m], mode="clip")
         a1, h1, a2, h2, out = _forward(xb, w, ws.fwd)
         dout = np.subtract(out, yb, out=ws.dout[:m])
         dout *= 2.0

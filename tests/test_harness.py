@@ -157,6 +157,14 @@ class TestScenarioConfig:
             scenario_config(1, year_hours=value)
         assert scenario_config(1, year_hours=np.int64(2160)).year_hours == 2160
 
+    @pytest.mark.parametrize("value", [8761, 10**12])
+    def test_year_hours_beyond_the_synthetic_year_rejected(self, value):
+        # the synthetic climate is one 8,760-hour year; 10**12 hours used to
+        # pass and fail only when make_weather allocated 7.28 TiB
+        with pytest.raises(ConfigError, match=rf"^year_hours must be at most 8760, the synthetic year, got {value}$"):
+            ScenarioConfig(id=4, year_hours=value)
+        assert ScenarioConfig(id=4, year_hours=harness.FULL_HOURS).year_hours == 8760
+
     @pytest.mark.parametrize(
         "name,kind,value",
         [("train", "TrainConfig", v) for v in ("x", None, SplitSpec())]
@@ -753,6 +761,16 @@ class TestConfigFile:
         assert load_scenario_config(path, fast=True).year_hours == 2160
         assert load_scenario_config(path).year_hours == 720
 
+    @pytest.mark.parametrize("value", [8761, 10**12])
+    @pytest.mark.parametrize("fast", [False, True], ids=["full", "fast"])
+    def test_year_hours_beyond_the_synthetic_year_in_file_rejected(self, tmp_path, value, fast):
+        # --fast replaces the file's year_hours, but a value no config
+        # accepts is still an error in the file
+        path = tmp_path / "scenario.cfg"
+        path.write_text(f"id = 4\nyear_hours = {value}\n")
+        with pytest.raises(ConfigError, match=rf"scenario\.cfg: year_hours must be at most 8760, the synthetic year, got {value}$"):
+            load_scenario_config(path, fast=fast)
+
 
 class TestVersionStamp:
     @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
@@ -882,6 +900,14 @@ class TestCli:
         out = tmp_path / "o"
         assert cli_main(["scenario", "--fast", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"config error: {cfg}: the split leaves no validation rows of 2136" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_year_hours_beyond_the_synthetic_year_in_file_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("id = 4\nyear_hours = 1000000000000\n")
+        out = tmp_path / "o"
+        assert cli_main(["scenario", "--fast", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"config error: {cfg}: year_hours must be at most 8760" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ import pytest
 
 from fusecast import surrogates
 from fusecast.numkit import AdamState, TrainingDiverged, adam_step, block_views, fit_epochs
-from fusecast.pipeline import N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, build_feature_rows, hourly_range
+from fusecast.pipeline import (
+    N_FEATURES, EnergySeries, FeatureMatrix, SplitSpec, build_feature_rows, hour_of_week, hourly_range,
+)
 from fusecast.surrogates import (
     AIR_HEAT_W_PER_K_M3H,
     BASELINE_BATCH_SIZE,
@@ -14,10 +16,14 @@ from fusecast.surrogates import (
     BASELINE_MAX_EPOCHS,
     BASELINE_PATIENCE,
     CEILING_HEIGHT_M,
+    OCCUPANCY,
+    TRUTH_BEHAVIOR_AMP_KWH,
+    TRUTH_BIAS_KWH,
+    TRUTH_NOISE_STD_KWH,
+    WEATHER_NOISE_AMP_C,
+    YEAR_START,
     BuildingParams,
-    OccupancySchedule,
     WeatherSeries,
-    default_occupancy,
     forecast_dl,
     load_building_params,
     make_truth,
@@ -28,7 +34,13 @@ from fusecast.surrogates import (
 )
 
 
-def flat_weather(n, temp, solar=0.0, start="2021-01-04T00"):
+# Windows of the synthetic occupancy: Monday nights are 0.95 occupied, so
+# the setpoints hold; weekdays 09-17 are 0.30 occupied, so the setbacks do.
+OCCUPIED = "2021-01-04T00"  # a Monday, 00:00-07:00
+UNOCCUPIED = "2021-01-04T09"  # the same Monday, 09:00-17:00
+
+
+def flat_weather(n, temp, solar=0.0, start=OCCUPIED):
     ts = hourly_range(start, n)
     return WeatherSeries(ts, np.full(n, float(temp)), np.full(n, float(solar)))
 
@@ -96,11 +108,27 @@ class TestBuildingParams:
             load_building_params(path)
 
 
-def _reference_simulate_physics(params, weather, schedule):
+def _reference_occupancy():
+    """The occupancy pattern as first written, one hour of the week at a
+    time: full nights/evenings, daytime dips on weekdays, busier weekends."""
+    frac = np.empty(168)
+    for how in range(168):
+        dow, hod = divmod(how, 24)
+        weekend = dow >= 5
+        if 9 <= hod < 17:
+            frac[how] = 0.65 if weekend else 0.30
+        elif 7 <= hod < 9 or 17 <= hod < 19:
+            frac[how] = 0.75
+        else:
+            frac[how] = 0.95
+    return frac
+
+
+def _reference_simulate_physics(params, weather):
     """simulate_physics' RC loop as first written: one step per hour,
     indexing numpy arrays and computing on numpy scalars."""
     n = len(weather.temp_c)
-    occ = schedule.at(weather.timestamps)
+    occ = _reference_occupancy()[hour_of_week(weather.timestamps)]
     ua = params.ua_effective
     c_per_dt = params.capacitance_j_per_k / 3600.0
     dt_per_c = 3600.0 / params.capacitance_j_per_k
@@ -131,6 +159,14 @@ def _reference_simulate_physics(params, weather, schedule):
     return energy
 
 
+def _analytic_climate(year_hours):
+    """The synthetic climate without its noise: the annual mean plus the
+    seasonal and diurnal sinusoids."""
+    h = np.arange(year_hours)
+    hod = h % 24
+    return 7.5 - 14.0 * np.cos(2 * np.pi * (h - 336) / 8760.0) + 4.5 * np.cos(2 * np.pi * (hod - 15) / 24.0)
+
+
 def _reference_ar_noise(year_hours, seed):
     """make_weather's AR(1) noise as first written: one step per hour on
     numpy scalars, the square root taken anew on every step."""
@@ -146,21 +182,19 @@ def _reference_ar_noise(year_hours, seed):
 class TestSimulatePhysics:
     @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (500, 3), (8760, 42)])
     def test_matches_the_per_step_reference_byte_for_byte(self, n, seed):
-        weather = make_weather(n, seed=seed)
-        restless = OccupancySchedule(np.random.default_rng(seed).uniform(size=168))
+        weather = make_weather(n, seed)
         buildings = [BuildingParams(), sealed_building(), sealed_building(ua_w_per_k=200.0, occupants=3, heat_setpoint_c=18)]
         for building in buildings:
-            for schedule in (default_occupancy(), restless):
-                out = simulate_physics(building, weather, schedule)
-                ref = _reference_simulate_physics(building, weather, schedule)
-                assert out.values.tobytes() == ref.tobytes(), building
+            out = simulate_physics(building, weather)
+            ref = _reference_simulate_physics(building, weather)
+            assert out.values.tobytes() == ref.tobytes(), building
 
     def test_equilibrium_no_load_no_energy(self):
-        # zone sits at the band midpoint with matching outdoor air and no gains
+        # zone sits at the band midpoint with matching outdoor air and no
+        # gains, occupied or not
         b = sealed_building()
         weather = flat_weather(48, temp=22.0)
-        schedule = OccupancySchedule(np.zeros(168))
-        out = simulate_physics(b, weather, schedule)
+        out = simulate_physics(b, weather)
         assert np.allclose(out.values, 0.0, atol=0, rtol=0)
 
     def test_one_step_hand_balance(self):
@@ -169,9 +203,8 @@ class TestSimulatePhysics:
         # thermostat supplies 2200 W - C/dt * 1K = 1922.22 W -> 1.92222 kWh
         # at COP 1
         b = sealed_building()
-        weather = flat_weather(1, temp=0.0)
-        schedule = OccupancySchedule(np.ones(168))
-        out = simulate_physics(b, weather, schedule)
+        weather = flat_weather(1, temp=0.0, start=OCCUPIED)
+        out = simulate_physics(b, weather)
         expected_w = 100.0 * 22.0 - 1e6 / 3600.0 * 1.0
         assert out.values[0] == pytest.approx(expected_w / 1000.0, rel=1e-12)
 
@@ -181,39 +214,37 @@ class TestSimulatePhysics:
         # hour, so the thermostat supplies UA * mid - C/dt * (mid - heat)
         b = sealed_building(heat_setpoint_c=heat, cool_setpoint_c=cool)
         mid = 0.5 * (heat + cool)
-        out = simulate_physics(b, flat_weather(1, temp=0.0), OccupancySchedule(np.ones(168)))
+        out = simulate_physics(b, flat_weather(1, temp=0.0, start=OCCUPIED))
         expected_w = 100.0 * mid - 1e6 / 3600.0 * (mid - heat)
         assert out.values[0] == pytest.approx(expected_w / 1000.0, rel=1e-12)
 
     def test_start_temperature_is_not_an_argument(self):
         weather = flat_weather(1, temp=0.0)
-        assert list(inspect.signature(simulate_physics).parameters) == ["params", "weather", "schedule"]
         with pytest.raises(TypeError):
-            simulate_physics(sealed_building(), weather, default_occupancy(), 20.0)
+            simulate_physics(sealed_building(), weather, 20.0)
 
     def test_monotone_in_ua_when_heating(self):
-        schedule = OccupancySchedule(np.ones(168))
+        # three days from Monday 00:00, through occupied and unoccupied hours
         weather = flat_weather(72, temp=-10.0)
-        lo = simulate_physics(sealed_building(), weather, schedule)
-        hi = simulate_physics(sealed_building(ua_w_per_k=200.0), weather, schedule)
+        lo = simulate_physics(sealed_building(), weather)
+        hi = simulate_physics(sealed_building(ua_w_per_k=200.0), weather)
         assert np.all(hi.values > lo.values)
 
     def test_nonnegative_energy(self):
-        out = simulate_physics(BuildingParams(), make_weather(500, seed=3), default_occupancy())
+        out = simulate_physics(BuildingParams(), make_weather(500, 3))
         assert np.all(out.values >= 0.0)
 
     def test_seed_invariant(self):
         # physics consumes no randomness: same weather in, same energy out
-        w = make_weather(200, seed=9)
-        a = simulate_physics(BuildingParams(), w, default_occupancy())
-        b = simulate_physics(BuildingParams(), w, default_occupancy())
+        w = make_weather(200, 9)
+        a = simulate_physics(BuildingParams(), w)
+        b = simulate_physics(BuildingParams(), w)
         assert np.array_equal(a.values, b.values)
 
     def test_setbacks_apply_when_unoccupied(self):
         b = sealed_building()
-        weather = flat_weather(24, temp=17.0)
-        occupied = simulate_physics(b, weather, OccupancySchedule(np.ones(168)))
-        empty = simulate_physics(b, weather, OccupancySchedule(np.zeros(168)))
+        occupied = simulate_physics(b, flat_weather(7, temp=17.0, start=OCCUPIED))
+        empty = simulate_physics(b, flat_weather(8, temp=17.0, start=UNOCCUPIED))
         # 17 C is below the occupied heating setpoint but above the setback,
         # so from the 22 C start the empty zone drifts down unheated
         assert np.all(occupied.values > 0.0)
@@ -239,100 +270,99 @@ class TestWeatherSeries:
 
 
 class TestMakeWeather:
-    def test_zero_noise_is_exact_double_sinusoid(self):
-        w = make_weather(8760, seed=1, noise_amp_c=0.0)
-        h = np.arange(8760)
-        hod = h % 24
-        expected = 7.5 - 14.0 * np.cos(2 * np.pi * (h - 336) / 8760.0) + 4.5 * np.cos(2 * np.pi * (hod - 15) / 24.0)
-        assert np.allclose(w.temp_c, expected, rtol=0, atol=1e-12)
+    def test_climate_is_the_double_sinusoid_plus_the_noise(self):
+        w = make_weather(8760, 1)
+        expected = _analytic_climate(8760) + WEATHER_NOISE_AMP_C * _reference_ar_noise(8760, 1)
+        assert w.temp_c.tobytes() == expected.tobytes()
+        assert w.timestamps[0] == np.datetime64(YEAR_START) and len(w.timestamps) == 8760
 
     def test_extremes_land_in_the_right_hours(self):
-        w = make_weather(8760, seed=1, noise_amp_c=0.0)
-        coldest = int(np.argmin(w.temp_c))
-        warmest = int(np.argmax(w.temp_c))
+        # the climate without its noise: the hours next to an extreme differ
+        # by far more than the subtraction's rounding
+        calm = make_weather(8760, 1).temp_c - WEATHER_NOISE_AMP_C * _reference_ar_noise(8760, 1)
+        coldest = int(np.argmin(calm))
+        warmest = int(np.argmax(calm))
         assert coldest % 24 == 3          # diurnal minimum at 03:00
         assert 200 <= coldest <= 500      # mid-January
         assert warmest % 24 == 15         # mid-afternoon
         assert 4400 <= warmest <= 5000    # mid-July
 
     def test_deterministic_in_seed(self):
-        a = make_weather(300, seed=4)
-        b = make_weather(300, seed=4)
-        c = make_weather(300, seed=5)
+        a = make_weather(300, 4)
+        b = make_weather(300, 4)
+        c = make_weather(300, 5)
         assert np.array_equal(a.temp_c, b.temp_c)
         assert not np.array_equal(a.temp_c, c.temp_c)
 
     @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (300, 4), (8760, 42)])
-    @pytest.mark.parametrize("amp", [1.5, 0.25])
-    def test_noise_matches_the_per_step_reference_byte_for_byte(self, n, seed, amp):
-        calm = make_weather(n, seed=seed, noise_amp_c=0.0).temp_c
-        expected = calm + amp * _reference_ar_noise(n, seed)
-        assert make_weather(n, seed=seed, noise_amp_c=amp).temp_c.tobytes() == expected.tobytes()
+    def test_noise_matches_the_per_step_reference_byte_for_byte(self, n, seed):
+        expected = _analytic_climate(n) + WEATHER_NOISE_AMP_C * _reference_ar_noise(n, seed)
+        assert make_weather(n, seed).temp_c.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("year_hours", [0, -1, 2.5, True, np.float64(24.0), "24", None])
     def test_year_hours_must_be_a_count(self, year_hours):
         with pytest.raises(ValueError, match="year_hours"):
-            make_weather(year_hours)
+            make_weather(year_hours, 0)
 
-    @pytest.mark.parametrize("amp", [float("nan"), float("inf"), -1.0, -1e-300, True, "1.5", None])
-    def test_noise_amp_must_be_a_finite_non_negative_real(self, amp):
-        with pytest.raises(ValueError, match="noise_amp_c"):
-            make_weather(24, noise_amp_c=amp)
-
-    def test_integer_hours_and_amplitude_accepted(self):
-        a = make_weather(np.int64(48), seed=2, noise_amp_c=2)
-        assert a.temp_c.tobytes() == make_weather(48, seed=2, noise_amp_c=2.0).temp_c.tobytes()
+    def test_integer_hours_accepted(self):
+        a = make_weather(np.int64(48), 2)
+        assert a.temp_c.tobytes() == make_weather(48, 2).temp_c.tobytes()
 
     def test_solar_zero_at_night(self):
-        w = make_weather(8760, seed=0)
+        w = make_weather(8760, 0)
         hod = np.arange(8760) % 24
         assert np.all(w.solar_w_per_m2[(hod < 6) | (hod > 18)] == 0.0)
 
 
+def _reference_truth(physics, seed):
+    """The truth recipe term by term: bias, weekly behaviour, noise, clamp."""
+    behavior = TRUTH_BEHAVIOR_AMP_KWH * weekly_behavior_pattern(physics.timestamps)
+    noise = TRUTH_NOISE_STD_KWH * np.random.default_rng(seed).standard_normal(physics.n)
+    return np.maximum(physics.values + TRUTH_BIAS_KWH + behavior + noise, 0.0)
+
+
 class TestMakeTruth:
     def _physics(self, n=400):
-        return simulate_physics(BuildingParams(), make_weather(n, seed=2), default_occupancy())
+        return simulate_physics(BuildingParams(), make_weather(n, 2))
 
-    def test_identity_with_everything_zero(self):
+    def test_recipe_byte_for_byte(self):
         p = self._physics()
-        t = make_truth(p, bias=0.0, noise_std=0.0, behavior_amp=0.0, seed=1)
-        assert np.array_equal(t.values, p.values)
+        t = make_truth(p, 1)
+        assert t.values.tobytes() == _reference_truth(p, 1).tobytes()
+        assert np.array_equal(t.timestamps, p.timestamps)
 
-    def test_pure_bias_is_exact_shift(self):
+    def test_bias_and_behavior_are_an_exact_shift_under_the_noise(self):
         p = self._physics()
-        t = make_truth(p, bias=50.0, noise_std=0.0, behavior_amp=0.0, seed=1)
-        assert np.allclose(t.values - p.values, 50.0, rtol=0, atol=1e-12)
+        noise = TRUTH_NOISE_STD_KWH * np.random.default_rng(1).standard_normal(p.n)
+        shift = make_truth(p, 1).values - p.values - noise
+        expected = TRUTH_BIAS_KWH + TRUTH_BEHAVIOR_AMP_KWH * weekly_behavior_pattern(p.timestamps)
+        assert np.allclose(shift, expected, rtol=0, atol=1e-12)
 
     def test_mean_gap_matches_bias_within_lln_bound(self):
         p = self._physics(n=4000)
-        noise = 8.0
-        t = make_truth(p, bias=50.0, noise_std=noise, behavior_amp=0.0, seed=3)
-        gap = float(np.mean(t.values - p.values))
-        assert abs(gap - 50.0) <= 3.0 * noise / np.sqrt(4000)
+        t = make_truth(p, 3)
+        gap = t.values - p.values - TRUTH_BEHAVIOR_AMP_KWH * weekly_behavior_pattern(p.timestamps)
+        assert abs(float(np.mean(gap)) - TRUTH_BIAS_KWH) <= 3.0 * TRUTH_NOISE_STD_KWH / np.sqrt(4000)
 
     def test_clamped_at_zero(self):
-        p = self._physics()
-        t = make_truth(p, bias=-1e6, noise_std=0.0, behavior_amp=0.0, seed=1)
-        assert np.all(t.values == 0.0)
+        # a trace far enough below zero that the recipe lands on both sides
+        # of it: the negative hours read exactly 0 kWh, the rest the recipe
+        ts = hourly_range(YEAR_START, 400)
+        p = EnergySeries.full(ts, np.full(400, -TRUTH_BIAS_KWH))
+        t = make_truth(p, 1)
+        raw = p.values + TRUTH_BIAS_KWH + TRUTH_BEHAVIOR_AMP_KWH * weekly_behavior_pattern(ts)
+        raw += TRUTH_NOISE_STD_KWH * np.random.default_rng(1).standard_normal(400)
+        assert 0 < np.count_nonzero(raw < 0) < 400
+        assert np.all(t.values[raw < 0] == 0.0)
+        assert t.values.tobytes() == _reference_truth(p, 1).tobytes()
 
     def test_deterministic_in_seed(self):
         p = self._physics()
-        a = make_truth(p, 10.0, 5.0, 2.0, seed=8)
-        b = make_truth(p, 10.0, 5.0, 2.0, seed=8)
+        a = make_truth(p, 8)
+        b = make_truth(p, 8)
+        c = make_truth(p, 9)
         assert np.array_equal(a.values, b.values)
-
-    def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            make_truth(self._physics(), 0.0, -1.0, 0.0, seed=0)
-
-    @pytest.mark.parametrize("name", ["bias", "noise_std", "behavior_amp"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "1"])
-    def test_term_that_is_not_a_finite_real_rejected(self, name, value):
-        # noise_std=nan used to skip the noise (nan > 0 is False) and
-        # bias=True used to shift the truth by 1 kWh
-        terms = {"bias": 10.0, "noise_std": 5.0, "behavior_amp": 2.0, name: value}
-        with pytest.raises(ValueError, match=rf"^{name} must be finite and a real number, got "):
-            make_truth(self._physics(), seed=0, **terms)
+        assert not np.array_equal(a.values, c.values)
 
     def test_behavior_pattern_roughly_zero_mean(self):
         ts = hourly_range("2021-01-04T00", 168 * 4)
@@ -342,12 +372,11 @@ class TestMakeTruth:
 
 class TestBaselineForecaster:
     def _fixture(self, n=24 * 40, constant=None, seed=5):
-        weather = make_weather(n, seed=seed)
+        weather = make_weather(n, seed)
         if constant is not None:
             truth = EnergySeries.full(weather.timestamps, np.full(n, float(constant)))
         else:
-            physics = simulate_physics(BuildingParams(), weather, default_occupancy())
-            truth = make_truth(physics, 20.0, 5.0, 8.0, seed=seed + 1)
+            truth = make_truth(simulate_physics(BuildingParams(), weather), seed + 1)
         rows = build_feature_rows(truth, weather.temp_c)
         return rows, truth
 
@@ -364,7 +393,6 @@ class TestBaselineForecaster:
 
     def test_fit_has_no_knobs_and_uses_the_module_constants(self):
         assert list(inspect.signature(train_baseline_forecaster).parameters) == ["features", "split", "seed"]
-        assert list(inspect.signature(make_weather).parameters) == ["year_hours", "seed", "start", "noise_amp_c"]
         rows, _ = self._fixture(n=24 * 20)
         f = train_baseline_forecaster(rows, SplitSpec(), seed=2)
         assert f.w1.shape == (BASELINE_HIDDEN, N_FEATURES) and f.w2.shape == (BASELINE_HIDDEN, BASELINE_HIDDEN)
@@ -385,7 +413,7 @@ class TestBaselineForecaster:
         # steps r..r+24, so the last fitted row, i_val - 1, reads up to step
         # i_val + 23
         corrupted.values[i_val + 48 :] += 1e4
-        rows_c = build_feature_rows(corrupted, make_weather(truth.n, seed=5).temp_c)
+        rows_c = build_feature_rows(corrupted, make_weather(truth.n, 5).temp_c)
         assert rows_c.values[:i_val].tobytes() == rows.values[:i_val].tobytes()
         assert rows_c.targets[:i_val].tobytes() == rows.targets[:i_val].tobytes()
         assert not np.array_equal(rows_c.targets, rows.targets)
@@ -437,9 +465,9 @@ class TestBaselineForecaster:
     def test_disagrees_with_physics(self):
         # the fusion problem must be non-degenerate on default-style fixtures
         n = 24 * 40
-        weather = make_weather(n, seed=11)
-        physics = simulate_physics(BuildingParams(), weather, default_occupancy())
-        truth = make_truth(physics, 50.0, 8.0, 12.0, seed=12)
+        weather = make_weather(n, 11)
+        physics = simulate_physics(BuildingParams(), weather)
+        truth = make_truth(physics, 12)
         rows = build_feature_rows(truth, weather.temp_c)
         f = train_baseline_forecaster(rows, SplitSpec(), seed=13)
         forecast = forecast_dl(f, rows)
@@ -477,10 +505,9 @@ def _reference_forecast_dl(f, x_all):
     return out
 
 
-def _world(n, start="2021-01-01T00", seed=5):
-    weather = make_weather(n, seed=seed, start=start)
-    physics = simulate_physics(BuildingParams(), weather, default_occupancy())
-    return weather, make_truth(physics, 20.0, 5.0, 8.0, seed=seed + 1)
+def _world(n, seed=5):
+    weather = make_weather(n, seed)
+    return weather, make_truth(simulate_physics(BuildingParams(), weather), seed + 1)
 
 
 class TestColumnarRollout:
@@ -500,7 +527,10 @@ class TestColumnarRollout:
         ],
     )
     def test_forecast_matches_dict_reference_bytes(self, forecaster, start, hours):
-        weather, truth = _world(hours, start=start)
+        # the world is built from YEAR_START; re-stamping it moves the
+        # calendar features onto other hours
+        weather, truth = _world(hours)
+        truth = EnergySeries.full(hourly_range(start, hours), truth.values)
         rows = build_feature_rows(truth, weather.temp_c)
         forecast = forecast_dl(forecaster, rows)
         assert forecast.values.tobytes() == _reference_forecast_dl(forecaster, rows.values).tobytes()
@@ -596,29 +626,29 @@ class TestBaselineWorkspaceOracle:
 
 
 class TestOccupancy:
-    def test_default_schedule_shape(self):
-        s = default_occupancy()
-        assert s.fractions.shape == (168,)
-        assert np.all((0 <= s.fractions) & (s.fractions <= 1))
+    def test_pattern_by_hour_of_week(self):
+        assert OCCUPANCY.shape == (168,) and OCCUPANCY.dtype == np.float64
+        assert OCCUPANCY.tobytes() == _reference_occupancy().tobytes()
+        # Monday 00:00 reads entry 0, Saturday 12:00 a weekend day's dip
+        ts = hourly_range(OCCUPIED, 24 * 6)
+        assert OCCUPANCY[hour_of_week(ts)][[0, 2, 9, 24 * 5 + 12]].tolist() == [0.95, 0.95, 0.30, 0.65]
 
-    def test_bad_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            OccupancySchedule(np.zeros(100))
-        bad = np.zeros(168)
-        bad[0] = 1.5
-        with pytest.raises(ValueError):
-            OccupancySchedule(bad)
+    def test_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            OCCUPANCY[0] = 0.0
 
-    def test_nan_fractions_rejected(self):
-        # NaN fails both `< 0` and `> 1`; it must still be caught here, not
-        # later in the physics or EnergySeries with a message about energy
-        for frac in (np.full(168, np.nan), np.where(np.arange(168) == 5, np.nan, 0.5)):
-            with pytest.raises(ValueError, match="occupancy fractions must be finite"):
-                OccupancySchedule(frac)
 
-    def test_lookup_by_hour_of_week(self):
-        frac = np.arange(168) / 168.0
-        s = OccupancySchedule(frac)
-        ts = hourly_range("2021-01-04T00", 3)  # Monday 00:00
-        vals = s.at(ts)
-        assert vals[0] == frac[0] and vals[2] == frac[2]
+class TestSyntheticYear:
+    def test_recipe_constants(self):
+        assert (YEAR_START, WEATHER_NOISE_AMP_C, TRUTH_BIAS_KWH, TRUTH_BEHAVIOR_AMP_KWH, TRUTH_NOISE_STD_KWH) == (
+            "2021-01-01T00", 1.5, 50.0, 12.0, 8.0)
+
+    def test_generators_take_only_hours_seeds_and_the_building(self):
+        signatures = {fn.__name__: list(inspect.signature(fn).parameters) for fn in (make_weather, simulate_physics, make_truth)}
+        assert signatures == {
+            "make_weather": ["year_hours", "seed"],
+            "simulate_physics": ["params", "weather"],
+            "make_truth": ["physics", "seed"],
+        }
+        for fn in (make_weather, simulate_physics, make_truth):
+            assert all(p.default is inspect.Parameter.empty for p in inspect.signature(fn).parameters.values())
