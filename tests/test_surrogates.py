@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -81,10 +82,12 @@ class TestBuildingParams:
         with pytest.raises(ValueError):
             sealed_building(infiltration_ach=-0.1)
 
-    @pytest.mark.parametrize("name", ["ua_w_per_k", "occupants", "heat_setpoint_c", "hvac_efficiency"])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(BuildingParams)])
     @pytest.mark.parametrize("value", ["1", True, None, np.nan])
     def test_field_that_is_not_a_finite_real_rejected(self, name, value):
-        # occupants=True would simulate one occupant
+        # occupants=True would simulate one occupant. Every field is checked:
+        # the building is the one lever of the synthetic year that a config
+        # file sets
         with pytest.raises(ValueError, match=f"{name} must be finite and a real number, got {value!r}"):
             BuildingParams(**{name: value})
 
@@ -325,10 +328,11 @@ class TestMakeTruth:
     def _physics(self, n=400):
         return simulate_physics(BuildingParams(), make_weather(n, 2))
 
-    def test_recipe_byte_for_byte(self):
-        p = self._physics()
-        t = make_truth(p, 1)
-        assert t.values.tobytes() == _reference_truth(p, 1).tobytes()
+    @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (400, 1), (8760, 42)])
+    def test_recipe_byte_for_byte(self, n, seed):
+        p = self._physics(n)
+        t = make_truth(p, seed)
+        assert t.values.tobytes() == _reference_truth(p, seed).tobytes()
         assert np.array_equal(t.timestamps, p.timestamps)
 
     def test_bias_and_behavior_are_an_exact_shift_under_the_noise(self):
