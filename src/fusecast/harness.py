@@ -789,8 +789,8 @@ def load_scenario_config(path, seed: int | None = None, fast: bool = False) -> S
     """Parse a flat key=value file of ScenarioConfig, SplitSpec and
     TrainConfig fields; unknown or repeated keys are rejected.  ``seed``
     (when given) and ``fast`` override the file: with ``fast`` the fixture
-    is ``FAST_HOURS`` long, but a ``year_hours`` the file sets must still be
-    one that ScenarioConfig accepts for the file's config."""
+    is ``FAST_HOURS`` long, but a ``seed`` or ``year_hours`` the file sets
+    must still be one that ScenarioConfig accepts for the file's config."""
     try:
         values = read_key_values(path, _CONFIG_PARSERS)
     except ValueError as exc:
@@ -800,6 +800,7 @@ def load_scenario_config(path, seed: int | None = None, fast: bool = False) -> S
             raise ValueError("scenario config must set id")
         sid = values.pop("id")
         file_seed = values.pop("seed", DEFAULT_SEED)
+        check_seed(file_seed)  # a bad seed in the file fails whether or not ``seed`` replaces it
         cfg_seed = file_seed if seed is None else seed
         split = {k: values.pop(k) for k in _SPLIT_PARSERS if k in values}
         values["split"] = SplitSpec(**split)

@@ -195,9 +195,11 @@ class SampleBatch:
     stand-in (imputed or zero), never NaN.  ``target`` is the finite float64
     training target of every row: an actual (filled by the caller where the
     actuals are sparse) or the physics value standing in for absent actuals.
-    The constructor copies and checks every column and raises ValueError
-    naming the column.  Slicing returns a batch of views without
-    re-checking.
+    The constructor is the one place a batch's columns are checked: it
+    copies and checks every column and raises ValueError naming the column.
+    Slices and ``normalize_samples`` build from checked columns through
+    ``_from_checked`` and check only what they compute; a slice is a batch
+    of views.
     """
 
     COLUMNS = ("dl", "dl_mask", "ep", "ep_mask", "target")
@@ -230,9 +232,16 @@ class SampleBatch:
     def __getitem__(self, key: slice) -> "SampleBatch":
         if not isinstance(key, slice):
             raise TypeError(f"SampleBatch supports slicing only, got {type(key).__name__}; read rows from the columns")
-        part = object.__new__(SampleBatch)
-        part.__dict__.update((name, self.__dict__[name][key]) for name in self.COLUMNS)
-        return part
+        return SampleBatch._from_checked(self.dl[key], self.dl_mask[key], self.ep[key], self.ep_mask[key], self.target[key])
+
+    @classmethod
+    def _from_checked(cls, dl, dl_mask, ep, ep_mask, target) -> "SampleBatch":
+        """A batch of the given arrays as they are: equal-length 1-D columns
+        of the dtypes and values the constructor checks, taken unchecked and
+        uncopied."""
+        batch = object.__new__(cls)
+        batch.__dict__.update(dl=dl, dl_mask=dl_mask, ep=ep, ep_mask=ep_mask, target=target)
+        return batch
 
 
 def _nearest_fill(values: np.ndarray, present: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -439,15 +448,27 @@ def fit_norm_stats(b: SampleBatch) -> NormStats:
 
 
 def normalize_samples(b: SampleBatch, stats: NormStats) -> SampleBatch:
-    """Z-score the forecasts and targets with ``stats``; masks pass
-    through."""
-    return SampleBatch(
-        (b.dl - stats.dl_mean) / stats.dl_std,
-        b.dl_mask,
-        (b.ep - stats.ep_mean) / stats.ep_std,
-        b.ep_mask,
-        (b.target - stats.y_mean) / stats.y_std,
-    )
+    """Z-score the forecasts and targets with ``stats``; masks pass through
+    as copies, so the result shares no memory with ``b``.
+
+    ``b``'s columns were checked when it was built, so only the three
+    z-scored columns are: each is ``(col - mean) / std`` written into one
+    ``(3, n)`` block, and a value that overflows there raises ValueError
+    naming the first such column, in ``dl``, ``ep``, ``target`` order.
+    """
+    block = np.empty((3, len(b)))
+    dl, ep, target = block
+    np.subtract(b.dl, stats.dl_mean, out=dl)
+    dl /= stats.dl_std
+    np.subtract(b.ep, stats.ep_mean, out=ep)
+    ep /= stats.ep_std
+    np.subtract(b.target, stats.y_mean, out=target)
+    target /= stats.y_std
+    if not np.isfinite(block).all():
+        for name, row in zip(("dl", "ep", "target"), block):
+            if not np.isfinite(row).all():
+                raise ValueError(f"{name} must be finite")
+    return SampleBatch._from_checked(dl, b.dl_mask.copy(), ep, b.ep_mask.copy(), target)
 
 
 def denormalize_target(values, stats: NormStats) -> np.ndarray:

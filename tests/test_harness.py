@@ -771,6 +771,21 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=rf"scenario\.cfg: year_hours must be at most 8760, the synthetic year, got {value}$"):
             load_scenario_config(path, fast=fast)
 
+    @pytest.mark.parametrize("seed", [None, 3], ids=["file", "overridden"])
+    def test_bad_seed_in_file_rejected_whether_or_not_overridden(self, tmp_path, capsys, seed):
+        # the override replaces the file's seed, but a seed no config
+        # accepts is still an error in the file
+        path = tmp_path / "scenario.cfg"
+        path.write_text("id = 4\nseed = -1\n")
+        message = r"scenario\.cfg: master seed must be a non-negative integer, got -1$"
+        with pytest.raises(ConfigError, match=message):
+            load_scenario_config(path, seed=seed)
+        out = tmp_path / "o"
+        seed_argv = [] if seed is None else ["--seed", str(seed)]
+        assert cli_main(["scenario", "--config", str(path), *seed_argv, "--fast", "--out", str(out)]) == 1
+        assert re.search(message, capsys.readouterr().err.strip().splitlines()[-1])
+        assert not out.exists()
+
 
 class TestVersionStamp:
     @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

@@ -766,6 +766,42 @@ class TestSampleBatchBoundaries:
         assert batch.dl[0] == 0.5
 
 
+class TestNormalizeSamples:
+    """``normalize_samples`` checks only the three columns it computes."""
+
+    STATS = NormStats(dl_mean=1.0, dl_std=2.0, ep_mean=-3.0, ep_std=0.5, y_mean=10.0, y_std=4.0)
+
+    def batch(self):
+        return batch_of([0.5, 1.0, 1.5], [2.0, 2.5, 3.0], [4.0, 5.0, 6.0], dl_mask=[1, 0, 1], ep_mask=[0, 1, 1])
+
+    @pytest.mark.parametrize("columns,named", [(("dl",), "dl"), (("ep",), "ep"), (("target",), "target"), (("ep", "target"), "ep")])
+    def test_overflowing_column_rejected_by_name(self, columns, named):
+        # finite inputs whose z-score overflows: 1e301 / 1e-8 is inf; with
+        # several, the first in dl, ep, target order is named
+        cols = {"dl": [0.5, 1.0, 1.5], "ep": [2.0, 2.5, 3.0], "target": [4.0, 5.0, 6.0]}
+        for name in columns:
+            cols[name][1] = 1e301
+        stats = NormStats(dl_mean=0.0, dl_std=1e-8, ep_mean=0.0, ep_std=1e-8, y_mean=0.0, y_std=1e-8)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{named} must be finite$"):
+            normalize_samples(batch_of(**cols), stats)
+
+    def test_masks_are_int64_copies(self):
+        batch = self.batch()
+        normed = normalize_samples(batch, self.STATS)
+        for name in SampleBatch.COLUMNS:
+            assert not np.shares_memory(getattr(normed, name), getattr(batch, name)), name
+        batch.dl_mask[:] = 1 - batch.dl_mask
+        batch.ep_mask[:] = 1 - batch.ep_mask
+        assert normed.dl_mask.dtype == normed.ep_mask.dtype == np.int64
+        assert normed.dl_mask.tolist() == [1, 0, 1] and normed.ep_mask.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("key", [slice(0), slice(1), slice(None, None, 2)], ids=["0 rows", "1 row", "strided"])
+    def test_small_and_strided_batches_match_reference(self, key):
+        batch = self.batch()[key]
+        rows = [Row(*row) for row in zip(*(getattr(batch, name).tolist() for name in SampleBatch.COLUMNS))]
+        assert_batch_bits_equal_rows(normalize_samples(batch, self.STATS), _reference_normalize_samples(rows, self.STATS))
+
+
 class TestSplits:
     def test_fractions_validated(self):
         with pytest.raises(ValueError):
