@@ -30,11 +30,12 @@ FusionParams names only the blocks (``W_dl`` above is ``w[0]``); the
 per-stream names live on only in the checkpoint file.
 
 Gradients are hand-derived (see _batch_backward); numkit.finite_diff_grad
-is the independent oracle they are tested against.  One kernel computes
-the forward and backward passes over the rows of a SampleBatch into
-preallocated buffers; a single sample is a one-row batch.  Training follows
-a sum-of-squared-errors objective with one parameter update per batch
-unit; the default unit is the full epoch.
+is the independent oracle they are tested against.  Each stream is a
+three-layer ReLU network, computed over the rows of a SampleBatch into
+preallocated buffers by numkit's one network kernel (``mlp_forward``,
+``mlp_backward``; the baseline forecaster runs it too); a single sample is
+a one-row batch.  Training follows a sum-of-squared-errors objective with
+one parameter update per batch unit; the default unit is the full epoch.
 
 The streams share no arithmetic until the output sum, so each pass is one
 layer body (_forward_layers, _backward_layers) that takes a stream index
@@ -62,7 +63,7 @@ import numpy as np
 
 from .numkit import (
     AdamState, TrainingDiverged, adam_step, block_views, check_count, check_real, draw_uniform, empty_blocks,
-    fit_epochs, row_sums, usable_cpus,
+    fit_epochs, mlp_backward, mlp_forward, usable_cpus,
 )
 from .pipeline import NormStats, SampleBatch
 
@@ -205,28 +206,26 @@ class _Workspace:
     """Preallocated kernel buffers for up to ``rows`` rows; a call on m rows
     uses the first m of each.  Every buffer stacks the data stream (index 0)
     on the physics stream (index 1), shaped ``(2, rows, ...)``: the input
-    ``x`` of [value, mask] rows, the embedding ``a_h`` (its pre-activation,
-    then in place its ReLU h), the mixer output ``z`` (likewise) and the
-    head output ``part``; ``zb`` (2, hidden) holds each mixer's bias with
-    the memory folded in (``_mixer_bias``).  ``backward=True`` adds the
-    per-row ``losses`` and loss gradient ``g``, the memory gradients
-    ``dmem`` through each mixer and the bool ReLU masks ``on_z`` and
-    ``on_h``.  The backward pass writes each gradient into the buffer whose
-    value is spent: afterwards ``z`` holds the mixer pre-activation's
-    gradient and ``a_h`` the embedding pre-activation's.  The layer body of
-    stream ``s`` touches only its blocks ``[s]``.  A workspace lives for
-    one ``train``/``predict`` call.  Its ``helper``, when ``train`` sets
-    one, is the process's one-worker executor (``_stream_helper``) that
-    runs the physics stream (``s = 1``) of every kernel call on it (see
-    ``_on_streams``), validation passes included; only a large training's
-    update workspace has one.
+    ``x`` of [value, mask] rows, the embedding ``a_h``, the mixer output
+    ``z`` and the head output ``part``; ``zb`` (2, hidden) holds each
+    mixer's bias with the memory folded in (``_mixer_bias``).
+    ``backward=True`` adds the per-row ``losses`` and loss gradient ``g``,
+    the memory gradients ``dmem`` through each mixer and the bool ReLU
+    masks ``on_z`` and ``on_h``.  After a backward pass ``z`` and ``a_h``
+    hold their pre-activations' gradients (``numkit.mlp_backward``).  The
+    layer body of stream ``s`` touches only its blocks ``[s]``.  A
+    workspace lives for one ``train``/``predict`` call.  Its ``helper``,
+    when ``train`` sets one, is the process's one-worker executor
+    (``_stream_helper``) that runs the physics stream (``s = 1``) of every
+    kernel call on it (see ``_on_streams``), validation passes included;
+    only a large training's update workspace has one.
 
     The float buffers are blocks of one float64 allocation, and the bool
-    ReLU masks of one bool allocation.
-    glibc raises its heap-trim threshold to twice the largest block freed,
-    so one large block stays in the heap from call to call, where a dozen
-    smaller blocks of the same total are handed back to the system and
-    page-faulted in again on the next call."""
+    ReLU masks of one bool allocation.  glibc raises its heap-trim
+    threshold to twice the largest block freed, so one large block stays in
+    the heap from call to call, where a dozen smaller blocks of the same
+    total are handed back to the system and page-faulted in again on the
+    next call."""
 
     def __init__(self, dims: FusionDims, rows: int, backward: bool = True):
         d, dz = dims.embed_dim, dims.hidden_dim
@@ -282,28 +281,22 @@ def _batch_forward(x: np.ndarray, params: FusionParams, ws: _Workspace) -> np.nd
     return yhat
 
 
+def _stream_views(s, p: FusionParams, mixer_bias: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The kernel's six tensors of stream ``s`` from the blocks ``[s]`` of
+    ``p`` (parameters or gradients), with the mixer's embedding columns and
+    bias ``mixer_bias``; ``[s, ...]`` keeps a 0-d head bias a view."""
+    d = p.dims.embed_dim
+    return p.w[s], p.b[s], p.w_hid[s, ..., :d], mixer_bias, p.w_head[s], p.b_head[s, ...]
+
+
 def _forward_layers(s, x: np.ndarray, ws: _Workspace, params: FusionParams) -> None:
     """The forward layers of stream ``s`` (0 data, 1 physics, ``np.s_[:]``
-    both, stacked on a leading axis of 2): from the [value, mask] rows
-    ``x[s]`` into the blocks ``[s]`` of ``ws.a_h``, ``ws.zb``, ``ws.z`` and
-    the head output ``ws.part``.  The mixer multiplies only the embedding
-    columns of its weight; the memory columns enter through the folded
-    bias ``ws.zb[s]``.  The weights are read as transposed views and the
-    head weight as a column, the biases with a row axis to broadcast over,
-    so each stream's products are those of a per-stream ``x @ w.T``, bit
-    for bit."""
+    both, stacked on a leading axis of 2) from the rows ``x[s]`` into the
+    blocks ``[s]`` of ``ws.a_h``, ``ws.z`` and ``ws.part``; the memory
+    enters through the folded mixer bias ``ws.zb[s]``."""
     m = x.shape[-2]
-    a_h, z, part = ws.a_h[s, :m], ws.z[s, :m], ws.part[s, :m]
-    d = a_h.shape[-1]
-    np.matmul(x[s], params.w[s].swapaxes(-1, -2), out=a_h)
-    a_h += params.b[s, None]
-    np.maximum(a_h, 0.0, out=a_h)
-    _mixer_bias(s, params, ws.zb[s])
-    np.matmul(a_h, params.w_hid[s, ..., :d].swapaxes(-1, -2), out=z)
-    z += ws.zb[s, None]
-    np.maximum(z, 0.0, out=z)
-    np.matmul(z, params.w_head[s, :, None], out=part[..., None])
-    part += params.b_head[s, None]
+    zb = _mixer_bias(s, params, ws.zb[s])
+    mlp_forward(x[s], _stream_views(s, params, zb), ws.a_h[s, :m], ws.z[s, :m], ws.part[s, :m])
 
 
 def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Workspace, grads: FusionParams) -> np.ndarray:
@@ -335,46 +328,19 @@ def _batch_backward(x: np.ndarray, y: np.ndarray, params: FusionParams, ws: _Wor
 
 def _backward_layers(s, x: np.ndarray, ws: _Workspace, params: FusionParams, grads: FusionParams, g: np.ndarray, g_sum: float) -> None:
     """The backward layers of stream ``s``, as in ``_forward_layers``: the
-    loss gradient ``g`` (its sum ``g_sum``) back from the head to the
-    embedding, into the blocks ``[s]`` of the pair gradients in ``grads``
-    and of the memory gradients ``ws.dmem`` through the mixer.  The memory
-    enters the mixer through its folded bias, so the row sum ``sz`` of the
-    mixer's pre-activation gradient (the mixer bias's gradient) carries it
-    back: the memory columns' weight gradient is ``sz`` times the memory,
-    and the memory's gradient ``sz @ w_hid[s][:, d:]``.
-
-    The row outer product ``g w_head[s]`` and the row sums (``row_sums``)
-    are ``einsum`` calls, since numpy broadcasts and reduces over the rows
-    with one short inner loop per row.  The sums add the rows in order, as
-    ``np.add.reduce`` does from two columns on (at one column ``row_sums``
-    is ``add.reduce``), so the bits are the same.  The outer product is
-    one multiply per element, but ``einsum`` adds it to a zeroed output,
-    so it writes +0.0 where ``np.multiply`` writes -0.0 (g == +0.0 times a
-    negative weight).  Past the ReLU mask, every reader of ``da_z`` is a
-    sum from +0.0 (the matmuls and ``row_sums``), so no gradient shows the
-    sign.  The memory columns' weight gradient is itself a product that is
-    a gradient, so it stays ``np.multiply``, which keeps the -0.0."""
+    loss gradient ``g`` (its sum ``g_sum``) into the blocks ``[s]`` of
+    ``grads`` and ``ws.dmem``.  The row sum ``sz`` of the mixer's
+    pre-activation gradient carries the folded memory back: its columns'
+    weight gradient is ``sz`` times the memory (``np.multiply``, which
+    keeps a -0.0) and its gradient ``sz @ w_hid[s][:, d:]``."""
     m = len(g)
-    h, z, on_z, on_h = ws.a_h[s, :m], ws.z[s, :m], ws.on_z[s, :m], ws.on_h[s, :m]
-    d = h.shape[-1]
-    g_w_hid = grads.w_hid[s]
-    # Each gradient overwrites a forward value that nothing reads again:
-    # da_z goes into z and da_h into h.  A ReLU output is > 0 exactly where
-    # its pre-activation was (NaN included), so both masks survive the ReLU.
-    np.matmul(z.swapaxes(-1, -2), g, out=grads.w_head[s])
-    grads.b_head[s] = g_sum
-    np.greater(z, 0, out=on_z)
-    da_z = np.einsum("r,...j->...rj", g, params.w_head[s], out=z)
-    da_z *= on_z
-    np.matmul(da_z.swapaxes(-1, -2), h, out=g_w_hid[..., :d])
-    sz = row_sums(da_z, out=grads.b_hid[s])
-    np.multiply(sz[..., None], params.memory, out=g_w_hid[..., d:])
+    d = params.dims.embed_dim
+    sz = mlp_backward(
+        x[s], _stream_views(s, params, ws.zb[s]), ws.a_h[s, :m], ws.z[s, :m], g, g_sum,
+        _stream_views(s, grads, grads.b_hid[s]), ws.on_h[s, :m], ws.on_z[s, :m],
+    )
+    np.multiply(sz[..., None], params.memory, out=grads.w_hid[s, ..., d:])
     np.matmul(sz[..., None, :], params.w_hid[s, ..., d:], out=ws.dmem[s, None])
-    np.greater(h, 0, out=on_h)
-    da_h = np.matmul(da_z, params.w_hid[s, ..., :d], out=h)
-    da_h *= on_h
-    np.matmul(da_h.swapaxes(-1, -2), x[s], out=grads.w[s])
-    row_sums(da_h, out=grads.b[s])
 
 
 # From this many rows per update, a training runs the two streams' layers
@@ -577,12 +543,17 @@ def _header(name: str, view: np.ndarray) -> str:
 
 
 def save_checkpoint(path, params: FusionParams, norm: NormStats) -> None:
+    """Write ``params`` and ``norm`` to ``path``.  A tensor with a
+    non-finite value, which ``load_checkpoint`` would reject, raises
+    ValueError naming the first such tensor before anything is written."""
     dims = params.dims
     lines = [CHECKPOINT_TAG]
     lines.append(f"dims {dims.embed_dim} {dims.memory_dim} {dims.hidden_dim} {int(dims.memory_enabled)}")
     vals = [norm.dl_mean, norm.dl_std, norm.ep_mean, norm.ep_std, norm.y_mean, norm.y_std]
     lines.append("norm " + " ".join(float(v).hex() for v in vals))
     for name, view in zip(_TENSOR_FIELDS, params.flatten()):
+        if not np.isfinite(view).all():
+            raise ValueError(f"{path}: tensor {name!r} has a non-finite value; no checkpoint written")
         header, values = _header(name, view), " ".join(x.hex() for x in view.reshape(-1).tolist())
         lines += [f"{header} {values}"] if view.ndim == 0 else [header, values]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

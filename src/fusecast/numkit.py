@@ -2,10 +2,11 @@
 
 Plain functions over numpy arrays: views of a flat parameter vector as
 shaped tensors (and kernel workspaces carved the same way from one
-allocation), the backward passes' row sums (``row_sums``, in row order),
-uniform weight initialisation, the in-place Adam update on
-one flat parameter vector and one flat gradient vector (a few vectorised
-ops per step), the epoch loop every trainer shares and its divergence
+allocation), the three-layer ReLU network kernel of the fusion streams
+and the baseline (``mlp_forward``, ``mlp_backward``) and its row sums
+(``row_sums``, in row order), uniform weight initialisation, the in-place
+Adam update on one flat parameter vector and one flat gradient vector (a
+few vectorised ops per step), the epoch loop every trainer shares and its divergence
 check, a central-difference gradient oracle used to verify hand-derived
 backward passes, the count of CPUs the process may use (it sizes the
 harness's pool and lets a training split its streams over two threads),
@@ -89,6 +90,58 @@ def row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     if a.shape[-1] >= 2:
         return np.einsum("...rj->...j", a, out=out)
     return np.add.reduce(a, axis=-2, out=out)
+
+
+def mlp_forward(x: np.ndarray, weights: Sequence[np.ndarray], h1: np.ndarray, h2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The three-layer ReLU network ``relu(relu(x w1.T + b1) w2.T + b2) w3 + b3``
+    over the rows of ``x`` (m, n0), ``weights`` = (w1, b1, w2, b2, w3, b3)
+    shaped (n1, n0), (n1,), (n2, n1), (n2,), (n2,), (); returns ``out``
+    (m,).  The ReLUs are taken in place, so ``h1`` (m, n1) and ``h2``
+    (m, n2) end holding the activations.  Leading axes, the same on every
+    array, stack networks that each get the bits of a call of their own."""
+    w1, b1, w2, b2, w3, b3 = weights
+    np.matmul(x, w1.swapaxes(-1, -2), out=h1)
+    h1 += b1[..., None, :]
+    np.maximum(h1, 0.0, out=h1)
+    np.matmul(h1, w2.swapaxes(-1, -2), out=h2)
+    h2 += b2[..., None, :]
+    np.maximum(h2, 0.0, out=h2)
+    np.matmul(h2, w3[..., :, None], out=out[..., None])
+    out += b3[..., None]
+    return out
+
+
+def mlp_backward(x, weights, h1, h2, dout: np.ndarray, dout_sum: float, grads, on1, on2) -> np.ndarray:
+    """The row-summed gradients of ``mlp_forward``'s network, written into
+    ``grads`` (views shaped and ordered as ``weights``), from the per-row
+    output gradient ``dout`` (m,), shared by stacked networks, and its sum
+    ``dout_sum``.  ``h1``/``h2`` hold the forward pass's activations and
+    take, in place, the pre-activation gradients; ``on1``/``on2`` are bool
+    buffers shaped like them for the ReLU masks (a ReLU output is > 0
+    exactly where its input was, NaN included).  Returns the row sums of
+    layer 2's pre-activation gradient (b2's gradient).
+
+    The row outer product ``dout w3`` is an ``einsum`` (a broadcast multiply
+    runs one short inner loop per row), which adds the one product per
+    element to a zeroed output: +0.0 where ``np.multiply``
+    writes -0.0 (dout == +0.0 times a negative weight).  Every reader of it
+    past the mask is a sum from +0.0 (the matmuls and ``row_sums``), so no
+    gradient shows the sign."""
+    _, _, w2, _, w3, _ = weights
+    g1, gb1, g2, gb2, g3, gb3 = grads
+    np.matmul(h2.swapaxes(-1, -2), dout, out=g3)
+    gb3[...] = dout_sum
+    np.greater(h2, 0, out=on2)
+    d2 = np.einsum("r,...j->...rj", dout, w3, out=h2)
+    d2 *= on2
+    np.matmul(d2.swapaxes(-1, -2), h1, out=g2)
+    sz = row_sums(d2, out=gb2)
+    np.greater(h1, 0, out=on1)
+    d1 = np.matmul(d2, w2, out=h1)
+    d1 *= on1
+    np.matmul(d1.swapaxes(-1, -2), x, out=g1)
+    row_sums(d1, out=gb1)
+    return sz
 
 
 def usable_cpus() -> int:

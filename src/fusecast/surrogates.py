@@ -24,7 +24,7 @@ import numpy as np
 
 from .numkit import (
     AdamState, TrainingDiverged, adam_step, block_views, check_count, check_real, draw_uniform, empty_blocks, fit_epochs,
-    row_sums,
+    mlp_backward, mlp_forward,
 )
 from .pipeline import (
     _HOUR, N_FEATURES, STD_FLOOR, EnergySeries, FeatureMatrix, SplitSpec, hour_of_day, hour_of_week, hourly_range,
@@ -177,7 +177,8 @@ def simulate_physics(params: BuildingParams, weather: WeatherSeries) -> EnergySe
 
     The zone starts at the middle of the occupied band.  Deterministic: the
     only randomness in the whole fixture lives in the weather and truth
-    generators.
+    generators.  Parameters that overflow the model (an hour's energy that
+    is not finite) raise ValueError naming the first such hour.
     """
     occ = OCCUPANCY[hour_of_week(weather.timestamps)]
     ua = params.ua_effective
@@ -211,8 +212,13 @@ def simulate_physics(params: BuildingParams, weather: WeatherSeries) -> EnergySe
         energy.append(electric_w / 1000.0)
         t_in = t_next
     energy = np.frombuffer(energy)
-    if np.any(energy < 0):
-        raise ValueError("physics surrogate produced negative energy")
+    finite = np.isfinite(energy)
+    if not finite.all():
+        hour = int(np.argmin(finite))
+        raise ValueError(
+            f"physics energy at hour {hour} ({weather.timestamps[hour]}) is not finite: "
+            "the building's parameters overflow the RC model"
+        )
     return EnergySeries.full(weather.timestamps, energy)
 
 
@@ -240,51 +246,26 @@ def make_truth(physics: EnergySeries, seed: int) -> EnergySeries:
 # 24-hour rollout at prediction time.
 # ---------------------------------------------------------------------------
 
-def _forward_shapes(hidden: int, rows: int) -> list[tuple[int, ...]]:
-    """Shapes of the forward buffers over ``rows`` rows: the pre-activations
-    and activations of both hidden layers, then the output."""
-    return [(rows, hidden)] * 4 + [(rows,)]
-
-
-def _forward(x: np.ndarray, w, bufs) -> tuple[np.ndarray, ...]:
-    """The baseline's three-layer forward on the m z-scored rows ``x``, with
-    the weights ``w`` = (w1, b1, w2, b2, w3, b3), into the first m rows of
-    ``bufs`` (shaped by ``_forward_shapes``): returns the pre-activations
-    and activations of both hidden layers, then the output, as views."""
-    m = len(x)
-    w1, b1, w2, b2, w3, b3 = w
-    a1, h1, a2, h2, out = (buf[:m] for buf in bufs)
-    np.matmul(x, w1.T, out=a1)
-    a1 += b1
-    np.maximum(a1, 0.0, out=h1)
-    np.matmul(h1, w2.T, out=a2)
-    a2 += b2
-    np.maximum(a2, 0.0, out=h2)
-    np.matmul(h2, w3, out=out)
-    out += b3
-    return a1, h1, a2, h2, out
-
-
 class _FitWorkspace:
     """The working set of one baseline fit: the z-scored splits ``xt``/``yt``
     and ``xv``/``yv``; for a minibatch of up to ``batch`` rows (the last,
     ragged one uses the first rows) the gathered rows ``xb``/``yb``, the
-    forward buffers ``fwd``, the output gradient ``dout``, the
-    pre-activation gradients ``da2``/``da1`` and the ReLU masks
-    ``on2``/``on1``; and the validation forward buffers ``fwd_val``.  As
-    in ``model._Workspace``, the float buffers are blocks of one allocation
-    and the masks of another, so glibc keeps the working set in its heap
-    from one fit to the next and no update allocates."""
+    kernel's buffers ``h1``, ``h2``, ``out`` and masks ``on1``/``on2``
+    and the output gradient ``dout``; and the validation pass's ``h1_val``,
+    ``h2_val`` and ``out_val``.  As in ``model._Workspace``, the float
+    buffers are blocks of one allocation and the masks of another, so glibc
+    keeps the working set in its heap from one fit to the next and no
+    update allocates."""
 
     def __init__(self, hidden: int, n_train: int, n_val: int, batch: int):
         named = {
             "xt": (n_train, N_FEATURES), "yt": (n_train,), "xv": (n_val, N_FEATURES), "yv": (n_val,),
-            "xb": (batch, N_FEATURES), "yb": (batch,), "dout": (batch,), "da2": (batch, hidden), "da1": (batch, hidden),
+            "xb": (batch, N_FEATURES), "yb": (batch,), "dout": (batch,),
+            "h1": (batch, hidden), "h2": (batch, hidden), "out": (batch,),
+            "h1_val": (n_val, hidden), "h2_val": (n_val, hidden), "out_val": (n_val,),
         }
-        bufs = empty_blocks([*named.values(), *_forward_shapes(hidden, batch), *_forward_shapes(hidden, n_val)])
-        self.__dict__.update(zip(named, bufs))
-        self.fwd, self.fwd_val = bufs[len(named) : -5], bufs[-5:]
-        self.on2, self.on1 = empty_blocks([(batch, hidden)] * 2, bool)
+        self.__dict__.update(zip(named, empty_blocks(named.values())))
+        self.on1, self.on2 = empty_blocks([(batch, hidden)] * 2, bool)
 
 
 @dataclass
@@ -302,8 +283,9 @@ class BaselineForecaster:
 
     def predict_matrix(self, x_raw: np.ndarray) -> np.ndarray:
         x = (x_raw - self.feat_mean) / self.feat_std
-        w = (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
-        out = _forward(x, w, empty_blocks(_forward_shapes(len(self.b1), len(x))))[-1]
+        w = (self.w1, self.b1, self.w2, self.b2, self.w3, np.float64(self.b3))
+        m, hidden = len(x), len(self.b1)
+        out = mlp_forward(x, w, *empty_blocks([(m, hidden), (m, hidden), (m,)]))
         return out * self.y_std + self.y_mean
 
 
@@ -352,22 +334,11 @@ def train_baseline_forecaster(features: FeatureMatrix, split: SplitSpec, seed: i
         m = len(rows)
         xb = xt.take(rows, axis=0, out=ws.xb[:m], mode="clip")
         yb = yt.take(rows, out=ws.yb[:m], mode="clip")
-        a1, h1, a2, h2, out = _forward(xb, w, ws.fwd)
+        out = mlp_forward(xb, w, ws.h1[:m], ws.h2[:m], ws.out[:m])
         dout = np.subtract(out, yb, out=ws.dout[:m])
         dout *= 2.0
         dout /= m
-        np.matmul(h2.T, dout, out=g[4])
-        g[5][...] = np.add.reduce(dout)
-        # einsum writes +0.0 where np.multiply writes -0.0; every reader of
-        # da2 sums from +0.0, so the gradient bits are the same (see model)
-        da2 = np.einsum("r,j->rj", dout, w[4], out=ws.da2[:m])
-        da2 *= np.greater(a2, 0, out=ws.on2[:m])
-        np.matmul(da2.T, h1, out=g[2])
-        row_sums(da2, out=g[3])
-        da1 = np.matmul(da2, w[2], out=ws.da1[:m])
-        da1 *= np.greater(a1, 0, out=ws.on1[:m])
-        np.matmul(da1.T, xb, out=g[0])
-        row_sums(da1, out=g[1])
+        mlp_backward(xb, w, ws.h1[:m], ws.h2[:m], dout, np.add.reduce(dout), g, ws.on1[:m], ws.on2[:m])
         # an overflowed gradient would write inf or NaN into the weights
         if not np.isfinite(grads).all():
             raise TrainingDiverged(f"epoch {epoch}: non-finite baseline gradient")
@@ -376,7 +347,7 @@ def train_baseline_forecaster(features: FeatureMatrix, split: SplitSpec, seed: i
 
     def validate(epoch: int) -> float:
         # the squared errors overwrite the outputs, which nothing reads again
-        err = np.subtract(_forward(xv, w, ws.fwd_val)[-1], yv, out=ws.fwd_val[-1])
+        err = np.subtract(mlp_forward(xv, w, ws.h1_val, ws.h2_val, ws.out_val), yv, out=ws.out_val)
         return float(np.mean(np.square(err, out=err)))
 
     best, _ = fit_epochs(

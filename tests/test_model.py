@@ -556,6 +556,26 @@ class TestCheckpoint:
         M.save_checkpoint(again, q, norm)
         assert again.read_text(encoding="utf-8") == _PINNED_CKPT
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "where,name",
+        [(lambda p: p.w[0, 0], "w_dl"), (lambda p: p.w_head[1], "w_head_ep"), (lambda p: p.b_head_mem, "b_head_mem")],
+        ids=["w_dl", "w_head_ep", "b_head_mem"],
+    )
+    def test_non_finite_tensor_named_and_nothing_written(self, tmp_path, bad, where, name):
+        # load_checkpoint rejects a non-finite value, so save_checkpoint
+        # writes no file that cannot be read back; a later tensor that is
+        # also bad does not hide the first, in _TENSOR_FIELDS order
+        p = M.init_params(M.FusionDims(3, 2, 4), 8)
+        where(p)[...] = bad
+        if name != "b_head_mem":
+            p.b_head_mem[...] = np.nan
+        path = tmp_path / "m.ckpt"
+        msg = f"^{re.escape(str(path))}: tensor '{name}' has a non-finite value; no checkpoint written$"
+        with pytest.raises(ValueError, match=msg):
+            M.save_checkpoint(path, p, NormStats(0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
+        assert not path.exists()
+
     def test_round_trip_without_memory(self, tmp_path):
         # the memory and its head weight are empty: their value lines are blank
         p = M.init_params(M.FusionDims(3, 2, 2, memory_enabled=False), 8)

@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 import os
 
@@ -13,6 +14,8 @@ from fusecast.numkit import (
     check_real,
     finite_diff_grad,
     fit_epochs,
+    mlp_backward,
+    mlp_forward,
     row_sums,
     usable_cpus,
 )
@@ -258,6 +261,90 @@ class TestRowSums:
         want = in_order if width >= 2 else pairwise
         assert out.reshape(-1).tobytes() == want.tobytes()
         assert out.tobytes() == np.add.reduce(a, axis=-2).tobytes()
+
+
+def mlp_shapes(n0, n1, n2, stack=()):
+    """The shapes of (w1, b1, w2, b2, w3, b3), with leading axes ``stack``."""
+    return [(*stack, *shape) for shape in ((n1, n0), (n1,), (n2, n1), (n2,), (n2,), ())]
+
+
+class TestMlpKernel:
+    @pytest.mark.parametrize("m", [1, 7, 128])
+    @pytest.mark.parametrize("widths", [(2, 3, 4), (29, 32, 32), (2, 1, 1)], ids=["small", "baseline", "width-one"])
+    def test_stacked_call_equals_two_calls_byte_for_byte(self, widths, m):
+        # the fusion model runs its two streams as one (2, m, d) call or as
+        # two calls on two threads; both must give the same bits.  The
+        # streams share their output gradient, as the model's do
+        rng = np.random.default_rng(600 + m + sum(widths))
+        n0, n1, n2 = widths
+        shapes = mlp_shapes(*widths, (2,))
+        size = sum(math.prod(shape) for shape in shapes)
+        weights = block_views(rng.standard_normal(size), shapes)
+        x = rng.standard_normal((2, m, n0))
+        stacked_grads = np.full(size, np.nan)
+        h1, h2, out = np.full((2, m, n1), np.nan), np.full((2, m, n2), np.nan), np.full((2, m), np.nan)
+        on1, on2 = np.ones(h1.shape, bool), np.ones(h2.shape, bool)
+        dout = rng.standard_normal(m)
+        mlp_forward(x, weights, h1, h2, out)
+        stacked_out = out.copy()
+        stacked_sz = mlp_backward(x, weights, h1, h2, dout, 1.5, block_views(stacked_grads, shapes), on1, on2).copy()
+        split_grads = np.full(size, np.nan)
+        g = block_views(split_grads, shapes)
+        for s in (0, 1):
+            w_s = [w[s, ...] for w in weights]
+            g_s = [gw[s, ...] for gw in g]  # [s, ...] keeps the 0-d b3 a view
+            h1s, h2s, outs = np.full((m, n1), np.nan), np.full((m, n2), np.nan), np.full(m, np.nan)
+            on1s, on2s = np.ones(h1s.shape, bool), np.ones(h2s.shape, bool)
+            assert mlp_forward(x[s], w_s, h1s, h2s, outs) is outs
+            assert outs.tobytes() == stacked_out[s].tobytes()
+            sz = mlp_backward(x[s], w_s, h1s, h2s, dout, 1.5, g_s, on1s, on2s)
+            assert sz is g_s[3]
+            assert sz.tobytes() == stacked_sz[s].tobytes()
+        assert not np.isnan(stacked_grads).any()
+        assert split_grads.tobytes() == stacked_grads.tobytes()
+
+    @pytest.mark.parametrize("widths", [(3, 4, 5), (1, 1, 1), (2, 1, 3), (4, 3, 1)])
+    def test_gradients_match_finite_differences(self, widths):
+        # width 1 runs row_sums' add.reduce branch
+        rng = np.random.default_rng(610 + sum(widths))
+        m = 6
+        n0, n1, n2 = widths
+        x, y = rng.standard_normal((m, n0)), rng.standard_normal(m)
+        shapes = mlp_shapes(*widths)
+        weights = [rng.standard_normal(shape) for shape in shapes]
+
+        def loss(ws):
+            h1 = np.maximum(x @ ws[0].T + ws[1], 0.0)
+            h2 = np.maximum(h1 @ ws[2].T + ws[3], 0.0)
+            return float(np.sum((h2 @ ws[4] + ws[5] - y) ** 2))
+
+        grads = np.full(sum(math.prod(shape) for shape in shapes), np.nan)
+        h1, h2, out = np.empty((m, n1)), np.empty((m, n2)), np.empty(m)
+        mlp_forward(x, weights, h1, h2, out)
+        assert math.isclose(float(np.sum((out - y) ** 2)), loss(weights), rel_tol=1e-12)
+        dout = 2.0 * (out - y)
+        on1, on2 = np.empty((m, n1), bool), np.empty((m, n2), bool)
+        sz = mlp_backward(x, weights, h1, h2, dout, float(np.sum(dout)), block_views(grads, shapes), on1, on2)
+        want = finite_diff_grad(loss, weights, h=1e-6)
+        for got, ref in zip(block_views(grads, shapes), want, strict=True):
+            np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(sz, want[3], rtol=1e-6, atol=1e-6)
+
+    def test_zero_d_head_bias_gradient_written_through_its_view(self):
+        rng = np.random.default_rng(620)
+        shapes = mlp_shapes(2, 3, 4)
+        weights = [rng.standard_normal(shape) for shape in shapes]
+        weights[5] = np.float64(0.25)  # a scalar head bias, as a fitted baseline holds
+        grads = np.full(sum(math.prod(shape) for shape in shapes), np.nan)
+        g = block_views(grads, shapes)
+        assert g[5].ndim == 0 and np.shares_memory(g[5], grads)
+        m = 5
+        x, h1, h2, out = rng.standard_normal((m, 2)), np.empty((m, 3)), np.empty((m, 4)), np.empty(m)
+        mlp_forward(x, weights, h1, h2, out)
+        on1, on2 = np.empty((m, 3), bool), np.empty((m, 4), bool)
+        mlp_backward(x, weights, h1, h2, rng.standard_normal(m), -3.5, g, on1, on2)
+        assert grads[-1] == -3.5
+        assert not np.isnan(grads).any()
 
 
 class TestUsableCpus:

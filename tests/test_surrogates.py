@@ -237,6 +237,24 @@ class TestSimulatePhysics:
         out = simulate_physics(BuildingParams(), make_weather(500, 3))
         assert np.all(out.values >= 0.0)
 
+    @pytest.mark.parametrize(
+        "building,start,hour",
+        [
+            (BuildingParams(ua_w_per_k=1e308), YEAR_START, 0),
+            (BuildingParams(equipment_w_per_m2=1e306), YEAR_START, 0),
+            # 1e308 W of equipment stays finite at the 0.30 and 0.75
+            # occupancy of a weekday's 09-19, and overflows at 19:00's 0.95
+            (sealed_building(equipment_w_per_m2=1e306), UNOCCUPIED, 10),
+        ],
+        ids=["ua", "equipment", "equipment-from-19h"],
+    )
+    def test_overflowing_building_names_the_first_non_finite_hour(self, building, start, hour):
+        weather = flat_weather(15, temp=17.0, start=start)
+        stamp = weather.timestamps[hour]
+        msg = rf"^physics energy at hour {hour} \({stamp}\) is not finite: the building's parameters overflow the RC model$"
+        with pytest.raises(ValueError, match=msg):
+            simulate_physics(building, weather)
+
     def test_seed_invariant(self):
         # physics consumes no randomness: same weather in, same energy out
         w = make_weather(200, 9)
@@ -627,6 +645,29 @@ class TestBaselineWorkspaceOracle:
         got = (f.w1, f.b1, f.w2, f.b2, f.w3, np.float64(f.b3))
         for name, a, b in zip(("w1", "b1", "w2", "b2", "w3", "b3"), got, ref):
             assert np.asarray(a).tobytes() == b.tobytes(), name
+
+
+class TestFitWorkspace:
+    @pytest.mark.parametrize("hidden,n_train,n_val,batch", [(5, 17, 11, 8), (BASELINE_HIDDEN, 5241, 1747, 256)])
+    def test_float_buffers_are_blocks_of_one_allocation(self, hidden, n_train, n_val, batch):
+        # one block per fit stays in the heap between fits, where many
+        # smaller ones are trimmed and page-faulted in again
+        ws = surrogates._FitWorkspace(hidden, n_train, n_val, batch)
+        floats = {k: v for k, v in vars(ws).items() if v.dtype == np.float64}
+        assert set(floats) == {"xt", "yt", "xv", "yv", "xb", "yb", "dout", "h1", "h2", "out", "h1_val", "h2_val", "out_val"}
+        arena = floats["xt"].base
+        assert arena is not None and arena.base is None and arena.ndim == 1
+        assert all(buf.base is arena for buf in floats.values())
+        assert arena.size == sum(buf.size for buf in floats.values())
+        assert ws.on1.dtype == ws.on2.dtype == bool and ws.on1.base is ws.on2.base is not None
+        assert ws.on1.base.size == 2 * batch * hidden
+        # per training row its features and target; per validation row its
+        # features, target, two activations and output; per minibatch row
+        # those and the output gradient.  The kernel takes its ReLUs in
+        # place and writes its gradients over the activations, so no
+        # pre-activation or gradient buffer is kept
+        per_val_row = N_FEATURES + 2 + 2 * hidden
+        assert arena.size == (N_FEATURES + 1) * n_train + per_val_row * n_val + (per_val_row + 1) * batch
 
 
 class TestOccupancy:
